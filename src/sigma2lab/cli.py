@@ -94,14 +94,17 @@ class RunConfig:
         return cfg
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            newton_tol=self.newton_tol,
-            max_newton_iters=self.max_newton_iters,
-            t_step_init=self.t_step_init,
-            t_step_min=self.t_step_min,
-            cone_margin=self.cone_margin,
-            backtrack_factor=self.backtrack_factor,
-        )
+        try:
+            return SolverConfig(
+                newton_tol=self.newton_tol,
+                max_newton_iters=self.max_newton_iters,
+                t_step_init=self.t_step_init,
+                t_step_min=self.t_step_min,
+                cone_margin=self.cone_margin,
+                backtrack_factor=self.backtrack_factor,
+            )
+        except ValueError as exc:
+            raise ConfigurationError(f"bad solver settings: {exc}") from exc
 
     def build_problem(self):
         """Returns (ProblemData, exact solution or None)."""
@@ -164,9 +167,9 @@ def cmd_solve(args) -> int:
     cfg = RunConfig.from_file(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
+    solver_cfg = cfg.solver_config()
     out = _prepare_out(cfg.out, args.out)
     data, u_star = cfg.build_problem()
-    solver_cfg = cfg.solver_config()
     u_init = load_field(cfg.warm_start, data.geometry) if cfg.warm_start else None
     try:
         report, u = run_and_return(data, solver_cfg, u_init=u_init)
@@ -218,6 +221,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_degeneracy(args) -> int:
+    if args.samples < 2:
+        raise ConfigurationError(f"--samples must be at least 2, got {args.samples}")
     out = _prepare_out("out", args.out)
     if args.n == 3:
         rows = n3_sweep(args.samples)

@@ -23,11 +23,18 @@ from the same discrete derivative fields of u and f.
 
 The continuation parameter t scales the data: every accessor below uses
 f_eff = t f and mu_eff = t mu, so callers never scale manually.
+
+The solver evaluates each iterate once with evaluate(), into an Iterate that
+holds its bundle, weights, g', residual and cone test; the assembly functions
+accept a precomputed bundle and weights.  Neither the bundle nor e^{+-u}
+depends on t, so evaluate() takes them from an earlier evaluation of the same
+field, and f's bundle is shared by every ProblemData.with_t copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,11 +67,13 @@ class ProblemData:
 
     alpha > 0, f >= 0 smooth, mu with exactly zero mean, normalization level
     A in (0,1), and the continuation parameter t in [0,1].  Derivatives of f
-    are cached on first use (f is fixed along a continuation run).
+    are computed on first use, or passed in as f_derivs, and shared with every
+    with_t copy (f is fixed along a continuation run).
     """
 
     def __init__(self, geometry: TorusGeometry, alpha: float, f: ScalarField,
-                 mu: ScalarField, A: float, t: float = 1.0):
+                 mu: ScalarField, A: float, t: float = 1.0,
+                 f_derivs: Derivs | None = None):
         if not (alpha > 0.0 and np.isfinite(alpha)):
             raise ConfigurationError(f"alpha must be positive, got {alpha}")
         if not (0.0 < A < 1.0):
@@ -89,7 +98,7 @@ class ProblemData:
         self.mu = mu
         self.A = float(A)
         self.t = float(t)
-        self._f_derivs: Derivs | None = None
+        self._f_derivs = f_derivs
 
     @property
     def n(self) -> int:
@@ -104,9 +113,8 @@ class ProblemData:
         return NormalizationConstants.for_dimension(self.n)
 
     def with_t(self, t: float) -> "ProblemData":
-        other = ProblemData(self.geometry, self.alpha, self.f, self.mu, self.A, t)
-        other._f_derivs = self._f_derivs
-        return other
+        return ProblemData(self.geometry, self.alpha, self.f, self.mu, self.A, t,
+                           self.f_derivs())
 
     # -- t-scaled accessors ------------------------------------------------
 
@@ -116,16 +124,16 @@ class ProblemData:
     def mu_eff(self) -> np.ndarray:
         return self.t * self.mu.values
 
-    def _f_bundle(self) -> Derivs:
+    def f_derivs(self) -> Derivs:
         if self._f_derivs is None:
             self._f_derivs = spectral_derivatives(self.f)
         return self._f_derivs
 
     def grad_f_eff(self) -> np.ndarray:
-        return self.t * self._f_bundle().grad
+        return self.t * self.f_derivs().grad
 
     def lap_f_eff(self) -> np.ndarray:
-        return self.t * self._f_bundle().lap
+        return self.t * self.f_derivs().lap
 
 
 # ---------------------------------------------------------------------------
@@ -205,48 +213,52 @@ def gamma2_mask(gp: HermitianField, margin: float = 0.0) -> np.ndarray:
 # form assembly
 
 
-def _exp_weights(u: ScalarField, d: ProblemData):
-    eu = np.exp(u.values)
-    emu = np.exp(-u.values)
+class Weights(NamedTuple):
+    """e^u, e^{-u}, f_eff, a = e^u + f_eff e^{-u} and b = e^u - f_eff e^{-u}."""
+
+    eu: np.ndarray
+    emu: np.ndarray
+    fe: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+
+def _exp_weights(u: ScalarField, d: ProblemData, like: Weights | None = None) -> Weights:
+    """Weights of u under d; `like`, u's weights under other data, supplies e^{+-u}."""
+    eu, emu = like[:2] if like is not None else (np.exp(u.values), np.exp(-u.values))
     fe = d.f_eff()
-    a = eu + fe * emu          # e^u + f_eff e^{-u}
-    b = eu - fe * emu          # e^u - f_eff e^{-u}
-    return eu, emu, fe, a, b
+    return Weights(eu, emu, fe, eu + fe * emu, eu - fe * emu)
 
 
-def gprime(u: ScalarField, d: ProblemData, derivs: Derivs | None = None) -> HermitianField:
+def gprime(u: ScalarField, d: ProblemData, derivs: Derivs | None = None,
+           weights: Weights | None = None) -> HermitianField:
     """g' = (e^u + f_eff e^{-u}) I + 2 n alpha * complex Hessian of u."""
     geom = u.geometry
     dv = derivs if derivs is not None else spectral_derivatives(u)
-    _, _, _, a, _ = _exp_weights(u, d)
+    w = weights if weights is not None else _exp_weights(u, d)
     coef = 2.0 * d.n * d.alpha
     m = coef * dv.hess
     for j in range(geom.n):
-        m[j, j] = m[j, j] + a
+        m[j, j] = m[j, j] + w.a
     return HermitianField(geom, m)
 
 
-def gtilde(u: ScalarField, d: ProblemData, derivs: Derivs | None = None) -> HermitianField:
-    """Linearization metric (n-1) a I + 2 n alpha ((Lap u) I - Hessian)."""
+def gtilde(u: ScalarField, d: ProblemData, derivs: Derivs | None = None,
+           weights: Weights | None = None) -> HermitianField:
+    """Linearization metric (n-1) a I + 2 n alpha ((Lap u) I - Hessian).
+
+    These are also the coefficients F^{j kbar} of the linearized operator:
+    raising both indices by the flat background metric is trivial.
+    """
     geom = u.geometry
     dv = derivs if derivs is not None else spectral_derivatives(u)
-    _, _, _, a, _ = _exp_weights(u, d)
+    w = weights if weights is not None else _exp_weights(u, d)
     coef = 2.0 * d.n * d.alpha
     m = (-coef) * dv.hess
-    diag = (geom.n - 1) * a + coef * dv.lap
+    diag = (geom.n - 1) * w.a + coef * dv.lap
     for j in range(geom.n):
         m[j, j] = m[j, j] + diag
     return HermitianField(geom, m)
-
-
-def f_matrix(u: ScalarField, d: ProblemData, derivs: Derivs | None = None) -> HermitianField:
-    """Coefficients F^{j kbar} of the linearized operator.
-
-    These are gtilde with both indices raised by the background metric; on
-    the flat torus the raising is trivial, so the matrix field is gtilde
-    itself.  Its trace against g equals (n-1) tr h with h = g'.
-    """
-    return gtilde(u, d, derivs)
 
 
 def sigma2_hessian(dv: Derivs) -> np.ndarray:
@@ -283,7 +295,8 @@ def residual_fy1(u: ScalarField, d: ProblemData, derivs: Derivs | None = None) -
     return ScalarField(u.geometry, vals)
 
 
-def rhs_sigma2(u: ScalarField, d: ProblemData, derivs: Derivs | None = None) -> ScalarField:
+def rhs_sigma2(u: ScalarField, d: ProblemData, derivs: Derivs | None = None,
+               weights: Weights | None = None) -> ScalarField:
     """Right-hand side of the Hessian form of the equation, fully expanded.
 
     With kappa_c = n(n-1)/2 and the t-scaled data:
@@ -294,7 +307,7 @@ def rhs_sigma2(u: ScalarField, d: ProblemData, derivs: Derivs | None = None) -> 
         + 4 alpha kappa_c e^{-u} (Lap f - 2 Re<Df, Du>).
     """
     dv = derivs if derivs is not None else spectral_derivatives(u)
-    eu, emu, fe, _, _ = _exp_weights(u, d)
+    eu, emu, fe, _, _ = weights if weights is not None else _exp_weights(u, d)
     gsq = dv.grad_sq
     kc = d.kappa_c
     al = d.alpha
@@ -309,16 +322,19 @@ def rhs_sigma2(u: ScalarField, d: ProblemData, derivs: Derivs | None = None) -> 
     return ScalarField(u.geometry, vals)
 
 
-def residual_sigma2(u: ScalarField, d: ProblemData, derivs: Derivs | None = None) -> ScalarField:
+def residual_sigma2(u: ScalarField, d: ProblemData, derivs: Derivs | None = None,
+                    weights: Weights | None = None,
+                    gp: HermitianField | None = None) -> ScalarField:
     """sigma_2(g') minus the expanded right-hand side.
 
     Satisfies residual_sigma2 = 2 n alpha * residual_fy1 as exact pointwise
     algebra of the shared discrete derivative fields.
     """
     dv = derivs if derivs is not None else spectral_derivatives(u)
-    s2 = sigma2_field(gprime(u, d, dv))
-    rhs = rhs_sigma2(u, d, dv)
-    return ScalarField(u.geometry, s2 - rhs.values)
+    w = weights if weights is not None else _exp_weights(u, d)
+    gp = gp if gp is not None else gprime(u, d, dv, w)
+    rhs = rhs_sigma2(u, d, dv, w)
+    return ScalarField(u.geometry, sigma2_field(gp) - rhs.values)
 
 
 def kappa_field(u: ScalarField, d: ProblemData, derivs: Derivs | None = None) -> np.ndarray:
@@ -352,6 +368,39 @@ def kappa_rhs_field(u: ScalarField, d: ProblemData, derivs: Derivs | None = None
         + kc * emu * emu * (2.0 * fe + fe * fe * emu * emu + 4.0 * al * emu * d.lap_f_eff())
         - 2.0 * d.n * al * emu * emu * d.mu_eff()
     )
+
+
+# ---------------------------------------------------------------------------
+# evaluated iterate
+
+
+@dataclass(frozen=True)
+class Iterate:
+    """A field evaluated once against one problem: what the Newton step, the
+    backtracking test, acceptance and the monitors read.  in_cone says whether
+    every node lies in Gamma_2 at the margin it was evaluated with."""
+
+    u: ScalarField
+    data: ProblemData
+    derivs: Derivs
+    weights: Weights
+    gp: HermitianField
+    residual: np.ndarray
+    rnorm: float
+    in_cone: bool
+
+
+def evaluate(u: ScalarField, d: ProblemData, margin: float,
+             derivs: Derivs | None = None, like: Weights | None = None) -> Iterate:
+    """Evaluate u against d.  `derivs` and `like` come from an evaluation of u
+    against other data (another t): the bundle and e^{+-u} carry over, and
+    only a, g' and the residual are assembled again."""
+    dv = derivs if derivs is not None else spectral_derivatives(u)
+    w = _exp_weights(u, d, like)
+    gp = gprime(u, d, dv, w)
+    in_cone = bool(np.all(gamma2_mask(gp, margin)))
+    r = residual_sigma2(u, d, dv, w, gp).values
+    return Iterate(u, d, dv, w, gp, r, float(np.max(np.abs(r))), in_cone)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +440,8 @@ class LinearCoefficients:
 
 
 def linearization_coefficients(u: ScalarField, d: ProblemData,
-                               derivs: Derivs | None = None) -> LinearCoefficients:
+                               derivs: Derivs | None = None,
+                               weights: Weights | None = None) -> LinearCoefficients:
     """Assemble the analytic coefficients of the Fréchet derivative at u.
 
     Analytic assembly (rather than automatic differentiation) keeps the
@@ -399,12 +449,13 @@ def linearization_coefficients(u: ScalarField, d: ProblemData,
     certifies it against central finite differences of the residual.
     """
     dv = derivs if derivs is not None else spectral_derivatives(u)
-    eu, emu, fe, a, b = _exp_weights(u, d)
+    w = weights if weights is not None else _exp_weights(u, d)
+    eu, emu, fe, a, b = w
     gsq = dv.grad_sq
     kc = d.kappa_c
     al = d.alpha
     n = d.n
-    gt = gtilde(u, d, dv)
+    gt = gtilde(u, d, dv, w)
 
     sigma1_gp = n * a + 2.0 * n * al * dv.lap
     grad_fe = d.grad_f_eff()
@@ -437,24 +488,15 @@ def linearize(u: ScalarField, d: ProblemData, v: ScalarField,
 # manufactured data
 
 
-def manufactured_mu(u_star: ScalarField, d: ProblemData,
+def manufactured_mu(u_star: ScalarField, seed: ProblemData,
                     derivs: Derivs | None = None) -> ScalarField:
     """Source term making u_star an exact solution of the t = 1 problem.
 
-    mu := -(n-1) Lap(e^{u*} - f e^{-u*}) - 2 n alpha sigma_2(i ddbar u*),
-    assembled with the same chain-rule expansion as residual_fy1 and then
-    mean-subtracted exactly (the raw mean is already divergence-small); the
-    subtraction perturbs the manufactured residual by the same ~1e-14.
+    `seed` is that problem with mu = 0 and t = 1, so residual_fy1 on it is
+    (n-1) Lap(e^{u*} - f e^{-u*}) + 2 n alpha sigma_2(i ddbar u*), and mu is
+    its negative, mean-subtracted exactly (the raw mean is already
+    divergence-small); the subtraction perturbs the manufactured residual by
+    the same ~1e-14.
     """
-    dv = derivs if derivs is not None else spectral_derivatives(u_star)
-    eu = np.exp(u_star.values)
-    emu = np.exp(-u_star.values)
-    f = d.f.values
-    fd = d._f_bundle()
-    gsq = dv.grad_sq
-    lap_eu = eu * (dv.lap + gsq)
-    lap_femu = emu * (fd.lap - _pairing(fd.grad, dv.grad) + f * gsq - f * dv.lap)
-    n = d.n
-    vals = -(n - 1) * (lap_eu - lap_femu) - 2.0 * n * d.alpha * sigma2_hessian(dv)
-    vals = vals - np.mean(vals)
-    return ScalarField(u_star.geometry, vals)
+    vals = -residual_fy1(u_star, seed, derivs).values
+    return ScalarField(u_star.geometry, vals - np.mean(vals))

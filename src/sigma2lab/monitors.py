@@ -18,22 +18,23 @@ constant used by the Moser iteration (reverse_sobolev_constant).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import HypothesisError, RangeUnderflowError
 from .forms import (
+    Iterate,
     ProblemData,
     gamma2_mask,
-    gprime,
     gtilde,
     hermitian_eigenvalues,
     kappa_field,
     kappa_rhs_field,
     sigma2_field,
 )
-from .torus import ScalarField, integrate_values, mixed_wedge_density, spectral_derivatives
+from .torus import ScalarField, mixed_wedge_density, spectral_derivatives
 
 CSV_COLUMNS = (
     "t",
@@ -72,18 +73,17 @@ class EstimateReport:
         )
 
 
-def estimate_report(u: ScalarField, d: ProblemData) -> EstimateReport:
-    """Evaluate every monitored quantity on one field."""
-    dv = spectral_derivatives(u)
-    vals = u.values
+def estimate_report(it: Iterate) -> EstimateReport:
+    """Evaluate every monitored quantity on one evaluated iterate, from its
+    bundle, weights and g'."""
+    d = it.data
+    vals = it.u.values
     inf_u = float(np.min(vals))
     sup_u = float(np.max(vals))
-    c1 = float(np.max(np.exp(-vals) * dv.grad_sq))
-    gp = gprime(u, d, dv)
-    gt = gtilde(u, d, dv)
-    eigs = hermitian_eigenvalues(gt)
-    kappa = float(np.min(np.exp(-2.0 * vals) * sigma2_field(gp)))
-    frac = float(np.mean(gamma2_mask(gp)))
+    c1 = float(np.max(it.weights.emu * it.derivs.grad_sq))
+    eigs = hermitian_eigenvalues(gtilde(it.u, d, it.derivs, it.weights))
+    kappa = float(np.min(np.exp(-2.0 * vals) * sigma2_field(it.gp)))
+    frac = float(np.mean(gamma2_mask(it.gp)))
     return EstimateReport(
         inf_u=inf_u,
         sup_u=sup_u,
@@ -125,7 +125,6 @@ def moser_identity_gap(u: ScalarField, d: ProblemData, k: float) -> float:
     """
     if not k > 0.0:
         raise ValueError("the identity weight k must be positive")
-    geom = u.geometry
     n = d.n
     dv = spectral_derivatives(u)
     vals = u.values
@@ -141,13 +140,11 @@ def moser_identity_gap(u: ScalarField, d: ProblemData, k: float) -> float:
     a = np.exp(vals) + fe * np.exp(-vals)
     wedge = mixed_wedge_density(u, dv).values
 
-    fact = 1.0
-    for m in range(2, n):
-        fact *= m  # (n-1)!
-    lhs = k * integrate_values(geom, e_min_ku * dv.grad_sq * a)
-    r1 = -(k * n * d.alpha / fact) * integrate_values(geom, e_min_ku * wedge)
-    r2 = -(1.0 / (n - 1)) * integrate_values(geom, e_min_ku * d.mu_eff())
-    r3 = (1.0 - 1.0 / (k + 1.0)) * integrate_values(geom, e_min_k1u * d.lap_f_eff())
+    fact = math.factorial(n - 1)
+    lhs = k * float(np.mean(e_min_ku * dv.grad_sq * a))
+    r1 = -(k * n * d.alpha / fact) * float(np.mean(e_min_ku * wedge))
+    r2 = -(1.0 / (n - 1)) * float(np.mean(e_min_ku * d.mu_eff()))
+    r3 = (1.0 - 1.0 / (k + 1.0)) * float(np.mean(e_min_k1u * d.lap_f_eff()))
     terms = np.array([lhs, r1, r2, r3])
     scale = float(np.max(np.abs(terms)))
     if scale == 0.0:
@@ -210,9 +207,7 @@ def wedge_lower_bound_check(u: ScalarField, d: ProblemData) -> float:
             f"the linearization metric is not positive (min eigenvalue {min_eig:.3e})"
         )
     n = d.n
-    fact = 1.0
-    for m in range(2, n):
-        fact *= m  # (n-1)!
+    fact = math.factorial(n - 1)
     vals = u.values
     a = np.exp(vals) + d.f_eff() * np.exp(-vals)
     wedge = mixed_wedge_density(u, dv).values

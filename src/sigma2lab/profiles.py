@@ -87,5 +87,5 @@ def manufactured_problem(geom: TorusGeometry, alpha: float, base_A: float,
     zero = constant_field(geom, 0.0)
     seed = ProblemData(geom, alpha, f, zero, a_star, t=1.0)
     mu = zero_mean(manufactured_mu(u_star, seed))
-    data = ProblemData(geom, alpha, f, mu, a_star, t=1.0)
+    data = ProblemData(geom, alpha, f, mu, a_star, t=1.0, f_derivs=seed.f_derivs())
     return data, u_star

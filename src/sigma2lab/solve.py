@@ -16,6 +16,11 @@ a damped Newton iteration on residual_sigma2:
   * the additive normalization constant is restored after every step by the
     exact closed-form shift, so every accepted iterate satisfies
     (integral e^{-gamma u})^{1/gamma} = A.
+
+Each iterate is evaluated once (forms.evaluate): the backtracking test of a
+trial, the next Newton step from it, its acceptance and its monitor snapshot
+read the same Iterate.  Its bundle carries over to the next continuation
+attempt, where only a, g' and the residual are assembled for the new t.
 """
 
 from __future__ import annotations
@@ -35,12 +40,11 @@ from .errors import (
     NormalizationError,
 )
 from .forms import (
+    Iterate,
     LinearCoefficients,
     ProblemData,
-    gamma2_mask,
-    gprime,
+    evaluate,
     linearization_coefficients,
-    residual_sigma2,
 )
 from .monitors import estimate_report
 from .torus import ScalarField, constant_field, spectral_derivatives
@@ -185,83 +189,58 @@ def solve_newton_system(u: ScalarField, d: ProblemData, coeffs: LinearCoefficien
 # Newton corrector
 
 
-def _cone_ok(gp, margin: float) -> bool:
-    return bool(np.all(gamma2_mask(gp, margin)))
-
-
-def _newton_step(u: ScalarField, d: ProblemData, cfg: SolverConfig,
-                 forcing: float | None = None):
-    """One damped step.  Returns (u_new, s, residual_norm_new)."""
-    dv = spectral_derivatives(u)
-    gp = gprime(u, d, dv)
-    if not _cone_ok(gp, cfg.cone_margin):
+def _newton_step(it: Iterate, cfg: SolverConfig, forcing: float | None = None):
+    """One damped step from an evaluated iterate.  Returns the evaluation of
+    the accepted trial, which the next step starts from, and its s."""
+    if not it.in_cone:
         raise ConeViolationError(
             "current iterate leaves Gamma_2 at the required margin"
         )
-    r = residual_sigma2(u, d, dv).values
-    rnorm = float(np.max(np.abs(r)))
-    coeffs = linearization_coefficients(u, d, dv)
-    v = solve_newton_system(u, d, coeffs, -r, cfg, rtol=forcing)
+    u, d = it.u, it.data
+    coeffs = linearization_coefficients(u, d, it.derivs, it.weights)
+    v = solve_newton_system(u, d, coeffs, -it.residual, cfg, rtol=forcing)
 
     gamma = d.norm_constants.gamma
     s = 1.0
     last_reason = "no admissible step"
     for _ in range(cfg.max_backtracks + 1):
-        trial = normalize(ScalarField(u.geometry, u.values + s * v),
-                          d.A, gamma)
-        dv_t = spectral_derivatives(trial)
-        gp_t = gprime(trial, d, dv_t)
-        if not _cone_ok(gp_t, cfg.cone_margin):
+        trial = evaluate(normalize(ScalarField(u.geometry, u.values + s * v), d.A, gamma),
+                         d, cfg.cone_margin)
+        if not trial.in_cone:
             last_reason = f"cone margin violated at s={s:.3e}"
-            s *= cfg.backtrack_factor
-            continue
-        r_t = residual_sigma2(trial, d, dv_t).values
-        rnorm_t = float(np.max(np.abs(r_t)))
-        if rnorm_t <= rnorm * (1.0 + _RESIDUAL_SLACK):
-            return trial, s, rnorm_t
-        last_reason = (
-            f"residual increased at s={s:.3e} "
-            f"({rnorm:.3e} -> {rnorm_t:.3e})"
-        )
+        elif trial.rnorm <= it.rnorm * (1.0 + _RESIDUAL_SLACK):
+            return trial, s
+        else:
+            last_reason = (
+                f"residual increased at s={s:.3e} "
+                f"({it.rnorm:.3e} -> {trial.rnorm:.3e})"
+            )
         s *= cfg.backtrack_factor
     raise ConeBreakdownError(f"backtracking exhausted: {last_reason}")
 
 
-def newton_step(u: ScalarField, d: ProblemData, cfg: SolverConfig):
-    """One damped Newton step; returns (normalized new iterate, accepted s)."""
-    u_new, s, _ = _newton_step(u, d, cfg)
-    return u_new, s
-
-
-def solve_at_t(u0: ScalarField, d: ProblemData, cfg: SolverConfig) -> ScalarField:
-    """Newton iteration at fixed t until the residual max-norm drops below
-    newton_tol; raises ConvergenceError (with best iterate and history)
-    otherwise.  The returned field is normalized."""
-    u, _, _ = _solve_at_t(u0, d, cfg)
-    return u
-
-
-def _solve_at_t(u0: ScalarField, d: ProblemData, cfg: SolverConfig):
-    gamma = d.norm_constants.gamma
-    u = normalize(u0, d.A, gamma)
-    rnorm = float(np.max(np.abs(residual_sigma2(u, d).values)))
-    rnorm0 = rnorm
-    history = [rnorm]
+def _solve_at_t(it: Iterate, cfg: SolverConfig):
+    """Newton iteration on it.data from the evaluated iterate `it` until the
+    residual max-norm drops below newton_tol.  Returns (final iterate, Newton
+    steps, residual history); raises ConvergenceError (with best field and
+    history) otherwise."""
+    rnorm0 = it.rnorm
+    history = [it.rnorm]
     iters = 0
-    while rnorm >= cfg.newton_tol:
+    while it.rnorm >= cfg.newton_tol:
         if iters >= cfg.max_newton_iters:
             raise ConvergenceError(
                 f"Newton did not reach tol={cfg.newton_tol:.1e} in "
-                f"{cfg.max_newton_iters} iterations (residual {rnorm:.3e})",
-                best=u, history=history,
+                f"{cfg.max_newton_iters} iterations (residual {it.rnorm:.3e})",
+                best=it.u, history=history,
             )
         # inexact-Newton forcing: solve loosely while far from the root,
         # tighten to linear_rtol as the residual drops
-        forcing = min(1e-2, max(cfg.linear_rtol, 0.01 * rnorm / rnorm0))
-        u, _, rnorm = _newton_step(u, d, cfg, forcing=forcing)
-        history.append(rnorm)
+        forcing = min(1e-2, max(cfg.linear_rtol, 0.01 * it.rnorm / rnorm0))
+        it, _ = _newton_step(it, cfg, forcing=forcing)
+        history.append(it.rnorm)
         iters += 1
-    return u, iters, history
+    return it, iters, history
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +263,30 @@ def run_and_return(d: ProblemData, cfg: SolverConfig,
     the furthest accepted iterate) if the step floor is reached before t = 1.
     """
     report = SolveReport()
-    geom = d.geometry
-    u = u_init if u_init is not None else constant_field(geom, -np.log(d.A))
+    margin = cfg.cone_margin
+    u = u_init if u_init is not None else constant_field(d.geometry, -np.log(d.A))
+    # the only shift outside the Newton step: its trials come out normalized
+    u = normalize(u, d.A, d.norm_constants.gamma)
+    it = None  # the accepted iterate, until the next attempt takes it
 
-    def accept(t: float, u_acc: ScalarField, d_t: ProblemData):
-        rnorm = float(np.max(np.abs(residual_sigma2(u_acc, d_t).values)))
+    def accept(t: float):
+        nonlocal u
+        u = it.u
         report.t_values.append(t)
-        report.residual_norms.append(rnorm)
-        report.monitor_snapshots.append(estimate_report(u_acc, d_t))
+        report.residual_norms.append(it.rnorm)
+        report.monitor_snapshots.append(estimate_report(it))
         if on_accept is not None:
-            on_accept(t, u_acc, d_t)
+            on_accept(t, u, it.data)
+
+    def start(d_t: ProblemData) -> Iterate:
+        """The accepted iterate against d_t.  It is taken out of `it`: held
+        there, its bundle would stay alive next to those of the attempt's
+        later Newton steps.  After a failed attempt u is evaluated again."""
+        nonlocal it
+        prev, it = it, None
+        if prev is None:
+            return evaluate(u, d_t, margin)
+        return evaluate(prev.u, d_t, margin, prev.derivs, prev.weights)
 
     def stall(message, exc=None):
         err = ContinuationStallError(message, report=report)
@@ -302,20 +295,18 @@ def run_and_return(d: ProblemData, cfg: SolverConfig,
             raise err from exc
         raise err
 
-    d0 = d.with_t(0.0)
     try:
-        u, _, _ = _solve_at_t(u, d0, cfg)
+        it, _, _ = _solve_at_t(evaluate(u, d.with_t(0.0), margin), cfg)
     except _SOLVE_FAILURES as exc:
         stall(f"could not solve the t = 0 problem: {exc}", exc)
-    accept(0.0, u, d0)
+    accept(0.0)
 
     t = 0.0
     dt = cfg.t_step_init
     while t < 1.0:
         t_try = min(1.0, t + dt)
-        d_t = d.with_t(t_try)
         try:
-            u_new, iters, _ = _solve_at_t(u, d_t, cfg)
+            it, iters, _ = _solve_at_t(start(d.with_t(t_try)), cfg)
         except _SOLVE_FAILURES:
             dt *= 0.5
             if dt < cfg.t_step_min:
@@ -323,17 +314,9 @@ def run_and_return(d: ProblemData, cfg: SolverConfig,
                       f"(step floor {cfg.t_step_min:g} reached)")
             continue
         t = t_try
-        u = u_new
-        accept(t, u, d_t)
+        accept(t)
         if iters <= cfg.easy_newton_iters:
             dt = min(cfg.t_step_growth * dt, 1.0)
 
     report.converged = True
     return report, u
-
-
-def continuity_run(d: ProblemData, cfg: SolverConfig,
-                   u_init: ScalarField | None = None) -> SolveReport:
-    """Adaptive continuation in t from the trivial solution; see run_and_return."""
-    report, _ = run_and_return(d, cfg, u_init)
-    return report

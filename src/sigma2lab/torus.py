@@ -34,8 +34,6 @@ import scipy.fft
 
 from .errors import ConfigurationError
 
-HERMITIAN_TOL = 1e-13
-
 _DUMP_MAGIC = b"S2LFIELD"
 
 
@@ -147,7 +145,8 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class HermitianField:
-    """Per-node n x n complex Hermitian matrix, stored as (n, n) + grid."""
+    """Per-node n x n complex Hermitian matrix, stored as (n, n) + grid; the
+    package builds these from the Hermitian Hessian, so only shape is checked."""
 
     geometry: TorusGeometry
     matrices: np.ndarray
@@ -159,32 +158,11 @@ class HermitianField:
             raise ConfigurationError(
                 f"matrix field shape {m.shape} does not match (n, n) + grid"
             )
-        # componentwise Chebyshev check of Hermitian symmetry, entry pair by
-        # entry pair (avoids whole-array temporaries in hot assembly paths)
-        scale = 1.0
-        skew = 0.0
-        for j in range(n):
-            scale = max(scale, float(np.max(np.abs(m[j, j].real))),
-                        float(np.max(np.abs(m[j, j].imag))))
-            skew = max(skew, float(np.max(np.abs(m[j, j].imag))))
-            for k in range(j + 1, n):
-                a, b = m[j, k], m[k, j]
-                skew = max(skew,
-                           float(np.max(np.abs(a.real - b.real))),
-                           float(np.max(np.abs(a.imag + b.imag))))
-                scale = max(scale, float(np.max(np.abs(a.real))),
-                            float(np.max(np.abs(a.imag))))
-        if skew > HERMITIAN_TOL * (1.0 + scale):
-            raise ConfigurationError("matrix field is not Hermitian to tolerance")
         object.__setattr__(self, "matrices", m)
 
 
 def constant_field(geom: TorusGeometry, c: float) -> ScalarField:
     return ScalarField(geom, np.full(geom.shape, float(c)))
-
-
-def field_like(u: ScalarField, values: np.ndarray) -> ScalarField:
-    return ScalarField(u.geometry, values)
 
 
 # ---------------------------------------------------------------------------
@@ -259,19 +237,6 @@ def d_holo(u: ScalarField, j: int) -> np.ndarray:
     return _ifft(geom.holo_symbol(j) * _fft(u.values), 2 * geom.n)
 
 
-def holo_gradient(u: ScalarField) -> np.ndarray:
-    """All holomorphic derivatives, shape (n,) + grid."""
-    geom = u.geometry
-    uhat = _fft(u.values)
-    stack = np.stack([geom.holo_symbol(j) * uhat for j in range(1, geom.n + 1)])
-    return _ifft(stack, 2 * geom.n)
-
-
-def complex_hessian(u: ScalarField) -> HermitianField:
-    """Complex Hessian (D_j D_kbar u); Hermitian by construction."""
-    return HermitianField(u.geometry, spectral_derivatives(u).hess)
-
-
 def laplacian(u: ScalarField) -> ScalarField:
     """Complex Laplacian sum_j D_j D_jbar u (trace of the complex Hessian)."""
     geom = u.geometry
@@ -279,21 +244,9 @@ def laplacian(u: ScalarField) -> ScalarField:
     return ScalarField(geom, out.real)
 
 
-def grad_sq(u: ScalarField) -> ScalarField:
-    """Pointwise |Du|^2 = sum_j |D_j u|^2 (nonnegative everywhere)."""
-    return ScalarField(u.geometry, np.sum(np.abs(holo_gradient(u)) ** 2, axis=0))
-
-
 def integrate(w: ScalarField) -> float:
     """Integral over the unit-volume torus: the nodal mean."""
     return float(np.mean(w.values))
-
-
-def integrate_values(geom: TorusGeometry, values: np.ndarray) -> float:
-    """integrate() for a raw array already on the grid of geom."""
-    if values.shape != geom.shape:
-        raise ConfigurationError("array shape does not match the grid")
-    return float(np.mean(values))
 
 
 def zero_mean(u: ScalarField) -> ScalarField:
@@ -345,7 +298,10 @@ def load_field(path, geometry: TorusGeometry | None = None) -> ScalarField:
         magic = fh.read(len(_DUMP_MAGIC))
         if magic != _DUMP_MAGIC:
             raise ConfigurationError(f"{path}: not a field dump")
-        n_f, p_f, period = struct.unpack("<3d", fh.read(24))
+        header = fh.read(24)
+        if len(header) != 24:
+            raise ConfigurationError(f"{path}: truncated dump")
+        n_f, p_f, period = struct.unpack("<3d", header)
         payload = fh.read()
     n, p = int(round(n_f)), int(round(p_f))
     geom = TorusGeometry(n=n, points_per_axis=p, period=period)

@@ -140,6 +140,34 @@ t_step_min = 0.05
         assert float(lines[1].split(",")[0]) == 0.0
 
 
+class TestTypedErrors:
+    """Bad input ends in exit code 2 and one `error:` line, not a traceback."""
+
+    @staticmethod
+    def assert_one_error_line(capsys, text):
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert text in lines[0]
+
+    def test_negative_newton_tol(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TRIVIAL_CONFIG + "newton_tol = -1\n")
+        assert run_cli("solve", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        self.assert_one_error_line(capsys, "newton_tol must be positive")
+
+    def test_single_sample_sweep(self, tmp_path, capsys):
+        assert run_cli("degeneracy", "--n", "3", "--samples", "1",
+                       "--out", str(tmp_path)) == 2
+        self.assert_one_error_line(capsys, "--samples")
+
+    def test_dump_with_short_header(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TRIVIAL_CONFIG)
+        dump = tmp_path / "short.bin"
+        dump.write_bytes(b"S2LFIELD" + bytes(10))
+        assert run_cli("moser-check", "--config", cfg, "--solution", str(dump),
+                       "--out", str(tmp_path / "o")) == 2
+        self.assert_one_error_line(capsys, "truncated dump")
+
+
 class TestDegeneracy:
     def test_n3_sweep_matches_closed_form(self, tmp_path):
         out = tmp_path / "deg"

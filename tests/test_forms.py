@@ -8,7 +8,6 @@ from sigma2lab.errors import ConfigurationError
 from sigma2lab.forms import (
     NormalizationConstants,
     ProblemData,
-    f_matrix,
     gamma2_mask,
     gprime,
     gtilde,
@@ -159,7 +158,7 @@ class TestGTilde:
 class TestFMatrix:
     def test_trivial(self, geom2):
         u0, d = trivial_setup(geom2, A=0.05)
-        fm = f_matrix(u0, d).matrices
+        fm = gtilde(u0, d).matrices
         for j in range(2):
             assert np.allclose(fm[j, j].real, 1.0 / 0.05, rtol=1e-13)
 
@@ -167,7 +166,7 @@ class TestFMatrix:
         # trace of F against the flat metric equals (n-1) sigma_1(g')
         u = random_band_limited(geom2, rng, 2, 0.7)
         dv = spectral_derivatives(u)
-        fm = f_matrix(u, problem2, dv)
+        fm = gtilde(u, problem2, dv)
         s1p = sigma1_field(gprime(u, problem2, dv))
         got = sigma1_field(fm)
         assert np.max(np.abs(got - (2 - 1) * s1p)) <= 1e-11 * (1.0 + np.max(np.abs(got)))
@@ -180,7 +179,7 @@ class TestFMatrix:
         u = ScalarField(geom2, 0.3 * np.cos(w * x) + 0.2 * np.sin(w * y))
         dv = spectral_derivatives(u)
         gp = gprime(u, problem2, dv).matrices
-        fm = f_matrix(u, problem2, dv).matrices
+        fm = gtilde(u, problem2, dv).matrices
         s1 = sigma1_field(gprime(u, problem2, dv))
         for j in range(2):
             want = s1 - gp[j, j].real

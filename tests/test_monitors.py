@@ -5,7 +5,7 @@ import pytest
 
 from sigma2lab import monitors, profiles, solve, torus
 from sigma2lab.errors import HypothesisError
-from sigma2lab.forms import ProblemData
+from sigma2lab.forms import ProblemData, evaluate
 from sigma2lab.monitors import (
     csv_header,
     csv_row,
@@ -33,7 +33,7 @@ def solved_manufactured():
 class TestEstimateReport:
     def test_trivial_closed_forms(self, geom2, trivial2):
         u0 = constant_field(geom2, -np.log(trivial2.A))
-        rep = estimate_report(u0, trivial2)
+        rep = estimate_report(evaluate(u0, trivial2, 0.0))
         assert rep.inf_u == rep.sup_u == pytest.approx(-np.log(trivial2.A))
         assert rep.c0_low_ratio == pytest.approx(1.0, abs=1e-12)
         assert rep.c0_high_ratio == pytest.approx(1.0, abs=1e-12)
@@ -49,7 +49,7 @@ class TestEstimateReport:
         zero = constant_field(geom3, 0.0)
         d = ProblemData(geom3, 1.0, zero, zero, 0.1, t=0.0)
         u0 = constant_field(geom3, -np.log(0.1))
-        rep = estimate_report(u0, d)
+        rep = estimate_report(evaluate(u0, d, 0.0))
         assert rep.kappa == pytest.approx(3.0, abs=1e-12)
         assert rep.kappa_c == 3.0
         assert rep.gtilde_eig_min == pytest.approx(2.0 / 0.1, rel=1e-12)
@@ -130,7 +130,7 @@ class TestWedgeLowerBound:
 class TestCsv:
     def test_header_and_row_shapes(self, geom2, trivial2):
         u0 = constant_field(geom2, -np.log(trivial2.A))
-        rep = estimate_report(u0, trivial2)
+        rep = estimate_report(evaluate(u0, trivial2, 0.0))
         header = csv_header()
         row = csv_row(0.0, 1e-12, rep)
         assert len(header.split(",")) == len(row.split(","))

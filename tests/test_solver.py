@@ -1,24 +1,26 @@
 """Newton corrector, normalization, and the continuation loop."""
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from sigma2lab import forms, profiles, solve, torus
+from sigma2lab import cli, forms, profiles, solve, torus
 from sigma2lab.errors import (
     ConeViolationError,
     ContinuationStallError,
     ConvergenceError,
     NormalizationError,
 )
-from sigma2lab.forms import ProblemData, gamma2_mask, gprime, residual_sigma2
+from sigma2lab.forms import ProblemData, evaluate, gamma2_mask, gprime, residual_sigma2
 from sigma2lab.profiles import normalization_level
 from sigma2lab.solve import (
     SolverConfig,
-    continuity_run,
-    newton_step,
+    _newton_step,
+    _solve_at_t,
     normalize,
     run_and_return,
-    solve_at_t,
 )
 from sigma2lab.torus import ScalarField, constant_field, random_band_limited
 
@@ -69,7 +71,9 @@ class TestNormalize:
 class TestNewtonStep:
     def test_exact_solution_is_fixed_point(self, geom2, trivial2):
         u0 = constant_field(geom2, -np.log(trivial2.A))
-        u1, s = newton_step(u0, trivial2, SolverConfig())
+        cfg = SolverConfig()
+        it, s = _newton_step(evaluate(u0, trivial2, cfg.cone_margin), cfg)
+        u1 = it.u
         assert resnorm(u1, trivial2) < 1e-10
         assert np.max(np.abs(u1.values - u0.values)) < 1e-12
 
@@ -79,8 +83,9 @@ class TestNewtonStep:
         u = normalize(ScalarField(geom2, u0.values + pert.values),
                       trivial2.A, 4.0)
         r_before = resnorm(u, trivial2)
-        u1, s = newton_step(u, trivial2, SolverConfig())
-        r_after = resnorm(u1, trivial2)
+        cfg = SolverConfig()
+        it, s = _newton_step(evaluate(u, trivial2, cfg.cone_margin), cfg)
+        r_after = resnorm(it.u, trivial2)
         assert r_after <= r_before / 10.0
 
     def test_cone_precondition_enforced(self, geom2):
@@ -90,8 +95,9 @@ class TestNewtonStep:
         x = geom2.coordinate(0) * np.ones(geom2.shape)
         bad = ScalarField(geom2, -np.log(0.1) + 2.0 * np.cos(w * x))
         assert not np.all(gamma2_mask(gprime(bad, d)))
+        cfg = SolverConfig()
         with pytest.raises(ConeViolationError):
-            newton_step(bad, d, SolverConfig())
+            _newton_step(evaluate(bad, d, cfg.cone_margin), cfg)
 
     def test_step_damped_but_margin_respected(self, geom2):
         # large source: the full Newton step overshoots, backtracking accepts
@@ -101,7 +107,8 @@ class TestNewtonStep:
                         0.1, t=1.0)
         u0 = constant_field(geom2, -np.log(0.1))
         cfg = SolverConfig(cone_margin=1e-6)
-        u1, s = newton_step(u0, d, cfg)
+        it, s = _newton_step(evaluate(u0, d, cfg.cone_margin), cfg)
+        u1 = it.u
         assert s < 1.0
         assert np.all(gamma2_mask(gprime(u1, d), cfg.cone_margin))
         assert resnorm(u1, d) <= resnorm(normalize(u0, d.A, 4.0), d) * (1 + 1e-12)
@@ -110,15 +117,19 @@ class TestNewtonStep:
 class TestSolveAtT:
     def test_trivial_returns_start(self, geom2, trivial2):
         u0 = constant_field(geom2, -np.log(trivial2.A))
-        u = solve_at_t(u0, trivial2, SolverConfig(newton_tol=1e-10))
+        cfg = SolverConfig(newton_tol=1e-10)
+        start = evaluate(normalize(u0, trivial2.A, 4.0), trivial2, cfg.cone_margin)
+        u = _solve_at_t(start, cfg)[0].u
         assert resnorm(u, trivial2) < 1e-10
         assert np.max(np.abs(u.values - u0.values)) < 1e-12
 
     def test_zero_iteration_budget(self, geom2):
         d = profiles.perturbative_problem(geom2, 1.0, 0.1, 0.05, 0.05)
         u0 = constant_field(geom2, -np.log(0.1))
+        cfg = SolverConfig(newton_tol=1e-12, max_newton_iters=0)
+        start = evaluate(normalize(u0, d.A, 4.0), d, cfg.cone_margin)
         with pytest.raises(ConvergenceError) as exc_info:
-            solve_at_t(u0, d, SolverConfig(newton_tol=1e-12, max_newton_iters=0))
+            _solve_at_t(start, cfg)
         err = exc_info.value
         assert err.best is not None
         assert len(err.history) == 1
@@ -136,11 +147,12 @@ class TestSolveAtT:
         data, _ = profiles.manufactured_problem(
             geom2, alpha=1.0, base_A=0.1, amplitude=0.25, f_scale=0.05)
         cfg = SolverConfig(newton_tol=1e-9)
-        u = normalize(constant_field(geom2, -np.log(data.A)), data.A, 4.0)
-        norms = [resnorm(u, data)]
+        it = evaluate(normalize(constant_field(geom2, -np.log(data.A)), data.A, 4.0),
+                      data, cfg.cone_margin)
+        norms = [resnorm(it.u, data)]
         for _ in range(4):
-            u, _ = newton_step(u, data, cfg)
-            norms.append(resnorm(u, data))
+            it, _ = _newton_step(it, cfg)
+            norms.append(resnorm(it.u, data))
             if norms[-1] < cfg.newton_tol:
                 break
         assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
@@ -191,11 +203,52 @@ class TestContinuityRun:
         cfg = SolverConfig(newton_tol=1e-9, max_newton_iters=3,
                            t_step_init=0.25, t_step_min=0.05)
         with pytest.raises(ContinuationStallError) as exc_info:
-            continuity_run(d, cfg)
+            run_and_return(d, cfg)
         report = exc_info.value.report
         assert report is not None and not report.converged
         assert report.t_values == [0.0]  # only the trivial point was reachable
         assert len(report.monitor_snapshots) == len(report.t_values)
+
+
+class TestOneEvaluationPerIterate:
+    def test_default_solve(self, tmp_path, monkeypatch):
+        # Count the bundles and g' assemblies of the default CLI solve by the
+        # bytes of their field (and t, for g').  The operator applies inside
+        # the Newton system are the only bundles not counted: Krylov
+        # directions are not iterates.
+        bundles, gprimes = Counter(), Counter()
+        in_newton_system = []
+        derivs, gprime_, system = (torus.spectral_derivatives, forms.gprime,
+                                   solve.solve_newton_system)
+
+        def counted_derivs(u):
+            if not in_newton_system:
+                bundles[u.values.tobytes()] += 1
+            return derivs(u)
+
+        def counted_gprime(u, d, *args, **kwargs):
+            gprimes[(u.values.tobytes(), d.t)] += 1
+            return gprime_(u, d, *args, **kwargs)
+
+        def marked_system(*args, **kwargs):
+            in_newton_system.append(True)
+            try:
+                return system(*args, **kwargs)
+            finally:
+                in_newton_system.pop()
+
+        for real, fake in ((derivs, counted_derivs), (gprime_, counted_gprime),
+                           (system, marked_system)):
+            for name, mod in list(sys.modules.items()):
+                if name.startswith("sigma2lab"):
+                    for attr, val in list(vars(mod).items()):
+                        if val is real:
+                            monkeypatch.setattr(mod, attr, fake)
+
+        assert cli.main(["solve", "--out", str(tmp_path), "--no-header"]) == 0
+        assert len(bundles) > 2 and len(gprimes) > 2
+        assert max(bundles.values()) == 1
+        assert max(gprimes.values()) == 1
 
 
 class TestGridRefinement:
@@ -235,11 +288,15 @@ class TestGridRefinement:
         r32 = resnorm(us32, d32)
         assert r32 <= 1e-4 * r16  # discretization residual collapses
 
-        u32 = solve_at_t(us32, d32, SolverConfig(newton_tol=1e-9, max_newton_iters=10))
+        cfg32 = SolverConfig(newton_tol=1e-9, max_newton_iters=10)
+        start32 = evaluate(normalize(us32, A, gamma), d32, cfg32.cone_margin)
+        u32 = _solve_at_t(start32, cfg32)[0].u
         err32 = float(np.max(np.abs(u32.values - us32.values)))
         # the coarse problem carries an O(aliasing) inconsistency in its mean,
         # so the coarse tolerance sits just above that plateau
-        u16 = solve_at_t(us16, d16, SolverConfig(newton_tol=5e-3, max_newton_iters=20))
+        cfg16 = SolverConfig(newton_tol=5e-3, max_newton_iters=20)
+        start16 = evaluate(normalize(us16, A, gamma), d16, cfg16.cone_margin)
+        u16 = _solve_at_t(start16, cfg16)[0].u
         err16 = float(np.max(np.abs(u16.values - us16.values)))
         assert err32 <= 1e-11
         assert err16 >= 1e4 * max(err32, 1e-12)
