@@ -32,7 +32,7 @@ from .forms import ProblemData
 from .monitors import moser_identity_gap, reverse_sobolev_constant
 from .profiles import manufactured_problem, perturbative_problem, trivial_problem
 from .solve import SolverConfig, run_and_return
-from .torus import load_field, make_geometry, save_field
+from .torus import load_field, make_geometry, save_field, spectral_derivatives
 from .verify import run_all
 
 EXIT_OK = 0
@@ -294,18 +294,22 @@ def cmd_sweep_a(args) -> int:
 
 def cmd_moser_check(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    data, _ = cfg.build_problem()
-    u = load_field(args.solution, data.geometry)
     try:
         k_list = [float(s) for s in args.k_list.split(",") if s.strip()]
     except ValueError:
         print(f"bad k list: {args.k_list}", file=sys.stderr)
         return EXIT_CONFIG
+    for k in k_list:
+        if not (k > 0.0 and np.isfinite(k)):
+            raise ConfigurationError(f"--k-list values must be positive and finite, got {k:g}")
+    data, _ = cfg.build_problem()
+    u = load_field(args.solution, data.geometry)
+    dv = spectral_derivatives(u)
     out = _prepare_out(cfg.out, args.out)
     rows = []
     for k in k_list:
-        gap = moser_identity_gap(u, data, k)
-        const = reverse_sobolev_constant(u, max(k, 1.0))
+        gap = moser_identity_gap(u, data, k, dv)
+        const = reverse_sobolev_constant(u, max(k, 1.0), dv)
         rows.append((k, gap, const))
         print(f"k={k:g}: identity gap {gap:.3e}, reverse-Sobolev constant {const:.6g}")
     _write_csv(out / "moser.csv", "moser-check",

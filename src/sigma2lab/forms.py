@@ -62,6 +62,14 @@ class NormalizationConstants:
         return cls(beta=beta, gamma=4.0 / (beta - 1.0))
 
 
+def _shifted_exp(vals: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
+    """(e^{-gamma (u - min u)}, min u): the normalization integrand scaled by
+    e^{gamma min u}, so every exponent is nonpositive and cannot overflow.
+    log integral e^{-gamma u} = -gamma min u + log mean of the first entry."""
+    lo = float(np.min(vals))
+    return np.exp(-gamma * (vals - lo)), lo
+
+
 class ProblemData:
     """Coefficients of the equation on a fixed geometry.
 

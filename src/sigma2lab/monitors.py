@@ -34,7 +34,7 @@ from .forms import (
     kappa_rhs_field,
     sigma2_field,
 )
-from .torus import ScalarField, mixed_wedge_density, spectral_derivatives
+from .torus import Derivs, ScalarField, mixed_wedge_density, spectral_derivatives
 
 CSV_COLUMNS = (
     "t",
@@ -109,7 +109,8 @@ def kappa_consistency(u: ScalarField, d: ProblemData) -> float:
     return abs(float(lhs[node]) - float(rhs[node])) / scale
 
 
-def moser_identity_gap(u: ScalarField, d: ProblemData, k: float) -> float:
+def moser_identity_gap(u: ScalarField, d: ProblemData, k: float,
+                       derivs: Derivs | None = None) -> float:
     """Residual of the k-weighted integral identity, normalized by its
     largest term.
 
@@ -126,7 +127,7 @@ def moser_identity_gap(u: ScalarField, d: ProblemData, k: float) -> float:
     if not k > 0.0:
         raise ValueError("the identity weight k must be positive")
     n = d.n
-    dv = spectral_derivatives(u)
+    dv = derivs if derivs is not None else spectral_derivatives(u)
     vals = u.values
     with np.errstate(over="raise"):
         try:
@@ -152,7 +153,8 @@ def moser_identity_gap(u: ScalarField, d: ProblemData, k: float) -> float:
     return abs(lhs - (r1 + r2 + r3)) / scale
 
 
-def reverse_sobolev_constant(u: ScalarField, k: float) -> float:
+def reverse_sobolev_constant(u: ScalarField, k: float,
+                             derivs: Derivs | None = None) -> float:
     """Smallest C with I[|D e^{-ku/2}|^2] <= C k (I[e^{-(k+1)u}] + I[e^{-(k+2)u}]).
 
     Since D e^{-ku/2} = -(k/2) e^{-ku/2} Du pointwise, the left side is
@@ -163,7 +165,7 @@ def reverse_sobolev_constant(u: ScalarField, k: float) -> float:
     if not k >= 1.0:
         raise ValueError("the Sobolev weight k must be >= 1")
     vals = u.values
-    dv_gsq = spectral_derivatives(u).grad_sq
+    dv_gsq = (derivs if derivs is not None else spectral_derivatives(u)).grad_sq
     m = -float(np.min(vals))  # max of -u
 
     def log_integral(p: float, extra: np.ndarray | None = None) -> float:

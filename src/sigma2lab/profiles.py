@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forms import ProblemData, manufactured_mu
+from .forms import NormalizationConstants, ProblemData, _shifted_exp, manufactured_mu
 from .torus import ScalarField, TorusGeometry, constant_field, zero_mean
 
 
 def normalization_level(u: ScalarField, gamma: float) -> float:
     """The level A = (integral e^{-gamma u})^{1/gamma} attained by u,
     evaluated in shifted log space."""
-    vals = u.values
-    m = -float(np.min(vals))
-    log_mean = float(np.log(np.mean(np.exp(-gamma * (vals + m)))))
-    return float(np.exp(m + log_mean / gamma))
+    e, lo = _shifted_exp(u.values, gamma)
+    log_mean = float(np.log(np.mean(e)))
+    return float(np.exp(-lo + log_mean / gamma))
 
 
 def _tau(geom: TorusGeometry, axis: int, periods: int = 1) -> np.ndarray:
@@ -77,8 +76,6 @@ def manufactured_problem(geom: TorusGeometry, alpha: float, base_A: float,
     u_star = -log(base_A) + perturbation; mu is manufactured so u_star solves
     the t = 1 equation, and A is set to u_star's own normalization level.
     """
-    from .forms import NormalizationConstants
-
     pert = perturbation_profile(geom, amplitude)
     u_star = ScalarField(geom, -np.log(base_A) + pert.values)
     gamma = NormalizationConstants.for_dimension(geom.n).gamma

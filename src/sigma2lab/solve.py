@@ -2,20 +2,32 @@
 
 The continuation deforms the data by t in [0, 1]: at t = 0 the problem has
 the exact constant solution u = -log A, and each accepted step solves the
-equation at the new t starting from the previous solution.  The corrector is
-a damped Newton iteration on residual_sigma2:
+equation at the new t starting from the previous solution.  The unknown u
+solves residual_sigma2(u) = 0 together with the normalization
+(integral e^{-gamma u})^{1/gamma} = A.  The residual is 2 n alpha times a
+divergence form, so it integrates to zero and supplies one equation too few;
+the normalization is the missing one.  The corrector is a damped Newton
+iteration on the pair:
 
-  * the Newton system  linearize(u, d, .) v = -residual_sigma2(u, d)  is
-    solved iteratively (BiCGStab, GMRES fallback) on the zero-mean subspace,
+  * the Newton step v solves the bordered system
+
+        (L v - mean L v) + l(v) = -(R - mean R),
+
+    with L = linearize(u, d, .), R = residual_sigma2(u, d) and
+    l(v) = sum omega v, omega proportional to e^{-gamma u}, the linearized
+    normalization.  The two parts are orthogonal (zero mean and constant),
+    so the one square system says  l(v) = 0  and  L v = -R  up to constants.
+    It is solved iteratively (BiCGStab, GMRES fallback) on the full grid,
     preconditioned by the constant-coefficient Fourier symbol of the
-    linearization frozen at the field averages;
+    linearization frozen at the field averages, whose zero mode is l(1) = 1;
   * the step is backtracked to the largest s in {1, b, b^2, ...} for which
     the normalized trial iterate keeps every grid node in the Gamma_2 cone
     with the configured eigenvalue margin and does not increase the residual
     max-norm;
-  * the additive normalization constant is restored after every step by the
-    exact closed-form shift, so every accepted iterate satisfies
-    (integral e^{-gamma u})^{1/gamma} = A.
+  * every trial is normalized by the exact closed-form shift, so every
+    accepted iterate satisfies the constraint exactly.  Because v already
+    satisfies its linearization, that shift is second order in v and the
+    iteration keeps Newton's quadratic rate.
 
 Each iterate is evaluated once (forms.evaluate): the backtracking test of a
 trial, the next Newton step from it, its acceptance and its monitor snapshot
@@ -43,6 +55,7 @@ from .forms import (
     Iterate,
     LinearCoefficients,
     ProblemData,
+    _shifted_exp,
     evaluate,
     linearization_coefficients,
 )
@@ -91,14 +104,14 @@ class SolveReport:
 def normalize(u: ScalarField, A: float, gamma: float) -> ScalarField:
     """Shift u by the exact constant restoring (integral e^{-gamma u})^{1/gamma} = A.
 
-    The shifted-exponential form  log I = gamma m + log mean(e^{-gamma(u + m)})
-    with m = -min u keeps every exponent nonpositive, so the computation
-    cannot overflow for finite fields.
+    The shifted-exponential form  log I = -gamma min u + log mean(e^{-gamma(u - min u)})
+    keeps every exponent nonpositive, so the computation cannot overflow for
+    finite fields.
     """
     vals = u.values
-    m = -float(np.min(vals))
-    log_mean = np.log(np.mean(np.exp(-gamma * (vals + m))))
-    c = (gamma * m + log_mean) / gamma - np.log(A)
+    e, lo = _shifted_exp(vals, gamma)
+    log_mean = np.log(np.mean(e))
+    c = (log_mean - gamma * lo) / gamma - np.log(A)
     if not np.isfinite(c):
         raise NormalizationError(
             f"normalization shift is not finite (gamma={gamma}, A={A})"
@@ -111,9 +124,9 @@ def normalize(u: ScalarField, A: float, gamma: float) -> ScalarField:
 
 
 def _precondition_symbol(coeffs: LinearCoefficients) -> np.ndarray:
-    """Fourier symbol of the linearization with coefficients frozen at their
-    field averages; the zero mode is set to 1 (the solve lives on the
-    zero-mean subspace)."""
+    """Fourier symbol of the bordered operator with coefficients frozen at
+    their field averages.  On nonzero modes it is the symbol of L; on the
+    zero mode the projected L vanishes and the border l(1) = 1 remains."""
     geom = coeffs.geometry
     n = coeffs.n
     g_mean = np.mean(coeffs.gtilde, axis=tuple(range(2, coeffs.gtilde.ndim)))
@@ -145,24 +158,33 @@ def _precondition_symbol(coeffs: LinearCoefficients) -> np.ndarray:
 def solve_newton_system(u: ScalarField, d: ProblemData, coeffs: LinearCoefficients,
                         rhs: np.ndarray, cfg: SolverConfig,
                         rtol: float | None = None) -> np.ndarray:
-    """Solve  L v = rhs  for zero-mean v with the Fourier-symbol preconditioner."""
+    """Solve the bordered Newton system  (L v - mean L v) + l(v) = rhs - mean rhs
+    for v on the full grid, with the Fourier-symbol preconditioner.
+
+    l(v) = sum omega v with omega = e^{-gamma u} / sum e^{-gamma u} is the
+    derivative of the normalization's log-mean in the direction v, divided
+    by -gamma.  The right-hand side of the border row is 0, because u is
+    already normalized.  So the solution has l(v) = 0, and L v = rhs up to
+    an additive constant, which is all a zero-mean residual determines."""
     geom = u.geometry
     shape = geom.shape
     size = rhs.size
     sym = _precondition_symbol(coeffs)
     rtol = cfg.linear_rtol if rtol is None else rtol
+    omega, _ = _shifted_exp(u.values, d.norm_constants.gamma)
+    omega = omega.ravel()
+    omega /= np.sum(omega)
 
     def matvec(x):
         v = x.reshape(shape)
-        v = v - v.mean()
         dv = spectral_derivatives(ScalarField(geom, v))
         out = coeffs.apply_to(dv, v)
-        return (out - out.mean()).ravel()
+        out += float(omega @ x) - out.mean()
+        return out.ravel()
 
     def apply_precond(x):
         r = x.reshape(shape)
-        out = scipy.fft.ifftn(scipy.fft.fftn(r, workers=-1) / sym, workers=-1).real
-        return (out - out.mean()).ravel()
+        return scipy.fft.ifftn(scipy.fft.fftn(r, workers=-1) / sym, workers=-1).real.ravel()
 
     op = LinearOperator((size, size), matvec=matvec, dtype=float)
     mop = LinearOperator((size, size), matvec=apply_precond, dtype=float)
@@ -181,8 +203,7 @@ def solve_newton_system(u: ScalarField, d: ProblemData, coeffs: LinearCoefficien
         raise LinearSolveError(
             f"iterative linear solve stagnated (relative residual {res:.2e})"
         )
-    v = x.reshape(shape)
-    return v - v.mean()
+    return x.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -303,7 +303,12 @@ def load_field(path, geometry: TorusGeometry | None = None) -> ScalarField:
             raise ConfigurationError(f"{path}: truncated dump")
         n_f, p_f, period = struct.unpack("<3d", header)
         payload = fh.read()
-    n, p = int(round(n_f)), int(round(p_f))
+    if not all(np.isfinite(x) and x == round(x) for x in (n_f, p_f)):
+        raise ConfigurationError(
+            f"{path}: dump header needs whole-number n and points per axis, "
+            f"got n={n_f}, points={p_f}"
+        )
+    n, p = int(n_f), int(p_f)
     geom = TorusGeometry(n=n, points_per_axis=p, period=period)
     if geometry is not None and (geometry.n, geometry.points_per_axis, geometry.period) != (n, p, period):
         raise ConfigurationError(

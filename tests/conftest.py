@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -39,3 +41,16 @@ def trivial2(geom2):
     """t = 0 problem whose exact solution is the constant -log A."""
     zero = torus.constant_field(geom2, 0.0)
     return forms.ProblemData(geom2, alpha=1.0, f=zero, mu=zero, A=0.05, t=0.0)
+
+
+@pytest.fixture()
+def patch_everywhere(monkeypatch):
+    """patch(real, fake) replaces `real` under every name a sigma2lab module
+    binds it to, so calls through `from ... import` see the fake too."""
+    def patch(real, fake):
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("sigma2lab"):
+                for attr, val in list(vars(mod).items()):
+                    if val is real:
+                        monkeypatch.setattr(mod, attr, fake)
+    return patch

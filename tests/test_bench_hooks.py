@@ -1,5 +1,6 @@
 """The benchmark in bench/ wraps package functions by name; a renamed or
-removed function must fail here, not in a benchmark pass."""
+removed function must fail here, not in a benchmark pass.  Likewise a slower
+Newton rate or a solve its checker rejects."""
 
 import json
 import os
@@ -33,3 +34,21 @@ def test_traced_child_run(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["layers"]["solve.attempts"] >= 1
+
+
+def test_manufactured_workload_solve(tmp_path, monkeypatch):
+    # the benchmark's own child and checker on its Krylov-bound workload;
+    # nothing may write bytecode under bench/
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import run
+    import workloads
+
+    inputs = workloads.prepare(workloads.WORKLOADS["manufactured-n2-16"], 0,
+                               tmp_path / "inputs")
+    out = tmp_path / "out"
+    result = run.run_child("solve", inputs, out)
+    verdict = run.verify(inputs, out)
+    assert verdict.ok, verdict.lines()
+    assert result["newton_steps"] <= 9

@@ -1,9 +1,12 @@
 """End-to-end CLI runs in temporary directories."""
 
+import struct
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
+import pytest
 
 from sigma2lab import torus
 from sigma2lab.cli import main
@@ -168,6 +171,26 @@ class TestTypedErrors:
         self.assert_one_error_line(capsys, "truncated dump")
 
 
+    @pytest.mark.parametrize("n_f, p_f", [(float("nan"), 16.0), (float("inf"), 16.0),
+                                          (2.0, 16.5), (2.0, float("nan"))])
+    def test_dump_with_bad_header_numbers(self, tmp_path, capsys, n_f, p_f):
+        cfg = write_config(tmp_path, TRIVIAL_CONFIG)
+        dump = tmp_path / "bad.bin"
+        dump.write_bytes(b"S2LFIELD" + struct.pack("<3d", n_f, p_f, 1.0) + bytes(8 * 16 ** 4))
+        assert run_cli("moser-check", "--config", cfg, "--solution", str(dump),
+                       "--out", str(tmp_path / "o")) == 2
+        self.assert_one_error_line(capsys, "whole-number n and points")
+
+    @pytest.mark.parametrize("k_list", ["0", "2,-1", "nan"])
+    def test_non_positive_moser_weight(self, tmp_path, capsys, k_list):
+        cfg = write_config(tmp_path, TRIVIAL_CONFIG)
+        dump = tmp_path / "u.bin"
+        torus.save_field(dump, torus.constant_field(torus.make_geometry(2, 16), 2.0))
+        assert run_cli("moser-check", "--config", cfg, "--solution", str(dump),
+                       "--k-list", k_list, "--out", str(tmp_path / "o")) == 2
+        self.assert_one_error_line(capsys, "--k-list")
+
+
 class TestDegeneracy:
     def test_n3_sweep_matches_closed_form(self, tmp_path):
         out = tmp_path / "deg"
@@ -261,6 +284,26 @@ class TestMoserCheck:
             # relative gap is solver-tolerance-limited, not spectral
             assert gap < 1e-3
             assert np.isfinite(const)
+
+
+    def test_one_bundle_per_field(self, tmp_path, patch_everywhere):
+        # the stored field's derivative bundle is shared by every k
+        cfg = write_config(tmp_path, PERTURBATIVE_CONFIG)
+        out = tmp_path / "artifacts"
+        assert run_cli("solve", "--config", cfg, "--out", str(out), "--no-header") == 0
+        bundles = Counter()
+        real = torus.spectral_derivatives
+
+        def counted(u):
+            bundles[u.values.tobytes()] += 1
+            return real(u)
+
+        patch_everywhere(real, counted)
+        assert run_cli("moser-check", "--config", cfg,
+                       "--solution", str(out / "solution.bin"),
+                       "--out", str(tmp_path / "moser"), "--no-header") == 0
+        assert len(bundles) == 2  # the stored field and f
+        assert max(bundles.values()) == 1
 
 
 class TestEntryPoint:

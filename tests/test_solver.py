@@ -1,6 +1,5 @@
 """Newton corrector, normalization, and the continuation loop."""
 
-import sys
 from collections import Counter
 
 import numpy as np
@@ -159,6 +158,53 @@ class TestSolveAtT:
         assert norms[-1] < norms[0]
 
 
+class TestBorderedNewtonSystem:
+    def test_solution_satisfies_both_rows(self, geom2, rng):
+        # the step keeps the normalization to first order, l(v) = 0, and
+        # solves L v = -R up to a constant, both to the requested rtol
+        data, u_star = profiles.manufactured_problem(
+            geom2, alpha=1.0, base_A=0.1, amplitude=0.25, f_scale=0.05)
+        gamma = data.norm_constants.gamma
+        pert = random_band_limited(geom2, rng, 2, 1e-3)
+        u = normalize(ScalarField(geom2, u_star.values + pert.values), data.A, gamma)
+        rtol = 1e-8
+        r = residual_sigma2(u, data).values
+        coeffs = forms.linearization_coefficients(u, data)
+        v = solve.solve_newton_system(u, data, coeffs, -r, SolverConfig(), rtol=rtol)
+
+        omega = np.exp(-gamma * u.values)
+        omega /= np.sum(omega)
+        lv = forms.linearize(u, data, ScalarField(geom2, v), coeffs).values
+        proj_r = r - np.mean(r)
+        bnorm = float(np.linalg.norm(proj_r))
+        assert np.linalg.norm(lv - np.mean(lv) + proj_r) <= rtol * bnorm
+        # the border row's share of the residual norm is sqrt(N) |l(v)|
+        assert np.sqrt(v.size) * abs(float(np.sum(omega * v))) <= rtol * bnorm
+
+    def test_quadratic_rate_at_t_one(self, geom2, monkeypatch):
+        # criterion-6 data on 16^4: once the t = 1 residual is below 1e-2,
+        # a quadratically convergent Newton reaches newton_tol within two
+        # more steps; a linear rate needs several more
+        data, _ = profiles.manufactured_problem(
+            geom2, alpha=1.0, base_A=0.1, amplitude=0.25, f_scale=0.05)
+        cfg = SolverConfig(newton_tol=1e-9, max_newton_iters=20, t_step_init=0.5)
+        histories = {}
+        real = solve._solve_at_t
+
+        def recorded(it, cfg):
+            out = real(it, cfg)
+            histories[it.data.t] = out[2]
+            return out
+
+        monkeypatch.setattr(solve, "_solve_at_t", recorded)
+        report, _ = run_and_return(data, cfg)
+        assert report.converged
+        history = histories[1.0]
+        assert history[-1] < cfg.newton_tol
+        first = next(i for i, rn in enumerate(history) if rn < 1e-2)
+        assert len(history) - 1 - first <= 2, history
+
+
 class TestContinuityRun:
     def test_trivial_data_constant_path(self, geom2):
         d = profiles.trivial_problem(geom2, alpha=1.0, A=0.05)
@@ -211,7 +257,7 @@ class TestContinuityRun:
 
 
 class TestOneEvaluationPerIterate:
-    def test_default_solve(self, tmp_path, monkeypatch):
+    def test_default_solve(self, tmp_path, patch_everywhere):
         # Count the bundles and g' assemblies of the default CLI solve by the
         # bytes of their field (and t, for g').  The operator applies inside
         # the Newton system are the only bundles not counted: Krylov
@@ -239,11 +285,7 @@ class TestOneEvaluationPerIterate:
 
         for real, fake in ((derivs, counted_derivs), (gprime_, counted_gprime),
                            (system, marked_system)):
-            for name, mod in list(sys.modules.items()):
-                if name.startswith("sigma2lab"):
-                    for attr, val in list(vars(mod).items()):
-                        if val is real:
-                            monkeypatch.setattr(mod, attr, fake)
+            patch_everywhere(real, fake)
 
         assert cli.main(["solve", "--out", str(tmp_path), "--no-header"]) == 0
         assert len(bundles) > 2 and len(gprimes) > 2
