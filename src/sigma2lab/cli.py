@@ -153,6 +153,14 @@ def _gnuplot_script(path: Path, csv_name: str, xcol: int, ycol: int,
     )
 
 
+def _number_list(option: str, text: str) -> list:
+    """The comma-separated numbers of a list option; empty items are skipped."""
+    try:
+        return [float(s) for s in text.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ConfigurationError(f"{option} must be comma-separated numbers, got {text}") from exc
+
+
 def _prepare_out(cfg_out: str, override: str | None) -> Path:
     out = Path(override) if override else Path(cfg_out)
     out.mkdir(parents=True, exist_ok=True)
@@ -221,6 +229,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_degeneracy(args) -> int:
+    if args.n not in (2, 3):
+        raise ConfigurationError(f"--n must be 2 or 3, got {args.n}")
     if args.samples < 2:
         raise ConfigurationError(f"--samples must be at least 2, got {args.samples}")
     out = _prepare_out("out", args.out)
@@ -238,38 +248,30 @@ def cmd_degeneracy(args) -> int:
             print("closed-form check FAILED", file=sys.stderr)
             return EXIT_VERIFY
         return EXIT_OK
-    if args.n == 2:
-        kappas = np.linspace(0.5, 1.5, args.samples)
-        thetas = (0.002, 0.005, 0.01, 0.02, 0.05)
-        rows = n2_sweep(kappas, thetas)
-        _write_csv(out / "degeneracy_n2.csv", "degeneracy",
-                   ("theta", "kappa_p", "lhs", "rhs", "sign"),
-                   [tuple(r) for r in rows], args.no_header)
-        _gnuplot_script(out / "degeneracy_n2.gp", "degeneracy_n2.csv", 2, 5,
-                        "kappa_p", "sign(rhs - lhs)")
-        # locate the sign frontier for the smallest theta
-        sel = rows[rows[:, 0] == thetas[0]]
-        flip = sel[np.searchsorted(sel[:, 4] > 0, True)][1] if np.any(sel[:, 4] > 0) else float("nan")
-        print(f"n=2 sweep: frontier near kappa_p = {flip:.4g} at theta = {thetas[0]}")
-        return EXIT_OK
-    print(f"unsupported dimension n={args.n}", file=sys.stderr)
-    return EXIT_CONFIG
+    kappas = np.linspace(0.5, 1.5, args.samples)
+    thetas = (0.002, 0.005, 0.01, 0.02, 0.05)
+    rows = n2_sweep(kappas, thetas)
+    _write_csv(out / "degeneracy_n2.csv", "degeneracy",
+               ("theta", "kappa_p", "lhs", "rhs", "sign"),
+               [tuple(r) for r in rows], args.no_header)
+    _gnuplot_script(out / "degeneracy_n2.gp", "degeneracy_n2.csv", 2, 5,
+                    "kappa_p", "sign(rhs - lhs)")
+    # locate the sign frontier for the smallest theta
+    sel = rows[rows[:, 0] == thetas[0]]
+    flip = sel[np.searchsorted(sel[:, 4] > 0, True)][1] if np.any(sel[:, 4] > 0) else float("nan")
+    print(f"n=2 sweep: frontier near kappa_p = {flip:.4g} at theta = {thetas[0]}")
+    return EXIT_OK
 
 
 def cmd_sweep_a(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    try:
-        a_list = [float(s) for s in args.a_list.split(",") if s.strip()]
-    except ValueError:
-        print(f"bad A list: {args.a_list}", file=sys.stderr)
-        return EXIT_CONFIG
+    a_list = _number_list("--a-list", args.a_list)
     if not a_list:
-        print("empty A list", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigurationError("--a-list is empty")
     if any(not 0.0 < a < 1.0 for a in a_list) or any(
             a_list[i] <= a_list[i + 1] for i in range(len(a_list) - 1)):
-        print("A list must be descending values in (0, 1)", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigurationError(
+            f"--a-list must be descending values in (0, 1), got {args.a_list}")
     out = _prepare_out(cfg.out, args.out)
     rows = []
     failures = 0
@@ -294,11 +296,9 @@ def cmd_sweep_a(args) -> int:
 
 def cmd_moser_check(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    try:
-        k_list = [float(s) for s in args.k_list.split(",") if s.strip()]
-    except ValueError:
-        print(f"bad k list: {args.k_list}", file=sys.stderr)
-        return EXIT_CONFIG
+    k_list = _number_list("--k-list", args.k_list)
+    if not k_list:
+        raise ConfigurationError("--k-list is empty")
     for k in k_list:
         if not (k > 0.0 and np.isfinite(k)):
             raise ConfigurationError(f"--k-list values must be positive and finite, got {k:g}")

@@ -24,11 +24,21 @@ from the same discrete derivative fields of u and f.
 The continuation parameter t scales the data: every accessor below uses
 f_eff = t f and mu_eff = t mu, so callers never scale manually.
 
+Every Hermitian form is held in the packed real layout of
+torus.HermitianField (n diagonal rows, then Re and Im of each strict-upper
+entry), and everything the solver computes from it is real algebra on those
+rows: sigma_1 is the sum of the diagonal rows, sigma_2 is
+sum_{j<k} (h_jj h_kk - |h_jk|^2), the Gamma_2 test reads both, and the
+eigenvalues come from closed forms.  A gradient pairing 2 Re sum_j p_j
+conj(q_j) of complex gradients is (1/2) sum_a p_a q_a over the 2n real
+partials.
+
 The solver evaluates each iterate once with evaluate(), into an Iterate that
 holds its bundle, weights, g', residual and cone test; the assembly functions
 accept a precomputed bundle and weights.  Neither the bundle nor e^{+-u}
 depends on t, so evaluate() takes them from an earlier evaluation of the same
-field, and f's bundle is shared by every ProblemData.with_t copy.
+field, and f's first partials and Laplacian, all the equation reads of f,
+are computed once and shared by every ProblemData.with_t copy.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ from .torus import (
     TorusGeometry,
     integrate,
     spectral_derivatives,
+    upper_pairs,
 )
 
 
@@ -70,18 +81,31 @@ def _shifted_exp(vals: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
     return np.exp(-gamma * (vals - lo)), lo
 
 
+class GradLap(NamedTuple):
+    """What the equation reads of f's derivatives: its 2n real first partials
+    (an own array, not a view of a whole bundle) and its Laplacian."""
+
+    partials: np.ndarray
+    lap: np.ndarray
+
+
+def _row_dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_r p_r q_r at every node, over the leading axis of two row stacks."""
+    return np.einsum("a...,a...->...", p, q)
+
+
 class ProblemData:
     """Coefficients of the equation on a fixed geometry.
 
     alpha > 0, f >= 0 smooth, mu with exactly zero mean, normalization level
-    A in (0,1), and the continuation parameter t in [0,1].  Derivatives of f
-    are computed on first use, or passed in as f_derivs, and shared with every
-    with_t copy (f is fixed along a continuation run).
+    A in (0,1), and the continuation parameter t in [0,1].  f's first partials
+    and Laplacian are computed on first use, or passed in as f_derivs, and
+    shared with every with_t copy (f is fixed along a continuation run).
     """
 
     def __init__(self, geometry: TorusGeometry, alpha: float, f: ScalarField,
                  mu: ScalarField, A: float, t: float = 1.0,
-                 f_derivs: Derivs | None = None):
+                 f_derivs: GradLap | None = None):
         if not (alpha > 0.0 and np.isfinite(alpha)):
             raise ConfigurationError(f"alpha must be positive, got {alpha}")
         if not (0.0 < A < 1.0):
@@ -132,16 +156,19 @@ class ProblemData:
     def mu_eff(self) -> np.ndarray:
         return self.t * self.mu.values
 
-    def f_derivs(self) -> Derivs:
+    def f_derivs(self) -> GradLap:
         if self._f_derivs is None:
-            self._f_derivs = spectral_derivatives(self.f)
+            dv = spectral_derivatives(self.f)
+            self._f_derivs = GradLap(dv.partials.copy(), dv.lap)
         return self._f_derivs
-
-    def grad_f_eff(self) -> np.ndarray:
-        return self.t * self.f_derivs().grad
 
     def lap_f_eff(self) -> np.ndarray:
         return self.t * self.f_derivs().lap
+
+    def grad_f_dot(self, partials: np.ndarray) -> np.ndarray:
+        """2 Re <D f_eff, D u> for u's real first partials, t folded into
+        the scalar: (t/2) sum_a f_a u_a."""
+        return (0.5 * self.t) * _row_dot(self.f_derivs().partials, partials)
 
 
 # ---------------------------------------------------------------------------
@@ -149,58 +176,60 @@ class ProblemData:
 
 
 def sigma1_field(h: HermitianField) -> np.ndarray:
-    n = h.geometry.n
-    return np.sum(h.matrices[np.arange(n), np.arange(n)].real, axis=0)
+    return h.rows[:h.geometry.n].sum(axis=0)
+
+
+def _sigma2_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """sum_{j<k} (h_jj h_kk - |h_jk|^2) on packed Hermitian rows: the sum of
+    the principal 2 x 2 minors, which is sigma_2 of the eigenvalues."""
+    off = rows[n:]
+    out = -_row_dot(off, off)
+    for j, k in upper_pairs(n):
+        out += rows[j] * rows[k]
+    return out
 
 
 def sigma2_field(h: HermitianField) -> np.ndarray:
-    """sigma_2 of the eigenvalues via the trace identity ((tr h)^2 - tr h^2)/2.
-
-    For a Hermitian matrix tr h^2 = sum_{jk} |h_{jk}|^2, so no per-node
-    eigenvalue computation is needed.
-    """
-    tr = sigma1_field(h)
-    m = h.matrices
-    frob = np.sum(m.real * m.real + m.imag * m.imag, axis=(0, 1))
-    return 0.5 * (tr * tr - frob)
+    """sigma_2 of the eigenvalues as the sum of principal 2 x 2 minors, so no
+    per-node eigenvalue computation is needed."""
+    return _sigma2_rows(h.rows, h.geometry.n)
 
 
 def hermitian_eigenvalues(h: HermitianField) -> np.ndarray:
     """Per-node eigenvalues, ascending along axis 0.
 
     Closed-form quadratic for n = 2 and the trigonometric form of the cubic
-    for n = 3, both vectorized over the grid; matrices are Hermitian by
-    construction so the eigenvalues are real.
+    for n = 3, both vectorized over the grid and real in the packed rows;
+    matrices are Hermitian by construction so the eigenvalues are real.
     """
     n = h.geometry.n
-    m = h.matrices
+    m = h.rows
+    eig = np.empty((n,) + m.shape[1:])
     if n == 2:
-        a = m[0, 0].real
-        c = m[1, 1].real
-        half_diff = 0.5 * (a - c)
-        rad = np.sqrt(half_diff ** 2 + np.abs(m[0, 1]) ** 2)
+        a, c, re, im = m
+        rad = np.sqrt((0.5 * (a - c)) ** 2 + re * re + im * im)
         mid = 0.5 * (a + c)
-        return np.stack([mid - rad, mid + rad])
-    # n == 3: eigenvalues of B = (M - q I)/p via the cubic's trigonometric roots
-    q = (m[0, 0].real + m[1, 1].real + m[2, 2].real) / 3.0
-    shifted = m.copy()
-    for j in range(3):
-        shifted[j, j] = shifted[j, j] - q
-    p2 = np.sum(np.abs(shifted) ** 2, axis=(0, 1)) / 6.0
-    p = np.sqrt(p2)
+        np.subtract(mid, rad, out=eig[0])
+        np.add(mid, rad, out=eig[1])
+        return eig
+    # n == 3: eigenvalues of B = (M - q I)/p via the cubic's trigonometric
+    # roots, det B = det(M - q I) / p^3
+    q = (m[0] + m[1] + m[2]) / 3.0
+    s0, s1, s2 = m[0] - q, m[1] - q, m[2] - q
+    xr, xi, yr, yi, zr, zi = m[3:]   # h_12, h_13, h_23
+    x2, y2, z2 = xr * xr + xi * xi, yr * yr + yi * yi, zr * zr + zi * zi
+    p = np.sqrt((s0 * s0 + s1 * s1 + s2 * s2 + 2.0 * (x2 + y2 + z2)) / 6.0)
     safe_p = np.where(p > 0.0, p, 1.0)
-    b = shifted / safe_p
-    det_b = (
-        b[0, 0] * (b[1, 1] * b[2, 2] - b[1, 2] * b[2, 1])
-        - b[0, 1] * (b[1, 0] * b[2, 2] - b[1, 2] * b[2, 0])
-        + b[0, 2] * (b[1, 0] * b[2, 1] - b[1, 1] * b[2, 0])
-    ).real
-    r = np.clip(det_b / 2.0, -1.0, 1.0)
+    # det of [[s0, x, y], [x*, s1, z], [y*, z*, s2]]: the diagonal product,
+    # 2 Re(x z conj(y)), and minus each diagonal entry times its opposite |.|^2
+    det = (s0 * s1 * s2 + 2.0 * ((xr * zr - xi * zi) * yr + (xr * zi + xi * zr) * yi)
+           - s0 * z2 - s1 * y2 - s2 * x2)
+    r = np.clip(det / (2.0 * safe_p ** 3), -1.0, 1.0)
     phi = np.arccos(r) / 3.0
-    eig0 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    eig2 = q + 2.0 * p * np.cos(phi)
-    eig1 = 3.0 * q - eig0 - eig2
-    return np.stack([eig0, eig1, eig2])
+    eig[0] = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+    eig[2] = q + 2.0 * p * np.cos(phi)
+    eig[1] = 3.0 * q - eig[0] - eig[2]
+    return eig
 
 
 def gamma2_mask(gp: HermitianField, margin: float = 0.0) -> np.ndarray:
@@ -244,11 +273,9 @@ def gprime(u: ScalarField, d: ProblemData, derivs: Derivs | None = None,
     geom = u.geometry
     dv = derivs if derivs is not None else spectral_derivatives(u)
     w = weights if weights is not None else _exp_weights(u, d)
-    coef = 2.0 * d.n * d.alpha
-    m = coef * dv.hess
-    for j in range(geom.n):
-        m[j, j] = m[j, j] + w.a
-    return HermitianField(geom, m)
+    rows = (2.0 * d.n * d.alpha) * dv.hess_rows
+    rows[:geom.n] += w.a
+    return HermitianField(geom, rows)
 
 
 def gtilde(u: ScalarField, d: ProblemData, derivs: Derivs | None = None,
@@ -262,23 +289,14 @@ def gtilde(u: ScalarField, d: ProblemData, derivs: Derivs | None = None,
     dv = derivs if derivs is not None else spectral_derivatives(u)
     w = weights if weights is not None else _exp_weights(u, d)
     coef = 2.0 * d.n * d.alpha
-    m = (-coef) * dv.hess
-    diag = (geom.n - 1) * w.a + coef * dv.lap
-    for j in range(geom.n):
-        m[j, j] = m[j, j] + diag
-    return HermitianField(geom, m)
+    rows = (-coef) * dv.hess_rows
+    rows[:geom.n] += (geom.n - 1) * w.a + coef * dv.lap
+    return HermitianField(geom, rows)
 
 
 def sigma2_hessian(dv: Derivs) -> np.ndarray:
-    """sigma_2 of the complex Hessian via ((Lap u)^2 - |Hess|^2)/2."""
-    h = dv.hess
-    frob = np.sum(h.real * h.real + h.imag * h.imag, axis=(0, 1))
-    return 0.5 * (dv.lap * dv.lap - frob)
-
-
-def _pairing(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """2 Re sum_j p_j conj(q_j) for stacked complex gradients."""
-    return 2.0 * np.sum(p * np.conj(q), axis=0).real
+    """sigma_2 of the complex Hessian, from its packed rows."""
+    return _sigma2_rows(dv.hess_rows, dv.n)
 
 
 def residual_fy1(u: ScalarField, d: ProblemData, derivs: Derivs | None = None) -> ScalarField:
@@ -296,7 +314,7 @@ def residual_fy1(u: ScalarField, d: ProblemData, derivs: Derivs | None = None) -
     eu, emu, fe, _, _ = _exp_weights(u, d)
     gsq = dv.grad_sq
     lap_eu = eu * (dv.lap + gsq)
-    lap_femu = emu * (d.lap_f_eff() - _pairing(d.grad_f_eff(), dv.grad)
+    lap_femu = emu * (d.lap_f_eff() - d.grad_f_dot(dv.partials)
                       + fe * gsq - fe * dv.lap)
     n = d.n
     vals = (n - 1) * (lap_eu - lap_femu) + 2.0 * n * d.alpha * sigma2_hessian(dv) + d.mu_eff()
@@ -325,7 +343,7 @@ def rhs_sigma2(u: ScalarField, d: ProblemData, derivs: Derivs | None = None,
         + 2.0 * kc * fe
         + kc * emu * emu * fe * fe
         - 2.0 * d.n * al * d.mu_eff()
-        + 4.0 * al * kc * emu * (d.lap_f_eff() - _pairing(d.grad_f_eff(), dv.grad))
+        + 4.0 * al * kc * emu * (d.lap_f_eff() - d.grad_f_dot(dv.partials))
     )
     return ScalarField(u.geometry, vals)
 
@@ -372,7 +390,7 @@ def kappa_rhs_field(u: ScalarField, d: ProblemData, derivs: Derivs | None = None
     return (
         kc
         - 4.0 * al * kc * (emu * gsq - fe * em3 * gsq
-                           + em3 * _pairing(d.grad_f_eff(), dv.grad))
+                           + em3 * d.grad_f_dot(dv.partials))
         + kc * emu * emu * (2.0 * fe + fe * fe * emu * emu + 4.0 * al * emu * d.lap_f_eff())
         - 2.0 * d.n * al * emu * emu * d.mu_eff()
     )
@@ -424,26 +442,26 @@ class LinearCoefficients:
         L v = 2 n alpha Tr(gtilde Hess v) + c0 v - 2 Re sum_j (D_j v) w_j,
 
     with gtilde the matrix coefficient field, c0 the zeroth-order
-    coefficient, and w the complex gradient-coupling field.
+    coefficient, and w_j = c1 conj(D_j u) - 4 alpha kappa_c e^{-u}
+    conj(D_j f_eff) the gradient coupling.  Both the second- and first-order
+    parts are stored as one real coefficient per row of v's derivative
+    bundle, so that
+
+        L v = sum_r k[r] * (row r of spectral_derivatives(v)) + c0 v:
+
+    rows 0 .. 2n-1 couple the first partials (-Re w_j for x_j and -Im w_j
+    for y_j), the n diagonal Hessian rows carry 2 n alpha gtilde_jj, and each
+    strict-upper pair carries 4 n alpha Re and Im gtilde_jk, the factor 2
+    counting the lower entry of the Hermitian trace.
     """
 
     geometry: TorusGeometry
-    n: int
-    alpha: float
-    gtilde: np.ndarray   # (n, n) + grid, Hermitian
+    k: np.ndarray        # (n^2 + 2n,) + grid, real, in the bundle's row order
     c0: np.ndarray       # grid, real
-    w: np.ndarray        # (n,) + grid, complex
 
     def apply_to(self, dv_v: Derivs, v_values: np.ndarray) -> np.ndarray:
-        n = self.n
-        # Tr(gtilde Hess v) using Hermitian symmetry of both factors
-        acc = np.zeros(self.geometry.shape)
-        for j in range(n):
-            acc += self.gtilde[j, j].real * dv_v.hess[j, j].real
-            for k in range(j + 1, n):
-                acc += 2.0 * (self.gtilde[k, j] * dv_v.hess[j, k]).real
-        out = 2.0 * n * self.alpha * acc + self.c0 * v_values
-        out -= 2.0 * np.sum(dv_v.grad * self.w, axis=0).real
+        out = np.einsum("r...,r...->...", self.k, dv_v.rows)
+        out += self.c0 * v_values
         return out
 
 
@@ -463,25 +481,34 @@ def linearization_coefficients(u: ScalarField, d: ProblemData,
     kc = d.kappa_c
     al = d.alpha
     n = d.n
-    gt = gtilde(u, d, dv, w)
+    coef = 2.0 * n * al
 
-    sigma1_gp = n * a + 2.0 * n * al * dv.lap
-    grad_fe = d.grad_f_eff()
-    lap_fe = d.lap_f_eff()
+    k = np.empty(dv.rows.shape)
+    # Du-derivative of the rhs, -2 Re sum_j (D_j v) w_j with
+    # w_j = c1 conj(D_j u) - 4 alpha kc e^{-u} conj(D_j f_eff), is
+    # -(1/2) sum_a (c1 u_a - 4 alpha kc t e^{-u} f_a) v_a
+    c1 = 4.0 * al * kc * (fe * emu - eu)
+    f_part = (2.0 * al * kc * d.t) * emu
+    for ax, (ua, fa) in enumerate(zip(dv.partials, d.f_derivs().partials)):
+        np.multiply(-0.5 * c1, ua, out=k[ax])
+        k[ax] += f_part * fa
+    # 2 n alpha Tr(gtilde Hess v) with gtilde = (n-1) a I + coef (Lap u I - Hess u)
+    hk = k[2 * n:]
+    np.multiply(-coef * coef, dv.hess_rows, out=hk)
+    hk[:n] += coef * ((n - 1) * a + coef * dv.lap)
+    hk[n:] *= 2.0
+
+    sigma1_gp = n * a + coef * dv.lap
     # u-derivative of the expanded right-hand side
     c0_rhs = (
         2.0 * kc * eu * eu
         - 4.0 * al * kc * eu * gsq
         - 4.0 * al * kc * fe * emu * gsq
         - 2.0 * kc * emu * emu * fe * fe
-        - 4.0 * al * kc * emu * (lap_fe - _pairing(grad_fe, dv.grad))
+        - 4.0 * al * kc * emu * (d.lap_f_eff() - d.grad_f_dot(dv.partials))
     )
     c0 = b * (n - 1) * sigma1_gp - c0_rhs
-    # Du-derivative: rhs gradient terms collected as 2 Re sum_j (D_j v) w_j
-    c1 = 4.0 * al * kc * (fe * emu - eu)
-    w = c1 * np.conj(dv.grad) - (4.0 * al * kc * emu) * np.conj(grad_fe)
-    return LinearCoefficients(geometry=u.geometry, n=n, alpha=al,
-                              gtilde=gt.matrices, c0=c0, w=w)
+    return LinearCoefficients(geometry=u.geometry, k=k, c0=c0)
 
 
 def linearize(u: ScalarField, d: ProblemData, v: ScalarField,

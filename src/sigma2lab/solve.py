@@ -60,7 +60,7 @@ from .forms import (
     linearization_coefficients,
 )
 from .monitors import estimate_report
-from .torus import ScalarField, constant_field, spectral_derivatives
+from .torus import ScalarField, constant_field, derivative_symbols, spectral_derivatives
 
 _RESIDUAL_SLACK = 1e-12  # relative slack in the "non-increasing" residual test
 
@@ -124,27 +124,17 @@ def normalize(u: ScalarField, A: float, gamma: float) -> ScalarField:
 
 
 def _precondition_symbol(coeffs: LinearCoefficients) -> np.ndarray:
-    """Fourier symbol of the bordered operator with coefficients frozen at
-    their field averages.  On nonzero modes it is the symbol of L; on the
-    zero mode the projected L vanishes and the border l(1) = 1 remains."""
+    """Half-spectrum Fourier symbol of the bordered operator with coefficients
+    frozen at their field averages: the mean of each coefficient row times
+    that row's derivative symbol, plus the mean of c0.  On nonzero modes it
+    is the symbol of L; on the zero mode the projected L vanishes and the
+    border l(1) = 1 remains."""
     geom = coeffs.geometry
-    n = coeffs.n
-    g_mean = np.mean(coeffs.gtilde, axis=tuple(range(2, coeffs.gtilde.ndim)))
-    c0_mean = float(np.mean(coeffs.c0))
-    w_mean = np.mean(coeffs.w, axis=tuple(range(1, coeffs.w.ndim)))
-
-    syms = [geom.holo_symbol(j) for j in range(1, n + 1)]
-    anti = [geom.antiholo_symbol(j) for j in range(1, n + 1)]
-    sym = np.zeros(geom.shape, dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            sym = sym + g_mean[k, j] * (syms[j] * anti[k])
-    sym *= 2.0 * n * coeffs.alpha
-    first = np.zeros(geom.shape, dtype=complex)
-    for j in range(n):
-        prod = w_mean[j] * syms[j]
-        first = first - (prod - np.conj(prod))  # -2i Im(w_j s_j)
-    sym = sym + c0_mean + first
+    grid = tuple(range(1, coeffs.k.ndim))
+    k_mean = np.mean(coeffs.k, axis=grid)
+    sym = np.full(geom.spectrum_shape, float(np.mean(coeffs.c0)), dtype=complex)
+    for km, s in zip(k_mean, derivative_symbols(geom)):
+        sym += km * s
 
     flat0 = (0,) * len(geom.shape)
     sym[flat0] = 1.0
@@ -183,8 +173,8 @@ def solve_newton_system(u: ScalarField, d: ProblemData, coeffs: LinearCoefficien
         return out.ravel()
 
     def apply_precond(x):
-        r = x.reshape(shape)
-        return scipy.fft.ifftn(scipy.fft.fftn(r, workers=-1) / sym, workers=-1).real.ravel()
+        rhat = scipy.fft.rfftn(x.reshape(shape), workers=-1)
+        return scipy.fft.irfftn(rhat / sym, s=shape, workers=-1).ravel()
 
     op = LinearOperator((size, size), matvec=matvec, dtype=float)
     mop = LinearOperator((size, size), matvec=apply_precond, dtype=float)

@@ -9,14 +9,39 @@ and the background Kahler metric g = identity.  On this background every
 curvature term of the general theory vanishes identically; that flat
 specialization is what this module implements.
 
-Derivatives are pseudospectral: a field is transformed once with the FFT,
-multiplied by the symbol of the requested operator, and transformed back.
-For the holomorphic derivative D_j = (d/dx_j - i d/dy_j) / 2 the symbol on
-the Fourier mode exp(i(xi.x + eta.y)) is (i xi_j + eta_j) / 2, so derivatives
-of band-limited fields are exact to rounding.  Nonlinearities are formed
-pointwise in physical space without dealiasing; the fields of interest are
-smooth and resolved, and the refinement studies in the test suite expose
-aliasing when it matters.
+Derivatives are pseudospectral: a field is transformed once with the
+real-to-complex FFT (scipy.fft.rfftn, which keeps the half spectrum
+0 <= k < p/2 + 1 along the last axis), multiplied by the real-operator
+symbol of each requested derivative, and transformed back with irfftn, so
+every derivative of a real field is a real array.  spectral_derivatives
+returns one real array of n^2 + 2n rows, in this order:
+
+    rows[a]                  d u / d(axis a)  for a = 0 .. 2n-1, that is
+                             d/dx_1, d/dy_1, ..., d/dx_n, d/dy_n;
+    rows[2n + j]             the diagonal Hessian entry u_{j jbar}
+                             = (d^2/dx_j^2 + d^2/dy_j^2) u / 4;
+    rows[3n + 2p], [+ 1]     Re and Im of the p-th strict-upper entry
+                             u_{j kbar} = D_j D_kbar u, j < k, in the order
+                             (1,2), (1,3), (2,3).
+
+The last n^2 rows are the packed layout of a Hermitian field (see
+HermitianField): n real diagonal entries, then the real and imaginary parts
+of each strict-upper entry.  The holomorphic derivative is
+D_j = (d/dx_j - i d/dy_j) / 2, so D_j u = (rows[2j] - i rows[2j+1]) / 2 and
+
+    Re u_{j kbar} = (u_{x_j x_k} + u_{y_j y_k}) / 4,
+    Im u_{j kbar} = (u_{x_j y_k} - u_{y_j x_k}) / 4.
+
+Nyquist convention: on an even grid the mode k = p/2 has no partner of the
+opposite sign, so an odd derivative of it is not a real field.  The symbol
+of every first derivative is therefore set to zero on its axis's Nyquist
+plane; the mixed second derivatives are products of two first derivatives
+and vanish there too, while the diagonal entries d^2/dx^2 keep -k^2.  With
+this convention derivatives of fields band-limited below the Nyquist mode
+are exact to rounding.  Nonlinearities are formed pointwise in physical
+space without dealiasing; the fields of interest are smooth and resolved,
+and the refinement studies in the test suite expose aliasing when it
+matters.
 
 Integration uses the volume-normalized measure: integrate() is the plain
 nodal mean, which is trapezoidal-exact for periodic smooth integrands and
@@ -25,6 +50,7 @@ makes the total volume exactly 1.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -85,31 +111,11 @@ class TorusGeometry:
         shape[axis] = p
         return x.reshape(shape)
 
-    def _freq(self, axis: int) -> np.ndarray:
+    @property
+    def spectrum_shape(self) -> tuple:
+        """Shape of the rfftn half spectrum: the last axis keeps p/2 + 1 modes."""
         p = self.points_per_axis
-        k = 2.0 * np.pi * np.fft.fftfreq(p, d=self.period / p)
-        shape = [1] * (2 * self.n)
-        shape[axis] = p
-        return k.reshape(shape)
-
-    def holo_symbol(self, j: int) -> np.ndarray:
-        """Broadcastable symbol of D_j (1-based complex index)."""
-        xi = self._freq(2 * (j - 1))
-        eta = self._freq(2 * (j - 1) + 1)
-        return 0.5 * (1j * xi + eta)
-
-    def antiholo_symbol(self, j: int) -> np.ndarray:
-        """Broadcastable symbol of D_jbar (1-based complex index)."""
-        xi = self._freq(2 * (j - 1))
-        eta = self._freq(2 * (j - 1) + 1)
-        return 0.5 * (1j * xi - eta)
-
-    def laplace_symbol(self) -> np.ndarray:
-        """Full-grid symbol of the complex Laplacian sum_j D_j D_jbar."""
-        sym = np.zeros(self.shape)
-        for axis in range(2 * self.n):
-            sym = sym - 0.25 * self._freq(axis) ** 2
-        return sym
+        return (p,) * (2 * self.n - 1) + (p // 2 + 1,)
 
     def mode_index(self, axis: int) -> np.ndarray:
         """Integer mode numbers along one axis, broadcastable to the grid."""
@@ -143,22 +149,59 @@ class ScalarField:
         object.__setattr__(self, "values", vals)
 
 
+def upper_pairs(n: int) -> list:
+    """Strict-upper index pairs (j, k), j < k (0-based), in packed row order."""
+    return [(j, k) for j in range(n) for k in range(j + 1, n)]
+
+
+def pack_hermitian(m: np.ndarray) -> np.ndarray:
+    """Packed rows (n^2,) + grid of a full (n, n) + grid Hermitian array."""
+    n = m.shape[0]
+    rows = np.empty((n * n,) + m.shape[2:])
+    for j in range(n):
+        rows[j] = m[j, j].real
+    for p, (j, k) in enumerate(upper_pairs(n)):
+        rows[n + 2 * p] = m[j, k].real
+        rows[n + 2 * p + 1] = m[j, k].imag
+    return rows
+
+
+def unpack_hermitian(rows: np.ndarray, n: int) -> np.ndarray:
+    """Full complex (n, n) + grid array of packed Hermitian rows."""
+    m = np.empty((n, n) + rows.shape[1:], dtype=complex)
+    for j in range(n):
+        m[j, j] = rows[j]
+    for p, (j, k) in enumerate(upper_pairs(n)):
+        m[j, k] = rows[n + 2 * p] + 1j * rows[n + 2 * p + 1]
+        m[k, j] = np.conj(m[j, k])
+    return m
+
+
 @dataclass(frozen=True)
 class HermitianField:
-    """Per-node n x n complex Hermitian matrix, stored as (n, n) + grid; the
-    package builds these from the Hermitian Hessian, so only shape is checked."""
+    """Per-node n x n complex Hermitian matrix in packed real rows, (n^2,) +
+    grid: the n real diagonal entries, then Re and Im of each strict-upper
+    entry in upper_pairs order.  A full (n, n) + grid array is packed on
+    construction (its lower triangle is not read); `matrices` expands the
+    rows again for callers that want the full matrix."""
 
     geometry: TorusGeometry
-    matrices: np.ndarray
+    rows: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrices, dtype=complex)
         n = self.geometry.n
-        if m.shape != (n, n) + self.geometry.shape:
+        r = np.asarray(self.rows)
+        if r.shape == (n, n) + self.geometry.shape:
+            r = pack_hermitian(r)
+        if r.shape != (n * n,) + self.geometry.shape:
             raise ConfigurationError(
-                f"matrix field shape {m.shape} does not match (n, n) + grid"
+                f"matrix field shape {r.shape} does not match (n^2,) + grid or (n, n) + grid"
             )
-        object.__setattr__(self, "matrices", m)
+        object.__setattr__(self, "rows", np.asarray(r, dtype=float))
+
+    @property
+    def matrices(self) -> np.ndarray:
+        return unpack_hermitian(self.rows, self.geometry.n)
 
 
 def constant_field(geom: TorusGeometry, c: float) -> ScalarField:
@@ -173,60 +216,102 @@ def constant_field(geom: TorusGeometry, c: float) -> ScalarField:
 # deterministic regardless of the thread count.
 
 
-def _fft(values: np.ndarray) -> np.ndarray:
-    return scipy.fft.fftn(values, workers=-1)
+def _rfft(values: np.ndarray) -> np.ndarray:
+    return scipy.fft.rfftn(values, workers=-1)
 
 
-def _ifft(values: np.ndarray, grid_ndim: int) -> np.ndarray:
-    axes = tuple(range(values.ndim - grid_ndim, values.ndim))
-    return scipy.fft.ifftn(values, axes=axes, workers=-1)
+def _irfft(spectrum: np.ndarray, geom: TorusGeometry) -> np.ndarray:
+    return scipy.fft.irfftn(spectrum, s=geom.shape, workers=-1)
+
+
+@functools.lru_cache(maxsize=8)
+def derivative_symbols(geom: TorusGeometry) -> tuple:
+    """Half-spectrum symbols of the n^2 + 2n rows of spectral_derivatives, in
+    row order, each broadcastable to geom.spectrum_shape and read-only.
+
+    First derivatives are i k_a (complex); the Hessian rows are real.  The
+    first-derivative wavenumbers are zeroed on the Nyquist plane of their
+    axis (see the module docstring)."""
+    n = geom.n
+    p = geom.points_per_axis
+    k_even, k_odd = [], []
+    for axis in range(2 * n):
+        freq = np.fft.rfftfreq if axis == 2 * n - 1 else np.fft.fftfreq
+        k = 2.0 * np.pi * freq(p, d=geom.period / p)
+        shape = [1] * (2 * n)
+        shape[axis] = k.size
+        k_even.append(k.reshape(shape))
+        k = k.copy()
+        k[p // 2] = 0.0   # the Nyquist bin, in fftfreq and rfftfreq order alike
+        k_odd.append(k.reshape(shape))
+    syms = [1j * k for k in k_odd]
+    for j in range(n):
+        syms.append(-0.25 * (k_even[2 * j] ** 2 + k_even[2 * j + 1] ** 2))
+    for j, k in upper_pairs(n):
+        xj, yj, xk, yk = k_odd[2 * j], k_odd[2 * j + 1], k_odd[2 * k], k_odd[2 * k + 1]
+        syms.append(-0.25 * (xj * xk + yj * yk))
+        syms.append(-0.25 * (xj * yk - yj * xk))
+    for s in syms:
+        s.setflags(write=False)
+    return tuple(syms)
 
 
 @dataclass(frozen=True)
 class Derivs:
     """Bundle of the spectral derivatives of one scalar field.
 
-    grad[j]     = D_{j+1} u                (complex, (n,) + grid)
-    hess[j, k]  = D_{j+1} D_{k+1 bar} u    (complex Hermitian, (n, n) + grid)
-    lap         = trace of hess            (real, grid)
-    """
+    rows   (n^2 + 2n,) + grid, real, in the order of the module docstring
+    lap    the complex Laplacian sum_j u_{j jbar}, the sum of the diagonal rows
 
-    grad: np.ndarray
-    hess: np.ndarray
+    Views of the rows share their one buffer; the complex gradient and
+    Hessian are built on request, for callers off the solve path."""
+
+    rows: np.ndarray
     lap: np.ndarray
 
     @property
+    def n(self) -> int:
+        return self.lap.ndim // 2
+
+    @property
+    def partials(self) -> np.ndarray:
+        """The 2n real first partials, (2n,) + grid."""
+        return self.rows[:2 * self.n]
+
+    @property
+    def hess_rows(self) -> np.ndarray:
+        """The complex Hessian in packed Hermitian rows, (n^2,) + grid."""
+        return self.rows[2 * self.n:]
+
+    @property
     def grad_sq(self) -> np.ndarray:
-        g = self.grad
-        return np.sum(g.real * g.real + g.imag * g.imag, axis=0)
+        """|Du|^2 = sum_j |D_j u|^2, a quarter of the sum of squared partials."""
+        p = self.partials
+        return 0.25 * np.einsum("a...,a...->...", p, p)
+
+    @property
+    def grad(self) -> np.ndarray:
+        """Complex gradient D_j u, (n,) + grid."""
+        p = self.partials
+        return 0.5 * (p[0::2] - 1j * p[1::2])
+
+    @property
+    def hess(self) -> np.ndarray:
+        """Full complex Hessian D_j D_kbar u, (n, n) + grid."""
+        return unpack_hermitian(self.hess_rows, self.n)
 
 
 def spectral_derivatives(u: ScalarField) -> Derivs:
-    """Compute gradient, complex Hessian and Laplacian of u in one FFT pass."""
+    """First partials, packed complex Hessian and Laplacian of u: one rfftn,
+    then one irfftn per row straight into the bundle's single array."""
     geom = u.geometry
     n = geom.n
-    uhat = _fft(u.values)
-    holo = [geom.holo_symbol(j) for j in range(1, n + 1)]
-    anti = [geom.antiholo_symbol(j) for j in range(1, n + 1)]
-
-    # batch all inverse transforms: n gradient entries + n(n+1)/2 Hessian entries
-    stack = [s * uhat for s in holo]
-    pairs = [(j, k) for j in range(n) for k in range(j, n)]
-    for j, k in pairs:
-        stack.append(holo[j] * anti[k] * uhat)
-    out = _ifft(np.stack(stack), 2 * n)
-
-    grad = out[:n]
-    hess = np.empty((n, n) + geom.shape, dtype=complex)
-    for idx, (j, k) in enumerate(pairs):
-        entry = out[n + idx]
-        if j == k:
-            hess[j, j] = entry.real  # diagonal of the complex Hessian is real
-        else:
-            hess[j, k] = entry
-            hess[k, j] = np.conj(entry)
-    lap = np.sum(hess[np.arange(n), np.arange(n)].real, axis=0)
-    return Derivs(grad=grad, hess=hess, lap=lap)
+    uhat = _rfft(u.values)
+    syms = derivative_symbols(geom)
+    rows = np.empty((len(syms),) + geom.shape)
+    for r, sym in enumerate(syms):
+        rows[r] = _irfft(sym * uhat, geom)
+    return Derivs(rows=rows, lap=rows[2 * n:3 * n].sum(axis=0))
 
 
 def d_holo(u: ScalarField, j: int) -> np.ndarray:
@@ -234,14 +319,18 @@ def d_holo(u: ScalarField, j: int) -> np.ndarray:
     geom = u.geometry
     if not 1 <= j <= geom.n:
         raise ValueError(f"coordinate index j={j} out of range 1..{geom.n}")
-    return _ifft(geom.holo_symbol(j) * _fft(u.values), 2 * geom.n)
+    syms = derivative_symbols(geom)
+    uhat = _rfft(u.values)
+    dx, dy = (_irfft(syms[a] * uhat, geom) for a in (2 * j - 2, 2 * j - 1))
+    return 0.5 * (dx - 1j * dy)
 
 
 def laplacian(u: ScalarField) -> ScalarField:
     """Complex Laplacian sum_j D_j D_jbar u (trace of the complex Hessian)."""
     geom = u.geometry
-    out = _ifft(geom.laplace_symbol() * _fft(u.values), 2 * geom.n)
-    return ScalarField(geom, out.real)
+    n = geom.n
+    sym = sum(derivative_symbols(geom)[2 * n:3 * n])
+    return ScalarField(geom, _irfft(sym * _rfft(u.values), geom))
 
 
 def integrate(w: ScalarField) -> float:
@@ -269,8 +358,9 @@ def mixed_wedge_density(u: ScalarField, derivs: Derivs | None = None) -> ScalarF
         raise ConfigurationError("the wedge density needs complex dimension >= 2")
     d = derivs if derivs is not None else spectral_derivatives(u)
     # contraction sum_{j,k} u_j conj(u_k) H[j,k]; real because H is Hermitian
-    t = np.einsum("j...,jk...->k...", d.grad, d.hess)
-    mixed = np.einsum("k...,k...->...", t, np.conj(d.grad)).real
+    grad = d.grad
+    t = np.einsum("j...,jk...->k...", grad, d.hess)
+    mixed = np.einsum("k...,k...->...", t, np.conj(grad)).real
     fac = float(math.factorial(geom.n - 2))
     density = fac * (d.grad_sq * d.lap - mixed)
     return ScalarField(geom, density)
@@ -330,11 +420,13 @@ def random_band_limited(geom: TorusGeometry, rng: np.random.Generator,
     """Random real band-limited field with |mode| <= max_mode on every axis,
     rescaled to the requested max-norm amplitude."""
     w = rng.standard_normal(geom.shape)
-    what = _fft(w)
-    mask = np.ones(geom.shape, dtype=bool)
+    what = _rfft(w)
+    mask = np.ones(geom.spectrum_shape, dtype=bool)
+    half = geom.spectrum_shape[-1]
     for axis in range(2 * geom.n):
-        mask &= np.abs(geom.mode_index(axis)) <= max_mode
-    u = _ifft(what * mask, 2 * geom.n).real
+        # rfftn keeps modes 0 .. p/2 of the last axis
+        mask &= np.abs(geom.mode_index(axis))[..., :half] <= max_mode
+    u = _irfft(what * mask, geom)
     u -= u.mean()
     top = float(np.max(np.abs(u)))
     if top > 0.0:

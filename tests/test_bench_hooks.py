@@ -52,3 +52,25 @@ def test_manufactured_workload_solve(tmp_path, monkeypatch):
     verdict = run.verify(inputs, out)
     assert verdict.ok, verdict.lines()
     assert result["newton_steps"] <= 9
+
+
+def test_n3_traced_memory(tmp_path, monkeypatch):
+    # the benchmark's traced child on its memory-bound workload: the solve
+    # must pass its checker, and the tracemalloc peaks of one derivative
+    # bundle and of one Newton step must stay within the packed layout's
+    # budget (the complex (n, n) Hessian gave 126 and 214 MiB)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import run
+    import workloads
+
+    inputs = workloads.prepare(workloads.WORKLOADS["perturbative-n3-8"], 0,
+                               tmp_path / "inputs")
+    out = tmp_path / "out"
+    result = run.run_child("trace", inputs, out)
+    verdict = run.verify(inputs, out)
+    assert verdict.ok, verdict.lines()
+    layers = result["layers"]
+    assert layers["torus.derivs.peak_mb"] <= 90
+    assert layers["solve.step.peak_mb"] <= 170

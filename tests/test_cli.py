@@ -190,6 +190,32 @@ class TestTypedErrors:
                        "--k-list", k_list, "--out", str(tmp_path / "o")) == 2
         self.assert_one_error_line(capsys, "--k-list")
 
+    @pytest.mark.parametrize("k_list", ["abc", "2,x", "", ","])
+    def test_bad_moser_list(self, tmp_path, capsys, k_list):
+        cfg = write_config(tmp_path, TRIVIAL_CONFIG)
+        dump = tmp_path / "u.bin"
+        torus.save_field(dump, torus.constant_field(torus.make_geometry(2, 16), 2.0))
+        out = tmp_path / "o"
+        assert run_cli("moser-check", "--config", cfg, "--solution", str(dump),
+                       "--k-list", k_list, "--out", str(out)) == 2
+        self.assert_one_error_line(capsys, "--k-list")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("a_list", ["abc", "", ",", "0.1,0.2", "0.2,0.2", "1.5"])
+    def test_bad_a_list(self, tmp_path, capsys, a_list):
+        cfg = write_config(tmp_path, TRIVIAL_CONFIG)
+        out = tmp_path / "o"
+        assert run_cli("sweep-a", "--config", cfg, "--a-list", a_list,
+                       "--out", str(out)) == 2
+        self.assert_one_error_line(capsys, "--a-list")
+        assert not out.exists()
+
+    def test_unsupported_degeneracy_dimension(self, tmp_path, capsys):
+        out = tmp_path / "deg"
+        assert run_cli("degeneracy", "--n", "4", "--out", str(out)) == 2
+        self.assert_one_error_line(capsys, "--n must be 2 or 3")
+        assert not out.exists()
+
 
 class TestDegeneracy:
     def test_n3_sweep_matches_closed_form(self, tmp_path):

@@ -333,3 +333,31 @@ class TestEigenvalues:
         assert np.all(gamma2_mask(gp, margin=0.0))
         assert np.all(gamma2_mask(gp, margin=lam * 0.5))
         assert not np.any(gamma2_mask(gp, margin=lam * 1.5))
+
+
+class TestPackedLayout:
+    """The packed real rows against LAPACK on seeded random Hermitian fields."""
+
+    @staticmethod
+    def random_hermitian(geom, rng):
+        n = geom.n
+        shape = (n, n) + geom.shape
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m = a + np.conj(np.swapaxes(a, 0, 1))
+        lam = np.linalg.eigvalsh(np.moveaxis(m.reshape(n, n, -1), -1, 0))  # ascending
+        return m, np.moveaxis(lam, 0, -1).reshape((n,) + geom.shape)
+
+    @pytest.mark.parametrize("which", ["geom2", "geom3"])
+    def test_against_eigvalsh(self, which, request, rng):
+        geom = request.getfixturevalue(which)
+        n = geom.n
+        m, lam = self.random_hermitian(geom, rng)
+        h = torus.HermitianField(geom, m)
+        assert h.rows.shape == (n * n,) + geom.shape
+        assert np.array_equal(h.matrices, m)
+        scale = 1.0 + np.max(np.abs(lam))
+        s1 = lam.sum(axis=0)
+        s2 = sum(lam[j] * lam[k] for j in range(n) for k in range(j + 1, n))
+        assert np.max(np.abs(sigma1_field(h) - s1)) <= 1e-12 * scale
+        assert np.max(np.abs(sigma2_field(h) - s2)) <= 1e-12 * scale ** 2
+        assert np.max(np.abs(hermitian_eigenvalues(h) - lam)) <= 1e-11 * scale
