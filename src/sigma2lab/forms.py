@@ -34,11 +34,16 @@ conj(q_j) of complex gradients is (1/2) sum_a p_a q_a over the 2n real
 partials.
 
 The solver evaluates each iterate once with evaluate(), into an Iterate that
-holds its bundle, weights, g', residual and cone test; the assembly functions
-accept a precomputed bundle and weights.  Neither the bundle nor e^{+-u}
-depends on t, so evaluate() takes them from an earlier evaluation of the same
-field, and f's first partials and Laplacian, all the equation reads of f,
-are computed once and shared by every ProblemData.with_t copy.
+holds its field, bundle, weights e^{+-u} and a, residual, cone test and two
+monitor readings; the assembly functions accept a precomputed bundle and
+weights.  g' itself is not assembled on the solve path: sigma_1 and sigma_2
+of g' have closed forms in a and the bundle (gprime_sigmas), which is all
+the cone test, the residual and the monitors read of it.  Neither the bundle
+nor e^{+-u} depends on t, so evaluate() takes them from an earlier
+evaluation of the same field, and f's first partials and Laplacian, all the
+equation reads of f, are computed once and shared by every ProblemData.with_t
+copy.  The operator of the Newton step keeps one coefficient row per bundle
+row and streams the direction's rows (LinearCoefficients.apply_to).
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from .torus import (
     HermitianField,
     ScalarField,
     TorusGeometry,
+    contract_derivatives,
     integrate,
     spectral_derivatives,
     upper_pairs,
@@ -236,9 +242,11 @@ def gamma2_mask(gp: HermitianField, margin: float = 0.0) -> np.ndarray:
     """Per-node Gamma_2 membership of the eigenvalues of gp, with an
     eigenvalue margin: the test is applied to the spectrum shifted down by
     `margin`, i.e. sigma_k(lambda - margin * 1) > 0 for k = 1, 2."""
-    n = gp.geometry.n
-    s1 = sigma1_field(gp)
-    s2 = sigma2_field(gp)
+    return _gamma2_test(sigma1_field(gp), sigma2_field(gp), gp.geometry.n, margin)
+
+
+def _gamma2_test(s1: np.ndarray, s2: np.ndarray, n: int, margin: float = 0.0) -> np.ndarray:
+    """gamma2_mask from sigma_1 and sigma_2 of the eigenvalues."""
     if margin != 0.0:
         c = margin
         s2 = s2 - c * (n - 1) * s1 + c * c * (n * (n - 1) / 2.0)
@@ -251,20 +259,21 @@ def gamma2_mask(gp: HermitianField, margin: float = 0.0) -> np.ndarray:
 
 
 class Weights(NamedTuple):
-    """e^u, e^{-u}, f_eff, a = e^u + f_eff e^{-u} and b = e^u - f_eff e^{-u}."""
+    """e^u, e^{-u} and a = e^u + f_eff e^{-u}.  f_eff is formed where it is
+    read, and b = e^u - f_eff e^{-u} is 2 e^u - a."""
 
     eu: np.ndarray
     emu: np.ndarray
-    fe: np.ndarray
     a: np.ndarray
-    b: np.ndarray
 
 
 def _exp_weights(u: ScalarField, d: ProblemData, like: Weights | None = None) -> Weights:
     """Weights of u under d; `like`, u's weights under other data, supplies e^{+-u}."""
     eu, emu = like[:2] if like is not None else (np.exp(u.values), np.exp(-u.values))
-    fe = d.f_eff()
-    return Weights(eu, emu, fe, eu + fe * emu, eu - fe * emu)
+    a = d.f_eff()
+    a *= emu
+    a += eu
+    return Weights(eu, emu, a)
 
 
 def gprime(u: ScalarField, d: ProblemData, derivs: Derivs | None = None,
@@ -276,6 +285,28 @@ def gprime(u: ScalarField, d: ProblemData, derivs: Derivs | None = None,
     rows = (2.0 * d.n * d.alpha) * dv.hess_rows
     rows[:geom.n] += w.a
     return HermitianField(geom, rows)
+
+
+def gprime_sigmas(u: ScalarField, d: ProblemData, derivs: Derivs | None = None,
+                  weights: Weights | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """sigma_1 and sigma_2 of g' = a I + c Hess u, c = 2 n alpha, in closed
+    form from a and the bundle, without assembling g':
+
+        sigma_1(g') = n a + c Lap u,
+        sigma_2(g') = kappa_c a^2 + (n-1) c a Lap u + c^2 sigma_2(Hess u),
+
+    since each principal 2 x 2 minor (a + c h_jj)(a + c h_kk) - c^2 |h_jk|^2
+    contributes a^2, a c (h_jj + h_kk) and c^2 times the Hessian's minor."""
+    dv = derivs if derivs is not None else spectral_derivatives(u)
+    a = (weights if weights is not None else _exp_weights(u, d)).a
+    n = d.n
+    c = 2.0 * n * d.alpha
+    s1 = c * dv.lap
+    s1 += n * a
+    s2 = sigma2_hessian(dv)
+    s2 *= c * c
+    s2 += (d.kappa_c * a + ((n - 1) * c) * dv.lap) * a
+    return s1, s2
 
 
 def gtilde(u: ScalarField, d: ProblemData, derivs: Derivs | None = None,
@@ -311,7 +342,8 @@ def residual_fy1(u: ScalarField, d: ProblemData, derivs: Derivs | None = None) -
     and f; this makes the proportionality to residual_sigma2 exact.
     """
     dv = derivs if derivs is not None else spectral_derivatives(u)
-    eu, emu, fe, _, _ = _exp_weights(u, d)
+    eu, emu, _ = _exp_weights(u, d)
+    fe = d.f_eff()
     gsq = dv.grad_sq
     lap_eu = eu * (dv.lap + gsq)
     lap_femu = emu * (d.lap_f_eff() - d.grad_f_dot(dv.partials)
@@ -333,7 +365,8 @@ def rhs_sigma2(u: ScalarField, d: ProblemData, derivs: Derivs | None = None,
         + 4 alpha kappa_c e^{-u} (Lap f - 2 Re<Df, Du>).
     """
     dv = derivs if derivs is not None else spectral_derivatives(u)
-    eu, emu, fe, _, _ = weights if weights is not None else _exp_weights(u, d)
+    eu, emu, _ = weights if weights is not None else _exp_weights(u, d)
+    fe = d.f_eff()
     gsq = dv.grad_sq
     kc = d.kappa_c
     al = d.alpha
@@ -350,23 +383,23 @@ def rhs_sigma2(u: ScalarField, d: ProblemData, derivs: Derivs | None = None,
 
 def residual_sigma2(u: ScalarField, d: ProblemData, derivs: Derivs | None = None,
                     weights: Weights | None = None,
-                    gp: HermitianField | None = None) -> ScalarField:
-    """sigma_2(g') minus the expanded right-hand side.
+                    s2: np.ndarray | None = None) -> ScalarField:
+    """sigma_2(g') minus the expanded right-hand side; s2 is sigma_2(g') from
+    gprime_sigmas, when the caller has it already.
 
     Satisfies residual_sigma2 = 2 n alpha * residual_fy1 as exact pointwise
     algebra of the shared discrete derivative fields.
     """
     dv = derivs if derivs is not None else spectral_derivatives(u)
     w = weights if weights is not None else _exp_weights(u, d)
-    gp = gp if gp is not None else gprime(u, d, dv, w)
+    s2 = s2 if s2 is not None else gprime_sigmas(u, d, dv, w)[1]
     rhs = rhs_sigma2(u, d, dv, w)
-    return ScalarField(u.geometry, sigma2_field(gp) - rhs.values)
+    return ScalarField(u.geometry, s2 - rhs.values)
 
 
 def kappa_field(u: ScalarField, d: ProblemData, derivs: Derivs | None = None) -> np.ndarray:
     """Pointwise e^{-2u} sigma_2(g'); its minimum is the degeneracy monitor kappa."""
-    dv = derivs if derivs is not None else spectral_derivatives(u)
-    return np.exp(-2.0 * u.values) * sigma2_field(gprime(u, d, dv))
+    return np.exp(-2.0 * u.values) * gprime_sigmas(u, d, derivs)[1]
 
 
 def kappa_rhs_field(u: ScalarField, d: ProblemData, derivs: Derivs | None = None) -> np.ndarray:
@@ -382,7 +415,8 @@ def kappa_rhs_field(u: ScalarField, d: ProblemData, derivs: Derivs | None = None
     with all data t-scaled.
     """
     dv = derivs if derivs is not None else spectral_derivatives(u)
-    eu, emu, fe, _, _ = _exp_weights(u, d)
+    emu = np.exp(-u.values)
+    fe = d.f_eff()
     gsq = dv.grad_sq
     kc = d.kappa_c
     al = d.alpha
@@ -403,30 +437,39 @@ def kappa_rhs_field(u: ScalarField, d: ProblemData, derivs: Derivs | None = None
 @dataclass(frozen=True)
 class Iterate:
     """A field evaluated once against one problem: what the Newton step, the
-    backtracking test, acceptance and the monitors read.  in_cone says whether
-    every node lies in Gamma_2 at the margin it was evaluated with."""
+    backtracking test, acceptance and the monitors read.
+
+    Its arrays are the field, its bundle, its weights and its residual, n^2 +
+    2n + 6 grid arrays in all.  Of g' it keeps three readings: in_cone,
+    whether every node lies in Gamma_2 at the margin it was evaluated with,
+    and the monitors' kappa = min e^{-2u} sigma_2(g') and the fraction of
+    nodes in Gamma_2."""
 
     u: ScalarField
     data: ProblemData
     derivs: Derivs
     weights: Weights
-    gp: HermitianField
     residual: np.ndarray
     rnorm: float
     in_cone: bool
+    kappa: float
+    gamma2_fraction: float
 
 
 def evaluate(u: ScalarField, d: ProblemData, margin: float,
              derivs: Derivs | None = None, like: Weights | None = None) -> Iterate:
     """Evaluate u against d.  `derivs` and `like` come from an evaluation of u
     against other data (another t): the bundle and e^{+-u} carry over, and
-    only a, g' and the residual are assembled again."""
+    only a, the sigmas of g' and the residual are assembled again."""
     dv = derivs if derivs is not None else spectral_derivatives(u)
     w = _exp_weights(u, d, like)
-    gp = gprime(u, d, dv, w)
-    in_cone = bool(np.all(gamma2_mask(gp, margin)))
-    r = residual_sigma2(u, d, dv, w, gp).values
-    return Iterate(u, d, dv, w, gp, r, float(np.max(np.abs(r))), in_cone)
+    s1, s2 = gprime_sigmas(u, d, dv, w)
+    in_cone = bool(np.all(_gamma2_test(s1, s2, d.n, margin)))
+    frac = float(np.mean(_gamma2_test(s1, s2, d.n)))
+    del s1   # not read again; freed before the residual's temporaries
+    kappa = float(np.min(w.emu * w.emu * s2))
+    r = residual_sigma2(u, d, dv, w, s2).values
+    return Iterate(u, d, dv, w, r, float(np.max(np.abs(r))), in_cone, kappa, frac)
 
 
 # ---------------------------------------------------------------------------
@@ -452,16 +495,19 @@ class LinearCoefficients:
     rows 0 .. 2n-1 couple the first partials (-Re w_j for x_j and -Im w_j
     for y_j), the n diagonal Hessian rows carry 2 n alpha gtilde_jj, and each
     strict-upper pair carries 4 n alpha Re and Im gtilde_jk, the factor 2
-    counting the lower entry of the Hermitian trace.
+    counting the lower entry of the Hermitian trace.  apply_to takes v's rows
+    one at a time (torus.contract_derivatives), so v's bundle is never built.
     """
 
     geometry: TorusGeometry
     k: np.ndarray        # (n^2 + 2n,) + grid, real, in the bundle's row order
     c0: np.ndarray       # grid, real
 
-    def apply_to(self, dv_v: Derivs, v_values: np.ndarray) -> np.ndarray:
-        out = np.einsum("r...,r...->...", self.k, dv_v.rows)
-        out += self.c0 * v_values
+    def apply_to(self, v: np.ndarray) -> np.ndarray:
+        """L v for a real grid array v: one rfftn of v, then one irfftn per
+        row, each multiplied into the one accumulator as it arrives."""
+        out = contract_derivatives(self.geometry, self.k, v)
+        out += self.c0 * v
         return out
 
 
@@ -475,9 +521,8 @@ def linearization_coefficients(u: ScalarField, d: ProblemData,
     certifies it against central finite differences of the residual.
     """
     dv = derivs if derivs is not None else spectral_derivatives(u)
-    w = weights if weights is not None else _exp_weights(u, d)
-    eu, emu, fe, a, b = w
-    gsq = dv.grad_sq
+    eu, emu, a = weights if weights is not None else _exp_weights(u, d)
+    b = 2.0 * eu - a     # e^u - f_eff e^{-u}, the u-derivative of a
     kc = d.kappa_c
     al = d.alpha
     n = d.n
@@ -485,12 +530,12 @@ def linearization_coefficients(u: ScalarField, d: ProblemData,
 
     k = np.empty(dv.rows.shape)
     # Du-derivative of the rhs, -2 Re sum_j (D_j v) w_j with
-    # w_j = c1 conj(D_j u) - 4 alpha kc e^{-u} conj(D_j f_eff), is
-    # -(1/2) sum_a (c1 u_a - 4 alpha kc t e^{-u} f_a) v_a
-    c1 = 4.0 * al * kc * (fe * emu - eu)
+    # w_j = c1 conj(D_j u) - 4 alpha kc e^{-u} conj(D_j f_eff) and
+    # c1 = -4 alpha kc b, is -(1/2) sum_a (c1 u_a - 4 alpha kc t e^{-u} f_a) v_a
+    u_part = (2.0 * al * kc) * b
     f_part = (2.0 * al * kc * d.t) * emu
     for ax, (ua, fa) in enumerate(zip(dv.partials, d.f_derivs().partials)):
-        np.multiply(-0.5 * c1, ua, out=k[ax])
+        np.multiply(u_part, ua, out=k[ax])
         k[ax] += f_part * fa
     # 2 n alpha Tr(gtilde Hess v) with gtilde = (n-1) a I + coef (Lap u I - Hess u)
     hk = k[2 * n:]
@@ -498,16 +543,14 @@ def linearization_coefficients(u: ScalarField, d: ProblemData,
     hk[:n] += coef * ((n - 1) * a + coef * dv.lap)
     hk[n:] *= 2.0
 
-    sigma1_gp = n * a + coef * dv.lap
-    # u-derivative of the expanded right-hand side
-    c0_rhs = (
-        2.0 * kc * eu * eu
-        - 4.0 * al * kc * eu * gsq
-        - 4.0 * al * kc * fe * emu * gsq
-        - 2.0 * kc * emu * emu * fe * fe
-        - 4.0 * al * kc * emu * (d.lap_f_eff() - d.grad_f_dot(dv.partials))
-    )
-    c0 = b * (n - 1) * sigma1_gp - c0_rhs
+    # u-derivative of sigma_2(g') through a, (n-1) sigma_1(g') b, minus that
+    # of the expanded right-hand side,
+    #     2 kc a b - 4 alpha kc (a |Du|^2 + e^{-u} (Lap f_eff - 2 Re<Df_eff, Du>));
+    # with sigma_1(g') = n a + coef Lap u and 2 kc = n(n-1) the a b terms cancel
+    c0 = a * dv.grad_sq
+    c0 += emu * (d.lap_f_eff() - d.grad_f_dot(dv.partials))
+    c0 *= 4.0 * al * kc
+    c0 += ((n - 1) * coef) * b * dv.lap
     return LinearCoefficients(geometry=u.geometry, k=k, c0=c0)
 
 
@@ -515,8 +558,7 @@ def linearize(u: ScalarField, d: ProblemData, v: ScalarField,
               coeffs: LinearCoefficients | None = None) -> ScalarField:
     """Directional derivative of residual_sigma2 at u in the direction v."""
     lc = coeffs if coeffs is not None else linearization_coefficients(u, d)
-    dv_v = spectral_derivatives(v)
-    return ScalarField(u.geometry, lc.apply_to(dv_v, v.values))
+    return ScalarField(u.geometry, lc.apply_to(v.values))
 
 
 # ---------------------------------------------------------------------------

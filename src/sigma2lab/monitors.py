@@ -27,12 +27,10 @@ from .errors import HypothesisError, RangeUnderflowError
 from .forms import (
     Iterate,
     ProblemData,
-    gamma2_mask,
     gtilde,
     hermitian_eigenvalues,
     kappa_field,
     kappa_rhs_field,
-    sigma2_field,
 )
 from .torus import Derivs, ScalarField, mixed_wedge_density, spectral_derivatives
 
@@ -75,15 +73,14 @@ class EstimateReport:
 
 def estimate_report(it: Iterate) -> EstimateReport:
     """Evaluate every monitored quantity on one evaluated iterate, from its
-    bundle, weights and g'."""
+    bundle and weights; kappa and the Gamma_2 fraction are the iterate's own
+    readings of g', taken by forms.evaluate from the closed-form sigmas."""
     d = it.data
     vals = it.u.values
     inf_u = float(np.min(vals))
     sup_u = float(np.max(vals))
     c1 = float(np.max(it.weights.emu * it.derivs.grad_sq))
     eigs = hermitian_eigenvalues(gtilde(it.u, d, it.derivs, it.weights))
-    kappa = float(np.min(np.exp(-2.0 * vals) * sigma2_field(it.gp)))
-    frac = float(np.mean(gamma2_mask(it.gp)))
     return EstimateReport(
         inf_u=inf_u,
         sup_u=sup_u,
@@ -92,9 +89,9 @@ def estimate_report(it: Iterate) -> EstimateReport:
         c1_max=c1,
         gtilde_eig_min=float(np.min(eigs)),
         gtilde_eig_max=float(np.max(eigs)),
-        kappa=kappa,
+        kappa=it.kappa,
         kappa_c=d.kappa_c,
-        gamma2_fraction=frac,
+        gamma2_fraction=it.gamma2_fraction,
     )
 
 

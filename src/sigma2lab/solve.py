@@ -32,11 +32,16 @@ iteration on the pair:
 Each iterate is evaluated once (forms.evaluate): the backtracking test of a
 trial, the next Newton step from it, its acceptance and its monitor snapshot
 read the same Iterate.  Its bundle carries over to the next continuation
-attempt, where only a, g' and the residual are assembled for the new t.
+attempt, where only a, the sigmas of g' and the residual are assembled for
+the new t.  A Newton step holds only what the next step reads: the
+operator's coefficient rows live until the linear solve returns, each
+operator apply streams the direction's derivative rows instead of building
+its bundle, and a rejected trial is released before the next is evaluated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +65,7 @@ from .forms import (
     linearization_coefficients,
 )
 from .monitors import estimate_report
-from .torus import ScalarField, constant_field, derivative_symbols, spectral_derivatives
+from .torus import ScalarField, constant_field, derivative_symbols
 
 _RESIDUAL_SLACK = 1e-12  # relative slack in the "non-increasing" residual test
 
@@ -80,14 +85,16 @@ class SolverConfig:
     easy_newton_iters: int = 3
 
     def __post_init__(self):
-        if not self.newton_tol > 0.0:
-            raise ValueError("newton_tol must be positive")
+        if not (self.newton_tol > 0.0 and math.isfinite(self.newton_tol)):
+            raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
+        if not self.max_newton_iters >= 0:
+            raise ValueError(f"max_newton_iters must be nonnegative, got {self.max_newton_iters}")
         if not 0.0 < self.t_step_min <= self.t_step_init <= 1.0:
             raise ValueError("need 0 < t_step_min <= t_step_init <= 1")
         if not 0.0 < self.backtrack_factor < 1.0:
             raise ValueError("backtrack_factor must lie in (0, 1)")
-        if self.cone_margin < 0.0:
-            raise ValueError("cone_margin must be nonnegative")
+        if not (self.cone_margin >= 0.0 and math.isfinite(self.cone_margin)):
+            raise ValueError(f"cone_margin must be nonnegative and finite, got {self.cone_margin}")
 
 
 @dataclass
@@ -166,9 +173,7 @@ def solve_newton_system(u: ScalarField, d: ProblemData, coeffs: LinearCoefficien
     omega /= np.sum(omega)
 
     def matvec(x):
-        v = x.reshape(shape)
-        dv = spectral_derivatives(ScalarField(geom, v))
-        out = coeffs.apply_to(dv, v)
+        out = coeffs.apply_to(x.reshape(shape))
         out += float(omega @ x) - out.mean()
         return out.ravel()
 
@@ -208,8 +213,9 @@ def _newton_step(it: Iterate, cfg: SolverConfig, forcing: float | None = None):
             "current iterate leaves Gamma_2 at the required margin"
         )
     u, d = it.u, it.data
-    coeffs = linearization_coefficients(u, d, it.derivs, it.weights)
-    v = solve_newton_system(u, d, coeffs, -it.residual, cfg, rtol=forcing)
+    # the coefficient rows are passed, not bound: they die with the solve
+    v = solve_newton_system(u, d, linearization_coefficients(u, d, it.derivs, it.weights),
+                            -it.residual, cfg, rtol=forcing)
 
     gamma = d.norm_constants.gamma
     s = 1.0
@@ -226,6 +232,7 @@ def _newton_step(it: Iterate, cfg: SolverConfig, forcing: float | None = None):
                 f"residual increased at s={s:.3e} "
                 f"({it.rnorm:.3e} -> {trial.rnorm:.3e})"
             )
+        del trial   # released before the next trial is evaluated
         s *= cfg.backtrack_factor
     raise ConeBreakdownError(f"backtracking exhausted: {last_reason}")
 
@@ -318,11 +325,12 @@ def run_and_return(d: ProblemData, cfg: SolverConfig,
         t_try = min(1.0, t + dt)
         try:
             it, iters, _ = _solve_at_t(start(d.with_t(t_try)), cfg)
-        except _SOLVE_FAILURES:
+        except _SOLVE_FAILURES as exc:
             dt *= 0.5
             if dt < cfg.t_step_min:
                 stall(f"continuation stalled at t={t:.4f} "
-                      f"(step floor {cfg.t_step_min:g} reached)")
+                      f"(step floor {cfg.t_step_min:g} reached; last failure "
+                      f"{type(exc).__name__}: {exc})", exc)
             continue
         t = t_try
         accept(t)

@@ -24,6 +24,9 @@ returns one real array of n^2 + 2n rows, in this order:
                              u_{j kbar} = D_j D_kbar u, j < k, in the order
                              (1,2), (1,3), (2,3).
 
+contract_derivatives forms sum_r k[r] * rows[r] for coefficient rows k by
+the same transforms, one row at a time, without storing the rows.
+
 The last n^2 rows are the packed layout of a Hermitian field (see
 HermitianField): n real diagonal entries, then the real and imaginary parts
 of each strict-upper entry.  The holomorphic derivative is
@@ -312,6 +315,17 @@ def spectral_derivatives(u: ScalarField) -> Derivs:
     for r, sym in enumerate(syms):
         rows[r] = _irfft(sym * uhat, geom)
     return Derivs(rows=rows, lap=rows[2 * n:3 * n].sum(axis=0))
+
+
+def contract_derivatives(geom: TorusGeometry, k: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_r k[r] * (row r of spectral_derivatives) for a real grid array,
+    without building its bundle: one rfftn, then one irfftn per row, each
+    multiplied into the sum as it is transformed."""
+    vhat = _rfft(values)
+    out = np.zeros(geom.shape)
+    for k_r, sym in zip(k, derivative_symbols(geom)):
+        out += k_r * _irfft(sym * vhat, geom)
+    return out
 
 
 def d_holo(u: ScalarField, j: int) -> np.ndarray:

@@ -1,15 +1,20 @@
 """End-to-end CLI runs in temporary directories."""
 
+import math
 import struct
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigma2lab import torus
-from sigma2lab.cli import main
+from sigma2lab.cli import RunConfig, main
+from sigma2lab.errors import ConfigurationError
 
 TRIVIAL_CONFIG = """\
 # smallest well-posed setup
@@ -157,6 +162,18 @@ class TestTypedErrors:
         assert run_cli("solve", "--config", cfg, "--out", str(tmp_path / "o")) == 2
         self.assert_one_error_line(capsys, "newton_tol must be positive")
 
+    @pytest.mark.parametrize("line, text", [
+        ("newton_tol = inf", "newton_tol must be positive and finite"),
+        ("cone_margin = nan", "cone_margin must be nonnegative and finite"),
+        ("max_newton_iters = -3", "max_newton_iters must be nonnegative"),
+    ])
+    def test_bad_solver_setting(self, tmp_path, capsys, line, text):
+        cfg = write_config(tmp_path, TRIVIAL_CONFIG + line + "\n")
+        out = tmp_path / "o"
+        assert run_cli("solve", "--config", cfg, "--out", str(out)) == 2
+        self.assert_one_error_line(capsys, text)
+        assert not out.exists()
+
     def test_single_sample_sweep(self, tmp_path, capsys):
         assert run_cli("degeneracy", "--n", "3", "--samples", "1",
                        "--out", str(tmp_path)) == 2
@@ -215,6 +232,37 @@ class TestTypedErrors:
         assert run_cli("degeneracy", "--n", "4", "--out", str(out)) == 2
         self.assert_one_error_line(capsys, "--n must be 2 or 3")
         assert not out.exists()
+
+
+SOLVER_KEYS = ("newton_tol", "max_newton_iters", "t_step_init", "t_step_min",
+               "cone_margin", "backtrack_factor")
+SETTING_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from(["", "abc", "1e", "0x10", "1_000", "-inf", "nan", "1e400", "-0.0"]),
+    st.text(st.characters(blacklist_characters="\n\r#", blacklist_categories=("Cs",)),
+            max_size=8),
+)
+
+
+class TestSolverSettingsFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(entries=st.dictionaries(st.sampled_from(SOLVER_KEYS), SETTING_TEXT))
+    def test_valid_config_or_typed_error(self, tmp_path_factory, entries):
+        # a new file per example: rewriting one file in place is slow on
+        # file systems that flush a truncated file when it is closed
+        with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False,
+                                         dir=tmp_path_factory.getbasetemp()) as fh:
+            fh.write("".join(f"{k} = {v}\n" for k, v in entries.items()))
+        try:
+            sc = RunConfig.from_file(fh.name).solver_config()
+        except ConfigurationError:
+            return
+        assert sc.newton_tol > 0.0 and math.isfinite(sc.newton_tol)
+        assert sc.max_newton_iters >= 0
+        assert 0.0 < sc.t_step_min <= sc.t_step_init <= 1.0
+        assert 0.0 < sc.backtrack_factor < 1.0
+        assert sc.cone_margin >= 0.0 and math.isfinite(sc.cone_margin)
 
 
 class TestDegeneracy:

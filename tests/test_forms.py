@@ -1,5 +1,7 @@
 """Hermitian form assembly, residual equivalence, and the linearization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,15 @@ from sigma2lab.errors import ConfigurationError
 from sigma2lab.forms import (
     NormalizationConstants,
     ProblemData,
+    evaluate,
     gamma2_mask,
     gprime,
+    gprime_sigmas,
     gtilde,
     hermitian_eigenvalues,
     kappa_field,
     kappa_rhs_field,
+    linearization_coefficients,
     linearize,
     manufactured_mu,
     residual_fy1,
@@ -361,3 +366,62 @@ class TestPackedLayout:
         assert np.max(np.abs(sigma1_field(h) - s1)) <= 1e-12 * scale
         assert np.max(np.abs(sigma2_field(h) - s2)) <= 1e-12 * scale ** 2
         assert np.max(np.abs(hermitian_eigenvalues(h) - lam)) <= 1e-11 * scale
+
+
+def perturbed_solution(d, rng, amplitude=0.05):
+    """-log A, the t = 0 solution, plus a small band-limited perturbation."""
+    pert = random_band_limited(d.geometry, rng, 2, amplitude)
+    return ScalarField(d.geometry, -np.log(d.A) + pert.values)
+
+
+def owned_arrays(obj):
+    """The arrays an evaluated iterate reaches through its dataclass fields
+    and tuples (ProblemData, shared by every iterate, is neither)."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for x in obj:
+            yield from owned_arrays(x)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from owned_arrays(getattr(obj, f.name))
+
+
+class TestLeanIterate:
+    """The solve path reads sigma_1 and sigma_2 of g' from closed forms, streams
+    the operator's direction rows and keeps only what the next step reads."""
+
+    @pytest.mark.parametrize("which", ["problem2", "problem3"])
+    def test_closed_form_sigmas(self, which, request, rng):
+        d = request.getfixturevalue(which)
+        u = random_band_limited(d.geometry, rng, 3, 1.0)
+        dv = spectral_derivatives(u)
+        s1, s2 = gprime_sigmas(u, d, dv)
+        gp = gprime(u, d, dv)
+        for got, want in ((s1, sigma1_field(gp)), (s2, sigma2_field(gp))):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("which", ["problem2", "problem3"])
+    def test_streamed_apply(self, which, request, rng):
+        d = request.getfixturevalue(which)
+        lc = linearization_coefficients(perturbed_solution(d, rng), d)
+        v = random_band_limited(d.geometry, rng, 3, 1.0)
+        rows = spectral_derivatives(v).rows
+        want = sum(k_r * row for k_r, row in zip(lc.k, rows)) + lc.c0 * v.values
+        got = lc.apply_to(v.values)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("which", ["problem2", "problem3"])
+    def test_iterate_array_budget(self, which, request, rng):
+        # the field, the n^2 + 2n rows and the Laplacian, e^u, e^{-u}, a and
+        # the residual; every array is counted once, through .base
+        d = request.getfixturevalue(which)
+        n = d.n
+        it = evaluate(perturbed_solution(d, rng), d, 1e-6)
+        roots = {}
+        for arr in owned_arrays(it):
+            while arr.base is not None:
+                arr = arr.base
+            roots[id(arr)] = arr.nbytes
+        grid_bytes = d.geometry.node_count * 8
+        assert sum(roots.values()) <= (n * n + 2 * n + 6) * grid_bytes

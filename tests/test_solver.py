@@ -1,5 +1,6 @@
 """Newton corrector, normalization, and the continuation loop."""
 
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -38,6 +39,11 @@ class TestSolverConfig:
             SolverConfig(backtrack_factor=1.0)
         with pytest.raises(ValueError):
             SolverConfig(cone_margin=-1.0)
+        for bad in ({"newton_tol": np.inf}, {"newton_tol": np.nan},
+                    {"cone_margin": np.nan}, {"cone_margin": np.inf},
+                    {"max_newton_iters": -3}):
+            with pytest.raises(ValueError):
+                SolverConfig(**bad)
 
 
 class TestNormalize:
@@ -111,6 +117,35 @@ class TestNewtonStep:
         assert s < 1.0
         assert np.all(gamma2_mask(gprime(u1, d), cfg.cone_margin))
         assert resnorm(u1, d) <= resnorm(normalize(u0, d.A, 4.0), d) * (1 + 1e-12)
+
+    def test_one_trial_alive_at_a_time(self, geom2, monkeypatch):
+        # a step that backtracks four times: when each trial is evaluated,
+        # the rejected one before it and the operator's coefficient rows
+        # are gone
+        zero = constant_field(geom2, 0.0)
+        d = ProblemData(geom2, 1.0, zero, profiles.mu_profile(geom2, 500.0),
+                        0.1, t=1.0)
+        cfg = SolverConfig()
+        it = evaluate(constant_field(geom2, -np.log(0.1)), d, cfg.cone_margin)
+        coeffs, trials, alive = [], [], []
+        lincoef = solve.linearization_coefficients
+
+        def tracked_coeffs(*args, **kwargs):
+            lc = lincoef(*args, **kwargs)
+            coeffs.append(weakref.ref(lc))
+            return lc
+
+        def tracked_trial(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in coeffs + trials))
+            trial = evaluate(*args, **kwargs)
+            trials.append(weakref.ref(trial))
+            return trial
+
+        monkeypatch.setattr(solve, "linearization_coefficients", tracked_coeffs)
+        monkeypatch.setattr(solve, "evaluate", tracked_trial)
+        _, s = _newton_step(it, cfg)
+        assert s <= 0.25 and len(trials) >= 3
+        assert alive == [0] * len(trials)
 
 
 class TestSolveAtT:
@@ -254,17 +289,21 @@ class TestContinuityRun:
         assert report is not None and not report.converged
         assert report.t_values == [0.0]  # only the trivial point was reachable
         assert len(report.monitor_snapshots) == len(report.t_values)
+        # the message names the last failed attempt's error, chained as the cause
+        cause = exc_info.value.__cause__
+        assert isinstance(cause, solve._SOLVE_FAILURES)
+        assert f"{type(cause).__name__}: {cause}" in str(exc_info.value)
 
 
 class TestOneEvaluationPerIterate:
     def test_default_solve(self, tmp_path, patch_everywhere):
-        # Count the bundles and g' assemblies of the default CLI solve by the
-        # bytes of their field (and t, for g').  The operator applies inside
-        # the Newton system are the only bundles not counted: Krylov
-        # directions are not iterates.
-        bundles, gprimes = Counter(), Counter()
+        # Count the bundles and the closed-form sigmas of g' of the default
+        # CLI solve by the bytes of their field (and t, for the sigmas).  The
+        # operator applies inside the Newton system are the only bundles not
+        # counted: Krylov directions are not iterates.
+        bundles, sigmas = Counter(), Counter()
         in_newton_system = []
-        derivs, gprime_, system = (torus.spectral_derivatives, forms.gprime,
+        derivs, sigmas_, system = (torus.spectral_derivatives, forms.gprime_sigmas,
                                    solve.solve_newton_system)
 
         def counted_derivs(u):
@@ -272,9 +311,9 @@ class TestOneEvaluationPerIterate:
                 bundles[u.values.tobytes()] += 1
             return derivs(u)
 
-        def counted_gprime(u, d, *args, **kwargs):
-            gprimes[(u.values.tobytes(), d.t)] += 1
-            return gprime_(u, d, *args, **kwargs)
+        def counted_sigmas(u, d, *args, **kwargs):
+            sigmas[(u.values.tobytes(), d.t)] += 1
+            return sigmas_(u, d, *args, **kwargs)
 
         def marked_system(*args, **kwargs):
             in_newton_system.append(True)
@@ -283,14 +322,14 @@ class TestOneEvaluationPerIterate:
             finally:
                 in_newton_system.pop()
 
-        for real, fake in ((derivs, counted_derivs), (gprime_, counted_gprime),
+        for real, fake in ((derivs, counted_derivs), (sigmas_, counted_sigmas),
                            (system, marked_system)):
             patch_everywhere(real, fake)
 
         assert cli.main(["solve", "--out", str(tmp_path), "--no-header"]) == 0
-        assert len(bundles) > 2 and len(gprimes) > 2
+        assert len(bundles) > 2 and len(sigmas) > 2
         assert max(bundles.values()) == 1
-        assert max(gprimes.values()) == 1
+        assert max(sigmas.values()) == 1
 
 
 class TestGridRefinement:
