@@ -11,6 +11,7 @@ moser-check  evaluate the integral-identity gap and the reverse-Sobolev
 
 Configuration is a flat key-value text file (`key = value`, '#' comments);
 all keys have defaults, and --out/--seed/--no-header override the file.
+The seed is read by `verify` only: the `solve` profiles are deterministic.
 Exit codes: 0 success, 2 config/usage/IO error, 3 convergence or
 continuation failure, 4 verification failure.
 """
@@ -173,8 +174,6 @@ def _prepare_out(cfg_out: str, override: str | None) -> Path:
 
 def cmd_solve(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
     solver_cfg = cfg.solver_config()
     out = _prepare_out(cfg.out, args.out)
     data, u_star = cfg.build_problem()
@@ -219,6 +218,8 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     cfg = RunConfig.from_file(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
+    if seed < 0:
+        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
     results = run_all(seed, fast=args.fast)
     all_ok = True
     for res in results:

@@ -402,34 +402,6 @@ def kappa_field(u: ScalarField, d: ProblemData, derivs: Derivs | None = None) ->
     return np.exp(-2.0 * u.values) * gprime_sigmas(u, d, derivs)[1]
 
 
-def kappa_rhs_field(u: ScalarField, d: ProblemData, derivs: Derivs | None = None) -> np.ndarray:
-    """The e^{-2u}-scaled right-hand side (the kappa form of the equation).
-
-    At a solution this equals kappa_field; the pointwise expression is
-
-        kappa_c - 4 alpha kappa_c { e^{-u}|Du|^2 - f e^{-3u}|Du|^2
-                                    + e^{-3u} 2 Re<Df, Du> }
-        + kappa_c e^{-2u} { 2 f + f^2 e^{-2u} + 4 alpha e^{-u} Lap f }
-        - 2 n alpha e^{-2u} mu,
-
-    with all data t-scaled.
-    """
-    dv = derivs if derivs is not None else spectral_derivatives(u)
-    emu = np.exp(-u.values)
-    fe = d.f_eff()
-    gsq = dv.grad_sq
-    kc = d.kappa_c
-    al = d.alpha
-    em3 = emu ** 3
-    return (
-        kc
-        - 4.0 * al * kc * (emu * gsq - fe * em3 * gsq
-                           + em3 * d.grad_f_dot(dv.partials))
-        + kc * emu * emu * (2.0 * fe + fe * fe * emu * emu + 4.0 * al * emu * d.lap_f_eff())
-        - 2.0 * d.n * al * emu * emu * d.mu_eff()
-    )
-
-
 # ---------------------------------------------------------------------------
 # evaluated iterate
 

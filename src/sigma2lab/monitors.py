@@ -14,6 +14,9 @@ Two exact continuum identities are also evaluated as checks on solved
 fields: the k-weighted integral identity produced by the integration-by-
 parts chain (moser_identity_gap) and the reverse-Sobolev-type inequality
 constant used by the Moser iteration (reverse_sobolev_constant).
+
+EstimateReport.row gives one accepted t's CSV row in CSV_COLUMNS order;
+the CLI's writer formats it.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ from .forms import (
     ProblemData,
     gtilde,
     hermitian_eigenvalues,
-    kappa_field,
-    kappa_rhs_field,
 )
 from .torus import Derivs, ScalarField, mixed_wedge_density, spectral_derivatives
 
@@ -93,17 +94,6 @@ def estimate_report(it: Iterate) -> EstimateReport:
         kappa_c=d.kappa_c,
         gamma2_fraction=it.gamma2_fraction,
     )
-
-
-def kappa_consistency(u: ScalarField, d: ProblemData) -> float:
-    """Relative disagreement, at the node minimizing e^{-2u} sigma_2(g'),
-    between that value and the kappa form of the right-hand side.  Zero (to
-    discretization error) exactly when u solves the equation at this t."""
-    lhs = kappa_field(u, d)
-    rhs = kappa_rhs_field(u, d)
-    node = np.unravel_index(np.argmin(lhs), lhs.shape)
-    scale = max(abs(float(lhs[node])), abs(float(rhs[node])), 1e-300)
-    return abs(float(lhs[node]) - float(rhs[node])) / scale
 
 
 def moser_identity_gap(u: ScalarField, d: ProblemData, k: float,
@@ -212,15 +202,3 @@ def wedge_lower_bound_check(u: ScalarField, d: ProblemData) -> float:
     wedge = mixed_wedge_density(u, dv).values
     slack = wedge + (fact / (2.0 * n * d.alpha)) * dv.grad_sq * a
     return float(np.min(slack))
-
-
-# ---------------------------------------------------------------------------
-# CSV serialization (fixed column order, one row per accepted t)
-
-
-def csv_header() -> str:
-    return ",".join(CSV_COLUMNS)
-
-
-def csv_row(t: float, residual_norm: float, rep: EstimateReport) -> str:
-    return ",".join(f"{x:.17g}" for x in rep.row(t, residual_norm))

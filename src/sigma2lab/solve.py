@@ -68,21 +68,24 @@ from .monitors import estimate_report
 from .torus import ScalarField, constant_field, derivative_symbols
 
 _RESIDUAL_SLACK = 1e-12  # relative slack in the "non-increasing" residual test
+_LINEAR_RTOL = 1e-6      # tightest inexact-Newton forcing term
+_LINEAR_MAXITER = 200    # BiCGStab iteration cap; GMRES(40) gets a 40th of it in restarts
+_MAX_BACKTRACKS = 30     # trials s = b, ..., b^30 after s = 1 before a cone breakdown
+_T_STEP_GROWTH = 2.0     # factor on dt after an easy attempt:
+_EASY_NEWTON_ITERS = 3   # one of at most this many Newton steps
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The solver settings a run config can set (cli.RunConfig has one key
+    per field); the solver's other parameters are the constants above."""
+
     newton_tol: float = 1e-9
     max_newton_iters: int = 25
     t_step_init: float = 0.25
     t_step_min: float = 1e-3
     cone_margin: float = 1e-6
     backtrack_factor: float = 0.5
-    linear_rtol: float = 1e-6
-    linear_maxiter: int = 200
-    max_backtracks: int = 30
-    t_step_growth: float = 2.0
-    easy_newton_iters: int = 3
 
     def __post_init__(self):
         if not (self.newton_tol > 0.0 and math.isfinite(self.newton_tol)):
@@ -153,10 +156,10 @@ def _precondition_symbol(coeffs: LinearCoefficients) -> np.ndarray:
 
 
 def solve_newton_system(u: ScalarField, d: ProblemData, coeffs: LinearCoefficients,
-                        rhs: np.ndarray, cfg: SolverConfig,
-                        rtol: float | None = None) -> np.ndarray:
+                        rhs: np.ndarray, rtol: float) -> np.ndarray:
     """Solve the bordered Newton system  (L v - mean L v) + l(v) = rhs - mean rhs
-    for v on the full grid, with the Fourier-symbol preconditioner.
+    for v on the full grid to relative residual rtol, with the Fourier-symbol
+    preconditioner.
 
     l(v) = sum omega v with omega = e^{-gamma u} / sum e^{-gamma u} is the
     derivative of the normalization's log-mean in the direction v, divided
@@ -167,7 +170,6 @@ def solve_newton_system(u: ScalarField, d: ProblemData, coeffs: LinearCoefficien
     shape = geom.shape
     size = rhs.size
     sym = _precondition_symbol(coeffs)
-    rtol = cfg.linear_rtol if rtol is None else rtol
     omega, _ = _shifted_exp(u.values, d.norm_constants.gamma)
     omega = omega.ravel()
     omega /= np.sum(omega)
@@ -189,10 +191,10 @@ def solve_newton_system(u: ScalarField, d: ProblemData, coeffs: LinearCoefficien
         return np.zeros(shape)
 
     x, info = bicgstab(op, b, rtol=rtol, atol=0.0,
-                       maxiter=cfg.linear_maxiter, M=mop)
+                       maxiter=_LINEAR_MAXITER, M=mop)
     if info != 0:
         x, info = gmres(op, b, rtol=rtol, atol=0.0, restart=40,
-                        maxiter=max(4, cfg.linear_maxiter // 40), M=mop)
+                        maxiter=max(4, _LINEAR_MAXITER // 40), M=mop)
     if info != 0:
         res = float(np.linalg.norm(op.matvec(x) - b)) / bnorm
         raise LinearSolveError(
@@ -205,9 +207,10 @@ def solve_newton_system(u: ScalarField, d: ProblemData, coeffs: LinearCoefficien
 # Newton corrector
 
 
-def _newton_step(it: Iterate, cfg: SolverConfig, forcing: float | None = None):
-    """One damped step from an evaluated iterate.  Returns the evaluation of
-    the accepted trial, which the next step starts from, and its s."""
+def _newton_step(it: Iterate, cfg: SolverConfig, forcing: float = _LINEAR_RTOL):
+    """One damped step from an evaluated iterate, its linear solve to relative
+    residual `forcing`.  Returns the evaluation of the accepted trial, which
+    the next step starts from, and its s."""
     if not it.in_cone:
         raise ConeViolationError(
             "current iterate leaves Gamma_2 at the required margin"
@@ -215,12 +218,12 @@ def _newton_step(it: Iterate, cfg: SolverConfig, forcing: float | None = None):
     u, d = it.u, it.data
     # the coefficient rows are passed, not bound: they die with the solve
     v = solve_newton_system(u, d, linearization_coefficients(u, d, it.derivs, it.weights),
-                            -it.residual, cfg, rtol=forcing)
+                            -it.residual, forcing)
 
     gamma = d.norm_constants.gamma
     s = 1.0
     last_reason = "no admissible step"
-    for _ in range(cfg.max_backtracks + 1):
+    for _ in range(_MAX_BACKTRACKS + 1):
         trial = evaluate(normalize(ScalarField(u.geometry, u.values + s * v), d.A, gamma),
                          d, cfg.cone_margin)
         if not trial.in_cone:
@@ -253,8 +256,8 @@ def _solve_at_t(it: Iterate, cfg: SolverConfig):
                 best=it.u, history=history,
             )
         # inexact-Newton forcing: solve loosely while far from the root,
-        # tighten to linear_rtol as the residual drops
-        forcing = min(1e-2, max(cfg.linear_rtol, 0.01 * it.rnorm / rnorm0))
+        # tighten to _LINEAR_RTOL as the residual drops
+        forcing = min(1e-2, max(_LINEAR_RTOL, 0.01 * it.rnorm / rnorm0))
         it, _ = _newton_step(it, cfg, forcing=forcing)
         history.append(it.rnorm)
         iters += 1
@@ -334,8 +337,8 @@ def run_and_return(d: ProblemData, cfg: SolverConfig,
             continue
         t = t_try
         accept(t)
-        if iters <= cfg.easy_newton_iters:
-            dt = min(cfg.t_step_growth * dt, 1.0)
+        if iters <= _EASY_NEWTON_ITERS:
+            dt = min(_T_STEP_GROWTH * dt, 1.0)
 
     report.converged = True
     return report, u

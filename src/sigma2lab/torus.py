@@ -46,6 +46,9 @@ space without dealiasing; the fields of interest are smooth and resolved,
 and the refinement studies in the test suite expose aliasing when it
 matters.
 
+The bundle (Derivs) is the one way to differentiate a field: .partials and
+.grad, .lap, and .hess_rows (or the full .hess) are read from its rows.
+
 Integration uses the volume-normalized measure: integrate() is the plain
 nodal mean, which is trapezoidal-exact for periodic smooth integrands and
 makes the total volume exactly 1.
@@ -56,7 +59,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -77,7 +80,6 @@ class TorusGeometry:
     n: int
     points_per_axis: int
     period: float = 1.0
-    volume_factor: float = field(init=False)
 
     def __post_init__(self):
         if self.n not in (2, 3):
@@ -88,11 +90,6 @@ class TorusGeometry:
             )
         if not (self.period > 0.0 and np.isfinite(self.period)):
             raise ConfigurationError(f"period must be positive, got {self.period}")
-        # the raw volume of [0, period)^{2n} with the flat Kahler volume form
-        # is (2 period^2)^n; the factor below rescales the measure so that
-        # integrate(1) == 1 exactly
-        raw = (2.0 * self.period ** 2) ** self.n
-        object.__setattr__(self, "volume_factor", 1.0 / raw)
 
     @property
     def shape(self) -> tuple:
@@ -101,10 +98,6 @@ class TorusGeometry:
     @property
     def node_count(self) -> int:
         return self.points_per_axis ** (2 * self.n)
-
-    @property
-    def grid_axes(self) -> tuple:
-        return tuple(range(2 * self.n))
 
     def coordinate(self, axis: int) -> np.ndarray:
         """Nodal coordinates along one real axis, broadcastable to the grid shape."""
@@ -157,18 +150,6 @@ def upper_pairs(n: int) -> list:
     return [(j, k) for j in range(n) for k in range(j + 1, n)]
 
 
-def pack_hermitian(m: np.ndarray) -> np.ndarray:
-    """Packed rows (n^2,) + grid of a full (n, n) + grid Hermitian array."""
-    n = m.shape[0]
-    rows = np.empty((n * n,) + m.shape[2:])
-    for j in range(n):
-        rows[j] = m[j, j].real
-    for p, (j, k) in enumerate(upper_pairs(n)):
-        rows[n + 2 * p] = m[j, k].real
-        rows[n + 2 * p + 1] = m[j, k].imag
-    return rows
-
-
 def unpack_hermitian(rows: np.ndarray, n: int) -> np.ndarray:
     """Full complex (n, n) + grid array of packed Hermitian rows."""
     m = np.empty((n, n) + rows.shape[1:], dtype=complex)
@@ -184,23 +165,21 @@ def unpack_hermitian(rows: np.ndarray, n: int) -> np.ndarray:
 class HermitianField:
     """Per-node n x n complex Hermitian matrix in packed real rows, (n^2,) +
     grid: the n real diagonal entries, then Re and Im of each strict-upper
-    entry in upper_pairs order.  A full (n, n) + grid array is packed on
-    construction (its lower triangle is not read); `matrices` expands the
-    rows again for callers that want the full matrix."""
+    entry in upper_pairs order.  It is built from packed rows only;
+    `matrices` expands them into the full (n, n) + grid complex array for
+    callers that want the full matrix."""
 
     geometry: TorusGeometry
     rows: np.ndarray
 
     def __post_init__(self):
         n = self.geometry.n
-        r = np.asarray(self.rows)
-        if r.shape == (n, n) + self.geometry.shape:
-            r = pack_hermitian(r)
+        r = np.asarray(self.rows, dtype=float)
         if r.shape != (n * n,) + self.geometry.shape:
             raise ConfigurationError(
-                f"matrix field shape {r.shape} does not match (n^2,) + grid or (n, n) + grid"
+                f"matrix field shape {r.shape} does not match (n^2,) + grid"
             )
-        object.__setattr__(self, "rows", np.asarray(r, dtype=float))
+        object.__setattr__(self, "rows", r)
 
     @property
     def matrices(self) -> np.ndarray:
@@ -328,25 +307,6 @@ def contract_derivatives(geom: TorusGeometry, k: np.ndarray, values: np.ndarray)
     return out
 
 
-def d_holo(u: ScalarField, j: int) -> np.ndarray:
-    """Holomorphic derivative D_j u = (d/dx_j - i d/dy_j) u / 2 (1-based j)."""
-    geom = u.geometry
-    if not 1 <= j <= geom.n:
-        raise ValueError(f"coordinate index j={j} out of range 1..{geom.n}")
-    syms = derivative_symbols(geom)
-    uhat = _rfft(u.values)
-    dx, dy = (_irfft(syms[a] * uhat, geom) for a in (2 * j - 2, 2 * j - 1))
-    return 0.5 * (dx - 1j * dy)
-
-
-def laplacian(u: ScalarField) -> ScalarField:
-    """Complex Laplacian sum_j D_j D_jbar u (trace of the complex Hessian)."""
-    geom = u.geometry
-    n = geom.n
-    sym = sum(derivative_symbols(geom)[2 * n:3 * n])
-    return ScalarField(geom, _irfft(sym * _rfft(u.values), geom))
-
-
 def integrate(w: ScalarField) -> float:
     """Integral over the unit-volume torus: the nodal mean."""
     return float(np.mean(w.values))
@@ -419,9 +379,9 @@ def load_field(path, geometry: TorusGeometry | None = None) -> ScalarField:
             f"{path}: dump geometry (n={n}, points={p}, period={period}) "
             f"does not match the declared geometry"
         )
-    values = np.frombuffer(payload, dtype="<f8")
-    if values.size != geom.node_count:
+    if len(payload) != 8 * geom.node_count:
         raise ConfigurationError(f"{path}: truncated dump")
+    values = np.frombuffer(payload, dtype="<f8")
     return ScalarField(geom, values.reshape(geom.shape).astype(float))
 
 

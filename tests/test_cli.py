@@ -1,5 +1,6 @@
 """End-to-end CLI runs in temporary directories."""
 
+import dataclasses
 import math
 import struct
 import subprocess
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from sigma2lab import torus
 from sigma2lab.cli import RunConfig, main
 from sigma2lab.errors import ConfigurationError
+from sigma2lab.solve import SolverConfig
 
 TRIVIAL_CONFIG = """\
 # smallest well-posed setup
@@ -188,6 +190,25 @@ class TestTypedErrors:
         self.assert_one_error_line(capsys, "truncated dump")
 
 
+    def test_dump_with_ragged_payload(self, tmp_path, capsys):
+        # a payload that is not a whole number of float64s
+        cfg = write_config(tmp_path, TRIVIAL_CONFIG + "points_per_axis = 8\n")
+        dump = tmp_path / "ragged.bin"
+        torus.save_field(dump, torus.constant_field(torus.make_geometry(2, 8), 2.0))
+        dump.write_bytes(dump.read_bytes()[:-3])
+        assert run_cli("moser-check", "--config", cfg, "--solution", str(dump),
+                       "--out", str(tmp_path / "o")) == 2
+        self.assert_one_error_line(capsys, "truncated dump")
+
+    def test_negative_seed_option(self, capsys):
+        assert run_cli("verify", "--fast", "--seed", "-1") == 2
+        self.assert_one_error_line(capsys, "seed must be nonnegative")
+
+    def test_negative_seed_in_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TRIVIAL_CONFIG + "seed = -5\n")
+        assert run_cli("verify", "--fast", "--config", cfg) == 2
+        self.assert_one_error_line(capsys, "seed must be nonnegative")
+
     @pytest.mark.parametrize("n_f, p_f", [(float("nan"), 16.0), (float("inf"), 16.0),
                                           (2.0, 16.5), (2.0, float("nan"))])
     def test_dump_with_bad_header_numbers(self, tmp_path, capsys, n_f, p_f):
@@ -243,6 +264,22 @@ SETTING_TEXT = st.one_of(
     st.text(st.characters(blacklist_characters="\n\r#", blacklist_categories=("Cs",)),
             max_size=8),
 )
+
+
+class TestSolverSettings:
+    def test_every_setting_is_a_config_key(self):
+        # a SolverConfig field without a RunConfig key is a setting no run can change
+        assert tuple(f.name for f in dataclasses.fields(SolverConfig)) == SOLVER_KEYS
+        assert set(SOLVER_KEYS) <= {f.name for f in dataclasses.fields(RunConfig)}
+
+    def test_non_defaults_carried_through(self):
+        values = {"newton_tol": 1e-7, "max_newton_iters": 7, "t_step_init": 0.5,
+                  "t_step_min": 1e-2, "cone_margin": 1e-4, "backtrack_factor": 0.25}
+        assert values.keys() == set(SOLVER_KEYS)
+        default = SolverConfig()
+        for key, value in values.items():
+            assert getattr(default, key) != value
+            assert getattr(RunConfig(**{key: value}).solver_config(), key) == value
 
 
 class TestSolverSettingsFuzz:

@@ -16,8 +16,6 @@ from sigma2lab.forms import (
     gprime_sigmas,
     gtilde,
     hermitian_eigenvalues,
-    kappa_field,
-    kappa_rhs_field,
     linearization_coefficients,
     linearize,
     manufactured_mu,
@@ -101,7 +99,7 @@ class TestGPrime:
         # eigenvalues are exactly a + 2 n alpha * (Hessian eigenvalues)
         u = random_band_limited(geom2, rng, 2, 0.6)
         dv = spectral_derivatives(u)
-        hess_eigs = hermitian_eigenvalues(torus.HermitianField(geom2, dv.hess))
+        hess_eigs = hermitian_eigenvalues(torus.HermitianField(geom2, dv.hess_rows))
         a = np.exp(u.values) + problem2.f_eff() * np.exp(-u.values)
         want = np.sort(a + 2 * 2 * problem2.alpha * hess_eigs, axis=0)
         got = hermitian_eigenvalues(gprime(u, problem2, dv))
@@ -225,15 +223,6 @@ class TestResiduals:
         u = constant_field(geom2, 0.4)
         assert np.allclose(rhs_sigma2(u, d1).values, 1.0 * np.exp(0.8), rtol=1e-12)
 
-    def test_kappa_form_consistency(self, geom2, problem2, rng):
-        # e^{-2u} residual equals the kappa-form difference nodewise
-        u = random_band_limited(geom2, rng, 2, 0.6)
-        dv = spectral_derivatives(u)
-        lhs = np.exp(-2 * u.values) * residual_sigma2(u, problem2, dv).values
-        rhs = kappa_field(u, problem2, dv) - kappa_rhs_field(u, problem2, dv)
-        scale = max(1.0, np.max(np.abs(lhs)))
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
-
     def test_small_perturbation_is_linear(self, geom2, rng):
         # the residual at u0 + eps v is eps * linearize + O(eps^2)
         u0, d = trivial_setup(geom2, A=0.1)
@@ -345,19 +334,25 @@ class TestPackedLayout:
 
     @staticmethod
     def random_hermitian(geom, rng):
+        """Random packed rows, the full matrices they stand for (assembled
+        here entry by entry) and those matrices' ascending eigenvalues."""
         n = geom.n
-        shape = (n, n) + geom.shape
-        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        m = a + np.conj(np.swapaxes(a, 0, 1))
+        rows = rng.standard_normal((n * n,) + geom.shape)
+        m = np.empty((n, n) + geom.shape, dtype=complex)
+        for j in range(n):
+            m[j, j] = rows[j]
+        for p, (j, k) in enumerate(torus.upper_pairs(n)):
+            m[j, k] = rows[n + 2 * p] + 1j * rows[n + 2 * p + 1]
+            m[k, j] = rows[n + 2 * p] - 1j * rows[n + 2 * p + 1]
         lam = np.linalg.eigvalsh(np.moveaxis(m.reshape(n, n, -1), -1, 0))  # ascending
-        return m, np.moveaxis(lam, 0, -1).reshape((n,) + geom.shape)
+        return rows, m, np.moveaxis(lam, 0, -1).reshape((n,) + geom.shape)
 
     @pytest.mark.parametrize("which", ["geom2", "geom3"])
     def test_against_eigvalsh(self, which, request, rng):
         geom = request.getfixturevalue(which)
         n = geom.n
-        m, lam = self.random_hermitian(geom, rng)
-        h = torus.HermitianField(geom, m)
+        rows, m, lam = self.random_hermitian(geom, rng)
+        h = torus.HermitianField(geom, rows)
         assert h.rows.shape == (n * n,) + geom.shape
         assert np.array_equal(h.matrices, m)
         scale = 1.0 + np.max(np.abs(lam))

@@ -205,7 +205,7 @@ class TestBorderedNewtonSystem:
         rtol = 1e-8
         r = residual_sigma2(u, data).values
         coeffs = forms.linearization_coefficients(u, data)
-        v = solve.solve_newton_system(u, data, coeffs, -r, SolverConfig(), rtol=rtol)
+        v = solve.solve_newton_system(u, data, coeffs, -r, rtol)
 
         omega = np.exp(-gamma * u.values)
         omega /= np.sum(omega)

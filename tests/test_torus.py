@@ -1,18 +1,20 @@
 """Spectral calculus on the torus: exactness, quadrature, wedge density, dumps."""
 
 import dataclasses
+import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigma2lab import torus
 from sigma2lab.errors import ConfigurationError
 from sigma2lab.torus import (
     ScalarField,
     constant_field,
-    d_holo,
     integrate,
-    laplacian,
     load_field,
     make_geometry,
     mixed_wedge_density,
@@ -52,38 +54,44 @@ class TestGeometry:
             ScalarField(geom2, np.full(geom2.shape, np.inf))
 
 
+def grad(u):
+    """The complex gradient D_j u, (n,) + grid, from u's bundle."""
+    return spectral_derivatives(u).grad
+
+
+def lap(u):
+    """The complex Laplacian of u from its bundle."""
+    return spectral_derivatives(u).lap
+
+
 class TestDHolo:
     def test_cosine_mode(self, geom2):
         x, w = mode_field(geom2, 0)
         u = ScalarField(geom2, np.cos(w * x))
-        got = d_holo(u, 1)
+        got = grad(u)[0]
         want = -0.5 * w * np.sin(w * x)  # d/dx of cos, halved; no y dependence
         assert np.max(np.abs(got - want)) < 1e-11
 
     def test_constant_is_flat(self, geom2):
-        assert np.max(np.abs(d_holo(constant_field(geom2, 3.7), 1))) == 0.0
+        assert np.max(np.abs(grad(constant_field(geom2, 3.7))[0])) == 0.0
 
     def test_wrong_axis_kills_derivative(self, geom2):
         x, w = mode_field(geom2, 2)  # depends on x_2 only
         u = ScalarField(geom2, np.sin(w * x))
-        assert np.max(np.abs(d_holo(u, 1))) < 1e-12
-
-    def test_index_range(self, geom2):
-        with pytest.raises(ValueError):
-            d_holo(constant_field(geom2, 0.0), 3)
+        assert np.max(np.abs(grad(u)[0])) < 1e-12
 
     def test_y_derivative_imaginary_part(self, geom2):
         # D_1 = (d/dx_1 - i d/dy_1)/2: a pure y_1 mode lands in the imaginary part
         y, w = mode_field(geom2, 1)
         u = ScalarField(geom2, np.cos(w * y))
-        got = d_holo(u, 1)
+        got = grad(u)[0]
         want = 0.5j * w * np.sin(w * y)
         assert np.max(np.abs(got - want)) < 1e-11
 
     def test_derivatives_integrate_to_zero(self, geom2, rng):
         u = random_band_limited(geom2, rng, 3, 1.0)
-        for j in (1, 2):
-            assert abs(np.mean(d_holo(u, j))) < 1e-12
+        for uj in grad(u):
+            assert abs(np.mean(uj)) < 1e-12
 
 
 class TestComplexHessian:
@@ -170,24 +178,18 @@ class TestSpectralDerivatives:
 
 class TestLaplacian:
     def test_constant(self, geom2):
-        assert np.max(np.abs(laplacian(constant_field(geom2, 2.0)).values)) == 0.0
+        assert np.max(np.abs(lap(constant_field(geom2, 2.0)))) == 0.0
 
     def test_single_mode_eigenvalue(self, geom2):
         x, w = mode_field(geom2, 0, periods=2)
         u = ScalarField(geom2, np.cos(w * x))
-        got = laplacian(u).values
+        got = lap(u)
         want = -0.25 * w * w * np.cos(w * x)
         assert np.max(np.abs(got - want)) < 1e-10
 
     def test_mean_free(self, geom2, rng):
         u = random_band_limited(geom2, rng, 3, 1.0)
-        assert abs(integrate(laplacian(u))) < 1e-12
-
-    def test_equals_hessian_trace(self, geom2, rng):
-        u = random_band_limited(geom2, rng, 3, 1.0)
-        dv = spectral_derivatives(u)
-        lap2 = laplacian(u).values
-        assert np.max(np.abs(dv.lap - lap2)) < 1e-12 * (1.0 + np.max(np.abs(lap2)))
+        assert abs(integrate(ScalarField(geom2, lap(u)))) < 1e-12
 
 
 class TestGradSq:
@@ -218,7 +220,7 @@ class TestIntegrate:
         # discrete integration by parts: I[u lap v] = -I[sum_j D_j u conj(D_j v)]
         u = random_band_limited(geom2, rng, 2, 1.0)
         v = random_band_limited(geom2, rng, 2, 1.0)
-        lhs = integrate(ScalarField(geom2, u.values * laplacian(v).values))
+        lhs = integrate(ScalarField(geom2, u.values * lap(v)))
         du = spectral_derivatives(u).grad
         dv = spectral_derivatives(v).grad
         pairing = np.sum(du * np.conj(dv), axis=0)
@@ -228,7 +230,7 @@ class TestIntegrate:
 
     def test_u_lap_u_vs_grad_sq(self, geom2, rng):
         u = random_band_limited(geom2, rng, 2, 1.0)
-        lhs = integrate(ScalarField(geom2, u.values * laplacian(u).values))
+        lhs = integrate(ScalarField(geom2, u.values * lap(u)))
         rhs = -float(np.mean(spectral_derivatives(u).grad_sq))
         assert abs(lhs - rhs) < 1e-10 * (1.0 + abs(lhs))
 
@@ -247,8 +249,8 @@ def product_rule_residual(points, v_axis):
     du = spectral_derivatives(u).grad
     dv = spectral_derivatives(v).grad
     cross = 2.0 * np.sum(du * np.conj(dv), axis=0).real
-    lap_uv = laplacian(uv).values
-    res = lap_uv - u.values * laplacian(v).values - v.values * laplacian(u).values - cross
+    lap_uv = lap(uv)
+    res = lap_uv - u.values * lap(v) - v.values * lap(u) - cross
     return float(np.max(np.abs(res))), float(np.max(np.abs(lap_uv)))
 
 
@@ -281,13 +283,12 @@ class TestMixedWedgeDensity:
         x, w = mode_field(geom2, 0)
         y, _ = mode_field(geom2, 3)
         u = ScalarField(geom2, 0.7 * np.cos(w * x) + 0.4 * np.sin(w * y))
-        h = spectral_derivatives(u).hess
+        dv = spectral_derivatives(u)
+        h = dv.hess
         assert np.max(np.abs(h[0, 1])) < 1e-12
-        lap = laplacian(u).values
         direct = np.zeros(geom2.shape)
-        for j in (1, 2):
-            uj = d_holo(u, j)
-            direct += np.abs(uj) ** 2 * (lap - h[j - 1, j - 1].real)
+        for j, uj in enumerate(dv.grad):
+            direct += np.abs(uj) ** 2 * (dv.lap - h[j, j].real)
         got = mixed_wedge_density(u).values
         assert np.max(np.abs(got - direct)) <= 1e-10 * (1.0 + np.max(np.abs(got)))
 
@@ -326,6 +327,32 @@ class TestFieldDumps:
         path.write_bytes(b"NOTAFIELDDUMP")
         with pytest.raises(ConfigurationError):
             load_field(path)
+
+
+DUMP_GEOM = make_geometry(2, 8)
+DUMP_HEADER = struct.pack("<3d", 2.0, 8.0, 1.0)
+DUMP_PAYLOAD = np.linspace(-1.0, 1.0, DUMP_GEOM.node_count).astype("<f8").tobytes()
+
+
+class TestFieldDumpFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(header=st.one_of(st.just(DUMP_HEADER), st.binary(max_size=24),
+                            st.tuples(st.floats(), st.floats(), st.floats())
+                            .map(lambda h: struct.pack("<3d", *h))),
+           cut=st.integers(0, 24), tail=st.binary(max_size=24))
+    def test_valid_field_or_typed_error(self, tmp_path_factory, header, cut, tail):
+        # arbitrary bytes after the magic: a header, then a payload that is
+        # the valid one with its last `cut` bytes replaced by `tail`
+        payload = DUMP_PAYLOAD[:len(DUMP_PAYLOAD) - cut] + tail
+        with tempfile.NamedTemporaryFile(suffix=".bin", delete=False,
+                                         dir=tmp_path_factory.getbasetemp()) as fh:
+            fh.write(b"S2LFIELD" + header + payload)
+        try:
+            u = load_field(fh.name)
+        except ConfigurationError:
+            return
+        assert u.geometry.shape == DUMP_GEOM.shape
+        assert np.array_equal(u.values.ravel(), np.frombuffer(payload, dtype="<f8"))
 
 
 class TestRandomFields:
