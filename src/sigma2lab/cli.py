@@ -10,8 +10,9 @@ moser-check  evaluate the integral-identity gap and the reverse-Sobolev
              constant on a stored solution
 
 Configuration is a flat key-value text file (`key = value`, '#' comments);
-all keys have defaults, and --out/--seed/--no-header override the file.
-The seed is read by `verify` only: the `solve` profiles are deterministic.
+all keys have defaults, and --out (and verify's --seed) override the file.
+Each command takes only the flags it reads; the seed is read by `verify`
+only, since the `solve` profiles are deterministic.
 Exit codes: 0 success, 2 config/usage/IO error, 3 convergence or
 continuation failure, 4 verification failure.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,10 @@ EXIT_VERIFY = 4
 
 @dataclass
 class RunConfig:
+    """The settings of a config file: one key per field below and one per
+    field of SolverConfig.  `solver` keeps the solver keys the file sets;
+    SolverConfig supplies the others and checks them in solver_config()."""
+
     n: int = 2
     points_per_axis: int = 16
     alpha: float = 1.0
@@ -54,15 +59,9 @@ class RunConfig:
     amplitude: float = 0.25         # manufactured-profile perturbation size
     f_dump: str = ""
     mu_dump: str = ""
-    newton_tol: float = 1e-9
-    max_newton_iters: int = 25
-    t_step_init: float = 0.25
-    t_step_min: float = 1e-3
-    cone_margin: float = 1e-6
-    backtrack_factor: float = 0.5
-    warm_start: str = ""          # optional field dump used as the t=0 start
     seed: int = 0
     out: str = "out"
+    solver: dict = field(default_factory=dict, init=False)
 
     @classmethod
     def from_file(cls, path: str | None) -> "RunConfig":
@@ -70,7 +69,8 @@ class RunConfig:
         if path is None:
             return cfg
         text = Path(path).read_text()
-        known = {f.name: f.type for f in dataclass_fields(cls)}
+        own = {f.name: type(f.default) for f in dataclass_fields(cls) if f.init}
+        solver = {f.name: type(f.default) for f in dataclass_fields(SolverConfig)}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -78,32 +78,22 @@ class RunConfig:
             if "=" not in line:
                 raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (s.strip() for s in line.split("=", 1))
-            if key not in known:
+            kind = own.get(key) or solver.get(key)
+            if kind is None:
                 raise ConfigurationError(f"{path}:{lineno}: unknown key '{key}'")
-            current = getattr(cfg, key)
             try:
-                if isinstance(current, bool):
-                    setattr(cfg, key, value.lower() in ("1", "true", "yes"))
-                elif isinstance(current, int):
-                    setattr(cfg, key, int(value))
-                elif isinstance(current, float):
-                    setattr(cfg, key, float(value))
-                else:
-                    setattr(cfg, key, value)
+                parsed = kind(value)
             except ValueError as exc:
                 raise ConfigurationError(f"{path}:{lineno}: bad value for '{key}': {value}") from exc
+            if key in solver:
+                cfg.solver[key] = parsed
+            else:
+                setattr(cfg, key, parsed)
         return cfg
 
     def solver_config(self) -> SolverConfig:
         try:
-            return SolverConfig(
-                newton_tol=self.newton_tol,
-                max_newton_iters=self.max_newton_iters,
-                t_step_init=self.t_step_init,
-                t_step_min=self.t_step_min,
-                cone_margin=self.cone_margin,
-                backtrack_factor=self.backtrack_factor,
-            )
+            return SolverConfig(**self.solver)
         except ValueError as exc:
             raise ConfigurationError(f"bad solver settings: {exc}") from exc
 
@@ -177,13 +167,11 @@ def cmd_solve(args) -> int:
     solver_cfg = cfg.solver_config()
     out = _prepare_out(cfg.out, args.out)
     data, u_star = cfg.build_problem()
-    u_init = load_field(cfg.warm_start, data.geometry) if cfg.warm_start else None
     try:
-        report, u = run_and_return(data, solver_cfg, u_init=u_init)
+        report, u = run_and_return(data, solver_cfg)
         stalled = False
     except ContinuationStallError as exc:
-        report = exc.report
-        u = getattr(exc, "last_field", None)
+        report, u = exc.report, exc.last_field
         stalled = True
         print(f"continuation failed: {exc}", file=sys.stderr)
 
@@ -192,22 +180,19 @@ def cmd_solve(args) -> int:
     _write_csv(out / "monitors.csv", "solve", monitors.CSV_COLUMNS, rows,
                args.no_header)
     _gnuplot_script(out / "monitors.gp", "monitors.csv", 1, 10, "t", "kappa")
-    if u is not None:
-        save_field(out / "solution.bin", u)
+    save_field(out / "solution.bin", u)
 
+    last = report.monitor_snapshots[-1]  # t = 0 is always accepted
     summary = [
         f"profile   : {cfg.profile}",
         f"grid      : n={cfg.n}, {cfg.points_per_axis} points per axis",
         f"alpha, A  : {cfg.alpha}, {data.A}",
-        f"accepted t: {len(report.t_values)} steps, last t = "
-        f"{report.t_values[-1] if report.t_values else float('nan')}",
+        f"accepted t: {len(report.t_values)} steps, last t = {report.t_values[-1]}",
         f"converged : {report.converged}",
+        f"kappa     : {last.kappa:.6g} (kappa_c = {last.kappa_c:g})",
+        f"residual  : {report.residual_norms[-1]:.3e}",
     ]
-    if report.monitor_snapshots:
-        last = report.monitor_snapshots[-1]
-        summary.append(f"kappa     : {last.kappa:.6g} (kappa_c = {last.kappa_c:g})")
-        summary.append(f"residual  : {report.residual_norms[-1]:.3e}")
-    if u_star is not None and u is not None:
+    if u_star is not None:
         err = float(np.max(np.abs(u.values - u_star.values)))
         summary.append(f"L_inf error vs manufactured solution: {err:.3e}")
     (out / "summary.txt").write_text("\n".join(summary) + "\n")
@@ -234,7 +219,7 @@ def cmd_degeneracy(args) -> int:
         raise ConfigurationError(f"--n must be 2 or 3, got {args.n}")
     if args.samples < 2:
         raise ConfigurationError(f"--samples must be at least 2, got {args.samples}")
-    out = _prepare_out("out", args.out)
+    out = _prepare_out(RunConfig.out, args.out)
     if args.n == 3:
         rows = n3_sweep(args.samples)
         closed = (rows[:, 0] ** 2 - 1.0) ** 2 / 9.0
@@ -322,6 +307,14 @@ def cmd_moser_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# the flags that more than one command reads; each command adds only its own
+_SHARED_FLAGS = {
+    "--config": dict(default=None, help="flat key=value config file"),
+    "--out": dict(default=None, help="output directory"),
+    "--no-header": dict(action="store_true", help="omit the timestamped CSV comment line"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sigma2lab",
@@ -330,36 +323,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="flat key=value config file")
-    common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--seed", type=int, default=None, help="seed override")
-    common.add_argument("--no-header", action="store_true",
-                        help="omit the timestamped CSV comment line")
+    def command(name, func, summary, *shared):
+        p = sub.add_parser(name, help=summary)
+        for flag in shared:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("solve", parents=[common], help="run the continuation solver")
-    p.set_defaults(func=cmd_solve)
+    command("solve", cmd_solve, "run the continuation solver",
+            "--config", "--out", "--no-header")
 
-    p = sub.add_parser("verify", parents=[common], help="run the identity suites")
+    p = command("verify", cmd_verify, "run the identity suites", "--config")
+    p.add_argument("--seed", type=int, default=None, help="overrides the config's seed")
     p.add_argument("--fast", action="store_true", help="smaller sample counts")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("degeneracy", parents=[common],
-                       help="minimum-point inequality sweeps")
+    p = command("degeneracy", cmd_degeneracy, "minimum-point inequality sweeps",
+                "--out", "--no-header")
     p.add_argument("--n", type=int, required=True, help="complex dimension (2 or 3)")
     p.add_argument("--samples", type=int, default=101)
-    p.set_defaults(func=cmd_degeneracy)
 
-    p = sub.add_parser("sweep-a", parents=[common],
-                       help="solve over a descending list of A values")
+    p = command("sweep-a", cmd_sweep_a, "solve over a descending list of A values",
+                "--config", "--out", "--no-header")
     p.add_argument("--a-list", required=True, help="comma-separated values in (0,1)")
-    p.set_defaults(func=cmd_sweep_a)
 
-    p = sub.add_parser("moser-check", parents=[common],
-                       help="integral-identity checks on a stored solution")
+    p = command("moser-check", cmd_moser_check,
+                "integral-identity checks on a stored solution",
+                "--config", "--out", "--no-header")
     p.add_argument("--solution", required=True, help="field dump path")
     p.add_argument("--k-list", default="2,4,8,16")
-    p.set_defaults(func=cmd_moser_check)
 
     return parser
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConeViolationError, ConsistencyError, HypothesisError
-from .symfun import Spectrum, as_spectrum, elementary_all, scale_of
+from .symfun import Spectrum, as_spectrum, elementary, scale_of
 
 _CONE_TOL = 1e-12
 _WEIGHT_TOL = 1e-12
@@ -62,7 +62,7 @@ class DegeneracyProbe:
         if not self.theta >= 0.0:
             raise ValueError("theta must be nonnegative")
         tol = _CONE_TOL * scale_of(m.values)
-        e = elementary_all(m.values)
+        e = elementary(m.values)
         if e[1] < -tol or e[2] < -tol:
             raise ConeViolationError(
                 f"normalized spectrum {m.values.tolist()} is outside the closed "
@@ -71,7 +71,7 @@ class DegeneracyProbe:
 
     @property
     def kappa_p(self) -> float:
-        return float(elementary_all(self.m.values)[2])
+        return float(elementary(self.m.values)[2])
 
 
 def theta_from(alpha: float, eps: float, u_at_min: float) -> float:
@@ -92,7 +92,7 @@ def minimum_rhs(p: DegeneracyProbe) -> float:
     w = p.w
     theta = p.theta
     kappa_c = n * (n - 1) / 2.0
-    e = elementary_all(m)
+    e = elementary(m)
     kappa_p = float(e[2])
     s1 = float(e[1])
     s3 = float(e[3]) if n >= 3 else 0.0
@@ -102,7 +102,7 @@ def minimum_rhs(p: DegeneracyProbe) -> float:
     s2_del = np.empty(n)
     s3_del = np.empty(n)
     for j in range(n):
-        rest = elementary_all(np.delete(m, j))
+        rest = elementary(np.delete(m, j))
         s2_del[j] = rest[2] if rest.size > 2 else 0.0
         s3_del[j] = rest[3] if rest.size > 3 else 0.0
 

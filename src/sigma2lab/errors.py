@@ -56,8 +56,9 @@ class ConvergenceError(Sigma2LabError):
 
 class ContinuationStallError(Sigma2LabError):
     """The continuation step size fell below its floor before reaching
-    t = 1.  Carries the partial report."""
+    t = 1.  Carries the partial report and the furthest accepted field."""
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report, last_field):
         super().__init__(message)
         self.report = report
+        self.last_field = last_field

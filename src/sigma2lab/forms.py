@@ -397,11 +397,6 @@ def residual_sigma2(u: ScalarField, d: ProblemData, derivs: Derivs | None = None
     return ScalarField(u.geometry, s2 - rhs.values)
 
 
-def kappa_field(u: ScalarField, d: ProblemData, derivs: Derivs | None = None) -> np.ndarray:
-    """Pointwise e^{-2u} sigma_2(g'); its minimum is the degeneracy monitor kappa."""
-    return np.exp(-2.0 * u.values) * gprime_sigmas(u, d, derivs)[1]
-
-
 # ---------------------------------------------------------------------------
 # evaluated iterate
 

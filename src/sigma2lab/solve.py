@@ -272,23 +272,23 @@ _SOLVE_FAILURES = (ConvergenceError, ConeViolationError, ConeBreakdownError,
                    LinearSolveError)
 
 
-def run_and_return(d: ProblemData, cfg: SolverConfig,
-                   u_init: ScalarField | None = None, on_accept=None):
+def run_and_return(d: ProblemData, cfg: SolverConfig, on_accept=None):
     """March t from 0 to 1 with adaptive steps; returns (report, final field).
 
-    Starts from the constant -log A (the exact t = 0 solution), halves the
-    step on any solver failure down to t_step_min, and grows it again after
-    easy successes.  Monitors are recorded at every accepted t, and
-    on_accept(t, field, problem) is invoked there when given.  Raises
-    ContinuationStallError (carrying the partial report and, as .last_field,
-    the furthest accepted iterate) if the step floor is reached before t = 1.
+    Starts from the normalized constant -log A, the exact t = 0 solution
+    (its t = 0 residual is 0), halves the step on any solver failure down to
+    t_step_min, and grows it again after easy successes.  Monitors are
+    recorded at every accepted t, and on_accept(t, field, problem) is
+    invoked there when given.  Raises ContinuationStallError, carrying the
+    partial report and the furthest accepted field, if the step floor is
+    reached before t = 1.
     """
     report = SolveReport()
     margin = cfg.cone_margin
-    u = u_init if u_init is not None else constant_field(d.geometry, -np.log(d.A))
     # the only shift outside the Newton step: its trials come out normalized
-    u = normalize(u, d.A, d.norm_constants.gamma)
-    it = None  # the accepted iterate, until the next attempt takes it
+    u = normalize(constant_field(d.geometry, -np.log(d.A)), d.A, d.norm_constants.gamma)
+    # the accepted iterate, until the next attempt takes it
+    it = evaluate(u, d.with_t(0.0), margin)
 
     def accept(t: float):
         nonlocal u
@@ -309,19 +309,7 @@ def run_and_return(d: ProblemData, cfg: SolverConfig,
             return evaluate(u, d_t, margin)
         return evaluate(prev.u, d_t, margin, prev.derivs, prev.weights)
 
-    def stall(message, exc=None):
-        err = ContinuationStallError(message, report=report)
-        err.last_field = u
-        if exc is not None:
-            raise err from exc
-        raise err
-
-    try:
-        it, _, _ = _solve_at_t(evaluate(u, d.with_t(0.0), margin), cfg)
-    except _SOLVE_FAILURES as exc:
-        stall(f"could not solve the t = 0 problem: {exc}", exc)
     accept(0.0)
-
     t = 0.0
     dt = cfg.t_step_init
     while t < 1.0:
@@ -331,9 +319,11 @@ def run_and_return(d: ProblemData, cfg: SolverConfig,
         except _SOLVE_FAILURES as exc:
             dt *= 0.5
             if dt < cfg.t_step_min:
-                stall(f"continuation stalled at t={t:.4f} "
-                      f"(step floor {cfg.t_step_min:g} reached; last failure "
-                      f"{type(exc).__name__}: {exc})", exc)
+                raise ContinuationStallError(
+                    f"continuation stalled at t={t:.4f} "
+                    f"(step floor {cfg.t_step_min:g} reached; last failure "
+                    f"{type(exc).__name__}: {exc})",
+                    report=report, last_field=u) from exc
             continue
         t = t_try
         accept(t)

@@ -72,34 +72,18 @@ def scale_of(*arrays) -> float:
     return 1.0 + top * top
 
 
-def elementary_all(values: np.ndarray) -> np.ndarray:
-    """All elementary symmetric functions e_0..e_m of a 1-D array."""
+def elementary(values: np.ndarray) -> np.ndarray:
+    """The elementary symmetric functions e_0..e_m over the last axis: values
+    of shape (..., m) give shape (..., m + 1), with e_k in entry k."""
     values = np.asarray(values, dtype=float)
-    m = values.size
-    e = np.zeros(m + 1)
-    e[0] = 1.0
-    for t, x in enumerate(values, start=1):
-        # update in place from the top so e[k-1] is still the old value
-        for k in range(min(t, m), 0, -1):
-            e[k] += x * e[k - 1]
-    return e
-
-
-def elementary_batch(values: np.ndarray) -> np.ndarray:
-    """Row-wise elementary symmetric functions.
-
-    values has shape (N, m); the result has shape (N, m + 1) with column k
-    holding e_k of each row.  Same recurrence as elementary_all, vectorized
-    over rows.
-    """
-    values = np.asarray(values, dtype=float)
-    nrows, m = values.shape
-    e = np.zeros((nrows, m + 1))
-    e[:, 0] = 1.0
+    m = values.shape[-1]
+    e = np.zeros(values.shape[:-1] + (m + 1,))
+    e[..., 0] = 1.0
     for t in range(m):
-        x = values[:, t]
-        for k in range(min(t + 1, m), 0, -1):
-            e[:, k] += x * e[:, k - 1]
+        x = values[..., t]
+        # update in place from the top so e[k-1] is still the old value
+        for k in range(t + 1, 0, -1):
+            e[..., k] += x * e[..., k - 1]
     return e
 
 
@@ -113,7 +97,7 @@ def sigma(k: int, lam) -> float:
     lam = as_spectrum(lam)
     if k > lam.n:
         return 0.0
-    return float(elementary_all(lam.values)[k])
+    return float(elementary(lam.values)[k])
 
 
 def sigma_excl(k: int, lam, j: int) -> float:
@@ -126,13 +110,13 @@ def sigma_excl(k: int, lam, j: int) -> float:
     rest = np.delete(lam.values, j - 1)
     if k > rest.size:
         return 0.0
-    return float(elementary_all(rest)[k])
+    return float(elementary(rest)[k])
 
 
 def cone_member(lam) -> ConeVerdict:
     """Gamma_2 verdict: sigma_1 > 0 and sigma_2 > 0."""
     lam = as_spectrum(lam)
-    e = elementary_all(lam.values)
+    e = elementary(lam.values)
     s1, s2 = float(e[1]), float(e[2])
     return ConeVerdict(in_gamma2=(s1 > 0.0 and s2 > 0.0), sigma1=s1, sigma2=s2)
 
@@ -205,7 +189,7 @@ def sample_gamma2(rng: np.random.Generator, n: int, count: int,
     have = 0
     while have < count:
         batch = rng.uniform(lo, hi, size=(max(count - have, 64) * 2, n))
-        e = elementary_batch(batch)
+        e = elementary(batch)
         good = batch[(e[:, 1] > 0.0) & (e[:, 2] > 0.0)]
         take = min(good.shape[0], count - have)
         out[have:have + take] = good[:take]

@@ -328,8 +328,6 @@ def mixed_wedge_density(u: ScalarField, derivs: Derivs | None = None) -> ScalarF
     (n-2)! * sum_i |u_i|^2 (Lap(u) - u_{i ibar}).
     """
     geom = u.geometry
-    if geom.n < 2:
-        raise ConfigurationError("the wedge density needs complex dimension >= 2")
     d = derivs if derivs is not None else spectral_derivatives(u)
     # contraction sum_{j,k} u_j conj(u_k) H[j,k]; real because H is Hermitian
     grad = d.grad

@@ -46,9 +46,9 @@ def suite_symfun_relations(seed: int, samples: int = 10_000,
         s1p = lam_p.sum(axis=1, keepdims=True)
         lam_t = s1p - lam_p
 
-        e_lam = symfun.elementary_batch(lam)
-        e_p = symfun.elementary_batch(lam_p)
-        e_t = symfun.elementary_batch(lam_t)
+        e_lam = symfun.elementary(lam)
+        e_p = symfun.elementary(lam_p)
+        e_t = symfun.elementary(lam_t)
 
         checks = [
             (e_t[:, 1], (n - 1) * e_p[:, 1]),
@@ -82,7 +82,7 @@ def suite_grw_gap(seed: int, samples: int = 10_000, dims=(2, 3, 4),
     for n in dims:
         lam = symfun.sample_gamma2(rng, n, per_dim)
         a = rng.standard_normal((per_dim, n)) + 1j * rng.standard_normal((per_dim, n))
-        e = symfun.elementary_batch(lam)
+        e = symfun.elementary(lam)
         s1 = e[:, 1:2]
         s2 = e[:, 2]
         total = a.sum(axis=1)
@@ -112,7 +112,7 @@ def suite_leading_product(seed: int, samples: int = 10_000, dims=(2, 3, 4, 5),
     per_dim = max(1, -(-samples // len(dims)))
     for n in dims:
         lam = symfun.sample_gamma2(rng, n, per_dim, sort_descending=True)
-        e = symfun.elementary_batch(lam)
+        e = symfun.elementary(lam)
         gap = lam[:, 0] * (e[:, 1] - lam[:, 0]) - (2.0 / n) * e[:, 2]
         scale = 1.0 + np.max(np.abs(lam), axis=1) ** 2
         margin = gap / scale
@@ -301,32 +301,19 @@ def suite_wedge_identity(seed: int, fields: int = 20, tol: float = 1e-10) -> Sui
     return SuiteResult("wedge-identity", passed, detail)
 
 
-ALL_SUITES = (
-    suite_symfun_relations,
-    suite_grw_gap,
-    suite_leading_product,
-    suite_sigma_relations_fields,
-    suite_residual_proportionality,
-    suite_linearize_fd,
-    suite_wedge_identity,
-)
+# every suite, in run order, with the keyword arguments `fast` runs it with
+ALL_SUITES = {
+    suite_symfun_relations: {"samples": 1000},
+    suite_grw_gap: {"samples": 1000},
+    suite_leading_product: {"samples": 1000},
+    suite_sigma_relations_fields: {"fields": 3},
+    suite_residual_proportionality: {"fields": 5},
+    suite_linearize_fd: {"pairs": 5},
+    suite_wedge_identity: {"fields": 3},
+}
 
 
 def run_all(seed: int, fast: bool = False):
     """Run every suite; `fast` shrinks the sample counts for smoke testing."""
-    results = []
-    for fn in ALL_SUITES:
-        if fast:
-            if fn is suite_residual_proportionality:
-                results.append(fn(seed, fields=5))
-            elif fn in (suite_symfun_relations, suite_grw_gap, suite_leading_product):
-                results.append(fn(seed, samples=1000))
-            elif fn is suite_sigma_relations_fields:
-                results.append(fn(seed, fields=3))
-            elif fn is suite_wedge_identity:
-                results.append(fn(seed, fields=3))
-            else:
-                results.append(fn(seed, pairs=5))
-        else:
-            results.append(fn(seed))
-    return results
+    return [fn(seed, **(fast_kwargs if fast else {}))
+            for fn, fast_kwargs in ALL_SUITES.items()]

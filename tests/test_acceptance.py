@@ -84,7 +84,7 @@ def test_criterion_5_trivial_solution():
         d = forms.ProblemData(geom, 1.0, zero, zero, 0.05, t=0.0)
         u0 = torus.constant_field(geom, -np.log(0.05))
         rnorm = float(np.max(np.abs(forms.residual_sigma2(u0, d).values)))
-        kappa = float(np.min(forms.kappa_field(u0, d)))
+        kappa = forms.evaluate(u0, d, 0.0).kappa
         ok &= rnorm < 1e-10 and abs(kappa - kappa_c) <= 1e-12
         details.append(f"n={n}: residual {rnorm:.2e}, |kappa-{kappa_c:g}| = {abs(kappa - kappa_c):.2e}")
     elapsed = time.perf_counter() - start

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +68,51 @@ class TestConfigParsing:
     def test_missing_file(self, tmp_path):
         assert run_cli("solve", "--config", str(tmp_path / "nope.cfg")) == 2
 
+    def test_warm_start_is_unknown(self, tmp_path, capsys):
+        # the t = 0 problem has an exact start, so there is no start field to set
+        cfg = write_config(tmp_path, TRIVIAL_CONFIG + "warm_start = x\n")
+        assert run_cli("solve", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        assert "unknown key 'warm_start'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workload", ["manufactured-n2-16", "perturbative-n2-32",
+                                          "perturbative-n3-8"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_benchmark_configs_parse(self, tmp_path, monkeypatch, workload, seed):
+        # the benchmark writes every solver setting and `seed` into its configs
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        w = workloads.WORKLOADS[workload]
+        cfg = RunConfig.from_file(str(workloads.prepare(w, seed, tmp_path).config))
+        assert (cfg.n, cfg.points_per_axis, cfg.seed) == (w.n, w.points, 0)
+        sc = cfg.solver_config()
+        assert (sc.max_newton_iters, sc.t_step_init) == (w.max_newton_iters, w.t_step_init)
+        assert sc.newton_tol == workloads.NEWTON_TOL
+
+
+class TestFlags:
+    """Each command takes only the flags it reads."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["solve", "--config", "run.cfg", "--seed", "5"], "--seed"),
+        (["degeneracy", "--n", "3", "--seed", "5"], "--seed"),
+        (["sweep-a", "--a-list", "0.1", "--seed", "5"], "--seed"),
+        (["moser-check", "--solution", "u.bin", "--seed", "5"], "--seed"),
+        (["degeneracy", "--n", "3", "--config", "run.cfg"], "--config"),
+        (["verify", "--out", "o"], "--out"),
+        (["verify", "--no-header"], "--no-header"),
+    ])
+    def test_unread_flag_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli(*argv)
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0].startswith("usage: sigma2lab"), err
+        assert err[1].startswith(f"sigma2lab: error: unrecognized arguments: {flag}")
+        assert not list(tmp_path.iterdir())  # the command did not start
+
 
 class TestSolve:
     def test_trivial_profile(self, tmp_path, capsys):
@@ -113,20 +159,6 @@ class TestSolve:
         blocker = tmp_path / "blocker"
         blocker.write_text("a plain file")
         assert run_cli("solve", "--config", cfg, "--out", str(blocker / "sub")) == 2
-
-    def test_warm_start_restart(self, tmp_path):
-        cfg = write_config(tmp_path, PERTURBATIVE_CONFIG)
-        out = tmp_path / "first"
-        assert run_cli("solve", "--config", cfg, "--out", str(out), "--no-header") == 0
-        cfg2 = write_config(
-            tmp_path,
-            PERTURBATIVE_CONFIG + f"warm_start = {out / 'solution.bin'}\n",
-            name="warm.cfg")
-        out2 = tmp_path / "second"
-        assert run_cli("solve", "--config", cfg2, "--out", str(out2), "--no-header") == 0
-        a = torus.load_field(out / "solution.bin")
-        b = torus.load_field(out2 / "solution.bin")
-        assert np.max(np.abs(a.values - b.values)) < 1e-8
 
     def test_stall_exit_code_and_partial_artifacts(self, tmp_path):
         stall_cfg = write_config(tmp_path, """\
@@ -255,8 +287,7 @@ class TestTypedErrors:
         assert not out.exists()
 
 
-SOLVER_KEYS = ("newton_tol", "max_newton_iters", "t_step_init", "t_step_min",
-               "cone_margin", "backtrack_factor")
+SOLVER_KEYS = tuple(f.name for f in dataclasses.fields(SolverConfig))
 SETTING_TEXT = st.one_of(
     st.floats().map(repr),
     st.integers(-10 ** 6, 10 ** 6).map(str),
@@ -267,19 +298,25 @@ SETTING_TEXT = st.one_of(
 
 
 class TestSolverSettings:
-    def test_every_setting_is_a_config_key(self):
-        # a SolverConfig field without a RunConfig key is a setting no run can change
-        assert tuple(f.name for f in dataclasses.fields(SolverConfig)) == SOLVER_KEYS
-        assert set(SOLVER_KEYS) <= {f.name for f in dataclasses.fields(RunConfig)}
+    def test_defaults_are_the_solvers(self):
+        assert RunConfig().solver_config() == SolverConfig()
 
-    def test_non_defaults_carried_through(self):
+    def test_every_setting_is_a_config_key(self, tmp_path):
+        # a SolverConfig field without a config key is a setting no run can change
+        default = SolverConfig()
+        cfg = write_config(tmp_path, "".join(f"{k} = {getattr(default, k)!r}\n"
+                                             for k in SOLVER_KEYS))
+        assert RunConfig.from_file(cfg).solver_config() == default
+
+    def test_non_defaults_carried_through(self, tmp_path):
         values = {"newton_tol": 1e-7, "max_newton_iters": 7, "t_step_init": 0.5,
                   "t_step_min": 1e-2, "cone_margin": 1e-4, "backtrack_factor": 0.25}
         assert values.keys() == set(SOLVER_KEYS)
         default = SolverConfig()
         for key, value in values.items():
             assert getattr(default, key) != value
-            assert getattr(RunConfig(**{key: value}).solver_config(), key) == value
+            cfg = write_config(tmp_path, f"{key} = {value}\n")
+            assert getattr(RunConfig.from_file(cfg).solver_config(), key) == value
 
 
 class TestSolverSettingsFuzz:

@@ -241,6 +241,17 @@ class TestBorderedNewtonSystem:
 
 
 class TestContinuityRun:
+    @pytest.mark.parametrize("geom", ["geom2", "geom3"])
+    def test_t0_start_is_exact(self, geom, request):
+        # the continuation accepts its t = 0 start without a Newton solve:
+        # the normalized constant -log A has residual exactly 0 there
+        geom = request.getfixturevalue(geom)
+        d = profiles.perturbative_problem(geom, 1.0, 0.1, 0.05, 0.05)
+        u0 = normalize(constant_field(geom, -np.log(d.A)), d.A, d.norm_constants.gamma)
+        start = evaluate(u0, d.with_t(0.0), SolverConfig().cone_margin)
+        assert start.rnorm == 0.0
+        assert start.in_cone
+
     def test_trivial_data_constant_path(self, geom2):
         d = profiles.trivial_problem(geom2, alpha=1.0, A=0.05)
         cfg = SolverConfig(newton_tol=1e-10)
@@ -288,6 +299,7 @@ class TestContinuityRun:
         report = exc_info.value.report
         assert report is not None and not report.converged
         assert report.t_values == [0.0]  # only the trivial point was reachable
+        assert exc_info.value.last_field is not None
         assert len(report.monitor_snapshots) == len(report.t_values)
         # the message names the last failed attempt's error, chained as the cause
         cause = exc_info.value.__cause__

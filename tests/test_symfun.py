@@ -12,7 +12,7 @@ from sigma2lab.errors import ConeViolationError
 from sigma2lab.symfun import (
     Spectrum,
     cone_member,
-    elementary_batch,
+    elementary,
     grw_gap,
     leading_product_gap,
     sample_gamma2,
@@ -173,7 +173,7 @@ class TestConcavity:
         # H = sigma_2 / sigma_1 is concave on Gamma_2 (the mechanism behind
         # the Guan-Ren-Wang inequality)
         def ratio(x):
-            e = symfun.elementary_all(x)
+            e = symfun.elementary(x)
             return e[2] / e[1]
 
         for _ in range(3000):
@@ -185,10 +185,19 @@ class TestConcavity:
             assert mixed >= chord - 1e-10
 
 
+class TestElementary:
+    def test_rows_match_single_tuples_exactly(self, rng):
+        # one recurrence for a tuple and for a batch: the same bits either way
+        lam = rng.uniform(-2.0, 2.0, size=(50, 5))
+        rows = np.array([elementary(row) for row in lam])
+        assert np.array_equal(elementary(lam), rows)
+        assert elementary(lam.reshape(5, 10, 5)).shape == (5, 10, 6)
+
+
 class TestSampling:
     def test_samples_are_in_cone(self, rng):
         lam = sample_gamma2(rng, 3, 500)
-        e = elementary_batch(lam)
+        e = elementary(lam)
         assert np.all(e[:, 1] > 0) and np.all(e[:, 2] > 0)
 
     def test_sorted_option(self, rng):
