@@ -30,11 +30,11 @@ import numpy as np
 from . import monitors
 from .degeneracy import n2_sweep, n3_sweep
 from .errors import ConfigurationError, ContinuationStallError, Sigma2LabError
-from .forms import ProblemData
+from .forms import ProblemData, evaluate
 from .monitors import moser_identity_gap, reverse_sobolev_constant
 from .profiles import manufactured_problem, perturbative_problem, trivial_problem
 from .solve import SolverConfig, run_and_return
-from .torus import load_field, make_geometry, save_field, spectral_derivatives
+from .torus import load_field, make_geometry, save_field
 from .verify import run_all
 
 EXIT_OK = 0
@@ -289,13 +289,12 @@ def cmd_moser_check(args) -> int:
         if not (k > 0.0 and np.isfinite(k)):
             raise ConfigurationError(f"--k-list values must be positive and finite, got {k:g}")
     data, _ = cfg.build_problem()
-    u = load_field(args.solution, data.geometry)
-    dv = spectral_derivatives(u)
+    it = evaluate(load_field(args.solution, data.geometry), data, 0.0)
     out = _prepare_out(cfg.out, args.out)
     rows = []
     for k in k_list:
-        gap = moser_identity_gap(u, data, k, dv)
-        const = reverse_sobolev_constant(u, max(k, 1.0), dv)
+        gap = moser_identity_gap(it, k)
+        const = reverse_sobolev_constant(it, max(k, 1.0))
         rows.append((k, gap, const))
         print(f"k={k:g}: identity gap {gap:.3e}, reverse-Sobolev constant {const:.6g}")
     _write_csv(out / "moser.csv", "moser-check",

@@ -45,7 +45,7 @@ class ConvergenceError(Sigma2LabError):
     """Newton did not reach the residual tolerance.
 
     Carries the best iterate and the residual history so callers can
-    inspect or restart.
+    inspect them.
     """
 
     def __init__(self, message, best=None, history=None):

@@ -33,10 +33,12 @@ eigenvalues come from closed forms.  A gradient pairing 2 Re sum_j p_j
 conj(q_j) of complex gradients is (1/2) sum_a p_a q_a over the 2n real
 partials.
 
-The solver evaluates each iterate once with evaluate(), into an Iterate that
-holds its field, bundle, weights e^{+-u} and a, residual, cone test and two
-monitor readings; the assembly functions accept a precomputed bundle and
-weights.  g' itself is not assembled on the solve path: sigma_1 and sigma_2
+evaluate() is the one place a field's bundle and weights are built.  It
+returns an Iterate that holds the field, its bundle, its weights e^{+-u}
+and a, its residual, its cone test and two monitor readings.  gprime,
+gtilde, residual_fy1, linearization_coefficients and the monitors each take
+that Iterate, so the solver, the monitors and the verify suites read a field
+the same way.  g' itself is not assembled on the solve path: sigma_1 and sigma_2
 of g' have closed forms in a and the bundle (gprime_sigmas), which is all
 the cone test, the residual and the monitors read of it.  Neither the bundle
 nor e^{+-u} depends on t, so evaluate() takes them from an earlier
@@ -48,6 +50,8 @@ row and streams the direction's rows (LinearCoefficients.apply_to).
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -100,11 +104,17 @@ def _row_dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.einsum("a...,a...->...", p, q)
 
 
+def _check_t(t: float) -> None:
+    if not (0.0 <= t <= 1.0):
+        raise ConfigurationError(f"t must lie in [0, 1], got {t}")
+
+
 class ProblemData:
     """Coefficients of the equation on a fixed geometry.
 
     alpha > 0, f >= 0 smooth, mu with exactly zero mean, normalization level
-    A in (0,1), and the continuation parameter t in [0,1].  f's first partials
+    A in (0,1) with kappa_c / A^2 (sigma_2(g') of the t = 0 solution) finite
+    in float64, and the continuation parameter t in [0,1].  f's first partials
     and Laplacian are computed on first use, or passed in as f_derivs, and
     shared with every with_t copy (f is fixed along a continuation run).
     """
@@ -116,8 +126,7 @@ class ProblemData:
             raise ConfigurationError(f"alpha must be positive, got {alpha}")
         if not (0.0 < A < 1.0):
             raise ConfigurationError(f"A must lie in (0, 1), got {A}")
-        if not (0.0 <= t <= 1.0):
-            raise ConfigurationError(f"t must lie in [0, 1], got {t}")
+        _check_t(t)
         if f.geometry is not geometry and f.geometry != geometry:
             raise ConfigurationError("f lives on a different geometry")
         if mu.geometry is not geometry and mu.geometry != geometry:
@@ -137,6 +146,11 @@ class ProblemData:
         self.A = float(A)
         self.t = float(t)
         self._f_derivs = f_derivs
+        if not math.isfinite(self.kappa_c / self.A / self.A):
+            raise ConfigurationError(
+                f"A = {A:g} is too small: sigma_2(g') = kappa_c / A^2 of the "
+                "t = 0 solution -log A overflows float64"
+            )
 
     @property
     def n(self) -> int:
@@ -151,8 +165,13 @@ class ProblemData:
         return NormalizationConstants.for_dimension(self.n)
 
     def with_t(self, t: float) -> "ProblemData":
-        return ProblemData(self.geometry, self.alpha, self.f, self.mu, self.A, t,
-                           self.f_derivs())
+        """This data at another t.  Only t is checked: the rest was checked
+        when self was built.  f's derivatives are shared with the copy."""
+        _check_t(t)
+        self.f_derivs()
+        other = copy.copy(self)
+        other.t = float(t)
+        return other
 
     # -- t-scaled accessors ------------------------------------------------
 
@@ -255,7 +274,7 @@ def _gamma2_test(s1: np.ndarray, s2: np.ndarray, n: int, margin: float = 0.0) ->
 
 
 # ---------------------------------------------------------------------------
-# form assembly
+# evaluated iterate
 
 
 class Weights(NamedTuple):
@@ -267,144 +286,10 @@ class Weights(NamedTuple):
     a: np.ndarray
 
 
-def _exp_weights(u: ScalarField, d: ProblemData, like: Weights | None = None) -> Weights:
-    """Weights of u under d; `like`, u's weights under other data, supplies e^{+-u}."""
-    eu, emu = like[:2] if like is not None else (np.exp(u.values), np.exp(-u.values))
-    a = d.f_eff()
-    a *= emu
-    a += eu
-    return Weights(eu, emu, a)
-
-
-def gprime(u: ScalarField, d: ProblemData, derivs: Derivs | None = None,
-           weights: Weights | None = None) -> HermitianField:
-    """g' = (e^u + f_eff e^{-u}) I + 2 n alpha * complex Hessian of u."""
-    geom = u.geometry
-    dv = derivs if derivs is not None else spectral_derivatives(u)
-    w = weights if weights is not None else _exp_weights(u, d)
-    rows = (2.0 * d.n * d.alpha) * dv.hess_rows
-    rows[:geom.n] += w.a
-    return HermitianField(geom, rows)
-
-
-def gprime_sigmas(u: ScalarField, d: ProblemData, derivs: Derivs | None = None,
-                  weights: Weights | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """sigma_1 and sigma_2 of g' = a I + c Hess u, c = 2 n alpha, in closed
-    form from a and the bundle, without assembling g':
-
-        sigma_1(g') = n a + c Lap u,
-        sigma_2(g') = kappa_c a^2 + (n-1) c a Lap u + c^2 sigma_2(Hess u),
-
-    since each principal 2 x 2 minor (a + c h_jj)(a + c h_kk) - c^2 |h_jk|^2
-    contributes a^2, a c (h_jj + h_kk) and c^2 times the Hessian's minor."""
-    dv = derivs if derivs is not None else spectral_derivatives(u)
-    a = (weights if weights is not None else _exp_weights(u, d)).a
-    n = d.n
-    c = 2.0 * n * d.alpha
-    s1 = c * dv.lap
-    s1 += n * a
-    s2 = sigma2_hessian(dv)
-    s2 *= c * c
-    s2 += (d.kappa_c * a + ((n - 1) * c) * dv.lap) * a
-    return s1, s2
-
-
-def gtilde(u: ScalarField, d: ProblemData, derivs: Derivs | None = None,
-           weights: Weights | None = None) -> HermitianField:
-    """Linearization metric (n-1) a I + 2 n alpha ((Lap u) I - Hessian).
-
-    These are also the coefficients F^{j kbar} of the linearized operator:
-    raising both indices by the flat background metric is trivial.
-    """
-    geom = u.geometry
-    dv = derivs if derivs is not None else spectral_derivatives(u)
-    w = weights if weights is not None else _exp_weights(u, d)
-    coef = 2.0 * d.n * d.alpha
-    rows = (-coef) * dv.hess_rows
-    rows[:geom.n] += (geom.n - 1) * w.a + coef * dv.lap
-    return HermitianField(geom, rows)
-
-
-def sigma2_hessian(dv: Derivs) -> np.ndarray:
-    """sigma_2 of the complex Hessian, from its packed rows."""
-    return _sigma2_rows(dv.hess_rows, dv.n)
-
-
-def residual_fy1(u: ScalarField, d: ProblemData, derivs: Derivs | None = None) -> ScalarField:
-    """Divergence-form residual (n-1) Lap(e^u - f e^{-u}) + 2 n alpha sigma_2(i ddbar u) + mu.
-
-    The Laplacian of the composite is expanded by the chain rule,
-
-        Lap(e^u)       = e^u (Lap u + |Du|^2)
-        Lap(f e^{-u})  = e^{-u} (Lap f - 2 Re<Df, Du> + f |Du|^2 - f Lap u),
-
-    so the residual is pointwise algebra in the spectral derivatives of u
-    and f; this makes the proportionality to residual_sigma2 exact.
-    """
-    dv = derivs if derivs is not None else spectral_derivatives(u)
-    eu, emu, _ = _exp_weights(u, d)
-    fe = d.f_eff()
-    gsq = dv.grad_sq
-    lap_eu = eu * (dv.lap + gsq)
-    lap_femu = emu * (d.lap_f_eff() - d.grad_f_dot(dv.partials)
-                      + fe * gsq - fe * dv.lap)
-    n = d.n
-    vals = (n - 1) * (lap_eu - lap_femu) + 2.0 * n * d.alpha * sigma2_hessian(dv) + d.mu_eff()
-    return ScalarField(u.geometry, vals)
-
-
-def rhs_sigma2(u: ScalarField, d: ProblemData, derivs: Derivs | None = None,
-               weights: Weights | None = None) -> ScalarField:
-    """Right-hand side of the Hessian form of the equation, fully expanded.
-
-    With kappa_c = n(n-1)/2 and the t-scaled data:
-
-        kappa_c e^{2u} (1 - 4 alpha e^{-u} |Du|^2)
-        + 4 alpha kappa_c f e^{-u} |Du|^2 + 2 kappa_c f + kappa_c e^{-2u} f^2
-        - 2 n alpha mu
-        + 4 alpha kappa_c e^{-u} (Lap f - 2 Re<Df, Du>).
-    """
-    dv = derivs if derivs is not None else spectral_derivatives(u)
-    eu, emu, _ = weights if weights is not None else _exp_weights(u, d)
-    fe = d.f_eff()
-    gsq = dv.grad_sq
-    kc = d.kappa_c
-    al = d.alpha
-    vals = (
-        kc * eu * eu * (1.0 - 4.0 * al * emu * gsq)
-        + 4.0 * al * kc * fe * emu * gsq
-        + 2.0 * kc * fe
-        + kc * emu * emu * fe * fe
-        - 2.0 * d.n * al * d.mu_eff()
-        + 4.0 * al * kc * emu * (d.lap_f_eff() - d.grad_f_dot(dv.partials))
-    )
-    return ScalarField(u.geometry, vals)
-
-
-def residual_sigma2(u: ScalarField, d: ProblemData, derivs: Derivs | None = None,
-                    weights: Weights | None = None,
-                    s2: np.ndarray | None = None) -> ScalarField:
-    """sigma_2(g') minus the expanded right-hand side; s2 is sigma_2(g') from
-    gprime_sigmas, when the caller has it already.
-
-    Satisfies residual_sigma2 = 2 n alpha * residual_fy1 as exact pointwise
-    algebra of the shared discrete derivative fields.
-    """
-    dv = derivs if derivs is not None else spectral_derivatives(u)
-    w = weights if weights is not None else _exp_weights(u, d)
-    s2 = s2 if s2 is not None else gprime_sigmas(u, d, dv, w)[1]
-    rhs = rhs_sigma2(u, d, dv, w)
-    return ScalarField(u.geometry, s2 - rhs.values)
-
-
-# ---------------------------------------------------------------------------
-# evaluated iterate
-
-
 @dataclass(frozen=True)
 class Iterate:
     """A field evaluated once against one problem: what the Newton step, the
-    backtracking test, acceptance and the monitors read.
+    backtracking test, acceptance, the monitors and every form below read.
 
     Its arrays are the field, its bundle, its weights and its residual, n^2 +
     2n + 6 grid arrays in all.  Of g' it keeps three readings: in_cone,
@@ -423,20 +308,138 @@ class Iterate:
     gamma2_fraction: float
 
 
+def gprime_sigmas(d: ProblemData, dv: Derivs, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigma_1 and sigma_2 of g' = a I + c Hess u, c = 2 n alpha, in closed
+    form from a and the bundle, without assembling g':
+
+        sigma_1(g') = n a + c Lap u,
+        sigma_2(g') = kappa_c a^2 + (n-1) c a Lap u + c^2 sigma_2(Hess u),
+
+    since each principal 2 x 2 minor (a + c h_jj)(a + c h_kk) - c^2 |h_jk|^2
+    contributes a^2, a c (h_jj + h_kk) and c^2 times the Hessian's minor."""
+    n = d.n
+    c = 2.0 * n * d.alpha
+    s1 = c * dv.lap
+    s1 += n * a
+    s2 = sigma2_hessian(dv)
+    s2 *= c * c
+    s2 += (d.kappa_c * a + ((n - 1) * c) * dv.lap) * a
+    return s1, s2
+
+
+def sigma2_hessian(dv: Derivs) -> np.ndarray:
+    """sigma_2 of the complex Hessian, from its packed rows."""
+    return _sigma2_rows(dv.hess_rows, dv.n)
+
+
+def rhs_sigma2(d: ProblemData, dv: Derivs, w: Weights) -> np.ndarray:
+    """Right-hand side of the Hessian form of the equation, fully expanded.
+
+    With kappa_c = n(n-1)/2 and the t-scaled data:
+
+        kappa_c e^{2u} (1 - 4 alpha e^{-u} |Du|^2)
+        + 4 alpha kappa_c f e^{-u} |Du|^2 + 2 kappa_c f + kappa_c e^{-2u} f^2
+        - 2 n alpha mu
+        + 4 alpha kappa_c e^{-u} (Lap f - 2 Re<Df, Du>).
+    """
+    eu, emu, _ = w
+    fe = d.f_eff()
+    gsq = dv.grad_sq
+    kc = d.kappa_c
+    al = d.alpha
+    return (
+        kc * eu * eu * (1.0 - 4.0 * al * emu * gsq)
+        + 4.0 * al * kc * fe * emu * gsq
+        + 2.0 * kc * fe
+        + kc * emu * emu * fe * fe
+        - 2.0 * d.n * al * d.mu_eff()
+        + 4.0 * al * kc * emu * (d.lap_f_eff() - d.grad_f_dot(dv.partials))
+    )
+
+
+def residual_sigma2(d: ProblemData, dv: Derivs, w: Weights, s2: np.ndarray) -> np.ndarray:
+    """sigma_2(g') minus the expanded right-hand side; s2 is sigma_2(g') from
+    gprime_sigmas.
+
+    Satisfies residual_sigma2 = 2 n alpha * residual_fy1 as exact pointwise
+    algebra of the shared discrete derivative fields.
+    """
+    return s2 - rhs_sigma2(d, dv, w)
+
+
 def evaluate(u: ScalarField, d: ProblemData, margin: float,
-             derivs: Derivs | None = None, like: Weights | None = None) -> Iterate:
-    """Evaluate u against d.  `derivs` and `like` come from an evaluation of u
-    against other data (another t): the bundle and e^{+-u} carry over, and
-    only a, the sigmas of g' and the residual are assembled again."""
-    dv = derivs if derivs is not None else spectral_derivatives(u)
-    w = _exp_weights(u, d, like)
-    s1, s2 = gprime_sigmas(u, d, dv, w)
+             prev: Iterate | None = None) -> Iterate:
+    """Evaluate u against d: the one place a field's bundle and weights are
+    built.  `prev` is an evaluation of the same u against other data (another
+    t): its bundle and e^{+-u} carry over, and only a, the sigmas of g' and
+    the residual are assembled again.
+
+    Nothing here tests the arrays for finiteness: an overflowed field has a
+    NaN or infinite rnorm, which never passes the solver's rnorm < newton_tol."""
+    if prev is None:
+        dv = spectral_derivatives(u)
+        eu, emu = np.exp(u.values), np.exp(-u.values)
+    else:
+        dv = prev.derivs
+        eu, emu = prev.weights.eu, prev.weights.emu
+    a = d.f_eff()
+    a *= emu
+    a += eu
+    w = Weights(eu, emu, a)
+    s1, s2 = gprime_sigmas(d, dv, a)
     in_cone = bool(np.all(_gamma2_test(s1, s2, d.n, margin)))
     frac = float(np.mean(_gamma2_test(s1, s2, d.n)))
     del s1   # not read again; freed before the residual's temporaries
-    kappa = float(np.min(w.emu * w.emu * s2))
-    r = residual_sigma2(u, d, dv, w, s2).values
+    kappa = float(np.min(emu * emu * s2))
+    r = residual_sigma2(d, dv, w, s2)
     return Iterate(u, d, dv, w, r, float(np.max(np.abs(r))), in_cone, kappa, frac)
+
+
+# ---------------------------------------------------------------------------
+# forms of an evaluated iterate
+
+
+def gprime(it: Iterate) -> HermitianField:
+    """g' = (e^u + f_eff e^{-u}) I + 2 n alpha * complex Hessian of u."""
+    d = it.data
+    rows = (2.0 * d.n * d.alpha) * it.derivs.hess_rows
+    rows[:d.n] += it.weights.a
+    return HermitianField(d.geometry, rows)
+
+
+def gtilde(it: Iterate) -> HermitianField:
+    """Linearization metric (n-1) a I + 2 n alpha ((Lap u) I - Hessian).
+
+    These are also the coefficients F^{j kbar} of the linearized operator:
+    raising both indices by the flat background metric is trivial.
+    """
+    d, dv = it.data, it.derivs
+    coef = 2.0 * d.n * d.alpha
+    rows = (-coef) * dv.hess_rows
+    rows[:d.n] += (d.n - 1) * it.weights.a + coef * dv.lap
+    return HermitianField(d.geometry, rows)
+
+
+def residual_fy1(it: Iterate) -> np.ndarray:
+    """Divergence-form residual (n-1) Lap(e^u - f e^{-u}) + 2 n alpha sigma_2(i ddbar u) + mu.
+
+    The Laplacian of the composite is expanded by the chain rule,
+
+        Lap(e^u)       = e^u (Lap u + |Du|^2)
+        Lap(f e^{-u})  = e^{-u} (Lap f - 2 Re<Df, Du> + f |Du|^2 - f Lap u),
+
+    so the residual is pointwise algebra in the spectral derivatives of u
+    and f; this makes the proportionality to residual_sigma2 exact.
+    """
+    d, dv = it.data, it.derivs
+    eu, emu, _ = it.weights
+    fe = d.f_eff()
+    gsq = dv.grad_sq
+    lap_eu = eu * (dv.lap + gsq)
+    lap_femu = emu * (d.lap_f_eff() - d.grad_f_dot(dv.partials)
+                      + fe * gsq - fe * dv.lap)
+    n = d.n
+    return (n - 1) * (lap_eu - lap_femu) + 2.0 * n * d.alpha * sigma2_hessian(dv) + d.mu_eff()
 
 
 # ---------------------------------------------------------------------------
@@ -478,17 +481,15 @@ class LinearCoefficients:
         return out
 
 
-def linearization_coefficients(u: ScalarField, d: ProblemData,
-                               derivs: Derivs | None = None,
-                               weights: Weights | None = None) -> LinearCoefficients:
-    """Assemble the analytic coefficients of the Fréchet derivative at u.
+def linearization_coefficients(it: Iterate) -> LinearCoefficients:
+    """Assemble the analytic coefficients of the Fréchet derivative at it.u.
 
     Analytic assembly (rather than automatic differentiation) keeps the
     operator in a Fourier-preconditionable second-order form; the test suite
     certifies it against central finite differences of the residual.
     """
-    dv = derivs if derivs is not None else spectral_derivatives(u)
-    eu, emu, a = weights if weights is not None else _exp_weights(u, d)
+    d, dv = it.data, it.derivs
+    eu, emu, a = it.weights
     b = 2.0 * eu - a     # e^u - f_eff e^{-u}, the u-derivative of a
     kc = d.kappa_c
     al = d.alpha
@@ -518,29 +519,21 @@ def linearization_coefficients(u: ScalarField, d: ProblemData,
     c0 += emu * (d.lap_f_eff() - d.grad_f_dot(dv.partials))
     c0 *= 4.0 * al * kc
     c0 += ((n - 1) * coef) * b * dv.lap
-    return LinearCoefficients(geometry=u.geometry, k=k, c0=c0)
-
-
-def linearize(u: ScalarField, d: ProblemData, v: ScalarField,
-              coeffs: LinearCoefficients | None = None) -> ScalarField:
-    """Directional derivative of residual_sigma2 at u in the direction v."""
-    lc = coeffs if coeffs is not None else linearization_coefficients(u, d)
-    return ScalarField(u.geometry, lc.apply_to(v.values))
+    return LinearCoefficients(geometry=d.geometry, k=k, c0=c0)
 
 
 # ---------------------------------------------------------------------------
 # manufactured data
 
 
-def manufactured_mu(u_star: ScalarField, seed: ProblemData,
-                    derivs: Derivs | None = None) -> ScalarField:
-    """Source term making u_star an exact solution of the t = 1 problem.
+def manufactured_mu(it: Iterate) -> ScalarField:
+    """Source term making it.u an exact solution of the t = 1 problem.
 
-    `seed` is that problem with mu = 0 and t = 1, so residual_fy1 on it is
-    (n-1) Lap(e^{u*} - f e^{-u*}) + 2 n alpha sigma_2(i ddbar u*), and mu is
-    its negative, mean-subtracted exactly (the raw mean is already
-    divergence-small); the subtraction perturbs the manufactured residual by
-    the same ~1e-14.
+    `it` is u_star evaluated against that problem with mu = 0 and t = 1, so
+    residual_fy1 of it is (n-1) Lap(e^{u*} - f e^{-u*}) + 2 n alpha
+    sigma_2(i ddbar u*), and mu is its negative, mean-subtracted exactly (the
+    raw mean is already divergence-small); the subtraction perturbs the
+    manufactured residual by the same ~1e-14.
     """
-    vals = -residual_fy1(u_star, seed, derivs).values
-    return ScalarField(u_star.geometry, vals - np.mean(vals))
+    vals = -residual_fy1(it)
+    return ScalarField(it.u.geometry, vals - np.mean(vals))

@@ -15,6 +15,8 @@ fields: the k-weighted integral identity produced by the integration-by-
 parts chain (moser_identity_gap) and the reverse-Sobolev-type inequality
 constant used by the Moser iteration (reverse_sobolev_constant).
 
+Every monitor takes an evaluated forms.Iterate and reads its bundle and
+weights, so monitoring an accepted iterate differentiates nothing again.
 EstimateReport.row gives one accepted t's CSV row in CSV_COLUMNS order;
 the CLI's writer formats it.
 """
@@ -27,13 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError, RangeUnderflowError
-from .forms import (
-    Iterate,
-    ProblemData,
-    gtilde,
-    hermitian_eigenvalues,
-)
-from .torus import Derivs, ScalarField, mixed_wedge_density, spectral_derivatives
+from .forms import Iterate, gtilde, hermitian_eigenvalues
+from .torus import mixed_wedge_density
 
 CSV_COLUMNS = (
     "t",
@@ -81,7 +78,7 @@ def estimate_report(it: Iterate) -> EstimateReport:
     inf_u = float(np.min(vals))
     sup_u = float(np.max(vals))
     c1 = float(np.max(it.weights.emu * it.derivs.grad_sq))
-    eigs = hermitian_eigenvalues(gtilde(it.u, d, it.derivs, it.weights))
+    eigs = hermitian_eigenvalues(gtilde(it))
     return EstimateReport(
         inf_u=inf_u,
         sup_u=sup_u,
@@ -96,8 +93,7 @@ def estimate_report(it: Iterate) -> EstimateReport:
     )
 
 
-def moser_identity_gap(u: ScalarField, d: ProblemData, k: float,
-                       derivs: Derivs | None = None) -> float:
+def moser_identity_gap(it: Iterate, k: float) -> float:
     """Residual of the k-weighted integral identity, normalized by its
     largest term.
 
@@ -113,9 +109,9 @@ def moser_identity_gap(u: ScalarField, d: ProblemData, k: float,
     """
     if not k > 0.0:
         raise ValueError("the identity weight k must be positive")
+    d, dv = it.data, it.derivs
     n = d.n
-    dv = derivs if derivs is not None else spectral_derivatives(u)
-    vals = u.values
+    vals = it.u.values
     with np.errstate(over="raise"):
         try:
             e_min_ku = np.exp(-k * vals)
@@ -124,12 +120,10 @@ def moser_identity_gap(u: ScalarField, d: ProblemData, k: float,
             raise RangeUnderflowError(
                 f"exp(-k u) overflowed for k={k}"
             ) from exc
-    fe = d.f_eff()
-    a = np.exp(vals) + fe * np.exp(-vals)
-    wedge = mixed_wedge_density(u, dv).values
+    wedge = mixed_wedge_density(dv)
 
     fact = math.factorial(n - 1)
-    lhs = k * float(np.mean(e_min_ku * dv.grad_sq * a))
+    lhs = k * float(np.mean(e_min_ku * dv.grad_sq * it.weights.a))
     r1 = -(k * n * d.alpha / fact) * float(np.mean(e_min_ku * wedge))
     r2 = -(1.0 / (n - 1)) * float(np.mean(e_min_ku * d.mu_eff()))
     r3 = (1.0 - 1.0 / (k + 1.0)) * float(np.mean(e_min_k1u * d.lap_f_eff()))
@@ -140,8 +134,7 @@ def moser_identity_gap(u: ScalarField, d: ProblemData, k: float,
     return abs(lhs - (r1 + r2 + r3)) / scale
 
 
-def reverse_sobolev_constant(u: ScalarField, k: float,
-                             derivs: Derivs | None = None) -> float:
+def reverse_sobolev_constant(it: Iterate, k: float) -> float:
     """Smallest C with I[|D e^{-ku/2}|^2] <= C k (I[e^{-(k+1)u}] + I[e^{-(k+2)u}]).
 
     Since D e^{-ku/2} = -(k/2) e^{-ku/2} Du pointwise, the left side is
@@ -151,8 +144,7 @@ def reverse_sobolev_constant(u: ScalarField, k: float,
     """
     if not k >= 1.0:
         raise ValueError("the Sobolev weight k must be >= 1")
-    vals = u.values
-    dv_gsq = (derivs if derivs is not None else spectral_derivatives(u)).grad_sq
+    vals = it.u.values
     m = -float(np.min(vals))  # max of -u
 
     def log_integral(p: float, extra: np.ndarray | None = None) -> float:
@@ -169,7 +161,7 @@ def reverse_sobolev_constant(u: ScalarField, k: float,
             return -np.inf
         return p * m + float(np.log(mean))
 
-    log_num = log_integral(k, dv_gsq)
+    log_num = log_integral(k, it.derivs.grad_sq)
     if log_num == -np.inf:
         return 0.0  # constant field: left side is exactly zero
     log_i1 = log_integral(k + 1.0)
@@ -178,7 +170,7 @@ def reverse_sobolev_constant(u: ScalarField, k: float,
     return float(np.exp(np.log(k * k / 4.0) + log_num - log_den))
 
 
-def wedge_lower_bound_check(u: ScalarField, d: ProblemData) -> float:
+def wedge_lower_bound_check(it: Iterate) -> float:
     """Nodewise slack minimum of the wedge-density lower bound.
 
     Wherever the linearization metric is positive the density obeys
@@ -188,17 +180,14 @@ def wedge_lower_bound_check(u: ScalarField, d: ProblemData) -> float:
     returns min over nodes of density + bound (>= 0 up to rounding).  Raises
     HypothesisError if the metric is not positive definite at every node.
     """
-    dv = spectral_derivatives(u)
-    gt = gtilde(u, d, dv)
-    min_eig = float(np.min(hermitian_eigenvalues(gt)))
+    min_eig = float(np.min(hermitian_eigenvalues(gtilde(it))))
     if min_eig <= 0.0:
         raise HypothesisError(
             f"the linearization metric is not positive (min eigenvalue {min_eig:.3e})"
         )
+    d, dv = it.data, it.derivs
     n = d.n
     fact = math.factorial(n - 1)
-    vals = u.values
-    a = np.exp(vals) + d.f_eff() * np.exp(-vals)
-    wedge = mixed_wedge_density(u, dv).values
-    slack = wedge + (fact / (2.0 * n * d.alpha)) * dv.grad_sq * a
+    wedge = mixed_wedge_density(dv)
+    slack = wedge + (fact / (2.0 * n * d.alpha)) * dv.grad_sq * it.weights.a
     return float(np.min(slack))

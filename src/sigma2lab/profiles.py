@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forms import NormalizationConstants, ProblemData, _shifted_exp, manufactured_mu
+from .forms import NormalizationConstants, ProblemData, _shifted_exp, evaluate, manufactured_mu
 from .torus import ScalarField, TorusGeometry, constant_field, zero_mean
 
 
@@ -83,6 +83,6 @@ def manufactured_problem(geom: TorusGeometry, alpha: float, base_A: float,
     f = f_profile(geom, f_scale)
     zero = constant_field(geom, 0.0)
     seed = ProblemData(geom, alpha, f, zero, a_star, t=1.0)
-    mu = zero_mean(manufactured_mu(u_star, seed))
+    mu = zero_mean(manufactured_mu(evaluate(u_star, seed, 0.0)))
     data = ProblemData(geom, alpha, f, mu, a_star, t=1.0, f_derivs=seed.f_derivs())
     return data, u_star

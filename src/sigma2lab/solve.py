@@ -13,7 +13,8 @@ iteration on the pair:
 
         (L v - mean L v) + l(v) = -(R - mean R),
 
-    with L = linearize(u, d, .), R = residual_sigma2(u, d) and
+    with L the linearization at u (forms.linearization_coefficients), R the
+    residual of the Hessian form (forms.residual_sigma2) and
     l(v) = sum omega v, omega proportional to e^{-gamma u}, the linearized
     normalization.  The two parts are orthogonal (zero mean and constant),
     so the one square system says  l(v) = 0  and  L v = -R  up to constants.
@@ -217,8 +218,7 @@ def _newton_step(it: Iterate, cfg: SolverConfig, forcing: float = _LINEAR_RTOL):
         )
     u, d = it.u, it.data
     # the coefficient rows are passed, not bound: they die with the solve
-    v = solve_newton_system(u, d, linearization_coefficients(u, d, it.derivs, it.weights),
-                            -it.residual, forcing)
+    v = solve_newton_system(u, d, linearization_coefficients(it), -it.residual, forcing)
 
     gamma = d.norm_constants.gamma
     s = 1.0
@@ -244,11 +244,12 @@ def _solve_at_t(it: Iterate, cfg: SolverConfig):
     """Newton iteration on it.data from the evaluated iterate `it` until the
     residual max-norm drops below newton_tol.  Returns (final iterate, Newton
     steps, residual history); raises ConvergenceError (with best field and
-    history) otherwise."""
+    history) otherwise.  A NaN residual, the mark of an overflowed field,
+    never counts as converged."""
     rnorm0 = it.rnorm
     history = [it.rnorm]
     iters = 0
-    while it.rnorm >= cfg.newton_tol:
+    while not it.rnorm < cfg.newton_tol:
         if iters >= cfg.max_newton_iters:
             raise ConvergenceError(
                 f"Newton did not reach tol={cfg.newton_tol:.1e} in "
@@ -278,10 +279,11 @@ def run_and_return(d: ProblemData, cfg: SolverConfig, on_accept=None):
     Starts from the normalized constant -log A, the exact t = 0 solution
     (its t = 0 residual is 0), halves the step on any solver failure down to
     t_step_min, and grows it again after easy successes.  Monitors are
-    recorded at every accepted t, and on_accept(t, field, problem) is
-    invoked there when given.  Raises ContinuationStallError, carrying the
-    partial report and the furthest accepted field, if the step floor is
-    reached before t = 1.
+    recorded at every accepted t, and on_accept(t, iterate) is invoked there
+    when given: the accepted field evaluated against the problem at t, whose
+    bundle and weights any monitor can read.  Raises ContinuationStallError,
+    carrying the partial report and the furthest accepted field, if the step
+    floor is reached before t = 1.
     """
     report = SolveReport()
     margin = cfg.cone_margin
@@ -297,7 +299,7 @@ def run_and_return(d: ProblemData, cfg: SolverConfig, on_accept=None):
         report.residual_norms.append(it.rnorm)
         report.monitor_snapshots.append(estimate_report(it))
         if on_accept is not None:
-            on_accept(t, u, it.data)
+            on_accept(t, it)
 
     def start(d_t: ProblemData) -> Iterate:
         """The accepted iterate against d_t.  It is taken out of `it`: held
@@ -307,7 +309,7 @@ def run_and_return(d: ProblemData, cfg: SolverConfig, on_accept=None):
         prev, it = it, None
         if prev is None:
             return evaluate(u, d_t, margin)
-        return evaluate(prev.u, d_t, margin, prev.derivs, prev.weights)
+        return evaluate(prev.u, d_t, margin, prev)
 
     accept(0.0)
     t = 0.0

@@ -317,8 +317,9 @@ def zero_mean(u: ScalarField) -> ScalarField:
     return ScalarField(u.geometry, u.values - np.mean(u.values))
 
 
-def mixed_wedge_density(u: ScalarField, derivs: Derivs | None = None) -> ScalarField:
-    """Scalar density of i du ^ dbar u ^ i ddbar u ^ omega^{n-2} against omega^n/n!.
+def mixed_wedge_density(dv: Derivs) -> np.ndarray:
+    """Scalar density of i du ^ dbar u ^ i ddbar u ^ omega^{n-2} against
+    omega^n/n!, from u's bundle.
 
     Computed coordinate-invariantly as
 
@@ -327,15 +328,12 @@ def mixed_wedge_density(u: ScalarField, derivs: Derivs | None = None) -> ScalarF
     which at a node where the Hessian is diagonal reduces to
     (n-2)! * sum_i |u_i|^2 (Lap(u) - u_{i ibar}).
     """
-    geom = u.geometry
-    d = derivs if derivs is not None else spectral_derivatives(u)
     # contraction sum_{j,k} u_j conj(u_k) H[j,k]; real because H is Hermitian
-    grad = d.grad
-    t = np.einsum("j...,jk...->k...", grad, d.hess)
+    grad = dv.grad
+    t = np.einsum("j...,jk...->k...", grad, dv.hess)
     mixed = np.einsum("k...,k...->...", t, np.conj(grad)).real
-    fac = float(math.factorial(geom.n - 2))
-    density = fac * (d.grad_sq * d.lap - mixed)
-    return ScalarField(geom, density)
+    fac = float(math.factorial(dv.n - 2))
+    return fac * (dv.grad_sq * dv.lap - mixed)
 
 
 # ---------------------------------------------------------------------------

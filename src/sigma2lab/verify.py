@@ -149,9 +149,9 @@ def suite_residual_proportionality(seed: int, fields: int = 100,
             u = torus.random_band_limited(geom, rng, max_mode=2,
                                           amplitude=float(rng.uniform(0.2, 0.8)))
             u = torus.ScalarField(geom, u.values + float(rng.uniform(-0.5, 1.5)))
-            dv = torus.spectral_derivatives(u)
-            r1 = forms.residual_fy1(u, d, dv).values
-            r2 = forms.residual_sigma2(u, d, dv).values
+            it = forms.evaluate(u, d, 0.0)
+            r1 = forms.residual_fy1(it)
+            r2 = it.residual
             pred = 2.0 * n * d.alpha * r1
             scale = max(1.0, float(np.max(np.abs(r2))), float(np.max(np.abs(pred))))
             gap = float(np.max(np.abs(r2 - pred))) / scale
@@ -180,9 +180,10 @@ def suite_sigma_relations_fields(seed: int, fields: int = 20,
         for i in range(fields):
             u = torus.random_band_limited(geom, rng, max_mode=2,
                                           amplitude=float(rng.uniform(0.2, 0.8)))
-            dv = torus.spectral_derivatives(u)
-            gp = forms.gprime(u, d, dv)
-            gt = forms.gtilde(u, d, dv)
+            it = forms.evaluate(u, d, 0.0)
+            dv = it.derivs
+            gp = forms.gprime(it)
+            gt = forms.gtilde(it)
             s1p = forms.sigma1_field(gp)
             s2p = forms.sigma2_field(gp)
             s1t = forms.sigma1_field(gt)
@@ -237,11 +238,11 @@ def suite_linearize_fd(seed: int, pairs: int = 20, tol: float = 1e-6,
         u = torus.random_band_limited(geom, rng, max_mode=2,
                                       amplitude=float(rng.uniform(0.2, 0.6)))
         v = torus.random_band_limited(geom, rng, max_mode=2, amplitude=1.0)
-        lin = forms.linearize(u, d, v).values
+        lin = forms.linearization_coefficients(forms.evaluate(u, d, 0.0)).apply_to(v.values)
         up = torus.ScalarField(geom, u.values + eps * v.values)
         um = torus.ScalarField(geom, u.values - eps * v.values)
-        fd = (forms.residual_sigma2(up, d).values
-              - forms.residual_sigma2(um, d).values) / (2.0 * eps)
+        fd = (forms.evaluate(up, d, 0.0).residual
+              - forms.evaluate(um, d, 0.0).residual) / (2.0 * eps)
         err = float(np.max(np.abs(fd - lin))) / max(1.0, float(np.max(np.abs(lin))))
         if err > worst:
             worst = err
@@ -288,7 +289,7 @@ def suite_wedge_identity(seed: int, fields: int = 20, tol: float = 1e-10) -> Sui
             for j, uj in enumerate(dv.grad):
                 direct += np.abs(uj) ** 2 * (dv.lap - hess[j, j].real)
             direct *= math.factorial(n - 2)
-            dens = torus.mixed_wedge_density(u, dv).values
+            dens = torus.mixed_wedge_density(dv)
             scale = 1.0 + float(np.max(np.abs(dens)))
             gap = max(float(np.max(np.abs(dens - direct))) / scale, off / scale)
             if gap > worst:

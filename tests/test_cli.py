@@ -191,6 +191,26 @@ class TestTypedErrors:
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
         assert text in lines[0]
 
+    @pytest.mark.parametrize("n, A, fails", [
+        (2, "1e-160", True), (2, "1e-154", False),
+        (3, "1e-154", True), (3, "1.2e-154", True), (3, "1e-150", False),
+    ])
+    def test_unrepresentable_A(self, tmp_path, n, A, fails):
+        # kappa_c / A^2, sigma_2(g') of the t = 0 start, must be a float64;
+        # a process of its own, so that numpy's warnings reach its stderr
+        cfg = write_config(tmp_path, f"n = {n}\npoints_per_axis = 8\nA = {A}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "sigma2lab", "solve", "--config", cfg,
+             "--out", str(tmp_path / "o"), "--no-header"],
+            capture_output=True, text=True, timeout=300)
+        assert "RuntimeWarning" not in proc.stderr
+        if fails:
+            lines = proc.stderr.strip().splitlines()
+            assert proc.returncode == 2
+            assert len(lines) == 1 and lines[0].startswith(f"error: A = {A} ")
+        else:
+            assert proc.returncode == 0 and proc.stderr == ""
+
     def test_negative_newton_tol(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TRIVIAL_CONFIG + "newton_tol = -1\n")
         assert run_cli("solve", "--config", cfg, "--out", str(tmp_path / "o")) == 2

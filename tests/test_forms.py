@@ -17,10 +17,8 @@ from sigma2lab.forms import (
     gtilde,
     hermitian_eigenvalues,
     linearization_coefficients,
-    linearize,
     manufactured_mu,
     residual_fy1,
-    residual_sigma2,
     rhs_sigma2,
     sigma1_field,
     sigma2_field,
@@ -39,6 +37,15 @@ def trivial_setup(geom, A=0.05, alpha=1.0):
     d = ProblemData(geom, alpha, zero, zero, A, t=0.0)
     u0 = constant_field(geom, -np.log(A))
     return u0, d
+
+
+def derivative(u, d, v):
+    """The directional derivative of the residual at u in the direction v."""
+    return linearization_coefficients(evaluate(u, d, 0.0)).apply_to(v.values)
+
+
+def residual(u, d):
+    return evaluate(u, d, 0.0).residual
 
 
 class TestNormalizationConstants:
@@ -72,6 +79,23 @@ class TestProblemData:
         d2 = d.with_t(0.0)
         assert np.all(d2.f_eff() == 0.0)
 
+    def test_with_t_checks_only_t(self, problem2, patch_everywhere):
+        # the rest of the data was checked when it was built
+        calls = []
+        real = torus.integrate
+
+        def counted(w):
+            calls.append(w)
+            return real(w)
+
+        patch_everywhere(real, counted)
+        d = problem2.with_t(0.5)
+        assert calls == []
+        assert d.t == 0.5 and problem2.t == 0.7
+        assert d.f_derivs() is problem2.f_derivs()
+        with pytest.raises(ConfigurationError):
+            problem2.with_t(1.5)
+
     def test_kappa_c(self, geom2, geom3):
         zero2 = constant_field(geom2, 0.0)
         zero3 = constant_field(geom3, 0.0)
@@ -82,7 +106,7 @@ class TestProblemData:
 class TestGPrime:
     def test_trivial_solution(self, geom2):
         u0, d = trivial_setup(geom2, A=0.05)
-        gp = gprime(u0, d).matrices
+        gp = gprime(evaluate(u0, d, 0.0)).matrices
         for j in range(2):
             assert np.allclose(gp[j, j].real, 1.0 / 0.05, rtol=1e-13)
         assert np.max(np.abs(gp[0, 1])) == 0.0
@@ -91,34 +115,33 @@ class TestGPrime:
         zero = constant_field(geom2, 0.0)
         d = ProblemData(geom2, 3.0, zero, zero, 0.3, t=1.0)
         u = constant_field(geom2, 0.7)
-        eigs = hermitian_eigenvalues(gprime(u, d))
+        eigs = hermitian_eigenvalues(gprime(evaluate(u, d, 0.0)))
         assert np.allclose(eigs, np.exp(0.7), rtol=1e-13)
 
     def test_eigenvalue_shift_relation(self, geom2, problem2, rng):
         # g' = a I + 2 n alpha Hess shares eigenvectors with Hess, so its
         # eigenvalues are exactly a + 2 n alpha * (Hessian eigenvalues)
         u = random_band_limited(geom2, rng, 2, 0.6)
-        dv = spectral_derivatives(u)
-        hess_eigs = hermitian_eigenvalues(torus.HermitianField(geom2, dv.hess_rows))
+        it = evaluate(u, problem2, 0.0)
+        hess_eigs = hermitian_eigenvalues(torus.HermitianField(geom2, it.derivs.hess_rows))
         a = np.exp(u.values) + problem2.f_eff() * np.exp(-u.values)
         want = np.sort(a + 2 * 2 * problem2.alpha * hess_eigs, axis=0)
-        got = hermitian_eigenvalues(gprime(u, problem2, dv))
+        got = hermitian_eigenvalues(gprime(it))
         assert np.max(np.abs(got - want)) < 1e-10 * (1.0 + np.max(np.abs(want)))
 
 
 class TestGTilde:
     def test_trivial_solution(self, geom2):
         u0, d = trivial_setup(geom2, A=0.05)
-        gt = gtilde(u0, d).matrices
+        gt = gtilde(evaluate(u0, d, 0.0)).matrices
         for j in range(2):
             assert np.allclose(gt[j, j].real, (2 - 1) / 0.05, rtol=1e-13)
 
     def test_matrix_identity(self, geom2, problem2, rng):
         # gtilde = sigma_1(g') I - g' at every node
-        u = random_band_limited(geom2, rng, 2, 0.7)
-        dv = spectral_derivatives(u)
-        gp = gprime(u, problem2, dv)
-        gt = gtilde(u, problem2, dv)
+        it = evaluate(random_band_limited(geom2, rng, 2, 0.7), problem2, 0.0)
+        gp = gprime(it)
+        gt = gtilde(it)
         alt = -gp.matrices.copy()
         s1 = sigma1_field(gp)
         for j in range(2):
@@ -128,27 +151,24 @@ class TestGTilde:
 
     def test_eigenvalue_complement_relation(self, geom3, problem3, rng):
         # each gtilde eigenvalue is the sum of the complementary g' eigenvalues
-        u = random_band_limited(geom3, rng, 1, 0.5)
-        dv = spectral_derivatives(u)
-        lp = hermitian_eigenvalues(gprime(u, problem3, dv))
-        lt = hermitian_eigenvalues(gtilde(u, problem3, dv))
+        it = evaluate(random_band_limited(geom3, rng, 1, 0.5), problem3, 0.0)
+        lp = hermitian_eigenvalues(gprime(it))
+        lt = hermitian_eigenvalues(gtilde(it))
         want = np.sort(lp.sum(axis=0) - lp, axis=0)
         assert np.max(np.abs(lt - want)) < 1e-9 * (1.0 + np.max(np.abs(want)))
 
     def test_n2_sigma_coincidence(self, geom2, problem2, rng):
         # in dimension two the two forms share both symmetric functions
-        u = random_band_limited(geom2, rng, 2, 0.7)
-        dv = spectral_derivatives(u)
-        gp = gprime(u, problem2, dv)
-        gt = gtilde(u, problem2, dv)
+        it = evaluate(random_band_limited(geom2, rng, 2, 0.7), problem2, 0.0)
+        gp = gprime(it)
+        gt = gtilde(it)
         assert np.allclose(sigma1_field(gt), sigma1_field(gp), rtol=0, atol=1e-11 * (1 + np.max(np.abs(sigma1_field(gp)))))
         assert np.allclose(sigma2_field(gt), sigma2_field(gp), rtol=0, atol=1e-11 * (1 + np.max(np.abs(sigma2_field(gp)))))
 
     def test_sigma_relations(self, geom3, problem3, rng):
-        u = random_band_limited(geom3, rng, 1, 0.5)
-        dv = spectral_derivatives(u)
-        gp = gprime(u, problem3, dv)
-        gt = gtilde(u, problem3, dv)
+        it = evaluate(random_band_limited(geom3, rng, 1, 0.5), problem3, 0.0)
+        gp = gprime(it)
+        gt = gtilde(it)
         n = 3
         s1p, s2p = sigma1_field(gp), sigma2_field(gp)
         s1t, s2t = sigma1_field(gt), sigma2_field(gt)
@@ -161,16 +181,15 @@ class TestGTilde:
 class TestFMatrix:
     def test_trivial(self, geom2):
         u0, d = trivial_setup(geom2, A=0.05)
-        fm = gtilde(u0, d).matrices
+        fm = gtilde(evaluate(u0, d, 0.0)).matrices
         for j in range(2):
             assert np.allclose(fm[j, j].real, 1.0 / 0.05, rtol=1e-13)
 
     def test_trace_identity(self, geom2, problem2, rng):
         # trace of F against the flat metric equals (n-1) sigma_1(g')
-        u = random_band_limited(geom2, rng, 2, 0.7)
-        dv = spectral_derivatives(u)
-        fm = gtilde(u, problem2, dv)
-        s1p = sigma1_field(gprime(u, problem2, dv))
+        it = evaluate(random_band_limited(geom2, rng, 2, 0.7), problem2, 0.0)
+        fm = gtilde(it)
+        s1p = sigma1_field(gprime(it))
         got = sigma1_field(fm)
         assert np.max(np.abs(got - (2 - 1) * s1p)) <= 1e-11 * (1.0 + np.max(np.abs(got)))
 
@@ -180,10 +199,10 @@ class TestFMatrix:
         x = geom2.coordinate(0) * np.ones(geom2.shape)
         y = geom2.coordinate(3) * np.ones(geom2.shape)
         u = ScalarField(geom2, 0.3 * np.cos(w * x) + 0.2 * np.sin(w * y))
-        dv = spectral_derivatives(u)
-        gp = gprime(u, problem2, dv).matrices
-        fm = gtilde(u, problem2, dv).matrices
-        s1 = sigma1_field(gprime(u, problem2, dv))
+        it = evaluate(u, problem2, 0.0)
+        gp = gprime(it).matrices
+        fm = gtilde(it).matrices
+        s1 = sigma1_field(gprime(it))
         for j in range(2):
             want = s1 - gp[j, j].real
             assert np.max(np.abs(fm[j, j].real - want)) <= 1e-11 * (1.0 + np.max(np.abs(want)))
@@ -192,23 +211,23 @@ class TestFMatrix:
 class TestResiduals:
     def test_trivial_solution_residuals_vanish(self, geom2, geom3):
         for geom in (geom2, geom3):
-            u0, d = trivial_setup(geom, A=0.05)
-            assert np.max(np.abs(residual_fy1(u0, d).values)) < 1e-12
-            assert np.max(np.abs(residual_sigma2(u0, d).values)) < 1e-10
+            it = evaluate(*trivial_setup(geom, A=0.05), 0.0)
+            assert np.max(np.abs(residual_fy1(it))) < 1e-12
+            assert np.max(np.abs(it.residual)) < 1e-10
 
     def test_divergence_structure_integrates_to_zero(self, geom2, problem2, rng):
         # integral of the residual is t * integral(mu) = 0 plus aliasing
         u = random_band_limited(geom2, rng, 2, 0.5)
-        r = residual_fy1(u, problem2)
-        assert abs(integrate(r)) < 1e-10 * (1.0 + np.max(np.abs(r.values)))
+        r = residual_fy1(evaluate(u, problem2, 0.0))
+        assert abs(np.mean(r)) < 1e-10 * (1.0 + np.max(np.abs(r)))
 
     def test_proportionality(self, geom2, geom3, problem2, problem3, rng):
         for geom, d in ((geom2, problem2), (geom3, problem3)):
             u = random_band_limited(geom, rng, 2, 0.6)
             u = ScalarField(geom, u.values + 0.8)
-            dv = spectral_derivatives(u)
-            r1 = residual_fy1(u, d, dv).values
-            r2 = residual_sigma2(u, d, dv).values
+            it = evaluate(u, d, 0.0)
+            r1 = residual_fy1(it)
+            r2 = it.residual
             pred = 2 * geom.n * d.alpha * r1
             scale = max(1.0, np.max(np.abs(r2)), np.max(np.abs(pred)))
             assert np.max(np.abs(r2 - pred)) <= 1e-10 * scale
@@ -216,21 +235,23 @@ class TestResiduals:
     def test_rhs_constant_field_values(self, geom2):
         # at u = -log A with t = 0 the right-hand side is kappa_c e^{2u}
         u0, d = trivial_setup(geom2, A=0.1)
-        rhs = rhs_sigma2(u0, d).values
+        it = evaluate(u0, d, 0.0)
+        rhs = rhs_sigma2(d, it.derivs, it.weights)
         assert np.allclose(rhs, 1.0 / 0.01, rtol=1e-12)
         zero = constant_field(geom2, 0.0)
         d1 = ProblemData(geom2, 2.0, zero, zero, 0.3, t=1.0)
-        u = constant_field(geom2, 0.4)
-        assert np.allclose(rhs_sigma2(u, d1).values, 1.0 * np.exp(0.8), rtol=1e-12)
+        it = evaluate(constant_field(geom2, 0.4), d1, 0.0)
+        assert np.allclose(rhs_sigma2(d1, it.derivs, it.weights), 1.0 * np.exp(0.8),
+                           rtol=1e-12)
 
     def test_small_perturbation_is_linear(self, geom2, rng):
-        # the residual at u0 + eps v is eps * linearize + O(eps^2)
+        # the residual at u0 + eps v is eps * (the derivative at u0) v + O(eps^2)
         u0, d = trivial_setup(geom2, A=0.1)
         v = random_band_limited(geom2, rng, 2, 1.0)
         eps = 1e-6
         u = ScalarField(geom2, u0.values + eps * v.values)
-        r = residual_sigma2(u, d).values
-        lin = linearize(u0, d, v).values
+        r = residual(u, d)
+        lin = derivative(u0, d, v)
         assert np.max(np.abs(r - eps * lin)) <= 1e-4 * np.max(np.abs(r))
 
 
@@ -240,11 +261,10 @@ class TestLinearize:
         for _ in range(4):
             u = random_band_limited(geom2, rng, 2, 0.5)
             v = random_band_limited(geom2, rng, 2, 1.0)
-            lin = linearize(u, problem2, v).values
+            lin = derivative(u, problem2, v)
             up = ScalarField(geom2, u.values + eps * v.values)
             um = ScalarField(geom2, u.values - eps * v.values)
-            fd = (residual_sigma2(up, problem2).values
-                  - residual_sigma2(um, problem2).values) / (2 * eps)
+            fd = (residual(up, problem2) - residual(um, problem2)) / (2 * eps)
             assert np.max(np.abs(fd - lin)) <= 1e-6 * max(1.0, np.max(np.abs(lin)))
 
     def test_fourier_symbol_at_trivial_solution(self, geom2):
@@ -257,7 +277,7 @@ class TestLinearize:
         v = ScalarField(geom2, np.cos(2 * w * x) * np.cos(w * y))
         lam = -0.25 * ((2 * w) ** 2 + w ** 2)
         want = 2 * 2 * 1.3 * (2 - 1) * np.exp(u0.values) * lam * v.values
-        got = linearize(u0, d, v).values
+        got = derivative(u0, d, v)
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
     def test_constant_direction(self, geom2, problem2, rng):
@@ -265,12 +285,11 @@ class TestLinearize:
         u = random_band_limited(geom2, rng, 2, 0.4)
         c = 0.7
         v = constant_field(geom2, c)
-        lin = linearize(u, problem2, v).values
+        lin = derivative(u, problem2, v)
         eps = 1e-6
         up = ScalarField(geom2, u.values + eps * c)
         um = ScalarField(geom2, u.values - eps * c)
-        fd = (residual_sigma2(up, problem2).values
-              - residual_sigma2(um, problem2).values) / (2 * eps)
+        fd = (residual(up, problem2) - residual(um, problem2)) / (2 * eps)
         assert np.max(np.abs(fd - lin)) <= 1e-6 * max(1.0, np.max(np.abs(lin)))
 
 
@@ -278,7 +297,7 @@ class TestManufacturedMu:
     def test_constant_u_star_zero_f(self, geom2):
         zero = constant_field(geom2, 0.0)
         d = ProblemData(geom2, 1.0, zero, zero, 0.1, t=1.0)
-        mu = manufactured_mu(constant_field(geom2, 1.2), d)
+        mu = manufactured_mu(evaluate(constant_field(geom2, 1.2), d, 0.0))
         assert np.max(np.abs(mu.values)) < 1e-14
 
     def test_residual_vanishes_by_construction(self, geom2, rng):
@@ -286,10 +305,10 @@ class TestManufacturedMu:
         zero = constant_field(geom2, 0.0)
         seed = ProblemData(geom2, 0.9, f, zero, 0.1, t=1.0)
         u_star = ScalarField(geom2, 2.0 + random_band_limited(geom2, rng, 2, 0.3).values)
-        mu = manufactured_mu(u_star, seed)
+        mu = manufactured_mu(evaluate(u_star, seed, 0.0))
         assert abs(integrate(mu)) < 1e-10
         d = ProblemData(geom2, 0.9, f, mu, 0.1, t=1.0)
-        r = residual_fy1(u_star, d).values
+        r = residual_fy1(evaluate(u_star, d, 0.0))
         assert np.max(np.abs(r)) < 1e-11 * (1.0 + np.max(np.abs(mu.values)))
 
 
@@ -299,8 +318,7 @@ class TestEigenvalues:
         # two independent evaluations of sigma_2(g'): the trace identity
         # against elementary symmetric sums of the per-node eigenvalues
         for geom, d in ((geom2, problem2), (geom3, problem3)):
-            u = random_band_limited(geom, rng, 2, 0.6)
-            gp = gprime(u, d)
+            gp = gprime(evaluate(random_band_limited(geom, rng, 2, 0.6), d, 0.0))
             via_trace = sigma2_field(gp)
             eigs = hermitian_eigenvalues(gp)
             via_eigs = np.zeros(geom.shape)
@@ -312,8 +330,7 @@ class TestEigenvalues:
 
     def test_against_lapack_oracle(self, geom2, geom3, problem2, problem3, rng):
         for geom, d in ((geom2, problem2), (geom3, problem3)):
-            u = random_band_limited(geom, rng, 1, 0.6)
-            h = gprime(u, d)
+            h = gprime(evaluate(random_band_limited(geom, rng, 1, 0.6), d, 0.0))
             got = hermitian_eigenvalues(h)
             mats = np.moveaxis(h.matrices.reshape(geom.n, geom.n, -1), -1, 0)
             want = np.linalg.eigvalsh(mats)  # ascending
@@ -322,7 +339,7 @@ class TestEigenvalues:
 
     def test_gamma2_mask_margin(self, geom2, problem2):
         u0 = constant_field(geom2, -np.log(problem2.A))
-        gp = gprime(u0, problem2.with_t(0.0))
+        gp = gprime(evaluate(u0, problem2.with_t(0.0), 0.0))
         lam = 1.0 / problem2.A  # eigenvalues of the trivial g'
         assert np.all(gamma2_mask(gp, margin=0.0))
         assert np.all(gamma2_mask(gp, margin=lam * 0.5))
@@ -389,17 +406,16 @@ class TestLeanIterate:
     @pytest.mark.parametrize("which", ["problem2", "problem3"])
     def test_closed_form_sigmas(self, which, request, rng):
         d = request.getfixturevalue(which)
-        u = random_band_limited(d.geometry, rng, 3, 1.0)
-        dv = spectral_derivatives(u)
-        s1, s2 = gprime_sigmas(u, d, dv)
-        gp = gprime(u, d, dv)
+        it = evaluate(random_band_limited(d.geometry, rng, 3, 1.0), d, 0.0)
+        s1, s2 = gprime_sigmas(d, it.derivs, it.weights.a)
+        gp = gprime(it)
         for got, want in ((s1, sigma1_field(gp)), (s2, sigma2_field(gp))):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("which", ["problem2", "problem3"])
     def test_streamed_apply(self, which, request, rng):
         d = request.getfixturevalue(which)
-        lc = linearization_coefficients(perturbed_solution(d, rng), d)
+        lc = linearization_coefficients(evaluate(perturbed_solution(d, rng), d, 0.0))
         v = random_band_limited(d.geometry, rng, 3, 1.0)
         rows = spectral_derivatives(v).rows
         want = sum(k_r * row for k_r, row in zip(lc.k, rows)) + lc.c0 * v.values

@@ -56,55 +56,59 @@ class TestEstimateReport:
 class TestMoserIdentity:
     def test_trivial_data_gap_is_zero(self, geom2, trivial2):
         u0 = constant_field(geom2, -np.log(trivial2.A))
+        it = evaluate(u0, trivial2, 0.0)
         for k in (2.0, 4.0, 8.0):
-            assert moser_identity_gap(u0, trivial2, k) == 0.0
+            assert moser_identity_gap(it, k) == 0.0
 
     def test_solved_field_gap_small(self, solved_manufactured):
         _, data, u, _ = solved_manufactured
+        it = evaluate(u, data, 0.0)
         for k in (2.0, 4.0, 8.0):
-            assert moser_identity_gap(u, data, k) < 1e-8
+            assert moser_identity_gap(it, k) < 1e-8
 
     def test_non_solution_gap_large(self, solved_manufactured, rng):
         geom, data, u, _ = solved_manufactured
         bad = ScalarField(geom, u.values + random_band_limited(geom, rng, 2, 0.3).values)
-        assert moser_identity_gap(bad, data, 4.0) > 1e-3
+        assert moser_identity_gap(evaluate(bad, data, 0.0), 4.0) > 1e-3
 
     def test_weight_validation(self, geom2, trivial2):
         u0 = constant_field(geom2, -np.log(trivial2.A))
         with pytest.raises(ValueError):
-            moser_identity_gap(u0, trivial2, 0.0)
+            moser_identity_gap(evaluate(u0, trivial2, 0.0), 0.0)
 
 
 class TestReverseSobolev:
-    def test_constant_field_is_zero(self, geom2):
-        assert reverse_sobolev_constant(constant_field(geom2, 1.3), 4.0) == 0.0
+    def test_constant_field_is_zero(self, geom2, trivial2):
+        it = evaluate(constant_field(geom2, 1.3), trivial2, 0.0)
+        assert reverse_sobolev_constant(it, 4.0) == 0.0
 
     def test_bounded_over_k_on_solved_field(self, solved_manufactured):
-        _, _, u, _ = solved_manufactured
-        consts = [reverse_sobolev_constant(u, k) for k in (4.0, 8.0, 16.0, 32.0)]
+        _, data, u, _ = solved_manufactured
+        it = evaluate(u, data, 0.0)
+        consts = [reverse_sobolev_constant(it, k) for k in (4.0, 8.0, 16.0, 32.0)]
         assert all(np.isfinite(c) and c >= 0.0 for c in consts)
         # empirical uniform bound for solved fields on this data family
         assert max(consts) < 20.0
 
-    def test_steep_non_solution_finite(self, geom2, rng):
+    def test_steep_non_solution_finite(self, geom2, trivial2, rng):
         u = ScalarField(geom2, 5.0 * random_band_limited(geom2, rng, 2, 1.0).values)
-        c = reverse_sobolev_constant(u, 8.0)
+        c = reverse_sobolev_constant(evaluate(u, trivial2, 0.0), 8.0)
         assert np.isfinite(c) and c > 0.0
 
-    def test_k_validation(self, geom2):
+    def test_k_validation(self, geom2, trivial2):
         with pytest.raises(ValueError):
-            reverse_sobolev_constant(constant_field(geom2, 0.0), 0.5)
+            reverse_sobolev_constant(evaluate(constant_field(geom2, 0.0), trivial2, 0.0), 0.5)
 
 
 class TestWedgeLowerBound:
     def test_constant_field_exact_zero(self, geom2, trivial2):
         u0 = constant_field(geom2, -np.log(trivial2.A))
-        assert wedge_lower_bound_check(u0, trivial2) == 0.0
+        assert wedge_lower_bound_check(evaluate(u0, trivial2, 0.0)) == 0.0
 
     def test_solved_field_nonnegative(self, solved_manufactured):
         _, data, u, _ = solved_manufactured
         scale = 1.0 + float(np.max(np.abs(u.values))) ** 2
-        assert wedge_lower_bound_check(u, data) >= -1e-10 * scale
+        assert wedge_lower_bound_check(evaluate(u, data, 0.0)) >= -1e-10 * scale
 
     def test_hypothesis_error_when_metric_not_positive(self, geom2):
         zero = constant_field(geom2, 0.0)
@@ -113,7 +117,7 @@ class TestWedgeLowerBound:
         x = geom2.coordinate(0) * np.ones(geom2.shape)
         bad = ScalarField(geom2, -np.log(0.1) + 2.5 * np.cos(w * x))
         with pytest.raises(HypothesisError):
-            wedge_lower_bound_check(bad, d)
+            wedge_lower_bound_check(evaluate(bad, d, 0.0))
 
 
 class TestCsv:

@@ -6,14 +6,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sigma2lab import cli, forms, profiles, solve, torus
+from sigma2lab import cli, forms, monitors, profiles, solve, torus
 from sigma2lab.errors import (
     ConeViolationError,
     ContinuationStallError,
     ConvergenceError,
     NormalizationError,
 )
-from sigma2lab.forms import ProblemData, evaluate, gamma2_mask, gprime, residual_sigma2
+from sigma2lab.forms import ProblemData, evaluate, gamma2_mask, gprime
 from sigma2lab.profiles import normalization_level
 from sigma2lab.solve import (
     SolverConfig,
@@ -26,7 +26,7 @@ from sigma2lab.torus import ScalarField, constant_field, random_band_limited
 
 
 def resnorm(u, d):
-    return float(np.max(np.abs(residual_sigma2(u, d).values)))
+    return evaluate(u, d, 0.0).rnorm
 
 
 class TestSolverConfig:
@@ -99,7 +99,7 @@ class TestNewtonStep:
         w = 2 * np.pi / geom2.period
         x = geom2.coordinate(0) * np.ones(geom2.shape)
         bad = ScalarField(geom2, -np.log(0.1) + 2.0 * np.cos(w * x))
-        assert not np.all(gamma2_mask(gprime(bad, d)))
+        assert not np.all(gamma2_mask(gprime(evaluate(bad, d, 0.0))))
         cfg = SolverConfig()
         with pytest.raises(ConeViolationError):
             _newton_step(evaluate(bad, d, cfg.cone_margin), cfg)
@@ -115,7 +115,7 @@ class TestNewtonStep:
         it, s = _newton_step(evaluate(u0, d, cfg.cone_margin), cfg)
         u1 = it.u
         assert s < 1.0
-        assert np.all(gamma2_mask(gprime(u1, d), cfg.cone_margin))
+        assert np.all(gamma2_mask(gprime(evaluate(u1, d, 0.0)), cfg.cone_margin))
         assert resnorm(u1, d) <= resnorm(normalize(u0, d.A, 4.0), d) * (1 + 1e-12)
 
     def test_one_trial_alive_at_a_time(self, geom2, monkeypatch):
@@ -168,6 +168,17 @@ class TestSolveAtT:
         assert err.best is not None
         assert len(err.history) == 1
 
+    def test_overflowed_field_is_never_converged(self, geom2, trivial2):
+        # e^{2u} overflows at u = 400, so sigma_2(g') and the right-hand side
+        # are both infinite and the residual is NaN: the Newton iteration
+        # must fail with a typed solver error, not return the field
+        cfg = SolverConfig()
+        with np.errstate(all="ignore"):
+            it = evaluate(constant_field(geom2, 400.0), trivial2, cfg.cone_margin)
+            assert np.isnan(it.rnorm)
+            with pytest.raises(solve._SOLVE_FAILURES):
+                _solve_at_t(it, cfg)
+
     def test_manufactured_recovery_coarse(self, geom2):
         data, u_star = profiles.manufactured_problem(
             geom2, alpha=1.0, base_A=0.1, amplitude=0.25, f_scale=0.05)
@@ -203,13 +214,14 @@ class TestBorderedNewtonSystem:
         pert = random_band_limited(geom2, rng, 2, 1e-3)
         u = normalize(ScalarField(geom2, u_star.values + pert.values), data.A, gamma)
         rtol = 1e-8
-        r = residual_sigma2(u, data).values
-        coeffs = forms.linearization_coefficients(u, data)
+        it = evaluate(u, data, 0.0)
+        r = it.residual
+        coeffs = forms.linearization_coefficients(it)
         v = solve.solve_newton_system(u, data, coeffs, -r, rtol)
 
         omega = np.exp(-gamma * u.values)
         omega /= np.sum(omega)
-        lv = forms.linearize(u, data, ScalarField(geom2, v), coeffs).values
+        lv = coeffs.apply_to(v)
         proj_r = r - np.mean(r)
         bnorm = float(np.linalg.norm(proj_r))
         assert np.linalg.norm(lv - np.mean(lv) + proj_r) <= rtol * bnorm
@@ -271,7 +283,7 @@ class TestContinuityRun:
         report, u = run_and_return(d, cfg)
         assert report.converged
         assert abs(normalization_level(u, 4.0) - 0.1) < 1e-10
-        assert np.all(gamma2_mask(gprime(u, d), cfg.cone_margin))
+        assert np.all(gamma2_mask(gprime(evaluate(u, d, 0.0)), cfg.cone_margin))
         assert all(rn < cfg.newton_tol for rn in report.residual_norms)
         assert all(rep.gamma2_fraction == 1.0 for rep in report.monitor_snapshots)
 
@@ -310,9 +322,9 @@ class TestContinuityRun:
 class TestOneEvaluationPerIterate:
     def test_default_solve(self, tmp_path, patch_everywhere):
         # Count the bundles and the closed-form sigmas of g' of the default
-        # CLI solve by the bytes of their field (and t, for the sigmas).  The
-        # operator applies inside the Newton system are the only bundles not
-        # counted: Krylov directions are not iterates.
+        # CLI solve by the bytes of their field (of a and t, for the sigmas).
+        # The operator applies inside the Newton system are the only bundles
+        # not counted: Krylov directions are not iterates.
         bundles, sigmas = Counter(), Counter()
         in_newton_system = []
         derivs, sigmas_, system = (torus.spectral_derivatives, forms.gprime_sigmas,
@@ -323,9 +335,9 @@ class TestOneEvaluationPerIterate:
                 bundles[u.values.tobytes()] += 1
             return derivs(u)
 
-        def counted_sigmas(u, d, *args, **kwargs):
-            sigmas[(u.values.tobytes(), d.t)] += 1
-            return sigmas_(u, d, *args, **kwargs)
+        def counted_sigmas(d, dv, a):
+            sigmas[(a.tobytes(), d.t)] += 1
+            return sigmas_(d, dv, a)
 
         def marked_system(*args, **kwargs):
             in_newton_system.append(True)
@@ -342,6 +354,28 @@ class TestOneEvaluationPerIterate:
         assert len(bundles) > 2 and len(sigmas) > 2
         assert max(bundles.values()) == 1
         assert max(sigmas.values()) == 1
+
+    def test_monitor_on_accepted_iterate(self, geom2, patch_everywhere):
+        # a monitor run on each accepted iterate reads its bundle and weights
+        # instead of building them again
+        bundles, accepted = Counter(), []
+        derivs = torus.spectral_derivatives
+
+        def counted_derivs(u):
+            bundles[u.values.tobytes()] += 1
+            return derivs(u)
+
+        def on_accept(t, it):
+            accepted.append(it.u.values.tobytes())
+            floor = -1e-10 * (1.0 + float(np.max(np.abs(it.u.values))) ** 2)
+            assert monitors.wedge_lower_bound_check(it) >= floor
+
+        patch_everywhere(derivs, counted_derivs)
+        d = profiles.perturbative_problem(geom2, 1.0, 0.1, 0.05, 0.05)
+        report, _ = run_and_return(d, SolverConfig(), on_accept=on_accept)
+        assert report.converged and len(accepted) == len(report.t_values)
+        assert all(bundles[u] == 1 for u in accepted)
+        assert max(bundles.values()) == 1
 
 
 class TestGridRefinement:
@@ -371,7 +405,7 @@ class TestGridRefinement:
         f32 = profiles.f_profile(g32, 0.05)
         zero32 = constant_field(g32, 0.0)
         mu32 = forms.manufactured_mu(
-            us32, ProblemData(g32, alpha, f32, zero32, A, t=1.0))
+            evaluate(us32, ProblemData(g32, alpha, f32, zero32, A, t=1.0), 0.0))
         d32 = ProblemData(g32, alpha, f32, mu32, A, t=1.0)
         f16 = ScalarField(g16, f32.values[sl])
         mu16 = torus.zero_mean(ScalarField(g16, mu32.values[sl]))

@@ -22,12 +22,10 @@ def test_injected_fault_is_caught(monkeypatch):
     # the sigma-relation suite must fail with a concrete counterexample
     real_gtilde = forms.gtilde
 
-    def broken_gtilde(u, d, derivs=None):
-        gt = real_gtilde(u, d, derivs)
-        coef = 2.0 * d.n * d.alpha
-        from sigma2lab.torus import spectral_derivatives
-        dv = derivs if derivs is not None else spectral_derivatives(u)
-        rows = gt.rows + 2.0 * coef * dv.hess_rows  # sign flip of the Hessian part
+    def broken_gtilde(it):
+        gt = real_gtilde(it)
+        coef = 2.0 * it.data.n * it.data.alpha
+        rows = gt.rows + 2.0 * coef * it.derivs.hess_rows  # sign flip of the Hessian part
         return forms.HermitianField(gt.geometry, rows)
 
     monkeypatch.setattr(forms, "gtilde", broken_gtilde)
@@ -40,10 +38,8 @@ def test_residual_fault_is_caught(monkeypatch):
     # a wrong proportionality constant must break the equivalence suite
     real = forms.residual_fy1
 
-    def broken(u, d, derivs=None):
-        r = real(u, d, derivs)
-        from sigma2lab.torus import ScalarField
-        return ScalarField(r.geometry, 1.01 * r.values)
+    def broken(it):
+        return 1.01 * real(it)
 
     monkeypatch.setattr(forms, "residual_fy1", broken)
     res = verify.suite_residual_proportionality(seed=3, fields=2)
