@@ -30,7 +30,7 @@ import numpy as np
 from . import monitors
 from .degeneracy import n2_sweep, n3_sweep
 from .errors import ConfigurationError, ContinuationStallError, Sigma2LabError
-from .forms import ProblemData, evaluate
+from .forms import ProblemData, check_A, evaluate
 from .monitors import moser_identity_gap, reverse_sobolev_constant
 from .profiles import manufactured_problem, perturbative_problem, trivial_problem
 from .solve import SolverConfig, run_and_return
@@ -254,10 +254,13 @@ def cmd_sweep_a(args) -> int:
     a_list = _number_list("--a-list", args.a_list)
     if not a_list:
         raise ConfigurationError("--a-list is empty")
-    if any(not 0.0 < a < 1.0 for a in a_list) or any(
-            a_list[i] <= a_list[i + 1] for i in range(len(a_list) - 1)):
-        raise ConfigurationError(
-            f"--a-list must be descending values in (0, 1), got {args.a_list}")
+    if any(a_list[i] <= a_list[i + 1] for i in range(len(a_list) - 1)):
+        raise ConfigurationError(f"--a-list must be descending, got {args.a_list}")
+    for a in a_list:  # every A is checked before the first solve
+        try:
+            check_A(a, cfg.n)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"--a-list: {exc}") from None
     out = _prepare_out(cfg.out, args.out)
     rows = []
     failures = 0

@@ -10,6 +10,9 @@ three normalized pieces of data:
     theta  = 2 alpha eps e^{-eps u(p)}  >= 0,
 
 with kappa_p := sigma_2(m) derived from m, never supplied independently.
+m and w are plain float arrays of length n, and the probe rejects
+non-finite data.  minimum_rhs takes the deleted functions sigma_k(m|j) from
+one symfun.elementary call over the n tuples m without entry j.
 minimum_rhs evaluates the right-hand side of the inequality exactly as
 displayed (the error-group remainder terms are proof bookkeeping and are not
 modeled).  For n = 2 the inequality collapses to a two-eigenvalue expression
@@ -28,10 +31,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConeViolationError, ConsistencyError, HypothesisError
-from .symfun import Spectrum, as_spectrum, elementary, scale_of
+from .symfun import elementary, scale_of
 
 _CONE_TOL = 1e-12
 _WEIGHT_TOL = 1e-12
+
+
+def _eigenvalues(m, n: int) -> np.ndarray:
+    """m as a finite float array of n >= 2 eigenvalues."""
+    m = np.asarray(m, dtype=float)
+    if n < 2 or m.shape != (n,):
+        raise ValueError(f"spectrum has shape {m.shape}, expected ({n},) with n >= 2")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"spectrum entries must be finite, got {m.tolist()}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -40,38 +53,37 @@ class DegeneracyProbe:
 
     m may touch the boundary of the Gamma_2 cone (the studied paths do, at
     their degenerate endpoints), so membership is checked for the closed
-    cone: sigma_1 >= 0 and sigma_2 >= 0 up to rounding.
+    cone: sigma_1 >= 0 and sigma_2 >= 0 up to rounding.  m and w are finite
+    float arrays of length n, and theta is finite.
     """
 
     n: int
-    m: Spectrum
+    m: np.ndarray
     w: np.ndarray
     theta: float
 
     def __post_init__(self):
-        m = as_spectrum(self.m)
+        m = _eigenvalues(self.m, self.n)
         object.__setattr__(self, "m", m)
-        if m.n != self.n:
-            raise ValueError(f"spectrum has {m.n} entries, expected n={self.n}")
         w = np.asarray(self.w, dtype=float)
         if w.shape != (self.n,):
             raise ValueError(f"weights must have length {self.n}")
-        if np.any(w < -_WEIGHT_TOL) or abs(float(np.sum(w)) - 1.0) > _WEIGHT_TOL:
-            raise ValueError("weights must be nonnegative and sum to 1")
+        if not (np.all(w >= -_WEIGHT_TOL) and abs(float(np.sum(w)) - 1.0) <= _WEIGHT_TOL):
+            raise ValueError(f"weights must be finite, nonnegative and sum to 1, got {w.tolist()}")
         object.__setattr__(self, "w", np.clip(w, 0.0, None))
-        if not self.theta >= 0.0:
-            raise ValueError("theta must be nonnegative")
-        tol = _CONE_TOL * scale_of(m.values)
-        e = elementary(m.values)
+        if not 0.0 <= self.theta < math.inf:
+            raise ValueError(f"theta must be finite and nonnegative, got {self.theta}")
+        tol = _CONE_TOL * scale_of(m)
+        e = elementary(m)
         if e[1] < -tol or e[2] < -tol:
             raise ConeViolationError(
-                f"normalized spectrum {m.values.tolist()} is outside the closed "
+                f"normalized spectrum {m.tolist()} is outside the closed "
                 f"Gamma_2 cone (sigma1={e[1]:.3g}, sigma2={e[2]:.3g})"
             )
 
     @property
     def kappa_p(self) -> float:
-        return float(elementary(self.m.values)[2])
+        return float(elementary(self.m)[2])
 
 
 def theta_from(alpha: float, eps: float, u_at_min: float) -> float:
@@ -88,7 +100,7 @@ def minimum_rhs(p: DegeneracyProbe) -> float:
     sum_j w_j sigma_k(m|j) for k = 2, 3.
     """
     n = p.n
-    m = p.m.values
+    m = p.m
     w = p.w
     theta = p.theta
     kappa_c = n * (n - 1) / 2.0
@@ -97,14 +109,13 @@ def minimum_rhs(p: DegeneracyProbe) -> float:
     s1 = float(e[1])
     s3 = float(e[3]) if n >= 3 else 0.0
 
-    # deleted symmetric functions, one deletion per entry
+    # deleted symmetric functions: row j is m without entry j, padded with
+    # two zeros so that sigma_2 and sigma_3 exist for every n >= 2
     s1_del = s1 - m
-    s2_del = np.empty(n)
-    s3_del = np.empty(n)
-    for j in range(n):
-        rest = elementary(np.delete(m, j))
-        s2_del[j] = rest[2] if rest.size > 2 else 0.0
-        s3_del[j] = rest[3] if rest.size > 3 else 0.0
+    deleted = np.zeros((n, n + 1))
+    deleted[:, :n - 1] = np.tile(m, (n, 1))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    e_del = elementary(deleted)
+    s2_del, s3_del = e_del[:, 2], e_del[:, 3]
 
     term_tr = (0.5 - 1.0 / n - 1.5 * kappa_p / kappa_c + theta) * ((n - 1) / n) * s1
     term_grad = (((n + 1) / n) * (kappa_p / (n - 1) - 1.0) + 2.0 * theta) \
@@ -128,11 +139,9 @@ def n2_reduced_rhs(kappa_p: float, theta: float, m) -> float:
     gradient direction (m1 is the eigenvalue complementary to it); a general
     gradient weight is the matching convex combination of the two orders.
     """
-    m = as_spectrum(m)
-    if m.n != 2:
-        raise ValueError("the reduced form is specific to n = 2")
-    m1, m2 = float(m.values[0]), float(m.values[1])
-    if abs(m1 * m2 - kappa_p) > 1e-10 * scale_of(m.values, [kappa_p]):
+    m = _eigenvalues(m, 2)
+    m1, m2 = float(m[0]), float(m[1])
+    if abs(m1 * m2 - kappa_p) > 1e-10 * scale_of(m, [kappa_p]):
         raise ConsistencyError(
             f"kappa_p={kappa_p} is inconsistent with m1*m2={m1 * m2}"
         )
@@ -178,7 +187,7 @@ def n3_path(s: float) -> tuple:
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"the path parameter must lie in [0, 1], got {s}")
-    probe = DegeneracyProbe(n=3, m=Spectrum(np.array([1.0, s, s])),
+    probe = DegeneracyProbe(n=3, m=np.array([1.0, s, s]),
                             w=np.array([1.0, 0.0, 0.0]), theta=0.0)
     return probe.kappa_p, minimum_rhs(probe)
 

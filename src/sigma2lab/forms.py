@@ -109,6 +109,19 @@ def _check_t(t: float) -> None:
         raise ConfigurationError(f"t must lie in [0, 1], got {t}")
 
 
+def check_A(A: float, n: int) -> None:
+    """Raise ConfigurationError unless A lies in (0, 1) and kappa_c / A^2,
+    sigma_2(g') of the t = 0 solution -log A in dimension n, is finite in
+    float64."""
+    if not (0.0 < A < 1.0):
+        raise ConfigurationError(f"A must lie in (0, 1), got {A}")
+    if not math.isfinite(n * (n - 1) / 2.0 / A / A):
+        raise ConfigurationError(
+            f"A = {A:g} is too small: sigma_2(g') = kappa_c / A^2 of the "
+            "t = 0 solution -log A overflows float64"
+        )
+
+
 class ProblemData:
     """Coefficients of the equation on a fixed geometry.
 
@@ -124,8 +137,7 @@ class ProblemData:
                  f_derivs: GradLap | None = None):
         if not (alpha > 0.0 and np.isfinite(alpha)):
             raise ConfigurationError(f"alpha must be positive, got {alpha}")
-        if not (0.0 < A < 1.0):
-            raise ConfigurationError(f"A must lie in (0, 1), got {A}")
+        check_A(A, geometry.n)
         _check_t(t)
         if f.geometry is not geometry and f.geometry != geometry:
             raise ConfigurationError("f lives on a different geometry")
@@ -146,11 +158,6 @@ class ProblemData:
         self.A = float(A)
         self.t = float(t)
         self._f_derivs = f_derivs
-        if not math.isfinite(self.kappa_c / self.A / self.A):
-            raise ConfigurationError(
-                f"A = {A:g} is too small: sigma_2(g') = kappa_c / A^2 of the "
-                "t = 0 solution -log A overflows float64"
-            )
 
     @property
     def n(self) -> int:

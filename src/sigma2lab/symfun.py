@@ -1,65 +1,29 @@
 """Elementary symmetric functions on small eigenvalue tuples.
 
 Everything here is exact pointwise algebra on tuples of n real eigenvalues
-(n is small, typically 2..5): the elementary symmetric functions sigma_k,
-their deleted variants sigma_k(lam|j), Gamma_2 cone membership, and the two
-pointwise inequalities used throughout the C^2 analysis of the equation
-(the Guan-Ren-Wang concavity inequality and the leading-eigenvalue product
-bound lam'_1 * sigma_1(lam'|1) >= (2/n) * sigma_2(lam')).
+(n is small, typically 2..5), held over the last axis of an array: one call
+acts on one tuple of shape (n,) or on a batch of shape (..., n).  It gives
+the elementary symmetric functions sigma_k, and the slack in the two
+pointwise inequalities used throughout the C^2 analysis of the equation (the
+Guan-Ren-Wang concavity inequality and the leading-eigenvalue product bound
+lam'_1 * sigma_1(lam'|1) >= (2/n) * sigma_2(lam')).  The `verify` suites
+grw-gap and leading-product run these two functions on random Gamma_2
+samples.
 
 sigma_k is evaluated with the stable one-entry-at-a-time recurrence
 
     e_k(x_1..x_m) = e_k(x_1..x_{m-1}) + x_m * e_{k-1}(x_1..x_{m-1})
 
 which avoids the cancellation-prone Newton identities for the small n used
-here.
+here.  The deleted functions sigma_k(lam|j) are sigma_k of the tuple with
+entry j removed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConeViolationError
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """An ordered tuple of n real eigenvalues relative to the background metric."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size < 2:
-            raise ValueError("a spectrum needs at least two eigenvalues")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("spectrum entries must be finite")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-    def __iter__(self):
-        return iter(self.values)
-
-
-@dataclass(frozen=True)
-class ConeVerdict:
-    """Gamma_2 membership together with the two symmetric functions."""
-
-    in_gamma2: bool
-    sigma1: float
-    sigma2: float
-
-
-def as_spectrum(lam) -> Spectrum:
-    """Coerce an array-like of eigenvalues into a Spectrum."""
-    if isinstance(lam, Spectrum):
-        return lam
-    return Spectrum(np.asarray(lam, dtype=float))
 
 
 def scale_of(*arrays) -> float:
@@ -87,49 +51,26 @@ def elementary(values: np.ndarray) -> np.ndarray:
     return e
 
 
-def sigma(k: int, lam) -> float:
-    """k-th elementary symmetric function of the eigenvalues.
-
-    Returns 1 for k = 0 and 0 for k > n.
-    """
-    if k < 0:
-        raise ValueError(f"sigma order must be nonnegative, got k={k}")
-    lam = as_spectrum(lam)
-    if k > lam.n:
-        return 0.0
-    return float(elementary(lam.values)[k])
-
-
-def sigma_excl(k: int, lam, j: int) -> float:
-    """sigma_k of the (n-1)-tuple with eigenvalue j deleted (j is 1-based)."""
-    if k < 0:
-        raise ValueError(f"sigma order must be nonnegative, got k={k}")
-    lam = as_spectrum(lam)
-    if not 1 <= j <= lam.n:
-        raise ValueError(f"delete index j={j} out of range 1..{lam.n}")
-    rest = np.delete(lam.values, j - 1)
-    if k > rest.size:
-        return 0.0
-    return float(elementary(rest)[k])
+def _gamma2_spectra(lam: np.ndarray) -> np.ndarray:
+    """elementary(lam) for tuples that must all lie in Gamma_2 (sigma_1 > 0
+    and sigma_2 > 0); raises ConeViolationError naming the first that does not."""
+    if lam.ndim == 0 or lam.shape[-1] < 2:
+        raise ValueError("a spectrum needs at least two eigenvalues")
+    e = elementary(lam)
+    outside = np.argwhere(~((e[..., 1] > 0.0) & (e[..., 2] > 0.0)))
+    if len(outside):
+        i = tuple(outside[0])
+        where = f" (tuple {i[0] if len(i) == 1 else i})" if i else ""
+        raise ConeViolationError(
+            f"spectrum {lam[i].tolist()}{where} is not in Gamma_2 "
+            f"(sigma1={e[i][1]:.3g}, sigma2={e[i][2]:.3g})"
+        )
+    return e
 
 
-def cone_member(lam) -> ConeVerdict:
-    """Gamma_2 verdict: sigma_1 > 0 and sigma_2 > 0."""
-    lam = as_spectrum(lam)
-    e = elementary(lam.values)
-    s1, s2 = float(e[1]), float(e[2])
-    return ConeVerdict(in_gamma2=(s1 > 0.0 and s2 > 0.0), sigma1=s1, sigma2=s2)
-
-
-def sigma2_gradient(lam) -> Spectrum:
-    """Gradient of sigma_2: component p is sigma_1 of the tuple with entry p deleted."""
-    lam = as_spectrum(lam)
-    s1 = float(np.sum(lam.values))
-    return Spectrum(s1 - lam.values)
-
-
-def grw_gap(lam, a) -> float:
-    """Slack in the Guan-Ren-Wang inequality for diagonal tensor data.
+def grw_gap(lam, a) -> np.ndarray:
+    """Slack in the Guan-Ren-Wang inequality for diagonal tensor data, one
+    value per tuple of lam (shape (..., n)) and a (the same shape).
 
     For lam in Gamma_2 and complex diagonal entries a_i, the inequality reads
 
@@ -139,41 +80,34 @@ def grw_gap(lam, a) -> float:
     general-tensor statement is not implemented; only the diagonal form is
     exercised by the estimates here.
     """
-    lam = as_spectrum(lam)
+    lam = np.asarray(lam, dtype=float)
     a = np.asarray(a, dtype=complex)
-    if a.shape != (lam.n,):
-        raise ValueError(f"tensor diagonal must have length {lam.n}")
-    verdict = cone_member(lam)
-    if not verdict.in_gamma2:
-        raise ConeViolationError(
-            f"spectrum {lam.values.tolist()} is not in Gamma_2 "
-            f"(sigma1={verdict.sigma1:.3g}, sigma2={verdict.sigma2:.3g})"
-        )
-    total = np.sum(a)
-    lhs = -float(np.abs(total) ** 2 - np.sum(np.abs(a) ** 2))
-    weights = verdict.sigma1 - lam.values  # sigma_1(lam|i)
-    rhs = -float(np.abs(np.dot(weights, a)) ** 2) / verdict.sigma2
+    if a.shape != lam.shape:
+        raise ValueError(f"tensor diagonals of shape {a.shape} do not match "
+                         f"spectra of shape {lam.shape}")
+    e = _gamma2_spectra(lam)
+    lhs = -(np.abs(a.sum(axis=-1)) ** 2 - np.sum(np.abs(a) ** 2, axis=-1))
+    weighted = np.sum((e[..., 1:2] - lam) * a, axis=-1)  # sigma_1(lam|i) a_i
+    rhs = -np.abs(weighted) ** 2 / e[..., 2]
     return lhs - rhs
 
 
-def leading_product_gap(lam_prime) -> float:
-    """Slack in lam'_1 * sigma_1(lam'|1) - (2/n) * sigma_2(lam') for sorted Gamma_2 spectra.
+def leading_product_gap(lam_prime) -> np.ndarray:
+    """Slack in lam'_1 * sigma_1(lam'|1) - (2/n) * sigma_2(lam'), one value
+    per tuple of lam_prime (shape (..., n)).
 
-    Requires the spectrum sorted descending (entry 1 is the largest
-    eigenvalue); the bound degenerates to equality for n = 2.
+    Each tuple must lie in Gamma_2 and be sorted descending (entry 1 is the
+    largest eigenvalue); the bound degenerates to equality for n = 2.
     """
-    lam = as_spectrum(lam_prime)
-    vals = lam.values
-    if np.any(np.diff(vals) > 0.0):
-        raise ValueError("spectrum must be sorted descending (largest first)")
-    verdict = cone_member(lam)
-    if not verdict.in_gamma2:
-        raise ConeViolationError(
-            f"spectrum {vals.tolist()} is not in Gamma_2 "
-            f"(sigma1={verdict.sigma1:.3g}, sigma2={verdict.sigma2:.3g})"
-        )
-    s1_excl = verdict.sigma1 - vals[0]
-    return float(vals[0] * s1_excl - (2.0 / lam.n) * verdict.sigma2)
+    lam = np.asarray(lam_prime, dtype=float)
+    unsorted = np.argwhere(np.any(np.diff(lam, axis=-1) > 0.0, axis=-1))
+    if len(unsorted):
+        i = tuple(unsorted[0])
+        raise ValueError(f"spectrum {lam[i].tolist()} must be sorted "
+                         "descending (largest first)")
+    e = _gamma2_spectra(lam)
+    n = lam.shape[-1]
+    return lam[..., 0] * (e[..., 1] - lam[..., 0]) - (2.0 / n) * e[..., 2]
 
 
 def sample_gamma2(rng: np.random.Generator, n: int, count: int,

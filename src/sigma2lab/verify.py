@@ -29,13 +29,48 @@ def _rel_gap(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.abs(lhs - rhs) / scale
 
 
+class _Worst:
+    """The worst case a suite has seen: the largest gap against a tolerance,
+    or with floor=True the smallest slack against -tol, and where it was.
+    A NaN is worse than any number."""
+
+    def __init__(self, tol: float, floor: bool = False):
+        self.tol = tol
+        self.floor = floor
+        self.value = np.inf if floor else 0.0
+        self.case = None
+
+    def see(self, values, case) -> None:
+        """Fold in one value or an array of them; case(i) names entry i."""
+        if math.isnan(self.value):
+            return
+        values = np.ravel(values)
+        i = int(np.argmin(values) if self.floor else np.argmax(values))
+        v = float(values[i])
+        if not (v >= self.value if self.floor else v <= self.value):
+            self.value, self.case = v, case(i)
+
+    def result(self, name: str, what: str, failure: str = "") -> SuiteResult:
+        """The suite's verdict; a non-empty failure note fails it outright."""
+        if self.floor:
+            passed = self.value >= -self.tol
+            detail = f"worst {what} {self.value:.3e} (floor {-self.tol:.1e})"
+        else:
+            passed = self.value <= self.tol
+            detail = f"worst {what} {self.value:.3e} (tol {self.tol:.1e})"
+        passed = passed and not failure
+        detail += failure
+        if not passed and self.case:
+            detail += f"; counterexample: {self.case}"
+        return SuiteResult(name, passed, detail)
+
+
 def suite_symfun_relations(seed: int, samples: int = 10_000,
                            dims=(2, 3, 4, 5), tol: float = 1e-11) -> SuiteResult:
     """Symmetric-function relations between the Hessian spectrum lambda,
     lambda' = a + 2 n alpha lambda, and lambda~_j = sum_{k != j} lambda'_k."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    worst_case = None
+    worst = _Worst(tol)
     per_dim = max(1, -(-samples // len(dims)))
     for n in dims:
         lam = rng.uniform(-2.0, 2.0, size=(per_dim, n))
@@ -59,72 +94,41 @@ def suite_symfun_relations(seed: int, samples: int = 10_000,
                         + n * (n - 1) / 2.0 * a.ravel() ** 2),
         ]
         for lhs, rhs in checks:
-            gaps = _rel_gap(np.asarray(lhs), np.asarray(rhs))
-            i = int(np.argmax(gaps))
-            if gaps[i] > worst:
-                worst = float(gaps[i])
-                worst_case = f"n={n}, lam={lam[i].tolist()}, a={a[i, 0]:.4g}, alpha={alpha[i, 0]:.4g}"
-    passed = worst <= tol
-    detail = f"worst relative gap {worst:.3e} (tol {tol:.1e})"
-    if not passed:
-        detail += f"; counterexample: {worst_case}"
-    return SuiteResult("symfun-relations", passed, detail)
+            worst.see(_rel_gap(np.asarray(lhs), np.asarray(rhs)), lambda i: (
+                f"n={n}, lam={lam[i].tolist()}, a={a[i, 0]:.4g}, alpha={alpha[i, 0]:.4g}"))
+    return worst.result("symfun-relations", "relative gap")
 
 
 def suite_grw_gap(seed: int, samples: int = 10_000, dims=(2, 3, 4),
                   tol: float = 1e-12) -> SuiteResult:
-    """Concavity inequality slack >= 0 over random (Gamma_2 spectrum,
-    complex diagonal tensor) pairs."""
+    """symfun.grw_gap >= 0 over random (Gamma_2 spectrum, complex diagonal
+    tensor) pairs, scaled by 1 + max(|lam|, |a|)^2."""
     rng = np.random.default_rng(seed)
-    worst = np.inf
-    worst_case = None
+    worst = _Worst(tol, floor=True)
     per_dim = max(1, -(-samples // len(dims)))
     for n in dims:
         lam = symfun.sample_gamma2(rng, n, per_dim)
         a = rng.standard_normal((per_dim, n)) + 1j * rng.standard_normal((per_dim, n))
-        e = symfun.elementary(lam)
-        s1 = e[:, 1:2]
-        s2 = e[:, 2]
-        total = a.sum(axis=1)
-        lhs = -(np.abs(total) ** 2 - np.sum(np.abs(a) ** 2, axis=1))
-        weighted = np.sum((s1 - lam) * a, axis=1)
-        rhs = -np.abs(weighted) ** 2 / s2
         scale = 1.0 + np.maximum(np.max(np.abs(lam), axis=1),
                                  np.max(np.abs(a), axis=1)) ** 2
-        margin = (lhs - rhs) / scale
-        i = int(np.argmin(margin))
-        if margin[i] < worst:
-            worst = float(margin[i])
-            worst_case = f"n={n}, lam={lam[i].tolist()}, a={a[i].tolist()}"
-    passed = worst >= -tol
-    detail = f"worst scaled slack {worst:.3e} (floor {-tol:.1e})"
-    if not passed:
-        detail += f"; counterexample: {worst_case}"
-    return SuiteResult("grw-gap", passed, detail)
+        worst.see(symfun.grw_gap(lam, a) / scale,
+                  lambda i: f"n={n}, lam={lam[i].tolist()}, a={a[i].tolist()}")
+    return worst.result("grw-gap", "scaled slack")
 
 
 def suite_leading_product(seed: int, samples: int = 10_000, dims=(2, 3, 4, 5),
                           tol: float = 1e-12) -> SuiteResult:
-    """lam'_1 sigma_1(lam'|1) >= (2/n) sigma_2(lam') on sorted Gamma_2 spectra."""
+    """symfun.leading_product_gap >= 0, i.e. lam'_1 sigma_1(lam'|1) >=
+    (2/n) sigma_2(lam'), on sorted Gamma_2 spectra, scaled by 1 + max |lam|^2."""
     rng = np.random.default_rng(seed)
-    worst = np.inf
-    worst_case = None
+    worst = _Worst(tol, floor=True)
     per_dim = max(1, -(-samples // len(dims)))
     for n in dims:
         lam = symfun.sample_gamma2(rng, n, per_dim, sort_descending=True)
-        e = symfun.elementary(lam)
-        gap = lam[:, 0] * (e[:, 1] - lam[:, 0]) - (2.0 / n) * e[:, 2]
         scale = 1.0 + np.max(np.abs(lam), axis=1) ** 2
-        margin = gap / scale
-        i = int(np.argmin(margin))
-        if margin[i] < worst:
-            worst = float(margin[i])
-            worst_case = f"n={n}, lam={lam[i].tolist()}"
-    passed = worst >= -tol
-    detail = f"worst scaled slack {worst:.3e} (floor {-tol:.1e})"
-    if not passed:
-        detail += f"; counterexample: {worst_case}"
-    return SuiteResult("leading-product", passed, detail)
+        worst.see(symfun.leading_product_gap(lam) / scale,
+                  lambda i: f"n={n}, lam={lam[i].tolist()}")
+    return worst.result("leading-product", "scaled slack")
 
 
 def _random_problem(geom: torus.TorusGeometry, rng: np.random.Generator) -> forms.ProblemData:
@@ -140,8 +144,7 @@ def suite_residual_proportionality(seed: int, fields: int = 100,
     """residual_sigma2 = 2 n alpha residual_fy1 on random band-limited fields,
     on both supported grids."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    worst_case = None
+    worst = _Worst(tol)
     for n, points in ((2, 16), (3, 8)):
         geom = torus.make_geometry(n, points)
         d = _random_problem(geom, rng)
@@ -155,14 +158,8 @@ def suite_residual_proportionality(seed: int, fields: int = 100,
             pred = 2.0 * n * d.alpha * r1
             scale = max(1.0, float(np.max(np.abs(r2))), float(np.max(np.abs(pred))))
             gap = float(np.max(np.abs(r2 - pred))) / scale
-            if gap > worst:
-                worst = gap
-                worst_case = f"n={n}, field #{i}"
-    passed = worst <= tol
-    detail = f"worst relative gap {worst:.3e} (tol {tol:.1e})"
-    if not passed:
-        detail += f"; counterexample: {worst_case}"
-    return SuiteResult("residual-proportionality", passed, detail)
+            worst.see(gap, lambda _: f"n={n}, field #{i}")
+    return worst.result("residual-proportionality", "relative gap")
 
 
 def suite_sigma_relations_fields(seed: int, fields: int = 20,
@@ -171,8 +168,7 @@ def suite_sigma_relations_fields(seed: int, fields: int = 20,
     gtilde = sigma_1(g') I - g', sigma_1(gtilde) = (n-1) sigma_1(g'), and the
     sigma_2 relations, plus gtilde > 0 wherever g' is in Gamma_2."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    worst_case = None
+    worst = _Worst(tol)
     cone_ok = True
     for n, points in ((2, 16), (3, 8)):
         geom = torus.make_geometry(n, points)
@@ -200,30 +196,22 @@ def suite_sigma_relations_fields(seed: int, fields: int = 20,
                 float(np.max(_rel_gap(s2t, 0.5 * (n - 1) * (n - 2) * s1p ** 2 + s2p))),
             ]
             # expansion of sigma_2(g') in the Hessian spectrum
-            a = np.exp(u.values) + d.f_eff() * np.exp(-u.values)
+            a = it.weights.a
             expanded = (
                 4.0 * n * n * d.alpha ** 2 * forms.sigma2_hessian(dv)
                 + 2.0 * n * (n - 1) * d.alpha * a * dv.lap
                 + n * (n - 1) / 2.0 * a * a
             )
             gaps.append(float(np.max(_rel_gap(s2p, expanded))))
-            g = max(gaps)
-            if g > worst:
-                worst = g
-                worst_case = f"n={n}, field #{i}"
+            worst.see(gaps, lambda _: f"n={n}, field #{i}")
             in_cone = forms.gamma2_mask(gp)
             if np.any(in_cone):
                 min_eig = float(np.min(forms.hermitian_eigenvalues(gt)[:, in_cone]))
                 if min_eig <= -1e-12 * mat_scale:
                     cone_ok = False
-                    worst_case = f"n={n}, field #{i}: gtilde eig {min_eig:.3e} inside Gamma_2"
-    passed = worst <= tol and cone_ok
-    detail = f"worst relative gap {worst:.3e} (tol {tol:.1e})"
-    if not cone_ok:
-        detail += "; gtilde positivity failed inside Gamma_2"
-    if not passed and worst_case:
-        detail += f"; counterexample: {worst_case}"
-    return SuiteResult("sigma-relations", passed, detail)
+                    worst.case = f"n={n}, field #{i}: gtilde eig {min_eig:.3e} inside Gamma_2"
+    return worst.result("sigma-relations", "relative gap",
+                        "" if cone_ok else "; gtilde positivity failed inside Gamma_2")
 
 
 def suite_linearize_fd(seed: int, pairs: int = 20, tol: float = 1e-6,
@@ -232,8 +220,7 @@ def suite_linearize_fd(seed: int, pairs: int = 20, tol: float = 1e-6,
     rng = np.random.default_rng(seed)
     geom = torus.make_geometry(2, 16)
     d = _random_problem(geom, rng)
-    worst = 0.0
-    worst_case = None
+    worst = _Worst(tol)
     for i in range(pairs):
         u = torus.random_band_limited(geom, rng, max_mode=2,
                                       amplitude=float(rng.uniform(0.2, 0.6)))
@@ -244,14 +231,8 @@ def suite_linearize_fd(seed: int, pairs: int = 20, tol: float = 1e-6,
         fd = (forms.evaluate(up, d, 0.0).residual
               - forms.evaluate(um, d, 0.0).residual) / (2.0 * eps)
         err = float(np.max(np.abs(fd - lin))) / max(1.0, float(np.max(np.abs(lin))))
-        if err > worst:
-            worst = err
-            worst_case = f"pair #{i}"
-    passed = worst <= tol
-    detail = f"worst relative error {worst:.3e} (tol {tol:.1e})"
-    if not passed:
-        detail += f"; counterexample: {worst_case}"
-    return SuiteResult("linearize-vs-fd", passed, detail)
+        worst.see(err, lambda _: f"pair #{i}")
+    return worst.result("linearize-vs-fd", "relative error")
 
 
 def _axiswise_field(geom: torus.TorusGeometry, rng: np.random.Generator) -> torus.ScalarField:
@@ -272,8 +253,7 @@ def suite_wedge_identity(seed: int, fields: int = 20, tol: float = 1e-10) -> Sui
     """mixed_wedge_density against the diagonal-coordinates formula
     (n-2)! sum_i |u_i|^2 (Lap u - u_{i ibar}) on diagonal-Hessian fields."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    worst_case = None
+    worst = _Worst(tol)
     for n, points in ((2, 16), (3, 8)):
         geom = torus.make_geometry(n, points)
         for i in range(fields):
@@ -292,14 +272,8 @@ def suite_wedge_identity(seed: int, fields: int = 20, tol: float = 1e-10) -> Sui
             dens = torus.mixed_wedge_density(dv)
             scale = 1.0 + float(np.max(np.abs(dens)))
             gap = max(float(np.max(np.abs(dens - direct))) / scale, off / scale)
-            if gap > worst:
-                worst = gap
-                worst_case = f"n={n}, field #{i}"
-    passed = worst <= tol
-    detail = f"worst relative gap {worst:.3e} (tol {tol:.1e})"
-    if not passed:
-        detail += f"; counterexample: {worst_case}"
-    return SuiteResult("wedge-identity", passed, detail)
+            worst.see(gap, lambda _: f"n={n}, field #{i}")
+    return worst.result("wedge-identity", "relative gap")
 
 
 # every suite, in run order, with the keyword arguments `fast` runs it with

@@ -13,7 +13,7 @@ import pytest
 
 from sigma2lab import forms, monitors, profiles, solve, symfun, torus, verify
 from sigma2lab.degeneracy import DegeneracyProbe, minimum_rhs, n2_bound_sides, n2_reduced_rhs, n3_path
-from sigma2lab.symfun import Spectrum, sample_gamma2
+from sigma2lab.symfun import sample_gamma2
 
 SEED = 20_240_817
 
@@ -133,7 +133,7 @@ def test_criterion_9_n2_reduction_consistency():
         m = sample_gamma2(rng, 2, 1)[0]
         w1 = float(rng.uniform(0.0, 1.0))
         theta = float(rng.uniform(0.0, 0.4))
-        probe = DegeneracyProbe(2, Spectrum(m), np.array([w1, 1.0 - w1]), theta)
+        probe = DegeneracyProbe(2, m, np.array([w1, 1.0 - w1]), theta)
         combo = (w1 * n2_reduced_rhs(probe.kappa_p, theta, (m[1], m[0]))
                  + (1.0 - w1) * n2_reduced_rhs(probe.kappa_p, theta, (m[0], m[1])))
         worst = max(worst, abs(minimum_rhs(probe) - combo))

@@ -211,6 +211,18 @@ class TestTypedErrors:
         else:
             assert proc.returncode == 0 and proc.stderr == ""
 
+    def test_unrepresentable_A_in_list_before_any_solve(self, tmp_path, capsys):
+        # every A is checked before the first solve, so a bad value late in
+        # the list loses no finished solve and writes nothing
+        cfg = write_config(tmp_path, "points_per_axis = 8\n")
+        out = tmp_path / "o"
+        assert run_cli("sweep-a", "--config", cfg, "--a-list", "0.1,1e-160",
+                       "--out", str(out)) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert "--a-list" in lines[0] and "1e-160" in lines[0]
+        assert not (out / "sweep_a.csv").exists()
+
     def test_negative_newton_tol(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TRIVIAL_CONFIG + "newton_tol = -1\n")
         assert run_cli("solve", "--config", cfg, "--out", str(tmp_path / "o")) == 2

@@ -14,36 +14,56 @@ from sigma2lab.degeneracy import (
     theta_from,
 )
 from sigma2lab.errors import ConeViolationError, ConsistencyError, HypothesisError
-from sigma2lab.symfun import Spectrum, sample_gamma2
+from sigma2lab.symfun import sample_gamma2
 
 
 class TestProbe:
     def test_weight_validation(self):
         with pytest.raises(ValueError):
-            DegeneracyProbe(2, Spectrum(np.array([1.0, 1.0])),
+            DegeneracyProbe(2, np.array([1.0, 1.0]),
                             np.array([0.7, 0.7]), 0.0)
         with pytest.raises(ValueError):
-            DegeneracyProbe(2, Spectrum(np.array([1.0, 1.0])),
+            DegeneracyProbe(2, np.array([1.0, 1.0]),
                             np.array([-0.2, 1.2]), 0.0)
 
     def test_theta_validation(self):
         with pytest.raises(ValueError):
-            DegeneracyProbe(2, Spectrum(np.array([1.0, 1.0])),
+            DegeneracyProbe(2, np.array([1.0, 1.0]),
                             np.array([0.5, 0.5]), -0.1)
+
+    @pytest.mark.parametrize("w, theta", [
+        ([np.nan, np.nan], 0.0), ([np.nan, 1.0], 0.0), ([0.5, 0.5], np.inf),
+    ])
+    def test_non_finite_weights_and_theta_rejected(self, w, theta):
+        # NaN compares False against every tolerance, so each check must be
+        # written to fail on it; an accepted probe would give a NaN rhs
+        with pytest.raises(ValueError):
+            DegeneracyProbe(2, np.array([1.0, 1.0]), np.array(w), theta)
+
+    def test_rejects_nan(self):
+        for m in ([1.0, np.nan], [np.inf, 1.0]):
+            with pytest.raises(ValueError):
+                DegeneracyProbe(2, np.array(m), np.array([0.5, 0.5]), 0.0)
+
+    def test_rejects_short(self):
+        with pytest.raises(ValueError):
+            DegeneracyProbe(1, np.array([1.0]), np.array([1.0]), 0.0)
+        with pytest.raises(ValueError):
+            DegeneracyProbe(2, np.array([1.0]), np.array([0.5, 0.5]), 0.0)
 
     def test_cone_validation(self):
         with pytest.raises(ConeViolationError):
-            DegeneracyProbe(2, Spectrum(np.array([3.0, -1.0])),
+            DegeneracyProbe(2, np.array([3.0, -1.0]),
                             np.array([0.5, 0.5]), 0.0)
 
     def test_boundary_of_cone_accepted(self):
         # paths degenerate to the cone boundary at their endpoints
-        p = DegeneracyProbe(3, Spectrum(np.array([1.0, 0.0, 0.0])),
+        p = DegeneracyProbe(3, np.array([1.0, 0.0, 0.0]),
                             np.array([1.0, 0.0, 0.0]), 0.0)
         assert p.kappa_p == 0.0
 
     def test_kappa_p_is_derived(self):
-        p = DegeneracyProbe(3, Spectrum(np.array([1.0, 0.5, 0.5])),
+        p = DegeneracyProbe(3, np.array([1.0, 0.5, 0.5]),
                             np.array([1.0, 0.0, 0.0]), 0.0)
         assert p.kappa_p == pytest.approx(1.25, abs=1e-15)
 
@@ -59,17 +79,17 @@ class TestMinimumRhs:
             rng = np.random.default_rng(n)
             w = rng.uniform(0.0, 1.0, n)
             w /= w.sum()
-            p = DegeneracyProbe(n, Spectrum(np.ones(n)), w, 0.0)
+            p = DegeneracyProbe(n, np.ones(n), w, 0.0)
             assert p.kappa_p == pytest.approx(n * (n - 1) / 2.0, abs=1e-12)
             assert abs(minimum_rhs(p)) < 1e-12
 
     def test_n3_sample_point(self):
-        p = DegeneracyProbe(3, Spectrum(np.array([1.0, 0.5, 0.5])),
+        p = DegeneracyProbe(3, np.array([1.0, 0.5, 0.5]),
                             np.array([1.0, 0.0, 0.0]), 0.0)
         assert minimum_rhs(p) == pytest.approx(0.0625, abs=1e-13)
 
     def test_n2_trivial_zero(self):
-        p = DegeneracyProbe(2, Spectrum(np.array([1.0, 1.0])),
+        p = DegeneracyProbe(2, np.array([1.0, 1.0]),
                             np.array([0.5, 0.5]), 0.0)
         assert abs(minimum_rhs(p)) < 1e-14
 
@@ -98,7 +118,7 @@ class TestN2Reduction:
             m = sample_gamma2(rng, 2, 1)[0]
             w1 = float(rng.uniform(0.0, 1.0))
             theta = float(rng.uniform(0.0, 0.4))
-            p = DegeneracyProbe(2, Spectrum(m), np.array([w1, 1 - w1]), theta)
+            p = DegeneracyProbe(2, m, np.array([w1, 1 - w1]), theta)
             kp = p.kappa_p
             combo = (w1 * n2_reduced_rhs(kp, theta, (m[1], m[0]))
                      + (1 - w1) * n2_reduced_rhs(kp, theta, (m[0], m[1])))
@@ -110,7 +130,7 @@ class TestN2Reduction:
         for _ in range(200):
             m = sample_gamma2(rng, 2, 1)[0]
             theta = float(rng.uniform(0.0, 0.3))
-            p = DegeneracyProbe(2, Spectrum(m), np.array([0.0, 1.0]), theta)
+            p = DegeneracyProbe(2, m, np.array([0.0, 1.0]), theta)
             direct = n2_reduced_rhs(p.kappa_p, theta, (m[0], m[1]))
             assert abs(minimum_rhs(p) - direct) <= 1e-12
 

@@ -9,17 +9,7 @@ from hypothesis import strategies as st
 
 from sigma2lab import symfun
 from sigma2lab.errors import ConeViolationError
-from sigma2lab.symfun import (
-    Spectrum,
-    cone_member,
-    elementary,
-    grw_gap,
-    leading_product_gap,
-    sample_gamma2,
-    sigma,
-    sigma2_gradient,
-    sigma_excl,
-)
+from sigma2lab.symfun import elementary, grw_gap, leading_product_gap, sample_gamma2
 
 
 def sigma_by_enumeration(k, values):
@@ -38,34 +28,31 @@ spectra = st.lists(finite_entries, min_size=2, max_size=5)
 
 class TestSigma:
     def test_examples(self):
-        assert sigma(2, (1.0, 0.5, 0.5)) == pytest.approx(1.25, abs=1e-15)
-        assert sigma(1, (3.0, -1.0)) == pytest.approx(2.0, abs=1e-15)
-        assert sigma(3, (1.7, -2.3)) == 0.0  # order above tuple length
-        assert sigma(0, (4.0, 5.0)) == 1.0
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            sigma(-1, (1.0, 2.0))
+        assert elementary((1.0, 0.5, 0.5))[2] == pytest.approx(1.25, abs=1e-15)
+        assert elementary((3.0, -1.0))[1] == pytest.approx(2.0, abs=1e-15)
+        assert elementary((4.0, 5.0))[0] == 1.0
 
     @given(spectra)
     @settings(max_examples=200, deadline=None)
     def test_matches_enumeration(self, values):
-        for k in range(len(values) + 2):
-            got = sigma(k, values)
+        e = elementary(values)
+        for k in range(len(values) + 1):
             want = sigma_by_enumeration(k, values)
-            assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+            assert abs(e[k] - want) <= 1e-12 * (1.0 + abs(want))
 
     @given(spectra)
     @settings(max_examples=200, deadline=None)
     def test_deletion_identity(self, values):
-        # sigma_k(lam) = sigma_k(lam|j) + lam_j sigma_{k-1}(lam|j)
+        # sigma_k(lam) = sigma_k(lam|j) + lam_j sigma_{k-1}(lam|j), where
+        # sigma_k(lam|j) is sigma_k of the tuple without entry j (0 for k = n)
         n = len(values)
         scale = symfun.scale_of(values)
-        for j in range(1, n + 1):
+        whole = elementary(values)
+        for j in range(n):
+            rest = np.append(elementary(np.delete(values, j)), 0.0)
             for k in range(1, n + 1):
-                whole = sigma(k, values)
-                split = sigma_excl(k, values, j) + values[j - 1] * sigma_excl(k - 1, values, j)
-                assert abs(whole - split) <= 1e-12 * scale
+                split = rest[k] + values[j] * rest[k - 1]
+                assert abs(whole[k] - split) <= 1e-12 * scale
 
     def test_coefficient_extraction_oracle(self, rng):
         # sigma_k equals the coefficient of t^k in prod_j (1 + t lam_j)
@@ -76,51 +63,38 @@ class TestSigma:
             for x in lam:
                 poly = np.convolve(poly, np.array([x, 1.0]))  # times (1 + x t)
             coeffs = poly[::-1]  # ascending powers of t
+            e = elementary(lam)
             for k in range(n + 1):
-                assert abs(sigma(k, lam) - coeffs[k]) <= 1e-12 * (1.0 + abs(coeffs[k]))
+                assert abs(e[k] - coeffs[k]) <= 1e-12 * (1.0 + abs(coeffs[k]))
 
 
 class TestSigmaExcl:
     def test_examples(self):
-        assert sigma_excl(1, (5.0, 9.0), 1) == 9.0
-        assert sigma_excl(3, (1.0, 0.7, 0.7), 1) == 0.0
-        assert sigma_excl(2, (1.0, 0.5, 0.5), 1) == pytest.approx(0.25, abs=1e-15)
-
-    def test_bad_index(self):
-        with pytest.raises(ValueError):
-            sigma_excl(1, (1.0, 2.0), 0)
-        with pytest.raises(ValueError):
-            sigma_excl(1, (1.0, 2.0), 3)
+        # sigma_k(lam|j): sigma_k of the tuple without entry j
+        assert elementary(np.delete((5.0, 9.0), 0))[1] == 9.0
+        assert elementary(np.delete((1.0, 0.5, 0.5), 0))[2] == pytest.approx(0.25, abs=1e-15)
+        assert elementary(np.append(np.delete((1.0, 0.7, 0.7), 0), 0.0))[3] == 0.0
 
 
 class TestConeMember:
+    """Gamma_2 membership (sigma_1 > 0 and sigma_2 > 0) is the hypothesis
+    both inequalities check on every tuple."""
+
     def test_examples(self):
-        assert cone_member((1.0, 1.0, 1.0)).in_gamma2
-        v = cone_member((3.0, -1.0))
-        assert (v.sigma1, v.sigma2, v.in_gamma2) == (2.0, -3.0, False)
-        v = cone_member((2.0, 0.1))
-        assert v.in_gamma2
-        assert v.sigma1 == pytest.approx(2.1)
-        assert v.sigma2 == pytest.approx(0.2)
+        grw_gap((1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
+        leading_product_gap((2.0, 0.1))
+        with pytest.raises(ConeViolationError, match="sigma1=2, sigma2=-3"):
+            grw_gap((3.0, -1.0), (1.0, 1.0))
 
     def test_verdict_invariant(self, rng):
         for _ in range(200):
             lam = rng.uniform(-2.0, 2.0, int(rng.integers(2, 6)))
-            v = cone_member(lam)
-            assert v.in_gamma2 == (v.sigma1 > 0 and v.sigma2 > 0)
-
-
-class TestSigma2Gradient:
-    def test_examples(self):
-        assert np.allclose(sigma2_gradient((1.0, 1.0)).values, [1.0, 1.0])
-        assert np.allclose(sigma2_gradient((1.0, 0.5, 0.5)).values, [1.0, 1.5, 1.5])
-        assert np.allclose(sigma2_gradient((4.0, 0.0)).values, [0.0, 4.0])
-
-    def test_is_deleted_sigma1(self, rng):
-        lam = rng.uniform(-2.0, 2.0, 4)
-        grad = sigma2_gradient(lam).values
-        for j in range(1, 5):
-            assert grad[j - 1] == pytest.approx(sigma_excl(1, lam, j), abs=1e-14)
+            e = elementary(lam)
+            if e[1] > 0 and e[2] > 0:
+                grw_gap(lam, np.ones(lam.size))
+            else:
+                with pytest.raises(ConeViolationError):
+                    grw_gap(lam, np.ones(lam.size))
 
 
 class TestGrwGap:
@@ -133,13 +107,37 @@ class TestGrwGap:
         with pytest.raises(ConeViolationError):
             grw_gap((3.0, -1.0), (1.0, 1.0))
 
+    def test_shape_enforced(self):
+        assert grw_gap(np.ones((4, 2)), np.ones((4, 2))).shape == (4,)
+        with pytest.raises(ValueError):
+            grw_gap((1.0, 1.0), (1.0, 1.0, 1.0))
+        with pytest.raises(ValueError):
+            grw_gap(np.ones((4, 2)), np.ones((3, 2)))
+
     def test_nonnegative_on_random_samples(self, rng):
         for n in (2, 3, 4):
             lam = sample_gamma2(rng, n, 700)
-            for row in lam:
-                a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                scale = symfun.scale_of(row, a.real, a.imag)
-                assert grw_gap(row, a) >= -1e-12 * scale
+            a = np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                          for _ in lam])
+            top = np.max(np.abs(np.concatenate([lam, a.real, a.imag], axis=1)), axis=1)
+            assert np.all(grw_gap(lam, a) >= -1e-12 * (1.0 + top * top))
+
+    def test_batch_rows_match_single_tuples(self, rng):
+        for n in (2, 3, 4):
+            lam = sample_gamma2(rng, n, 50).reshape(5, 10, n)
+            a = rng.standard_normal((5, 10, n)) + 1j * rng.standard_normal((5, 10, n))
+            gaps = grw_gap(lam, a)
+            assert gaps.shape == (5, 10)
+            for idx in np.ndindex(5, 10):
+                one = grw_gap(lam[idx], a[idx])
+                scale = symfun.scale_of(lam[idx], a[idx].real, a[idx].imag)
+                assert abs(gaps[idx] - one) <= 1e-13 * scale
+
+    def test_one_bad_row_raises(self, rng):
+        lam = sample_gamma2(rng, 3, 20)
+        lam[13] = (3.0, -1.0, -1.0)
+        with pytest.raises(ConeViolationError, match="tuple 13"):
+            grw_gap(lam, np.ones((20, 3), dtype=complex))
 
 
 class TestLeadingProductGap:
@@ -159,13 +157,33 @@ class TestLeadingProductGap:
     def test_nonnegative_on_sorted_samples(self, rng):
         for n in (2, 3, 4, 5):
             lam = sample_gamma2(rng, n, 700, sort_descending=True)
-            for row in lam:
-                scale = symfun.scale_of(row)
-                assert leading_product_gap(row) >= -1e-12 * scale
+            scale = 1.0 + np.max(np.abs(lam), axis=1) ** 2
+            assert np.all(leading_product_gap(lam) >= -1e-12 * scale)
 
     def test_n2_is_identically_zero(self, rng):
-        for row in sample_gamma2(rng, 2, 200, sort_descending=True):
-            assert abs(leading_product_gap(row)) <= 1e-13 * symfun.scale_of(row)
+        lam = sample_gamma2(rng, 2, 200, sort_descending=True)
+        scale = 1.0 + np.max(np.abs(lam), axis=1) ** 2
+        assert np.all(np.abs(leading_product_gap(lam)) <= 1e-13 * scale)
+
+    def test_batch_rows_match_single_tuples(self, rng):
+        for n in (2, 3, 4, 5):
+            lam = sample_gamma2(rng, n, 50, sort_descending=True).reshape(5, 10, n)
+            gaps = leading_product_gap(lam)
+            assert gaps.shape == (5, 10)
+            for idx in np.ndindex(5, 10):
+                one = leading_product_gap(lam[idx])
+                assert abs(gaps[idx] - one) <= 1e-13 * symfun.scale_of(lam[idx])
+
+    def test_one_bad_row_raises(self, rng):
+        lam = sample_gamma2(rng, 3, 20, sort_descending=True)
+        unsorted = lam.copy()
+        unsorted[7] = unsorted[7, ::-1]
+        with pytest.raises(ValueError, match="sorted"):
+            leading_product_gap(unsorted)
+        outside = lam.copy()
+        outside[7] = (3.0, -1.0, -1.0)
+        with pytest.raises(ConeViolationError, match="tuple 7"):
+            leading_product_gap(outside)
 
 
 class TestConcavity:
@@ -203,13 +221,3 @@ class TestSampling:
     def test_sorted_option(self, rng):
         lam = sample_gamma2(rng, 4, 100, sort_descending=True)
         assert np.all(np.diff(lam, axis=1) <= 0)
-
-
-class TestSpectrum:
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            Spectrum(np.array([1.0, np.nan]))
-
-    def test_rejects_short(self):
-        with pytest.raises(ValueError):
-            Spectrum(np.array([1.0]))

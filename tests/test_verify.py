@@ -1,7 +1,9 @@
 """The randomized identity suites, including a fault-injection check that the
 suites actually detect a broken build."""
 
-from sigma2lab import forms, verify
+import numpy as np
+
+from sigma2lab import forms, symfun, verify
 
 
 def test_all_suites_pass_fast_mode():
@@ -44,3 +46,36 @@ def test_residual_fault_is_caught(monkeypatch):
     monkeypatch.setattr(forms, "residual_fy1", broken)
     res = verify.suite_residual_proportionality(seed=3, fields=2)
     assert not res.passed
+
+
+def test_grw_fault_is_caught(monkeypatch):
+    # the grw-gap suite runs the package's own inequality: a slack that is
+    # 1 too small must fail it
+    real = symfun.grw_gap
+    monkeypatch.setattr(symfun, "grw_gap", lambda lam, a: real(lam, a) - 1.0)
+    res = verify.suite_grw_gap(seed=3, samples=300)
+    assert not res.passed
+    assert "counterexample" in res.detail
+
+
+def test_leading_product_fault_is_caught(monkeypatch):
+    real = symfun.leading_product_gap
+    monkeypatch.setattr(symfun, "leading_product_gap", lambda lam: real(lam) - 1.0)
+    res = verify.suite_leading_product(seed=3, samples=300)
+    assert not res.passed
+    assert "counterexample" in res.detail
+
+
+def test_nan_slack_fails(monkeypatch):
+    # a NaN compares False against any bound; the suite must still fail on it
+    real = symfun.leading_product_gap
+
+    def one_nan(lam):
+        gap = real(lam)
+        gap[len(gap) // 2] = np.nan
+        return gap
+
+    monkeypatch.setattr(symfun, "leading_product_gap", one_nan)
+    res = verify.suite_leading_product(seed=3, samples=300)
+    assert not res.passed
+    assert "nan" in res.detail
