@@ -34,18 +34,25 @@ conj(q_j) of complex gradients is (1/2) sum_a p_a q_a over the 2n real
 partials.
 
 evaluate() is the one place a field's bundle and weights are built.  It
-returns an Iterate that holds the field, its bundle, its weights e^{+-u}
-and a, its residual, its cone test and two monitor readings.  gprime,
-gtilde, residual_fy1, linearization_coefficients and the monitors each take
-that Iterate, so the solver, the monitors and the verify suites read a field
-the same way.  g' itself is not assembled on the solve path: sigma_1 and sigma_2
-of g' have closed forms in a and the bundle (gprime_sigmas), which is all
-the cone test, the residual and the monitors read of it.  Neither the bundle
-nor e^{+-u} depends on t, so evaluate() takes them from an earlier
-evaluation of the same field, and f's first partials and Laplacian, all the
-equation reads of f, are computed once and shared by every ProblemData.with_t
-copy.  The operator of the Newton step keeps one coefficient row per bundle
-row and streams the direction's rows (LinearCoefficients.apply_to).
+returns an Iterate in two parts.  The part a Newton step keeps is the field,
+its residual and its readings: the residual's max-norm, the cone test and
+two monitor readings.  The body is the bundle and the weights e^{+-u} and a.
+gprime, gtilde, residual_fy1, linearization_coefficients and the monitors
+each take that Iterate, so the solver, the monitors and the verify suites
+read a field the same way.  g' itself is not assembled on the solve path:
+sigma_1 and sigma_2 of g' have closed forms in a and the bundle
+(gprime_sigmas), which is all the cone test, the residual and the monitors
+read of it.  Neither the bundle nor e^{+-u} depends on t, so evaluate()
+takes them over from an earlier evaluation of the same field, and f's first
+partials and Laplacian, all the equation reads of f, are computed once and
+shared by every ProblemData.with_t copy.
+
+A body has one owner.  linearization_coefficients consumes it: the operator
+of the Newton step has one coefficient row per bundle row, each read from
+that row alone, so the rows are written over the bundle in place and the
+iterate keeps no body afterwards.  The operator streams the direction's rows
+(LinearCoefficients.apply_to), and the monitors read the eigenvalues of
+gtilde one slab of the grid at a time (gtilde_eig_range).
 """
 
 from __future__ import annotations
@@ -234,8 +241,11 @@ def hermitian_eigenvalues(h: HermitianField) -> np.ndarray:
     for n = 3, both vectorized over the grid and real in the packed rows;
     matrices are Hermitian by construction so the eigenvalues are real.
     """
-    n = h.geometry.n
-    m = h.rows
+    return _eigenvalues_rows(h.rows, h.geometry.n)
+
+
+def _eigenvalues_rows(m: np.ndarray, n: int) -> np.ndarray:
+    """hermitian_eigenvalues of packed rows (n^2,) + any node shape."""
     eig = np.empty((n,) + m.shape[1:])
     if n == 2:
         a, c, re, im = m
@@ -293,26 +303,56 @@ class Weights(NamedTuple):
     a: np.ndarray
 
 
+class Body(NamedTuple):
+    """What a Newton step consumes of an iterate: the field's bundle and its
+    weights, n^2 + 2n + 4 grid arrays."""
+
+    derivs: Derivs
+    weights: Weights
+
+
 @dataclass(frozen=True)
 class Iterate:
     """A field evaluated once against one problem: what the Newton step, the
     backtracking test, acceptance, the monitors and every form below read.
 
-    Its arrays are the field, its bundle, its weights and its residual, n^2 +
-    2n + 6 grid arrays in all.  Of g' it keeps three readings: in_cone,
-    whether every node lies in Gamma_2 at the margin it was evaluated with,
-    and the monitors' kappa = min e^{-2u} sigma_2(g') and the fraction of
-    nodes in Gamma_2."""
+    The part a Newton step keeps is the field and its residual, 2 grid
+    arrays, and three readings of g': in_cone, whether every node lies in
+    Gamma_2 at the margin it was evaluated with, and the monitors' kappa =
+    min e^{-2u} sigma_2(g') and the fraction of nodes in Gamma_2.  The body
+    is the bundle and the weights, read through .derivs and .weights until
+    take_body detaches it; linearization_coefficients and an evaluation of
+    the same field against other data each take it."""
 
     u: ScalarField
     data: ProblemData
-    derivs: Derivs
-    weights: Weights
     residual: np.ndarray
     rnorm: float
     in_cone: bool
     kappa: float
     gamma2_fraction: float
+    body: Body | None
+
+    @property
+    def derivs(self) -> Derivs:
+        return self._live_body().derivs
+
+    @property
+    def weights(self) -> Weights:
+        return self._live_body().weights
+
+    def take_body(self) -> Body:
+        """The body, detached from this iterate, which keeps only its field,
+        residual and readings afterwards."""
+        body = self._live_body()
+        object.__setattr__(self, "body", None)
+        return body
+
+    def _live_body(self) -> Body:
+        if self.body is None:
+            raise RuntimeError("this iterate's bundle and weights were taken "
+                               "by a Newton step or a later evaluation")
+        return self.body
 
 
 def gprime_sigmas(d: ProblemData, dv: Derivs, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -348,20 +388,49 @@ def rhs_sigma2(d: ProblemData, dv: Derivs, w: Weights) -> np.ndarray:
         + 4 alpha kappa_c f e^{-u} |Du|^2 + 2 kappa_c f + kappa_c e^{-2u} f^2
         - 2 n alpha mu
         + 4 alpha kappa_c e^{-u} (Lap f - 2 Re<Df, Du>).
+
+    Each term is formed in one scratch array and added to the output in
+    this order, factor by factor from the left, so the sum rounds exactly as
+    the expression above evaluated left to right.
     """
     eu, emu, _ = w
-    fe = d.f_eff()
-    gsq = dv.grad_sq
     kc = d.kappa_c
     al = d.alpha
-    return (
-        kc * eu * eu * (1.0 - 4.0 * al * emu * gsq)
-        + 4.0 * al * kc * fe * emu * gsq
-        + 2.0 * kc * fe
-        + kc * emu * emu * fe * fe
-        - 2.0 * d.n * al * d.mu_eff()
-        + 4.0 * al * kc * emu * (d.lap_f_eff() - d.grad_f_dot(dv.partials))
-    )
+    gsq = dv.grad_sq
+    # kappa_c e^{2u} (1 - 4 alpha e^{-u} |Du|^2)
+    tmp = (4.0 * al) * emu
+    tmp *= gsq
+    np.subtract(1.0, tmp, out=tmp)
+    out = kc * eu
+    out *= eu
+    out *= tmp
+    # + 4 alpha kappa_c f e^{-u} |Du|^2
+    fe = d.f_eff()
+    np.multiply(4.0 * al * kc, fe, out=tmp)
+    tmp *= emu
+    tmp *= gsq
+    out += tmp
+    del gsq
+    # + 2 kappa_c f
+    np.multiply(2.0 * kc, fe, out=tmp)
+    out += tmp
+    # + kappa_c e^{-2u} f^2
+    np.multiply(kc, emu, out=tmp)
+    tmp *= emu
+    tmp *= fe
+    tmp *= fe
+    out += tmp
+    del fe
+    # - 2 n alpha mu
+    np.multiply(2.0 * d.n * al, d.mu_eff(), out=tmp)
+    out -= tmp
+    # + 4 alpha kappa_c e^{-u} (Lap f - 2 Re<Df, Du>)
+    np.multiply(4.0 * al * kc, emu, out=tmp)
+    df = d.grad_f_dot(dv.partials)
+    np.subtract(d.lap_f_eff(), df, out=df)
+    tmp *= df
+    out += tmp
+    return out
 
 
 def residual_sigma2(d: ProblemData, dv: Derivs, w: Weights, s2: np.ndarray) -> np.ndarray:
@@ -378,8 +447,8 @@ def evaluate(u: ScalarField, d: ProblemData, margin: float,
              prev: Iterate | None = None) -> Iterate:
     """Evaluate u against d: the one place a field's bundle and weights are
     built.  `prev` is an evaluation of the same u against other data (another
-    t): its bundle and e^{+-u} carry over, and only a, the sigmas of g' and
-    the residual are assembled again.
+    t): its body is taken, its bundle and e^{+-u} carry over, and only a,
+    the sigmas of g' and the residual are assembled again.
 
     Nothing here tests the arrays for finiteness: an overflowed field has a
     NaN or infinite rnorm, which never passes the solver's rnorm < newton_tol."""
@@ -387,8 +456,7 @@ def evaluate(u: ScalarField, d: ProblemData, margin: float,
         dv = spectral_derivatives(u)
         eu, emu = np.exp(u.values), np.exp(-u.values)
     else:
-        dv = prev.derivs
-        eu, emu = prev.weights.eu, prev.weights.emu
+        dv, (eu, emu, _) = prev.take_body()
     a = d.f_eff()
     a *= emu
     a += eu
@@ -399,7 +467,7 @@ def evaluate(u: ScalarField, d: ProblemData, margin: float,
     del s1   # not read again; freed before the residual's temporaries
     kappa = float(np.min(emu * emu * s2))
     r = residual_sigma2(d, dv, w, s2)
-    return Iterate(u, d, dv, w, r, float(np.max(np.abs(r))), in_cone, kappa, frac)
+    return Iterate(u, d, r, float(np.max(np.abs(r))), in_cone, kappa, frac, Body(dv, w))
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +489,32 @@ def gtilde(it: Iterate) -> HermitianField:
     raising both indices by the flat background metric is trivial.
     """
     d, dv = it.data, it.derivs
+    return HermitianField(d.geometry, _gtilde_rows(d, dv.hess_rows, it.weights.a, dv.lap))
+
+
+def _gtilde_rows(d: ProblemData, hess_rows: np.ndarray, a: np.ndarray,
+                 lap: np.ndarray) -> np.ndarray:
+    """gtilde's packed rows on any node set, from the Hessian rows, a and the
+    Laplacian on those nodes."""
     coef = 2.0 * d.n * d.alpha
-    rows = (-coef) * dv.hess_rows
-    rows[:d.n] += (d.n - 1) * it.weights.a + coef * dv.lap
-    return HermitianField(d.geometry, rows)
+    rows = (-coef) * hess_rows
+    rows[:d.n] += (d.n - 1) * a + coef * lap
+    return rows
+
+
+def gtilde_eig_range(it: Iterate) -> tuple[float, float]:
+    """The least and the largest eigenvalue of gtilde over the grid, equal
+    to those of hermitian_eigenvalues(gtilde(it)).  gtilde and its
+    eigenvalues are formed one slab of the first grid axis at a time, by the
+    same nodewise algebra, so no whole-grid gtilde is built."""
+    d, dv = it.data, it.derivs
+    a = it.weights.a
+    lows, highs = [], []
+    for i in range(a.shape[0]):
+        eig = _eigenvalues_rows(_gtilde_rows(d, dv.hess_rows[:, i], a[i], dv.lap[i]), d.n)
+        lows.append(np.min(eig))
+        highs.append(np.max(eig))
+    return float(np.min(lows)), float(np.max(highs))
 
 
 def residual_fy1(it: Iterate) -> np.ndarray:
@@ -477,7 +567,7 @@ class LinearCoefficients:
     """
 
     geometry: TorusGeometry
-    k: np.ndarray        # (n^2 + 2n,) + grid, real, in the bundle's row order
+    k: np.ndarray        # (n^2 + 2n,) + grid, real, in the bundle's row order and buffer
     c0: np.ndarray       # grid, real
 
     def apply_to(self, v: np.ndarray) -> np.ndarray:
@@ -491,32 +581,24 @@ class LinearCoefficients:
 def linearization_coefficients(it: Iterate) -> LinearCoefficients:
     """Assemble the analytic coefficients of the Fréchet derivative at it.u.
 
+    It consumes the iterate's body: c0 is formed first, then each bundle row
+    is overwritten by its coefficient row, which reads only that row, b,
+    e^{-u} and f's partial for the row.  So k is the bundle's own buffer and
+    the iterate keeps no bundle or weights afterwards.
+
     Analytic assembly (rather than automatic differentiation) keeps the
     operator in a Fourier-preconditionable second-order form; the test suite
     certifies it against central finite differences of the residual.
     """
-    d, dv = it.data, it.derivs
-    eu, emu, a = it.weights
-    b = 2.0 * eu - a     # e^u - f_eff e^{-u}, the u-derivative of a
+    d = it.data
+    dv, (eu, emu, a) = it.take_body()
+    b = 2.0 * eu     # e^u - f_eff e^{-u}, the u-derivative of a
+    b -= a
+    del eu           # each weight is freed once read, before the next temporaries
     kc = d.kappa_c
     al = d.alpha
     n = d.n
     coef = 2.0 * n * al
-
-    k = np.empty(dv.rows.shape)
-    # Du-derivative of the rhs, -2 Re sum_j (D_j v) w_j with
-    # w_j = c1 conj(D_j u) - 4 alpha kc e^{-u} conj(D_j f_eff) and
-    # c1 = -4 alpha kc b, is -(1/2) sum_a (c1 u_a - 4 alpha kc t e^{-u} f_a) v_a
-    u_part = (2.0 * al * kc) * b
-    f_part = (2.0 * al * kc * d.t) * emu
-    for ax, (ua, fa) in enumerate(zip(dv.partials, d.f_derivs().partials)):
-        np.multiply(u_part, ua, out=k[ax])
-        k[ax] += f_part * fa
-    # 2 n alpha Tr(gtilde Hess v) with gtilde = (n-1) a I + coef (Lap u I - Hess u)
-    hk = k[2 * n:]
-    np.multiply(-coef * coef, dv.hess_rows, out=hk)
-    hk[:n] += coef * ((n - 1) * a + coef * dv.lap)
-    hk[n:] *= 2.0
 
     # u-derivative of sigma_2(g') through a, (n-1) sigma_1(g') b, minus that
     # of the expanded right-hand side,
@@ -526,7 +608,24 @@ def linearization_coefficients(it: Iterate) -> LinearCoefficients:
     c0 += emu * (d.lap_f_eff() - d.grad_f_dot(dv.partials))
     c0 *= 4.0 * al * kc
     c0 += ((n - 1) * coef) * b * dv.lap
-    return LinearCoefficients(geometry=d.geometry, k=k, c0=c0)
+
+    # Du-derivative of the rhs, -2 Re sum_j (D_j v) w_j with
+    # w_j = c1 conj(D_j u) - 4 alpha kc e^{-u} conj(D_j f_eff) and
+    # c1 = -4 alpha kc b, is -(1/2) sum_a (c1 u_a - 4 alpha kc t e^{-u} f_a) v_a
+    u_part = (2.0 * al * kc) * b
+    del b
+    f_part = (2.0 * al * kc * d.t) * emu
+    del emu
+    for ua, fa in zip(dv.partials, d.f_derivs().partials):
+        ua *= u_part
+        ua += f_part * fa
+    del u_part, f_part
+    # 2 n alpha Tr(gtilde Hess v) with gtilde = (n-1) a I + coef (Lap u I - Hess u)
+    hk = dv.hess_rows
+    hk *= -coef * coef
+    hk[:n] += coef * ((n - 1) * a + coef * dv.lap)
+    hk[n:] *= 2.0
+    return LinearCoefficients(geometry=d.geometry, k=dv.rows, c0=c0)
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,16 @@ iteration on the pair:
 
 Each iterate is evaluated once (forms.evaluate): the backtracking test of a
 trial, the next Newton step from it, its acceptance and its monitor snapshot
-read the same Iterate.  Its bundle carries over to the next continuation
-attempt, where only a, the sigmas of g' and the residual are assembled for
-the new t.  A Newton step holds only what the next step reads: the
-operator's coefficient rows live until the linear solve returns, each
-operator apply streams the direction's derivative rows instead of building
-its bundle, and a rejected trial is released before the next is evaluated.
+read the same Iterate.  Its body, the bundle and the weights, moves to the
+next continuation attempt, where only a, the sigmas of g' and the residual
+are assembled for the new t.  A Newton step consumes the body of the
+iterate it starts from and keeps only its field, residual and readings: the
+operator's coefficient rows are written over the bundle and live until the
+linear solve returns, the zero-mean right-hand side is the one array formed
+from the residual, each operator apply streams the direction's derivative
+rows instead of building its bundle, and a rejected trial is released
+before the next is evaluated.  A failed attempt evaluates its start field
+again, so no consumed body is ever read.
 """
 
 from __future__ import annotations
@@ -157,19 +161,19 @@ def _precondition_symbol(coeffs: LinearCoefficients) -> np.ndarray:
 
 
 def solve_newton_system(u: ScalarField, d: ProblemData, coeffs: LinearCoefficients,
-                        rhs: np.ndarray, rtol: float) -> np.ndarray:
-    """Solve the bordered Newton system  (L v - mean L v) + l(v) = rhs - mean rhs
-    for v on the full grid to relative residual rtol, with the Fourier-symbol
-    preconditioner.
+                        residual: np.ndarray, rtol: float) -> np.ndarray:
+    """Solve the bordered Newton system  (L v - mean L v) + l(v) = -(R - mean R)
+    for the residual R and v on the full grid to relative residual rtol,
+    with the Fourier-symbol preconditioner.
 
     l(v) = sum omega v with omega = e^{-gamma u} / sum e^{-gamma u} is the
     derivative of the normalization's log-mean in the direction v, divided
     by -gamma.  The right-hand side of the border row is 0, because u is
-    already normalized.  So the solution has l(v) = 0, and L v = rhs up to
+    already normalized.  So the solution has l(v) = 0, and L v = -R up to
     an additive constant, which is all a zero-mean residual determines."""
     geom = u.geometry
     shape = geom.shape
-    size = rhs.size
+    size = residual.size
     sym = _precondition_symbol(coeffs)
     omega, _ = _shifted_exp(u.values, d.norm_constants.gamma)
     omega = omega.ravel()
@@ -186,7 +190,7 @@ def solve_newton_system(u: ScalarField, d: ProblemData, coeffs: LinearCoefficien
 
     op = LinearOperator((size, size), matvec=matvec, dtype=float)
     mop = LinearOperator((size, size), matvec=apply_precond, dtype=float)
-    b = (rhs - rhs.mean()).ravel()
+    b = np.subtract(residual.mean(), residual).ravel()   # -(R - mean R), formed once
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(shape)
@@ -210,15 +214,17 @@ def solve_newton_system(u: ScalarField, d: ProblemData, coeffs: LinearCoefficien
 
 def _newton_step(it: Iterate, cfg: SolverConfig, forcing: float = _LINEAR_RTOL):
     """One damped step from an evaluated iterate, its linear solve to relative
-    residual `forcing`.  Returns the evaluation of the accepted trial, which
-    the next step starts from, and its s."""
+    residual `forcing`.  The step consumes the iterate's body (see
+    forms.linearization_coefficients).  Returns the evaluation of the
+    accepted trial, which the next step starts from, and its s."""
     if not it.in_cone:
         raise ConeViolationError(
             "current iterate leaves Gamma_2 at the required margin"
         )
     u, d = it.u, it.data
-    # the coefficient rows are passed, not bound: they die with the solve
-    v = solve_newton_system(u, d, linearization_coefficients(it), -it.residual, forcing)
+    # the coefficient rows, written over the iterate's bundle, are passed,
+    # not bound: they die with the solve, and `it` keeps no bundle
+    v = solve_newton_system(u, d, linearization_coefficients(it), it.residual, forcing)
 
     gamma = d.norm_constants.gamma
     s = 1.0
@@ -302,9 +308,9 @@ def run_and_return(d: ProblemData, cfg: SolverConfig, on_accept=None):
             on_accept(t, it)
 
     def start(d_t: ProblemData) -> Iterate:
-        """The accepted iterate against d_t.  It is taken out of `it`: held
-        there, its bundle would stay alive next to those of the attempt's
-        later Newton steps.  After a failed attempt u is evaluated again."""
+        """The accepted iterate against d_t, which takes over its body.  It
+        is taken out of `it`, so the attempt's Newton steps own the only
+        reference.  After a failed attempt u is evaluated again."""
         nonlocal it
         prev, it = it, None
         if prev is None:

@@ -1,6 +1,7 @@
 """Hermitian form assembly, residual equivalence, and the linearization."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sigma2lab.forms import (
     gprime,
     gprime_sigmas,
     gtilde,
+    gtilde_eig_range,
     hermitian_eigenvalues,
     linearization_coefficients,
     manufactured_mu,
@@ -386,6 +388,29 @@ def perturbed_solution(d, rng, amplitude=0.05):
     return ScalarField(d.geometry, -np.log(d.A) + pert.values)
 
 
+def root(arr):
+    """The array that owns arr's memory."""
+    while arr.base is not None:
+        arr = arr.base
+    return arr
+
+
+def owned_bytes(obj):
+    """Bytes of the distinct buffers obj reaches (see owned_arrays)."""
+    return sum({id(r): r.nbytes for r in map(root, owned_arrays(obj))}.values())
+
+
+def traced_peak(fn, *args):
+    """The tracemalloc peak of fn(*args) above the memory in use on entry."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+
+
 def owned_arrays(obj):
     """The arrays an evaluated iterate reaches through its dataclass fields
     and tuples (ProblemData, shared by every iterate, is neither)."""
@@ -424,15 +449,55 @@ class TestLeanIterate:
 
     @pytest.mark.parametrize("which", ["problem2", "problem3"])
     def test_iterate_array_budget(self, which, request, rng):
-        # the field, the n^2 + 2n rows and the Laplacian, e^u, e^{-u}, a and
-        # the residual; every array is counted once, through .base
+        # the body is the n^2 + 2n rows and the Laplacian, e^u, e^{-u} and a;
+        # the part a Newton step keeps is the field and the residual.  Every
+        # array is counted once, through .base
         d = request.getfixturevalue(which)
         n = d.n
         it = evaluate(perturbed_solution(d, rng), d, 1e-6)
-        roots = {}
-        for arr in owned_arrays(it):
-            while arr.base is not None:
-                arr = arr.base
-            roots[id(arr)] = arr.nbytes
         grid_bytes = d.geometry.node_count * 8
-        assert sum(roots.values()) <= (n * n + 2 * n + 6) * grid_bytes
+        assert owned_bytes(it.take_body()) <= (n * n + 2 * n + 4) * grid_bytes
+        assert owned_bytes(it) <= 2 * grid_bytes
+
+    @pytest.mark.parametrize("which", ["problem2", "problem3"])
+    def test_linearization_consumes_body(self, which, request, rng):
+        # the coefficient rows are written over the bundle: the iterate keeps
+        # no bundle and no weights, and k is the bundle's buffer
+        d = request.getfixturevalue(which)
+        it = evaluate(perturbed_solution(d, rng), d, 0.0)
+        bundle = root(it.derivs.rows)
+        lc = linearization_coefficients(it)
+        assert it.body is None
+        assert root(lc.k) is bundle
+        for name in ("derivs", "weights"):
+            with pytest.raises(RuntimeError):
+                getattr(it, name)
+
+    def test_evaluation_at_other_data_takes_body(self, problem2, rng):
+        # a bundle carried to another t has one owner, so writing the
+        # coefficient rows over it cannot reach the earlier iterate
+        d = problem2
+        prev = evaluate(perturbed_solution(d, rng), d, 0.0)
+        rows = prev.derivs.rows
+        it = evaluate(prev.u, d.with_t(0.5), 0.0, prev)
+        assert prev.body is None and it.derivs.rows is rows
+
+    def test_linearization_memory(self, problem3, rng):
+        # c0 and a few row-sized temporaries: k is the bundle's buffer
+        d = problem3
+        it = evaluate(perturbed_solution(d, rng), d, 0.0)
+        assert traced_peak(linearization_coefficients, it) <= 5 * d.geometry.node_count * 8
+
+    def test_rhs_memory(self, problem3, rng):
+        # the output and at most 4 grid arrays of temporaries
+        d = problem3
+        it = evaluate(perturbed_solution(d, rng), d, 0.0)
+        assert traced_peak(rhs_sigma2, d, it.derivs, it.weights) <= 5 * d.geometry.node_count * 8
+
+    @pytest.mark.parametrize("which", ["problem2", "problem3"])
+    def test_gtilde_eig_range_is_exact(self, which, request, rng):
+        # slab by slab, by the same nodewise algebra: equal, not close
+        d = request.getfixturevalue(which)
+        it = evaluate(random_band_limited(d.geometry, rng, 3, 1.0), d, 0.0)
+        eigs = hermitian_eigenvalues(gtilde(it))
+        assert gtilde_eig_range(it) == (float(np.min(eigs)), float(np.max(eigs)))

@@ -120,23 +120,26 @@ class TestNewtonStep:
 
     def test_one_trial_alive_at_a_time(self, geom2, monkeypatch):
         # a step that backtracks four times: when each trial is evaluated,
-        # the rejected one before it and the operator's coefficient rows
-        # are gone
+        # the rejected one before it, the operator's coefficient rows and
+        # the consumed bundle and weights of the start iterate are gone,
+        # though the caller still holds that iterate
         zero = constant_field(geom2, 0.0)
         d = ProblemData(geom2, 1.0, zero, profiles.mu_profile(geom2, 500.0),
                         0.1, t=1.0)
         cfg = SolverConfig()
         it = evaluate(constant_field(geom2, -np.log(0.1)), d, cfg.cone_margin)
-        coeffs, trials, alive = [], [], []
+        coeffs, trials, alive, body = [], [], [], []
         lincoef = solve.linearization_coefficients
 
-        def tracked_coeffs(*args, **kwargs):
-            lc = lincoef(*args, **kwargs)
+        def tracked_coeffs(start, *args, **kwargs):
+            dv = start.derivs
+            body.extend(weakref.ref(x) for x in (dv, dv.rows, dv.lap, *start.weights))
+            lc = lincoef(start, *args, **kwargs)
             coeffs.append(weakref.ref(lc))
             return lc
 
         def tracked_trial(*args, **kwargs):
-            alive.append(sum(ref() is not None for ref in coeffs + trials))
+            alive.append(sum(ref() is not None for ref in coeffs + trials + body))
             trial = evaluate(*args, **kwargs)
             trials.append(weakref.ref(trial))
             return trial
@@ -144,7 +147,7 @@ class TestNewtonStep:
         monkeypatch.setattr(solve, "linearization_coefficients", tracked_coeffs)
         monkeypatch.setattr(solve, "evaluate", tracked_trial)
         _, s = _newton_step(it, cfg)
-        assert s <= 0.25 and len(trials) >= 3
+        assert s <= 0.25 and len(trials) >= 3 and len(body) == 6
         assert alive == [0] * len(trials)
 
 
@@ -217,7 +220,7 @@ class TestBorderedNewtonSystem:
         it = evaluate(u, data, 0.0)
         r = it.residual
         coeffs = forms.linearization_coefficients(it)
-        v = solve.solve_newton_system(u, data, coeffs, -r, rtol)
+        v = solve.solve_newton_system(u, data, coeffs, r, rtol)
 
         omega = np.exp(-gamma * u.values)
         omega /= np.sum(omega)
