@@ -285,25 +285,32 @@ class Derivs:
 
 def spectral_derivatives(u: ScalarField) -> Derivs:
     """First partials, packed complex Hessian and Laplacian of u: one rfftn,
-    then one irfftn per row straight into the bundle's single array."""
+    then one irfftn per row straight into the bundle's single array.  Each
+    row's spectrum is formed in one reused buffer."""
     geom = u.geometry
     n = geom.n
     uhat = _rfft(u.values)
     syms = derivative_symbols(geom)
     rows = np.empty((len(syms),) + geom.shape)
+    buf = np.empty_like(uhat)
     for r, sym in enumerate(syms):
-        rows[r] = _irfft(sym * uhat, geom)
+        rows[r] = _irfft(np.multiply(sym, uhat, out=buf), geom)
     return Derivs(rows=rows, lap=rows[2 * n:3 * n].sum(axis=0))
 
 
 def contract_derivatives(geom: TorusGeometry, k: np.ndarray, values: np.ndarray) -> np.ndarray:
     """sum_r k[r] * (row r of spectral_derivatives) for a real grid array,
-    without building its bundle: one rfftn, then one irfftn per row, each
-    multiplied into the sum as it is transformed."""
+    without building its bundle: one rfftn, then one irfftn per row from one
+    reused spectrum buffer, each row scaled in place and added to the sum as
+    it is transformed."""
     vhat = _rfft(values)
     out = np.zeros(geom.shape)
+    buf = np.empty_like(vhat)
     for k_r, sym in zip(k, derivative_symbols(geom)):
-        out += k_r * _irfft(sym * vhat, geom)
+        row = _irfft(np.multiply(sym, vhat, out=buf), geom)
+        row *= k_r
+        out += row
+        del row   # freed before the next row is transformed
     return out
 
 

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,3 +55,18 @@ def patch_everywhere(monkeypatch):
                     if val is real:
                         monkeypatch.setattr(mod, attr, fake)
     return patch
+
+
+@pytest.fixture()
+def traced_peak():
+    """traced_peak(fn, *args): the tracemalloc peak of fn(*args) above the
+    memory in use on entry, in bytes."""
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+    return peak

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigma2lab import torus
+from sigma2lab import solve, torus
 from sigma2lab.cli import RunConfig, main
 from sigma2lab.errors import ConfigurationError
 from sigma2lab.solve import SolverConfig
@@ -180,6 +180,22 @@ t_step_min = 0.05
         lines = (out / "monitors.csv").read_text().splitlines()
         assert len(lines) >= 2  # header plus at least the t = 0 row
         assert float(lines[1].split(",")[0]) == 0.0
+
+    def test_linear_stagnation_exit_code_and_artifacts(self, tmp_path, monkeypatch, capsys):
+        # every linear solve fails: each attempt ends in a typed
+        # LinearSolveError, the continuation stalls and the run still
+        # writes its artifacts
+        def stagnated(op, b, **kwargs):
+            return np.zeros_like(b), 1
+
+        monkeypatch.setattr(solve, "bicgstab", stagnated)
+        monkeypatch.setattr(solve, "gmres", stagnated)
+        out = tmp_path / "out"
+        assert run_cli("solve", "--out", str(out), "--no-header") == 3
+        err = capsys.readouterr().err
+        assert "LinearSolveError" in err and "Traceback" not in err
+        for name in ("monitors.csv", "solution.bin", "summary.txt"):
+            assert (out / name).is_file(), name
 
 
 class TestTypedErrors:

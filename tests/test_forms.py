@@ -1,7 +1,6 @@
 """Hermitian form assembly, residual equivalence, and the linearization."""
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -400,17 +399,6 @@ def owned_bytes(obj):
     return sum({id(r): r.nbytes for r in map(root, owned_arrays(obj))}.values())
 
 
-def traced_peak(fn, *args):
-    """The tracemalloc peak of fn(*args) above the memory in use on entry."""
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - entry
-    finally:
-        tracemalloc.stop()
-
-
 def owned_arrays(obj):
     """The arrays an evaluated iterate reaches through its dataclass fields
     and tuples (ProblemData, shared by every iterate, is neither)."""
@@ -482,13 +470,13 @@ class TestLeanIterate:
         it = evaluate(prev.u, d.with_t(0.5), 0.0, prev)
         assert prev.body is None and it.derivs.rows is rows
 
-    def test_linearization_memory(self, problem3, rng):
+    def test_linearization_memory(self, problem3, rng, traced_peak):
         # c0 and a few row-sized temporaries: k is the bundle's buffer
         d = problem3
         it = evaluate(perturbed_solution(d, rng), d, 0.0)
         assert traced_peak(linearization_coefficients, it) <= 5 * d.geometry.node_count * 8
 
-    def test_rhs_memory(self, problem3, rng):
+    def test_rhs_memory(self, problem3, rng, traced_peak):
         # the output and at most 4 grid arrays of temporaries
         d = problem3
         it = evaluate(perturbed_solution(d, rng), d, 0.0)

@@ -5,12 +5,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from scipy.sparse.linalg import LinearOperator
 
 from sigma2lab import cli, forms, monitors, profiles, solve, torus
 from sigma2lab.errors import (
     ConeViolationError,
     ContinuationStallError,
     ConvergenceError,
+    LinearSolveError,
     NormalizationError,
 )
 from sigma2lab.forms import ProblemData, evaluate, gamma2_mask, gprime
@@ -207,29 +210,116 @@ class TestSolveAtT:
         assert norms[-1] < norms[0]
 
 
+def newton_system(geom, rng):
+    """(u, data, coefficients, residual) of the Newton system at a small
+    perturbation of the manufactured solution, the arguments of
+    solve_newton_system before rtol."""
+    data, u_star = profiles.manufactured_problem(
+        geom, alpha=1.0, base_A=0.1, amplitude=0.25, f_scale=0.05)
+    pert = random_band_limited(geom, rng, 2, 1e-3)
+    u = normalize(ScalarField(geom, u_star.values + pert.values), data.A,
+                  data.norm_constants.gamma)
+    it = evaluate(u, data, 0.0)
+    return u, data, forms.linearization_coefficients(it), it.residual
+
+
+def assert_solves_both_rows(system, v, rtol):
+    # the step keeps the normalization to first order, l(v) = 0, and
+    # solves L v = -R up to a constant, both to rtol
+    u, data, coeffs, r = system
+    omega = np.exp(-data.norm_constants.gamma * u.values)
+    omega /= np.sum(omega)
+    lv = coeffs.apply_to(v)
+    proj_r = r - np.mean(r)
+    bnorm = float(np.linalg.norm(proj_r))
+    assert np.linalg.norm(lv - np.mean(lv) + proj_r) <= rtol * bnorm
+    # the border row's share of the residual norm is sqrt(N) |l(v)|
+    assert np.sqrt(v.size) * abs(float(np.sum(omega * v))) <= rtol * bnorm
+
+
+def scribbling_failure(op, b, **kwargs):
+    """A Krylov solver that overwrites b, as bicgstab does, and fails."""
+    b[:] = 1.0
+    return np.zeros_like(b), 1
+
+
 class TestBorderedNewtonSystem:
     def test_solution_satisfies_both_rows(self, geom2, rng):
-        # the step keeps the normalization to first order, l(v) = 0, and
-        # solves L v = -R up to a constant, both to the requested rtol
-        data, u_star = profiles.manufactured_problem(
-            geom2, alpha=1.0, base_A=0.1, amplitude=0.25, f_scale=0.05)
-        gamma = data.norm_constants.gamma
-        pert = random_band_limited(geom2, rng, 2, 1e-3)
-        u = normalize(ScalarField(geom2, u_star.values + pert.values), data.A, gamma)
+        system = newton_system(geom2, rng)
         rtol = 1e-8
-        it = evaluate(u, data, 0.0)
-        r = it.residual
-        coeffs = forms.linearization_coefficients(it)
-        v = solve.solve_newton_system(u, data, coeffs, r, rtol)
+        assert_solves_both_rows(system, solve.solve_newton_system(*system, rtol), rtol)
 
-        omega = np.exp(-gamma * u.values)
-        omega /= np.sum(omega)
-        lv = coeffs.apply_to(v)
-        proj_r = r - np.mean(r)
-        bnorm = float(np.linalg.norm(proj_r))
-        assert np.linalg.norm(lv - np.mean(lv) + proj_r) <= rtol * bnorm
-        # the border row's share of the residual norm is sqrt(N) |l(v)|
-        assert np.sqrt(v.size) * abs(float(np.sum(omega * v))) <= rtol * bnorm
+    def test_fallback_solves_the_original_system(self, geom2, rng, monkeypatch):
+        # bicgstab overwrites its right-hand side, so the GMRES fallback
+        # must be handed the system formed again from the residual
+        system = newton_system(geom2, rng)
+        rtol = 1e-8
+        monkeypatch.setattr(solve, "bicgstab", scribbling_failure)
+        assert_solves_both_rows(system, solve.solve_newton_system(*system, rtol), rtol)
+
+    def test_failure_is_typed_and_measured_on_the_original_system(
+            self, geom2, rng, monkeypatch):
+        # both solvers fail; the fallback returns half the solution, so the
+        # reported relative residual against the original b is 1/2
+        system = newton_system(geom2, rng)
+        r = system[3]
+        v = solve.solve_newton_system(*system, 1e-10)
+        seen = []
+
+        def half_solution(op, b, **kwargs):
+            seen.append(b.copy())
+            return 0.5 * v.ravel(), 1
+
+        monkeypatch.setattr(solve, "bicgstab", scribbling_failure)
+        monkeypatch.setattr(solve, "gmres", half_solution)
+        with pytest.raises(LinearSolveError, match=r"relative residual 5\.00e-01"):
+            solve.solve_newton_system(*system, 1e-8)
+        assert np.array_equal(seen[0], np.subtract(r.mean(), r).ravel())
+
+    @pytest.mark.parametrize("rtol, maxiter, outcome", [(1e-8, 200, 0), (1e-14, 3, 3)])
+    def test_bicgstab_matches_scipy(self, geom2, rng, monkeypatch, rtol, maxiter, outcome):
+        # the in-place loop is scipy's iteration: the same operator applies,
+        # the same outcome, converged or at the cap, and the same solution
+        captured = []
+        real = solve.bicgstab
+
+        def capture(op, b, **kwargs):
+            captured.append((op, kwargs["M"], b.copy()))
+            return real(op, b, **kwargs)
+
+        monkeypatch.setattr(solve, "bicgstab", capture)
+        solve.solve_newton_system(*newton_system(geom2, rng), 1e-8)
+        op, M, b = captured[0]
+        results = []
+        for krylov in (real, scipy.sparse.linalg.bicgstab):
+            applies = []
+
+            def matvec(x):
+                applies.append(1)
+                return op.matvec(x)
+
+            counted = LinearOperator(op.shape, matvec=matvec, dtype=float)
+            x, info = krylov(counted, b.copy(), rtol=rtol, atol=0.0, maxiter=maxiter, M=M)
+            results.append((x, info, len(applies)))
+        (x, info, n_applies), (x_ref, info_ref, n_ref) = results
+        assert (info, n_applies) == (info_ref, n_ref)
+        assert info == outcome
+        assert np.linalg.norm(x - x_ref) <= rtol * np.linalg.norm(x_ref)
+
+    def test_bicgstab_zero_rhs(self):
+        op = LinearOperator((4, 4), matvec=lambda x: 2.0 * x, dtype=float)
+        x, info = solve.bicgstab(op, np.zeros(4), rtol=1e-8, maxiter=10, M=op)
+        assert info == 0 and not x.any()
+
+    @pytest.mark.parametrize("which", ["geom2", "geom3"])
+    def test_linear_solve_array_budget(self, which, request, rng, traced_peak):
+        # above its arguments: the preconditioner symbol, omega, the six
+        # BiCGStab vectors (b among them) and one operator apply's output,
+        # row, spectrum and FFT scratch
+        geom = request.getfixturevalue(which)
+        system = newton_system(geom, rng)
+        peak = traced_peak(solve.solve_newton_system, *system, 1e-8)
+        assert peak <= 13 * geom.node_count * 8
 
     def test_quadratic_rate_at_t_one(self, geom2, monkeypatch):
         # criterion-6 data on 16^4: once the t = 1 residual is below 1e-2,
@@ -253,6 +343,30 @@ class TestBorderedNewtonSystem:
         assert history[-1] < cfg.newton_tol
         first = next(i for i, rn in enumerate(history) if rn < 1e-2)
         assert len(history) - 1 - first <= 2, history
+
+    def test_manufactured_krylov_budget(self, geom2, monkeypatch):
+        # the benchmark's Krylov-bound workload (criterion-6 data on 16^4):
+        # Eisenstat-Walker forcing solves it in 8 Newton steps with at most
+        # 48 operator applies, where the forcing 0.01 r_k / r_0 took 57
+        data, _ = profiles.manufactured_problem(
+            geom2, alpha=1.0, base_A=0.1, amplitude=0.25, f_scale=0.05)
+        cfg = SolverConfig(newton_tol=1e-9, max_newton_iters=20, t_step_init=0.5)
+        counts = Counter()
+        apply_to, step = forms.LinearCoefficients.apply_to, solve._newton_step
+
+        def counted_apply(self, v):
+            counts["applies"] += 1
+            return apply_to(self, v)
+
+        def counted_step(*args, **kwargs):
+            counts["steps"] += 1
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(forms.LinearCoefficients, "apply_to", counted_apply)
+        monkeypatch.setattr(solve, "_newton_step", counted_step)
+        report, _ = run_and_return(data, cfg)
+        assert report.converged
+        assert counts["steps"] <= 8 and counts["applies"] <= 48, counts
 
 
 class TestContinuityRun:

@@ -6,6 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,8 @@ from sigma2lab.errors import ConfigurationError
 from sigma2lab.torus import (
     ScalarField,
     constant_field,
+    contract_derivatives,
+    derivative_symbols,
     integrate,
     load_field,
     make_geometry,
@@ -158,6 +161,22 @@ class TestSpectralDerivatives:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         n = geom.n
         assert np.array_equal(dv.lap, dv.rows[2 * n:3 * n].sum(axis=0))
+
+    @pytest.mark.parametrize("which", ["geom2", "geom3"])
+    def test_buffered_rows_equal_per_row_loop(self, which, request, rng):
+        # one reused spectrum buffer and in-place scaling change no bit
+        # against a fresh sym * hat and k_r * row per row
+        geom = request.getfixturevalue(which)
+        u = random_band_limited(geom, rng, 3, 1.0)
+        uhat = scipy.fft.rfftn(u.values, workers=-1)
+        rows = [scipy.fft.irfftn(sym * uhat, s=geom.shape, workers=-1)
+                for sym in derivative_symbols(geom)]
+        assert np.array_equal(spectral_derivatives(u).rows, np.stack(rows))
+        k = rng.standard_normal((len(rows),) + geom.shape)
+        want = np.zeros(geom.shape)
+        for k_r, row in zip(k, rows):
+            want += k_r * row
+        assert np.array_equal(contract_derivatives(geom, k, u.values), want)
 
     @pytest.mark.parametrize("which", ["geom2", "geom3"])
     def test_bundle_holds_only_its_rows(self, which, request, rng):
