@@ -34,7 +34,7 @@ from .forms import ProblemData, check_A, evaluate
 from .monitors import moser_identity_gap, reverse_sobolev_constant
 from .profiles import manufactured_problem, perturbative_problem, trivial_problem
 from .solve import SolverConfig, run_and_return
-from .torus import load_field, make_geometry, save_field
+from .torus import TorusGeometry, load_field, save_field
 from .verify import run_all
 
 EXIT_OK = 0
@@ -99,7 +99,7 @@ class RunConfig:
 
     def build_problem(self):
         """Returns (ProblemData, exact solution or None)."""
-        geom = make_geometry(self.n, self.points_per_axis)
+        geom = TorusGeometry(self.n, self.points_per_axis)
         if self.profile == "trivial":
             return trivial_problem(geom, self.alpha, self.A), None
         if self.profile == "perturbative":
@@ -133,12 +133,16 @@ def _write_csv(path: Path, command: str, columns, rows, no_header: bool) -> None
     path.write_text("\n".join(lines) + "\n")
 
 
-def _gnuplot_script(path: Path, csv_name: str, xcol: int, ycol: int,
-                    xlabel: str, ylabel: str) -> None:
+def _gnuplot_script(path: Path, csv_name: str, columns, x: str, y: str,
+                    ylabel: str | None = None) -> None:
+    """Plot column y of csv_name against column x, both looked up by name
+    among the columns written there; the axes are labelled with the column
+    names unless ylabel is given."""
+    xcol, ycol = columns.index(x) + 1, columns.index(y) + 1
     path.write_text(
         "set datafile separator ','\n"
-        f"set xlabel '{xlabel}'\n"
-        f"set ylabel '{ylabel}'\n"
+        f"set xlabel '{x}'\n"
+        f"set ylabel '{ylabel or y}'\n"
         "set key off\n"
         f"plot '{csv_name}' using {xcol}:{ycol} with linespoints\n"
     )
@@ -179,7 +183,8 @@ def cmd_solve(args) -> int:
             zip(report.t_values, report.residual_norms, report.monitor_snapshots)]
     _write_csv(out / "monitors.csv", "solve", monitors.CSV_COLUMNS, rows,
                args.no_header)
-    _gnuplot_script(out / "monitors.gp", "monitors.csv", 1, 10, "t", "kappa")
+    _gnuplot_script(out / "monitors.gp", "monitors.csv", monitors.CSV_COLUMNS,
+                    "t", "kappa")
     save_field(out / "solution.bin", u)
 
     last = report.monitor_snapshots[-1]  # t = 0 is always accepted
@@ -224,11 +229,11 @@ def cmd_degeneracy(args) -> int:
         rows = n3_sweep(args.samples)
         closed = (rows[:, 0] ** 2 - 1.0) ** 2 / 9.0
         worst = float(np.max(np.abs(rows[:, 2] - closed)))
-        _write_csv(out / "degeneracy_n3.csv", "degeneracy",
-                   ("s", "kappa_p", "rhs"), [tuple(r) for r in rows],
-                   args.no_header)
-        _gnuplot_script(out / "degeneracy_n3.gp", "degeneracy_n3.csv", 1, 3,
-                        "s", "minimum-point rhs")
+        columns = ("s", "kappa_p", "rhs")
+        _write_csv(out / "degeneracy_n3.csv", "degeneracy", columns,
+                   [tuple(r) for r in rows], args.no_header)
+        _gnuplot_script(out / "degeneracy_n3.gp", "degeneracy_n3.csv", columns,
+                        "s", "rhs", "minimum-point rhs")
         print(f"n=3 path: {args.samples} samples, max |rhs - (s^2-1)^2/9| = {worst:.3e}")
         if worst > 1e-12:
             print("closed-form check FAILED", file=sys.stderr)
@@ -237,11 +242,11 @@ def cmd_degeneracy(args) -> int:
     kappas = np.linspace(0.5, 1.5, args.samples)
     thetas = (0.002, 0.005, 0.01, 0.02, 0.05)
     rows = n2_sweep(kappas, thetas)
-    _write_csv(out / "degeneracy_n2.csv", "degeneracy",
-               ("theta", "kappa_p", "lhs", "rhs", "sign"),
+    columns = ("theta", "kappa_p", "lhs", "rhs", "sign")
+    _write_csv(out / "degeneracy_n2.csv", "degeneracy", columns,
                [tuple(r) for r in rows], args.no_header)
-    _gnuplot_script(out / "degeneracy_n2.gp", "degeneracy_n2.csv", 2, 5,
-                    "kappa_p", "sign(rhs - lhs)")
+    _gnuplot_script(out / "degeneracy_n2.gp", "degeneracy_n2.csv", columns,
+                    "kappa_p", "sign", "sign(rhs - lhs)")
     # locate the sign frontier for the smallest theta
     sel = rows[rows[:, 0] == thetas[0]]
     flip = sel[np.searchsorted(sel[:, 4] > 0, True)][1] if np.any(sel[:, 4] > 0) else float("nan")
@@ -276,9 +281,9 @@ def cmd_sweep_a(args) -> int:
             print(f"A={a}: {exc}", file=sys.stderr)
             failures += 1
             rows.append((a, 0.0) + (float("nan"),) * len(monitors.CSV_COLUMNS))
-    _write_csv(out / "sweep_a.csv", "sweep-a",
-               ("A", "converged") + monitors.CSV_COLUMNS, rows, args.no_header)
-    _gnuplot_script(out / "sweep_a.gp", "sweep_a.csv", 1, 7, "A", "c1_max")
+    columns = ("A", "converged") + monitors.CSV_COLUMNS
+    _write_csv(out / "sweep_a.csv", "sweep-a", columns, rows, args.no_header)
+    _gnuplot_script(out / "sweep_a.gp", "sweep_a.csv", columns, "A", "c1_max")
     print(f"A sweep: {len(a_list) - failures}/{len(a_list)} solves converged")
     return EXIT_SOLVER if failures == len(a_list) else EXIT_OK
 

@@ -24,14 +24,15 @@ from the same discrete derivative fields of u and f.
 The continuation parameter t scales the data: every accessor below uses
 f_eff = t f and mu_eff = t mu, so callers never scale manually.
 
-Every Hermitian form is held in the packed real layout of
-torus.HermitianField (n diagonal rows, then Re and Im of each strict-upper
-entry), and everything the solver computes from it is real algebra on those
-rows: sigma_1 is the sum of the diagonal rows, sigma_2 is
-sum_{j<k} (h_jj h_kk - |h_jk|^2), the Gamma_2 test reads both, and the
-eigenvalues come from closed forms.  A gradient pairing 2 Re sum_j p_j
-conj(q_j) of complex gradients is (1/2) sum_a p_a q_a over the 2n real
-partials.
+Every Hermitian form is a plain array of packed real rows, (n^2,) + nodes:
+the n diagonal rows, then Re and Im of each strict-upper entry in
+torus.upper_pairs order (torus.unpack_hermitian expands them to full
+matrices).  Each operation on a form is one function of its rows and n, and
+all of it is real algebra on those rows: sigma1_field sums the diagonal
+rows, sigma2_field is sum_{j<k} (h_jj h_kk - |h_jk|^2), gamma2_mask tests
+the two sigmas, and hermitian_eigenvalues has closed forms.  A gradient
+pairing 2 Re sum_j p_j conj(q_j) of complex gradients is
+(1/2) sum_a p_a q_a over the 2n real partials.
 
 evaluate() is the one place a field's bundle and weights are built.  It
 returns an Iterate in two parts.  The part a Newton step keeps is the field,
@@ -67,7 +68,6 @@ import numpy as np
 from .errors import ConfigurationError
 from .torus import (
     Derivs,
-    HermitianField,
     ScalarField,
     TorusGeometry,
     contract_derivatives,
@@ -211,16 +211,18 @@ class ProblemData:
 
 
 # ---------------------------------------------------------------------------
-# symmetric functions of Hermitian matrix fields
+# symmetric functions of Hermitian forms in packed rows
 
 
-def sigma1_field(h: HermitianField) -> np.ndarray:
-    return h.rows[:h.geometry.n].sum(axis=0)
+def sigma1_field(rows: np.ndarray, n: int) -> np.ndarray:
+    """sigma_1 of the eigenvalues: the sum of the n diagonal rows."""
+    return rows[:n].sum(axis=0)
 
 
-def _sigma2_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    """sum_{j<k} (h_jj h_kk - |h_jk|^2) on packed Hermitian rows: the sum of
-    the principal 2 x 2 minors, which is sigma_2 of the eigenvalues."""
+def sigma2_field(rows: np.ndarray, n: int) -> np.ndarray:
+    """sigma_2 of the eigenvalues as sum_{j<k} (h_jj h_kk - |h_jk|^2), the
+    sum of the principal 2 x 2 minors, so no per-node eigenvalue computation
+    is needed."""
     off = rows[n:]
     out = -_row_dot(off, off)
     for j, k in upper_pairs(n):
@@ -228,24 +230,14 @@ def _sigma2_rows(rows: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def sigma2_field(h: HermitianField) -> np.ndarray:
-    """sigma_2 of the eigenvalues as the sum of principal 2 x 2 minors, so no
-    per-node eigenvalue computation is needed."""
-    return _sigma2_rows(h.rows, h.geometry.n)
-
-
-def hermitian_eigenvalues(h: HermitianField) -> np.ndarray:
-    """Per-node eigenvalues, ascending along axis 0.
+def hermitian_eigenvalues(m: np.ndarray, n: int) -> np.ndarray:
+    """Per-node eigenvalues of packed rows (n^2,) + any node shape, ascending
+    along axis 0.
 
     Closed-form quadratic for n = 2 and the trigonometric form of the cubic
-    for n = 3, both vectorized over the grid and real in the packed rows;
-    matrices are Hermitian by construction so the eigenvalues are real.
+    for n = 3, both vectorized over the nodes and real in the packed rows;
+    the forms are Hermitian by construction so the eigenvalues are real.
     """
-    return _eigenvalues_rows(h.rows, h.geometry.n)
-
-
-def _eigenvalues_rows(m: np.ndarray, n: int) -> np.ndarray:
-    """hermitian_eigenvalues of packed rows (n^2,) + any node shape."""
     eig = np.empty((n,) + m.shape[1:])
     if n == 2:
         a, c, re, im = m
@@ -274,15 +266,11 @@ def _eigenvalues_rows(m: np.ndarray, n: int) -> np.ndarray:
     return eig
 
 
-def gamma2_mask(gp: HermitianField, margin: float = 0.0) -> np.ndarray:
-    """Per-node Gamma_2 membership of the eigenvalues of gp, with an
-    eigenvalue margin: the test is applied to the spectrum shifted down by
-    `margin`, i.e. sigma_k(lambda - margin * 1) > 0 for k = 1, 2."""
-    return _gamma2_test(sigma1_field(gp), sigma2_field(gp), gp.geometry.n, margin)
-
-
-def _gamma2_test(s1: np.ndarray, s2: np.ndarray, n: int, margin: float = 0.0) -> np.ndarray:
-    """gamma2_mask from sigma_1 and sigma_2 of the eigenvalues."""
+def gamma2_mask(s1: np.ndarray, s2: np.ndarray, n: int, margin: float = 0.0) -> np.ndarray:
+    """Per-node Gamma_2 membership of eigenvalues with sigma_1 = s1 and
+    sigma_2 = s2, with an eigenvalue margin: the test is applied to the
+    spectrum shifted down by `margin`, i.e. sigma_k(lambda - margin * 1) > 0
+    for k = 1, 2."""
     if margin != 0.0:
         c = margin
         s2 = s2 - c * (n - 1) * s1 + c * c * (n * (n - 1) / 2.0)
@@ -368,15 +356,10 @@ def gprime_sigmas(d: ProblemData, dv: Derivs, a: np.ndarray) -> tuple[np.ndarray
     c = 2.0 * n * d.alpha
     s1 = c * dv.lap
     s1 += n * a
-    s2 = sigma2_hessian(dv)
+    s2 = sigma2_field(dv.hess_rows, n)
     s2 *= c * c
     s2 += (d.kappa_c * a + ((n - 1) * c) * dv.lap) * a
     return s1, s2
-
-
-def sigma2_hessian(dv: Derivs) -> np.ndarray:
-    """sigma_2 of the complex Hessian, from its packed rows."""
-    return _sigma2_rows(dv.hess_rows, dv.n)
 
 
 def rhs_sigma2(d: ProblemData, dv: Derivs, w: Weights) -> np.ndarray:
@@ -462,8 +445,8 @@ def evaluate(u: ScalarField, d: ProblemData, margin: float,
     a += eu
     w = Weights(eu, emu, a)
     s1, s2 = gprime_sigmas(d, dv, a)
-    in_cone = bool(np.all(_gamma2_test(s1, s2, d.n, margin)))
-    frac = float(np.mean(_gamma2_test(s1, s2, d.n)))
+    in_cone = bool(np.all(gamma2_mask(s1, s2, d.n, margin)))
+    frac = float(np.mean(gamma2_mask(s1, s2, d.n)))
     del s1   # not read again; freed before the residual's temporaries
     kappa = float(np.min(emu * emu * s2))
     r = residual_sigma2(d, dv, w, s2)
@@ -474,44 +457,39 @@ def evaluate(u: ScalarField, d: ProblemData, margin: float,
 # forms of an evaluated iterate
 
 
-def gprime(it: Iterate) -> HermitianField:
-    """g' = (e^u + f_eff e^{-u}) I + 2 n alpha * complex Hessian of u."""
+def gprime(it: Iterate) -> np.ndarray:
+    """g' = (e^u + f_eff e^{-u}) I + 2 n alpha * complex Hessian of u, in
+    packed rows."""
     d = it.data
     rows = (2.0 * d.n * d.alpha) * it.derivs.hess_rows
     rows[:d.n] += it.weights.a
-    return HermitianField(d.geometry, rows)
+    return rows
 
 
-def gtilde(it: Iterate) -> HermitianField:
-    """Linearization metric (n-1) a I + 2 n alpha ((Lap u) I - Hessian).
+def gtilde(it: Iterate, at=...) -> np.ndarray:
+    """Linearization metric (n-1) a I + 2 n alpha ((Lap u) I - Hessian), in
+    packed rows on the nodes `at` indexes of the grid (every node by
+    default).
 
     These are also the coefficients F^{j kbar} of the linearized operator:
     raising both indices by the flat background metric is trivial.
     """
     d, dv = it.data, it.derivs
-    return HermitianField(d.geometry, _gtilde_rows(d, dv.hess_rows, it.weights.a, dv.lap))
-
-
-def _gtilde_rows(d: ProblemData, hess_rows: np.ndarray, a: np.ndarray,
-                 lap: np.ndarray) -> np.ndarray:
-    """gtilde's packed rows on any node set, from the Hessian rows, a and the
-    Laplacian on those nodes."""
     coef = 2.0 * d.n * d.alpha
-    rows = (-coef) * hess_rows
-    rows[:d.n] += (d.n - 1) * a + coef * lap
+    rows = (-coef) * dv.hess_rows[:, at]
+    rows[:d.n] += (d.n - 1) * it.weights.a[at] + coef * dv.lap[at]
     return rows
 
 
 def gtilde_eig_range(it: Iterate) -> tuple[float, float]:
     """The least and the largest eigenvalue of gtilde over the grid, equal
-    to those of hermitian_eigenvalues(gtilde(it)).  gtilde and its
+    to those of hermitian_eigenvalues(gtilde(it), n).  gtilde and its
     eigenvalues are formed one slab of the first grid axis at a time, by the
     same nodewise algebra, so no whole-grid gtilde is built."""
-    d, dv = it.data, it.derivs
-    a = it.weights.a
+    n = it.data.n
     lows, highs = [], []
-    for i in range(a.shape[0]):
-        eig = _eigenvalues_rows(_gtilde_rows(d, dv.hess_rows[:, i], a[i], dv.lap[i]), d.n)
+    for i in range(it.u.geometry.points_per_axis):
+        eig = hermitian_eigenvalues(gtilde(it, at=i), n)
         lows.append(np.min(eig))
         highs.append(np.max(eig))
     return float(np.min(lows)), float(np.max(highs))
@@ -536,7 +514,7 @@ def residual_fy1(it: Iterate) -> np.ndarray:
     lap_femu = emu * (d.lap_f_eff() - d.grad_f_dot(dv.partials)
                       + fe * gsq - fe * dv.lap)
     n = d.n
-    return (n - 1) * (lap_eu - lap_femu) + 2.0 * n * d.alpha * sigma2_hessian(dv) + d.mu_eff()
+    return (n - 1) * (lap_eu - lap_femu) + 2.0 * n * d.alpha * sigma2_field(dv.hess_rows, n) + d.mu_eff()
 
 
 # ---------------------------------------------------------------------------

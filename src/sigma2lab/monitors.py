@@ -19,14 +19,15 @@ Every monitor takes an evaluated forms.Iterate and reads its bundle and
 weights, so monitoring an accepted iterate differentiates nothing again.
 The eigenvalue range of the linearization metric is read one slab of the
 grid at a time (forms.gtilde_eig_range), so no whole-grid metric is built.
-EstimateReport.row gives one accepted t's CSV row in CSV_COLUMNS order;
-the CLI's writer formats it.
+The fields of EstimateReport are the monitors.csv schema: CSV_COLUMNS and
+EstimateReport.row are t, the residual norm, then those fields in order, and
+the CLI's writer formats the row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,24 +35,11 @@ from .errors import HypothesisError, RangeUnderflowError
 from .forms import Iterate, gtilde_eig_range
 from .torus import mixed_wedge_density
 
-CSV_COLUMNS = (
-    "t",
-    "residual_norm",
-    "inf_u",
-    "sup_u",
-    "c0_low_ratio",
-    "c0_high_ratio",
-    "c1_max",
-    "gtilde_eig_min",
-    "gtilde_eig_max",
-    "kappa",
-    "kappa_c",
-    "gamma2_fraction",
-)
-
 
 @dataclass(frozen=True)
 class EstimateReport:
+    """The monitored quantities of one iterate, in monitors.csv column order."""
+
     inf_u: float
     sup_u: float
     c0_low_ratio: float
@@ -64,11 +52,11 @@ class EstimateReport:
     gamma2_fraction: float
 
     def row(self, t: float, residual_norm: float) -> tuple:
-        return (
-            t, residual_norm, self.inf_u, self.sup_u, self.c0_low_ratio,
-            self.c0_high_ratio, self.c1_max, self.gtilde_eig_min,
-            self.gtilde_eig_max, self.kappa, self.kappa_c, self.gamma2_fraction,
-        )
+        """One CSV row in CSV_COLUMNS order."""
+        return (t, residual_norm) + tuple(getattr(self, f.name) for f in fields(self))
+
+
+CSV_COLUMNS = ("t", "residual_norm") + tuple(f.name for f in fields(EstimateReport))
 
 
 def estimate_report(it: Iterate) -> EstimateReport:

@@ -27,9 +27,11 @@ returns one real array of n^2 + 2n rows, in this order:
 contract_derivatives forms sum_r k[r] * rows[r] for coefficient rows k by
 the same transforms, one row at a time, without storing the rows.
 
-The last n^2 rows are the packed layout of a Hermitian field (see
-HermitianField): n real diagonal entries, then the real and imaginary parts
-of each strict-upper entry.  The holomorphic derivative is
+The last n^2 rows are the packed layout in which every Hermitian form of
+the package is held, as a plain real array (n^2,) + nodes: n real diagonal
+entries, then the real and imaginary parts of each strict-upper entry in
+upper_pairs order.  unpack_hermitian expands packed rows into full complex
+matrices for callers that want them.  The holomorphic derivative is
 D_j = (d/dx_j - i d/dy_j) / 2, so D_j u = (rows[2j] - i rows[2j+1]) / 2 and
 
     Re u_{j kbar} = (u_{x_j x_k} + u_{y_j y_k}) / 4,
@@ -122,11 +124,6 @@ class TorusGeometry:
         return idx.reshape(shape)
 
 
-def make_geometry(n: int, points_per_axis: int, period: float = 1.0) -> TorusGeometry:
-    """Build a unit-volume flat torus geometry."""
-    return TorusGeometry(n=n, points_per_axis=points_per_axis, period=period)
-
-
 @dataclass(frozen=True)
 class ScalarField:
     """Real scalar samples on the torus grid."""
@@ -151,7 +148,8 @@ def upper_pairs(n: int) -> list:
 
 
 def unpack_hermitian(rows: np.ndarray, n: int) -> np.ndarray:
-    """Full complex (n, n) + grid array of packed Hermitian rows."""
+    """Full complex (n, n) + nodes array of packed Hermitian rows (n^2,) +
+    nodes."""
     m = np.empty((n, n) + rows.shape[1:], dtype=complex)
     for j in range(n):
         m[j, j] = rows[j]
@@ -159,31 +157,6 @@ def unpack_hermitian(rows: np.ndarray, n: int) -> np.ndarray:
         m[j, k] = rows[n + 2 * p] + 1j * rows[n + 2 * p + 1]
         m[k, j] = np.conj(m[j, k])
     return m
-
-
-@dataclass(frozen=True)
-class HermitianField:
-    """Per-node n x n complex Hermitian matrix in packed real rows, (n^2,) +
-    grid: the n real diagonal entries, then Re and Im of each strict-upper
-    entry in upper_pairs order.  It is built from packed rows only;
-    `matrices` expands them into the full (n, n) + grid complex array for
-    callers that want the full matrix."""
-
-    geometry: TorusGeometry
-    rows: np.ndarray
-
-    def __post_init__(self):
-        n = self.geometry.n
-        r = np.asarray(self.rows, dtype=float)
-        if r.shape != (n * n,) + self.geometry.shape:
-            raise ConfigurationError(
-                f"matrix field shape {r.shape} does not match (n^2,) + grid"
-            )
-        object.__setattr__(self, "rows", r)
-
-    @property
-    def matrices(self) -> np.ndarray:
-        return unpack_hermitian(self.rows, self.geometry.n)
 
 
 def constant_field(geom: TorusGeometry, c: float) -> ScalarField:

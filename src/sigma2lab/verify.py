@@ -146,7 +146,7 @@ def suite_residual_proportionality(seed: int, fields: int = 100,
     rng = np.random.default_rng(seed)
     worst = _Worst(tol)
     for n, points in ((2, 16), (3, 8)):
-        geom = torus.make_geometry(n, points)
+        geom = torus.TorusGeometry(n, points)
         d = _random_problem(geom, rng)
         for i in range(fields):
             u = torus.random_band_limited(geom, rng, max_mode=2,
@@ -171,7 +171,7 @@ def suite_sigma_relations_fields(seed: int, fields: int = 20,
     worst = _Worst(tol)
     cone_ok = True
     for n, points in ((2, 16), (3, 8)):
-        geom = torus.make_geometry(n, points)
+        geom = torus.TorusGeometry(n, points)
         d = _random_problem(geom, rng)
         for i in range(fields):
             u = torus.random_band_limited(geom, rng, max_mode=2,
@@ -180,16 +180,17 @@ def suite_sigma_relations_fields(seed: int, fields: int = 20,
             dv = it.derivs
             gp = forms.gprime(it)
             gt = forms.gtilde(it)
-            s1p = forms.sigma1_field(gp)
-            s2p = forms.sigma2_field(gp)
-            s1t = forms.sigma1_field(gt)
-            s2t = forms.sigma2_field(gt)
+            s1p = forms.sigma1_field(gp, n)
+            s2p = forms.sigma2_field(gp, n)
+            s1t = forms.sigma1_field(gt, n)
+            s2t = forms.sigma2_field(gt, n)
             # matrix identity gtilde = sigma_1(g') I - g'
-            alt = -gp.matrices.copy()
+            alt = -torus.unpack_hermitian(gp, n)
             for j in range(n):
                 alt[j, j] = alt[j, j] + s1p
-            mat_gap = float(np.max(np.abs(alt - gt.matrices)))
-            mat_scale = 1.0 + float(np.max(np.abs(gt.matrices)))
+            gt_mat = torus.unpack_hermitian(gt, n)
+            mat_gap = float(np.max(np.abs(alt - gt_mat)))
+            mat_scale = 1.0 + float(np.max(np.abs(gt_mat)))
             gaps = [
                 mat_gap / mat_scale,
                 float(np.max(_rel_gap(s1t, (n - 1) * s1p))),
@@ -198,15 +199,15 @@ def suite_sigma_relations_fields(seed: int, fields: int = 20,
             # expansion of sigma_2(g') in the Hessian spectrum
             a = it.weights.a
             expanded = (
-                4.0 * n * n * d.alpha ** 2 * forms.sigma2_hessian(dv)
+                4.0 * n * n * d.alpha ** 2 * forms.sigma2_field(dv.hess_rows, n)
                 + 2.0 * n * (n - 1) * d.alpha * a * dv.lap
                 + n * (n - 1) / 2.0 * a * a
             )
             gaps.append(float(np.max(_rel_gap(s2p, expanded))))
             worst.see(gaps, lambda _: f"n={n}, field #{i}")
-            in_cone = forms.gamma2_mask(gp)
+            in_cone = forms.gamma2_mask(s1p, s2p, n)
             if np.any(in_cone):
-                min_eig = float(np.min(forms.hermitian_eigenvalues(gt)[:, in_cone]))
+                min_eig = float(np.min(forms.hermitian_eigenvalues(gt, n)[:, in_cone]))
                 if min_eig <= -1e-12 * mat_scale:
                     cone_ok = False
                     worst.case = f"n={n}, field #{i}: gtilde eig {min_eig:.3e} inside Gamma_2"
@@ -218,7 +219,7 @@ def suite_linearize_fd(seed: int, pairs: int = 20, tol: float = 1e-6,
                        eps: float = 1e-5) -> SuiteResult:
     """Analytic linearization against central finite differences."""
     rng = np.random.default_rng(seed)
-    geom = torus.make_geometry(2, 16)
+    geom = torus.TorusGeometry(2, 16)
     d = _random_problem(geom, rng)
     worst = _Worst(tol)
     for i in range(pairs):
@@ -255,7 +256,7 @@ def suite_wedge_identity(seed: int, fields: int = 20, tol: float = 1e-10) -> Sui
     rng = np.random.default_rng(seed)
     worst = _Worst(tol)
     for n, points in ((2, 16), (3, 8)):
-        geom = torus.make_geometry(n, points)
+        geom = torus.TorusGeometry(n, points)
         for i in range(fields):
             u = _axiswise_field(geom, rng)
             dv = torus.spectral_derivatives(u)

@@ -9,12 +9,12 @@ from sigma2lab import forms, profiles, torus
 
 @pytest.fixture(scope="session")
 def geom2():
-    return torus.make_geometry(2, 16)
+    return torus.TorusGeometry(2, 16)
 
 
 @pytest.fixture(scope="session")
 def geom3():
-    return torus.make_geometry(3, 8)
+    return torus.TorusGeometry(3, 8)
 
 
 @pytest.fixture()

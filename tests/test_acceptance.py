@@ -27,7 +27,7 @@ def report_line(tag, passed, detail):
 def manufactured_run():
     """Criterion 6 workload, shared with criterion 10: n=2, 32 points/axis,
     smooth low-mode exact solution, continuation from the trivial start."""
-    geom = torus.make_geometry(2, 32)
+    geom = torus.TorusGeometry(2, 32)
     data, u_star = profiles.manufactured_problem(
         geom, alpha=1.0, base_A=0.1, amplitude=0.25, f_scale=0.05)
     cfg = solve.SolverConfig(newton_tol=1e-9, max_newton_iters=20, t_step_init=0.5)
@@ -79,7 +79,7 @@ def test_criterion_5_trivial_solution():
     details = []
     ok = True
     for n, points, kappa_c in ((2, 16, 1.0), (3, 8, 3.0)):
-        geom = torus.make_geometry(n, points)
+        geom = torus.TorusGeometry(n, points)
         zero = torus.constant_field(geom, 0.0)
         d = forms.ProblemData(geom, 1.0, zero, zero, 0.05, t=0.0)
         u0 = torus.constant_field(geom, -np.log(0.05))
@@ -161,7 +161,7 @@ def test_criterion_10_wedge_identity_and_lower_bound(manufactured_run):
 def test_criterion_11_perturbative_nondegeneracy():
     # Empirical check of the small-data regime; a failure here triggers
     # investigation of the continuation path, not automatic rejection.
-    geom = torus.make_geometry(2, 16)
+    geom = torus.TorusGeometry(2, 16)
     data = profiles.perturbative_problem(geom, alpha=1.0, A=0.05,
                                          f_scale=0.05, mu_scale=0.05)
     cfg = solve.SolverConfig(newton_tol=1e-9)

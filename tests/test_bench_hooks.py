@@ -32,8 +32,10 @@ def test_traced_child_run(tmp_path):
         capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["layers"]["solve.attempts"] >= 1
+    layers = json.loads(proc.stdout.strip().splitlines()[-1])["layers"]
+    assert layers["solve.attempts"] >= 1
+    # the span around forms.gamma2_mask must see the solve's own cone tests
+    assert layers["forms.cone.calls"] >= 1
 
 
 def test_manufactured_workload_solve(tmp_path, monkeypatch):

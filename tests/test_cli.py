@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import struct
 import subprocess
 import sys
@@ -274,7 +275,7 @@ class TestTypedErrors:
         # a payload that is not a whole number of float64s
         cfg = write_config(tmp_path, TRIVIAL_CONFIG + "points_per_axis = 8\n")
         dump = tmp_path / "ragged.bin"
-        torus.save_field(dump, torus.constant_field(torus.make_geometry(2, 8), 2.0))
+        torus.save_field(dump, torus.constant_field(torus.TorusGeometry(2, 8), 2.0))
         dump.write_bytes(dump.read_bytes()[:-3])
         assert run_cli("moser-check", "--config", cfg, "--solution", str(dump),
                        "--out", str(tmp_path / "o")) == 2
@@ -303,7 +304,7 @@ class TestTypedErrors:
     def test_non_positive_moser_weight(self, tmp_path, capsys, k_list):
         cfg = write_config(tmp_path, TRIVIAL_CONFIG)
         dump = tmp_path / "u.bin"
-        torus.save_field(dump, torus.constant_field(torus.make_geometry(2, 16), 2.0))
+        torus.save_field(dump, torus.constant_field(torus.TorusGeometry(2, 16), 2.0))
         assert run_cli("moser-check", "--config", cfg, "--solution", str(dump),
                        "--k-list", k_list, "--out", str(tmp_path / "o")) == 2
         self.assert_one_error_line(capsys, "--k-list")
@@ -312,7 +313,7 @@ class TestTypedErrors:
     def test_bad_moser_list(self, tmp_path, capsys, k_list):
         cfg = write_config(tmp_path, TRIVIAL_CONFIG)
         dump = tmp_path / "u.bin"
-        torus.save_field(dump, torus.constant_field(torus.make_geometry(2, 16), 2.0))
+        torus.save_field(dump, torus.constant_field(torus.TorusGeometry(2, 16), 2.0))
         out = tmp_path / "o"
         assert run_cli("moser-check", "--config", cfg, "--solution", str(dump),
                        "--k-list", k_list, "--out", str(out)) == 2
@@ -461,6 +462,34 @@ class TestSweepA:
     def test_non_descending_rejected(self, tmp_path):
         cfg = write_config(tmp_path, TRIVIAL_CONFIG)
         assert run_cli("sweep-a", "--config", cfg, "--a-list", "0.1,0.2") == 2
+
+
+class TestPlotScripts:
+    @staticmethod
+    def plotted_columns(gp):
+        """The (x, y) CSV header names a gnuplot script plots and its
+        (xlabel, ylabel)."""
+        text = gp.read_text()
+        label = dict(re.findall(r"set (\w)label '([^']*)'", text))
+        csv_name, x, y = re.search(r"plot '([^']+)' using (\d+):(\d+)", text).groups()
+        lines = (gp.parent / csv_name).read_text().splitlines()
+        header = next(line for line in lines if not line.startswith("#")).split(",")
+        return (header[int(x) - 1], header[int(y) - 1]), (label["x"], label["y"])
+
+    def test_plotted_column_matches_its_label(self, tmp_path):
+        cfg = write_config(tmp_path, TRIVIAL_CONFIG)
+        out = tmp_path / "plots"
+        assert run_cli("solve", "--config", cfg, "--out", str(out)) == 0
+        assert run_cli("sweep-a", "--config", cfg, "--a-list", "0.2,0.1",
+                       "--out", str(out)) == 0
+        for n in ("2", "3"):
+            assert run_cli("degeneracy", "--n", n, "--samples", "5",
+                           "--out", str(out)) == 0
+        for name in ("monitors.gp", "sweep_a.gp", "degeneracy_n2.gp", "degeneracy_n3.gp"):
+            (x, y), (xlabel, ylabel) = self.plotted_columns(out / name)
+            assert x == xlabel, name
+            # the y label names the plotted column, alone or inside a formula
+            assert y in re.split(r"[\s()]+", ylabel), (name, y, ylabel)
 
 
 class TestMoserCheck:

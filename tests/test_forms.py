@@ -30,6 +30,7 @@ from sigma2lab.torus import (
     integrate,
     random_band_limited,
     spectral_derivatives,
+    unpack_hermitian,
 )
 
 
@@ -107,7 +108,7 @@ class TestProblemData:
 class TestGPrime:
     def test_trivial_solution(self, geom2):
         u0, d = trivial_setup(geom2, A=0.05)
-        gp = gprime(evaluate(u0, d, 0.0)).matrices
+        gp = unpack_hermitian(gprime(evaluate(u0, d, 0.0)), 2)
         for j in range(2):
             assert np.allclose(gp[j, j].real, 1.0 / 0.05, rtol=1e-13)
         assert np.max(np.abs(gp[0, 1])) == 0.0
@@ -116,7 +117,7 @@ class TestGPrime:
         zero = constant_field(geom2, 0.0)
         d = ProblemData(geom2, 3.0, zero, zero, 0.3, t=1.0)
         u = constant_field(geom2, 0.7)
-        eigs = hermitian_eigenvalues(gprime(evaluate(u, d, 0.0)))
+        eigs = hermitian_eigenvalues(gprime(evaluate(u, d, 0.0)), 2)
         assert np.allclose(eigs, np.exp(0.7), rtol=1e-13)
 
     def test_eigenvalue_shift_relation(self, geom2, problem2, rng):
@@ -124,17 +125,17 @@ class TestGPrime:
         # eigenvalues are exactly a + 2 n alpha * (Hessian eigenvalues)
         u = random_band_limited(geom2, rng, 2, 0.6)
         it = evaluate(u, problem2, 0.0)
-        hess_eigs = hermitian_eigenvalues(torus.HermitianField(geom2, it.derivs.hess_rows))
+        hess_eigs = hermitian_eigenvalues(it.derivs.hess_rows, 2)
         a = np.exp(u.values) + problem2.f_eff() * np.exp(-u.values)
         want = np.sort(a + 2 * 2 * problem2.alpha * hess_eigs, axis=0)
-        got = hermitian_eigenvalues(gprime(it))
+        got = hermitian_eigenvalues(gprime(it), 2)
         assert np.max(np.abs(got - want)) < 1e-10 * (1.0 + np.max(np.abs(want)))
 
 
 class TestGTilde:
     def test_trivial_solution(self, geom2):
         u0, d = trivial_setup(geom2, A=0.05)
-        gt = gtilde(evaluate(u0, d, 0.0)).matrices
+        gt = unpack_hermitian(gtilde(evaluate(u0, d, 0.0)), 2)
         for j in range(2):
             assert np.allclose(gt[j, j].real, (2 - 1) / 0.05, rtol=1e-13)
 
@@ -142,19 +143,19 @@ class TestGTilde:
         # gtilde = sigma_1(g') I - g' at every node
         it = evaluate(random_band_limited(geom2, rng, 2, 0.7), problem2, 0.0)
         gp = gprime(it)
-        gt = gtilde(it)
-        alt = -gp.matrices.copy()
-        s1 = sigma1_field(gp)
+        gt = unpack_hermitian(gtilde(it), 2)
+        alt = -unpack_hermitian(gp, 2)
+        s1 = sigma1_field(gp, 2)
         for j in range(2):
             alt[j, j] = alt[j, j] + s1
-        scale = 1.0 + np.max(np.abs(gt.matrices))
-        assert np.max(np.abs(alt - gt.matrices)) <= 1e-12 * scale
+        scale = 1.0 + np.max(np.abs(gt))
+        assert np.max(np.abs(alt - gt)) <= 1e-12 * scale
 
     def test_eigenvalue_complement_relation(self, geom3, problem3, rng):
         # each gtilde eigenvalue is the sum of the complementary g' eigenvalues
         it = evaluate(random_band_limited(geom3, rng, 1, 0.5), problem3, 0.0)
-        lp = hermitian_eigenvalues(gprime(it))
-        lt = hermitian_eigenvalues(gtilde(it))
+        lp = hermitian_eigenvalues(gprime(it), 3)
+        lt = hermitian_eigenvalues(gtilde(it), 3)
         want = np.sort(lp.sum(axis=0) - lp, axis=0)
         assert np.max(np.abs(lt - want)) < 1e-9 * (1.0 + np.max(np.abs(want)))
 
@@ -163,16 +164,16 @@ class TestGTilde:
         it = evaluate(random_band_limited(geom2, rng, 2, 0.7), problem2, 0.0)
         gp = gprime(it)
         gt = gtilde(it)
-        assert np.allclose(sigma1_field(gt), sigma1_field(gp), rtol=0, atol=1e-11 * (1 + np.max(np.abs(sigma1_field(gp)))))
-        assert np.allclose(sigma2_field(gt), sigma2_field(gp), rtol=0, atol=1e-11 * (1 + np.max(np.abs(sigma2_field(gp)))))
+        assert np.allclose(sigma1_field(gt, 2), sigma1_field(gp, 2), rtol=0, atol=1e-11 * (1 + np.max(np.abs(sigma1_field(gp, 2)))))
+        assert np.allclose(sigma2_field(gt, 2), sigma2_field(gp, 2), rtol=0, atol=1e-11 * (1 + np.max(np.abs(sigma2_field(gp, 2)))))
 
     def test_sigma_relations(self, geom3, problem3, rng):
         it = evaluate(random_band_limited(geom3, rng, 1, 0.5), problem3, 0.0)
         gp = gprime(it)
         gt = gtilde(it)
         n = 3
-        s1p, s2p = sigma1_field(gp), sigma2_field(gp)
-        s1t, s2t = sigma1_field(gt), sigma2_field(gt)
+        s1p, s2p = sigma1_field(gp, n), sigma2_field(gp, n)
+        s1t, s2t = sigma1_field(gt, n), sigma2_field(gt, n)
         scale1 = 1.0 + np.max(np.abs(s1t))
         scale2 = 1.0 + np.max(np.abs(s2t))
         assert np.max(np.abs(s1t - (n - 1) * s1p)) <= 1e-11 * scale1
@@ -182,7 +183,7 @@ class TestGTilde:
 class TestFMatrix:
     def test_trivial(self, geom2):
         u0, d = trivial_setup(geom2, A=0.05)
-        fm = gtilde(evaluate(u0, d, 0.0)).matrices
+        fm = unpack_hermitian(gtilde(evaluate(u0, d, 0.0)), 2)
         for j in range(2):
             assert np.allclose(fm[j, j].real, 1.0 / 0.05, rtol=1e-13)
 
@@ -190,8 +191,8 @@ class TestFMatrix:
         # trace of F against the flat metric equals (n-1) sigma_1(g')
         it = evaluate(random_band_limited(geom2, rng, 2, 0.7), problem2, 0.0)
         fm = gtilde(it)
-        s1p = sigma1_field(gprime(it))
-        got = sigma1_field(fm)
+        s1p = sigma1_field(gprime(it), 2)
+        got = sigma1_field(fm, 2)
         assert np.max(np.abs(got - (2 - 1) * s1p)) <= 1e-11 * (1.0 + np.max(np.abs(got)))
 
     def test_diagonal_entries_are_complements(self, geom2, problem2):
@@ -201,9 +202,9 @@ class TestFMatrix:
         y = geom2.coordinate(3) * np.ones(geom2.shape)
         u = ScalarField(geom2, 0.3 * np.cos(w * x) + 0.2 * np.sin(w * y))
         it = evaluate(u, problem2, 0.0)
-        gp = gprime(it).matrices
-        fm = gtilde(it).matrices
-        s1 = sigma1_field(gprime(it))
+        gp = unpack_hermitian(gprime(it), 2)
+        fm = unpack_hermitian(gtilde(it), 2)
+        s1 = sigma1_field(gprime(it), 2)
         for j in range(2):
             want = s1 - gp[j, j].real
             assert np.max(np.abs(fm[j, j].real - want)) <= 1e-11 * (1.0 + np.max(np.abs(want)))
@@ -320,8 +321,8 @@ class TestEigenvalues:
         # against elementary symmetric sums of the per-node eigenvalues
         for geom, d in ((geom2, problem2), (geom3, problem3)):
             gp = gprime(evaluate(random_band_limited(geom, rng, 2, 0.6), d, 0.0))
-            via_trace = sigma2_field(gp)
-            eigs = hermitian_eigenvalues(gp)
+            via_trace = sigma2_field(gp, geom.n)
+            eigs = hermitian_eigenvalues(gp, geom.n)
             via_eigs = np.zeros(geom.shape)
             for j in range(geom.n):
                 for k in range(j + 1, geom.n):
@@ -332,8 +333,8 @@ class TestEigenvalues:
     def test_against_lapack_oracle(self, geom2, geom3, problem2, problem3, rng):
         for geom, d in ((geom2, problem2), (geom3, problem3)):
             h = gprime(evaluate(random_band_limited(geom, rng, 1, 0.6), d, 0.0))
-            got = hermitian_eigenvalues(h)
-            mats = np.moveaxis(h.matrices.reshape(geom.n, geom.n, -1), -1, 0)
+            got = hermitian_eigenvalues(h, geom.n)
+            mats = np.moveaxis(unpack_hermitian(h, geom.n).reshape(geom.n, geom.n, -1), -1, 0)
             want = np.linalg.eigvalsh(mats)  # ascending
             want = np.moveaxis(want, 0, -1).reshape((geom.n,) + geom.shape)
             assert np.max(np.abs(got - want)) < 1e-9 * (1.0 + np.max(np.abs(want)))
@@ -341,10 +342,11 @@ class TestEigenvalues:
     def test_gamma2_mask_margin(self, geom2, problem2):
         u0 = constant_field(geom2, -np.log(problem2.A))
         gp = gprime(evaluate(u0, problem2.with_t(0.0), 0.0))
+        s1, s2 = sigma1_field(gp, 2), sigma2_field(gp, 2)
         lam = 1.0 / problem2.A  # eigenvalues of the trivial g'
-        assert np.all(gamma2_mask(gp, margin=0.0))
-        assert np.all(gamma2_mask(gp, margin=lam * 0.5))
-        assert not np.any(gamma2_mask(gp, margin=lam * 1.5))
+        assert np.all(gamma2_mask(s1, s2, 2, margin=0.0))
+        assert np.all(gamma2_mask(s1, s2, 2, margin=lam * 0.5))
+        assert not np.any(gamma2_mask(s1, s2, 2, margin=lam * 1.5))
 
 
 class TestPackedLayout:
@@ -370,15 +372,13 @@ class TestPackedLayout:
         geom = request.getfixturevalue(which)
         n = geom.n
         rows, m, lam = self.random_hermitian(geom, rng)
-        h = torus.HermitianField(geom, rows)
-        assert h.rows.shape == (n * n,) + geom.shape
-        assert np.array_equal(h.matrices, m)
+        assert np.array_equal(unpack_hermitian(rows, n), m)
         scale = 1.0 + np.max(np.abs(lam))
         s1 = lam.sum(axis=0)
         s2 = sum(lam[j] * lam[k] for j in range(n) for k in range(j + 1, n))
-        assert np.max(np.abs(sigma1_field(h) - s1)) <= 1e-12 * scale
-        assert np.max(np.abs(sigma2_field(h) - s2)) <= 1e-12 * scale ** 2
-        assert np.max(np.abs(hermitian_eigenvalues(h) - lam)) <= 1e-11 * scale
+        assert np.max(np.abs(sigma1_field(rows, n) - s1)) <= 1e-12 * scale
+        assert np.max(np.abs(sigma2_field(rows, n) - s2)) <= 1e-12 * scale ** 2
+        assert np.max(np.abs(hermitian_eigenvalues(rows, n) - lam)) <= 1e-11 * scale
 
 
 def perturbed_solution(d, rng, amplitude=0.05):
@@ -422,7 +422,7 @@ class TestLeanIterate:
         it = evaluate(random_band_limited(d.geometry, rng, 3, 1.0), d, 0.0)
         s1, s2 = gprime_sigmas(d, it.derivs, it.weights.a)
         gp = gprime(it)
-        for got, want in ((s1, sigma1_field(gp)), (s2, sigma2_field(gp))):
+        for got, want in ((s1, sigma1_field(gp, d.n)), (s2, sigma2_field(gp, d.n))):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("which", ["problem2", "problem3"])
@@ -487,5 +487,5 @@ class TestLeanIterate:
         # slab by slab, by the same nodewise algebra: equal, not close
         d = request.getfixturevalue(which)
         it = evaluate(random_band_limited(d.geometry, rng, 3, 1.0), d, 0.0)
-        eigs = hermitian_eigenvalues(gtilde(it))
+        eigs = hermitian_eigenvalues(gtilde(it), d.n)
         assert gtilde_eig_range(it) == (float(np.min(eigs)), float(np.max(eigs)))

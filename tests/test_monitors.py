@@ -19,7 +19,7 @@ from sigma2lab.torus import ScalarField, constant_field, random_band_limited
 @pytest.fixture(scope="module")
 def solved_manufactured():
     """A solved smooth problem on the coarse grid (exact solution known)."""
-    geom = torus.make_geometry(2, 16)
+    geom = torus.TorusGeometry(2, 16)
     data, u_star = profiles.manufactured_problem(
         geom, alpha=1.0, base_A=0.1, amplitude=0.25, f_scale=0.05)
     cfg = solve.SolverConfig(newton_tol=1e-9, max_newton_iters=20, t_step_init=0.5)

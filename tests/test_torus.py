@@ -14,12 +14,12 @@ from sigma2lab import torus
 from sigma2lab.errors import ConfigurationError
 from sigma2lab.torus import (
     ScalarField,
+    TorusGeometry,
     constant_field,
     contract_derivatives,
     derivative_symbols,
     integrate,
     load_field,
-    make_geometry,
     mixed_wedge_density,
     random_band_limited,
     save_field,
@@ -35,20 +35,20 @@ def mode_field(geom, axis, periods=1):
 
 class TestGeometry:
     def test_node_counts_and_unit_volume(self):
-        g2 = make_geometry(2, 16)
+        g2 = TorusGeometry(2, 16)
         assert g2.node_count == 16 ** 4
         assert integrate(constant_field(g2, 1.0)) == 1.0
-        g3 = make_geometry(3, 8)
+        g3 = TorusGeometry(3, 8)
         assert g3.node_count == 8 ** 6
         assert integrate(constant_field(g3, 1.0)) == 1.0
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ConfigurationError):
-            make_geometry(2, 10)  # not a power of two
+            TorusGeometry(2, 10)  # not a power of two
         with pytest.raises(ConfigurationError):
-            make_geometry(2, 4)   # too coarse
+            TorusGeometry(2, 4)   # too coarse
         with pytest.raises(ConfigurationError):
-            make_geometry(4, 16)  # unsupported dimension
+            TorusGeometry(4, 16)  # unsupported dimension
 
     def test_field_shape_validation(self, geom2):
         with pytest.raises(ConfigurationError):
@@ -258,7 +258,7 @@ def product_rule_residual(points, v_axis):
     """max |Lap(uv) - u Lap v - v Lap u - 2 Re<Du, Dv>| for u = e^{0.8 cos wx_1}
     and v = e^{0.6 sin w(axis v_axis)} on the n = 2 grid of `points` nodes,
     and max |Lap(uv)|, the size of the terms it is the difference of."""
-    g = make_geometry(2, points)
+    g = TorusGeometry(2, points)
     w = 2.0 * np.pi / g.period
     x = g.coordinate(0) * np.ones(g.shape)
     y = g.coordinate(v_axis) * np.ones(g.shape)
@@ -330,7 +330,7 @@ class TestFieldDumps:
         path = tmp_path / "field.bin"
         save_field(path, u)
         with pytest.raises(ConfigurationError):
-            load_field(path, make_geometry(2, 32))
+            load_field(path, TorusGeometry(2, 32))
 
     def test_truncated_dump(self, geom2, rng, tmp_path):
         u = random_band_limited(geom2, rng, 2, 1.0)
@@ -348,7 +348,7 @@ class TestFieldDumps:
             load_field(path)
 
 
-DUMP_GEOM = make_geometry(2, 8)
+DUMP_GEOM = TorusGeometry(2, 8)
 DUMP_HEADER = struct.pack("<3d", 2.0, 8.0, 1.0)
 DUMP_PAYLOAD = np.linspace(-1.0, 1.0, DUMP_GEOM.node_count).astype("<f8").tobytes()
 
