@@ -13,8 +13,9 @@ Configuration is a flat key-value text file (`key = value`, '#' comments);
 all keys have defaults, and --out (and verify's --seed) override the file.
 Each command takes only the flags it reads; the seed is read by `verify`
 only, since the `solve` profiles are deterministic.
-Exit codes: 0 success, 2 config/usage/IO error, 3 convergence or
-continuation failure, 4 verification failure.
+Exit codes: 0 success, 2 config/usage/IO error (including a moser-check
+weight k whose exponentials leave the float64 range on the stored
+solution), 3 convergence or continuation failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ import numpy as np
 
 from . import monitors
 from .degeneracy import n2_sweep, n3_sweep
-from .errors import ConfigurationError, ContinuationStallError, Sigma2LabError
+from .errors import (ConfigurationError, ContinuationStallError, RangeUnderflowError,
+                     Sigma2LabError)
 from .forms import ProblemData, check_A, evaluate
 from .monitors import moser_identity_gap, reverse_sobolev_constant
 from .profiles import manufactured_problem, perturbative_problem, trivial_problem
 from .solve import SolverConfig, run_and_return
-from .torus import TorusGeometry, load_field, save_field
+from .torus import ScalarField, TorusGeometry, load_field, save_field
 from .verify import run_all
 
 EXIT_OK = 0
@@ -111,8 +113,8 @@ class RunConfig:
         if self.profile == "file":
             if not self.f_dump or not self.mu_dump:
                 raise ConfigurationError("profile=file needs f_dump and mu_dump paths")
-            f = load_field(self.f_dump, geom)
-            mu = load_field(self.mu_dump, geom)
+            f = load_field(self.f_dump, geom).values
+            mu = load_field(self.mu_dump, geom).values
             return ProblemData(geom, self.alpha, f, mu, self.A, t=1.0), None
         raise ConfigurationError(f"unknown profile '{self.profile}'")
 
@@ -134,17 +136,23 @@ def _write_csv(path: Path, command: str, columns, rows, no_header: bool) -> None
 
 
 def _gnuplot_script(path: Path, csv_name: str, columns, x: str, y: str,
-                    ylabel: str | None = None) -> None:
+                    ylabel: str | None = None, curves=()) -> None:
     """Plot column y of csv_name against column x, both looked up by name
     among the columns written there; the axes are labelled with the column
-    names unless ylabel is given."""
+    names unless ylabel is given.  curves, if given, are (title, first,
+    last) ranges of data rows, each drawn as its own titled curve; otherwise
+    every row is one curve.  With the header row read as column heads,
+    gnuplot's `every` counts data rows from 0."""
     xcol, ycol = columns.index(x) + 1, columns.index(y) + 1
+    plot = f"'{csv_name}' using {xcol}:{ycol}"
+    body = ", \\\n     ".join(f"{plot} every ::{first}::{last} with linespoints title '{title}'"
+                              for title, first, last in curves) or f"{plot} with linespoints"
     path.write_text(
         "set datafile separator ','\n"
         f"set xlabel '{x}'\n"
         f"set ylabel '{ylabel or y}'\n"
-        "set key off\n"
-        f"plot '{csv_name}' using {xcol}:{ycol} with linespoints\n"
+        f"set key {'autotitle columnhead' if curves else 'off'}\n"
+        f"plot {body}\n"
     )
 
 
@@ -185,7 +193,7 @@ def cmd_solve(args) -> int:
                args.no_header)
     _gnuplot_script(out / "monitors.gp", "monitors.csv", monitors.CSV_COLUMNS,
                     "t", "kappa")
-    save_field(out / "solution.bin", u)
+    save_field(out / "solution.bin", ScalarField(data.geometry, u))
 
     last = report.monitor_snapshots[-1]  # t = 0 is always accepted
     summary = [
@@ -198,7 +206,7 @@ def cmd_solve(args) -> int:
         f"residual  : {report.residual_norms[-1]:.3e}",
     ]
     if u_star is not None:
-        err = float(np.max(np.abs(u.values - u_star.values)))
+        err = float(np.max(np.abs(u - u_star)))
         summary.append(f"L_inf error vs manufactured solution: {err:.3e}")
     (out / "summary.txt").write_text("\n".join(summary) + "\n")
     print("\n".join(summary))
@@ -245,8 +253,10 @@ def cmd_degeneracy(args) -> int:
     columns = ("theta", "kappa_p", "lhs", "rhs", "sign")
     _write_csv(out / "degeneracy_n2.csv", "degeneracy", columns,
                [tuple(r) for r in rows], args.no_header)
+    m = len(kappas)   # n2_sweep writes one block of m rows per theta
     _gnuplot_script(out / "degeneracy_n2.gp", "degeneracy_n2.csv", columns,
-                    "kappa_p", "sign", "sign(rhs - lhs)")
+                    "kappa_p", "sign", "sign(rhs - lhs)",
+                    [(f"theta = {th:g}", i * m, i * m + m - 1) for i, th in enumerate(thetas)])
     # locate the sign frontier for the smallest theta
     sel = rows[rows[:, 0] == thetas[0]]
     flip = sel[np.searchsorted(sel[:, 4] > 0, True)][1] if np.any(sel[:, 4] > 0) else float("nan")
@@ -297,7 +307,7 @@ def cmd_moser_check(args) -> int:
         if not (k > 0.0 and np.isfinite(k)):
             raise ConfigurationError(f"--k-list values must be positive and finite, got {k:g}")
     data, _ = cfg.build_problem()
-    it = evaluate(load_field(args.solution, data.geometry), data, 0.0)
+    it = evaluate(load_field(args.solution, data.geometry).values, data, 0.0)
     out = _prepare_out(cfg.out, args.out)
     rows = []
     for k in k_list:
@@ -367,7 +377,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, OSError) as exc:
+    except (ConfigurationError, RangeUnderflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ContinuationStallError as exc:

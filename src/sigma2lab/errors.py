@@ -29,7 +29,8 @@ class NormalizationError(Sigma2LabError):
 
 
 class RangeUnderflowError(Sigma2LabError):
-    """An exponential-weight integral underflowed to zero."""
+    """An exponential weight or integral left the float64 range: it
+    underflowed to zero, or overflowed."""
 
 
 class LinearSolveError(Sigma2LabError):

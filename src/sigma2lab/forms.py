@@ -22,7 +22,9 @@ e^u - f e^{-u} is expanded by the chain rule so both residuals are assembled
 from the same discrete derivative fields of u and f.
 
 The continuation parameter t scales the data: every accessor below uses
-f_eff = t f and mu_eff = t mu, so callers never scale manually.
+f_eff = t f and mu_eff = t mu, so callers never scale manually.  u, f and
+mu are plain arrays of the grid's shape; ProblemData checks f and mu once
+per run, and nothing on the solve path validates an array again.
 
 Every Hermitian form is a plain array of packed real rows, (n^2,) + nodes:
 the n diagonal rows, then Re and Im of each strict-upper entry in
@@ -68,26 +70,12 @@ import numpy as np
 from .errors import ConfigurationError
 from .torus import (
     Derivs,
-    ScalarField,
     TorusGeometry,
+    _checked_field,
     contract_derivatives,
-    integrate,
     spectral_derivatives,
     upper_pairs,
 )
-
-
-@dataclass(frozen=True)
-class NormalizationConstants:
-    """Exponents of the normalization constraint (integral e^{-gamma u})^{1/gamma} = A."""
-
-    beta: float
-    gamma: float
-
-    @classmethod
-    def for_dimension(cls, n: int) -> "NormalizationConstants":
-        beta = n / (n - 1.0)
-        return cls(beta=beta, gamma=4.0 / (beta - 1.0))
 
 
 def _shifted_exp(vals: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
@@ -130,33 +118,33 @@ def check_A(A: float, n: int) -> None:
 
 
 class ProblemData:
-    """Coefficients of the equation on a fixed geometry.
+    """Coefficients of the equation on a fixed geometry: the boundary at
+    which a run's data is checked, once.
 
     alpha > 0, f >= 0 smooth, mu with exactly zero mean, normalization level
     A in (0,1) with kappa_c / A^2 (sigma_2(g') of the t = 0 solution) finite
-    in float64, and the continuation parameter t in [0,1].  f's first partials
-    and Laplacian are computed on first use, or passed in as f_derivs, and
-    shared with every with_t copy (f is fixed along a continuation run).
+    in float64, and the continuation parameter t in [0,1].  f and mu are
+    finite arrays of the grid's shape.  f's first partials and Laplacian are
+    computed on first use, or passed in as f_derivs, and shared with every
+    with_t copy (f is fixed along a continuation run).
     """
 
-    def __init__(self, geometry: TorusGeometry, alpha: float, f: ScalarField,
-                 mu: ScalarField, A: float, t: float = 1.0,
+    def __init__(self, geometry: TorusGeometry, alpha: float, f: np.ndarray,
+                 mu: np.ndarray, A: float, t: float = 1.0,
                  f_derivs: GradLap | None = None):
         if not (alpha > 0.0 and np.isfinite(alpha)):
             raise ConfigurationError(f"alpha must be positive, got {alpha}")
         check_A(A, geometry.n)
         _check_t(t)
-        if f.geometry is not geometry and f.geometry != geometry:
-            raise ConfigurationError("f lives on a different geometry")
-        if mu.geometry is not geometry and mu.geometry != geometry:
-            raise ConfigurationError("mu lives on a different geometry")
-        if float(np.min(f.values)) < 0.0:
+        f = _checked_field("f", f, geometry)
+        mu = _checked_field("mu", mu, geometry)
+        if float(np.min(f)) < 0.0:
             raise ConfigurationError("f must be nonnegative")
-        mean_mu = integrate(mu)
+        mean_mu = float(np.mean(mu))
         if abs(mean_mu) > 1e-12:
             raise ConfigurationError(
                 f"mu must have zero integral (got {mean_mu:.3e}); "
-                "subtract the mean explicitly, e.g. with torus.zero_mean"
+                "subtract the mean explicitly, e.g. mu - mu.mean()"
             )
         self.geometry = geometry
         self.alpha = float(alpha)
@@ -175,8 +163,9 @@ class ProblemData:
         return self.n * (self.n - 1) / 2.0
 
     @property
-    def norm_constants(self) -> NormalizationConstants:
-        return NormalizationConstants.for_dimension(self.n)
+    def gamma(self) -> float:
+        """The exponent of the normalization (integral e^{-gamma u})^{1/gamma} = A."""
+        return 4.0 * (self.n - 1)
 
     def with_t(self, t: float) -> "ProblemData":
         """This data at another t.  Only t is checked: the rest was checked
@@ -190,10 +179,10 @@ class ProblemData:
     # -- t-scaled accessors ------------------------------------------------
 
     def f_eff(self) -> np.ndarray:
-        return self.t * self.f.values
+        return self.t * self.f
 
     def mu_eff(self) -> np.ndarray:
-        return self.t * self.mu.values
+        return self.t * self.mu
 
     def f_derivs(self) -> GradLap:
         if self._f_derivs is None:
@@ -312,7 +301,7 @@ class Iterate:
     take_body detaches it; linearization_coefficients and an evaluation of
     the same field against other data each take it."""
 
-    u: ScalarField
+    u: np.ndarray
     data: ProblemData
     residual: np.ndarray
     rnorm: float
@@ -426,7 +415,7 @@ def residual_sigma2(d: ProblemData, dv: Derivs, w: Weights, s2: np.ndarray) -> n
     return s2 - rhs_sigma2(d, dv, w)
 
 
-def evaluate(u: ScalarField, d: ProblemData, margin: float,
+def evaluate(u: np.ndarray, d: ProblemData, margin: float,
              prev: Iterate | None = None) -> Iterate:
     """Evaluate u against d: the one place a field's bundle and weights are
     built.  `prev` is an evaluation of the same u against other data (another
@@ -437,7 +426,7 @@ def evaluate(u: ScalarField, d: ProblemData, margin: float,
     NaN or infinite rnorm, which never passes the solver's rnorm < newton_tol."""
     if prev is None:
         dv = spectral_derivatives(u)
-        eu, emu = np.exp(u.values), np.exp(-u.values)
+        eu, emu = np.exp(u), np.exp(-u)
     else:
         dv, (eu, emu, _) = prev.take_body()
     a = d.f_eff()
@@ -488,7 +477,7 @@ def gtilde_eig_range(it: Iterate) -> tuple[float, float]:
     same nodewise algebra, so no whole-grid gtilde is built."""
     n = it.data.n
     lows, highs = [], []
-    for i in range(it.u.geometry.points_per_axis):
+    for i in range(len(it.u)):
         eig = hermitian_eigenvalues(gtilde(it, at=i), n)
         lows.append(np.min(eig))
         highs.append(np.max(eig))
@@ -610,7 +599,7 @@ def linearization_coefficients(it: Iterate) -> LinearCoefficients:
 # manufactured data
 
 
-def manufactured_mu(it: Iterate) -> ScalarField:
+def manufactured_mu(it: Iterate) -> np.ndarray:
     """Source term making it.u an exact solution of the t = 1 problem.
 
     `it` is u_star evaluated against that problem with mu = 0 and t = 1, so
@@ -620,4 +609,4 @@ def manufactured_mu(it: Iterate) -> ScalarField:
     manufactured residual by the same ~1e-14.
     """
     vals = -residual_fy1(it)
-    return ScalarField(it.u.geometry, vals - np.mean(vals))
+    return vals - np.mean(vals)

@@ -64,7 +64,7 @@ def estimate_report(it: Iterate) -> EstimateReport:
     bundle and weights; kappa and the Gamma_2 fraction are the iterate's own
     readings of g', taken by forms.evaluate from the closed-form sigmas."""
     d = it.data
-    vals = it.u.values
+    vals = it.u
     inf_u = float(np.min(vals))
     sup_u = float(np.max(vals))
     c1 = float(np.max(it.weights.emu * it.derivs.grad_sq))
@@ -95,21 +95,23 @@ def moser_identity_gap(it: Iterate, k: float) -> float:
               + (1 - 1/(k+1)) * I[e^{-(k+1)u} Lap f]
 
     holds exactly in the continuum; the returned gap is the discretization
-    (plus non-solution) error.  All data are t-scaled.
+    (plus non-solution) error.  All data are t-scaled.  Raises
+    RangeUnderflowError when the weights overflow, or underflow to 0 at
+    every node, where every term of the identity would read 0.
     """
     if not k > 0.0:
         raise ValueError("the identity weight k must be positive")
     d, dv = it.data, it.derivs
     n = d.n
-    vals = it.u.values
-    with np.errstate(over="raise"):
-        try:
-            e_min_ku = np.exp(-k * vals)
-            e_min_k1u = np.exp(-(k + 1.0) * vals)
-        except FloatingPointError as exc:
-            raise RangeUnderflowError(
-                f"exp(-k u) overflowed for k={k}"
-            ) from exc
+    vals = it.u
+    with np.errstate(over="ignore"):
+        e_min_ku = np.exp(-k * vals)
+        e_min_k1u = np.exp(-(k + 1.0) * vals)
+    # e^{-ku} is finite where e^{-(k+1)u} is, and nonzero where it is nonzero
+    if not np.all(np.isfinite(e_min_k1u)):
+        raise RangeUnderflowError(f"exp(-k u) overflowed for k={k}")
+    if not np.any(e_min_k1u):
+        raise RangeUnderflowError(f"exp(-k u) underflowed to 0 at every node for k={k:g}")
     wedge = mixed_wedge_density(dv)
 
     fact = math.factorial(n - 1)
@@ -129,12 +131,13 @@ def reverse_sobolev_constant(it: Iterate, k: float) -> float:
 
     Since D e^{-ku/2} = -(k/2) e^{-ku/2} Du pointwise, the left side is
     (k^2/4) I[e^{-ku} |Du|^2].  Everything is evaluated in shifted log space
-    so large k u cannot overflow; an underflow of the right-hand integrals
-    raises RangeUnderflowError.
+    so large k u cannot overflow; an underflow of the right-hand integrals,
+    or a constant outside float64 (k^2 overflows from k ~ 1e154), raises
+    RangeUnderflowError.
     """
     if not k >= 1.0:
         raise ValueError("the Sobolev weight k must be >= 1")
-    vals = it.u.values
+    vals = it.u
     m = -float(np.min(vals))  # max of -u
 
     def log_integral(p: float, extra: np.ndarray | None = None) -> float:
@@ -157,7 +160,10 @@ def reverse_sobolev_constant(it: Iterate, k: float) -> float:
     log_i1 = log_integral(k + 1.0)
     log_i2 = log_integral(k + 2.0)
     log_den = np.log(k) + np.logaddexp(log_i1, log_i2)
-    return float(np.exp(np.log(k * k / 4.0) + log_num - log_den))
+    const = float(np.exp(np.log(k * k / 4.0) + log_num - log_den))
+    if not math.isfinite(const):
+        raise RangeUnderflowError(f"the reverse-Sobolev constant overflows for k={k:g}")
+    return const
 
 
 def wedge_lower_bound_check(it: Iterate) -> float:

@@ -36,18 +36,20 @@ iteration on the pair:
     satisfies its linearization, that shift is second order in v and the
     iteration keeps Newton's quadratic rate.
 
-Each iterate is evaluated once (forms.evaluate): the backtracking test of a
-trial, the next Newton step from it, its acceptance and its monitor snapshot
-read the same Iterate.  Its body, the bundle and the weights, moves to the
-next continuation attempt, where only a, the sigmas of g' and the residual
-are assembled for the new t.  A Newton step consumes the body of the
-iterate it starts from and keeps only its field, residual and readings: the
-operator's coefficient rows are written over the bundle and live until the
-linear solve returns, the zero-mean right-hand side is formed from the
-residual and BiCGStab's residual is written over it, each operator apply
-streams the direction's derivative rows instead of building its bundle, and
-a rejected trial is released before the next is evaluated.  A failed attempt evaluates its start field
-again, so no consumed body is ever read.
+Fields are plain arrays, so a trial u + s v is normalized and evaluated with
+no validating wrapper.  Each iterate is evaluated once (forms.evaluate): the
+backtracking test of a trial, the next Newton step from it, its acceptance
+and its monitor snapshot read the same Iterate.  Its body, the bundle and
+the weights, moves to the next continuation attempt, where only a, the
+sigmas of g' and the residual are assembled for the new t.  A Newton step
+consumes the body of the iterate it starts from and keeps only its field,
+residual and readings: the operator's coefficient rows are written over the
+bundle and live until the linear solve returns, the zero-mean right-hand
+side is formed from the residual and BiCGStab's residual is written over it,
+each operator apply streams the direction's derivative rows instead of
+building its bundle, and a rejected trial is released before the next is
+evaluated.  A failed attempt evaluates its start field again, so no consumed
+body is ever read.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import (
@@ -76,7 +77,7 @@ from .forms import (
     linearization_coefficients,
 )
 from .monitors import estimate_report
-from .torus import ScalarField, constant_field, derivative_symbols
+from .torus import _irfft, _rfft, derivative_symbols
 
 _RESIDUAL_SLACK = 1e-12  # relative slack in the "non-increasing" residual test
 # Eisenstat-Walker forcing, choice 2: eta = _EW_GAMMA (r_k / r_{k-1})^2 after
@@ -132,22 +133,21 @@ class SolveReport:
     converged: bool = False
 
 
-def normalize(u: ScalarField, A: float, gamma: float) -> ScalarField:
+def normalize(u: np.ndarray, A: float, gamma: float) -> np.ndarray:
     """Shift u by the exact constant restoring (integral e^{-gamma u})^{1/gamma} = A.
 
     The shifted-exponential form  log I = -gamma min u + log mean(e^{-gamma(u - min u)})
     keeps every exponent nonpositive, so the computation cannot overflow for
     finite fields.
     """
-    vals = u.values
-    e, lo = _shifted_exp(vals, gamma)
+    e, lo = _shifted_exp(u, gamma)
     log_mean = np.log(np.mean(e))
     c = (log_mean - gamma * lo) / gamma - np.log(A)
     if not np.isfinite(c):
         raise NormalizationError(
             f"normalization shift is not finite (gamma={gamma}, A={A})"
         )
-    return ScalarField(u.geometry, vals + c)
+    return u + c
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +237,7 @@ def bicgstab(A, b: np.ndarray, *, rtol: float, atol: float = 0.0, maxiter: int, 
     return x, maxiter
 
 
-def solve_newton_system(u: ScalarField, d: ProblemData, coeffs: LinearCoefficients,
+def solve_newton_system(u: np.ndarray, d: ProblemData, coeffs: LinearCoefficients,
                         residual: np.ndarray, rtol: float) -> np.ndarray:
     """Solve the bordered Newton system  (L v - mean L v) + l(v) = -(R - mean R)
     for the residual R and v on the full grid to relative residual rtol,
@@ -248,11 +248,11 @@ def solve_newton_system(u: ScalarField, d: ProblemData, coeffs: LinearCoefficien
     by -gamma.  The right-hand side of the border row is 0, because u is
     already normalized.  So the solution has l(v) = 0, and L v = -R up to
     an additive constant, which is all a zero-mean residual determines."""
-    geom = u.geometry
+    geom = d.geometry
     shape = geom.shape
     size = residual.size
     sym = _precondition_symbol(coeffs)
-    omega, _ = _shifted_exp(u.values, d.norm_constants.gamma)
+    omega, _ = _shifted_exp(u, d.gamma)
     omega = omega.ravel()
     omega /= np.sum(omega)
 
@@ -262,9 +262,9 @@ def solve_newton_system(u: ScalarField, d: ProblemData, coeffs: LinearCoefficien
         return out.ravel()
 
     def apply_precond(x):
-        rhat = scipy.fft.rfftn(x.reshape(shape), workers=-1)
+        rhat = _rfft(x.reshape(shape))
         rhat /= sym
-        return scipy.fft.irfftn(rhat, s=shape, workers=-1).ravel()
+        return _irfft(rhat, geom).ravel()
 
     def rhs():
         return np.subtract(residual.mean(), residual).ravel()   # -(R - mean R)
@@ -304,12 +304,10 @@ def _newton_step(it: Iterate, cfg: SolverConfig, forcing: float = _LINEAR_RTOL):
     # not bound: they die with the solve, and `it` keeps no bundle
     v = solve_newton_system(u, d, linearization_coefficients(it), it.residual, forcing)
 
-    gamma = d.norm_constants.gamma
     s = 1.0
     last_reason = "no admissible step"
     for _ in range(_MAX_BACKTRACKS + 1):
-        trial = evaluate(normalize(ScalarField(u.geometry, u.values + s * v), d.A, gamma),
-                         d, cfg.cone_margin)
+        trial = evaluate(normalize(u + s * v, d.A, d.gamma), d, cfg.cone_margin)
         if not trial.in_cone:
             last_reason = f"cone margin violated at s={s:.3e}"
         elif trial.rnorm <= it.rnorm * (1.0 + _RESIDUAL_SLACK):
@@ -373,7 +371,7 @@ def run_and_return(d: ProblemData, cfg: SolverConfig, on_accept=None):
     report = SolveReport()
     margin = cfg.cone_margin
     # the only shift outside the Newton step: its trials come out normalized
-    u = normalize(constant_field(d.geometry, -np.log(d.A)), d.A, d.norm_constants.gamma)
+    u = normalize(np.full(d.geometry.shape, -np.log(d.A)), d.A, d.gamma)
     # the accepted iterate, until the next attempt takes it
     it = evaluate(u, d.with_t(0.0), margin)
 

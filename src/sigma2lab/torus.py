@@ -1,7 +1,7 @@
 """Periodic grid and spectral complex calculus on the flat torus.
 
 The domain is the flat complex torus of complex dimension n (n = 2 or 3),
-realized as [0, period)^{2n} with coordinates ordered
+realized as the unit cube [0, 1)^{2n} with coordinates ordered
 
     (x_1, y_1, x_2, y_2, ..., x_n, y_n),      z_j = x_j + i y_j,
 
@@ -48,12 +48,13 @@ space without dealiasing; the fields of interest are smooth and resolved,
 and the refinement studies in the test suite expose aliasing when it
 matters.
 
+A field is a plain float64 array of TorusGeometry.shape, (p,) * 2n nodal
+values.  The torus has volume 1, so a field's integral is its nodal mean,
+trapezoidal-exact for periodic smooth integrands.  ScalarField is only the
+record of a field dump, checked by load_field and written by save_field.
+
 The bundle (Derivs) is the one way to differentiate a field: .partials and
 .grad, .lap, and .hess_rows (or the full .hess) are read from its rows.
-
-Integration uses the volume-normalized measure: integrate() is the plain
-nodal mean, which is trapezoidal-exact for periodic smooth integrands and
-makes the total volume exactly 1.
 """
 
 from __future__ import annotations
@@ -71,27 +72,19 @@ from .errors import ConfigurationError
 _DUMP_MAGIC = b"S2LFIELD"
 
 
-def _is_power_of_two(m: int) -> bool:
-    return m >= 1 and (m & (m - 1)) == 0
-
-
 @dataclass(frozen=True)
 class TorusGeometry:
     """Flat torus grid: complex dimension n, points_per_axis nodes per real axis."""
 
     n: int
     points_per_axis: int
-    period: float = 1.0
 
     def __post_init__(self):
         if self.n not in (2, 3):
             raise ConfigurationError(f"complex dimension must be 2 or 3, got {self.n}")
-        if not _is_power_of_two(self.points_per_axis) or self.points_per_axis < 8:
-            raise ConfigurationError(
-                f"points_per_axis must be a power of two >= 8, got {self.points_per_axis}"
-            )
-        if not (self.period > 0.0 and np.isfinite(self.period)):
-            raise ConfigurationError(f"period must be positive, got {self.period}")
+        p = self.points_per_axis
+        if p < 8 or p & (p - 1):
+            raise ConfigurationError(f"points_per_axis must be a power of two >= 8, got {p}")
 
     @property
     def shape(self) -> tuple:
@@ -101,13 +94,16 @@ class TorusGeometry:
     def node_count(self) -> int:
         return self.points_per_axis ** (2 * self.n)
 
+    def along(self, axis: int, x: np.ndarray) -> np.ndarray:
+        """The 1-D array x laid along one real axis, broadcastable to the grid."""
+        shape = [1] * (2 * self.n)
+        shape[axis] = x.size
+        return x.reshape(shape)
+
     def coordinate(self, axis: int) -> np.ndarray:
         """Nodal coordinates along one real axis, broadcastable to the grid shape."""
         p = self.points_per_axis
-        x = np.arange(p) * (self.period / p)
-        shape = [1] * (2 * self.n)
-        shape[axis] = p
-        return x.reshape(shape)
+        return self.along(axis, np.arange(p) * (1.0 / p))
 
     @property
     def spectrum_shape(self) -> tuple:
@@ -118,28 +114,30 @@ class TorusGeometry:
     def mode_index(self, axis: int) -> np.ndarray:
         """Integer mode numbers along one axis, broadcastable to the grid."""
         p = self.points_per_axis
-        idx = np.rint(np.fft.fftfreq(p) * p).astype(int)
-        shape = [1] * (2 * self.n)
-        shape[axis] = p
-        return idx.reshape(shape)
+        return self.along(axis, np.rint(np.fft.fftfreq(p) * p).astype(int))
 
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Real scalar samples on the torus grid."""
+    """A field dump's record: its geometry and its values, checked for the
+    grid's shape and for finiteness because the bytes come from outside."""
 
     geometry: TorusGeometry
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.geometry.shape:
-            raise ConfigurationError(
-                f"field shape {vals.shape} does not match grid {self.geometry.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ConfigurationError("field contains non-finite values")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _checked_field("field", self.values, self.geometry))
+
+
+def _checked_field(name: str, values, geometry: TorusGeometry) -> np.ndarray:
+    """values as a float64 array, which must be finite and of the grid's
+    shape: the check of a dump's values and of a run's data (ProblemData)."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != geometry.shape:
+        raise ConfigurationError(f"{name} has shape {values.shape}, the grid {geometry.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ConfigurationError(f"{name} contains non-finite values")
+    return values
 
 
 def upper_pairs(n: int) -> list:
@@ -157,10 +155,6 @@ def unpack_hermitian(rows: np.ndarray, n: int) -> np.ndarray:
         m[j, k] = rows[n + 2 * p] + 1j * rows[n + 2 * p + 1]
         m[k, j] = np.conj(m[j, k])
     return m
-
-
-def constant_field(geom: TorusGeometry, c: float) -> ScalarField:
-    return ScalarField(geom, np.full(geom.shape, float(c)))
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +186,11 @@ def derivative_symbols(geom: TorusGeometry) -> tuple:
     k_even, k_odd = [], []
     for axis in range(2 * n):
         freq = np.fft.rfftfreq if axis == 2 * n - 1 else np.fft.fftfreq
-        k = 2.0 * np.pi * freq(p, d=geom.period / p)
-        shape = [1] * (2 * n)
-        shape[axis] = k.size
-        k_even.append(k.reshape(shape))
+        k = 2.0 * np.pi * freq(p, d=1.0 / p)
+        k_even.append(geom.along(axis, k))
         k = k.copy()
         k[p // 2] = 0.0   # the Nyquist bin, in fftfreq and rfftfreq order alike
-        k_odd.append(k.reshape(shape))
+        k_odd.append(geom.along(axis, k))
     syms = [1j * k for k in k_odd]
     for j in range(n):
         syms.append(-0.25 * (k_even[2 * j] ** 2 + k_even[2 * j + 1] ** 2))
@@ -256,13 +248,13 @@ class Derivs:
         return unpack_hermitian(self.hess_rows, self.n)
 
 
-def spectral_derivatives(u: ScalarField) -> Derivs:
-    """First partials, packed complex Hessian and Laplacian of u: one rfftn,
-    then one irfftn per row straight into the bundle's single array.  Each
-    row's spectrum is formed in one reused buffer."""
-    geom = u.geometry
-    n = geom.n
-    uhat = _rfft(u.values)
+def spectral_derivatives(u: np.ndarray) -> Derivs:
+    """First partials, packed complex Hessian and Laplacian of the field u:
+    one rfftn, then one irfftn per row straight into the bundle's single
+    array.  Each row's spectrum is formed in one reused buffer."""
+    n = u.ndim // 2
+    geom = TorusGeometry(n, u.shape[0])
+    uhat = _rfft(u)
     syms = derivative_symbols(geom)
     rows = np.empty((len(syms),) + geom.shape)
     buf = np.empty_like(uhat)
@@ -285,16 +277,6 @@ def contract_derivatives(geom: TorusGeometry, k: np.ndarray, values: np.ndarray)
         out += row
         del row   # freed before the next row is transformed
     return out
-
-
-def integrate(w: ScalarField) -> float:
-    """Integral over the unit-volume torus: the nodal mean."""
-    return float(np.mean(w.values))
-
-
-def zero_mean(u: ScalarField) -> ScalarField:
-    """Subtract the exact nodal mean."""
-    return ScalarField(u.geometry, u.values - np.mean(u.values))
 
 
 def mixed_wedge_density(dv: Derivs) -> np.ndarray:
@@ -322,9 +304,9 @@ def mixed_wedge_density(dv: Derivs) -> np.ndarray:
 
 def save_field(path, u: ScalarField) -> None:
     """Binary dump: magic, little-endian float64 header (n, points_per_axis,
-    period), then row-major node values as little-endian float64."""
+    period = 1.0), then row-major node values as little-endian float64."""
     header = struct.pack(
-        "<3d", float(u.geometry.n), float(u.geometry.points_per_axis), u.geometry.period
+        "<3d", float(u.geometry.n), float(u.geometry.points_per_axis), 1.0
     )
     with open(path, "wb") as fh:
         fh.write(_DUMP_MAGIC)
@@ -348,11 +330,12 @@ def load_field(path, geometry: TorusGeometry | None = None) -> ScalarField:
             f"{path}: dump header needs whole-number n and points per axis, "
             f"got n={n_f}, points={p_f}"
         )
-    n, p = int(n_f), int(p_f)
-    geom = TorusGeometry(n=n, points_per_axis=p, period=period)
-    if geometry is not None and (geometry.n, geometry.points_per_axis, geometry.period) != (n, p, period):
+    if period != 1.0:   # the header keeps a period slot; every torus has period 1
+        raise ConfigurationError(f"{path}: dump period must be 1.0, got {period}")
+    geom = TorusGeometry(n=int(n_f), points_per_axis=int(p_f))
+    if geometry is not None and geometry != geom:
         raise ConfigurationError(
-            f"{path}: dump geometry (n={n}, points={p}, period={period}) "
+            f"{path}: dump geometry (n={geom.n}, points={geom.points_per_axis}) "
             f"does not match the declared geometry"
         )
     if len(payload) != 8 * geom.node_count:
@@ -366,7 +349,7 @@ def load_field(path, geometry: TorusGeometry | None = None) -> ScalarField:
 
 
 def random_band_limited(geom: TorusGeometry, rng: np.random.Generator,
-                        max_mode: int = 2, amplitude: float = 1.0) -> ScalarField:
+                        max_mode: int = 2, amplitude: float = 1.0) -> np.ndarray:
     """Random real band-limited field with |mode| <= max_mode on every axis,
     rescaled to the requested max-norm amplitude."""
     w = rng.standard_normal(geom.shape)
@@ -381,4 +364,4 @@ def random_band_limited(geom: TorusGeometry, rng: np.random.Generator,
     top = float(np.max(np.abs(u)))
     if top > 0.0:
         u *= amplitude / top
-    return ScalarField(geom, u)
+    return u

@@ -151,7 +151,7 @@ def suite_residual_proportionality(seed: int, fields: int = 100,
         for i in range(fields):
             u = torus.random_band_limited(geom, rng, max_mode=2,
                                           amplitude=float(rng.uniform(0.2, 0.8)))
-            u = torus.ScalarField(geom, u.values + float(rng.uniform(-0.5, 1.5)))
+            u = u + float(rng.uniform(-0.5, 1.5))
             it = forms.evaluate(u, d, 0.0)
             r1 = forms.residual_fy1(it)
             r2 = it.residual
@@ -226,28 +226,26 @@ def suite_linearize_fd(seed: int, pairs: int = 20, tol: float = 1e-6,
         u = torus.random_band_limited(geom, rng, max_mode=2,
                                       amplitude=float(rng.uniform(0.2, 0.6)))
         v = torus.random_band_limited(geom, rng, max_mode=2, amplitude=1.0)
-        lin = forms.linearization_coefficients(forms.evaluate(u, d, 0.0)).apply_to(v.values)
-        up = torus.ScalarField(geom, u.values + eps * v.values)
-        um = torus.ScalarField(geom, u.values - eps * v.values)
-        fd = (forms.evaluate(up, d, 0.0).residual
-              - forms.evaluate(um, d, 0.0).residual) / (2.0 * eps)
+        lin = forms.linearization_coefficients(forms.evaluate(u, d, 0.0)).apply_to(v)
+        fd = (forms.evaluate(u + eps * v, d, 0.0).residual
+              - forms.evaluate(u - eps * v, d, 0.0).residual) / (2.0 * eps)
         err = float(np.max(np.abs(fd - lin))) / max(1.0, float(np.max(np.abs(lin))))
         worst.see(err, lambda _: f"pair #{i}")
     return worst.result("linearize-vs-fd", "relative error")
 
 
-def _axiswise_field(geom: torus.TorusGeometry, rng: np.random.Generator) -> torus.ScalarField:
+def _axiswise_field(geom: torus.TorusGeometry, rng: np.random.Generator) -> np.ndarray:
     """Sum of per-complex-axis functions: the complex Hessian is exactly diagonal."""
     total = np.zeros(geom.shape)
     for j in range(geom.n):
-        w = torus.random_band_limited(geom, rng, max_mode=2, amplitude=1.0).values
+        w = torus.random_band_limited(geom, rng, max_mode=2, amplitude=1.0)
         keep = (2 * j, 2 * j + 1)
         other = tuple(ax for ax in range(2 * geom.n) if ax not in keep)
         total = total + w.mean(axis=other, keepdims=True)
     top = float(np.max(np.abs(total)))
     if top > 0:
         total *= 0.8 / top
-    return torus.ScalarField(geom, total * np.ones(geom.shape))
+    return total
 
 
 def suite_wedge_identity(seed: int, fields: int = 20, tol: float = 1e-10) -> SuiteResult:

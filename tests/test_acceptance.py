@@ -80,9 +80,9 @@ def test_criterion_5_trivial_solution():
     ok = True
     for n, points, kappa_c in ((2, 16, 1.0), (3, 8, 3.0)):
         geom = torus.TorusGeometry(n, points)
-        zero = torus.constant_field(geom, 0.0)
+        zero = np.zeros(geom.shape)
         d = forms.ProblemData(geom, 1.0, zero, zero, 0.05, t=0.0)
-        u0 = torus.constant_field(geom, -np.log(0.05))
+        u0 = np.full(geom.shape, -np.log(0.05))
         it = forms.evaluate(u0, d, 0.0)
         rnorm, kappa = it.rnorm, it.kappa
         ok &= rnorm < 1e-10 and abs(kappa - kappa_c) <= 1e-12
@@ -94,7 +94,7 @@ def test_criterion_5_trivial_solution():
 
 def test_criterion_6_manufactured_solution(manufactured_run):
     run = manufactured_run
-    err = float(np.max(np.abs(run["u"].values - run["u_star"].values)))
+    err = float(np.max(np.abs(run["u"] - run["u_star"])))
     it = forms.evaluate(run["u"], run["data"], 0.0)
     gaps = {k: monitors.moser_identity_gap(it, k) for k in (2.0, 4.0, 8.0)}
     ok = (run["report"].converged and err < 1e-8
@@ -148,7 +148,7 @@ def test_criterion_9_n2_reduction_consistency():
 def test_criterion_10_wedge_identity_and_lower_bound(manufactured_run):
     res = verify.suite_wedge_identity(SEED, fields=20, tol=1e-10)
     slacks = manufactured_run["wedge_slacks"]
-    scale = 1.0 + float(np.max(np.abs(manufactured_run["u"].values))) ** 2
+    scale = 1.0 + float(np.max(np.abs(manufactured_run["u"]))) ** 2
     floor = -1e-10 * scale
     slack_ok = all(s >= floor for _, s in slacks)
     worst = min(s for _, s in slacks)

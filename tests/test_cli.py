@@ -52,6 +52,12 @@ def write_config(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def save_constant(path, points, c):
+    """Dump the constant field c on the n = 2 grid of `points` per axis."""
+    geom = torus.TorusGeometry(2, points)
+    torus.save_field(path, torus.ScalarField(geom, np.full(geom.shape, c)))
+
+
 class TestConfigParsing:
     def test_unknown_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "frob = 3\n")
@@ -275,7 +281,7 @@ class TestTypedErrors:
         # a payload that is not a whole number of float64s
         cfg = write_config(tmp_path, TRIVIAL_CONFIG + "points_per_axis = 8\n")
         dump = tmp_path / "ragged.bin"
-        torus.save_field(dump, torus.constant_field(torus.TorusGeometry(2, 8), 2.0))
+        save_constant(dump, 8, 2.0)
         dump.write_bytes(dump.read_bytes()[:-3])
         assert run_cli("moser-check", "--config", cfg, "--solution", str(dump),
                        "--out", str(tmp_path / "o")) == 2
@@ -304,16 +310,49 @@ class TestTypedErrors:
     def test_non_positive_moser_weight(self, tmp_path, capsys, k_list):
         cfg = write_config(tmp_path, TRIVIAL_CONFIG)
         dump = tmp_path / "u.bin"
-        torus.save_field(dump, torus.constant_field(torus.TorusGeometry(2, 16), 2.0))
+        save_constant(dump, 16, 2.0)
         assert run_cli("moser-check", "--config", cfg, "--solution", str(dump),
                        "--k-list", k_list, "--out", str(tmp_path / "o")) == 2
         self.assert_one_error_line(capsys, "--k-list")
+
+    @pytest.mark.parametrize("k_list, k", [("700", "700"), ("2,700", "700"),
+                                           ("1e300", "1e+300")])
+    def test_moser_weight_out_of_float_range(self, tmp_path, capsys, k_list, k):
+        # on u = 2, e^{-ku} underflows to 0 at every node from k ~ 373: the
+        # identity gap would read a silent 0
+        cfg = write_config(tmp_path, TRIVIAL_CONFIG)
+        dump = tmp_path / "u.bin"
+        save_constant(dump, 16, 2.0)
+        out = tmp_path / "o"
+        assert run_cli("moser-check", "--config", cfg, "--solution", str(dump),
+                       "--k-list", k_list, "--out", str(out)) == 2
+        self.assert_one_error_line(capsys, f"underflowed to 0 at every node for k={k}")
+        assert not (out / "moser.csv").exists()
+
+    @pytest.mark.parametrize("key, field", [("f_scale", "f"), ("mu_scale", "mu")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
+    def test_non_finite_profile_data(self, tmp_path, capsys, key, field, value):
+        # ProblemData rejects the data; a numpy warning on the way would be
+        # an error here (pytest's filterwarnings)
+        cfg = write_config(tmp_path, f"points_per_axis = 8\n{key} = {value}\n")
+        out = tmp_path / "o"
+        assert run_cli("solve", "--config", cfg, "--out", str(out)) == 2
+        self.assert_one_error_line(capsys, f"error: {field} contains non-finite values")
+
+    @pytest.mark.parametrize("amplitude", ["200", "1000", "-5"])
+    def test_manufactured_level_out_of_range(self, tmp_path, capsys, amplitude):
+        # u* = -log A + perturbation attains a normalization level A >= 1;
+        # the error names the settings that fix it, and no warning leaks
+        cfg = write_config(tmp_path, "points_per_axis = 8\nprofile = manufactured\n"
+                                     f"amplitude = {amplitude}\n")
+        assert run_cli("solve", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        self.assert_one_error_line(capsys, f"amplitude = {amplitude} on base A = 0.1")
 
     @pytest.mark.parametrize("k_list", ["abc", "2,x", "", ","])
     def test_bad_moser_list(self, tmp_path, capsys, k_list):
         cfg = write_config(tmp_path, TRIVIAL_CONFIG)
         dump = tmp_path / "u.bin"
-        torus.save_field(dump, torus.constant_field(torus.TorusGeometry(2, 16), 2.0))
+        save_constant(dump, 16, 2.0)
         out = tmp_path / "o"
         assert run_cli("moser-check", "--config", cfg, "--solution", str(dump),
                        "--k-list", k_list, "--out", str(out)) == 2
@@ -491,6 +530,29 @@ class TestPlotScripts:
             # the y label names the plotted column, alone or inside a formula
             assert y in re.split(r"[\s()]+", ylabel), (name, y, ylabel)
 
+    @pytest.mark.parametrize("header", [True, False])
+    def test_degeneracy_n2_one_curve_per_theta(self, tmp_path, header):
+        # the CSV holds one sweep of kappa_p per theta; the script draws each
+        # as its own curve: its `every ::first::last` row ranges, counted from
+        # 0 after the header row, partition the data rows by theta
+        out = tmp_path / "deg"
+        flags = [] if header else ["--no-header"]
+        assert run_cli("degeneracy", "--n", "2", "--samples", "7",
+                       "--out", str(out), *flags) == 0
+        lines = (out / "degeneracy_n2.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+        text = (out / "degeneracy_n2.gp").read_text()
+        assert "set key autotitle columnhead" in text
+        curves = re.findall(r"every ::(\d+)::(\d+) with linespoints title 'theta = ([^']+)'",
+                            text)
+        assert len(curves) == 5
+        covered = []
+        for first, last, theta in curves:
+            block = range(int(first), int(last) + 1)
+            assert {float(rows[i][0]) for i in block} == {float(theta)}
+            covered.extend(block)
+        assert covered == list(range(len(rows)))
+
 
 class TestMoserCheck:
     def test_on_stored_solution(self, tmp_path):
@@ -520,7 +582,7 @@ class TestMoserCheck:
         real = torus.spectral_derivatives
 
         def counted(u):
-            bundles[u.values.tobytes()] += 1
+            bundles[u.tobytes()] += 1
             return real(u)
 
         patch_everywhere(real, counted)

@@ -8,7 +8,6 @@ import pytest
 from sigma2lab import forms, profiles, torus
 from sigma2lab.errors import ConfigurationError
 from sigma2lab.forms import (
-    NormalizationConstants,
     ProblemData,
     evaluate,
     gamma2_mask,
@@ -25,9 +24,7 @@ from sigma2lab.forms import (
     sigma2_field,
 )
 from sigma2lab.torus import (
-    ScalarField,
-    constant_field,
-    integrate,
+    TorusGeometry,
     random_band_limited,
     spectral_derivatives,
     unpack_hermitian,
@@ -35,15 +32,15 @@ from sigma2lab.torus import (
 
 
 def trivial_setup(geom, A=0.05, alpha=1.0):
-    zero = constant_field(geom, 0.0)
+    zero = np.zeros(geom.shape)
     d = ProblemData(geom, alpha, zero, zero, A, t=0.0)
-    u0 = constant_field(geom, -np.log(A))
+    u0 = np.full(geom.shape, -np.log(A))
     return u0, d
 
 
 def derivative(u, d, v):
     """The directional derivative of the residual at u in the direction v."""
-    return linearization_coefficients(evaluate(u, d, 0.0)).apply_to(v.values)
+    return linearization_coefficients(evaluate(u, d, 0.0)).apply_to(v)
 
 
 def residual(u, d):
@@ -51,16 +48,15 @@ def residual(u, d):
 
 
 class TestNormalizationConstants:
-    def test_dimension_table(self):
-        c2 = NormalizationConstants.for_dimension(2)
-        assert (c2.beta, c2.gamma) == (2.0, 4.0)
-        c3 = NormalizationConstants.for_dimension(3)
-        assert (c3.beta, c3.gamma) == (1.5, 8.0)
+    def test_dimension_table(self, problem2, problem3):
+        # the exponent gamma = 4 (n - 1) of the normalization
+        assert problem2.gamma == 4.0
+        assert problem3.gamma == 8.0
 
 
 class TestProblemData:
     def test_validation(self, geom2):
-        zero = constant_field(geom2, 0.0)
+        zero = np.zeros(geom2.shape)
         with pytest.raises(ConfigurationError):
             ProblemData(geom2, -1.0, zero, zero, 0.1)
         with pytest.raises(ConfigurationError):
@@ -68,29 +64,41 @@ class TestProblemData:
         with pytest.raises(ConfigurationError):
             ProblemData(geom2, 1.0, zero, zero, 0.1, t=2.0)
         with pytest.raises(ConfigurationError):
-            ProblemData(geom2, 1.0, constant_field(geom2, -0.1), zero, 0.1)
+            ProblemData(geom2, 1.0, np.full(geom2.shape, -0.1), zero, 0.1)
         with pytest.raises(ConfigurationError):
-            ProblemData(geom2, 1.0, zero, constant_field(geom2, 0.3), 0.1)
+            ProblemData(geom2, 1.0, zero, np.full(geom2.shape, 0.3), 0.1)
+        # ProblemData is where the arrays are checked: the grid's shape and
+        # finite values, for f and for mu
+        with pytest.raises(ConfigurationError, match="f has shape"):
+            ProblemData(geom2, 1.0, np.zeros((3, 3)), zero, 0.1)
+        with pytest.raises(ConfigurationError, match="mu has shape"):
+            ProblemData(geom2, 1.0, zero, np.zeros(TorusGeometry(2, 8).shape), 0.1)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigurationError, match="f contains non-finite"):
+                ProblemData(geom2, 1.0, np.full(geom2.shape, bad), zero, 0.1)
+            mu = zero.copy()
+            mu[0, 0, 0, 0] = bad
+            with pytest.raises(ConfigurationError, match="mu contains non-finite"):
+                ProblemData(geom2, 1.0, zero, mu, 0.1)
 
     def test_t_scaling_accessors(self, geom2):
         f = profiles.f_profile(geom2, 0.4)
         mu = profiles.mu_profile(geom2, 0.6)
         d = ProblemData(geom2, 1.0, f, mu, 0.1, t=0.5)
-        assert np.allclose(d.f_eff(), 0.5 * f.values)
-        assert np.allclose(d.mu_eff(), 0.5 * mu.values)
+        assert np.allclose(d.f_eff(), 0.5 * f)
+        assert np.allclose(d.mu_eff(), 0.5 * mu)
         d2 = d.with_t(0.0)
         assert np.all(d2.f_eff() == 0.0)
 
     def test_with_t_checks_only_t(self, problem2, patch_everywhere):
         # the rest of the data was checked when it was built
         calls = []
-        real = torus.integrate
+        for real in (forms._checked_field, forms.check_A):
+            def counted(*args, real=real):
+                calls.append(args)
+                return real(*args)
 
-        def counted(w):
-            calls.append(w)
-            return real(w)
-
-        patch_everywhere(real, counted)
+            patch_everywhere(real, counted)
         d = problem2.with_t(0.5)
         assert calls == []
         assert d.t == 0.5 and problem2.t == 0.7
@@ -99,8 +107,8 @@ class TestProblemData:
             problem2.with_t(1.5)
 
     def test_kappa_c(self, geom2, geom3):
-        zero2 = constant_field(geom2, 0.0)
-        zero3 = constant_field(geom3, 0.0)
+        zero2 = np.zeros(geom2.shape)
+        zero3 = np.zeros(geom3.shape)
         assert ProblemData(geom2, 1.0, zero2, zero2, 0.1).kappa_c == 1.0
         assert ProblemData(geom3, 1.0, zero3, zero3, 0.1).kappa_c == 3.0
 
@@ -114,9 +122,9 @@ class TestGPrime:
         assert np.max(np.abs(gp[0, 1])) == 0.0
 
     def test_constant_u_zero_f(self, geom2):
-        zero = constant_field(geom2, 0.0)
+        zero = np.zeros(geom2.shape)
         d = ProblemData(geom2, 3.0, zero, zero, 0.3, t=1.0)
-        u = constant_field(geom2, 0.7)
+        u = np.full(geom2.shape, 0.7)
         eigs = hermitian_eigenvalues(gprime(evaluate(u, d, 0.0)), 2)
         assert np.allclose(eigs, np.exp(0.7), rtol=1e-13)
 
@@ -126,7 +134,7 @@ class TestGPrime:
         u = random_band_limited(geom2, rng, 2, 0.6)
         it = evaluate(u, problem2, 0.0)
         hess_eigs = hermitian_eigenvalues(it.derivs.hess_rows, 2)
-        a = np.exp(u.values) + problem2.f_eff() * np.exp(-u.values)
+        a = np.exp(u) + problem2.f_eff() * np.exp(-u)
         want = np.sort(a + 2 * 2 * problem2.alpha * hess_eigs, axis=0)
         got = hermitian_eigenvalues(gprime(it), 2)
         assert np.max(np.abs(got - want)) < 1e-10 * (1.0 + np.max(np.abs(want)))
@@ -197,10 +205,10 @@ class TestFMatrix:
 
     def test_diagonal_entries_are_complements(self, geom2, problem2):
         # on a field with diagonal Hessian, F^{jj} = sigma_1(lambda') - lambda'_j
-        w = 2 * np.pi / geom2.period
+        w = 2 * np.pi
         x = geom2.coordinate(0) * np.ones(geom2.shape)
         y = geom2.coordinate(3) * np.ones(geom2.shape)
-        u = ScalarField(geom2, 0.3 * np.cos(w * x) + 0.2 * np.sin(w * y))
+        u = 0.3 * np.cos(w * x) + 0.2 * np.sin(w * y)
         it = evaluate(u, problem2, 0.0)
         gp = unpack_hermitian(gprime(it), 2)
         fm = unpack_hermitian(gtilde(it), 2)
@@ -226,7 +234,7 @@ class TestResiduals:
     def test_proportionality(self, geom2, geom3, problem2, problem3, rng):
         for geom, d in ((geom2, problem2), (geom3, problem3)):
             u = random_band_limited(geom, rng, 2, 0.6)
-            u = ScalarField(geom, u.values + 0.8)
+            u = u + 0.8
             it = evaluate(u, d, 0.0)
             r1 = residual_fy1(it)
             r2 = it.residual
@@ -240,9 +248,9 @@ class TestResiduals:
         it = evaluate(u0, d, 0.0)
         rhs = rhs_sigma2(d, it.derivs, it.weights)
         assert np.allclose(rhs, 1.0 / 0.01, rtol=1e-12)
-        zero = constant_field(geom2, 0.0)
+        zero = np.zeros(geom2.shape)
         d1 = ProblemData(geom2, 2.0, zero, zero, 0.3, t=1.0)
-        it = evaluate(constant_field(geom2, 0.4), d1, 0.0)
+        it = evaluate(np.full(geom2.shape, 0.4), d1, 0.0)
         assert np.allclose(rhs_sigma2(d1, it.derivs, it.weights), 1.0 * np.exp(0.8),
                            rtol=1e-12)
 
@@ -251,7 +259,7 @@ class TestResiduals:
         u0, d = trivial_setup(geom2, A=0.1)
         v = random_band_limited(geom2, rng, 2, 1.0)
         eps = 1e-6
-        u = ScalarField(geom2, u0.values + eps * v.values)
+        u = u0 + eps * v
         r = residual(u, d)
         lin = derivative(u0, d, v)
         assert np.max(np.abs(r - eps * lin)) <= 1e-4 * np.max(np.abs(r))
@@ -264,8 +272,8 @@ class TestLinearize:
             u = random_band_limited(geom2, rng, 2, 0.5)
             v = random_band_limited(geom2, rng, 2, 1.0)
             lin = derivative(u, problem2, v)
-            up = ScalarField(geom2, u.values + eps * v.values)
-            um = ScalarField(geom2, u.values - eps * v.values)
+            up = u + eps * v
+            um = u - eps * v
             fd = (residual(up, problem2) - residual(um, problem2)) / (2 * eps)
             assert np.max(np.abs(fd - lin)) <= 1e-6 * max(1.0, np.max(np.abs(lin)))
 
@@ -273,12 +281,12 @@ class TestLinearize:
         # frozen at the t=0 constant solution the operator is
         # 2 n alpha (n-1) e^{u0} Lap, diagonal on Fourier modes
         u0, d = trivial_setup(geom2, A=0.1, alpha=1.3)
-        w = 2 * np.pi / geom2.period
+        w = 2 * np.pi
         x = geom2.coordinate(0) * np.ones(geom2.shape)
         y = geom2.coordinate(3) * np.ones(geom2.shape)
-        v = ScalarField(geom2, np.cos(2 * w * x) * np.cos(w * y))
+        v = np.cos(2 * w * x) * np.cos(w * y)
         lam = -0.25 * ((2 * w) ** 2 + w ** 2)
-        want = 2 * 2 * 1.3 * (2 - 1) * np.exp(u0.values) * lam * v.values
+        want = 2 * 2 * 1.3 * (2 - 1) * np.exp(u0) * lam * v
         got = derivative(u0, d, v)
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
@@ -286,32 +294,32 @@ class TestLinearize:
         # direction v = const matches the pointwise u-derivative path
         u = random_band_limited(geom2, rng, 2, 0.4)
         c = 0.7
-        v = constant_field(geom2, c)
+        v = np.full(geom2.shape, c)
         lin = derivative(u, problem2, v)
         eps = 1e-6
-        up = ScalarField(geom2, u.values + eps * c)
-        um = ScalarField(geom2, u.values - eps * c)
+        up = u + eps * c
+        um = u - eps * c
         fd = (residual(up, problem2) - residual(um, problem2)) / (2 * eps)
         assert np.max(np.abs(fd - lin)) <= 1e-6 * max(1.0, np.max(np.abs(lin)))
 
 
 class TestManufacturedMu:
     def test_constant_u_star_zero_f(self, geom2):
-        zero = constant_field(geom2, 0.0)
+        zero = np.zeros(geom2.shape)
         d = ProblemData(geom2, 1.0, zero, zero, 0.1, t=1.0)
-        mu = manufactured_mu(evaluate(constant_field(geom2, 1.2), d, 0.0))
-        assert np.max(np.abs(mu.values)) < 1e-14
+        mu = manufactured_mu(evaluate(np.full(geom2.shape, 1.2), d, 0.0))
+        assert np.max(np.abs(mu)) < 1e-14
 
     def test_residual_vanishes_by_construction(self, geom2, rng):
         f = profiles.f_profile(geom2, 0.2)
-        zero = constant_field(geom2, 0.0)
+        zero = np.zeros(geom2.shape)
         seed = ProblemData(geom2, 0.9, f, zero, 0.1, t=1.0)
-        u_star = ScalarField(geom2, 2.0 + random_band_limited(geom2, rng, 2, 0.3).values)
+        u_star = 2.0 + random_band_limited(geom2, rng, 2, 0.3)
         mu = manufactured_mu(evaluate(u_star, seed, 0.0))
-        assert abs(integrate(mu)) < 1e-10
+        assert abs(np.mean(mu)) < 1e-10
         d = ProblemData(geom2, 0.9, f, mu, 0.1, t=1.0)
         r = residual_fy1(evaluate(u_star, d, 0.0))
-        assert np.max(np.abs(r)) < 1e-11 * (1.0 + np.max(np.abs(mu.values)))
+        assert np.max(np.abs(r)) < 1e-11 * (1.0 + np.max(np.abs(mu)))
 
 
 class TestEigenvalues:
@@ -340,7 +348,7 @@ class TestEigenvalues:
             assert np.max(np.abs(got - want)) < 1e-9 * (1.0 + np.max(np.abs(want)))
 
     def test_gamma2_mask_margin(self, geom2, problem2):
-        u0 = constant_field(geom2, -np.log(problem2.A))
+        u0 = np.full(geom2.shape, -np.log(problem2.A))
         gp = gprime(evaluate(u0, problem2.with_t(0.0), 0.0))
         s1, s2 = sigma1_field(gp, 2), sigma2_field(gp, 2)
         lam = 1.0 / problem2.A  # eigenvalues of the trivial g'
@@ -384,7 +392,7 @@ class TestPackedLayout:
 def perturbed_solution(d, rng, amplitude=0.05):
     """-log A, the t = 0 solution, plus a small band-limited perturbation."""
     pert = random_band_limited(d.geometry, rng, 2, amplitude)
-    return ScalarField(d.geometry, -np.log(d.A) + pert.values)
+    return -np.log(d.A) + pert
 
 
 def root(arr):
@@ -431,8 +439,8 @@ class TestLeanIterate:
         lc = linearization_coefficients(evaluate(perturbed_solution(d, rng), d, 0.0))
         v = random_band_limited(d.geometry, rng, 3, 1.0)
         rows = spectral_derivatives(v).rows
-        want = sum(k_r * row for k_r, row in zip(lc.k, rows)) + lc.c0 * v.values
-        got = lc.apply_to(v.values)
+        want = sum(k_r * row for k_r, row in zip(lc.k, rows)) + lc.c0 * v
+        got = lc.apply_to(v)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("which", ["problem2", "problem3"])

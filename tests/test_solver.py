@@ -25,7 +25,7 @@ from sigma2lab.solve import (
     normalize,
     run_and_return,
 )
-from sigma2lab.torus import ScalarField, constant_field, random_band_limited
+from sigma2lab.torus import random_band_limited
 
 
 def cone_mask(u, d, margin=0.0):
@@ -57,45 +57,44 @@ class TestSolverConfig:
 
 class TestNormalize:
     def test_constant_closed_form(self, geom2):
-        out = normalize(constant_field(geom2, 0.0), 0.1, 4.0)
-        assert np.allclose(out.values, np.log(10.0), rtol=0, atol=1e-14)
+        out = normalize(np.zeros(geom2.shape), 0.1, 4.0)
+        assert np.allclose(out, np.log(10.0), rtol=0, atol=1e-14)
 
     def test_already_normalized_is_fixed(self, geom2, rng):
         u = normalize(random_band_limited(geom2, rng, 2, 0.8), 0.1, 4.0)
         again = normalize(u, 0.1, 4.0)
-        assert np.max(np.abs(again.values - u.values)) < 1e-13
+        assert np.max(np.abs(again - u)) < 1e-13
 
     def test_shift_invariance(self, geom2, rng):
         u = random_band_limited(geom2, rng, 2, 0.8)
         a = normalize(u, 0.1, 4.0)
-        b = normalize(ScalarField(geom2, u.values + 5.0), 0.1, 4.0)
-        assert np.max(np.abs(a.values - b.values)) < 1e-12
+        b = normalize(u + 5.0, 0.1, 4.0)
+        assert np.max(np.abs(a - b)) < 1e-12
 
     def test_constraint_attained(self, geom2, rng):
         u = normalize(random_band_limited(geom2, rng, 2, 1.5), 0.07, 4.0)
         assert abs(normalization_level(u, 4.0) - 0.07) < 1e-12
 
     def test_large_fields_do_not_overflow(self, geom2, rng):
-        u = ScalarField(geom2, 300.0 * random_band_limited(geom2, rng, 1, 1.0).values)
+        u = 300.0 * random_band_limited(geom2, rng, 1, 1.0)
         out = normalize(u, 0.1, 8.0)
-        assert np.all(np.isfinite(out.values))
+        assert np.all(np.isfinite(out))
         assert abs(normalization_level(out, 8.0) - 0.1) < 1e-10
 
 
 class TestNewtonStep:
     def test_exact_solution_is_fixed_point(self, geom2, trivial2):
-        u0 = constant_field(geom2, -np.log(trivial2.A))
+        u0 = np.full(geom2.shape, -np.log(trivial2.A))
         cfg = SolverConfig()
         it, s = _newton_step(evaluate(u0, trivial2, cfg.cone_margin), cfg)
         u1 = it.u
         assert resnorm(u1, trivial2) < 1e-10
-        assert np.max(np.abs(u1.values - u0.values)) < 1e-12
+        assert np.max(np.abs(u1 - u0)) < 1e-12
 
     def test_local_quadratic_contraction(self, geom2, trivial2, rng):
-        u0 = constant_field(geom2, -np.log(trivial2.A))
+        u0 = np.full(geom2.shape, -np.log(trivial2.A))
         pert = random_band_limited(geom2, rng, 2, 1e-3)
-        u = normalize(ScalarField(geom2, u0.values + pert.values),
-                      trivial2.A, 4.0)
+        u = normalize(u0 + pert, trivial2.A, 4.0)
         r_before = resnorm(u, trivial2)
         cfg = SolverConfig()
         it, s = _newton_step(evaluate(u, trivial2, cfg.cone_margin), cfg)
@@ -103,11 +102,11 @@ class TestNewtonStep:
         assert r_after <= r_before / 10.0
 
     def test_cone_precondition_enforced(self, geom2):
-        zero = constant_field(geom2, 0.0)
+        zero = np.zeros(geom2.shape)
         d = ProblemData(geom2, 1.0, zero, zero, 0.1, t=0.0)
-        w = 2 * np.pi / geom2.period
+        w = 2 * np.pi
         x = geom2.coordinate(0) * np.ones(geom2.shape)
-        bad = ScalarField(geom2, -np.log(0.1) + 2.0 * np.cos(w * x))
+        bad = -np.log(0.1) + 2.0 * np.cos(w * x)
         assert not np.all(cone_mask(bad, d))
         cfg = SolverConfig()
         with pytest.raises(ConeViolationError):
@@ -116,10 +115,10 @@ class TestNewtonStep:
     def test_step_damped_but_margin_respected(self, geom2):
         # large source: the full Newton step overshoots, backtracking accepts
         # a damped s and the new iterate still satisfies the margin
-        zero = constant_field(geom2, 0.0)
+        zero = np.zeros(geom2.shape)
         d = ProblemData(geom2, 1.0, zero, profiles.mu_profile(geom2, 200.0),
                         0.1, t=1.0)
-        u0 = constant_field(geom2, -np.log(0.1))
+        u0 = np.full(geom2.shape, -np.log(0.1))
         cfg = SolverConfig(cone_margin=1e-6)
         it, s = _newton_step(evaluate(u0, d, cfg.cone_margin), cfg)
         u1 = it.u
@@ -132,11 +131,11 @@ class TestNewtonStep:
         # the rejected one before it, the operator's coefficient rows and
         # the consumed bundle and weights of the start iterate are gone,
         # though the caller still holds that iterate
-        zero = constant_field(geom2, 0.0)
+        zero = np.zeros(geom2.shape)
         d = ProblemData(geom2, 1.0, zero, profiles.mu_profile(geom2, 500.0),
                         0.1, t=1.0)
         cfg = SolverConfig()
-        it = evaluate(constant_field(geom2, -np.log(0.1)), d, cfg.cone_margin)
+        it = evaluate(np.full(geom2.shape, -np.log(0.1)), d, cfg.cone_margin)
         coeffs, trials, alive, body = [], [], [], []
         lincoef = solve.linearization_coefficients
 
@@ -162,16 +161,16 @@ class TestNewtonStep:
 
 class TestSolveAtT:
     def test_trivial_returns_start(self, geom2, trivial2):
-        u0 = constant_field(geom2, -np.log(trivial2.A))
+        u0 = np.full(geom2.shape, -np.log(trivial2.A))
         cfg = SolverConfig(newton_tol=1e-10)
         start = evaluate(normalize(u0, trivial2.A, 4.0), trivial2, cfg.cone_margin)
         u = _solve_at_t(start, cfg)[0].u
         assert resnorm(u, trivial2) < 1e-10
-        assert np.max(np.abs(u.values - u0.values)) < 1e-12
+        assert np.max(np.abs(u - u0)) < 1e-12
 
     def test_zero_iteration_budget(self, geom2):
         d = profiles.perturbative_problem(geom2, 1.0, 0.1, 0.05, 0.05)
-        u0 = constant_field(geom2, -np.log(0.1))
+        u0 = np.full(geom2.shape, -np.log(0.1))
         cfg = SolverConfig(newton_tol=1e-12, max_newton_iters=0)
         start = evaluate(normalize(u0, d.A, 4.0), d, cfg.cone_margin)
         with pytest.raises(ConvergenceError) as exc_info:
@@ -186,7 +185,7 @@ class TestSolveAtT:
         # must fail with a typed solver error, not return the field
         cfg = SolverConfig()
         with np.errstate(all="ignore"):
-            it = evaluate(constant_field(geom2, 400.0), trivial2, cfg.cone_margin)
+            it = evaluate(np.full(geom2.shape, 400.0), trivial2, cfg.cone_margin)
             assert np.isnan(it.rnorm)
             with pytest.raises(solve._SOLVE_FAILURES):
                 _solve_at_t(it, cfg)
@@ -197,14 +196,14 @@ class TestSolveAtT:
         cfg = SolverConfig(newton_tol=1e-9, max_newton_iters=20, t_step_init=0.5)
         report, u = run_and_return(data, cfg)
         assert report.converged
-        assert np.max(np.abs(u.values - u_star.values)) < 1e-10
+        assert np.max(np.abs(u - u_star)) < 1e-10
 
     def test_residual_monotone_along_newton_chain(self, geom2):
         # accepted steps never increase the residual max-norm
         data, _ = profiles.manufactured_problem(
             geom2, alpha=1.0, base_A=0.1, amplitude=0.25, f_scale=0.05)
         cfg = SolverConfig(newton_tol=1e-9)
-        it = evaluate(normalize(constant_field(geom2, -np.log(data.A)), data.A, 4.0),
+        it = evaluate(normalize(np.full(geom2.shape, -np.log(data.A)), data.A, 4.0),
                       data, cfg.cone_margin)
         norms = [resnorm(it.u, data)]
         for _ in range(4):
@@ -223,8 +222,7 @@ def newton_system(geom, rng):
     data, u_star = profiles.manufactured_problem(
         geom, alpha=1.0, base_A=0.1, amplitude=0.25, f_scale=0.05)
     pert = random_band_limited(geom, rng, 2, 1e-3)
-    u = normalize(ScalarField(geom, u_star.values + pert.values), data.A,
-                  data.norm_constants.gamma)
+    u = normalize(u_star + pert, data.A, data.gamma)
     it = evaluate(u, data, 0.0)
     return u, data, forms.linearization_coefficients(it), it.residual
 
@@ -233,7 +231,7 @@ def assert_solves_both_rows(system, v, rtol):
     # the step keeps the normalization to first order, l(v) = 0, and
     # solves L v = -R up to a constant, both to rtol
     u, data, coeffs, r = system
-    omega = np.exp(-data.norm_constants.gamma * u.values)
+    omega = np.exp(-data.gamma * u)
     omega /= np.sum(omega)
     lv = coeffs.apply_to(v)
     proj_r = r - np.mean(r)
@@ -382,7 +380,7 @@ class TestContinuityRun:
         # the normalized constant -log A has residual exactly 0 there
         geom = request.getfixturevalue(geom)
         d = profiles.perturbative_problem(geom, 1.0, 0.1, 0.05, 0.05)
-        u0 = normalize(constant_field(geom, -np.log(d.A)), d.A, d.norm_constants.gamma)
+        u0 = normalize(np.full(geom.shape, -np.log(d.A)), d.A, d.gamma)
         start = evaluate(u0, d.with_t(0.0), SolverConfig().cone_margin)
         assert start.rnorm == 0.0
         assert start.in_cone
@@ -395,7 +393,7 @@ class TestContinuityRun:
         assert report.t_values[-1] == 1.0
         assert np.all(np.diff(report.t_values) > 0)
         assert len(report.monitor_snapshots) == len(report.t_values)
-        assert np.max(np.abs(u.values + np.log(0.05))) < 1e-12
+        assert np.max(np.abs(u + np.log(0.05))) < 1e-12
         for rep in report.monitor_snapshots:
             assert rep.kappa == pytest.approx(rep.kappa_c, abs=1e-12)
             assert rep.gamma2_fraction == 1.0
@@ -420,11 +418,10 @@ class TestContinuityRun:
         assert last.kappa_c == 3.0
         assert last.kappa > 0.9 * last.kappa_c
         assert last.gamma2_fraction == 1.0
-        gamma3 = forms.NormalizationConstants.for_dimension(3).gamma
-        assert abs(normalization_level(u, gamma3) - 0.1) < 1e-10
+        assert abs(normalization_level(u, d.gamma) - 0.1) < 1e-10
 
     def test_stall_on_adversarial_source(self, geom2):
-        zero = constant_field(geom2, 0.0)
+        zero = np.zeros(geom2.shape)
         d = ProblemData(geom2, 1.0, zero, profiles.mu_profile(geom2, 2e4),
                         0.1, t=1.0)
         cfg = SolverConfig(newton_tol=1e-9, max_newton_iters=3,
@@ -442,6 +439,25 @@ class TestContinuityRun:
         assert f"{type(cause).__name__}: {cause}" in str(exc_info.value)
 
 
+class TestFieldsAreArrays:
+    def test_no_field_record_inside_the_run(self, monkeypatch):
+        # in memory a field is a plain array: ScalarField is the dump's
+        # record, and the default solve builds none of them
+        built = []
+        check = torus.ScalarField.__post_init__
+
+        def counted(field):
+            built.append(field)
+            check(field)
+
+        cfg = cli.RunConfig()
+        data, _ = cfg.build_problem()
+        monkeypatch.setattr(torus.ScalarField, "__post_init__", counted)
+        report, u = run_and_return(data, cfg.solver_config())
+        assert len(built) == 0
+        assert report.converged and isinstance(u, np.ndarray)
+
+
 class TestOneEvaluationPerIterate:
     def test_default_solve(self, tmp_path, patch_everywhere):
         # Count the bundles and the closed-form sigmas of g' of the default
@@ -455,7 +471,7 @@ class TestOneEvaluationPerIterate:
 
         def counted_derivs(u):
             if not in_newton_system:
-                bundles[u.values.tobytes()] += 1
+                bundles[u.tobytes()] += 1
             return derivs(u)
 
         def counted_sigmas(d, dv, a):
@@ -485,12 +501,12 @@ class TestOneEvaluationPerIterate:
         derivs = torus.spectral_derivatives
 
         def counted_derivs(u):
-            bundles[u.values.tobytes()] += 1
+            bundles[u.tobytes()] += 1
             return derivs(u)
 
         def on_accept(t, it):
-            accepted.append(it.u.values.tobytes())
-            floor = -1e-10 * (1.0 + float(np.max(np.abs(it.u.values))) ** 2)
+            accepted.append(it.u.tobytes())
+            floor = -1e-10 * (1.0 + float(np.max(np.abs(it.u))) ** 2)
             assert monitors.wedge_lower_bound_check(it) >= floor
 
         patch_everywhere(derivs, counted_derivs)
@@ -514,24 +530,24 @@ class TestGridRefinement:
         g16 = torus.TorusGeometry(2, 16)
         sl = (slice(None, None, 2),) * 4
 
-        w = 2 * np.pi / g32.period
+        w = 2 * np.pi
         x1 = g32.coordinate(0) * np.ones(g32.shape)
         y2 = g32.coordinate(3) * np.ones(g32.shape)
         p = np.exp(2.2 * np.cos(w * x1)) + np.exp(1.9 * np.sin(w * y2))
         p -= p.mean()
         p /= np.max(np.abs(p))
-        us32 = ScalarField(g32, -np.log(0.1) + p)
-        us16 = ScalarField(g16, us32.values[sl])
+        us32 = -np.log(0.1) + p
+        us16 = us32[sl]
 
-        gamma = forms.NormalizationConstants.for_dimension(2).gamma
+        gamma = 4.0
         A = normalization_level(us32, gamma)
         f32 = profiles.f_profile(g32, 0.05)
-        zero32 = constant_field(g32, 0.0)
+        zero32 = np.zeros(g32.shape)
         mu32 = forms.manufactured_mu(
             evaluate(us32, ProblemData(g32, alpha, f32, zero32, A, t=1.0), 0.0))
         d32 = ProblemData(g32, alpha, f32, mu32, A, t=1.0)
-        f16 = ScalarField(g16, f32.values[sl])
-        mu16 = torus.zero_mean(ScalarField(g16, mu32.values[sl]))
+        f16 = f32[sl]
+        mu16 = mu32[sl] - np.mean(mu32[sl])
         d16 = ProblemData(g16, alpha, f16, mu16, A, t=1.0)
 
         r16 = resnorm(us16, d16)
@@ -541,13 +557,13 @@ class TestGridRefinement:
         cfg32 = SolverConfig(newton_tol=1e-9, max_newton_iters=10)
         start32 = evaluate(normalize(us32, A, gamma), d32, cfg32.cone_margin)
         u32 = _solve_at_t(start32, cfg32)[0].u
-        err32 = float(np.max(np.abs(u32.values - us32.values)))
+        err32 = float(np.max(np.abs(u32 - us32)))
         # the coarse problem carries an O(aliasing) inconsistency in its mean,
         # so the coarse tolerance sits just above that plateau
         cfg16 = SolverConfig(newton_tol=5e-3, max_newton_iters=20)
         start16 = evaluate(normalize(us16, A, gamma), d16, cfg16.cone_margin)
         u16 = _solve_at_t(start16, cfg16)[0].u
-        err16 = float(np.max(np.abs(u16.values - us16.values)))
+        err16 = float(np.max(np.abs(u16 - us16)))
         assert err32 <= 1e-11
         assert err16 >= 1e4 * max(err32, 1e-12)
 
@@ -555,6 +571,6 @@ class TestGridRefinement:
 class TestNormalizeGuard:
     def test_non_finite_shift_rejected(self, geom2):
         # engineered degenerate A cannot produce a finite shift
-        u = constant_field(geom2, 0.0)
+        u = np.zeros(geom2.shape)
         with pytest.raises((NormalizationError, ZeroDivisionError)):
             normalize(u, np.nan, 4.0)

@@ -15,32 +15,29 @@ from sigma2lab.errors import ConfigurationError
 from sigma2lab.torus import (
     ScalarField,
     TorusGeometry,
-    constant_field,
     contract_derivatives,
     derivative_symbols,
-    integrate,
     load_field,
     mixed_wedge_density,
     random_band_limited,
     save_field,
     spectral_derivatives,
-    zero_mean,
 )
 
 
 def mode_field(geom, axis, periods=1):
     x = geom.coordinate(axis) * np.ones(geom.shape)
-    return x, 2.0 * np.pi * periods / geom.period
+    return x, 2.0 * np.pi * periods
 
 
 class TestGeometry:
     def test_node_counts_and_unit_volume(self):
         g2 = TorusGeometry(2, 16)
         assert g2.node_count == 16 ** 4
-        assert integrate(constant_field(g2, 1.0)) == 1.0
+        assert np.mean(np.full(g2.shape, 1.0)) == 1.0
         g3 = TorusGeometry(3, 8)
         assert g3.node_count == 8 ** 6
-        assert integrate(constant_field(g3, 1.0)) == 1.0
+        assert np.mean(np.full(g3.shape, 1.0)) == 1.0
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ConfigurationError):
@@ -70,23 +67,23 @@ def lap(u):
 class TestDHolo:
     def test_cosine_mode(self, geom2):
         x, w = mode_field(geom2, 0)
-        u = ScalarField(geom2, np.cos(w * x))
+        u = np.cos(w * x)
         got = grad(u)[0]
         want = -0.5 * w * np.sin(w * x)  # d/dx of cos, halved; no y dependence
         assert np.max(np.abs(got - want)) < 1e-11
 
     def test_constant_is_flat(self, geom2):
-        assert np.max(np.abs(grad(constant_field(geom2, 3.7))[0])) == 0.0
+        assert np.max(np.abs(grad(np.full(geom2.shape, 3.7))[0])) == 0.0
 
     def test_wrong_axis_kills_derivative(self, geom2):
         x, w = mode_field(geom2, 2)  # depends on x_2 only
-        u = ScalarField(geom2, np.sin(w * x))
+        u = np.sin(w * x)
         assert np.max(np.abs(grad(u)[0])) < 1e-12
 
     def test_y_derivative_imaginary_part(self, geom2):
         # D_1 = (d/dx_1 - i d/dy_1)/2: a pure y_1 mode lands in the imaginary part
         y, w = mode_field(geom2, 1)
-        u = ScalarField(geom2, np.cos(w * y))
+        u = np.cos(w * y)
         got = grad(u)[0]
         want = 0.5j * w * np.sin(w * y)
         assert np.max(np.abs(got - want)) < 1e-11
@@ -99,13 +96,13 @@ class TestDHolo:
 
 class TestComplexHessian:
     def test_constant(self, geom2):
-        h = spectral_derivatives(constant_field(geom2, 1.0)).hess
+        h = spectral_derivatives(np.full(geom2.shape, 1.0)).hess
         assert np.max(np.abs(h)) == 0.0
 
     def test_cosine_mode_entry(self, geom2):
         # D_1 D_1bar = (d^2/dx_1^2 + d^2/dy_1^2)/4 on real fields
         x, w = mode_field(geom2, 0)
-        u = ScalarField(geom2, np.cos(w * x))
+        u = np.cos(w * x)
         h = spectral_derivatives(u).hess
         want = -0.25 * w * w * np.cos(w * x)
         assert np.max(np.abs(h[0, 0] - want)) < 1e-10
@@ -113,7 +110,7 @@ class TestComplexHessian:
 
     def test_sparsity_for_single_axis_field(self, geom2):
         y, w = mode_field(geom2, 3)  # function of y_2 only
-        u = ScalarField(geom2, np.sin(w * y))
+        u = np.sin(w * y)
         h = spectral_derivatives(u).hess
         assert np.max(np.abs(h[1, 1])) > 1.0
         for j, k in ((0, 0), (0, 1), (1, 0)):
@@ -130,14 +127,13 @@ class TestSpectralDerivatives:
     @staticmethod
     def reference_rows(u):
         """The bundle's rows from full complex numpy FFTs and complex symbols."""
-        geom = u.geometry
-        n, p = geom.n, geom.points_per_axis
-        uhat = np.fft.fftn(u.values)
+        n, p = u.ndim // 2, u.shape[0]
+        uhat = np.fft.fftn(u)
         ks = []
         for axis in range(2 * n):
             shape = [1] * (2 * n)
             shape[axis] = p
-            ks.append((2.0 * np.pi * np.fft.fftfreq(p, d=geom.period / p)).reshape(shape))
+            ks.append((2.0 * np.pi * np.fft.fftfreq(p, d=1.0 / p)).reshape(shape))
         rows = [np.fft.ifftn(1j * k * uhat) for k in ks]
         holo = [0.5 * (1j * ks[2 * j] + ks[2 * j + 1]) for j in range(n)]
         anti = [0.5 * (1j * ks[2 * j] - ks[2 * j + 1]) for j in range(n)]
@@ -168,7 +164,7 @@ class TestSpectralDerivatives:
         # against a fresh sym * hat and k_r * row per row
         geom = request.getfixturevalue(which)
         u = random_band_limited(geom, rng, 3, 1.0)
-        uhat = scipy.fft.rfftn(u.values, workers=-1)
+        uhat = scipy.fft.rfftn(u, workers=-1)
         rows = [scipy.fft.irfftn(sym * uhat, s=geom.shape, workers=-1)
                 for sym in derivative_symbols(geom)]
         assert np.array_equal(spectral_derivatives(u).rows, np.stack(rows))
@@ -176,7 +172,7 @@ class TestSpectralDerivatives:
         want = np.zeros(geom.shape)
         for k_r, row in zip(k, rows):
             want += k_r * row
-        assert np.array_equal(contract_derivatives(geom, k, u.values), want)
+        assert np.array_equal(contract_derivatives(geom, k, u), want)
 
     @pytest.mark.parametrize("which", ["geom2", "geom3"])
     def test_bundle_holds_only_its_rows(self, which, request, rng):
@@ -197,27 +193,27 @@ class TestSpectralDerivatives:
 
 class TestLaplacian:
     def test_constant(self, geom2):
-        assert np.max(np.abs(lap(constant_field(geom2, 2.0)))) == 0.0
+        assert np.max(np.abs(lap(np.full(geom2.shape, 2.0)))) == 0.0
 
     def test_single_mode_eigenvalue(self, geom2):
         x, w = mode_field(geom2, 0, periods=2)
-        u = ScalarField(geom2, np.cos(w * x))
+        u = np.cos(w * x)
         got = lap(u)
         want = -0.25 * w * w * np.cos(w * x)
         assert np.max(np.abs(got - want)) < 1e-10
 
     def test_mean_free(self, geom2, rng):
         u = random_band_limited(geom2, rng, 3, 1.0)
-        assert abs(integrate(ScalarField(geom2, lap(u)))) < 1e-12
+        assert abs(np.mean(lap(u))) < 1e-12
 
 
 class TestGradSq:
     def test_constant(self, geom2):
-        assert np.max(spectral_derivatives(constant_field(geom2, 1.0)).grad_sq) == 0.0
+        assert np.max(spectral_derivatives(np.full(geom2.shape, 1.0)).grad_sq) == 0.0
 
     def test_analytic_mode(self, geom2):
         x, w = mode_field(geom2, 0)
-        u = ScalarField(geom2, np.sin(w * x))
+        u = np.sin(w * x)
         got = spectral_derivatives(u).grad_sq
         want = 0.25 * w * w * np.cos(w * x) ** 2
         assert np.max(np.abs(got - want)) < 1e-10
@@ -229,17 +225,17 @@ class TestGradSq:
 
 class TestIntegrate:
     def test_constant(self, geom2):
-        assert integrate(constant_field(geom2, 2.5)) == 2.5
+        assert np.mean(np.full(geom2.shape, 2.5)) == 2.5
 
     def test_pure_mode_integrates_to_zero(self, geom2):
         x, w = mode_field(geom2, 0)
-        assert abs(integrate(ScalarField(geom2, np.cos(w * x)))) < 1e-13
+        assert abs(np.mean(np.cos(w * x))) < 1e-13
 
     def test_self_adjointness(self, geom2, rng):
         # discrete integration by parts: I[u lap v] = -I[sum_j D_j u conj(D_j v)]
         u = random_band_limited(geom2, rng, 2, 1.0)
         v = random_band_limited(geom2, rng, 2, 1.0)
-        lhs = integrate(ScalarField(geom2, u.values * lap(v)))
+        lhs = np.mean(u * lap(v))
         du = spectral_derivatives(u).grad
         dv = spectral_derivatives(v).grad
         pairing = np.sum(du * np.conj(dv), axis=0)
@@ -249,7 +245,7 @@ class TestIntegrate:
 
     def test_u_lap_u_vs_grad_sq(self, geom2, rng):
         u = random_band_limited(geom2, rng, 2, 1.0)
-        lhs = integrate(ScalarField(geom2, u.values * lap(u)))
+        lhs = np.mean(u * lap(u))
         rhs = -float(np.mean(spectral_derivatives(u).grad_sq))
         assert abs(lhs - rhs) < 1e-10 * (1.0 + abs(lhs))
 
@@ -259,17 +255,17 @@ def product_rule_residual(points, v_axis):
     and v = e^{0.6 sin w(axis v_axis)} on the n = 2 grid of `points` nodes,
     and max |Lap(uv)|, the size of the terms it is the difference of."""
     g = TorusGeometry(2, points)
-    w = 2.0 * np.pi / g.period
+    w = 2.0 * np.pi
     x = g.coordinate(0) * np.ones(g.shape)
     y = g.coordinate(v_axis) * np.ones(g.shape)
-    u = ScalarField(g, np.exp(0.8 * np.cos(w * x)))
-    v = ScalarField(g, np.exp(0.6 * np.sin(w * y)))
-    uv = ScalarField(g, u.values * v.values)
+    u = np.exp(0.8 * np.cos(w * x))
+    v = np.exp(0.6 * np.sin(w * y))
+    uv = u * v
     du = spectral_derivatives(u).grad
     dv = spectral_derivatives(v).grad
     cross = 2.0 * np.sum(du * np.conj(dv), axis=0).real
     lap_uv = lap(uv)
-    res = lap_uv - u.values * lap(v) - v.values * lap(u) - cross
+    res = lap_uv - u * lap(v) - v * lap(u) - cross
     return float(np.max(np.abs(res))), float(np.max(np.abs(lap_uv)))
 
 
@@ -293,7 +289,7 @@ class TestProductRule:
 
 class TestMixedWedgeDensity:
     def test_constant(self, geom2):
-        dens = mixed_wedge_density(spectral_derivatives(constant_field(geom2, 1.0)))
+        dens = mixed_wedge_density(spectral_derivatives(np.full(geom2.shape, 1.0)))
         assert np.max(np.abs(dens)) == 0.0
 
     def test_diagonal_hessian_formula(self, geom2):
@@ -301,7 +297,7 @@ class TestMixedWedgeDensity:
         # must match (n-2)! sum_i |u_i|^2 (lap u - u_{i ibar}) assembled by hand
         x, w = mode_field(geom2, 0)
         y, _ = mode_field(geom2, 3)
-        u = ScalarField(geom2, 0.7 * np.cos(w * x) + 0.4 * np.sin(w * y))
+        u = 0.7 * np.cos(w * x) + 0.4 * np.sin(w * y)
         dv = spectral_derivatives(u)
         h = dv.hess
         assert np.max(np.abs(h[0, 1])) < 1e-12
@@ -317,25 +313,41 @@ class TestMixedWedgeDensity:
         assert np.all(np.isfinite(dens))
 
 
+def dump(path, geom, u):
+    save_field(path, ScalarField(geom, u))
+
+
 class TestFieldDumps:
     def test_round_trip(self, geom2, rng, tmp_path):
         u = random_band_limited(geom2, rng, 2, 1.3)
         path = tmp_path / "field.bin"
-        save_field(path, u)
+        dump(path, geom2, u)
         back = load_field(path, geom2)
-        assert np.array_equal(back.values, u.values)
+        assert back.geometry == geom2
+        assert np.array_equal(back.values, u)
 
     def test_geometry_mismatch(self, geom2, rng, tmp_path):
         u = random_band_limited(geom2, rng, 2, 1.0)
         path = tmp_path / "field.bin"
-        save_field(path, u)
+        dump(path, geom2, u)
         with pytest.raises(ConfigurationError):
             load_field(path, TorusGeometry(2, 32))
+
+    def test_period_other_than_one(self, geom2, tmp_path):
+        # the header keeps a period slot; every torus has period 1
+        path = tmp_path / "field.bin"
+        dump(path, geom2, np.zeros(geom2.shape))
+        assert struct.unpack("<3d", path.read_bytes()[8:32]) == (2.0, 16.0, 1.0)
+        for period in (2.0, 0.5, np.nan):
+            path.write_bytes(b"S2LFIELD" + struct.pack("<3d", 2.0, 16.0, period)
+                             + bytes(8 * geom2.node_count))
+            with pytest.raises(ConfigurationError, match="period must be 1.0"):
+                load_field(path)
 
     def test_truncated_dump(self, geom2, rng, tmp_path):
         u = random_band_limited(geom2, rng, 2, 1.0)
         path = tmp_path / "field.bin"
-        save_field(path, u)
+        dump(path, geom2, u)
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(ConfigurationError):
@@ -378,18 +390,17 @@ class TestRandomFields:
     def test_deterministic(self, geom2):
         a = random_band_limited(geom2, np.random.default_rng(5), 2, 1.0)
         b = random_band_limited(geom2, np.random.default_rng(5), 2, 1.0)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_band_limit_and_amplitude(self, geom2, rng):
         u = random_band_limited(geom2, rng, 2, 0.7)
-        assert np.max(np.abs(u.values)) == pytest.approx(0.7, rel=1e-12)
-        spec = np.fft.fftn(u.values)
+        assert np.max(np.abs(u)) == pytest.approx(0.7, rel=1e-12)
+        spec = np.fft.fftn(u)
         for axis in range(4):
             idx = np.abs(geom2.mode_index(axis)) > 2
             sel = spec * idx
             assert np.max(np.abs(sel)) < 1e-9 * np.max(np.abs(spec))
 
-    def test_zero_mean_helper(self, geom2, rng):
+    def test_mean_free(self, geom2, rng):
         u = random_band_limited(geom2, rng, 2, 1.0)
-        shifted = ScalarField(geom2, u.values + 3.0)
-        assert abs(integrate(zero_mean(shifted))) < 1e-14
+        assert abs(np.mean(u)) < 1e-14
