@@ -121,9 +121,10 @@ class ProblemData:
     """Coefficients of the equation on a fixed geometry: the boundary at
     which a run's data is checked, once.
 
-    alpha > 0, f >= 0 smooth, mu with exactly zero mean, normalization level
-    A in (0,1) with kappa_c / A^2 (sigma_2(g') of the t = 0 solution) finite
-    in float64, and the continuation parameter t in [0,1].  f and mu are
+    alpha > 0, f >= 0 smooth, mu with zero mean (to 1e-12 max(1, max|mu|),
+    the rounding of its mean), normalization level A in (0,1) with
+    kappa_c / A^2 (sigma_2(g') of the t = 0 solution) finite in float64,
+    and the continuation parameter t in [0,1].  f and mu are
     finite arrays of the grid's shape.  f's first partials and Laplacian are
     computed on first use, or passed in as f_derivs, and shared with every
     with_t copy (f is fixed along a continuation run).
@@ -141,7 +142,8 @@ class ProblemData:
         if float(np.min(f)) < 0.0:
             raise ConfigurationError("f must be nonnegative")
         mean_mu = float(np.mean(mu))
-        if abs(mean_mu) > 1e-12:
+        # the rounding of a mean-free mu's mean scales with max|mu|
+        if abs(mean_mu) > 1e-12 * max(1.0, float(np.max(np.abs(mu)))):
             raise ConfigurationError(
                 f"mu must have zero integral (got {mean_mu:.3e}); "
                 "subtract the mean explicitly, e.g. mu - mu.mean()"

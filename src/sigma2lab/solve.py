@@ -2,7 +2,9 @@
 
 The continuation deforms the data by t in [0, 1]: at t = 0 the problem has
 the exact constant solution u = -log A, and each accepted step solves the
-equation at the new t starting from the previous solution.  The unknown u
+equation at the new t starting from the previous solution.  The step in t
+halves after a failed attempt and grows after an easy one by as much as its
+first Newton contraction allows (run_and_return).  The unknown u
 solves residual_sigma2(u) = 0 together with the normalization
 (integral e^{-gamma u})^{1/gamma} = A.  The residual is 2 n alpha times a
 divergence form, so it integrates to zero and supplies one equation too few;
@@ -93,8 +95,16 @@ _EW_FLOOR = 0.5
 _LINEAR_RTOL = 1e-6
 _LINEAR_MAXITER = 200    # BiCGStab iteration cap; GMRES(40) gets a 40th of it in restarts
 _MAX_BACKTRACKS = 30     # trials s = b, ..., b^30 after s = 1 before a cone breakdown
-_T_STEP_GROWTH = 2.0     # factor on dt after an easy attempt:
-_EASY_NEWTON_ITERS = 3   # one of at most this many Newton steps
+# Step growth after an easy attempt, one of at most _EASY_NEWTON_ITERS Newton
+# steps: dt grows by clip(_THETA_TARGET / theta_0, _T_STEP_GROWTH,
+# _T_STEP_GROWTH_MAX), theta_0 the attempt's first residual contraction
+# (Deuflhard, Newton Methods for Nonlinear Problems, 2004, ch. 5: with the
+# previous solution as predictor, theta_0 grows in proportion to dt).  Once an
+# attempt of the run has failed, dt only doubles.
+_EASY_NEWTON_ITERS = 3
+_T_STEP_GROWTH = 2.0
+_T_STEP_GROWTH_MAX = 4.0
+_THETA_TARGET = 0.25
 
 
 @dataclass(frozen=True)
@@ -356,17 +366,34 @@ _SOLVE_FAILURES = (ConvergenceError, ConeViolationError, ConeBreakdownError,
                    LinearSolveError)
 
 
+def _theta_growth(history) -> float:
+    """The factor on dt after an easy attempt with residual history
+    `history`: _THETA_TARGET / theta_0 clipped to [_T_STEP_GROWTH,
+    _T_STEP_GROWTH_MAX], theta_0 = history[1] / history[0] the first Newton
+    step's contraction, and the cap when the attempt took no step."""
+    if len(history) < 2:
+        return _T_STEP_GROWTH_MAX
+    theta0 = history[1] / history[0]   # history[0] >= newton_tol > 0
+    if theta0 * _T_STEP_GROWTH_MAX <= _THETA_TARGET:
+        return _T_STEP_GROWTH_MAX
+    return max(_T_STEP_GROWTH, _THETA_TARGET / theta0)
+
+
 def run_and_return(d: ProblemData, cfg: SolverConfig, on_accept=None):
     """March t from 0 to 1 with adaptive steps; returns (report, final field).
 
     Starts from the normalized constant -log A, the exact t = 0 solution
-    (its t = 0 residual is 0), halves the step on any solver failure down to
-    t_step_min, and grows it again after easy successes.  Monitors are
-    recorded at every accepted t, and on_accept(t, iterate) is invoked there
-    when given: the accepted field evaluated against the problem at t, whose
-    bundle and weights any monitor can read.  Raises ContinuationStallError,
-    carrying the partial report and the furthest accepted field, if the step
-    floor is reached before t = 1.
+    (its t = 0 residual is 0), and halves the step on any solver failure
+    down to t_step_min.  An accepted attempt of at most _EASY_NEWTON_ITERS
+    Newton steps grows the step: by _THETA_TARGET / theta_0, clipped to
+    [2, 4], where theta_0 is its first Newton contraction (by 4 if it took
+    no step), and only by 2 once any attempt of the run has failed, so a run
+    that stalls takes the doubling path it always took.  The step is capped
+    at 1.  Monitors are recorded at every accepted t, and on_accept(t,
+    iterate) is invoked there when given: the accepted field evaluated
+    against the problem at t, whose bundle and weights any monitor can read.
+    Raises ContinuationStallError, carrying the partial report and the
+    furthest accepted field, if the step floor is reached before t = 1.
     """
     report = SolveReport()
     margin = cfg.cone_margin
@@ -397,11 +424,13 @@ def run_and_return(d: ProblemData, cfg: SolverConfig, on_accept=None):
     accept(0.0)
     t = 0.0
     dt = cfg.t_step_init
+    failed = False
     while t < 1.0:
         t_try = min(1.0, t + dt)
         try:
-            it, iters, _ = _solve_at_t(start(d.with_t(t_try)), cfg)
+            it, iters, history = _solve_at_t(start(d.with_t(t_try)), cfg)
         except _SOLVE_FAILURES as exc:
+            failed = True
             dt *= 0.5
             if dt < cfg.t_step_min:
                 raise ContinuationStallError(
@@ -413,7 +442,8 @@ def run_and_return(d: ProblemData, cfg: SolverConfig, on_accept=None):
         t = t_try
         accept(t)
         if iters <= _EASY_NEWTON_ITERS:
-            dt = min(_T_STEP_GROWTH * dt, 1.0)
+            growth = _T_STEP_GROWTH if failed else _theta_growth(history)
+            dt = min(growth * dt, 1.0)
 
     report.converged = True
     return report, u

@@ -339,6 +339,29 @@ class TestTypedErrors:
         assert run_cli("solve", "--config", cfg, "--out", str(out)) == 2
         self.assert_one_error_line(capsys, f"error: {field} contains non-finite values")
 
+    @pytest.mark.parametrize("text", [
+        "points_per_axis = 8\nmu_scale = 1e6\n",
+        "profile = manufactured\nf_scale = 1e8\n",
+    ])
+    def test_large_mean_free_profiles_pass_the_data_check(self, tmp_path, text):
+        # the rounding of a mean-free mu's mean grows with max|mu|: 2.3e-12
+        # and 9.3e-10 here, which an absolute bound of 1e-12 rejected
+        data, _ = RunConfig.from_file(write_config(tmp_path, text)).build_problem()
+        assert abs(np.mean(data.mu)) > 1e-12
+
+    def test_mean_of_mu_relative_to_its_size(self, tmp_path, capsys):
+        # a mu whose mean is 1e-6 max|mu| is not mean-free at any scale
+        geom = torus.TorusGeometry(2, 8)
+        mu = 1e6 * np.sin(2 * np.pi * np.indices(geom.shape)[0] / 8)
+        mu += 1e-6 * np.max(np.abs(mu))
+        torus.save_field(tmp_path / "mu.bin", torus.ScalarField(geom, mu))
+        save_constant(tmp_path / "f.bin", 8, 0.0)
+        cfg = write_config(tmp_path, "points_per_axis = 8\nprofile = file\n"
+                                     f"f_dump = {tmp_path / 'f.bin'}\n"
+                                     f"mu_dump = {tmp_path / 'mu.bin'}\n")
+        assert run_cli("solve", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        self.assert_one_error_line(capsys, "mu must have zero integral (got 1.000e+00)")
+
     @pytest.mark.parametrize("amplitude", ["200", "1000", "-5"])
     def test_manufactured_level_out_of_range(self, tmp_path, capsys, amplitude):
         # u* = -log A + perturbation attains a normalization level A >= 1;

@@ -81,6 +81,21 @@ class TestProblemData:
             with pytest.raises(ConfigurationError, match="mu contains non-finite"):
                 ProblemData(geom2, 1.0, zero, mu, 0.1)
 
+    def test_zero_mean_bound_scales_with_mu(self, geom2):
+        # |mean mu| is held to 1e-12 max(1, max|mu|): data with |mu| <= 1
+        # is held to 1e-12, and larger data to its own rounding
+        zero = np.zeros(geom2.shape)
+        wave = np.cos(2 * np.pi * np.indices(geom2.shape)[0] / 16)
+        for scale, mean, ok in ((1.0, 9e-13, True), (1.0, 2e-12, False),
+                                (0.01, 2e-12, False), (1e6, 9e-7, True),
+                                (1e6, 2e-6, False), (1e6, 1.0, False)):
+            mu = scale * wave + mean
+            if ok:
+                ProblemData(geom2, 1.0, zero, mu, 0.1)
+            else:
+                with pytest.raises(ConfigurationError, match="zero integral"):
+                    ProblemData(geom2, 1.0, zero, mu, 0.1)
+
     def test_t_scaling_accessors(self, geom2):
         f = profiles.f_profile(geom2, 0.4)
         mu = profiles.mu_profile(geom2, 0.6)

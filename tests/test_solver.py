@@ -420,6 +420,60 @@ class TestContinuityRun:
         assert last.gamma2_fraction == 1.0
         assert abs(normalization_level(u, d.gamma) - 0.1) < 1e-10
 
+    @pytest.mark.parametrize("geom", ["geom2", "geom3"])
+    def test_perturbative_newton_budget(self, geom, request, monkeypatch):
+        # the default data: the first attempt, at t = 0.25, contracts its
+        # residual by about 1e-4 in its first Newton step, so dt grows by the
+        # cap 4 and the next attempt is t = 1, with 2 Newton steps each
+        geom = request.getfixturevalue(geom)
+        d = profiles.perturbative_problem(geom, 1.0, 0.1, 0.05, 0.05)
+        counts = Counter()
+        apply_to, step = forms.LinearCoefficients.apply_to, solve._newton_step
+
+        def counted_apply(self, v):
+            counts["applies"] += 1
+            return apply_to(self, v)
+
+        def counted_step(*args, **kwargs):
+            counts["steps"] += 1
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(forms.LinearCoefficients, "apply_to", counted_apply)
+        monkeypatch.setattr(solve, "_newton_step", counted_step)
+        report, _ = run_and_return(d, SolverConfig())
+        assert report.converged
+        assert report.t_values == [0.0, 0.25, 1.0]
+        assert counts["steps"] <= 4 and counts["applies"] <= 6, counts
+
+    def test_growth_falls_back_to_doubling_after_a_failure(self, geom2, trivial2,
+                                                          monkeypatch):
+        # the first attempt fails and every later one reports a first
+        # contraction of 1e-6, which alone would grow dt by 4; after the
+        # failure dt doubles: 0.25 fails, 0.125, then 0.125 + 0.25
+        tried = []
+        solve_at_t = solve._solve_at_t
+
+        def fake(it, cfg):
+            tried.append(it.data.t)
+            if len(tried) == 1:
+                raise ConvergenceError("first attempt fails", best=it.u,
+                                       history=[it.rnorm])
+            it, iters, _ = solve_at_t(it, cfg)
+            return it, iters, [1.0, 1e-6]
+
+        monkeypatch.setattr(solve, "_solve_at_t", fake)
+        report, _ = run_and_return(trivial2, SolverConfig())
+        assert report.converged
+        assert tried == [0.25, 0.125, 0.375, 0.875, 1.0]
+
+    @pytest.mark.parametrize("history, growth", [
+        ([1.0], 4.0), ([1.0, 0.0], 4.0), ([1.0, 1e-6], 4.0),
+        ([1.0, 0.0625], 4.0), ([1.0, 0.1], 2.5), ([1.0, 0.125], 2.0),
+        ([1.0, 0.5], 2.0), ([0.174, 2.3e-5], 4.0),
+    ])
+    def test_theta_growth(self, history, growth):
+        assert solve._theta_growth(history) == pytest.approx(growth, rel=1e-15)
+
     def test_stall_on_adversarial_source(self, geom2):
         zero = np.zeros(geom2.shape)
         d = ProblemData(geom2, 1.0, zero, profiles.mu_profile(geom2, 2e4),
