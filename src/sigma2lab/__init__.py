@@ -8,7 +8,6 @@ from .errors import (
     ConeBreakdownError,
     ConeViolationError,
     ConfigurationError,
-    ConsistencyError,
     ContinuationStallError,
     ConvergenceError,
     HypothesisError,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConeViolationError, ConsistencyError, HypothesisError
+from .errors import ConeViolationError, HypothesisError
 from .symfun import elementary, scale_of
 
 _CONE_TOL = 1e-12
@@ -86,11 +86,6 @@ class DegeneracyProbe:
         return float(elementary(self.m)[2])
 
 
-def theta_from(alpha: float, eps: float, u_at_min: float) -> float:
-    """theta = 2 alpha eps e^{-eps u(p)} from the test-function parameters."""
-    return 2.0 * alpha * eps * math.exp(-eps * u_at_min)
-
-
 def minimum_rhs(p: DegeneracyProbe) -> float:
     """Right-hand side of the minimum-point inequality for arbitrary n.
 
@@ -128,23 +123,20 @@ def minimum_rhs(p: DegeneracyProbe) -> float:
     return term_tr + term_grad + term_const + term_s3w + term_s3 + term_s2w
 
 
-def n2_reduced_rhs(kappa_p: float, theta: float, m) -> float:
+def n2_reduced_rhs(theta: float, m) -> float:
     """Two-eigenvalue form of the inequality right-hand side for n = 2:
 
         -(3/4 - 3 theta/2) m1 - (3 kappa_p/4 - theta/2) m2
-        + (3/2 - theta) kappa_p - theta.
+        + (3/2 - theta) kappa_p - theta,
 
-    The display carries kappa_p explicitly, so the supplied spectrum must be
-    consistent with it: kappa_p = m1 m2.  The entry order encodes the
-    gradient direction (m1 is the eigenvalue complementary to it); a general
-    gradient weight is the matching convex combination of the two orders.
+    with kappa_p = m1 m2 taken from the spectrum.  The entry order encodes
+    the gradient direction (m1 is the eigenvalue complementary to it); a
+    general gradient weight is the matching convex combination of the two
+    orders.
     """
     m = _eigenvalues(m, 2)
     m1, m2 = float(m[0]), float(m[1])
-    if abs(m1 * m2 - kappa_p) > 1e-10 * scale_of(m, [kappa_p]):
-        raise ConsistencyError(
-            f"kappa_p={kappa_p} is inconsistent with m1*m2={m1 * m2}"
-        )
+    kappa_p = m1 * m2
     return (
         -(0.75 - 1.5 * theta) * m1
         - (0.75 * kappa_p - 0.5 * theta) * m2

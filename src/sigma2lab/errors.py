@@ -19,11 +19,6 @@ class HypothesisError(Sigma2LabError):
     (e.g. the linearization metric is not positive)."""
 
 
-class ConsistencyError(Sigma2LabError):
-    """Redundant inputs disagree (e.g. kappa_p inconsistent with the
-    supplied spectrum)."""
-
-
 class NormalizationError(Sigma2LabError):
     """The normalization shift could not be evaluated in floating range."""
 

@@ -317,7 +317,9 @@ def _newton_step(it: Iterate, cfg: SolverConfig, forcing: float = _LINEAR_RTOL):
     s = 1.0
     last_reason = "no admissible step"
     for _ in range(_MAX_BACKTRACKS + 1):
-        trial = evaluate(normalize(u + s * v, d.A, d.gamma), d, cfg.cone_margin)
+        # a trial may overflow: its NaN or inf readings fail both tests below
+        with np.errstate(over="ignore", invalid="ignore"):
+            trial = evaluate(normalize(u + s * v, d.A, d.gamma), d, cfg.cone_margin)
         if not trial.in_cone:
             last_reason = f"cone margin violated at s={s:.3e}"
         elif trial.rnorm <= it.rnorm * (1.0 + _RESIDUAL_SLACK):
@@ -334,28 +336,27 @@ def _newton_step(it: Iterate, cfg: SolverConfig, forcing: float = _LINEAR_RTOL):
 
 def _solve_at_t(it: Iterate, cfg: SolverConfig):
     """Newton iteration on it.data from the evaluated iterate `it` until the
-    residual max-norm drops below newton_tol.  Returns (final iterate, Newton
-    steps, residual history); raises ConvergenceError (with best field and
-    history) otherwise.  A NaN residual, the mark of an overflowed field,
-    never counts as converged."""
+    residual max-norm drops below newton_tol.  Returns (final iterate,
+    residual history), the history one entry longer than the number of
+    Newton steps; raises ConvergenceError (with best field and history)
+    otherwise.  A NaN residual, the mark of an overflowed field, never
+    counts as converged."""
     history = [it.rnorm]
-    iters = 0
     forcing = _FORCING_MAX
     while not it.rnorm < cfg.newton_tol:
-        if iters >= cfg.max_newton_iters:
+        if len(history) > cfg.max_newton_iters:
             raise ConvergenceError(
                 f"Newton did not reach tol={cfg.newton_tol:.1e} in "
                 f"{cfg.max_newton_iters} iterations (residual {it.rnorm:.3e})",
                 best=it.u, history=history,
             )
-        if iters:
+        if len(history) > 1:
             forcing = _EW_GAMMA * (it.rnorm / history[-2]) ** 2
         forcing = min(_FORCING_MAX, max(forcing, _LINEAR_RTOL,
                                         _EW_FLOOR * cfg.newton_tol / it.rnorm))
         it, _ = _newton_step(it, cfg, forcing=forcing)
         history.append(it.rnorm)
-        iters += 1
-    return it, iters, history
+    return it, history
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +380,7 @@ def _theta_growth(history) -> float:
     return max(_T_STEP_GROWTH, _THETA_TARGET / theta0)
 
 
-def run_and_return(d: ProblemData, cfg: SolverConfig, on_accept=None):
+def run_and_return(d: ProblemData, cfg: SolverConfig):
     """March t from 0 to 1 with adaptive steps; returns (report, final field).
 
     Starts from the normalized constant -log A, the exact t = 0 solution
@@ -389,11 +390,10 @@ def run_and_return(d: ProblemData, cfg: SolverConfig, on_accept=None):
     [2, 4], where theta_0 is its first Newton contraction (by 4 if it took
     no step), and only by 2 once any attempt of the run has failed, so a run
     that stalls takes the doubling path it always took.  The step is capped
-    at 1.  Monitors are recorded at every accepted t, and on_accept(t,
-    iterate) is invoked there when given: the accepted field evaluated
-    against the problem at t, whose bundle and weights any monitor can read.
-    Raises ContinuationStallError, carrying the partial report and the
-    furthest accepted field, if the step floor is reached before t = 1.
+    at 1.  Monitors are recorded at every accepted t by estimate_report on
+    the accepted field evaluated against the problem at t.  Raises
+    ContinuationStallError, carrying the partial report and the furthest
+    accepted field, if the step floor is reached before t = 1.
     """
     report = SolveReport()
     margin = cfg.cone_margin
@@ -408,8 +408,6 @@ def run_and_return(d: ProblemData, cfg: SolverConfig, on_accept=None):
         report.t_values.append(t)
         report.residual_norms.append(it.rnorm)
         report.monitor_snapshots.append(estimate_report(it))
-        if on_accept is not None:
-            on_accept(t, it)
 
     def start(d_t: ProblemData) -> Iterate:
         """The accepted iterate against d_t, which takes over its body.  It
@@ -428,7 +426,7 @@ def run_and_return(d: ProblemData, cfg: SolverConfig, on_accept=None):
     while t < 1.0:
         t_try = min(1.0, t + dt)
         try:
-            it, iters, history = _solve_at_t(start(d.with_t(t_try)), cfg)
+            it, history = _solve_at_t(start(d.with_t(t_try)), cfg)
         except _SOLVE_FAILURES as exc:
             failed = True
             dt *= 0.5
@@ -441,7 +439,7 @@ def run_and_return(d: ProblemData, cfg: SolverConfig, on_accept=None):
             continue
         t = t_try
         accept(t)
-        if iters <= _EASY_NEWTON_ITERS:
+        if len(history) <= _EASY_NEWTON_ITERS + 1:
             growth = _T_STEP_GROWTH if failed else _theta_growth(history)
             dt = min(growth * dt, 1.0)
 

@@ -53,8 +53,8 @@ values.  The torus has volume 1, so a field's integral is its nodal mean,
 trapezoidal-exact for periodic smooth integrands.  ScalarField is only the
 record of a field dump, checked by load_field and written by save_field.
 
-The bundle (Derivs) is the one way to differentiate a field: .partials and
-.grad, .lap, and .hess_rows (or the full .hess) are read from its rows.
+The bundle (Derivs) is the one way to differentiate a field: .partials,
+.grad_sq, .lap and .hess_rows are read from its rows.
 """
 
 from __future__ import annotations
@@ -210,8 +210,7 @@ class Derivs:
     rows   (n^2 + 2n,) + grid, real, in the order of the module docstring
     lap    the complex Laplacian sum_j u_{j jbar}, the sum of the diagonal rows
 
-    Views of the rows share their one buffer; the complex gradient and
-    Hessian are built on request, for callers off the solve path."""
+    Views of the rows share their one buffer."""
 
     rows: np.ndarray
     lap: np.ndarray
@@ -235,17 +234,6 @@ class Derivs:
         """|Du|^2 = sum_j |D_j u|^2, a quarter of the sum of squared partials."""
         p = self.partials
         return 0.25 * np.einsum("a...,a...->...", p, p)
-
-    @property
-    def grad(self) -> np.ndarray:
-        """Complex gradient D_j u, (n,) + grid."""
-        p = self.partials
-        return 0.5 * (p[0::2] - 1j * p[1::2])
-
-    @property
-    def hess(self) -> np.ndarray:
-        """Full complex Hessian D_j D_kbar u, (n, n) + grid."""
-        return unpack_hermitian(self.hess_rows, self.n)
 
 
 def spectral_derivatives(u: np.ndarray) -> Derivs:
@@ -291,8 +279,9 @@ def mixed_wedge_density(dv: Derivs) -> np.ndarray:
     (n-2)! * sum_i |u_i|^2 (Lap(u) - u_{i ibar}).
     """
     # contraction sum_{j,k} u_j conj(u_k) H[j,k]; real because H is Hermitian
-    grad = dv.grad
-    t = np.einsum("j...,jk...->k...", grad, dv.hess)
+    p = dv.partials
+    grad = 0.5 * (p[0::2] - 1j * p[1::2])
+    t = np.einsum("j...,jk...->k...", grad, unpack_hermitian(dv.hess_rows, dv.n))
     mixed = np.einsum("k...,k...->...", t, np.conj(grad)).real
     fac = float(math.factorial(dv.n - 2))
     return fac * (dv.grad_sq * dv.lap - mixed)

@@ -32,13 +32,20 @@ def manufactured_run():
         geom, alpha=1.0, base_A=0.1, amplitude=0.25, f_scale=0.05)
     cfg = solve.SolverConfig(newton_tol=1e-9, max_newton_iters=20, t_step_init=0.5)
     wedge_slacks = []
+    estimate_report = solve.estimate_report
 
-    def record_wedge(t, it):
-        wedge_slacks.append((t, monitors.wedge_lower_bound_check(it)))
+    def record_wedge(it):
+        # the solver reports the monitors once per accepted iterate
+        wedge_slacks.append((it.data.t, monitors.wedge_lower_bound_check(it)))
+        return estimate_report(it)
 
-    start = time.perf_counter()
-    report, u = solve.run_and_return(data, cfg, on_accept=record_wedge)
-    elapsed = time.perf_counter() - start
+    solve.estimate_report = record_wedge
+    try:
+        start = time.perf_counter()
+        report, u = solve.run_and_return(data, cfg)
+        elapsed = time.perf_counter() - start
+    finally:
+        solve.estimate_report = estimate_report
     return {
         "geom": geom, "data": data, "u_star": u_star, "report": report,
         "u": u, "elapsed": elapsed, "wedge_slacks": wedge_slacks,
@@ -134,8 +141,8 @@ def test_criterion_9_n2_reduction_consistency():
         w1 = float(rng.uniform(0.0, 1.0))
         theta = float(rng.uniform(0.0, 0.4))
         probe = DegeneracyProbe(2, m, np.array([w1, 1.0 - w1]), theta)
-        combo = (w1 * n2_reduced_rhs(probe.kappa_p, theta, (m[1], m[0]))
-                 + (1.0 - w1) * n2_reduced_rhs(probe.kappa_p, theta, (m[0], m[1])))
+        combo = (w1 * n2_reduced_rhs(theta, (m[1], m[0]))
+                 + (1.0 - w1) * n2_reduced_rhs(theta, (m[0], m[1])))
         worst = max(worst, abs(minimum_rhs(probe) - combo))
     lhs, rhs = n2_bound_sides(1.0, 0.0)
     exact_equality = (lhs == rhs)

@@ -349,6 +349,20 @@ class TestTypedErrors:
         data, _ = RunConfig.from_file(write_config(tmp_path, text)).build_problem()
         assert abs(np.mean(data.mu)) > 1e-12
 
+    def test_overflowing_trials_leak_no_warning(self, tmp_path, capsys):
+        # every backtracking trial from the t = 0 start overflows e^u; each
+        # fails the cone test, the run stalls with its typed exit and no
+        # RuntimeWarning reaches stderr (pytest would raise it here)
+        cfg = write_config(tmp_path, "points_per_axis = 8\nmu_scale = 1e6\n"
+                                     "t_step_min = 0.1\n")
+        out = tmp_path / "o"
+        assert run_cli("solve", "--config", cfg, "--out", str(out), "--no-header") == 3
+        for name in ("monitors.csv", "solution.bin", "summary.txt"):
+            assert (out / name).is_file(), name
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("continuation failed:"), lines
+        assert "RuntimeWarning" not in lines[0]
+
     def test_mean_of_mu_relative_to_its_size(self, tmp_path, capsys):
         # a mu whose mean is 1e-6 max|mu| is not mean-free at any scale
         geom = torus.TorusGeometry(2, 8)
@@ -594,6 +608,28 @@ class TestMoserCheck:
             # relative gap is solver-tolerance-limited, not spectral
             assert gap < 1e-3
             assert np.isfinite(const)
+
+    def test_reverse_sobolev_constant_only_from_k_one(self, tmp_path, capsys):
+        # the constant is defined for k >= 1: smaller k read nan, and the
+        # k = 1 row is the one a list holding only k = 1 writes
+        cfg = write_config(tmp_path, PERTURBATIVE_CONFIG)
+        out = tmp_path / "artifacts"
+        assert run_cli("solve", "--config", cfg, "--out", str(out), "--no-header") == 0
+
+        def rows(k_list, name):
+            assert run_cli("moser-check", "--config", cfg,
+                           "--solution", str(out / "solution.bin"), "--k-list", k_list,
+                           "--out", str(tmp_path / name), "--no-header") == 0
+            return (tmp_path / name / "moser.csv").read_text().splitlines()[1:]
+
+        small = rows("0.25,0.5,1", "small")
+        assert rows("1", "one") == small[2:]
+        for line in small[:2]:
+            k, gap, const = line.split(",")
+            assert const == "nan" and np.isfinite(float(gap)), line
+        assert np.isfinite(float(small[2].split(",")[2]))
+        stdout = capsys.readouterr().out.splitlines()
+        assert sum("reverse-Sobolev constant nan" in line for line in stdout) == 2
 
 
     def test_one_bundle_per_field(self, tmp_path, patch_everywhere):

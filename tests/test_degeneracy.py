@@ -11,9 +11,8 @@ from sigma2lab.degeneracy import (
     n2_sweep,
     n3_path,
     n3_sweep,
-    theta_from,
 )
-from sigma2lab.errors import ConeViolationError, ConsistencyError, HypothesisError
+from sigma2lab.errors import ConeViolationError, HypothesisError
 from sigma2lab.symfun import sample_gamma2
 
 
@@ -67,10 +66,6 @@ class TestProbe:
                             np.array([1.0, 0.0, 0.0]), 0.0)
         assert p.kappa_p == pytest.approx(1.25, abs=1e-15)
 
-    def test_theta_helper(self):
-        assert theta_from(1.0, 0.0, 3.0) == 0.0
-        assert theta_from(0.5, 0.1, 2.0) == pytest.approx(0.1 * np.exp(-0.2), abs=1e-15)
-
 
 class TestMinimumRhs:
     def test_equality_at_symmetric_point(self):
@@ -96,17 +91,13 @@ class TestMinimumRhs:
 
 class TestN2Reduction:
     def test_examples(self):
-        assert n2_reduced_rhs(1.0, 0.0, (1.0, 1.0)) == pytest.approx(0.0, abs=1e-15)
+        assert n2_reduced_rhs(0.0, (1.0, 1.0)) == pytest.approx(0.0, abs=1e-15)
         # -(3/4-0.15) - (3/4-0.05) + (1.5-0.1) - 0.1 = 0
-        assert n2_reduced_rhs(1.0, 0.1, (1.0, 1.0)) == pytest.approx(0.0, abs=1e-15)
-
-    def test_consistency_enforced(self):
-        with pytest.raises(ConsistencyError):
-            n2_reduced_rhs(2.0, 0.0, (1.0, 1.0))
+        assert n2_reduced_rhs(0.1, (1.0, 1.0)) == pytest.approx(0.0, abs=1e-15)
 
     def test_dimension_enforced(self):
         with pytest.raises(ValueError):
-            n2_reduced_rhs(1.0, 0.0, (1.0, 1.0, 1.0))
+            n2_reduced_rhs(0.0, (1.0, 1.0, 1.0))
 
     def test_matches_minimum_rhs_under_probe_dictionary(self):
         # The reduced display fixes the gradient along one eigendirection; a
@@ -119,9 +110,8 @@ class TestN2Reduction:
             w1 = float(rng.uniform(0.0, 1.0))
             theta = float(rng.uniform(0.0, 0.4))
             p = DegeneracyProbe(2, m, np.array([w1, 1 - w1]), theta)
-            kp = p.kappa_p
-            combo = (w1 * n2_reduced_rhs(kp, theta, (m[1], m[0]))
-                     + (1 - w1) * n2_reduced_rhs(kp, theta, (m[0], m[1])))
+            combo = (w1 * n2_reduced_rhs(theta, (m[1], m[0]))
+                     + (1 - w1) * n2_reduced_rhs(theta, (m[0], m[1])))
             worst = max(worst, abs(minimum_rhs(p) - combo))
         assert worst <= 1e-12
 
@@ -131,7 +121,7 @@ class TestN2Reduction:
             m = sample_gamma2(rng, 2, 1)[0]
             theta = float(rng.uniform(0.0, 0.3))
             p = DegeneracyProbe(2, m, np.array([0.0, 1.0]), theta)
-            direct = n2_reduced_rhs(p.kappa_p, theta, (m[0], m[1]))
+            direct = n2_reduced_rhs(theta, (m[0], m[1]))
             assert abs(minimum_rhs(p) - direct) <= 1e-12
 
 

@@ -337,7 +337,7 @@ class TestBorderedNewtonSystem:
 
         def recorded(it, cfg):
             out = real(it, cfg)
-            histories[it.data.t] = out[2]
+            histories[it.data.t] = out[1]
             return out
 
         monkeypatch.setattr(solve, "_solve_at_t", recorded)
@@ -458,8 +458,8 @@ class TestContinuityRun:
             if len(tried) == 1:
                 raise ConvergenceError("first attempt fails", best=it.u,
                                        history=[it.rnorm])
-            it, iters, _ = solve_at_t(it, cfg)
-            return it, iters, [1.0, 1e-6]
+            it, _ = solve_at_t(it, cfg)
+            return it, [1.0, 1e-6]
 
         monkeypatch.setattr(solve, "_solve_at_t", fake)
         report, _ = run_and_return(trivial2, SolverConfig())
@@ -549,23 +549,26 @@ class TestOneEvaluationPerIterate:
         assert max(sigmas.values()) == 1
 
     def test_monitor_on_accepted_iterate(self, geom2, patch_everywhere):
-        # a monitor run on each accepted iterate reads its bundle and weights
-        # instead of building them again
+        # the monitors, and a further monitor run on each accepted iterate,
+        # read its bundle and weights instead of building them again
         bundles, accepted = Counter(), []
-        derivs = torus.spectral_derivatives
+        derivs, report_ = torus.spectral_derivatives, monitors.estimate_report
 
         def counted_derivs(u):
             bundles[u.tobytes()] += 1
             return derivs(u)
 
-        def on_accept(t, it):
+        def recorded_report(it):
+            rep = report_(it)
             accepted.append(it.u.tobytes())
             floor = -1e-10 * (1.0 + float(np.max(np.abs(it.u))) ** 2)
             assert monitors.wedge_lower_bound_check(it) >= floor
+            return rep
 
         patch_everywhere(derivs, counted_derivs)
+        patch_everywhere(report_, recorded_report)
         d = profiles.perturbative_problem(geom2, 1.0, 0.1, 0.05, 0.05)
-        report, _ = run_and_return(d, SolverConfig(), on_accept=on_accept)
+        report, _ = run_and_return(d, SolverConfig())
         assert report.converged and len(accepted) == len(report.t_values)
         assert all(bundles[u] == 1 for u in accepted)
         assert max(bundles.values()) == 1
