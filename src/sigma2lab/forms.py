@@ -418,16 +418,18 @@ def residual_sigma2(d: ProblemData, dv: Derivs, w: Weights, s2: np.ndarray) -> n
 
 
 def evaluate(u: np.ndarray, d: ProblemData, margin: float,
-             prev: Iterate | None = None) -> Iterate:
+             prev: Iterate | None = None, derivs: Derivs | None = None) -> Iterate:
     """Evaluate u against d: the one place a field's bundle and weights are
     built.  `prev` is an evaluation of the same u against other data (another
     t): its body is taken, its bundle and e^{+-u} carry over, and only a,
-    the sigmas of g' and the residual are assembled again.
+    the sigmas of g' and the residual are assembled again.  `derivs` is u's
+    bundle when the caller has it without a transform (a constant field's,
+    torus.constant_derivatives); it is taken, not copied.
 
     Nothing here tests the arrays for finiteness: an overflowed field has a
     NaN or infinite rnorm, which never passes the solver's rnorm < newton_tol."""
     if prev is None:
-        dv = spectral_derivatives(u)
+        dv = spectral_derivatives(u) if derivs is None else derivs
         eu, emu = np.exp(u), np.exp(-u)
     else:
         dv, (eu, emu, _) = prev.take_body()
@@ -541,10 +543,9 @@ class LinearCoefficients:
 
     def apply_to(self, v: np.ndarray) -> np.ndarray:
         """L v for a real grid array v: one rfftn of v, then one irfftn per
-        row, each multiplied into the one accumulator as it arrives."""
-        out = contract_derivatives(self.geometry, self.k, v)
-        out += self.c0 * v
-        return out
+        row, each multiplied into the one accumulator, which starts as c0 v,
+        as it arrives."""
+        return contract_derivatives(self.geometry, self.k, v, out=self.c0 * v)
 
 
 def linearization_coefficients(it: Iterate) -> LinearCoefficients:

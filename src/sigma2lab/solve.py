@@ -22,10 +22,16 @@ iteration on the pair:
     so the one square system says  l(v) = 0  and  L v = -R  up to constants.
     It is solved inexactly, to the Eisenstat-Walker forcing term (choice 2,
     SIAM J. Sci. Comput. 17, 1996), by the package's own BiCGStab
-    (bicgstab), preconditioned by the constant-coefficient Fourier symbol of
-    the linearization frozen at the field averages, whose zero mode is
-    l(1) = 1.  BiCGStab works in place on six grid vectors,
-    its right-hand side among them.  scipy's GMRES stays as the fallback
+    (bicgstab), preconditioned by a left-scaled Fourier inverse
+    M^{-1} r = F^{-1}[F(r / sigma) / P] (Concus and Golub, SIAM J. Numer.
+    Anal. 10, 1973): sigma is the local ellipticity 2 n alpha tr gtilde,
+    the sum of L's diagonal Hessian coefficients, normalized to mean 1, and
+    P is the symbol of L / sigma with its coefficients frozen at their
+    field averages.  The zero mode of P is l(1) = 1, and it is given the
+    zero mode of r, not of r / sigma, so the border row carries mean r.
+    1/sigma and P are stored in single precision, which keeps the solve
+    within its memory.  BiCGStab works in place on six grid vectors, its
+    right-hand side among them.  scipy's GMRES stays as the fallback
     after a BiCGStab failure, on the right-hand side formed again, because
     the benchmark's hooks (bench/hooks.py) wrap `gmres` by name; it has not
     run on a pinned workload;
@@ -79,20 +85,24 @@ from .forms import (
     linearization_coefficients,
 )
 from .monitors import estimate_report
-from .torus import _irfft, _rfft, derivative_symbols
+from .torus import _irfft, _rfft, constant_derivatives, derivative_symbols
 
 _RESIDUAL_SLACK = 1e-12  # relative slack in the "non-increasing" residual test
 # Eisenstat-Walker forcing, choice 2: eta = _EW_GAMMA (r_k / r_{k-1})^2 after
 # the first step's _FORCING_MAX, clipped to [max(_LINEAR_RTOL, _EW_FLOOR
-# newton_tol / r_k), _FORCING_MAX].  The lower clip keeps the last step from
-# solving past what newton_tol needs, and _LINEAR_RTOL is the tightest
-# relative residual any linear solve is asked for.  Choice 2's safeguard,
+# newton_tol / r_k), _FORCING_MAX].  The floor _EW_FLOOR newton_tol / r_k
+# keeps the last step from solving past what newton_tol needs, and
+# _LINEAR_RTOL is the tightest relative residual any linear solve is asked
+# for.  It lies below the floor for every r_k < 5e7 newton_tol, so the
+# floor, not this clip, sets how far a last step that can finish is
+# solved; a clip above the floor leaves such a step at the tolerance's
+# edge, and a further step follows.  Choice 2's safeguard,
 # max(eta, _EW_GAMMA eta_prev^2) once _EW_GAMMA eta_prev^2 > 0.1, acts only
 # for a cap above 1/3, so it is left out while _FORCING_MAX stays below.
 _FORCING_MAX = 1e-2
 _EW_GAMMA = 0.9
 _EW_FLOOR = 0.5
-_LINEAR_RTOL = 1e-6
+_LINEAR_RTOL = 1e-8
 _LINEAR_MAXITER = 200    # BiCGStab iteration cap; GMRES(40) gets a 40th of it in restarts
 _MAX_BACKTRACKS = 30     # trials s = b, ..., b^30 after s = 1 before a cone breakdown
 # Step growth after an easy attempt, one of at most _EASY_NEWTON_ITERS Newton
@@ -164,18 +174,34 @@ def normalize(u: np.ndarray, A: float, gamma: float) -> np.ndarray:
 # linear solve
 
 
-def _precondition_symbol(coeffs: LinearCoefficients) -> np.ndarray:
-    """Half-spectrum Fourier symbol of the bordered operator with coefficients
-    frozen at their field averages: the mean of each coefficient row times
-    that row's derivative symbol, plus the mean of c0.  On nonzero modes it
-    is the symbol of L; on the zero mode the projected L vanishes and the
-    border l(1) = 1 remains."""
+def _precondition_symbol(coeffs: LinearCoefficients) -> tuple[np.ndarray, np.ndarray]:
+    """(1/sigma, symbol) of the left-scaled Fourier preconditioner
+    M^{-1} r = F^{-1}[F(r / sigma) / symbol].
+
+    sigma is the sum of the n diagonal Hessian coefficient rows, 2 n alpha
+    tr gtilde, normalized to mean 1: the local ellipticity of L.  The symbol
+    is that of L / sigma with its coefficients frozen at their field
+    averages: the mean of each coefficient row over sigma times that row's
+    derivative symbol, plus the mean of c0 over sigma.  On nonzero modes it
+    is the symbol of L / sigma; on the zero mode the projected L vanishes
+    and the border l(1) = 1 remains, which apply_precond matches by giving
+    that mode the mean of r itself.  Each mean is one dot product of a row
+    with 1/sigma, so no temporary holds more than one row.  Both are formed
+    in double precision and returned in single: a float32 1/sigma and a
+    complex64 symbol keep the linear solve within its memory budget."""
     geom = coeffs.geometry
-    grid = tuple(range(1, coeffs.k.ndim))
-    k_mean = np.mean(coeffs.k, axis=grid)
-    sym = np.full(geom.spectrum_shape, float(np.mean(coeffs.c0)), dtype=complex)
-    for km, s in zip(k_mean, derivative_symbols(geom)):
-        sym += km * s
+    n = geom.n
+    size = coeffs.c0.size
+    inv_sigma = np.sum(coeffs.k[2 * n:3 * n], axis=0).ravel()   # 2 n alpha tr gtilde
+    np.divide(inv_sigma.mean(), inv_sigma, out=inv_sigma)   # inverted in place
+    c_mean, *k_means = (float(row.ravel() @ inv_sigma) / size
+                        for row in (coeffs.c0, *coeffs.k))
+    # the double-precision 1/sigma is freed before the symbol is built
+    inv_sigma = inv_sigma.reshape(geom.shape).astype(np.float32)
+
+    sym = np.full(geom.spectrum_shape, c_mean, dtype=complex)
+    for m, s in zip(k_means, derivative_symbols(geom)):
+        sym += m * s
 
     flat0 = (0,) * len(geom.shape)
     sym[flat0] = 1.0
@@ -183,7 +209,7 @@ def _precondition_symbol(coeffs: LinearCoefficients) -> np.ndarray:
     small = np.abs(sym) < floor
     if np.any(small):
         sym[small] = floor
-    return sym
+    return inv_sigma, sym.astype(np.complex64)
 
 
 def bicgstab(A, b: np.ndarray, *, rtol: float, atol: float = 0.0, maxiter: int, M):
@@ -251,7 +277,7 @@ def solve_newton_system(u: np.ndarray, d: ProblemData, coeffs: LinearCoefficient
                         residual: np.ndarray, rtol: float) -> np.ndarray:
     """Solve the bordered Newton system  (L v - mean L v) + l(v) = -(R - mean R)
     for the residual R and v on the full grid to relative residual rtol,
-    with the Fourier-symbol preconditioner.
+    with the left-scaled Fourier preconditioner of _precondition_symbol.
 
     l(v) = sum omega v with omega = e^{-gamma u} / sum e^{-gamma u} is the
     derivative of the normalization's log-mean in the direction v, divided
@@ -261,7 +287,8 @@ def solve_newton_system(u: np.ndarray, d: ProblemData, coeffs: LinearCoefficient
     geom = d.geometry
     shape = geom.shape
     size = residual.size
-    sym = _precondition_symbol(coeffs)
+    inv_sigma, sym = _precondition_symbol(coeffs)
+    flat0 = (0,) * len(shape)
     omega, _ = _shifted_exp(u, d.gamma)
     omega = omega.ravel()
     omega /= np.sum(omega)
@@ -272,7 +299,9 @@ def solve_newton_system(u: np.ndarray, d: ProblemData, coeffs: LinearCoefficient
         return out.ravel()
 
     def apply_precond(x):
-        rhat = _rfft(x.reshape(shape))
+        x = x.reshape(shape)
+        rhat = _rfft(x * inv_sigma)
+        rhat[flat0] = x.sum()   # the zero mode of r, not of r / sigma
         rhat /= sym
         return _irfft(rhat, geom).ravel()
 
@@ -384,7 +413,8 @@ def run_and_return(d: ProblemData, cfg: SolverConfig):
     """March t from 0 to 1 with adaptive steps; returns (report, final field).
 
     Starts from the normalized constant -log A, the exact t = 0 solution
-    (its t = 0 residual is 0), and halves the step on any solver failure
+    (its t = 0 residual is 0), evaluated with the zero bundle of a constant
+    field rather than a transform, and halves the step on any solver failure
     down to t_step_min.  An accepted attempt of at most _EASY_NEWTON_ITERS
     Newton steps grows the step: by _THETA_TARGET / theta_0, clipped to
     [2, 4], where theta_0 is its first Newton contraction (by 4 if it took
@@ -399,8 +429,9 @@ def run_and_return(d: ProblemData, cfg: SolverConfig):
     margin = cfg.cone_margin
     # the only shift outside the Newton step: its trials come out normalized
     u = normalize(np.full(d.geometry.shape, -np.log(d.A)), d.A, d.gamma)
-    # the accepted iterate, until the next attempt takes it
-    it = evaluate(u, d.with_t(0.0), margin)
+    # the accepted iterate, until the next attempt takes it; u is constant,
+    # so its bundle is 0 and no transform is taken
+    it = evaluate(u, d.with_t(0.0), margin, derivs=constant_derivatives(d.geometry))
 
     def accept(t: float):
         nonlocal u

@@ -251,13 +251,23 @@ def spectral_derivatives(u: np.ndarray) -> Derivs:
     return Derivs(rows=rows, lap=rows[2 * n:3 * n].sum(axis=0))
 
 
-def contract_derivatives(geom: TorusGeometry, k: np.ndarray, values: np.ndarray) -> np.ndarray:
+def constant_derivatives(geom: TorusGeometry) -> Derivs:
+    """The bundle of a constant field, every row 0, built without a
+    transform."""
+    return Derivs(rows=np.zeros((geom.n * geom.n + 2 * geom.n,) + geom.shape),
+                  lap=np.zeros(geom.shape))
+
+
+def contract_derivatives(geom: TorusGeometry, k: np.ndarray, values: np.ndarray,
+                         out: np.ndarray | None = None) -> np.ndarray:
     """sum_r k[r] * (row r of spectral_derivatives) for a real grid array,
     without building its bundle: one rfftn, then one irfftn per row from one
     reused spectrum buffer, each row scaled in place and added to the sum as
-    it is transformed."""
+    it is transformed.  The sum accumulates onto `out` when it is given and
+    is returned."""
     vhat = _rfft(values)
-    out = np.zeros(geom.shape)
+    if out is None:
+        out = np.zeros(geom.shape)
     buf = np.empty_like(vhat)
     for k_r, sym in zip(k, derivative_symbols(geom)):
         row = _irfft(np.multiply(sym, vhat, out=buf), geom)

@@ -15,6 +15,7 @@ from sigma2lab.errors import ConfigurationError
 from sigma2lab.torus import (
     ScalarField,
     TorusGeometry,
+    constant_derivatives,
     contract_derivatives,
     derivative_symbols,
     load_field,
@@ -186,6 +187,16 @@ class TestSpectralDerivatives:
         for k_r, row in zip(k, rows):
             want += k_r * row
         assert np.array_equal(contract_derivatives(geom, k, u), want)
+
+    @pytest.mark.parametrize("which", ["geom2", "geom3"])
+    def test_constant_bundle_is_the_transform_of_a_constant(self, which, request):
+        # the transform of a constant field returns rows of exact zeros (some
+        # of them -0.0), so the untransformed zero bundle equals it
+        geom = request.getfixturevalue(which)
+        dv = spectral_derivatives(np.full(geom.shape, -np.log(0.1) + 0.37))
+        zero = constant_derivatives(geom)
+        assert np.array_equal(zero.rows, dv.rows) and np.array_equal(zero.lap, dv.lap)
+        assert zero.rows.shape == dv.rows.shape and not zero.rows.any()
 
     @pytest.mark.parametrize("which", ["geom2", "geom3"])
     def test_bundle_holds_only_its_rows(self, which, request, rng):

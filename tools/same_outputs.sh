@@ -9,6 +9,10 @@
 # Exits 0 when the two trees' outputs are identical, 1 on any difference
 # (printed by diff -r), 2 on a usage error.  This is the check for a
 # deletion or simplification that must leave the CLI outputs unchanged.
+# When outputs differ, it also prints, for each differing file, the largest
+# absolute difference of its numbers (float64 payload of a field dump, or
+# the numeric tokens of a text file whose other tokens agree), so a change
+# that only moves rounding shows as such; the exit code is 1 all the same.
 set -u
 
 usage() { echo "usage: $0 PARENT_SRC CHANGE_SRC" >&2; exit 2; }
@@ -67,5 +71,44 @@ if diff -r "$work/parent" "$work/change"; then
     echo "same outputs: $(find "$work/change" -type f | wc -l) files identical" >&2
     exit 0
 fi
+# largest absolute difference of the numbers of each differing file
+diff -rq "$work/parent" "$work/change" | sed -n 's/^Files \(.*\) and \(.*\) differ$/\1\t\2/p' |
+python3 -c '
+import sys
+import numpy as np
+
+MAGIC, HEADER = b"S2LFIELD", 32   # field dumps: magic, three float64, payload
+
+
+def numbers(path):
+    raw = open(path, "rb").read()
+    if raw.startswith(MAGIC):
+        return None, np.frombuffer(raw[HEADER:], dtype="<f8")
+    words, nums = [], []
+    for tok in raw.decode(errors="replace").replace(",", " ").split():
+        try:
+            nums.append(float(tok))
+            words.append(None)
+        except ValueError:
+            words.append(tok)
+    return words, np.array(nums)
+
+
+for line in sys.stdin:
+    a, b = line.rstrip("\n").split("\t")
+    name = b.split("/change/", 1)[-1]
+    (wa, na), (wb, nb) = numbers(a), numbers(b)
+    if wa != wb or na.shape != nb.shape:
+        print(f"{name}: differs beyond its numbers", file=sys.stderr)
+    elif na.size == 0:
+        print(f"{name}: no numbers", file=sys.stderr)
+    else:
+        with np.errstate(invalid="ignore"):
+            gap = np.abs(na - nb)
+        same = (na == nb) | (np.isnan(na) & np.isnan(nb))
+        top = float(np.max(np.where(same, 0.0, gap)))
+        print(f"{name}: max |diff| {top:.3e} over {na.size} numbers "
+              f"({int(np.count_nonzero(~same))} differ)", file=sys.stderr)
+'
 echo "outputs differ" >&2
 exit 1
