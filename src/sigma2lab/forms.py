@@ -423,7 +423,7 @@ def evaluate(u: np.ndarray, d: ProblemData, margin: float,
     built.  `prev` is an evaluation of the same u against other data (another
     t): its body is taken, its bundle and e^{+-u} carry over, and only a,
     the sigmas of g' and the residual are assembled again.  `derivs` is u's
-    bundle when the caller has it without a transform (a constant field's,
+    bundle when the caller has it at no cost (a constant field's,
     torus.constant_derivatives); it is taken, not copied.
 
     Nothing here tests the arrays for finiteness: an overflowed field has a
@@ -533,8 +533,9 @@ class LinearCoefficients:
     rows 0 .. 2n-1 couple the first partials (-Re w_j for x_j and -Im w_j
     for y_j), the n diagonal Hessian rows carry 2 n alpha gtilde_jj, and each
     strict-upper pair carries 4 n alpha Re and Im gtilde_jk, the factor 2
-    counting the lower entry of the Hermitian trace.  apply_to takes v's rows
-    one at a time (torus.contract_derivatives), so v's bundle is never built.
+    counting the lower entry of the Hermitian trace.  apply_to forms v's
+    derivative terms one z_j at a time by the bundle's per-axis matmuls
+    (torus.contract_derivatives), so v's bundle is never built.
     """
 
     geometry: TorusGeometry
@@ -542,9 +543,10 @@ class LinearCoefficients:
     c0: np.ndarray       # grid, real
 
     def apply_to(self, v: np.ndarray) -> np.ndarray:
-        """L v for a real grid array v: one rfftn of v, then one irfftn per
-        row, each multiplied into the one accumulator, which starts as c0 v,
-        as it arrives."""
+        """L v for a real grid array v: v's two first partials in z_j, then
+        each derivative term that reads them or v, scaled by its coefficient
+        row and added to the one accumulator, which starts as c0 v; four grid
+        arrays at most.  No transform is taken."""
         return contract_derivatives(self.geometry, self.k, v, out=self.c0 * v)
 
 

@@ -54,10 +54,14 @@ consumes the body of the iterate it starts from and keeps only its field,
 residual and readings: the operator's coefficient rows are written over the
 bundle and live until the linear solve returns, the zero-mean right-hand
 side is formed from the residual and BiCGStab's residual is written over it,
-each operator apply streams the direction's derivative rows instead of
-building its bundle, and a rejected trial is released before the next is
-evaluated.  A failed attempt evaluates its start field again, so no consumed
-body is ever read.
+each operator apply adds the direction's derivative terms one z_j at a
+time instead of building its bundle, and a rejected trial is released
+before the next is evaluated.  A failed attempt evaluates its start field
+again, so no consumed body is ever read.
+
+Derivatives are matmuls along one axis (torus.derivative_matrices): the
+bundle of an iterate and every operator apply take no transform, so the
+preconditioner's rfftn and irfftn are the only FFTs of a Newton step.
 """
 
 from __future__ import annotations
@@ -414,7 +418,7 @@ def run_and_return(d: ProblemData, cfg: SolverConfig):
 
     Starts from the normalized constant -log A, the exact t = 0 solution
     (its t = 0 residual is 0), evaluated with the zero bundle of a constant
-    field rather than a transform, and halves the step on any solver failure
+    field (no derivative is taken), and halves the step on any solver failure
     down to t_step_min.  An accepted attempt of at most _EASY_NEWTON_ITERS
     Newton steps grows the step: by _THETA_TARGET / theta_0, clipped to
     [2, 4], where theta_0 is its first Newton contraction (by 4 if it took
@@ -430,7 +434,7 @@ def run_and_return(d: ProblemData, cfg: SolverConfig):
     # the only shift outside the Newton step: its trials come out normalized
     u = normalize(np.full(d.geometry.shape, -np.log(d.A)), d.A, d.gamma)
     # the accepted iterate, until the next attempt takes it; u is constant,
-    # so its bundle is 0 and no transform is taken
+    # so its bundle is 0 and it is not differentiated
     it = evaluate(u, d.with_t(0.0), margin, derivs=constant_derivatives(d.geometry))
 
     def accept(t: float):

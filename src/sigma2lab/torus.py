@@ -9,12 +9,18 @@ and the background Kahler metric g = identity.  On this background every
 curvature term of the general theory vanishes identically; that flat
 specialization is what this module implements.
 
-Derivatives are pseudospectral: a field is transformed once with the
-real-to-complex FFT (scipy.fft.rfftn, which keeps the half spectrum
-0 <= k < p/2 + 1 along the last axis), multiplied by the real-operator
-symbol of each requested derivative, and transformed back with irfftn, so
-every derivative of a real field is a real array.  spectral_derivatives
-returns one real array of n^2 + 2n rows, in this order:
+Derivatives are pseudospectral, taken one axis at a time: every row of the
+bundle has a symbol in at most two axes, so it is at most two 1-D
+derivatives, each a p x p Fourier differentiation matrix (Trefethen,
+Spectral Methods in MATLAB, ch. 3) applied along its axis by one real
+matmul.  derivative_matrices holds D1, the first derivative, and D2, the
+second; they are circulant, and their eigenvalues are the 1-D factors of
+derivative_symbols, the half-spectrum symbols the preconditioner freezes.
+On the grids in use, p <= 64, the matmul costs less than a transform along
+the axis (Boyd, Chebyshev and Fourier Spectral Methods, ch. 10), and every
+derivative of a real field is a real array.
+spectral_derivatives returns one real array of n^2 + 2n rows, in this
+order:
 
     rows[a]                  d u / d(axis a)  for a = 0 .. 2n-1, that is
                              d/dx_1, d/dy_1, ..., d/dx_n, d/dy_n;
@@ -24,8 +30,10 @@ returns one real array of n^2 + 2n rows, in this order:
                              u_{j kbar} = D_j D_kbar u, j < k, in the order
                              (1,2), (1,3), (2,3).
 
+The diagonal rows are (D2 along x_j + D2 along y_j) / 4, and each mixed
+row is formed from the stored first partials by D1 along x_k or y_k.
 contract_derivatives forms sum_r k[r] * rows[r] for coefficient rows k by
-the same transforms, one row at a time, without storing the rows.
+the same matmuls, one z_j at a time, without storing the rows.
 
 The last n^2 rows are the packed layout in which every Hermitian form of
 the package is held, as a plain real array (n^2,) + nodes: n real diagonal
@@ -38,12 +46,12 @@ D_j = (d/dx_j - i d/dy_j) / 2, so D_j u = (rows[2j] - i rows[2j+1]) / 2 and
     Im u_{j kbar} = (u_{x_j y_k} - u_{y_j x_k}) / 4.
 
 Nyquist convention: on an even grid the mode k = p/2 has no partner of the
-opposite sign, so an odd derivative of it is not a real field.  The symbol
-of every first derivative is therefore set to zero on its axis's Nyquist
-plane; the mixed second derivatives are products of two first derivatives
-and vanish there too, while the diagonal entries d^2/dx^2 keep -k^2.  With
-this convention derivatives of fields band-limited below the Nyquist mode
-are exact to rounding.  Nonlinearities are formed pointwise in physical
+opposite sign, so an odd derivative of it is not a real field.  D1, every
+first derivative, therefore maps its axis's Nyquist mode to zero; the mixed
+second derivatives are products of two first derivatives and vanish there
+too, while D2, the d^2/dx^2 of the diagonal entries, keeps -k^2 = -(pi p)^2.
+With this convention derivatives of fields band-limited below the Nyquist
+mode are exact to rounding.  Nonlinearities are formed pointwise in physical
 space without dealiasing; the fields of interest are smooth and resolved,
 and the refinement studies in the test suite expose aliasing when it
 matters.
@@ -160,9 +168,11 @@ def unpack_hermitian(rows: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # spectral derivatives
 #
-# scipy's pocketfft backend is used with all workers: each 1-D sub-transform
-# is still evaluated in a fixed reduction order, so results are bitwise
-# deterministic regardless of the thread count.
+# Derivatives are matmuls with p x p matrices, so they are bitwise
+# reproducible for a fixed BLAS thread count.  The FFTs that remain (the
+# preconditioner's, random_band_limited's) use scipy's pocketfft with all
+# workers: each 1-D sub-transform is evaluated in a fixed reduction order,
+# so they are bitwise deterministic regardless of the thread count.
 
 
 def _rfft(values: np.ndarray) -> np.ndarray:
@@ -173,34 +183,71 @@ def _irfft(spectrum: np.ndarray, geom: TorusGeometry) -> np.ndarray:
     return scipy.fft.irfftn(spectrum, s=geom.shape, workers=-1)
 
 
-@functools.lru_cache(maxsize=8)
+def _wavenumbers(p: int) -> tuple:
+    """(k, k_odd): the angular wavenumbers of one axis's p modes in fftfreq
+    order, and a copy with the Nyquist mode zeroed for odd derivatives (see
+    the module docstring)."""
+    k = 2.0 * np.pi * np.fft.fftfreq(p, d=1.0 / p)
+    k_odd = k.copy()
+    k_odd[p // 2] = 0.0
+    return k, k_odd
+
+
 def derivative_symbols(geom: TorusGeometry) -> tuple:
     """Half-spectrum symbols of the n^2 + 2n rows of spectral_derivatives, in
-    row order, each broadcastable to geom.spectrum_shape and read-only.
+    row order, each broadcastable to geom.spectrum_shape.
 
-    First derivatives are i k_a (complex); the Hessian rows are real.  The
-    first-derivative wavenumbers are zeroed on the Nyquist plane of their
-    axis (see the module docstring)."""
+    First derivatives are i k_a (complex); the Hessian rows are real.  They
+    are the eigenvalues of the matrices of derivative_matrices, which the
+    bundle and the operator apply are computed with; the preconditioner
+    freezes its operator in them.  Not cached: for n = 2 the mixed symbols
+    are as large as the spectrum."""
     n = geom.n
     p = geom.points_per_axis
-    k_even, k_odd = [], []
+    k, k_odd = _wavenumbers(p)
+    k_even, k_first = [], []
     for axis in range(2 * n):
-        freq = np.fft.rfftfreq if axis == 2 * n - 1 else np.fft.fftfreq
-        k = 2.0 * np.pi * freq(p, d=1.0 / p)
-        k_even.append(geom.along(axis, k))
-        k = k.copy()
-        k[p // 2] = 0.0   # the Nyquist bin, in fftfreq and rfftfreq order alike
-        k_odd.append(geom.along(axis, k))
-    syms = [1j * k for k in k_odd]
+        # rfftn keeps modes 0 .. p/2 of the last axis; the Nyquist entry is
+        # -p/2 in fftfreq order, which only its square or its zero reaches
+        modes = slice(p // 2 + 1) if axis == 2 * n - 1 else slice(None)
+        k_even.append(geom.along(axis, k[modes]))
+        k_first.append(geom.along(axis, k_odd[modes]))
+    syms = [1j * k for k in k_first]
     for j in range(n):
         syms.append(-0.25 * (k_even[2 * j] ** 2 + k_even[2 * j + 1] ** 2))
     for j, k in upper_pairs(n):
-        xj, yj, xk, yk = k_odd[2 * j], k_odd[2 * j + 1], k_odd[2 * k], k_odd[2 * k + 1]
+        xj, yj, xk, yk = k_first[2 * j], k_first[2 * j + 1], k_first[2 * k], k_first[2 * k + 1]
         syms.append(-0.25 * (xj * xk + yj * yk))
         syms.append(-0.25 * (xj * yk - yj * xk))
-    for s in syms:
-        s.setflags(write=False)
     return tuple(syms)
+
+
+@functools.lru_cache(maxsize=8)
+def derivative_matrices(p: int) -> tuple:
+    """(D1, D2): the p x p Fourier differentiation matrices of one axis of p
+    nodes, read-only.  D1 is the first derivative, with the Nyquist mode
+    zeroed; D2 is the second derivative, which keeps -k^2 there.  Both are
+    circulant, built by transforming the identity with the wavenumbers of
+    derivative_symbols, so their eigenvalues are its 1-D factors."""
+    k, k_odd = _wavenumbers(p)
+    eye_hat = np.fft.fft(np.eye(p), axis=0)
+    mats = []
+    for sym in (1j * k_odd, -k * k):
+        m = np.ascontiguousarray(np.fft.ifft(sym[:, None] * eye_hat, axis=0).real)
+        m.setflags(write=False)
+        mats.append(m)
+    return tuple(mats)
+
+
+def _along(d: np.ndarray, u: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """The p x p matrix d applied along one axis of the grid array u, by one
+    matmul written into out, a contiguous array of u's shape; returns out."""
+    p = d.shape[0]
+    if axis == u.ndim - 1:
+        np.matmul(u.reshape(-1, p), d.T, out=out.reshape(-1, p))
+    else:
+        np.matmul(d, u.reshape(p ** axis, p, -1), out=out.reshape(p ** axis, p, -1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -238,22 +285,39 @@ class Derivs:
 
 def spectral_derivatives(u: np.ndarray) -> Derivs:
     """First partials, packed complex Hessian and Laplacian of the field u:
-    one rfftn, then one irfftn per row straight into the bundle's single
-    array.  Each row's spectrum is formed in one reused buffer."""
+    each row is one or two matmuls with derivative_matrices, written
+    straight into the bundle's single array.
+
+    The first partials and the diagonal rows differentiate u - u(0), which is
+    stored in the last row's slot until that row, written last, replaces it;
+    so a constant field has rows of exact zeros.  Each mixed row is
+    differentiated from the stored first partials, and the Laplacian's array
+    holds the second term of each diagonal or mixed row before the sum."""
     n = u.ndim // 2
-    geom = TorusGeometry(n, u.shape[0])
-    uhat = _rfft(u)
-    syms = derivative_symbols(geom)
-    rows = np.empty((len(syms),) + geom.shape)
-    buf = np.empty_like(uhat)
-    for r, sym in enumerate(syms):
-        rows[r] = _irfft(np.multiply(sym, uhat, out=buf), geom)
-    return Derivs(rows=rows, lap=rows[2 * n:3 * n].sum(axis=0))
+    d1, d2 = derivative_matrices(u.shape[0])
+    q1, q2 = 0.25 * d1, 0.25 * d2   # exact: the quarter of each Hessian row
+    rows = np.empty((n * n + 2 * n,) + u.shape)
+    lap = np.empty(u.shape)
+    w = np.subtract(u, u.flat[0], out=rows[-1])
+    for a in range(2 * n):
+        _along(d1, w, a, rows[a])
+    for j in range(n):
+        _along(q2, w, 2 * j, rows[2 * n + j])
+        rows[2 * n + j] += _along(q2, w, 2 * j + 1, lap)
+    for r, (j, k) in enumerate(upper_pairs(n)):
+        px, py = rows[2 * j], rows[2 * j + 1]
+        re, im = rows[3 * n + 2 * r], rows[3 * n + 2 * r + 1]
+        _along(q1, px, 2 * k, re)
+        re += _along(q1, py, 2 * k + 1, lap)
+        _along(q1, px, 2 * k + 1, im)
+        im -= _along(q1, py, 2 * k, lap)
+    np.sum(rows[2 * n:3 * n], axis=0, out=lap)
+    return Derivs(rows=rows, lap=lap)
 
 
 def constant_derivatives(geom: TorusGeometry) -> Derivs:
-    """The bundle of a constant field, every row 0, built without a
-    transform."""
+    """The bundle of a constant field, every row 0, built without
+    differentiating."""
     return Derivs(rows=np.zeros((geom.n * geom.n + 2 * geom.n,) + geom.shape),
                   lap=np.zeros(geom.shape))
 
@@ -261,19 +325,34 @@ def constant_derivatives(geom: TorusGeometry) -> Derivs:
 def contract_derivatives(geom: TorusGeometry, k: np.ndarray, values: np.ndarray,
                          out: np.ndarray | None = None) -> np.ndarray:
     """sum_r k[r] * (row r of spectral_derivatives) for a real grid array,
-    without building its bundle: one rfftn, then one irfftn per row from one
-    reused spectrum buffer, each row scaled in place and added to the sum as
-    it is transformed.  The sum accumulates onto `out` when it is given and
-    is returned."""
-    vhat = _rfft(values)
+    without building its bundle, by the bundle's matmuls one z_j at a time:
+    the first partials in x_j and y_j, the diagonal row's two terms, then
+    each mixed row's terms with z_k, k > j, from those partials.  Each term
+    is scaled by its coefficient row and added on its own, so out, the two
+    partials and one row are the only grid arrays it holds.  The sum
+    accumulates onto `out` when it is given and is returned."""
+    n = geom.n
+    d1, d2 = derivative_matrices(geom.points_per_axis)
+    q1, q2 = 0.25 * d1, 0.25 * d2
     if out is None:
         out = np.zeros(geom.shape)
-    buf = np.empty_like(vhat)
-    for k_r, sym in zip(k, derivative_symbols(geom)):
-        row = _irfft(np.multiply(sym, vhat, out=buf), geom)
-        row *= k_r
-        out += row
-        del row   # freed before the next row is transformed
+    px, py, row = (np.empty(geom.shape) for _ in range(3))
+    pairs = list(enumerate(upper_pairs(n)))
+    for j in range(n):
+        xj, yj = 2 * j, 2 * j + 1
+        out += np.multiply(k[xj], _along(d1, values, xj, px), out=row)
+        out += np.multiply(k[yj], _along(d1, values, yj, py), out=row)
+        terms = [(k[2 * n + j], q2, values, xj), (k[2 * n + j], q2, values, yj)]
+        for r, (i, m) in pairs:
+            if i == j:
+                # Im u_{j mbar} = (u_{x_j y_m} - u_{y_j x_m}) / 4; -q1 negates exactly
+                re, im = k[3 * n + 2 * r], k[3 * n + 2 * r + 1]
+                terms += [(re, q1, px, 2 * m), (re, q1, py, 2 * m + 1),
+                          (im, q1, px, 2 * m + 1), (im, -q1, py, 2 * m)]
+        for coef, d, x, axis in terms:
+            _along(d, x, axis, row)
+            row *= coef
+            out += row
     return out
 
 

@@ -13,6 +13,12 @@ def geom2():
 
 
 @pytest.fixture(scope="session")
+def geom2_32():
+    """n = 2 on 32^4 nodes, the grid of the perturbative-n2-32 benchmark workload."""
+    return torus.TorusGeometry(2, 32)
+
+
+@pytest.fixture(scope="session")
 def geom3():
     return torus.TorusGeometry(3, 8)
 

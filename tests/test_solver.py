@@ -349,7 +349,9 @@ class TestBorderedNewtonSystem:
     def test_linear_solve_array_budget(self, which, request, rng, traced_peak):
         # above its arguments: the preconditioner's complex64 symbol and
         # float32 1/sigma, omega, the six BiCGStab vectors (b among them) and
-        # one operator apply's output, row, spectrum and FFT scratch
+        # one operator apply's output, two first partials and row; the
+        # preconditioner's transient symbols, spectrum and FFT scratch stay
+        # below that peak
         geom = request.getfixturevalue(which)
         system = newton_system(geom, rng)
         peak = traced_peak(solve.solve_newton_system, *system, 1e-8)

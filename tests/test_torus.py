@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from sigma2lab import torus
 from sigma2lab.errors import ConfigurationError
+from sigma2lab.forms import LinearCoefficients
 from sigma2lab.torus import (
     ScalarField,
     TorusGeometry,
     constant_derivatives,
     contract_derivatives,
+    derivative_matrices,
     derivative_symbols,
     load_field,
     mixed_wedge_density,
@@ -158,7 +160,7 @@ class TestSpectralDerivatives:
                 rows += [entry.real, entry.imag]
         return [np.real_if_close(r, tol=1e6) for r in rows]
 
-    @pytest.mark.parametrize("which", ["geom2", "geom3"])
+    @pytest.mark.parametrize("which", ["geom2", "geom3", "geom2_32"])
     def test_against_full_complex_reference(self, which, request, rng):
         # band-limited below the Nyquist mode, where no convention is needed
         geom = request.getfixturevalue(which)
@@ -173,25 +175,38 @@ class TestSpectralDerivatives:
         assert np.array_equal(dv.lap, dv.rows[2 * n:3 * n].sum(axis=0))
 
     @pytest.mark.parametrize("which", ["geom2", "geom3"])
-    def test_buffered_rows_equal_per_row_loop(self, which, request, rng):
-        # one reused spectrum buffer and in-place scaling change no bit
-        # against a fresh sym * hat and k_r * row per row
+    def test_contraction_is_the_weighted_sum_of_rows(self, which, request, rng):
+        # the operator apply sums its terms in another order than the
+        # bundle's rows, so it agrees to rounding, not bitwise
         geom = request.getfixturevalue(which)
         u = random_band_limited(geom, rng, 3, 1.0)
-        uhat = scipy.fft.rfftn(u, workers=-1)
-        rows = [scipy.fft.irfftn(sym * uhat, s=geom.shape, workers=-1)
-                for sym in derivative_symbols(geom)]
-        assert np.array_equal(spectral_derivatives(u).rows, np.stack(rows))
-        k = rng.standard_normal((len(rows),) + geom.shape)
-        want = np.zeros(geom.shape)
-        for k_r, row in zip(k, rows):
-            want += k_r * row
-        assert np.array_equal(contract_derivatives(geom, k, u), want)
+        rows = spectral_derivatives(u).rows
+        k = rng.standard_normal(rows.shape)
+        want = np.einsum("r...,r...->...", k, rows)
+        scale = np.max(np.einsum("r...,r...->...", np.abs(k), np.abs(rows)))
+        assert np.max(np.abs(contract_derivatives(geom, k, u) - want)) <= 1e-13 * scale
+
+    def test_no_transform_in_bundle_or_apply(self, geom3, rng, monkeypatch):
+        # every derivative is a matmul along one axis; only the
+        # preconditioner and random_band_limited transform
+        u = random_band_limited(geom3, rng, 2, 1.0)
+        k = rng.standard_normal((15,) + geom3.shape)
+
+        def no_transform(*args, **kwargs):
+            raise AssertionError("transformed")
+
+        for name in ("_rfft", "_irfft"):
+            monkeypatch.setattr(torus, name, no_transform)
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(scipy.fft, name, no_transform)
+        dv = spectral_derivatives(u)
+        got = LinearCoefficients(geom3, k, u).apply_to(u)
+        assert np.all(np.isfinite(dv.rows)) and np.all(np.isfinite(got))
 
     @pytest.mark.parametrize("which", ["geom2", "geom3"])
     def test_constant_bundle_is_the_transform_of_a_constant(self, which, request):
-        # the transform of a constant field returns rows of exact zeros (some
-        # of them -0.0), so the untransformed zero bundle equals it
+        # the bundle differentiates u - u(0), so a constant field has rows of
+        # exact zeros (some of them may be -0.0), equal to the zero bundle
         geom = request.getfixturevalue(which)
         dv = spectral_derivatives(np.full(geom.shape, -np.log(0.1) + 0.37))
         zero = constant_derivatives(geom)
@@ -213,6 +228,29 @@ class TestSpectralDerivatives:
             roots[id(arr)] = arr.nbytes
         grid_bytes = geom.node_count * 8
         assert sum(roots.values()) <= (n * n + 2 * n + 1) * grid_bytes
+
+
+class TestDerivativeMatrices:
+    @pytest.mark.parametrize("p", [8, 16, 32])
+    def test_eigenvalues_are_the_symbols(self, p):
+        # D1 and D2 are circulant, diagonalized by the Fourier modes with the
+        # 1-D factors of derivative_symbols as eigenvalues: i k with the
+        # Nyquist mode zeroed, and -k^2 with it kept
+        geom = TorusGeometry(2, p)
+        syms = derivative_symbols(geom)
+        d1, d2 = derivative_matrices(p)
+        assert not d1.flags.writeable and not d2.flags.writeable
+        lam1 = syms[0].ravel()                  # d/dx_1
+        lam2 = 4.0 * syms[4][:, :1].ravel()     # 4 u_{1 1bar} at k_{y_1} = 0
+        modes = np.exp(2j * np.pi * np.outer(np.arange(p), geom.mode_index(0).ravel()) / p)
+        for d, lam in ((d1, lam1), (d2, lam2)):
+            top = np.max(np.abs(d))
+            assert np.max(np.abs(np.roll(d, (1, 1), axis=(0, 1)) - d)) <= 1e-12 * top
+            assert np.max(np.abs(d @ modes - modes * lam)) <= 1e-12 * np.max(np.abs(lam))
+        nyquist = (-1.0) ** np.arange(p)
+        assert np.max(np.abs(d1 @ nyquist)) <= 1e-12 * np.max(np.abs(d1))
+        big = (np.pi * p) ** 2
+        assert np.max(np.abs(d2 @ nyquist + big * nyquist)) <= 1e-12 * big
 
 
 class TestLaplacian:
