@@ -34,7 +34,8 @@ iteration on the pair:
     right-hand side among them.  scipy's GMRES stays as the fallback
     after a BiCGStab failure, on the right-hand side formed again, because
     the benchmark's hooks (bench/hooks.py) wrap `gmres` by name; it has not
-    run on a pinned workload;
+    run on a pinned workload, and scipy is imported on its first call, so a
+    solve that never falls back loads numpy alone;
   * the step is backtracked to the largest s in {1, b, b^2, ...} for which
     the normalized trial iterate keeps every grid node in the Gamma_2 cone
     with the configured eigenvalue margin and does not increase the residual
@@ -61,16 +62,19 @@ again, so no consumed body is ever read.
 
 Derivatives are matmuls along one axis (torus.derivative_matrices): the
 bundle of an iterate and every operator apply take no transform, so the
-preconditioner's rfftn and irfftn are the only FFTs of a Newton step.
+preconditioner's rfftn and irfftn (numpy's) are the only FFTs of a Newton
+step.  Every dot product and norm of the linear solve is one einsum over a
+single index (_dot), summed in a fixed order and not by BLAS, so a solve's
+outputs are the same bytes whatever the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import (
     ConeBreakdownError,
@@ -178,6 +182,26 @@ def normalize(u: np.ndarray, A: float, gamma: float) -> np.ndarray:
 # linear solve
 
 
+class Operator(NamedTuple):
+    """A square linear operator on flat grid vectors, as much of one as
+    bicgstab, scipy's Krylov solvers (through aslinearoperator) and the
+    benchmark's counters read: its shape, dtype and matvec."""
+
+    shape: tuple
+    dtype: type
+    matvec: Callable[[np.ndarray], np.ndarray]
+
+
+def _dot(x: np.ndarray, y: np.ndarray):
+    """x . y of two flat vectors, summed in a fixed order: unlike BLAS, its
+    bits do not depend on the thread count."""
+    return np.einsum("i,i->", x, y)
+
+
+def _norm(x: np.ndarray):
+    return np.sqrt(_dot(x, x))
+
+
 def _precondition_symbol(coeffs: LinearCoefficients) -> tuple[np.ndarray, np.ndarray]:
     """(1/sigma, symbol) of the left-scaled Fourier preconditioner
     M^{-1} r = F^{-1}[F(r / sigma) / symbol].
@@ -198,7 +222,7 @@ def _precondition_symbol(coeffs: LinearCoefficients) -> tuple[np.ndarray, np.nda
     size = coeffs.c0.size
     inv_sigma = np.sum(coeffs.k[2 * n:3 * n], axis=0).ravel()   # 2 n alpha tr gtilde
     np.divide(inv_sigma.mean(), inv_sigma, out=inv_sigma)   # inverted in place
-    c_mean, *k_means = (float(row.ravel() @ inv_sigma) / size
+    c_mean, *k_means = (float(_dot(row.ravel(), inv_sigma)) / size
                         for row in (coeffs.c0, *coeffs.k))
     # the double-precision 1/sigma is freed before the symbol is built
     inv_sigma = inv_sigma.reshape(geom.shape).astype(np.float32)
@@ -219,7 +243,8 @@ def _precondition_symbol(coeffs: LinearCoefficients) -> tuple[np.ndarray, np.nda
 def bicgstab(A, b: np.ndarray, *, rtol: float, atol: float = 0.0, maxiter: int, M):
     """Preconditioned BiCGStab for A x = b from x = 0: scipy's iteration,
     with its stopping test |r| < max(atol, rtol |b|) and its breakdown tests,
-    on fewer vectors.  A and M are LinearOperators, read through .matvec.
+    on fewer vectors.  A and M are Operators, read through .matvec, and
+    every dot product and norm is _dot's.
 
     b is overwritten: it becomes the residual r, and s is written over r.
     The preconditioned direction and the preconditioned s are never alive
@@ -229,7 +254,7 @@ def bicgstab(A, b: np.ndarray, *, rtol: float, atol: float = 0.0, maxiter: int, 
     (x, info): info 0 on convergence, maxiter when the cap is reached, -10
     on a rho breakdown and -11 on an omega breakdown."""
     matvec, psolve = A.matvec, M.matvec
-    bnorm = float(np.linalg.norm(b))
+    bnorm = float(_norm(b))
     x = np.zeros_like(b)
     if bnorm == 0.0:
         return x, 0
@@ -238,9 +263,9 @@ def bicgstab(A, b: np.ndarray, *, rtol: float, atol: float = 0.0, maxiter: int, 
     r = b
     rtilde = r.copy()
     for iteration in range(maxiter):
-        if np.linalg.norm(r) < tol:
+        if _norm(r) < tol:
             return x, 0
-        rho = np.dot(rtilde, r)
+        rho = _dot(rtilde, r)
         if abs(rho) < tiny:
             return x, -10
         if iteration == 0:
@@ -255,7 +280,7 @@ def bicgstab(A, b: np.ndarray, *, rtol: float, atol: float = 0.0, maxiter: int, 
             p += r
         z = psolve(p)
         v = matvec(z)
-        rv = np.dot(rtilde, v)
+        rv = _dot(rtilde, v)
         if rv == 0:
             return x, -11
         alpha = rho / rv
@@ -263,11 +288,11 @@ def bicgstab(A, b: np.ndarray, *, rtol: float, atol: float = 0.0, maxiter: int, 
         z *= alpha
         x += z
         del z                   # freed before s is preconditioned
-        if np.linalg.norm(r) < tol:
+        if _norm(r) < tol:
             return x, 0
         z = psolve(r)
         t = matvec(z)
-        omega = np.dot(t, r) / np.dot(t, t)
+        omega = _dot(t, r) / _dot(t, t)
         z *= omega
         x += z
         t *= omega
@@ -275,6 +300,14 @@ def bicgstab(A, b: np.ndarray, *, rtol: float, atol: float = 0.0, maxiter: int, 
         del z, t
         rho_prev = rho
     return x, maxiter
+
+
+def gmres(A, b, **kwargs):
+    """scipy's restarted GMRES, imported on its first call: the fallback
+    after a BiCGStab failure, which no pinned workload has taken, so a solve
+    loads scipy only when it falls back."""
+    from scipy.sparse.linalg import gmres as scipy_gmres
+    return scipy_gmres(A, b, **kwargs)
 
 
 def solve_newton_system(u: np.ndarray, d: ProblemData, coeffs: LinearCoefficients,
@@ -299,7 +332,7 @@ def solve_newton_system(u: np.ndarray, d: ProblemData, coeffs: LinearCoefficient
 
     def matvec(x):
         out = coeffs.apply_to(x.reshape(shape))
-        out += float(omega @ x) - out.mean()
+        out += float(_dot(omega, x)) - out.mean()
         return out.ravel()
 
     def apply_precond(x):
@@ -312,8 +345,8 @@ def solve_newton_system(u: np.ndarray, d: ProblemData, coeffs: LinearCoefficient
     def rhs():
         return np.subtract(residual.mean(), residual).ravel()   # -(R - mean R)
 
-    op = LinearOperator((size, size), matvec=matvec, dtype=float)
-    mop = LinearOperator((size, size), matvec=apply_precond, dtype=float)
+    op = Operator((size, size), float, matvec)
+    mop = Operator((size, size), float, apply_precond)
     # bicgstab overwrites its right-hand side, so a failure forms it again
     x, info = bicgstab(op, rhs(), rtol=rtol, atol=0.0,
                        maxiter=_LINEAR_MAXITER, M=mop)
@@ -322,7 +355,7 @@ def solve_newton_system(u: np.ndarray, d: ProblemData, coeffs: LinearCoefficient
         x, info = gmres(op, b, rtol=rtol, atol=0.0, restart=40,
                         maxiter=max(4, _LINEAR_MAXITER // 40), M=mop)
     if info != 0:
-        res = float(np.linalg.norm(op.matvec(x) - b)) / float(np.linalg.norm(b))
+        res = float(_norm(op.matvec(x) - b)) / float(_norm(b))
         raise LinearSolveError(
             f"iterative linear solve stagnated (relative residual {res:.2e})"
         )

@@ -73,7 +73,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import ConfigurationError
 
@@ -168,19 +167,26 @@ def unpack_hermitian(rows: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # spectral derivatives
 #
-# Derivatives are matmuls with p x p matrices, so they are bitwise
-# reproducible for a fixed BLAS thread count.  The FFTs that remain (the
-# preconditioner's, random_band_limited's) use scipy's pocketfft with all
-# workers: each 1-D sub-transform is evaluated in a fixed reduction order,
-# so they are bitwise deterministic regardless of the thread count.
+# Derivatives are matmuls with p x p matrices, and the solver's reductions
+# are einsum sums in a fixed order, so outputs are bitwise reproducible
+# whatever the BLAS thread count.  The FFTs that remain (the
+# preconditioner's, random_band_limited's) are numpy's pocketfft, one
+# thread, one axis at a time, each pass written into the one spectrum.
 
 
 def _rfft(values: np.ndarray) -> np.ndarray:
-    return scipy.fft.rfftn(values, workers=-1)
+    """The rfftn half spectrum of a real grid array: the last axis's real
+    transform, then every other axis's complex one, all in one new array."""
+    spectrum = np.empty(values.shape[:-1] + (values.shape[-1] // 2 + 1,), dtype=complex)
+    return np.fft.rfftn(values, axes=tuple(range(values.ndim)), out=spectrum)
 
 
 def _irfft(spectrum: np.ndarray, geom: TorusGeometry) -> np.ndarray:
-    return scipy.fft.irfftn(spectrum, s=geom.shape, workers=-1)
+    """The real grid array of an rfftn half spectrum, which is consumed: the
+    inverse passes of all but the last axis are written over it."""
+    for axis in range(spectrum.ndim - 1):
+        np.fft.ifft(spectrum, axis=axis, out=spectrum)
+    return np.fft.irfft(spectrum, n=geom.points_per_axis, axis=-1)
 
 
 def _wavenumbers(p: int) -> tuple:
@@ -326,9 +332,11 @@ def contract_derivatives(geom: TorusGeometry, k: np.ndarray, values: np.ndarray,
                          out: np.ndarray | None = None) -> np.ndarray:
     """sum_r k[r] * (row r of spectral_derivatives) for a real grid array,
     without building its bundle, by the bundle's matmuls one z_j at a time:
-    the first partials in x_j and y_j, the diagonal row's two terms, then
-    each mixed row's terms with z_k, k > j, from those partials.  Each term
-    is scaled by its coefficient row and added on its own, so out, the two
+    the diagonal row's two terms, the first partials in x_j and y_j, then
+    each mixed row's terms with z_k, k > j, from those partials.  The
+    diagonal row's terms are summed before they are scaled by its
+    coefficient row, in the x_j partial's array before it holds the partial;
+    every other term is scaled and added on its own.  So out, the two
     partials and one row are the only grid arrays it holds.  The sum
     accumulates onto `out` when it is given and is returned."""
     n = geom.n
@@ -340,9 +348,13 @@ def contract_derivatives(geom: TorusGeometry, k: np.ndarray, values: np.ndarray,
     pairs = list(enumerate(upper_pairs(n)))
     for j in range(n):
         xj, yj = 2 * j, 2 * j + 1
+        diag = _along(q2, values, xj, px)
+        diag += _along(q2, values, yj, row)
+        diag *= k[2 * n + j]
+        out += diag
         out += np.multiply(k[xj], _along(d1, values, xj, px), out=row)
         out += np.multiply(k[yj], _along(d1, values, yj, py), out=row)
-        terms = [(k[2 * n + j], q2, values, xj), (k[2 * n + j], q2, values, yj)]
+        terms = []
         for r, (i, m) in pairs:
             if i == j:
                 # Im u_{j mbar} = (u_{x_j y_m} - u_{y_j x_m}) / 4; -q1 negates exactly

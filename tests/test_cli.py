@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import re
 import struct
 import subprocess
@@ -153,6 +154,23 @@ class TestSolve:
         assert run_cli("solve", "--config", cfg, "--out", str(out_b), "--no-header") == 0
         assert (out_a / "monitors.csv").read_bytes() == (out_b / "monitors.csv").read_bytes()
         assert (out_a / "solution.bin").read_bytes() == (out_b / "solution.bin").read_bytes()
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # every dot product and norm of the solve is summed in a fixed order,
+        # so one and two BLAS threads write the same bytes (n = 3, 8^6)
+        cfg = write_config(tmp_path, "n = 3\npoints_per_axis = 8\n")
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "sigma2lab", "solve", "--config", cfg,
+                 "--out", str(out), "--no-header"],
+                capture_output=True, text=True, timeout=300,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out)
+        for name in ("solution.bin", "monitors.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_timestamp_header_togglable(self, tmp_path):
         cfg = write_config(tmp_path, TRIVIAL_CONFIG)
@@ -663,3 +681,22 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert (out / "monitors.csv").exists()
+
+    def test_solve_loads_no_scipy(self, tmp_path):
+        # the CLI's import and a default solve need numpy alone: scipy is
+        # imported only by the GMRES fallback
+        cfg = write_config(tmp_path, "points_per_axis = 8\n")
+        code = (
+            "import sys\n"
+            "import sigma2lab.cli\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(scipy_modules())\n"
+            f"rc = sigma2lab.cli.main(['solve', '--config', {cfg!r}, '--out',"
+            f" {str(tmp_path / 'out')!r}, '--no-header'])\n"
+            "print(rc, scipy_modules())\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()   # the solve prints its summary between
+        assert (lines[0], lines[-1]) == ("[]", "0 []")

@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from scipy.sparse.linalg import LinearOperator
 
 from sigma2lab import cli, forms, monitors, profiles, solve, torus
 from sigma2lab.errors import (
@@ -257,11 +256,22 @@ class TestBorderedNewtonSystem:
 
     def test_fallback_solves_the_original_system(self, geom2, rng, monkeypatch):
         # bicgstab overwrites its right-hand side, so the GMRES fallback
-        # must be handed the system formed again from the residual
+        # must be handed the system formed again from the residual; the
+        # fallback is scipy's GMRES, which solve.gmres looks up on its call
+        # and which reads the two Operator tuples through aslinearoperator
+        real = scipy.sparse.linalg.gmres
+        seen = []
+
+        def spy(A, b, **kwargs):
+            seen.append((type(A), type(kwargs["M"])))
+            return real(A, b, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "gmres", spy)
+        monkeypatch.setattr(solve, "bicgstab", scribbling_failure)
         system = newton_system(geom2, rng)
         rtol = 1e-8
-        monkeypatch.setattr(solve, "bicgstab", scribbling_failure)
         assert_solves_both_rows(system, solve.solve_newton_system(*system, rtol), rtol)
+        assert seen == [(solve.Operator, solve.Operator)]
 
     def test_failure_is_typed_and_measured_on_the_original_system(
             self, geom2, rng, monkeypatch):
@@ -304,7 +314,7 @@ class TestBorderedNewtonSystem:
                 applies.append(1)
                 return op.matvec(x)
 
-            counted = LinearOperator(op.shape, matvec=matvec, dtype=float)
+            counted = solve.Operator(op.shape, float, matvec)
             x, info = krylov(counted, b.copy(), rtol=rtol, atol=0.0, maxiter=maxiter, M=M)
             results.append((x, info, len(applies)))
         (x, info, n_applies), (x_ref, info_ref, n_ref) = results
@@ -341,7 +351,7 @@ class TestBorderedNewtonSystem:
         assert np.linalg.norm(op.matvec(M.matvec(r)) - r) <= 1e-6 * np.linalg.norm(r)
 
     def test_bicgstab_zero_rhs(self):
-        op = LinearOperator((4, 4), matvec=lambda x: 2.0 * x, dtype=float)
+        op = solve.Operator((4, 4), float, lambda x: 2.0 * x)
         x, info = solve.bicgstab(op, np.zeros(4), rtol=1e-8, maxiter=10, M=op)
         assert info == 0 and not x.any()
 
