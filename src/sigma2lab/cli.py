@@ -34,7 +34,7 @@ from .errors import (ConfigurationError, ContinuationStallError, RangeUnderflowE
                      Sigma2LabError)
 from .forms import ProblemData, check_A, evaluate
 from .monitors import moser_identity_gap, reverse_sobolev_constant
-from .profiles import manufactured_problem, perturbative_problem, trivial_problem
+from .profiles import manufactured_problem, perturbative_problem
 from .solve import SolverConfig, run_and_return
 from .torus import ScalarField, TorusGeometry, load_field, save_field
 from .verify import run_all
@@ -102,8 +102,8 @@ class RunConfig:
     def build_problem(self):
         """Returns (ProblemData, exact solution or None)."""
         geom = TorusGeometry(self.n, self.points_per_axis)
-        if self.profile == "trivial":
-            return trivial_problem(geom, self.alpha, self.A), None
+        if self.profile == "trivial":   # f = mu = 0
+            return perturbative_problem(geom, self.alpha, self.A, 0.0, 0.0), None
         if self.profile == "perturbative":
             return perturbative_problem(geom, self.alpha, self.A,
                                         self.f_scale, self.mu_scale), None
@@ -187,23 +187,21 @@ def cmd_solve(args) -> int:
         stalled = True
         print(f"continuation failed: {exc}", file=sys.stderr)
 
-    rows = [rep.row(t, rn) for t, rn, rep in
-            zip(report.t_values, report.residual_norms, report.monitor_snapshots)]
-    _write_csv(out / "monitors.csv", "solve", monitors.CSV_COLUMNS, rows,
-               args.no_header)
+    _write_csv(out / "monitors.csv", "solve", monitors.CSV_COLUMNS,
+               [rep.row() for rep in report.accepted], args.no_header)
     _gnuplot_script(out / "monitors.gp", "monitors.csv", monitors.CSV_COLUMNS,
                     "t", "kappa")
     save_field(out / "solution.bin", ScalarField(data.geometry, u))
 
-    last = report.monitor_snapshots[-1]  # t = 0 is always accepted
+    last = report.accepted[-1]  # t = 0 is always accepted
     summary = [
         f"profile   : {cfg.profile}",
         f"grid      : n={cfg.n}, {cfg.points_per_axis} points per axis",
         f"alpha, A  : {cfg.alpha}, {data.A}",
-        f"accepted t: {len(report.t_values)} steps, last t = {report.t_values[-1]}",
+        f"accepted t: {len(report.accepted)} steps, last t = {last.t}",
         f"converged : {report.converged}",
         f"kappa     : {last.kappa:.6g} (kappa_c = {last.kappa_c:g})",
-        f"residual  : {report.residual_norms[-1]:.3e}",
+        f"residual  : {last.residual_norm:.3e}",
     ]
     if u_star is not None:
         err = float(np.max(np.abs(u - u_star)))
@@ -284,9 +282,7 @@ def cmd_sweep_a(args) -> int:
         data, _ = cfg.build_problem()
         try:
             report, _ = run_and_return(data, cfg.solver_config())
-            last = report.monitor_snapshots[-1]
-            rows.append((a, 1.0) + last.row(report.t_values[-1],
-                                            report.residual_norms[-1]))
+            rows.append((a, 1.0) + report.accepted[-1].row())
         except Sigma2LabError as exc:
             print(f"A={a}: {exc}", file=sys.stderr)
             failures += 1

@@ -86,14 +86,6 @@ def _shifted_exp(vals: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
     return np.exp(-gamma * (vals - lo)), lo
 
 
-class GradLap(NamedTuple):
-    """What the equation reads of f's derivatives: its 2n real first partials
-    (an own array, not a view of a whole bundle) and its Laplacian."""
-
-    partials: np.ndarray
-    lap: np.ndarray
-
-
 def _row_dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """sum_r p_r q_r at every node, over the leading axis of two row stacks."""
     return np.einsum("a...,a...->...", p, q)
@@ -132,7 +124,7 @@ class ProblemData:
 
     def __init__(self, geometry: TorusGeometry, alpha: float, f: np.ndarray,
                  mu: np.ndarray, A: float, t: float = 1.0,
-                 f_derivs: GradLap | None = None):
+                 f_derivs: Derivs | None = None):
         if not (alpha > 0.0 and np.isfinite(alpha)):
             raise ConfigurationError(f"alpha must be positive, got {alpha}")
         check_A(A, geometry.n)
@@ -186,10 +178,12 @@ class ProblemData:
     def mu_eff(self) -> np.ndarray:
         return self.t * self.mu
 
-    def f_derivs(self) -> GradLap:
+    def f_derivs(self) -> Derivs:
+        """f's 2n first partials and its Laplacian, all the equation reads of
+        f: a Derivs whose rows are its own copy of the partials alone."""
         if self._f_derivs is None:
             dv = spectral_derivatives(self.f)
-            self._f_derivs = GradLap(dv.partials.copy(), dv.lap)
+            self._f_derivs = Derivs(dv.partials.copy(), dv.lap)
         return self._f_derivs
 
     def lap_f_eff(self) -> np.ndarray:
@@ -353,10 +347,11 @@ def gprime_sigmas(d: ProblemData, dv: Derivs, a: np.ndarray) -> tuple[np.ndarray
     return s1, s2
 
 
-def rhs_sigma2(d: ProblemData, dv: Derivs, w: Weights) -> np.ndarray:
-    """Right-hand side of the Hessian form of the equation, fully expanded.
+def residual_sigma2(d: ProblemData, dv: Derivs, w: Weights, s2: np.ndarray) -> np.ndarray:
+    """sigma_2(g') minus the right-hand side of the Hessian form of the
+    equation, fully expanded; s2 is sigma_2(g') from gprime_sigmas.
 
-    With kappa_c = n(n-1)/2 and the t-scaled data:
+    With kappa_c = n(n-1)/2 and the t-scaled data the right-hand side is
 
         kappa_c e^{2u} (1 - 4 alpha e^{-u} |Du|^2)
         + 4 alpha kappa_c f e^{-u} |Du|^2 + 2 kappa_c f + kappa_c e^{-2u} f^2
@@ -365,7 +360,9 @@ def rhs_sigma2(d: ProblemData, dv: Derivs, w: Weights) -> np.ndarray:
 
     Each term is formed in one scratch array and added to the output in
     this order, factor by factor from the left, so the sum rounds exactly as
-    the expression above evaluated left to right.
+    the expression above evaluated left to right; s2 minus the sum is then
+    written over it.  Satisfies residual_sigma2 = 2 n alpha * residual_fy1
+    as exact pointwise algebra of the shared discrete derivative fields.
     """
     eu, emu, _ = w
     kc = d.kappa_c
@@ -404,17 +401,7 @@ def rhs_sigma2(d: ProblemData, dv: Derivs, w: Weights) -> np.ndarray:
     np.subtract(d.lap_f_eff(), df, out=df)
     tmp *= df
     out += tmp
-    return out
-
-
-def residual_sigma2(d: ProblemData, dv: Derivs, w: Weights, s2: np.ndarray) -> np.ndarray:
-    """sigma_2(g') minus the expanded right-hand side; s2 is sigma_2(g') from
-    gprime_sigmas.
-
-    Satisfies residual_sigma2 = 2 n alpha * residual_fy1 as exact pointwise
-    algebra of the shared discrete derivative fields.
-    """
-    return s2 - rhs_sigma2(d, dv, w)
+    return np.subtract(s2, out, out=out)
 
 
 def evaluate(u: np.ndarray, d: ProblemData, margin: float,
@@ -538,7 +525,6 @@ class LinearCoefficients:
     (torus.contract_derivatives), so v's bundle is never built.
     """
 
-    geometry: TorusGeometry
     k: np.ndarray        # (n^2 + 2n,) + grid, real, in the bundle's row order and buffer
     c0: np.ndarray       # grid, real
 
@@ -547,7 +533,7 @@ class LinearCoefficients:
         each derivative term that reads them or v, scaled by its coefficient
         row and added to the one accumulator, which starts as c0 v; four grid
         arrays at most.  No transform is taken."""
-        return contract_derivatives(self.geometry, self.k, v, out=self.c0 * v)
+        return contract_derivatives(self.k, v, self.c0 * v)
 
 
 def linearization_coefficients(it: Iterate) -> LinearCoefficients:
@@ -597,7 +583,7 @@ def linearization_coefficients(it: Iterate) -> LinearCoefficients:
     hk *= -coef * coef
     hk[:n] += coef * ((n - 1) * a + coef * dv.lap)
     hk[n:] *= 2.0
-    return LinearCoefficients(geometry=d.geometry, k=dv.rows, c0=c0)
+    return LinearCoefficients(k=dv.rows, c0=c0)
 
 
 # ---------------------------------------------------------------------------

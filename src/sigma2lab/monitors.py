@@ -19,15 +19,15 @@ Every monitor takes an evaluated forms.Iterate and reads its bundle and
 weights, so monitoring an accepted iterate differentiates nothing again.
 The eigenvalue range of the linearization metric is read one slab of the
 grid at a time (forms.gtilde_eig_range), so no whole-grid metric is built.
-The fields of EstimateReport are the monitors.csv schema: CSV_COLUMNS and
-EstimateReport.row are t, the residual norm, then those fields in order, and
-the CLI's writer formats the row.
+SolveReport keeps one EstimateReport per accepted t.  Its fields, t and the
+residual norm first, are the monitors.csv schema: CSV_COLUMNS are their
+names, EstimateReport.row their values, and the CLI's writer formats it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -38,8 +38,11 @@ from .torus import mixed_wedge_density
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """The monitored quantities of one iterate, in monitors.csv column order."""
+    """One evaluated iterate's t, residual max-norm and monitored quantities,
+    in monitors.csv column order."""
 
+    t: float
+    residual_norm: float
     inf_u: float
     sup_u: float
     c0_low_ratio: float
@@ -51,18 +54,19 @@ class EstimateReport:
     kappa_c: float
     gamma2_fraction: float
 
-    def row(self, t: float, residual_norm: float) -> tuple:
+    def row(self) -> tuple:
         """One CSV row in CSV_COLUMNS order."""
-        return (t, residual_norm) + tuple(getattr(self, f.name) for f in fields(self))
+        return astuple(self)
 
 
-CSV_COLUMNS = ("t", "residual_norm") + tuple(f.name for f in fields(EstimateReport))
+CSV_COLUMNS = tuple(f.name for f in fields(EstimateReport))
 
 
 def estimate_report(it: Iterate) -> EstimateReport:
     """Evaluate every monitored quantity on one evaluated iterate, from its
-    bundle and weights; kappa and the Gamma_2 fraction are the iterate's own
-    readings of g', taken by forms.evaluate from the closed-form sigmas."""
+    bundle and weights, with its data's t and its residual's max-norm; kappa
+    and the Gamma_2 fraction are the iterate's own readings of g', taken by
+    forms.evaluate from the closed-form sigmas."""
     d = it.data
     vals = it.u
     inf_u = float(np.min(vals))
@@ -70,6 +74,8 @@ def estimate_report(it: Iterate) -> EstimateReport:
     c1 = float(np.max(it.weights.emu * it.derivs.grad_sq))
     eig_min, eig_max = gtilde_eig_range(it)
     return EstimateReport(
+        t=d.t,
+        residual_norm=it.rnorm,
         inf_u=inf_u,
         sup_u=sup_u,
         c0_low_ratio=float(np.exp(-inf_u) / d.A),

@@ -62,14 +62,9 @@ def perturbation_profile(geom: TorusGeometry, amplitude: float) -> np.ndarray:
     return amplitude * vals / top
 
 
-def trivial_problem(geom: TorusGeometry, alpha: float, A: float) -> ProblemData:
-    """f = mu = 0: the continuation path is the constant -log A throughout."""
-    zero = np.zeros(geom.shape)
-    return ProblemData(geom, alpha, zero, zero, A, t=1.0)
-
-
 def perturbative_problem(geom: TorusGeometry, alpha: float, A: float,
                          f_scale: float, mu_scale: float) -> ProblemData:
+    """Low-mode f and mu; both scales 0 give the trivial data f = mu = 0."""
     return ProblemData(geom, alpha, f_profile(geom, f_scale),
                        mu_profile(geom, mu_scale), A, t=1.0)
 

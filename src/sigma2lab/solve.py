@@ -48,10 +48,11 @@ iteration on the pair:
 Fields are plain arrays, so a trial u + s v is normalized and evaluated with
 no validating wrapper.  Each iterate is evaluated once (forms.evaluate): the
 backtracking test of a trial, the next Newton step from it, its acceptance
-and its monitor snapshot read the same Iterate.  Its body, the bundle and
-the weights, moves to the next continuation attempt, where only a, the
-sigmas of g' and the residual are assembled for the new t.  A Newton step
-consumes the body of the iterate it starts from and keeps only its field,
+and its one record in the SolveReport (monitors.EstimateReport: t, the
+residual norm and the monitors) read the same Iterate.  Its body, the
+bundle and the weights, moves to the next continuation attempt, where only
+a, the sigmas of g' and the residual are assembled for the new t.  A Newton
+step consumes the body of the iterate it starts from and keeps only its field,
 residual and readings: the operator's coefficient rows are written over the
 bundle and live until the linear solve returns, the zero-mean right-hand
 side is formed from the residual and BiCGStab's residual is written over it,
@@ -93,7 +94,7 @@ from .forms import (
     linearization_coefficients,
 )
 from .monitors import estimate_report
-from .torus import _irfft, _rfft, constant_derivatives, derivative_symbols
+from .torus import TorusGeometry, _irfft, _rfft, constant_derivatives, derivative_symbols
 
 _RESIDUAL_SLACK = 1e-12  # relative slack in the "non-increasing" residual test
 # Eisenstat-Walker forcing, choice 2: eta = _EW_GAMMA (r_k / r_{k-1})^2 after
@@ -152,12 +153,10 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Continuation history: accepted t values, residual norms at acceptance,
-    one monitor snapshot per accepted t, and the convergence flag."""
+    """Continuation history: one monitors.EstimateReport per accepted t, in
+    order, each carrying its t and residual norm, and the convergence flag."""
 
-    t_values: list = field(default_factory=list)
-    residual_norms: list = field(default_factory=list)
-    monitor_snapshots: list = field(default_factory=list)
+    accepted: list = field(default_factory=list)
     converged: bool = False
 
 
@@ -202,7 +201,8 @@ def _norm(x: np.ndarray):
     return np.sqrt(_dot(x, x))
 
 
-def _precondition_symbol(coeffs: LinearCoefficients) -> tuple[np.ndarray, np.ndarray]:
+def _precondition_symbol(coeffs: LinearCoefficients,
+                         geom: TorusGeometry) -> tuple[np.ndarray, np.ndarray]:
     """(1/sigma, symbol) of the left-scaled Fourier preconditioner
     M^{-1} r = F^{-1}[F(r / sigma) / symbol].
 
@@ -217,7 +217,6 @@ def _precondition_symbol(coeffs: LinearCoefficients) -> tuple[np.ndarray, np.nda
     with 1/sigma, so no temporary holds more than one row.  Both are formed
     in double precision and returned in single: a float32 1/sigma and a
     complex64 symbol keep the linear solve within its memory budget."""
-    geom = coeffs.geometry
     n = geom.n
     size = coeffs.c0.size
     inv_sigma = np.sum(coeffs.k[2 * n:3 * n], axis=0).ravel()   # 2 n alpha tr gtilde
@@ -324,7 +323,7 @@ def solve_newton_system(u: np.ndarray, d: ProblemData, coeffs: LinearCoefficient
     geom = d.geometry
     shape = geom.shape
     size = residual.size
-    inv_sigma, sym = _precondition_symbol(coeffs)
+    inv_sigma, sym = _precondition_symbol(coeffs, geom)
     flat0 = (0,) * len(shape)
     omega, _ = _shifted_exp(u, d.gamma)
     omega = omega.ravel()
@@ -340,7 +339,7 @@ def solve_newton_system(u: np.ndarray, d: ProblemData, coeffs: LinearCoefficient
         rhat = _rfft(x * inv_sigma)
         rhat[flat0] = x.sum()   # the zero mode of r, not of r / sigma
         rhat /= sym
-        return _irfft(rhat, geom).ravel()
+        return _irfft(rhat).ravel()
 
     def rhs():
         return np.subtract(residual.mean(), residual).ravel()   # -(R - mean R)
@@ -457,10 +456,11 @@ def run_and_return(d: ProblemData, cfg: SolverConfig):
     [2, 4], where theta_0 is its first Newton contraction (by 4 if it took
     no step), and only by 2 once any attempt of the run has failed, so a run
     that stalls takes the doubling path it always took.  The step is capped
-    at 1.  Monitors are recorded at every accepted t by estimate_report on
-    the accepted field evaluated against the problem at t.  Raises
-    ContinuationStallError, carrying the partial report and the furthest
-    accepted field, if the step floor is reached before t = 1.
+    at 1.  Every accepted t is recorded by estimate_report on the accepted
+    field evaluated against the problem at t: one record of t, the residual
+    norm and the monitors.  Raises ContinuationStallError, carrying the
+    partial report and the furthest accepted field, if the step floor is
+    reached before t = 1.
     """
     report = SolveReport()
     margin = cfg.cone_margin
@@ -470,12 +470,10 @@ def run_and_return(d: ProblemData, cfg: SolverConfig):
     # so its bundle is 0 and it is not differentiated
     it = evaluate(u, d.with_t(0.0), margin, derivs=constant_derivatives(d.geometry))
 
-    def accept(t: float):
+    def accept():
         nonlocal u
         u = it.u
-        report.t_values.append(t)
-        report.residual_norms.append(it.rnorm)
-        report.monitor_snapshots.append(estimate_report(it))
+        report.accepted.append(estimate_report(it))
 
     def start(d_t: ProblemData) -> Iterate:
         """The accepted iterate against d_t, which takes over its body.  It
@@ -487,7 +485,7 @@ def run_and_return(d: ProblemData, cfg: SolverConfig):
             return evaluate(u, d_t, margin)
         return evaluate(prev.u, d_t, margin, prev)
 
-    accept(0.0)
+    accept()
     t = 0.0
     dt = cfg.t_step_init
     failed = False
@@ -506,7 +504,7 @@ def run_and_return(d: ProblemData, cfg: SolverConfig):
                     report=report, last_field=u) from exc
             continue
         t = t_try
-        accept(t)
+        accept()
         if len(history) <= _EASY_NEWTON_ITERS + 1:
             growth = _T_STEP_GROWTH if failed else _theta_growth(history)
             dt = min(growth * dt, 1.0)

@@ -25,6 +25,8 @@ import numpy as np
 
 from .errors import ConeViolationError
 
+GAMMA2_BOX = (-1.0, 3.0)   # the range of each entry that sample_gamma2 draws
+
 
 def scale_of(*arrays) -> float:
     """Dimension-robust tolerance scale: 1 + max |input|^2."""
@@ -111,14 +113,14 @@ def leading_product_gap(lam_prime) -> np.ndarray:
 
 
 def sample_gamma2(rng: np.random.Generator, n: int, count: int,
-                  box=(-1.0, 3.0), sort_descending: bool = False) -> np.ndarray:
-    """Rejection-sample `count` Gamma_2 spectra from a box.
+                  sort_descending: bool = False) -> np.ndarray:
+    """Rejection-sample `count` Gamma_2 spectra from the box GAMMA2_BOX^n.
 
     Sampling the box and rejecting keeps hypothesis checks honest: the
     accepted tuples genuinely cover the cone near its boundary instead of
     being manufactured from positive data.  Returns an array (count, n).
     """
-    lo, hi = box
+    lo, hi = GAMMA2_BOX
     out = np.empty((count, n))
     have = 0
     while have < count:

@@ -181,12 +181,13 @@ def _rfft(values: np.ndarray) -> np.ndarray:
     return np.fft.rfftn(values, axes=tuple(range(values.ndim)), out=spectrum)
 
 
-def _irfft(spectrum: np.ndarray, geom: TorusGeometry) -> np.ndarray:
+def _irfft(spectrum: np.ndarray) -> np.ndarray:
     """The real grid array of an rfftn half spectrum, which is consumed: the
-    inverse passes of all but the last axis are written over it."""
+    inverse passes of all but the last axis are written over it.  Every grid
+    axis has as many points as the spectrum's first."""
     for axis in range(spectrum.ndim - 1):
         np.fft.ifft(spectrum, axis=axis, out=spectrum)
-    return np.fft.irfft(spectrum, n=geom.points_per_axis, axis=-1)
+    return np.fft.irfft(spectrum, n=spectrum.shape[0], axis=-1)
 
 
 def _wavenumbers(p: int) -> tuple:
@@ -263,7 +264,8 @@ class Derivs:
     rows   (n^2 + 2n,) + grid, real, in the order of the module docstring
     lap    the complex Laplacian sum_j u_{j jbar}, the sum of the diagonal rows
 
-    Views of the rows share their one buffer."""
+    Views of the rows share their one buffer.  f's bundle keeps its own copy
+    of the 2n first partials alone (forms.ProblemData.f_derivs)."""
 
     rows: np.ndarray
     lap: np.ndarray
@@ -328,23 +330,20 @@ def constant_derivatives(geom: TorusGeometry) -> Derivs:
                   lap=np.zeros(geom.shape))
 
 
-def contract_derivatives(geom: TorusGeometry, k: np.ndarray, values: np.ndarray,
-                         out: np.ndarray | None = None) -> np.ndarray:
-    """sum_r k[r] * (row r of spectral_derivatives) for a real grid array,
-    without building its bundle, by the bundle's matmuls one z_j at a time:
-    the diagonal row's two terms, the first partials in x_j and y_j, then
-    each mixed row's terms with z_k, k > j, from those partials.  The
-    diagonal row's terms are summed before they are scaled by its
+def contract_derivatives(k: np.ndarray, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out + sum_r k[r] * (row r of spectral_derivatives(values)) for a real
+    grid array, without building its bundle, by the bundle's matmuls one z_j
+    at a time: the diagonal row's two terms, the first partials in x_j and
+    y_j, then each mixed row's terms with z_k, k > j, from those partials.
+    The diagonal row's terms are summed before they are scaled by its
     coefficient row, in the x_j partial's array before it holds the partial;
     every other term is scaled and added on its own.  So out, the two
     partials and one row are the only grid arrays it holds.  The sum
-    accumulates onto `out` when it is given and is returned."""
-    n = geom.n
-    d1, d2 = derivative_matrices(geom.points_per_axis)
+    accumulates onto out, which is returned."""
+    n = values.ndim // 2
+    d1, d2 = derivative_matrices(values.shape[0])
     q1, q2 = 0.25 * d1, 0.25 * d2
-    if out is None:
-        out = np.zeros(geom.shape)
-    px, py, row = (np.empty(geom.shape) for _ in range(3))
+    px, py, row = (np.empty(values.shape) for _ in range(3))
     pairs = list(enumerate(upper_pairs(n)))
     for j in range(n):
         xj, yj = 2 * j, 2 * j + 1
@@ -449,7 +448,7 @@ def random_band_limited(geom: TorusGeometry, rng: np.random.Generator,
     for axis in range(2 * geom.n):
         # rfftn keeps modes 0 .. p/2 of the last axis
         mask &= np.abs(geom.mode_index(axis))[..., :half] <= max_mode
-    u = _irfft(what * mask, geom)
+    u = _irfft(what * mask)
     u -= u.mean()
     top = float(np.max(np.abs(u)))
     if top > 0.0:

@@ -16,6 +16,11 @@ import numpy as np
 from . import forms, symfun, torus
 from .profiles import f_profile, mu_profile
 
+# the dimensions the spectrum suites sample; grw-gap's stop at n = 4
+SPECTRUM_DIMS = (2, 3, 4, 5)
+GRW_DIMS = (2, 3, 4)
+FD_STEP = 1e-5   # the central difference step of suite_linearize_fd
+
 
 @dataclass
 class SuiteResult:
@@ -66,13 +71,13 @@ class _Worst:
 
 
 def suite_symfun_relations(seed: int, samples: int = 10_000,
-                           dims=(2, 3, 4, 5), tol: float = 1e-11) -> SuiteResult:
+                           tol: float = 1e-11) -> SuiteResult:
     """Symmetric-function relations between the Hessian spectrum lambda,
     lambda' = a + 2 n alpha lambda, and lambda~_j = sum_{k != j} lambda'_k."""
     rng = np.random.default_rng(seed)
     worst = _Worst(tol)
-    per_dim = max(1, -(-samples // len(dims)))
-    for n in dims:
+    per_dim = max(1, -(-samples // len(SPECTRUM_DIMS)))
+    for n in SPECTRUM_DIMS:
         lam = rng.uniform(-2.0, 2.0, size=(per_dim, n))
         a = rng.uniform(0.2, 3.0, size=(per_dim, 1))
         alpha = rng.uniform(0.1, 2.0, size=(per_dim, 1))
@@ -99,14 +104,13 @@ def suite_symfun_relations(seed: int, samples: int = 10_000,
     return worst.result("symfun-relations", "relative gap")
 
 
-def suite_grw_gap(seed: int, samples: int = 10_000, dims=(2, 3, 4),
-                  tol: float = 1e-12) -> SuiteResult:
+def suite_grw_gap(seed: int, samples: int = 10_000, tol: float = 1e-12) -> SuiteResult:
     """symfun.grw_gap >= 0 over random (Gamma_2 spectrum, complex diagonal
     tensor) pairs, scaled by 1 + max(|lam|, |a|)^2."""
     rng = np.random.default_rng(seed)
     worst = _Worst(tol, floor=True)
-    per_dim = max(1, -(-samples // len(dims)))
-    for n in dims:
+    per_dim = max(1, -(-samples // len(GRW_DIMS)))
+    for n in GRW_DIMS:
         lam = symfun.sample_gamma2(rng, n, per_dim)
         a = rng.standard_normal((per_dim, n)) + 1j * rng.standard_normal((per_dim, n))
         scale = 1.0 + np.maximum(np.max(np.abs(lam), axis=1),
@@ -116,14 +120,14 @@ def suite_grw_gap(seed: int, samples: int = 10_000, dims=(2, 3, 4),
     return worst.result("grw-gap", "scaled slack")
 
 
-def suite_leading_product(seed: int, samples: int = 10_000, dims=(2, 3, 4, 5),
+def suite_leading_product(seed: int, samples: int = 10_000,
                           tol: float = 1e-12) -> SuiteResult:
     """symfun.leading_product_gap >= 0, i.e. lam'_1 sigma_1(lam'|1) >=
     (2/n) sigma_2(lam'), on sorted Gamma_2 spectra, scaled by 1 + max |lam|^2."""
     rng = np.random.default_rng(seed)
     worst = _Worst(tol, floor=True)
-    per_dim = max(1, -(-samples // len(dims)))
-    for n in dims:
+    per_dim = max(1, -(-samples // len(SPECTRUM_DIMS)))
+    for n in SPECTRUM_DIMS:
         lam = symfun.sample_gamma2(rng, n, per_dim, sort_descending=True)
         scale = 1.0 + np.max(np.abs(lam), axis=1) ** 2
         worst.see(symfun.leading_product_gap(lam) / scale,
@@ -215,8 +219,7 @@ def suite_sigma_relations_fields(seed: int, fields: int = 20,
                         "" if cone_ok else "; gtilde positivity failed inside Gamma_2")
 
 
-def suite_linearize_fd(seed: int, pairs: int = 20, tol: float = 1e-6,
-                       eps: float = 1e-5) -> SuiteResult:
+def suite_linearize_fd(seed: int, pairs: int = 20, tol: float = 1e-6) -> SuiteResult:
     """Analytic linearization against central finite differences."""
     rng = np.random.default_rng(seed)
     geom = torus.TorusGeometry(2, 16)
@@ -227,8 +230,8 @@ def suite_linearize_fd(seed: int, pairs: int = 20, tol: float = 1e-6,
                                       amplitude=float(rng.uniform(0.2, 0.6)))
         v = torus.random_band_limited(geom, rng, max_mode=2, amplitude=1.0)
         lin = forms.linearization_coefficients(forms.evaluate(u, d, 0.0)).apply_to(v)
-        fd = (forms.evaluate(u + eps * v, d, 0.0).residual
-              - forms.evaluate(u - eps * v, d, 0.0).residual) / (2.0 * eps)
+        fd = (forms.evaluate(u + FD_STEP * v, d, 0.0).residual
+              - forms.evaluate(u - FD_STEP * v, d, 0.0).residual) / (2.0 * FD_STEP)
         err = float(np.max(np.abs(fd - lin))) / max(1.0, float(np.max(np.abs(lin))))
         worst.see(err, lambda _: f"pair #{i}")
     return worst.result("linearize-vs-fd", "relative error")

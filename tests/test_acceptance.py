@@ -159,7 +159,7 @@ def test_criterion_10_wedge_identity_and_lower_bound(manufactured_run):
     floor = -1e-10 * scale
     slack_ok = all(s >= floor for _, s in slacks)
     worst = min(s for _, s in slacks)
-    ok = res.passed and slack_ok and len(slacks) == len(manufactured_run["report"].t_values)
+    ok = res.passed and slack_ok and len(slacks) == len(manufactured_run["report"].accepted)
     report_line("C10 wedge-identity", ok,
                 f"{res.detail}; min iterate slack {worst:.2e} "
                 f"over {len(slacks)} accepted t (floor {floor:.1e})")
@@ -173,8 +173,8 @@ def test_criterion_11_perturbative_nondegeneracy():
                                          f_scale=0.05, mu_scale=0.05)
     cfg = solve.SolverConfig(newton_tol=1e-9)
     report, u = solve.run_and_return(data, cfg)
-    kappa = report.monitor_snapshots[-1].kappa
-    kappa_c = report.monitor_snapshots[-1].kappa_c
+    kappa = report.accepted[-1].kappa
+    kappa_c = report.accepted[-1].kappa_c
     ok = report.converged and kappa >= 0.9 * kappa_c
     report_line("C11 perturbative-kappa", ok,
                 f"converged={report.converged}, kappa = {kappa:.6f} "

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigma2lab import solve, torus
+from sigma2lab import profiles, solve, torus
 from sigma2lab.cli import RunConfig, main
 from sigma2lab.errors import ConfigurationError
 from sigma2lab.solve import SolverConfig
@@ -146,6 +146,21 @@ class TestSolve:
         ts = [float(line.split(",")[0]) for line in lines[1:]]
         assert ts[0] == 0.0 and ts[-1] == 1.0
         assert all(b > a for a, b in zip(ts, ts[1:]))
+
+    def test_manufactured_error_line(self, tmp_path):
+        # the summary's error is max|u - u*| of the written solution against
+        # the exact solution of the manufactured profile
+        cfg = write_config(tmp_path, "profile = manufactured\n")
+        out = tmp_path / "artifacts"
+        assert run_cli("solve", "--config", cfg, "--out", str(out), "--no-header") == 0
+        u = torus.load_field(out / "solution.bin")
+        c = RunConfig()
+        _, u_star = profiles.manufactured_problem(u.geometry, c.alpha, c.A,
+                                                  c.amplitude, c.f_scale)
+        err = float(np.max(np.abs(u.values - u_star)))
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert lines[-1] == f"L_inf error vs manufactured solution: {err:.3e}"
+        assert 0.0 < err < 1e-6
 
     def test_deterministic_output(self, tmp_path):
         cfg = write_config(tmp_path, PERTURBATIVE_CONFIG)
@@ -548,6 +563,29 @@ class TestSweepA:
         for r in rows:
             assert 0.5 < float(r[low]) < 2.0
             assert 0.5 < float(r[high]) < 2.0
+
+    @pytest.mark.parametrize("a_list, code", [("0.5,0.2", 0), ("0.5", 3)])
+    def test_failed_solve_row(self, tmp_path, capsys, a_list, code):
+        # a large mu stalls the continuation at A = 0.5 and not at the
+        # smaller A = 0.2: the failed A gets a converged = 0 row of NaN
+        # monitors and one stderr line, and only a sweep in which every A
+        # fails exits 3
+        cfg = write_config(tmp_path, "points_per_axis = 8\nf_scale = 0\nmu_scale = 3\n"
+                                     "max_newton_iters = 3\nt_step_min = 0.05\n")
+        out = tmp_path / "sweep"
+        assert run_cli("sweep-a", "--config", cfg, "--a-list", a_list,
+                       "--out", str(out), "--no-header") == code
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("A=0.5: continuation stalled"), err
+        lines = (out / "sweep_a.csv").read_text().splitlines()
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        assert len(rows) == len(a_list.split(","))
+        assert captured.out == f"A sweep: {len(rows) - 1}/{len(rows)} solves converged\n"
+        assert rows[0][:2] == [0.5, 0.0] and all(math.isnan(x) for x in rows[0][2:])
+        assert len(rows[0]) == len(lines[0].split(","))
+        for row in rows[1:]:
+            assert row[:3] == [0.2, 1.0, 1.0] and not any(math.isnan(x) for x in row)
 
     def test_empty_list_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, TRIVIAL_CONFIG)

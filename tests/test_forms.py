@@ -19,7 +19,7 @@ from sigma2lab.forms import (
     linearization_coefficients,
     manufactured_mu,
     residual_fy1,
-    rhs_sigma2,
+    residual_sigma2,
     sigma1_field,
     sigma2_field,
 )
@@ -258,16 +258,17 @@ class TestResiduals:
             assert np.max(np.abs(r2 - pred)) <= 1e-10 * scale
 
     def test_rhs_constant_field_values(self, geom2):
-        # at u = -log A with t = 0 the right-hand side is kappa_c e^{2u}
+        # at u = -log A with t = 0 the right-hand side is kappa_c e^{2u};
+        # with sigma_2(g') = 0 the residual is exactly minus the right-hand side
+        zero = np.zeros(geom2.shape)
         u0, d = trivial_setup(geom2, A=0.1)
         it = evaluate(u0, d, 0.0)
-        rhs = rhs_sigma2(d, it.derivs, it.weights)
+        rhs = -residual_sigma2(d, it.derivs, it.weights, zero)
         assert np.allclose(rhs, 1.0 / 0.01, rtol=1e-12)
-        zero = np.zeros(geom2.shape)
         d1 = ProblemData(geom2, 2.0, zero, zero, 0.3, t=1.0)
         it = evaluate(np.full(geom2.shape, 0.4), d1, 0.0)
-        assert np.allclose(rhs_sigma2(d1, it.derivs, it.weights), 1.0 * np.exp(0.8),
-                           rtol=1e-12)
+        assert np.allclose(-residual_sigma2(d1, it.derivs, it.weights, zero),
+                           1.0 * np.exp(0.8), rtol=1e-12)
 
     def test_small_perturbation_is_linear(self, geom2, rng):
         # the residual at u0 + eps v is eps * (the derivative at u0) v + O(eps^2)
@@ -500,10 +501,14 @@ class TestLeanIterate:
         assert traced_peak(linearization_coefficients, it) <= 5 * d.geometry.node_count * 8
 
     def test_rhs_memory(self, problem3, rng, traced_peak):
-        # the output and at most 4 grid arrays of temporaries
+        # the output and at most 4 grid arrays of temporaries: the
+        # right-hand side is summed into the output, and sigma_2(g') minus
+        # it is written over it
         d = problem3
         it = evaluate(perturbed_solution(d, rng), d, 0.0)
-        assert traced_peak(rhs_sigma2, d, it.derivs, it.weights) <= 5 * d.geometry.node_count * 8
+        dv, w = it.derivs, it.weights
+        s2 = gprime_sigmas(d, dv, w.a)[1]
+        assert traced_peak(residual_sigma2, d, dv, w, s2) <= 5 * d.geometry.node_count * 8
 
     @pytest.mark.parametrize("which", ["problem2", "problem3"])
     def test_gtilde_eig_range_is_exact(self, which, request, rng):

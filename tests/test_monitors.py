@@ -31,7 +31,9 @@ def solved_manufactured():
 class TestEstimateReport:
     def test_trivial_closed_forms(self, geom2, trivial2):
         u0 = np.full(geom2.shape, -np.log(trivial2.A))
-        rep = estimate_report(evaluate(u0, trivial2, 0.0))
+        it = evaluate(u0, trivial2, 0.0)
+        rep = estimate_report(it)
+        assert (rep.t, rep.residual_norm) == (trivial2.t, it.rnorm)
         assert rep.inf_u == rep.sup_u == pytest.approx(-np.log(trivial2.A))
         assert rep.c0_low_ratio == pytest.approx(1.0, abs=1e-12)
         assert rep.c0_high_ratio == pytest.approx(1.0, abs=1e-12)
@@ -142,8 +144,9 @@ class TestCsv:
         u0 = np.full(geom2.shape, -np.log(trivial2.A))
         rep = estimate_report(evaluate(u0, trivial2, 0.0))
         path = tmp_path / "monitors.csv"
-        cli._write_csv(path, "solve", CSV_COLUMNS, [rep.row(0.0, 1e-12)], True)
+        cli._write_csv(path, "solve", CSV_COLUMNS, [rep.row()], True)
         header, row = (line.split(",") for line in path.read_text().splitlines())
         assert len(header) == len(row) == len(CSV_COLUMNS)
-        assert header[0] == "t"
+        assert header[:2] == ["t", "residual_norm"]
+        assert float(row[0]) == rep.t and float(row[1]) == rep.residual_norm
         assert float(row[CSV_COLUMNS.index("kappa")]) == rep.kappa

@@ -332,7 +332,7 @@ class TestBorderedNewtonSystem:
         grid = tuple(range(1, coeffs.k.ndim))
         sigma = 1.0 + 0.5 * random_band_limited(geom2, rng)
         kbar = np.mean(coeffs.k, axis=grid).reshape((-1,) + (1,) * len(grid))
-        scaled = forms.LinearCoefficients(geom2, kbar * sigma, float(np.mean(coeffs.c0)) * sigma)
+        scaled = forms.LinearCoefficients(kbar * sigma, float(np.mean(coeffs.c0)) * sigma)
         captured = []
         real = solve.bicgstab
 
@@ -354,6 +354,39 @@ class TestBorderedNewtonSystem:
         op = solve.Operator((4, 4), float, lambda x: 2.0 * x)
         x, info = solve.bicgstab(op, np.zeros(4), rtol=1e-8, maxiter=10, M=op)
         assert info == 0 and not x.any()
+
+    @pytest.mark.parametrize("case, outcome, applies", [
+        ("rv", -11, 1), ("rho", -10, 2), ("omega", -11, 2),
+    ])
+    def test_bicgstab_breakdowns_match_scipy(self, case, outcome, applies):
+        # each breakdown exit returns scipy's info and iterate after as many
+        # operator applies.  rv: the zero operator gives rtilde . v = 0 at
+        # once.  rho: the first step leaves r = (0, -1), orthogonal to
+        # rtilde = b, with omega = 0 exactly.  omega: a matrix of scale
+        # 1e35 makes omega ~ 1e-35, below eps^2, while rho stays O(1)
+        rng = np.random.default_rng(3)
+        mat, b = {
+            "rv": (np.zeros((3, 3)), np.array([1.0, 2.0, 3.0])),
+            "rho": (np.array([[1.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0])),
+            "omega": (1e35 * (rng.standard_normal((6, 6)) + 3.0 * np.eye(6)),
+                      rng.standard_normal(6)),
+        }[case]
+        results = []
+        for krylov in (solve.bicgstab, scipy.sparse.linalg.bicgstab):
+            count = []
+
+            def matvec(x):
+                count.append(1)
+                return mat @ x
+
+            op = solve.Operator(mat.shape, float, matvec)
+            identity = solve.Operator(mat.shape, float, lambda x: x.copy())
+            x, info = krylov(op, b.copy(), rtol=1e-12, atol=0.0, maxiter=50, M=identity)
+            results.append((x, info, len(count)))
+        (x, info, n_applies), (x_ref, info_ref, n_ref) = results
+        assert (info, n_applies) == (info_ref, n_ref) == (outcome, applies)
+        assert np.allclose(x, x_ref, rtol=1e-12, atol=0.0)
+        assert x.any() == (case != "rv")
 
     @pytest.mark.parametrize("which", ["geom2", "geom3"])
     def test_linear_solve_array_budget(self, which, request, rng, traced_peak):
@@ -456,15 +489,15 @@ class TestContinuityRun:
         assert start.in_cone
 
     def test_trivial_data_constant_path(self, geom2):
-        d = profiles.trivial_problem(geom2, alpha=1.0, A=0.05)
+        d = profiles.perturbative_problem(geom2, alpha=1.0, A=0.05, f_scale=0.0, mu_scale=0.0)
         cfg = SolverConfig(newton_tol=1e-10)
         report, u = run_and_return(d, cfg)
+        t_values = [rep.t for rep in report.accepted]
         assert report.converged
-        assert report.t_values[-1] == 1.0
-        assert np.all(np.diff(report.t_values) > 0)
-        assert len(report.monitor_snapshots) == len(report.t_values)
+        assert t_values[-1] == 1.0
+        assert np.all(np.diff(t_values) > 0)
         assert np.max(np.abs(u + np.log(0.05))) < 1e-12
-        for rep in report.monitor_snapshots:
+        for rep in report.accepted:
             assert rep.kappa == pytest.approx(rep.kappa_c, abs=1e-12)
             assert rep.gamma2_fraction == 1.0
 
@@ -475,15 +508,15 @@ class TestContinuityRun:
         assert report.converged
         assert abs(normalization_level(u, 4.0) - 0.1) < 1e-10
         assert np.all(cone_mask(u, d, cfg.cone_margin))
-        assert all(rn < cfg.newton_tol for rn in report.residual_norms)
-        assert all(rep.gamma2_fraction == 1.0 for rep in report.monitor_snapshots)
+        assert all(rep.residual_norm < cfg.newton_tol for rep in report.accepted)
+        assert all(rep.gamma2_fraction == 1.0 for rep in report.accepted)
 
     def test_dimension_three_perturbative(self, geom3):
         d = profiles.perturbative_problem(geom3, alpha=1.0, A=0.1,
                                           f_scale=0.05, mu_scale=0.05)
         cfg = SolverConfig(newton_tol=1e-9)
         report, u = run_and_return(d, cfg)
-        last = report.monitor_snapshots[-1]
+        last = report.accepted[-1]
         assert report.converged
         assert last.kappa_c == 3.0
         assert last.kappa > 0.9 * last.kappa_c
@@ -512,7 +545,7 @@ class TestContinuityRun:
         monkeypatch.setattr(solve, "_newton_step", counted_step)
         report, _ = run_and_return(d, SolverConfig())
         assert report.converged
-        assert report.t_values == [0.0, 0.25, 1.0]
+        assert [rep.t for rep in report.accepted] == [0.0, 0.25, 1.0]
         assert counts["steps"] <= 4 and counts["applies"] <= 6, counts
 
     def test_growth_falls_back_to_doubling_after_a_failure(self, geom2, trivial2,
@@ -554,9 +587,9 @@ class TestContinuityRun:
             run_and_return(d, cfg)
         report = exc_info.value.report
         assert report is not None and not report.converged
-        assert report.t_values == [0.0]  # only the trivial point was reachable
+        # only the trivial point was reachable
+        assert [rep.t for rep in report.accepted] == [0.0]
         assert exc_info.value.last_field is not None
-        assert len(report.monitor_snapshots) == len(report.t_values)
         # the message names the last failed attempt's error, chained as the cause
         cause = exc_info.value.__cause__
         assert isinstance(cause, solve._SOLVE_FAILURES)
@@ -648,7 +681,7 @@ class TestOneEvaluationPerIterate:
         patch_everywhere(report_, recorded_report)
         d = profiles.perturbative_problem(geom2, 1.0, 0.1, 0.05, 0.05)
         report, _ = run_and_return(d, SolverConfig())
-        assert report.converged and len(accepted) == len(report.t_values)
+        assert report.converged and len(accepted) == len(report.accepted)
         # the t = 0 iterate is the constant start, whose bundle is 0 untransformed
         assert bundles[accepted[0]] == 0
         assert all(bundles[u] == 1 for u in accepted[1:])

@@ -183,7 +183,8 @@ class TestSpectralDerivatives:
         k = rng.standard_normal(rows.shape)
         want = np.einsum("r...,r...->...", k, rows)
         scale = np.max(np.einsum("r...,r...->...", np.abs(k), np.abs(rows)))
-        assert np.max(np.abs(contract_derivatives(geom, k, u) - want)) <= 1e-13 * scale
+        got = contract_derivatives(k, u, np.zeros(geom.shape))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
     def test_no_transform_in_bundle_or_apply(self, geom3, rng, monkeypatch):
         # every derivative is a matmul along one axis; only the
@@ -199,7 +200,7 @@ class TestSpectralDerivatives:
         for name in ("fftn", "ifftn", "rfftn", "irfftn"):
             monkeypatch.setattr(np.fft, name, no_transform)
         dv = spectral_derivatives(u)
-        got = LinearCoefficients(geom3, k, u).apply_to(u)
+        got = LinearCoefficients(k, u).apply_to(u)
         assert np.all(np.isfinite(dv.rows)) and np.all(np.isfinite(got))
 
     @pytest.mark.parametrize("which", ["geom2", "geom3"])
