@@ -203,6 +203,9 @@ def cmd_solve(args) -> int:
         f"kappa     : {last.kappa:.6g} (kappa_c = {last.kappa_c:g})",
         f"residual  : {last.residual_norm:.3e}",
     ]
+    if report.coarse is not None:
+        points, gap = report.coarse
+        summary.append(f"coarse grid: {points} points per axis, max|u - P u_c| = {gap:.3e}")
     if u_star is not None:
         err = float(np.max(np.abs(u - u_star)))
         summary.append(f"L_inf error vs manufactured solution: {err:.3e}")
@@ -286,7 +289,11 @@ def cmd_sweep_a(args) -> int:
         except Sigma2LabError as exc:
             print(f"A={a}: {exc}", file=sys.stderr)
             failures += 1
-            rows.append((a, 0.0) + (float("nan"),) * len(monitors.CSV_COLUMNS))
+            # a stalled walk keeps how far it got; other failures carry no report
+            if isinstance(exc, ContinuationStallError):
+                rows.append((a, 0.0) + exc.report.accepted[-1].row())
+            else:
+                rows.append((a, 0.0) + (float("nan"),) * len(monitors.CSV_COLUMNS))
     columns = ("A", "converged") + monitors.CSV_COLUMNS
     _write_csv(out / "sweep_a.csv", "sweep-a", columns, rows, args.no_header)
     _gnuplot_script(out / "sweep_a.gp", "sweep_a.csv", columns, "A", "c1_max")

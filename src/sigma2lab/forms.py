@@ -48,7 +48,9 @@ sigma_1 and sigma_2 of g' have closed forms in a and the bundle
 read of it.  Neither the bundle nor e^{+-u} depends on t, so evaluate()
 takes them over from an earlier evaluation of the same field, and f's first
 partials and Laplacian, all the equation reads of f, are computed once and
-shared by every ProblemData.with_t copy.
+shared by every ProblemData.with_t copy.  ProblemData.restricted is the
+same data injected on the half grid, where the solver walks its
+continuation first.
 
 A body has one owner.  linearization_coefficients consumes it: the operator
 of the Newton step has one coefficient row per bundle row, each read from
@@ -169,6 +171,16 @@ class ProblemData:
         other = copy.copy(self)
         other.t = float(t)
         return other
+
+    def restricted(self) -> "ProblemData":
+        """This data on the half grid, at the same t: f and mu injected,
+        x[::2, ...], and mu's mean subtracted again.  Injection keeps f >= 0,
+        and f's derivatives are taken on the half grid when first read."""
+        geom = TorusGeometry(self.n, self.geometry.points_per_axis // 2)
+        every_other = (slice(None, None, 2),) * (2 * self.n)
+        mu = self.mu[every_other]
+        return ProblemData(geom, self.alpha, np.ascontiguousarray(self.f[every_other]),
+                           mu - mu.mean(), self.A, self.t)
 
     # -- t-scaled accessors ------------------------------------------------
 

@@ -61,6 +61,16 @@ time instead of building its bundle, and a rejected trial is released
 before the next is evaluated.  A failed attempt evaluates its start field
 again, so no consumed body is ever read.
 
+A grid of 32 or more points per axis walks the continuation on its half
+grid first, on injected data, and only the t = 1 Newton correction of the
+prolonged coarse field runs on the problem's own grid (run_and_return).  The
+paper's estimates keep the solution smooth along the whole path, so Newton
+takes about as many steps on every grid that resolves it (mesh independence;
+Allgower, Boehmer, Potra and Rheinboldt, SIAM J. Numer. Anal. 23, 1986): on
+the default data the prolonged field is already below newton_tol on 32^4.
+Half grids of 8 points per axis are not used: they stall on the residual's
+aliased mean.
+
 Derivatives are matmuls along one axis (torus.derivative_matrices): the
 bundle of an iterate and every operator apply take no transform, so the
 preconditioner's rfftn and irfftn (numpy's) are the only FFTs of a Newton
@@ -94,7 +104,8 @@ from .forms import (
     linearization_coefficients,
 )
 from .monitors import estimate_report
-from .torus import TorusGeometry, _irfft, _rfft, constant_derivatives, derivative_symbols
+from .torus import (TorusGeometry, _irfft, _rfft, constant_derivatives, derivative_symbols,
+                    prolong)
 
 _RESIDUAL_SLACK = 1e-12  # relative slack in the "non-increasing" residual test
 # Eisenstat-Walker forcing, choice 2: eta = _EW_GAMMA (r_k / r_{k-1})^2 after
@@ -124,6 +135,10 @@ _EASY_NEWTON_ITERS = 3
 _T_STEP_GROWTH = 2.0
 _T_STEP_GROWTH_MAX = 4.0
 _THETA_TARGET = 0.25
+# Grid sequencing: a problem whose half grid keeps at least this many points
+# per axis walks its continuation there first (run_and_return).  Coarser
+# grids are measured to stall: 8^4 on the |mean R| plateau at t = 0.125.
+_COARSE_MIN_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -154,10 +169,15 @@ class SolverConfig:
 @dataclass
 class SolveReport:
     """Continuation history: one monitors.EstimateReport per accepted t, in
-    order, each carrying its t and residual norm, and the convergence flag."""
+    order, each carrying its t and residual norm, and the convergence flag.
+    A sequenced run also keeps `coarse`: the points per axis of the grid
+    whose t = 1 field was prolonged to the problem's grid, and
+    max|u - P u_c|, the distance of the solution from that prolonged and
+    normalized field; it is None when the problem's own grid walked."""
 
     accepted: list = field(default_factory=list)
     converged: bool = False
+    coarse: tuple | None = None
 
 
 def normalize(u: np.ndarray, A: float, gamma: float) -> np.ndarray:
@@ -448,20 +468,69 @@ def _theta_growth(history) -> float:
 def run_and_return(d: ProblemData, cfg: SolverConfig):
     """March t from 0 to 1 with adaptive steps; returns (report, final field).
 
-    Starts from the normalized constant -log A, the exact t = 0 solution
-    (its t = 0 residual is 0), evaluated with the zero bundle of a constant
-    field (no derivative is taken), and halves the step on any solver failure
-    down to t_step_min.  An accepted attempt of at most _EASY_NEWTON_ITERS
-    Newton steps grows the step: by _THETA_TARGET / theta_0, clipped to
-    [2, 4], where theta_0 is its first Newton contraction (by 4 if it took
-    no step), and only by 2 once any attempt of the run has failed, so a run
-    that stalls takes the doubling path it always took.  The step is capped
-    at 1.  Every accepted t is recorded by estimate_report on the accepted
-    field evaluated against the problem at t: one record of t, the residual
-    norm and the monitors.  Raises ContinuationStallError, carrying the
-    partial report and the furthest accepted field, if the step floor is
-    reached before t = 1.
+    A problem whose half grid keeps at least _COARSE_MIN_POINTS points per
+    axis first walks the whole continuation on that grid, on its data
+    injected there (ProblemData.restricted), by this same rule, so 64^4
+    walks on 16^4 through 32^4.  The t = 1 field of the coarse walk is
+    prolonged (torus.prolong), normalized and corrected by Newton at t = 1
+    on the problem's own grid (nested iteration; Briggs, Henson and
+    McCormick, A Multigrid Tutorial, 2000, ch. 3).  The report keeps the
+    coarse records for t < 1, and the fine t = 1 record replaces the coarse
+    one, which is never computed.  If the coarse walk stalls or that last
+    Newton solve fails, the problem's own grid walks from t = 0, as without
+    a coarse grid, so sequencing can cost time but never the run.
+
+    The walk (_march) starts from the normalized constant -log A, the exact
+    t = 0 solution (its t = 0 residual is 0), evaluated with the zero bundle
+    of a constant field (no derivative is taken), and halves the step on any
+    solver failure down to t_step_min.  An accepted attempt of at most
+    _EASY_NEWTON_ITERS Newton steps grows the step: by _THETA_TARGET /
+    theta_0, clipped to [2, 4], where theta_0 is its first Newton
+    contraction (by 4 if it took no step), and only by 2 once any attempt of
+    the walk has failed, so a walk that stalls takes the doubling path it
+    always took.  The step is capped at 1.  Every accepted t is recorded by
+    estimate_report on the accepted field evaluated against the problem at
+    t: one record of t, the residual norm and the monitors.  Raises
+    ContinuationStallError, carrying the partial report and the furthest
+    accepted field of the problem's own grid, if its step floor is reached
+    before t = 1.
     """
+    return _sequenced(d, cfg, record_last=True)
+
+
+def _sequenced(d: ProblemData, cfg: SolverConfig, record_last: bool):
+    """run_and_return's (report, field) on d, through the half grid when
+    that keeps at least _COARSE_MIN_POINTS points per axis; the t = 1
+    record only if record_last.  The coarse walk recurses here, not through
+    run_and_return, so a caller that rebinds that name sees one run."""
+    p = d.geometry.points_per_axis
+    if p // 2 >= _COARSE_MIN_POINTS:
+        try:
+            report, u_c = _sequenced(d.restricted(), cfg, record_last=False)
+            # f's fine derivatives first, so their transient bundle never
+            # coexists with the iterate's; the Newton steps own the only
+            # reference to the prolonged field, as in _march's start()
+            d_1 = d.with_t(1.0)
+            it, history = _solve_at_t(
+                evaluate(normalize(prolong(u_c, p), d.A, d.gamma), d_1, cfg.cone_margin), cfg)
+        except (ContinuationStallError, *_SOLVE_FAILURES):
+            pass
+        else:
+            if record_last:
+                report.accepted.append(estimate_report(it))
+            u = it.u
+            del it
+            # with no Newton step u is the prolonged, normalized field itself
+            gap = 0.0 if len(history) == 1 else float(
+                np.max(np.abs(u - normalize(prolong(u_c, p), d.A, d.gamma))))
+            report.coarse = (p // 2, gap)
+            return report, u
+    return _march(d, cfg, record_last)
+
+
+def _march(d: ProblemData, cfg: SolverConfig, record_last: bool):
+    """The continuation of run_and_return on d's own grid, from t = 0;
+    every accepted t is recorded but t = 1 only if record_last."""
     report = SolveReport()
     margin = cfg.cone_margin
     # the only shift outside the Newton step: its trials come out normalized
@@ -469,11 +538,13 @@ def run_and_return(d: ProblemData, cfg: SolverConfig):
     # the accepted iterate, until the next attempt takes it; u is constant,
     # so its bundle is 0 and it is not differentiated
     it = evaluate(u, d.with_t(0.0), margin, derivs=constant_derivatives(d.geometry))
+    t = 0.0
 
     def accept():
         nonlocal u
         u = it.u
-        report.accepted.append(estimate_report(it))
+        if t < 1.0 or record_last:
+            report.accepted.append(estimate_report(it))
 
     def start(d_t: ProblemData) -> Iterate:
         """The accepted iterate against d_t, which takes over its body.  It
@@ -486,7 +557,6 @@ def run_and_return(d: ProblemData, cfg: SolverConfig):
         return evaluate(prev.u, d_t, margin, prev)
 
     accept()
-    t = 0.0
     dt = cfg.t_step_init
     failed = False
     while t < 1.0:

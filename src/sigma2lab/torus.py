@@ -63,6 +63,9 @@ record of a field dump, checked by load_field and written by save_field.
 
 The bundle (Derivs) is the one way to differentiate a field: .partials,
 .grad_sq, .lap and .hess_rows are read from its rows.
+
+prolong carries a field from a grid to a finer one by zero-padding its half
+spectrum; injection, x[::2, ...], is the way back (forms.ProblemData.restricted).
 """
 
 from __future__ import annotations
@@ -188,6 +191,24 @@ def _irfft(spectrum: np.ndarray) -> np.ndarray:
     for axis in range(spectrum.ndim - 1):
         np.fft.ifft(spectrum, axis=axis, out=spectrum)
     return np.fft.irfft(spectrum, n=spectrum.shape[0], axis=-1)
+
+
+def prolong(u: np.ndarray, p: int) -> np.ndarray:
+    """The trigonometric interpolant of the grid array u, of q points per
+    axis, sampled on the grid of p >= q points per axis: u's rfftn half
+    spectrum zero-padded to p modes per axis, with the coarse Nyquist
+    planes (mode q/2 of each axis) dropped, since their sign has no partner.
+    Exact on fields band-limited below q/2, and injection of the result,
+    x[::p // q, ...], gives back u less its Nyquist part."""
+    q = u.shape[0]
+    h = q // 2
+    spectrum = np.zeros((p,) * (u.ndim - 1) + (p // 2 + 1,), dtype=complex)
+    kept = np.r_[0:h, h + 1:q]          # coarse modes 0 .. q/2-1, -q/2+1 .. -1
+    placed = np.r_[0:h, p - h + 1:p]    # the same modes in the fine order
+    full = [placed] * (u.ndim - 1) + [np.arange(h)]
+    spectrum[np.ix_(*full)] = _rfft(u)[np.ix_(*[kept] * (u.ndim - 1), np.arange(h))]
+    spectrum *= (p / q) ** u.ndim   # numpy's inverse divides by the node count
+    return _irfft(spectrum)
 
 
 def _wavenumbers(p: int) -> tuple:

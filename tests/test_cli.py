@@ -566,10 +566,10 @@ class TestSweepA:
 
     @pytest.mark.parametrize("a_list, code", [("0.5,0.2", 0), ("0.5", 3)])
     def test_failed_solve_row(self, tmp_path, capsys, a_list, code):
-        # a large mu stalls the continuation at A = 0.5 and not at the
-        # smaller A = 0.2: the failed A gets a converged = 0 row of NaN
-        # monitors and one stderr line, and only a sweep in which every A
-        # fails exits 3
+        # a large mu stalls the continuation at A = 0.5, at t = 0.125, and
+        # not at the smaller A = 0.2: the failed A gets a converged = 0 row
+        # of its last accepted t and monitors and one stderr line, and only a
+        # sweep in which every A fails exits 3
         cfg = write_config(tmp_path, "points_per_axis = 8\nf_scale = 0\nmu_scale = 3\n"
                                      "max_newton_iters = 3\nt_step_min = 0.05\n")
         out = tmp_path / "sweep"
@@ -582,7 +582,7 @@ class TestSweepA:
         rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
         assert len(rows) == len(a_list.split(","))
         assert captured.out == f"A sweep: {len(rows) - 1}/{len(rows)} solves converged\n"
-        assert rows[0][:2] == [0.5, 0.0] and all(math.isnan(x) for x in rows[0][2:])
+        assert rows[0][:3] == [0.5, 0.0, 0.125] and not any(math.isnan(x) for x in rows[0])
         assert len(rows[0]) == len(lines[0].split(","))
         for row in rows[1:]:
             assert row[:3] == [0.2, 1.0, 1.0] and not any(math.isnan(x) for x in row)

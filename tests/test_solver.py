@@ -596,6 +596,116 @@ class TestContinuityRun:
         assert f"{type(cause).__name__}: {cause}" in str(exc_info.value)
 
 
+def full_walk(d):
+    """run_and_return(d) on d's own grid alone: a coarse grid needs more
+    points per axis than any grid has."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solve, "_COARSE_MIN_POINTS", 1 << 20)
+        return run_and_return(d, SolverConfig())
+
+
+def default_32(geom2_32, scale=0.05):
+    """The CLI's default data on 32^4 nodes, f_scale = mu_scale = scale."""
+    return profiles.perturbative_problem(geom2_32, 1.0, 0.1, scale, scale)
+
+
+@pytest.fixture(scope="module")
+def full_walk_32(geom2_32):
+    return full_walk(default_32(geom2_32))
+
+
+def grid_counter(monkeypatch):
+    """Counts of Newton steps and operator applies keyed by (kind, points
+    per axis), and of estimate_report calls by t."""
+    counts = Counter()
+    apply_to, step, report_ = (forms.LinearCoefficients.apply_to, solve._newton_step,
+                               solve.estimate_report)
+
+    def counted_apply(self, v):
+        counts["applies", v.shape[0]] += 1
+        return apply_to(self, v)
+
+    def counted_step(it, *args, **kwargs):
+        counts["steps", it.u.shape[0]] += 1
+        return step(it, *args, **kwargs)
+
+    def counted_report(it):
+        counts["report", it.data.t] += 1
+        return report_(it)
+
+    monkeypatch.setattr(forms.LinearCoefficients, "apply_to", counted_apply)
+    monkeypatch.setattr(solve, "_newton_step", counted_step)
+    monkeypatch.setattr(solve, "estimate_report", counted_report)
+    return counts
+
+
+def failing_on(monkeypatch, points, times):
+    """Make the first `times` Newton solves on `points` per axis fail."""
+    real, failed = solve._solve_at_t, []
+
+    def fake(it, cfg):
+        if it.data.geometry.points_per_axis == points and len(failed) < times:
+            failed.append(it.data.t)
+            raise ConvergenceError("forced failure", best=it.u, history=[it.rnorm])
+        return real(it, cfg)
+
+    monkeypatch.setattr(solve, "_solve_at_t", fake)
+    return failed
+
+
+class TestGridSequencing:
+    def test_default_data_finishes_on_the_coarse_walk(self, geom2_32, full_walk_32,
+                                                      monkeypatch):
+        # the 16^4 walk's t = 1 field, prolonged to 32^4, is already below
+        # newton_tol there: the fine grid takes no Newton step, the counts
+        # stay those of the full walk, and so does the solution
+        counts = grid_counter(monkeypatch)
+        report, u = run_and_return(default_32(geom2_32), SolverConfig())
+        full_report, full_u = full_walk_32
+        assert report.converged and full_report.converged
+        assert float(np.max(np.abs(u - full_u))) <= 1e-12
+        assert counts["steps", 32] == counts["applies", 32] == 0
+        assert (counts["steps", 16], counts["applies", 16]) == (4, 6), counts
+        assert [rep.t for rep in report.accepted] == [0.0, 0.25, 1.0]
+        # one record per accepted t, the t = 1 one from the fine grid only
+        assert [counts["report", t] for t in (0.0, 0.25, 1.0)] == [1, 1, 1]
+        assert report.accepted[-1].residual_norm < SolverConfig().newton_tol
+        assert report.coarse == (16, 0.0)
+        assert full_report.coarse is None
+
+    @pytest.mark.parametrize("points, times", [(16, 1 << 20), (32, 1)])
+    def test_failure_falls_back_to_the_full_walk(self, geom2_32, full_walk_32,
+                                                 monkeypatch, points, times):
+        # a coarse walk that stalls, or a handover whose Newton solve fails,
+        # leaves the fine grid to walk from t = 0: the same bytes as the
+        # full walk
+        failed = failing_on(monkeypatch, points, times)
+        report, u = run_and_return(default_32(geom2_32), SolverConfig())
+        full_report, full_u = full_walk_32
+        assert failed and failed[-1] == (1.0 if points == 32 else 0.25 / 128)
+        assert u.tobytes() == full_u.tobytes()
+        assert [rep.row() for rep in report.accepted] == \
+            [rep.row() for rep in full_report.accepted]
+        assert report.coarse is None and report.converged
+
+    def test_memory_budget(self, geom2_32, traced_peak):
+        # the 16^4 walk and the 32^4 handover peak at 23.1 grid arrays; the
+        # full walk on 32^4 peaks at 29.1
+        peak = traced_peak(run_and_return, default_32(geom2_32), SolverConfig())
+        assert peak <= 26 * geom2_32.node_count * 8
+
+    def test_fine_steps_hold_no_extra_array(self, geom2_32, traced_peak, monkeypatch):
+        # f_scale = mu_scale = 4: the fine grid takes 2 Newton steps from the
+        # prolonged field, and the sequenced run peaks no higher than the
+        # full walk (holding the first fine iterate made it 30.5 against 29.1)
+        # each run on fresh data, which computes f's derivatives itself
+        full = traced_peak(full_walk, default_32(geom2_32, 4.0))
+        counts = grid_counter(monkeypatch)
+        seq = traced_peak(run_and_return, default_32(geom2_32, 4.0), SolverConfig())
+        assert counts["steps", 32] == 2, counts
+        assert seq <= full
+
+
 class TestFieldsAreArrays:
     def test_no_field_record_inside_the_run(self, monkeypatch):
         # in memory a field is a plain array: ScalarField is the dump's

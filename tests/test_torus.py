@@ -253,6 +253,35 @@ class TestDerivativeMatrices:
         assert np.max(np.abs(d2 @ nyquist + big * nyquist)) <= 1e-12 * big
 
 
+def low_mode_polynomial(geom):
+    """A real trigonometric polynomial with every mode |k| <= 7, below the
+    Nyquist mode 8 of 16 points per axis, sampled on geom."""
+    x = [2.0 * np.pi * geom.coordinate(a) for a in range(4)]
+    return (1.5 + np.cos(7 * x[0]) * np.sin(3 * x[1]) + np.sin(5 * x[2] - 7 * x[3])
+            + 0.3 * np.cos(x[0] + 2 * x[1] - 6 * x[2] + 7 * x[3])) * np.ones(geom.shape)
+
+
+class TestProlong:
+    def test_exact_on_band_limited_fields(self):
+        coarse, fine = TorusGeometry(2, 16), TorusGeometry(2, 32)
+        u = low_mode_polynomial(coarse)
+        p_u = torus.prolong(u, 32)
+        assert p_u.shape == fine.shape
+        assert np.max(np.abs(p_u - low_mode_polynomial(fine))) <= 1e-13
+        # injection undoes the prolongation
+        assert np.max(np.abs(p_u[::2, ::2, ::2, ::2] - u)) <= 1e-13
+
+    @pytest.mark.parametrize("axes", [(3,), (0,), (1, 3)])
+    def test_coarse_nyquist_prolongs_to_zero(self, axes):
+        # (-1)^j along an axis has no partner mode of the opposite sign: its
+        # interpolant is not determined, and prolong drops it
+        geom = TorusGeometry(2, 16)
+        u = np.ones(geom.shape)
+        for a in axes:
+            u = u * np.cos(np.pi * 16 * geom.coordinate(a))
+        assert np.max(np.abs(torus.prolong(u, 32))) <= 1e-13
+
+
 class TestLaplacian:
     def test_constant(self, geom2):
         assert np.max(np.abs(lap(np.full(geom2.shape, 2.0)))) == 0.0

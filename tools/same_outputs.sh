@@ -46,6 +46,7 @@ mkdir -p "$configs"
 : >"$configs/default.cfg"
 printf 'n = 3\npoints_per_axis = 8\n' >"$configs/n3.cfg"
 printf 'profile = manufactured\n' >"$configs/manufactured.cfg"
+printf 'points_per_axis = 32\n' >"$configs/grid32.cfg"   # walks on 16^4, finishes on 32^4
 
 for side in parent change; do
     if [ $side = parent ]; then src=$parent; else src=$change; fi
@@ -54,6 +55,7 @@ for side in parent change; do
     echo "running the command set from $src" >&2
     run solve-default solve --config "$configs/default.cfg" --out "$out/solve-default" --no-header
     run solve-n3 solve --config "$configs/n3.cfg" --out "$out/solve-n3" --no-header
+    run solve-32 solve --config "$configs/grid32.cfg" --out "$out/solve-32" --no-header
     run solve-manufactured solve --config "$configs/manufactured.cfg" \
         --out "$out/solve-manufactured" --no-header
     run moser-check moser-check --config "$configs/manufactured.cfg" \
