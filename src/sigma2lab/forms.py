@@ -56,8 +56,18 @@ A body has one owner.  linearization_coefficients consumes it: the operator
 of the Newton step has one coefficient row per bundle row, each read from
 that row alone, so the rows are written over the bundle in place and the
 iterate keeps no body afterwards.  The operator streams the direction's rows
-(LinearCoefficients.apply_to), and the monitors read the eigenvalues of
-gtilde one slab of the grid at a time (gtilde_eig_range).
+(LinearCoefficients.apply_to).
+
+The pointwise work on an iterate runs one slab of the grid at a time
+(torus.slabs): evaluate's a, sigmas of g', cone tests, kappa and residual,
+linearization_coefficients' rows, and the monitors' C^1 reading and
+eigenvalues of gtilde (gtilde_eig_range).  So every temporary is one slab,
+not one grid array.  Each node's arithmetic is the whole grid's, and every
+reduction over slabs is exact (max, min, all, a count of nodes), so the
+results are the same bytes.  The t-scaled accessors of ProblemData,
+gtilde, gprime_sigmas and residual_sigma2 take the nodes as at=..., a slab
+of the whole-grid arrays they read, every node by default; a bundle on a
+slab is the view Derivs(dv.rows[:, at], dv.lap[at]).
 """
 
 from __future__ import annotations
@@ -75,6 +85,8 @@ from .torus import (
     TorusGeometry,
     _checked_field,
     contract_derivatives,
+    partials_and_laplacian,
+    slabs,
     spectral_derivatives,
     upper_pairs,
 )
@@ -182,29 +194,28 @@ class ProblemData:
         return ProblemData(geom, self.alpha, np.ascontiguousarray(self.f[every_other]),
                            mu - mu.mean(), self.A, self.t)
 
-    # -- t-scaled accessors ------------------------------------------------
+    # -- t-scaled accessors, on the nodes `at` indexes (every node by default)
 
-    def f_eff(self) -> np.ndarray:
-        return self.t * self.f
+    def f_eff(self, at=...) -> np.ndarray:
+        return self.t * self.f[at]
 
-    def mu_eff(self) -> np.ndarray:
-        return self.t * self.mu
+    def mu_eff(self, at=...) -> np.ndarray:
+        return self.t * self.mu[at]
 
     def f_derivs(self) -> Derivs:
         """f's 2n first partials and its Laplacian, all the equation reads of
-        f: a Derivs whose rows are its own copy of the partials alone."""
+        f: a Derivs whose rows are the partials alone."""
         if self._f_derivs is None:
-            dv = spectral_derivatives(self.f)
-            self._f_derivs = Derivs(dv.partials.copy(), dv.lap)
+            self._f_derivs = partials_and_laplacian(self.f)
         return self._f_derivs
 
-    def lap_f_eff(self) -> np.ndarray:
-        return self.t * self.f_derivs().lap
+    def lap_f_eff(self, at=...) -> np.ndarray:
+        return self.t * self.f_derivs().lap[at]
 
-    def grad_f_dot(self, partials: np.ndarray) -> np.ndarray:
-        """2 Re <D f_eff, D u> for u's real first partials, t folded into
-        the scalar: (t/2) sum_a f_a u_a."""
-        return (0.5 * self.t) * _row_dot(self.f_derivs().partials, partials)
+    def grad_f_dot(self, partials: np.ndarray, at=...) -> np.ndarray:
+        """2 Re <D f_eff, D u> for u's real first partials on the nodes `at`
+        indexes, t folded into the scalar: (t/2) sum_a f_a u_a."""
+        return (0.5 * self.t) * _row_dot(self.f_derivs().partials[:, at], partials)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +351,11 @@ class Iterate:
         return self.body
 
 
-def gprime_sigmas(d: ProblemData, dv: Derivs, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sigma_1 and sigma_2 of g' = a I + c Hess u, c = 2 n alpha, in closed
-    form from a and the bundle, without assembling g':
+def gprime_sigmas(d: ProblemData, dv: Derivs, a: np.ndarray,
+                  at=...) -> tuple[np.ndarray, np.ndarray]:
+    """sigma_1 and sigma_2 of g' = a I + c Hess u, c = 2 n alpha, on the
+    nodes `at` indexes of the grid (every node by default), in closed form
+    from a and the bundle, without assembling g':
 
         sigma_1(g') = n a + c Lap u,
         sigma_2(g') = kappa_c a^2 + (n-1) c a Lap u + c^2 sigma_2(Hess u),
@@ -351,17 +364,24 @@ def gprime_sigmas(d: ProblemData, dv: Derivs, a: np.ndarray) -> tuple[np.ndarray
     contributes a^2, a c (h_jj + h_kk) and c^2 times the Hessian's minor."""
     n = d.n
     c = 2.0 * n * d.alpha
+    dv, a = Derivs(dv.rows[:, at], dv.lap[at]), a[at]
     s1 = c * dv.lap
     s1 += n * a
     s2 = sigma2_field(dv.hess_rows, n)
     s2 *= c * c
-    s2 += (d.kappa_c * a + ((n - 1) * c) * dv.lap) * a
+    tmp = d.kappa_c * a   # (kappa_c a + (n-1) c Lap u) a, summed in place
+    tmp += ((n - 1) * c) * dv.lap
+    tmp *= a
+    s2 += tmp
     return s1, s2
 
 
-def residual_sigma2(d: ProblemData, dv: Derivs, w: Weights, s2: np.ndarray) -> np.ndarray:
+def residual_sigma2(d: ProblemData, dv: Derivs, w: Weights, s2: np.ndarray,
+                    at=..., out: np.ndarray | None = None) -> np.ndarray:
     """sigma_2(g') minus the right-hand side of the Hessian form of the
-    equation, fully expanded; s2 is sigma_2(g') from gprime_sigmas.
+    equation, fully expanded, on the nodes `at` indexes of the grid (every
+    node by default); s2 is sigma_2(g') there, from gprime_sigmas.  The
+    residual is written into out, a new array by default, which is returned.
 
     With kappa_c = n(n-1)/2 and the t-scaled data the right-hand side is
 
@@ -370,13 +390,13 @@ def residual_sigma2(d: ProblemData, dv: Derivs, w: Weights, s2: np.ndarray) -> n
         - 2 n alpha mu
         + 4 alpha kappa_c e^{-u} (Lap f - 2 Re<Df, Du>).
 
-    Each term is formed in one scratch array and added to the output in
+    Each term is formed in one scratch array and added to out in
     this order, factor by factor from the left, so the sum rounds exactly as
     the expression above evaluated left to right; s2 minus the sum is then
     written over it.  Satisfies residual_sigma2 = 2 n alpha * residual_fy1
     as exact pointwise algebra of the shared discrete derivative fields.
     """
-    eu, emu, _ = w
+    dv, eu, emu = Derivs(dv.rows[:, at], dv.lap[at]), w.eu[at], w.emu[at]
     kc = d.kappa_c
     al = d.alpha
     gsq = dv.grad_sq
@@ -384,11 +404,11 @@ def residual_sigma2(d: ProblemData, dv: Derivs, w: Weights, s2: np.ndarray) -> n
     tmp = (4.0 * al) * emu
     tmp *= gsq
     np.subtract(1.0, tmp, out=tmp)
-    out = kc * eu
+    out = np.multiply(kc, eu, out=out)
     out *= eu
     out *= tmp
     # + 4 alpha kappa_c f e^{-u} |Du|^2
-    fe = d.f_eff()
+    fe = d.f_eff(at)
     np.multiply(4.0 * al * kc, fe, out=tmp)
     tmp *= emu
     tmp *= gsq
@@ -405,12 +425,12 @@ def residual_sigma2(d: ProblemData, dv: Derivs, w: Weights, s2: np.ndarray) -> n
     out += tmp
     del fe
     # - 2 n alpha mu
-    np.multiply(2.0 * d.n * al, d.mu_eff(), out=tmp)
+    np.multiply(2.0 * d.n * al, d.mu_eff(at), out=tmp)
     out -= tmp
     # + 4 alpha kappa_c e^{-u} (Lap f - 2 Re<Df, Du>)
     np.multiply(4.0 * al * kc, emu, out=tmp)
-    df = d.grad_f_dot(dv.partials)
-    np.subtract(d.lap_f_eff(), df, out=df)
+    df = d.grad_f_dot(dv.partials, at)
+    np.subtract(d.lap_f_eff(at), df, out=df)
     tmp *= df
     out += tmp
     return np.subtract(s2, out, out=out)
@@ -420,29 +440,42 @@ def evaluate(u: np.ndarray, d: ProblemData, margin: float,
              prev: Iterate | None = None, derivs: Derivs | None = None) -> Iterate:
     """Evaluate u against d: the one place a field's bundle and weights are
     built.  `prev` is an evaluation of the same u against other data (another
-    t): its body is taken, its bundle and e^{+-u} carry over, and only a,
-    the sigmas of g' and the residual are assembled again.  `derivs` is u's
-    bundle when the caller has it at no cost (a constant field's,
-    torus.constant_derivatives); it is taken, not copied.
+    t): its body is taken, its bundle and e^{+-u} carry over, and a is
+    written over its a; only a, the sigmas of g' and the residual are
+    assembled again.  `derivs` is u's bundle when the caller has it at no
+    cost (a constant field's, torus.constant_derivatives); it is taken, not
+    copied.
+
+    After the bundle and e^{+-u}, the work is pointwise, and it runs one slab
+    of the grid at a time (torus.slabs): a, the sigmas of g', both cone
+    tests, kappa and the residual, so every temporary is one slab.  The
+    readings combine exactly: rnorm and kappa are the max and the min of the
+    slabs' (a NaN propagates), in_cone is every slab's test, and the
+    Gamma_2 fraction is the count of nodes inside over the node count.
 
     Nothing here tests the arrays for finiteness: an overflowed field has a
     NaN or infinite rnorm, which never passes the solver's rnorm < newton_tol."""
     if prev is None:
         dv = spectral_derivatives(u) if derivs is None else derivs
         eu, emu = np.exp(u), np.exp(-u)
+        a = np.empty(u.shape)
     else:
-        dv, (eu, emu, _) = prev.take_body()
-    a = d.f_eff()
-    a *= emu
-    a += eu
+        dv, (eu, emu, a) = prev.take_body()
     w = Weights(eu, emu, a)
-    s1, s2 = gprime_sigmas(d, dv, a)
-    in_cone = bool(np.all(gamma2_mask(s1, s2, d.n, margin)))
-    frac = float(np.mean(gamma2_mask(s1, s2, d.n)))
-    del s1   # not read again; freed before the residual's temporaries
-    kappa = float(np.min(emu * emu * s2))
-    r = residual_sigma2(d, dv, w, s2)
-    return Iterate(u, d, r, float(np.max(np.abs(r))), in_cone, kappa, frac, Body(dv, w))
+    r = np.empty(u.shape)
+    rnorms, kappas, in_cone, inside = [], [], True, 0
+    for at in slabs(u.shape):
+        np.multiply(d.f_eff(at), emu[at], out=a[at])
+        a[at] += eu[at]
+        s1, s2 = gprime_sigmas(d, dv, a, at=at)
+        in_cone &= bool(np.all(gamma2_mask(s1, s2, d.n, margin)))
+        inside += int(np.count_nonzero(gamma2_mask(s1, s2, d.n)))
+        del s1   # not read again; freed before the residual's temporaries
+        kappas.append(np.min(emu[at] * emu[at] * s2))
+        residual_sigma2(d, dv, w, s2, at=at, out=r[at])
+        rnorms.append(np.max(np.abs(r[at])))
+    return Iterate(u, d, r, float(np.max(rnorms)), in_cone, float(np.min(kappas)),
+                   inside / u.size, Body(dv, w))
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +509,12 @@ def gtilde(it: Iterate, at=...) -> np.ndarray:
 def gtilde_eig_range(it: Iterate) -> tuple[float, float]:
     """The least and the largest eigenvalue of gtilde over the grid, equal
     to those of hermitian_eigenvalues(gtilde(it), n).  gtilde and its
-    eigenvalues are formed one slab of the first grid axis at a time, by the
-    same nodewise algebra, so no whole-grid gtilde is built."""
+    eigenvalues are formed one slab of the grid at a time (torus.slabs), by
+    the same nodewise algebra, so no whole-grid gtilde is built."""
     n = it.data.n
     lows, highs = [], []
-    for i in range(len(it.u)):
-        eig = hermitian_eigenvalues(gtilde(it, at=i), n)
+    for at in slabs(it.u.shape):
+        eig = hermitian_eigenvalues(gtilde(it, at=at), n)
         lows.append(np.min(eig))
         highs.append(np.max(eig))
     return float(np.min(lows)), float(np.max(highs))
@@ -551,10 +584,12 @@ class LinearCoefficients:
 def linearization_coefficients(it: Iterate) -> LinearCoefficients:
     """Assemble the analytic coefficients of the Fréchet derivative at it.u.
 
-    It consumes the iterate's body: c0 is formed first, then each bundle row
-    is overwritten by its coefficient row, which reads only that row, b,
-    e^{-u} and f's partial for the row.  So k is the bundle's own buffer and
-    the iterate keeps no bundle or weights afterwards.
+    It consumes the iterate's body, one slab of the grid at a time
+    (torus.slabs): c0 is formed first, then each bundle row is overwritten
+    by its coefficient row, which reads only that row, b, e^{-u} and f's
+    partial for the row.  So k is the bundle's own buffer, c0 is the one
+    grid array formed, every temporary is one slab, and the iterate keeps no
+    bundle or weights afterwards.
 
     Analytic assembly (rather than automatic differentiation) keeps the
     operator in a Fourier-preconditionable second-order form; the test suite
@@ -562,39 +597,39 @@ def linearization_coefficients(it: Iterate) -> LinearCoefficients:
     """
     d = it.data
     dv, (eu, emu, a) = it.take_body()
-    b = 2.0 * eu     # e^u - f_eff e^{-u}, the u-derivative of a
-    b -= a
-    del eu           # each weight is freed once read, before the next temporaries
     kc = d.kappa_c
     al = d.alpha
     n = d.n
     coef = 2.0 * n * al
+    f_partials = d.f_derivs().partials
+    c0 = np.empty(a.shape)
+    for at in slabs(a.shape):
+        g = Derivs(dv.rows[:, at], dv.lap[at])
 
-    # u-derivative of sigma_2(g') through a, (n-1) sigma_1(g') b, minus that
-    # of the expanded right-hand side,
-    #     2 kc a b - 4 alpha kc (a |Du|^2 + e^{-u} (Lap f_eff - 2 Re<Df_eff, Du>));
-    # with sigma_1(g') = n a + coef Lap u and 2 kc = n(n-1) the a b terms cancel
-    c0 = a * dv.grad_sq
-    c0 += emu * (d.lap_f_eff() - d.grad_f_dot(dv.partials))
-    c0 *= 4.0 * al * kc
-    c0 += ((n - 1) * coef) * b * dv.lap
+        # u-derivative of sigma_2(g') through a, (n-1) sigma_1(g') b, minus
+        # that of the expanded right-hand side,
+        #     2 kc a b - 4 alpha kc (a |Du|^2 + e^{-u} (Lap f_eff - 2 Re<Df_eff, Du>));
+        # with sigma_1(g') = n a + coef Lap u and 2 kc = n(n-1) the a b terms cancel
+        c = np.multiply(a[at], g.grad_sq, out=c0[at])
+        c += emu[at] * (d.lap_f_eff(at) - d.grad_f_dot(g.partials, at))
+        c *= 4.0 * al * kc
+        b = 2.0 * eu[at]     # e^u - f_eff e^{-u}, the u-derivative of a
+        b -= a[at]
+        c += ((n - 1) * coef) * b * g.lap
 
-    # Du-derivative of the rhs, -2 Re sum_j (D_j v) w_j with
-    # w_j = c1 conj(D_j u) - 4 alpha kc e^{-u} conj(D_j f_eff) and
-    # c1 = -4 alpha kc b, is -(1/2) sum_a (c1 u_a - 4 alpha kc t e^{-u} f_a) v_a
-    u_part = (2.0 * al * kc) * b
-    del b
-    f_part = (2.0 * al * kc * d.t) * emu
-    del emu
-    for ua, fa in zip(dv.partials, d.f_derivs().partials):
-        ua *= u_part
-        ua += f_part * fa
-    del u_part, f_part
-    # 2 n alpha Tr(gtilde Hess v) with gtilde = (n-1) a I + coef (Lap u I - Hess u)
-    hk = dv.hess_rows
-    hk *= -coef * coef
-    hk[:n] += coef * ((n - 1) * a + coef * dv.lap)
-    hk[n:] *= 2.0
+        # Du-derivative of the rhs, -2 Re sum_j (D_j v) w_j with
+        # w_j = c1 conj(D_j u) - 4 alpha kc e^{-u} conj(D_j f_eff) and
+        # c1 = -4 alpha kc b, is -(1/2) sum_a (c1 u_a - 4 alpha kc t e^{-u} f_a) v_a
+        u_part = np.multiply(b, 2.0 * al * kc, out=b)
+        f_part = (2.0 * al * kc * d.t) * emu[at]
+        for ua, fa in zip(g.partials, f_partials[:, at]):
+            ua *= u_part
+            ua += f_part * fa
+        # 2 n alpha Tr(gtilde Hess v) with gtilde = (n-1) a I + coef (Lap u I - Hess u)
+        hk = g.hess_rows
+        hk *= -coef * coef
+        hk[:n] += coef * ((n - 1) * a[at] + coef * g.lap)
+        hk[n:] *= 2.0
     return LinearCoefficients(k=dv.rows, c0=c0)
 
 

@@ -17,8 +17,9 @@ constant used by the Moser iteration (reverse_sobolev_constant).
 
 Every monitor takes an evaluated forms.Iterate and reads its bundle and
 weights, so monitoring an accepted iterate differentiates nothing again.
-The eigenvalue range of the linearization metric is read one slab of the
-grid at a time (forms.gtilde_eig_range), so no whole-grid metric is built.
+The eigenvalue range of the linearization metric and the C^1 reading
+max e^{-u} |Du|^2 are read one slab of the grid at a time (torus.slabs,
+forms.gtilde_eig_range), so no whole-grid metric or product is built.
 SolveReport keeps one EstimateReport per accepted t.  Its fields, t and the
 residual norm first, are the monitors.csv schema: CSV_COLUMNS are their
 names, EstimateReport.row their values, and the CLI's writer formats it.
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import HypothesisError, RangeUnderflowError
 from .forms import Iterate, gtilde_eig_range
-from .torus import mixed_wedge_density
+from .torus import Derivs, mixed_wedge_density, slabs
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,9 @@ def estimate_report(it: Iterate) -> EstimateReport:
     vals = it.u
     inf_u = float(np.min(vals))
     sup_u = float(np.max(vals))
-    c1 = float(np.max(it.weights.emu * it.derivs.grad_sq))
+    dv, emu = it.derivs, it.weights.emu
+    c1 = float(np.max([np.max(emu[at] * Derivs(dv.rows[:, at], dv.lap[at]).grad_sq)
+                       for at in slabs(vals.shape)]))
     eig_min, eig_max = gtilde_eig_range(it)
     return EstimateReport(
         t=d.t,

@@ -32,6 +32,8 @@ order:
 
 The diagonal rows are (D2 along x_j + D2 along y_j) / 4, and each mixed
 row is formed from the stored first partials by D1 along x_k or y_k.
+partials_and_laplacian is the same kernel without the mixed rows: the first
+partials and the Laplacian alone, all the equation reads of its data f.
 contract_derivatives forms sum_r k[r] * rows[r] for coefficient rows k by
 the same matmuls, one z_j at a time, without storing the rows.
 
@@ -62,7 +64,9 @@ trapezoidal-exact for periodic smooth integrands.  ScalarField is only the
 record of a field dump, checked by load_field and written by save_field.
 
 The bundle (Derivs) is the one way to differentiate a field: .partials,
-.grad_sq, .lap and .hess_rows are read from its rows.
+.grad_sq, .lap and .hess_rows are read from its rows.  slabs splits a grid
+into slabs of whole first-axis indices, on which the package does its
+pointwise work so that every temporary is one slab.
 
 prolong carries a field from a grid to a finer one by zero-padding its half
 spectrum; injection, x[::2, ...], is the way back (forms.ProblemData.restricted).
@@ -167,6 +171,22 @@ def unpack_hermitian(rows: np.ndarray, n: int) -> np.ndarray:
     return m
 
 
+# Pointwise work on a grid array runs one slab of the first grid axis at a
+# time, so that its temporaries are slab-sized: at most _SLAB_NODES nodes,
+# whole first-axis indices, and at least one index per slab.
+_SLAB_NODES = 2 ** 15
+
+
+def slabs(shape: tuple):
+    """Slices of the first axis of a grid of this shape, in order, that
+    cover it: each holds as many whole first-axis indices as fit in
+    _SLAB_NODES nodes, and at least one."""
+    per_index = math.prod(shape[1:])
+    width = max(1, _SLAB_NODES // per_index)
+    for start in range(0, shape[0], width):
+        yield slice(start, min(start + width, shape[0]))
+
+
 # ---------------------------------------------------------------------------
 # spectral derivatives
 #
@@ -199,16 +219,23 @@ def prolong(u: np.ndarray, p: int) -> np.ndarray:
     spectrum zero-padded to p modes per axis, with the coarse Nyquist
     planes (mode q/2 of each axis) dropped, since their sign has no partner.
     Exact on fields band-limited below q/2, and injection of the result,
-    x[::p // q, ...], gives back u less its Nyquist part."""
+    x[::p // q, ...], gives back u less its Nyquist part.
+
+    The spectrum is padded and inverted one axis at a time, so no pass
+    transforms a line that is all zeros."""
     q = u.shape[0]
     h = q // 2
-    spectrum = np.zeros((p,) * (u.ndim - 1) + (p // 2 + 1,), dtype=complex)
     kept = np.r_[0:h, h + 1:q]          # coarse modes 0 .. q/2-1, -q/2+1 .. -1
     placed = np.r_[0:h, p - h + 1:p]    # the same modes in the fine order
-    full = [placed] * (u.ndim - 1) + [np.arange(h)]
-    spectrum[np.ix_(*full)] = _rfft(u)[np.ix_(*[kept] * (u.ndim - 1), np.arange(h))]
+    spectrum = _rfft(u)[np.ix_(*[kept] * (u.ndim - 1), np.arange(h))]
     spectrum *= (p / q) ** u.ndim   # numpy's inverse divides by the node count
-    return _irfft(spectrum)
+    for axis in range(u.ndim - 1):
+        padded = np.zeros(spectrum.shape[:axis] + (p,) + spectrum.shape[axis + 1:],
+                          dtype=complex)
+        padded[(slice(None),) * axis + (placed,)] = spectrum
+        spectrum = np.fft.ifft(padded, axis=axis, out=padded)
+    # irfft pads the last axis's modes h .. p/2 with zeros itself
+    return np.fft.irfft(spectrum, n=p, axis=-1)
 
 
 def _wavenumbers(p: int) -> tuple:
@@ -285,8 +312,10 @@ class Derivs:
     rows   (n^2 + 2n,) + grid, real, in the order of the module docstring
     lap    the complex Laplacian sum_j u_{j jbar}, the sum of the diagonal rows
 
-    Views of the rows share their one buffer.  f's bundle keeps its own copy
-    of the 2n first partials alone (forms.ProblemData.f_derivs)."""
+    Views of the rows share their one buffer.  f's bundle holds the 2n first
+    partials alone (partials_and_laplacian, forms.ProblemData.f_derivs).
+    Derivs(dv.rows[:, at], dv.lap[at]) is the bundle on the nodes `at`
+    indexes, a view."""
 
     rows: np.ndarray
     lap: np.ndarray
@@ -312,27 +341,52 @@ class Derivs:
         return 0.25 * np.einsum("a...,a...->...", p, p)
 
 
-def spectral_derivatives(u: np.ndarray) -> Derivs:
-    """First partials, packed complex Hessian and Laplacian of the field u:
-    each row is one or two matmuls with derivative_matrices, written
-    straight into the bundle's single array.
-
-    The first partials and the diagonal rows differentiate u - u(0), which is
-    stored in the last row's slot until that row, written last, replaces it;
-    so a constant field has rows of exact zeros.  Each mixed row is
-    differentiated from the stored first partials, and the Laplacian's array
-    holds the second term of each diagonal or mixed row before the sum."""
+def _partials_and_diagonal(u: np.ndarray, partials: np.ndarray, diagonal: np.ndarray,
+                           w: np.ndarray, term: np.ndarray) -> None:
+    """Write the 2n first partials of u into partials and its n diagonal
+    Hessian rows into diagonal, each by one or two matmuls with
+    derivative_matrices.  They differentiate w = u - u(0), which this writes,
+    so a constant field has rows of exact zeros; term holds the second term
+    of each diagonal row before it is added.  The Laplacian is the sum of
+    the diagonal rows, np.sum(diagonal, axis=0), which the caller forms."""
     n = u.ndim // 2
     d1, d2 = derivative_matrices(u.shape[0])
-    q1, q2 = 0.25 * d1, 0.25 * d2   # exact: the quarter of each Hessian row
+    q2 = 0.25 * d2   # exact: the quarter of each Hessian row
+    np.subtract(u, u.flat[0], out=w)
+    for a in range(2 * n):
+        _along(d1, w, a, partials[a])
+    for j in range(n):
+        _along(q2, w, 2 * j, diagonal[j])
+        diagonal[j] += _along(q2, w, 2 * j + 1, term)
+
+
+def partials_and_laplacian(u: np.ndarray) -> Derivs:
+    """The 2n first partials and the Laplacian of the field u, a Derivs
+    without Hessian rows: what the equation reads of its data f.  The same
+    kernel as spectral_derivatives, whose Laplacian it equals byte for byte;
+    the diagonal rows are scratch here."""
+    n = u.ndim // 2
+    partials, lap = np.empty((2 * n,) + u.shape), np.empty(u.shape)
+    diagonal = np.empty((n,) + u.shape)
+    _partials_and_diagonal(u, partials, diagonal, np.empty(u.shape), lap)
+    np.sum(diagonal, axis=0, out=lap)
+    return Derivs(rows=partials, lap=lap)
+
+
+def spectral_derivatives(u: np.ndarray) -> Derivs:
+    """First partials, packed complex Hessian and Laplacian of the field u,
+    written straight into the bundle's single array: the first partials and
+    the diagonal rows as partials_and_laplacian forms them, then each mixed
+    row from the stored first partials.
+
+    u - u(0) is held in the last row's slot until that row, written last,
+    replaces it, and the Laplacian's array holds the second term of each
+    diagonal or mixed row before the sum."""
+    n = u.ndim // 2
+    q1 = 0.25 * derivative_matrices(u.shape[0])[0]
     rows = np.empty((n * n + 2 * n,) + u.shape)
     lap = np.empty(u.shape)
-    w = np.subtract(u, u.flat[0], out=rows[-1])
-    for a in range(2 * n):
-        _along(d1, w, a, rows[a])
-    for j in range(n):
-        _along(q2, w, 2 * j, rows[2 * n + j])
-        rows[2 * n + j] += _along(q2, w, 2 * j + 1, lap)
+    _partials_and_diagonal(u, rows[:2 * n], rows[2 * n:3 * n], rows[-1], lap)
     for r, (j, k) in enumerate(upper_pairs(n)):
         px, py = rows[2 * j], rows[2 * j + 1]
         re, im = rows[3 * n + 2 * r], rows[3 * n + 2 * r + 1]

@@ -65,7 +65,8 @@ def test_n3_traced_memory(tmp_path, monkeypatch):
     # past the linear solve and a rejected trial next to the new one gave
     # 106; coefficient rows in a fresh array next to the start iterate's
     # live bundle gave 42 and 66 for the linearization and the step; scipy's
-    # BiCGStab and a fresh spectrum per derivative row gave 25.5 for the step)
+    # BiCGStab and a fresh spectrum per derivative row gave 25.5 for the step;
+    # whole-grid temporaries in the linearization gave 8)
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
@@ -80,5 +81,5 @@ def test_n3_traced_memory(tmp_path, monkeypatch):
     assert verdict.ok, verdict.lines()
     layers = result["layers"]
     assert layers["torus.derivs.peak_mb"] <= 90
-    assert layers["forms.lincoef.peak_mb"] <= 16
+    assert layers["forms.lincoef.peak_mb"] <= 5
     assert layers["solve.step.peak_mb"] <= 24

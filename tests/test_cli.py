@@ -689,18 +689,21 @@ class TestMoserCheck:
 
 
     def test_one_bundle_per_field(self, tmp_path, patch_everywhere):
-        # the stored field's derivative bundle is shared by every k
+        # the stored field's derivative bundle is shared by every k, and f's
+        # partials and Laplacian are taken once
         cfg = write_config(tmp_path, PERTURBATIVE_CONFIG)
         out = tmp_path / "artifacts"
         assert run_cli("solve", "--config", cfg, "--out", str(out), "--no-header") == 0
         bundles = Counter()
-        real = torus.spectral_derivatives
 
-        def counted(u):
-            bundles[u.tobytes()] += 1
-            return real(u)
+        def counting(real):
+            def counted(u):
+                bundles[u.tobytes()] += 1
+                return real(u)
+            return counted
 
-        patch_everywhere(real, counted)
+        for real in (torus.spectral_derivatives, torus.partials_and_laplacian):
+            patch_everywhere(real, counting(real))
         assert run_cli("moser-check", "--config", cfg,
                        "--solution", str(out / "solution.bin"),
                        "--out", str(tmp_path / "moser"), "--no-header") == 0

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sigma2lab import forms, profiles, torus
+from sigma2lab import forms, monitors, profiles, torus
 from sigma2lab.errors import ConfigurationError
 from sigma2lab.forms import (
     ProblemData,
@@ -495,10 +495,18 @@ class TestLeanIterate:
         assert prev.body is None and it.derivs.rows is rows
 
     def test_linearization_memory(self, problem3, rng, traced_peak):
-        # c0 and a few row-sized temporaries: k is the bundle's buffer
+        # c0 and slab-sized temporaries: k is the bundle's buffer (whole-grid
+        # temporaries gave 4 grid arrays)
         d = problem3
         it = evaluate(perturbed_solution(d, rng), d, 0.0)
-        assert traced_peak(linearization_coefficients, it) <= 5 * d.geometry.node_count * 8
+        assert traced_peak(linearization_coefficients, it) <= 2 * d.geometry.node_count * 8
+
+    def test_evaluation_memory(self, geom2_32, traced_peak):
+        # the bundle, e^{+-u}, a and the residual are 13 grid arrays on 32^4;
+        # every other temporary is one slab (whole-grid temporaries gave 17)
+        d = slab_problem(geom2_32)
+        u = random_band_limited(geom2_32, np.random.default_rng(3), 3, 0.5)
+        assert traced_peak(evaluate, u, d, 0.0) <= 14 * geom2_32.node_count * 8
 
     def test_rhs_memory(self, problem3, rng, traced_peak):
         # the output and at most 4 grid arrays of temporaries: the
@@ -517,3 +525,50 @@ class TestLeanIterate:
         it = evaluate(random_band_limited(d.geometry, rng, 3, 1.0), d, 0.0)
         eigs = hermitian_eigenvalues(gtilde(it), d.n)
         assert gtilde_eig_range(it) == (float(np.min(eigs)), float(np.max(eigs)))
+
+
+def slab_problem(geom):
+    """Data with nonzero f and mu, mid-continuation, with f's derivatives
+    taken."""
+    d = ProblemData(geom, 0.8, profiles.f_profile(geom, 0.3), profiles.mu_profile(geom, 0.5),
+                    0.15, t=0.7)
+    d.f_derivs()
+    return d
+
+
+class TestSlabs:
+    """The pointwise work of an iterate runs slab by slab (torus.slabs); each
+    node's arithmetic is that of the whole grid and every reduction is exact,
+    so every output equals the one-slab run's byte for byte."""
+
+    @staticmethod
+    def outputs(d, u):
+        """The bytes of everything an evaluation, a re-evaluation at another
+        t that takes its body, the monitors and a linearization read out,
+        and the readings of an overflowing trial."""
+        def readings(it):
+            return [it.residual, it.rnorm, it.in_cone, it.kappa, it.gamma2_fraction]
+
+        fresh = evaluate(u, d, 1e-6)
+        out = readings(fresh) + list(fresh.weights)
+        out += list(monitors.estimate_report(fresh).row())
+        again = evaluate(u, d.with_t(0.4), 0.0, fresh)
+        out += readings(again) + list(again.weights)
+        lc = linearization_coefficients(again)
+        out += [lc.k, lc.c0]
+        with np.errstate(over="ignore", invalid="ignore"):   # e^{+-u} overflows at some nodes
+            trial = evaluate(1600.0 * u, d, 0.0)
+        assert not np.isfinite(trial.rnorm) and trial.in_cone is False
+        out += readings(trial)
+        return [np.asarray(x).tobytes() for x in out]
+
+    @pytest.mark.parametrize("which", ["geom2_32", "geom3"])
+    def test_same_bytes_as_one_slab(self, which, request, monkeypatch):
+        geom = request.getfixturevalue(which)
+        assert len(list(torus.slabs(geom.shape))) == geom.points_per_axis
+        d = slab_problem(geom)
+        u = random_band_limited(geom, np.random.default_rng(4), 3, 0.5)
+        slabbed = self.outputs(d, u)
+        monkeypatch.setattr(torus, "_SLAB_NODES", geom.node_count)
+        assert len(list(torus.slabs(geom.shape))) == 1
+        assert slabbed == self.outputs(d, u)

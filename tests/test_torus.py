@@ -281,6 +281,51 @@ class TestProlong:
             u = u * np.cos(np.pi * 16 * geom.coordinate(a))
         assert np.max(np.abs(torus.prolong(u, 32))) <= 1e-13
 
+    @pytest.mark.parametrize("n, q", [(2, 16), (3, 8)])
+    def test_same_bytes_as_whole_spectrum_padding(self, n, q):
+        # padding and inverting one axis at a time transforms each nonzero
+        # line as the whole zero-padded spectrum's passes do
+        def whole_spectrum_prolong(u, p):
+            h = q // 2
+            spectrum = np.zeros((p,) * (u.ndim - 1) + (p // 2 + 1,), dtype=complex)
+            kept, placed = np.r_[0:h, h + 1:q], np.r_[0:h, p - h + 1:p]
+            full = [placed] * (u.ndim - 1) + [np.arange(h)]
+            spectrum[np.ix_(*full)] = np.fft.rfftn(u)[np.ix_(*[kept] * (u.ndim - 1),
+                                                             np.arange(h))]
+            spectrum *= (p / q) ** u.ndim
+            for axis in range(u.ndim - 1):
+                np.fft.ifft(spectrum, axis=axis, out=spectrum)
+            return np.fft.irfft(spectrum, n=p, axis=-1)
+
+        u = np.random.default_rng(5).standard_normal((q,) * (2 * n))
+        assert torus.prolong(u, 2 * q).tobytes() == whole_spectrum_prolong(u, 2 * q).tobytes()
+
+
+class TestSlabs:
+    @pytest.mark.parametrize("n, p, count", [(2, 32, 32), (3, 8, 8), (3, 16, 16),
+                                             (2, 16, 2), (2, 8, 1)])
+    def test_whole_first_axis_indices(self, n, p, count):
+        # at most 2^15 nodes a slab, and at least one first-axis index
+        shape = TorusGeometry(n, p).shape
+        got = list(torus.slabs(shape))
+        assert len(got) == count
+        assert [i for at in got for i in range(p)[at]] == list(range(p))
+        width = got[0].stop - got[0].start
+        assert width == min(p, max(1, 2 ** 15 // p ** (2 * n - 1)))
+
+
+class TestPartialsAndLaplacian:
+    @pytest.mark.parametrize("which", ["geom2", "geom3"])
+    def test_bundle_bytes(self, which, request, rng):
+        # the bundle's kernel without its mixed rows: the same partials and
+        # the same Laplacian, byte for byte
+        geom = request.getfixturevalue(which)
+        u = random_band_limited(geom, rng, 3, 1.0)
+        got, want = torus.partials_and_laplacian(u), spectral_derivatives(u)
+        assert got.rows.shape == want.partials.shape
+        assert got.rows.tobytes() == want.partials.tobytes()
+        assert got.lap.tobytes() == want.lap.tobytes()
+
 
 class TestLaplacian:
     def test_constant(self, geom2):

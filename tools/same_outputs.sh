@@ -47,6 +47,8 @@ mkdir -p "$configs"
 printf 'n = 3\npoints_per_axis = 8\n' >"$configs/n3.cfg"
 printf 'profile = manufactured\n' >"$configs/manufactured.cfg"
 printf 'points_per_axis = 32\n' >"$configs/grid32.cfg"   # walks on 16^4, finishes on 32^4
+# the same at f_scale = mu_scale = 4, whose 32^4 finish takes Newton steps
+printf 'points_per_axis = 32\nf_scale = 4\nmu_scale = 4\n' >"$configs/grid32-scale4.cfg"
 
 for side in parent change; do
     if [ $side = parent ]; then src=$parent; else src=$change; fi
@@ -56,6 +58,8 @@ for side in parent change; do
     run solve-default solve --config "$configs/default.cfg" --out "$out/solve-default" --no-header
     run solve-n3 solve --config "$configs/n3.cfg" --out "$out/solve-n3" --no-header
     run solve-32 solve --config "$configs/grid32.cfg" --out "$out/solve-32" --no-header
+    run solve-32-scale4 solve --config "$configs/grid32-scale4.cfg" \
+        --out "$out/solve-32-scale4" --no-header
     run solve-manufactured solve --config "$configs/manufactured.cfg" \
         --out "$out/solve-manufactured" --no-header
     run moser-check moser-check --config "$configs/manufactured.cfg" \
