@@ -36,21 +36,21 @@ the two sigmas, and hermitian_eigenvalues has closed forms.  A gradient
 pairing 2 Re sum_j p_j conj(q_j) of complex gradients is
 (1/2) sum_a p_a q_a over the 2n real partials.
 
-evaluate() is the one place a field's bundle and weights are built.  It
-returns an Iterate in two parts.  The part a Newton step keeps is the field,
-its residual and its readings: the residual's max-norm, the cone test and
-two monitor readings.  The body is the bundle and the weights e^{+-u} and a.
-gprime, gtilde, residual_fy1, linearization_coefficients and the monitors
-each take that Iterate, so the solver, the monitors and the verify suites
-read a field the same way.  g' itself is not assembled on the solve path:
-sigma_1 and sigma_2 of g' have closed forms in a and the bundle
-(gprime_sigmas), which is all the cone test, the residual and the monitors
-read of it.  Neither the bundle nor e^{+-u} depends on t, so evaluate()
-takes them over from an earlier evaluation of the same field, and f's first
-partials and Laplacian, all the equation reads of f, are computed once and
-shared by every ProblemData.with_t copy.  ProblemData.restricted is the
-same data injected on the half grid, where the solver walks its
-continuation first.
+evaluate() is the one place a field's bundle is built.  It returns an
+Iterate in two parts.  The part a Newton step keeps is the field, its
+residual and its readings: the residual's max-norm, the cone test and two
+monitor readings.  The body is the bundle alone.  gprime, gtilde,
+residual_fy1, linearization_coefficients and the monitors each take that
+Iterate, so the solver, the monitors and the verify suites read a field the
+same way.  g' itself is not assembled on the solve path: sigma_1 and
+sigma_2 of g' have closed forms in a and the bundle (gprime_sigmas), which
+is all the cone test, the residual and the monitors read of it.  The bundle
+does not depend on t, so evaluate() takes it over from an earlier
+evaluation of the same field.  f's partial along the first axis and its
+Laplacian are computed once and shared by every ProblemData.with_t copy;
+f's other partials are formed where they are read.
+ProblemData.restricted is the same data injected on the half grid, where
+the solver walks its continuation first.
 
 A body has one owner.  linearization_coefficients consumes it: the operator
 of the Newton step has one coefficient row per bundle row, each read from
@@ -59,15 +59,18 @@ iterate keeps no body afterwards.  The operator streams the direction's rows
 (LinearCoefficients.apply_to).
 
 The pointwise work on an iterate runs one slab of the grid at a time
-(torus.slabs): evaluate's a, sigmas of g', cone tests, kappa and residual,
+(torus.slabs): evaluate's sigmas of g', cone tests, kappa and residual,
 linearization_coefficients' rows, and the monitors' C^1 reading and
 eigenvalues of gtilde (gtilde_eig_range).  So every temporary is one slab,
-not one grid array.  Each node's arithmetic is the whole grid's, and every
-reduction over slabs is exact (max, min, all, a count of nodes), so the
-results are the same bytes.  The t-scaled accessors of ProblemData,
-gtilde, gprime_sigmas and residual_sigma2 take the nodes as at=..., a slab
-of the whole-grid arrays they read, every node by default; a bundle on a
-slab is the view Derivs(dv.rows[:, at], dv.lap[at]).
+not one grid array, and no grid array is held that a slab can form again:
+the weights e^{+-u} and a (weights()), the bundle's Laplacian (Derivs.lap)
+and f's partials off the first axis (ProblemData.f_partials) are formed on
+each slab where they are read.  Each node's arithmetic is the whole
+grid's, and every reduction over slabs is exact (max, min, all, a count of
+nodes), so the results are the same bytes.  The accessors of ProblemData,
+weights, gtilde and residual_sigma2 take the nodes as at=..., a slab of the
+whole-grid arrays they read, every node by default; a bundle on a slab is
+the view Derivs(dv.rows[:, at]).
 """
 
 from __future__ import annotations
@@ -85,10 +88,11 @@ from .torus import (
     TorusGeometry,
     _checked_field,
     contract_derivatives,
-    partials_and_laplacian,
+    slab_partials,
     slabs,
     spectral_derivatives,
     upper_pairs,
+    x1_partial_and_laplacian,
 )
 
 
@@ -131,14 +135,16 @@ class ProblemData:
     the rounding of its mean), normalization level A in (0,1) with
     kappa_c / A^2 (sigma_2(g') of the t = 0 solution) finite in float64,
     and the continuation parameter t in [0,1].  f and mu are
-    finite arrays of the grid's shape.  f's first partials and Laplacian are
-    computed on first use, or passed in as f_derivs, and shared with every
-    with_t copy (f is fixed along a continuation run).
+    finite arrays of the grid's shape.  Of f's derivatives it stores two
+    grid arrays, its partial along the first axis and its Laplacian
+    (f_derivs), computed on first use, or passed in, and shared with every
+    with_t copy (f is fixed along a continuation run); f's other partials
+    are formed on the slab where they are read (f_partials).
     """
 
     def __init__(self, geometry: TorusGeometry, alpha: float, f: np.ndarray,
                  mu: np.ndarray, A: float, t: float = 1.0,
-                 f_derivs: Derivs | None = None):
+                 f_derivs: tuple[np.ndarray, np.ndarray] | None = None):
         if not (alpha > 0.0 and np.isfinite(alpha)):
             raise ConfigurationError(f"alpha must be positive, got {alpha}")
         check_A(A, geometry.n)
@@ -202,20 +208,33 @@ class ProblemData:
     def mu_eff(self, at=...) -> np.ndarray:
         return self.t * self.mu[at]
 
-    def f_derivs(self) -> Derivs:
-        """f's 2n first partials and its Laplacian, all the equation reads of
-        f: a Derivs whose rows are the partials alone."""
+    def f_derivs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(d f / d x_1, Lap f), the grid arrays stored of f's derivatives
+        (torus.x1_partial_and_laplacian)."""
         if self._f_derivs is None:
-            self._f_derivs = partials_and_laplacian(self.f)
+            self._f_derivs = x1_partial_and_laplacian(self.f)
         return self._f_derivs
 
+    def f_partials(self, at=...):
+        """f's 2n first partials on the nodes `at` indexes, not t-scaled,
+        one at a time in row order, each in one slab of scratch that the
+        next overwrites (torus.slab_partials)."""
+        return slab_partials(self.f, self.f_derivs()[0], at)
+
     def lap_f_eff(self, at=...) -> np.ndarray:
-        return self.t * self.f_derivs().lap[at]
+        return self.t * self.f_derivs()[1][at]
 
     def grad_f_dot(self, partials: np.ndarray, at=...) -> np.ndarray:
         """2 Re <D f_eff, D u> for u's real first partials on the nodes `at`
-        indexes, t folded into the scalar: (t/2) sum_a f_a u_a."""
-        return (0.5 * self.t) * _row_dot(self.f_derivs().partials[:, at], partials)
+        indexes, t folded into the scalar: (t/2) sum_a f_a u_a.  The sum
+        starts from 0 and adds the products in row order, as an einsum over
+        the rows does, one row of f at a time."""
+        out = np.zeros(partials.shape[1:])
+        for fa, ua in zip(self.f_partials(at), partials):
+            fa *= ua
+            out += fa
+        out *= 0.5 * self.t
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -291,20 +310,24 @@ def gamma2_mask(s1: np.ndarray, s2: np.ndarray, n: int, margin: float = 0.0) -> 
 
 
 class Weights(NamedTuple):
-    """e^u, e^{-u} and a = e^u + f_eff e^{-u}.  f_eff is formed where it is
-    read, and b = e^u - f_eff e^{-u} is 2 e^u - a."""
+    """e^u, e^{-u} and a = e^u + f_eff e^{-u} of a field on some nodes,
+    formed by weights() where they are read; no iterate stores them.
+    b = e^u - f_eff e^{-u} is 2 e^u - a."""
 
     eu: np.ndarray
     emu: np.ndarray
     a: np.ndarray
 
 
-class Body(NamedTuple):
-    """What a Newton step consumes of an iterate: the field's bundle and its
-    weights, n^2 + 2n + 4 grid arrays."""
-
-    derivs: Derivs
-    weights: Weights
+def weights(u: np.ndarray, d: ProblemData, at=...) -> Weights:
+    """The weights of the field u against d on the nodes `at` indexes (a
+    slab of the grid; every node by default): each node's e^{+-u} and a are
+    the same bytes whichever nodes they are formed with."""
+    eu, emu = np.exp(u[at]), np.exp(-u[at])
+    a = d.f_eff(at)
+    a *= emu
+    a += eu
+    return Weights(eu, emu, a)
 
 
 @dataclass(frozen=True)
@@ -316,9 +339,10 @@ class Iterate:
     arrays, and three readings of g': in_cone, whether every node lies in
     Gamma_2 at the margin it was evaluated with, and the monitors' kappa =
     min e^{-2u} sigma_2(g') and the fraction of nodes in Gamma_2.  The body
-    is the bundle and the weights, read through .derivs and .weights until
+    is the bundle alone, n^2 + 2n grid arrays, read through .derivs until
     take_body detaches it; linearization_coefficients and an evaluation of
-    the same field against other data each take it."""
+    the same field against other data each take it.  The weights are formed
+    from the field where they are read (weights())."""
 
     u: np.ndarray
     data: ProblemData
@@ -327,35 +351,27 @@ class Iterate:
     in_cone: bool
     kappa: float
     gamma2_fraction: float
-    body: Body | None
+    body: Derivs | None
 
     @property
     def derivs(self) -> Derivs:
-        return self._live_body().derivs
+        if self.body is None:
+            raise RuntimeError("this iterate's bundle was taken by a Newton "
+                               "step or a later evaluation")
+        return self.body
 
-    @property
-    def weights(self) -> Weights:
-        return self._live_body().weights
-
-    def take_body(self) -> Body:
-        """The body, detached from this iterate, which keeps only its field,
-        residual and readings afterwards."""
-        body = self._live_body()
+    def take_body(self) -> Derivs:
+        """The bundle, detached from this iterate, which keeps only its
+        field, residual and readings afterwards."""
+        body = self.derivs
         object.__setattr__(self, "body", None)
         return body
 
-    def _live_body(self) -> Body:
-        if self.body is None:
-            raise RuntimeError("this iterate's bundle and weights were taken "
-                               "by a Newton step or a later evaluation")
-        return self.body
 
-
-def gprime_sigmas(d: ProblemData, dv: Derivs, a: np.ndarray,
-                  at=...) -> tuple[np.ndarray, np.ndarray]:
+def gprime_sigmas(d: ProblemData, dv: Derivs, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sigma_1 and sigma_2 of g' = a I + c Hess u, c = 2 n alpha, on the
-    nodes `at` indexes of the grid (every node by default), in closed form
-    from a and the bundle, without assembling g':
+    nodes the bundle dv and a hold (a slab of the grid, or all of it), in
+    closed form from a and the bundle, without assembling g':
 
         sigma_1(g') = n a + c Lap u,
         sigma_2(g') = kappa_c a^2 + (n-1) c a Lap u + c^2 sigma_2(Hess u),
@@ -364,13 +380,13 @@ def gprime_sigmas(d: ProblemData, dv: Derivs, a: np.ndarray,
     contributes a^2, a c (h_jj + h_kk) and c^2 times the Hessian's minor."""
     n = d.n
     c = 2.0 * n * d.alpha
-    dv, a = Derivs(dv.rows[:, at], dv.lap[at]), a[at]
-    s1 = c * dv.lap
+    lap = dv.lap
+    s1 = c * lap
     s1 += n * a
     s2 = sigma2_field(dv.hess_rows, n)
     s2 *= c * c
     tmp = d.kappa_c * a   # (kappa_c a + (n-1) c Lap u) a, summed in place
-    tmp += ((n - 1) * c) * dv.lap
+    tmp += ((n - 1) * c) * lap
     tmp *= a
     s2 += tmp
     return s1, s2
@@ -380,8 +396,9 @@ def residual_sigma2(d: ProblemData, dv: Derivs, w: Weights, s2: np.ndarray,
                     at=..., out: np.ndarray | None = None) -> np.ndarray:
     """sigma_2(g') minus the right-hand side of the Hessian form of the
     equation, fully expanded, on the nodes `at` indexes of the grid (every
-    node by default); s2 is sigma_2(g') there, from gprime_sigmas.  The
-    residual is written into out, a new array by default, which is returned.
+    node by default), which the bundle dv, the weights w and s2,
+    sigma_2(g') from gprime_sigmas, hold.  The residual is written into
+    out, a new array by default, which is returned.
 
     With kappa_c = n(n-1)/2 and the t-scaled data the right-hand side is
 
@@ -396,7 +413,7 @@ def residual_sigma2(d: ProblemData, dv: Derivs, w: Weights, s2: np.ndarray,
     written over it.  Satisfies residual_sigma2 = 2 n alpha * residual_fy1
     as exact pointwise algebra of the shared discrete derivative fields.
     """
-    dv, eu, emu = Derivs(dv.rows[:, at], dv.lap[at]), w.eu[at], w.emu[at]
+    eu, emu = w.eu, w.emu
     kc = d.kappa_c
     al = d.alpha
     gsq = dv.grad_sq
@@ -427,10 +444,11 @@ def residual_sigma2(d: ProblemData, dv: Derivs, w: Weights, s2: np.ndarray,
     # - 2 n alpha mu
     np.multiply(2.0 * d.n * al, d.mu_eff(at), out=tmp)
     out -= tmp
+    del tmp   # freed while f's partials are formed
     # + 4 alpha kappa_c e^{-u} (Lap f - 2 Re<Df, Du>)
-    np.multiply(4.0 * al * kc, emu, out=tmp)
     df = d.grad_f_dot(dv.partials, at)
     np.subtract(d.lap_f_eff(at), df, out=df)
+    tmp = np.multiply(4.0 * al * kc, emu)
     tmp *= df
     out += tmp
     return np.subtract(s2, out, out=out)
@@ -438,44 +456,39 @@ def residual_sigma2(d: ProblemData, dv: Derivs, w: Weights, s2: np.ndarray,
 
 def evaluate(u: np.ndarray, d: ProblemData, margin: float,
              prev: Iterate | None = None, derivs: Derivs | None = None) -> Iterate:
-    """Evaluate u against d: the one place a field's bundle and weights are
-    built.  `prev` is an evaluation of the same u against other data (another
-    t): its body is taken, its bundle and e^{+-u} carry over, and a is
-    written over its a; only a, the sigmas of g' and the residual are
-    assembled again.  `derivs` is u's bundle when the caller has it at no
-    cost (a constant field's, torus.constant_derivatives); it is taken, not
-    copied.
+    """Evaluate u against d: the one place a field's bundle is built.
+    `prev` is an evaluation of the same u against other data (another t):
+    its body, the bundle, is taken and carries over.  `derivs` is u's bundle
+    when the caller has it at no cost (a constant field's,
+    torus.constant_derivatives); it is taken, not copied.
 
-    After the bundle and e^{+-u}, the work is pointwise, and it runs one slab
-    of the grid at a time (torus.slabs): a, the sigmas of g', both cone
-    tests, kappa and the residual, so every temporary is one slab.  The
-    readings combine exactly: rnorm and kappa are the max and the min of the
-    slabs' (a NaN propagates), in_cone is every slab's test, and the
-    Gamma_2 fraction is the count of nodes inside over the node count.
+    After the bundle, the work is pointwise, and it runs one slab of the
+    grid at a time (torus.slabs): the weights, the sigmas of g', both cone
+    tests, kappa and the residual, so the residual is the one grid array
+    formed besides the bundle and every temporary is one slab.  The readings
+    combine exactly: rnorm and kappa are the max and the min of the slabs'
+    (a NaN propagates), in_cone is every slab's test, and the Gamma_2
+    fraction is the count of nodes inside over the node count.
 
     Nothing here tests the arrays for finiteness: an overflowed field has a
     NaN or infinite rnorm, which never passes the solver's rnorm < newton_tol."""
     if prev is None:
         dv = spectral_derivatives(u) if derivs is None else derivs
-        eu, emu = np.exp(u), np.exp(-u)
-        a = np.empty(u.shape)
     else:
-        dv, (eu, emu, a) = prev.take_body()
-    w = Weights(eu, emu, a)
+        dv = prev.take_body()
     r = np.empty(u.shape)
     rnorms, kappas, in_cone, inside = [], [], True, 0
     for at in slabs(u.shape):
-        np.multiply(d.f_eff(at), emu[at], out=a[at])
-        a[at] += eu[at]
-        s1, s2 = gprime_sigmas(d, dv, a, at=at)
+        g, w = Derivs(dv.rows[:, at]), weights(u, d, at)
+        s1, s2 = gprime_sigmas(d, g, w.a)
         in_cone &= bool(np.all(gamma2_mask(s1, s2, d.n, margin)))
         inside += int(np.count_nonzero(gamma2_mask(s1, s2, d.n)))
         del s1   # not read again; freed before the residual's temporaries
-        kappas.append(np.min(emu[at] * emu[at] * s2))
-        residual_sigma2(d, dv, w, s2, at=at, out=r[at])
+        kappas.append(np.min(w.emu * w.emu * s2))
+        residual_sigma2(d, g, w, s2, at=at, out=r[at])
         rnorms.append(np.max(np.abs(r[at])))
     return Iterate(u, d, r, float(np.max(rnorms)), in_cone, float(np.min(kappas)),
-                   inside / u.size, Body(dv, w))
+                   inside / u.size, dv)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +500,7 @@ def gprime(it: Iterate) -> np.ndarray:
     packed rows."""
     d = it.data
     rows = (2.0 * d.n * d.alpha) * it.derivs.hess_rows
-    rows[:d.n] += it.weights.a
+    rows[:d.n] += weights(it.u, d).a
     return rows
 
 
@@ -499,10 +512,10 @@ def gtilde(it: Iterate, at=...) -> np.ndarray:
     These are also the coefficients F^{j kbar} of the linearized operator:
     raising both indices by the flat background metric is trivial.
     """
-    d, dv = it.data, it.derivs
+    d, dv = it.data, Derivs(it.derivs.rows[:, at])
     coef = 2.0 * d.n * d.alpha
-    rows = (-coef) * dv.hess_rows[:, at]
-    rows[:d.n] += (d.n - 1) * it.weights.a[at] + coef * dv.lap[at]
+    rows = (-coef) * dv.hess_rows
+    rows[:d.n] += (d.n - 1) * weights(it.u, d, at).a + coef * dv.lap
     return rows
 
 
@@ -532,12 +545,12 @@ def residual_fy1(it: Iterate) -> np.ndarray:
     and f; this makes the proportionality to residual_sigma2 exact.
     """
     d, dv = it.data, it.derivs
-    eu, emu, _ = it.weights
+    eu, emu, _ = weights(it.u, d)
     fe = d.f_eff()
-    gsq = dv.grad_sq
-    lap_eu = eu * (dv.lap + gsq)
+    gsq, lap = dv.grad_sq, dv.lap
+    lap_eu = eu * (lap + gsq)
     lap_femu = emu * (d.lap_f_eff() - d.grad_f_dot(dv.partials)
-                      + fe * gsq - fe * dv.lap)
+                      + fe * gsq - fe * lap)
     n = d.n
     return (n - 1) * (lap_eu - lap_femu) + 2.0 * n * d.alpha * sigma2_field(dv.hess_rows, n) + d.mu_eff()
 
@@ -576,8 +589,9 @@ class LinearCoefficients:
     def apply_to(self, v: np.ndarray) -> np.ndarray:
         """L v for a real grid array v: v's two first partials in z_j, then
         each derivative term that reads them or v, scaled by its coefficient
-        row and added to the one accumulator, which starts as c0 v; four grid
-        arrays at most.  No transform is taken."""
+        row and added to the one accumulator, which starts as c0 v, slab by
+        slab; two grid arrays and three slabs at most.  No transform is
+        taken."""
         return contract_derivatives(self.k, v, self.c0 * v)
 
 
@@ -585,52 +599,66 @@ def linearization_coefficients(it: Iterate) -> LinearCoefficients:
     """Assemble the analytic coefficients of the Fréchet derivative at it.u.
 
     It consumes the iterate's body, one slab of the grid at a time
-    (torus.slabs): c0 is formed first, then each bundle row is overwritten
-    by its coefficient row, which reads only that row, b, e^{-u} and f's
-    partial for the row.  So k is the bundle's own buffer, c0 is the one
-    grid array formed, every temporary is one slab, and the iterate keeps no
-    bundle or weights afterwards.
+    (torus.slabs, _linearize_slab): c0 is formed first, then each bundle row
+    is overwritten by its coefficient row, which reads only that row, the
+    Laplacian, the weights and f's partial for the row.  So k is the
+    bundle's own buffer, c0 is the one grid array formed, every temporary is
+    one slab, and the iterate keeps no bundle afterwards.
 
     Analytic assembly (rather than automatic differentiation) keeps the
     operator in a Fourier-preconditionable second-order form; the test suite
     certifies it against central finite differences of the residual.
     """
-    d = it.data
-    dv, (eu, emu, a) = it.take_body()
+    dv = it.take_body()
+    c0 = np.empty(it.u.shape)
+    for at in slabs(c0.shape):
+        _linearize_slab(it.u, it.data, Derivs(dv.rows[:, at]), c0, at)
+    return LinearCoefficients(k=dv.rows, c0=c0)
+
+
+def _linearize_slab(u: np.ndarray, d: ProblemData, g: Derivs, c0: np.ndarray, at) -> None:
+    """linearization_coefficients on the nodes `at` indexes, which the
+    bundle g holds: c0[at] is written, and g's rows are overwritten by
+    their coefficient rows.  Its temporaries die with the call, before the
+    next slab's are formed."""
     kc = d.kappa_c
     al = d.alpha
     n = d.n
     coef = 2.0 * n * al
-    f_partials = d.f_derivs().partials
-    c0 = np.empty(a.shape)
-    for at in slabs(a.shape):
-        g = Derivs(dv.rows[:, at], dv.lap[at])
+    eu, emu, a = weights(u, d, at)
 
-        # u-derivative of sigma_2(g') through a, (n-1) sigma_1(g') b, minus
-        # that of the expanded right-hand side,
-        #     2 kc a b - 4 alpha kc (a |Du|^2 + e^{-u} (Lap f_eff - 2 Re<Df_eff, Du>));
-        # with sigma_1(g') = n a + coef Lap u and 2 kc = n(n-1) the a b terms cancel
-        c = np.multiply(a[at], g.grad_sq, out=c0[at])
-        c += emu[at] * (d.lap_f_eff(at) - d.grad_f_dot(g.partials, at))
-        c *= 4.0 * al * kc
-        b = 2.0 * eu[at]     # e^u - f_eff e^{-u}, the u-derivative of a
-        b -= a[at]
-        c += ((n - 1) * coef) * b * g.lap
+    # u-derivative of sigma_2(g') through a, (n-1) sigma_1(g') b, minus
+    # that of the expanded right-hand side,
+    #     2 kc a b - 4 alpha kc (a |Du|^2 + e^{-u} (Lap f_eff - 2 Re<Df_eff, Du>));
+    # with sigma_1(g') = n a + coef Lap u and 2 kc = n(n-1) the a b terms cancel
+    c = np.multiply(a, g.grad_sq, out=c0[at])
+    df = d.grad_f_dot(g.partials, at)
+    np.subtract(d.lap_f_eff(at), df, out=df)
+    df *= emu
+    c += df
+    del df
+    c *= 4.0 * al * kc
+    b = 2.0 * eu     # e^u - f_eff e^{-u}, the u-derivative of a
+    del eu
+    b -= a
+    lap = g.lap   # summed here, after f's partials and before hk overwrites the diagonal rows
+    c += ((n - 1) * coef) * b * lap
 
-        # Du-derivative of the rhs, -2 Re sum_j (D_j v) w_j with
-        # w_j = c1 conj(D_j u) - 4 alpha kc e^{-u} conj(D_j f_eff) and
-        # c1 = -4 alpha kc b, is -(1/2) sum_a (c1 u_a - 4 alpha kc t e^{-u} f_a) v_a
-        u_part = np.multiply(b, 2.0 * al * kc, out=b)
-        f_part = (2.0 * al * kc * d.t) * emu[at]
-        for ua, fa in zip(g.partials, f_partials[:, at]):
-            ua *= u_part
-            ua += f_part * fa
-        # 2 n alpha Tr(gtilde Hess v) with gtilde = (n-1) a I + coef (Lap u I - Hess u)
-        hk = g.hess_rows
-        hk *= -coef * coef
-        hk[:n] += coef * ((n - 1) * a[at] + coef * g.lap)
-        hk[n:] *= 2.0
-    return LinearCoefficients(k=dv.rows, c0=c0)
+    # Du-derivative of the rhs, -2 Re sum_j (D_j v) w_j with
+    # w_j = c1 conj(D_j u) - 4 alpha kc e^{-u} conj(D_j f_eff) and
+    # c1 = -4 alpha kc b, is -(1/2) sum_a (c1 u_a - 4 alpha kc t e^{-u} f_a) v_a
+    b *= 2.0 * al * kc           # the u part's factor
+    emu *= 2.0 * al * kc * d.t   # the f part's factor
+    for ua, fa in zip(g.partials, d.f_partials(at)):
+        ua *= b
+        fa *= emu
+        ua += fa
+    del b, emu, fa   # freed before the Hessian rows' temporaries
+    # 2 n alpha Tr(gtilde Hess v) with gtilde = (n-1) a I + coef (Lap u I - Hess u)
+    hk = g.hess_rows
+    hk *= -coef * coef
+    hk[:n] += coef * ((n - 1) * a + coef * lap)
+    hk[n:] *= 2.0
 
 
 # ---------------------------------------------------------------------------

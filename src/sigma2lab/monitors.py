@@ -15,11 +15,13 @@ fields: the k-weighted integral identity produced by the integration-by-
 parts chain (moser_identity_gap) and the reverse-Sobolev-type inequality
 constant used by the Moser iteration (reverse_sobolev_constant).
 
-Every monitor takes an evaluated forms.Iterate and reads its bundle and
-weights, so monitoring an accepted iterate differentiates nothing again.
-The eigenvalue range of the linearization metric and the C^1 reading
-max e^{-u} |Du|^2 are read one slab of the grid at a time (torus.slabs,
-forms.gtilde_eig_range), so no whole-grid metric or product is built.
+Every monitor takes an evaluated forms.Iterate and reads its bundle, so
+monitoring an accepted iterate differentiates nothing again; the weights
+e^{+-u} and a are formed from the field where they are read
+(forms.weights).  The eigenvalue range of the linearization metric and the
+C^1 reading max e^{-u} |Du|^2 are read one slab of the grid at a time
+(torus.slabs, forms.gtilde_eig_range), so no whole-grid metric, weight or
+product is built.
 SolveReport keeps one EstimateReport per accepted t.  Its fields, t and the
 residual norm first, are the monitors.csv schema: CSV_COLUMNS are their
 names, EstimateReport.row their values, and the CLI's writer formats it.
@@ -33,7 +35,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .errors import HypothesisError, RangeUnderflowError
-from .forms import Iterate, gtilde_eig_range
+from .forms import Iterate, gtilde_eig_range, weights
 from .torus import Derivs, mixed_wedge_density, slabs
 
 
@@ -65,15 +67,15 @@ CSV_COLUMNS = tuple(f.name for f in fields(EstimateReport))
 
 def estimate_report(it: Iterate) -> EstimateReport:
     """Evaluate every monitored quantity on one evaluated iterate, from its
-    bundle and weights, with its data's t and its residual's max-norm; kappa
+    bundle and field, with its data's t and its residual's max-norm; kappa
     and the Gamma_2 fraction are the iterate's own readings of g', taken by
     forms.evaluate from the closed-form sigmas."""
     d = it.data
     vals = it.u
     inf_u = float(np.min(vals))
     sup_u = float(np.max(vals))
-    dv, emu = it.derivs, it.weights.emu
-    c1 = float(np.max([np.max(emu[at] * Derivs(dv.rows[:, at], dv.lap[at]).grad_sq)
+    rows = it.derivs.rows
+    c1 = float(np.max([np.max(weights(vals, d, at).emu * Derivs(rows[:, at]).grad_sq)
                        for at in slabs(vals.shape)]))
     eig_min, eig_max = gtilde_eig_range(it)
     return EstimateReport(
@@ -124,7 +126,7 @@ def moser_identity_gap(it: Iterate, k: float) -> float:
     wedge = mixed_wedge_density(dv)
 
     fact = math.factorial(n - 1)
-    lhs = k * float(np.mean(e_min_ku * dv.grad_sq * it.weights.a))
+    lhs = k * float(np.mean(e_min_ku * dv.grad_sq * weights(vals, d).a))
     r1 = -(k * n * d.alpha / fact) * float(np.mean(e_min_ku * wedge))
     r2 = -(1.0 / (n - 1)) * float(np.mean(e_min_ku * d.mu_eff()))
     r3 = (1.0 - 1.0 / (k + 1.0)) * float(np.mean(e_min_k1u * d.lap_f_eff()))
@@ -194,5 +196,5 @@ def wedge_lower_bound_check(it: Iterate) -> float:
     n = d.n
     fact = math.factorial(n - 1)
     wedge = mixed_wedge_density(dv)
-    slack = wedge + (fact / (2.0 * n * d.alpha)) * dv.grad_sq * it.weights.a
+    slack = wedge + (fact / (2.0 * n * d.alpha)) * dv.grad_sq * weights(it.u, d).a
     return float(np.min(slack))

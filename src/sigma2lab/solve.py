@@ -50,8 +50,8 @@ no validating wrapper.  Each iterate is evaluated once (forms.evaluate): the
 backtracking test of a trial, the next Newton step from it, its acceptance
 and its one record in the SolveReport (monitors.EstimateReport: t, the
 residual norm and the monitors) read the same Iterate.  Its body, the
-bundle and the weights, moves to the next continuation attempt, where only
-a, the sigmas of g' and the residual are assembled for the new t.  A Newton
+bundle, moves to the next continuation attempt, where only the weights, the
+sigmas of g' and the residual are formed for the new t.  A Newton
 step consumes the body of the iterate it starts from and keeps only its field,
 residual and readings: the operator's coefficient rows are written over the
 bundle and live until the linear solve returns, the zero-mean right-hand

@@ -31,11 +31,14 @@ order:
                              (1,2), (1,3), (2,3).
 
 The diagonal rows are (D2 along x_j + D2 along y_j) / 4, and each mixed
-row is formed from the stored first partials by D1 along x_k or y_k.
-partials_and_laplacian is the same kernel without the mixed rows: the first
-partials and the Laplacian alone, all the equation reads of its data f.
-contract_derivatives forms sum_r k[r] * rows[r] for coefficient rows k by
-the same matmuls, one z_j at a time, without storing the rows.
+row is formed from the stored first partials by D1 along x_k or y_k.  The
+Laplacian is the sum of the diagonal rows; the bundle does not store it.
+x1_partial_and_laplacian is the same kernel for what the equation stores of
+its data f: the partial along the first axis and the Laplacian.
+slab_partials gives f's other partials on a slab, one row at a time, by the
+same matmuls.  contract_derivatives forms sum_r k[r] * rows[r] for
+coefficient rows k by the same matmuls, one z_j at a time, without storing
+the rows.
 
 The last n^2 rows are the packed layout in which every Hermitian form of
 the package is held, as a plain real array (n^2,) + nodes: n real diagonal
@@ -64,9 +67,10 @@ trapezoidal-exact for periodic smooth integrands.  ScalarField is only the
 record of a field dump, checked by load_field and written by save_field.
 
 The bundle (Derivs) is the one way to differentiate a field: .partials,
-.grad_sq, .lap and .hess_rows are read from its rows.  slabs splits a grid
-into slabs of whole first-axis indices, on which the package does its
-pointwise work so that every temporary is one slab.
+.grad_sq, .lap and .hess_rows are read from its rows, the last three formed
+on whatever nodes the rows are a view of.  slabs splits a grid into slabs of
+whole first-axis indices, on which the package does its pointwise work so
+that every temporary is one slab.
 
 prolong carries a field from a grid to a finer one by zero-padding its half
 spectrum; injection, x[::2, ...], is the way back (forms.ProblemData.restricted).
@@ -295,44 +299,48 @@ def derivative_matrices(p: int) -> tuple:
 
 
 def _along(d: np.ndarray, u: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-    """The p x p matrix d applied along one axis of the grid array u, by one
-    matmul written into out, a contiguous array of u's shape; returns out."""
+    """The p x p matrix d applied along one axis of the contiguous array u,
+    a grid array or a slab of one (torus.slabs), by one matmul written into
+    out, a contiguous array of u's shape; returns out."""
     p = d.shape[0]
     if axis == u.ndim - 1:
         np.matmul(u.reshape(-1, p), d.T, out=out.reshape(-1, p))
     else:
-        np.matmul(d, u.reshape(p ** axis, p, -1), out=out.reshape(p ** axis, p, -1))
+        lead = math.prod(u.shape[:axis])
+        np.matmul(d, u.reshape(lead, p, -1), out=out.reshape(lead, p, -1))
     return out
 
 
 @dataclass(frozen=True)
 class Derivs:
-    """Bundle of the spectral derivatives of one scalar field.
+    """Bundle of the spectral derivatives of one scalar field: its rows
+    alone, (n^2 + 2n,) + nodes, real, in the order of the module docstring.
 
-    rows   (n^2 + 2n,) + grid, real, in the order of the module docstring
-    lap    the complex Laplacian sum_j u_{j jbar}, the sum of the diagonal rows
-
-    Views of the rows share their one buffer.  f's bundle holds the 2n first
-    partials alone (partials_and_laplacian, forms.ProblemData.f_derivs).
-    Derivs(dv.rows[:, at], dv.lap[at]) is the bundle on the nodes `at`
-    indexes, a view."""
+    Views of the rows share their one buffer, and Derivs(dv.rows[:, at]) is
+    the bundle on the nodes `at` indexes, a view.  Every property is read
+    from the rows on the nodes they hold, so on a slab it forms one slab."""
 
     rows: np.ndarray
-    lap: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.lap.ndim // 2
+        return (self.rows.ndim - 1) // 2
 
     @property
     def partials(self) -> np.ndarray:
-        """The 2n real first partials, (2n,) + grid."""
+        """The 2n real first partials, (2n,) + nodes."""
         return self.rows[:2 * self.n]
 
     @property
     def hess_rows(self) -> np.ndarray:
-        """The complex Hessian in packed Hermitian rows, (n^2,) + grid."""
+        """The complex Hessian in packed Hermitian rows, (n^2,) + nodes."""
         return self.rows[2 * self.n:]
+
+    @property
+    def lap(self) -> np.ndarray:
+        """The complex Laplacian sum_j u_{j jbar}, the sum of the n diagonal
+        rows, a new array."""
+        return np.sum(self.rows[2 * self.n:3 * self.n], axis=0)
 
     @property
     def grad_sq(self) -> np.ndarray:
@@ -341,68 +349,88 @@ class Derivs:
         return 0.25 * np.einsum("a...,a...->...", p, p)
 
 
-def _partials_and_diagonal(u: np.ndarray, partials: np.ndarray, diagonal: np.ndarray,
-                           w: np.ndarray, term: np.ndarray) -> None:
-    """Write the 2n first partials of u into partials and its n diagonal
-    Hessian rows into diagonal, each by one or two matmuls with
-    derivative_matrices.  They differentiate w = u - u(0), which this writes,
-    so a constant field has rows of exact zeros; term holds the second term
-    of each diagonal row before it is added.  The Laplacian is the sum of
-    the diagonal rows, np.sum(diagonal, axis=0), which the caller forms."""
+def _diagonal_row(q2: np.ndarray, w: np.ndarray, j: int, out: np.ndarray,
+                  term: np.ndarray) -> np.ndarray:
+    """The diagonal Hessian row u_{j jbar} of the field u whose u - u(0) is
+    w, (q2 along x_j + q2 along y_j) with q2 = D2 / 4, written into out;
+    term holds the second term before it is added.  Returns out."""
+    _along(q2, w, 2 * j, out)
+    out += _along(q2, w, 2 * j + 1, term)
+    return out
+
+
+def x1_partial_and_laplacian(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d u / d x_1, Lap u): what the equation stores of its data f, equal
+    byte for byte to the bundle's first row and Laplacian.  Both
+    differentiate w = u - u(0), as spectral_derivatives does, and the
+    Laplacian is the same np.sum of the n diagonal rows."""
     n = u.ndim // 2
     d1, d2 = derivative_matrices(u.shape[0])
     q2 = 0.25 * d2   # exact: the quarter of each Hessian row
-    np.subtract(u, u.flat[0], out=w)
-    for a in range(2 * n):
-        _along(d1, w, a, partials[a])
-    for j in range(n):
-        _along(q2, w, 2 * j, diagonal[j])
-        diagonal[j] += _along(q2, w, 2 * j + 1, term)
-
-
-def partials_and_laplacian(u: np.ndarray) -> Derivs:
-    """The 2n first partials and the Laplacian of the field u, a Derivs
-    without Hessian rows: what the equation reads of its data f.  The same
-    kernel as spectral_derivatives, whose Laplacian it equals byte for byte;
-    the diagonal rows are scratch here."""
-    n = u.ndim // 2
-    partials, lap = np.empty((2 * n,) + u.shape), np.empty(u.shape)
+    w = np.subtract(u, u.flat[0])
     diagonal = np.empty((n,) + u.shape)
-    _partials_and_diagonal(u, partials, diagonal, np.empty(u.shape), lap)
-    np.sum(diagonal, axis=0, out=lap)
-    return Derivs(rows=partials, lap=lap)
+    x1 = np.empty(u.shape)   # the diagonal rows' scratch, then the partial
+    for j in range(n):
+        _diagonal_row(q2, w, j, diagonal[j], x1)
+    lap = np.sum(diagonal, axis=0)
+    return _along(d1, w, 0, x1), lap
+
+
+def slab_partials(u: np.ndarray, x1: np.ndarray, at=...):
+    """The 2n first partials of the grid array u on the nodes `at` indexes,
+    a slab of the first axis (torus.slabs; every node by default), yielded
+    one at a time in row order and equal byte for byte to the bundle's
+    rows.  Each is written into one slab of scratch, which the consumer may
+    overwrite and the next row does.
+
+    The partial along the first axis is copied from x1, that partial on the
+    whole grid (x1_partial_and_laplacian): a matmul along the first axis
+    needs every first-axis index, and D1's rows applied to one slab round
+    differently from the whole-grid matmul.  Every other partial is D1
+    along its axis applied to the slab of u - u(0): the same matmul, the
+    same bytes."""
+    out = x1[at].copy()
+    yield out
+    d1 = derivative_matrices(u.shape[0])[0]
+    w = np.subtract(u[at], u.flat[0])
+    for axis in range(1, u.ndim):
+        yield _along(d1, w, axis, out)
 
 
 def spectral_derivatives(u: np.ndarray) -> Derivs:
-    """First partials, packed complex Hessian and Laplacian of the field u,
-    written straight into the bundle's single array: the first partials and
-    the diagonal rows as partials_and_laplacian forms them, then each mixed
-    row from the stored first partials.
+    """First partials and packed complex Hessian of the field u, written
+    straight into the bundle's single array: the first partials and the
+    diagonal rows from u - u(0), then each mixed row from the stored first
+    partials.
 
     u - u(0) is held in the last row's slot until that row, written last,
-    replaces it, and the Laplacian's array holds the second term of each
-    diagonal or mixed row before the sum."""
+    replaces it, so a constant field has rows of exact zeros; one scratch
+    grid array holds the second term of each diagonal or mixed row before
+    it is added."""
     n = u.ndim // 2
-    q1 = 0.25 * derivative_matrices(u.shape[0])[0]
+    d1, d2 = derivative_matrices(u.shape[0])
+    q1, q2 = 0.25 * d1, 0.25 * d2   # exact: the quarter of each Hessian row
     rows = np.empty((n * n + 2 * n,) + u.shape)
-    lap = np.empty(u.shape)
-    _partials_and_diagonal(u, rows[:2 * n], rows[2 * n:3 * n], rows[-1], lap)
+    term = np.empty(u.shape)
+    w = np.subtract(u, u.flat[0], out=rows[-1])
+    for a in range(2 * n):
+        _along(d1, w, a, rows[a])
+    for j in range(n):
+        _diagonal_row(q2, w, j, rows[2 * n + j], term)
     for r, (j, k) in enumerate(upper_pairs(n)):
         px, py = rows[2 * j], rows[2 * j + 1]
         re, im = rows[3 * n + 2 * r], rows[3 * n + 2 * r + 1]
         _along(q1, px, 2 * k, re)
-        re += _along(q1, py, 2 * k + 1, lap)
+        re += _along(q1, py, 2 * k + 1, term)
         _along(q1, px, 2 * k + 1, im)
-        im -= _along(q1, py, 2 * k, lap)
-    np.sum(rows[2 * n:3 * n], axis=0, out=lap)
-    return Derivs(rows=rows, lap=lap)
+        im -= _along(q1, py, 2 * k, term)
+    return Derivs(rows)
 
 
 def constant_derivatives(geom: TorusGeometry) -> Derivs:
     """The bundle of a constant field, every row 0, built without
     differentiating."""
-    return Derivs(rows=np.zeros((geom.n * geom.n + 2 * geom.n,) + geom.shape),
-                  lap=np.zeros(geom.shape))
+    return Derivs(np.zeros((geom.n * geom.n + 2 * geom.n,) + geom.shape))
 
 
 def contract_derivatives(k: np.ndarray, values: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -411,34 +439,56 @@ def contract_derivatives(k: np.ndarray, values: np.ndarray, out: np.ndarray) -> 
     at a time: the diagonal row's two terms, the first partials in x_j and
     y_j, then each mixed row's terms with z_k, k > j, from those partials.
     The diagonal row's terms are summed before they are scaled by its
-    coefficient row, in the x_j partial's array before it holds the partial;
-    every other term is scaled and added on its own.  So out, the two
-    partials and one row are the only grid arrays it holds.  The sum
-    accumulates onto out, which is returned."""
+    coefficient row; every other term is scaled and added on its own.  The
+    sum accumulates onto out, which is returned.
+
+    Every term is formed on one slab of the grid at a time (slabs) except
+    the two matmuls along the first axis, which need every first-axis
+    index: the first term of u_{1 1bar}, and then d/dx_1, are formed whole
+    in one grid array, the first in a pass of its own, since it is every
+    node's first term.  Each node's terms are added in the same order on
+    any slab, and a matmul along a later axis gives the same bytes on a
+    slab, so out is the same bytes as the whole grid's; out, that array
+    and three slabs are all it holds."""
     n = values.ndim // 2
     d1, d2 = derivative_matrices(values.shape[0])
     q1, q2 = 0.25 * d1, 0.25 * d2
-    px, py, row = (np.empty(values.shape) for _ in range(3))
+    first = next(slabs(values.shape))
+    scratch = np.empty((3, first.stop) + values.shape[1:])
+    x1 = _along(q2, values, 0, np.empty(values.shape))
+    for at in slabs(values.shape):
+        diag = x1[at]
+        diag += _along(q2, values[at], 1, scratch[0, :len(diag)])
+        diag *= k[2 * n, at]
+        out[at] += diag
+    _along(d1, values, 0, x1)
     pairs = list(enumerate(upper_pairs(n)))
-    for j in range(n):
-        xj, yj = 2 * j, 2 * j + 1
-        diag = _along(q2, values, xj, px)
-        diag += _along(q2, values, yj, row)
-        diag *= k[2 * n + j]
-        out += diag
-        out += np.multiply(k[xj], _along(d1, values, xj, px), out=row)
-        out += np.multiply(k[yj], _along(d1, values, yj, py), out=row)
-        terms = []
-        for r, (i, m) in pairs:
-            if i == j:
-                # Im u_{j mbar} = (u_{x_j y_m} - u_{y_j x_m}) / 4; -q1 negates exactly
-                re, im = k[3 * n + 2 * r], k[3 * n + 2 * r + 1]
-                terms += [(re, q1, px, 2 * m), (re, q1, py, 2 * m + 1),
-                          (im, q1, px, 2 * m + 1), (im, -q1, py, 2 * m)]
-        for coef, d, x, axis in terms:
-            _along(d, x, axis, row)
-            row *= coef
-            out += row
+    for at in slabs(values.shape):
+        v, kk, acc = values[at], k[:, at], out[at]
+        row, py, later_px = scratch[:, :len(v)]
+        for j in range(n):
+            xj, yj = 2 * j, 2 * j + 1
+            if j == 0:
+                px = x1[at]   # its diagonal term is in out already
+            else:
+                diag = _along(q2, v, xj, later_px)
+                diag += _along(q2, v, yj, row)
+                diag *= kk[2 * n + j]
+                acc += diag
+                px = _along(d1, v, xj, later_px)
+            acc += np.multiply(kk[xj], px, out=row)
+            acc += np.multiply(kk[yj], _along(d1, v, yj, py), out=row)
+            terms = []
+            for r, (i, m) in pairs:
+                if i == j:
+                    # Im u_{j mbar} = (u_{x_j y_m} - u_{y_j x_m}) / 4; -q1 negates exactly
+                    re, im = kk[3 * n + 2 * r], kk[3 * n + 2 * r + 1]
+                    terms += [(re, q1, px, 2 * m), (re, q1, py, 2 * m + 1),
+                              (im, q1, px, 2 * m + 1), (im, -q1, py, 2 * m)]
+            for coef, d, x, axis in terms:
+                _along(d, x, axis, row)
+                row *= coef
+                acc += row
     return out
 
 

@@ -201,7 +201,7 @@ def suite_sigma_relations_fields(seed: int, fields: int = 20,
                 float(np.max(_rel_gap(s2t, 0.5 * (n - 1) * (n - 2) * s1p ** 2 + s2p))),
             ]
             # expansion of sigma_2(g') in the Hessian spectrum
-            a = it.weights.a
+            a = forms.weights(u, d).a
             expanded = (
                 4.0 * n * n * d.alpha ** 2 * forms.sigma2_field(dv.hess_rows, n)
                 + 2.0 * n * (n - 1) * d.alpha * a * dv.lap

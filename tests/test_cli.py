@@ -702,7 +702,7 @@ class TestMoserCheck:
                 return real(u)
             return counted
 
-        for real in (torus.spectral_derivatives, torus.partials_and_laplacian):
+        for real in (torus.spectral_derivatives, torus.x1_partial_and_laplacian):
             patch_everywhere(real, counting(real))
         assert run_cli("moser-check", "--config", cfg,
                        "--solution", str(out / "solution.bin"),

@@ -22,6 +22,7 @@ from sigma2lab.forms import (
     residual_sigma2,
     sigma1_field,
     sigma2_field,
+    weights,
 )
 from sigma2lab.torus import (
     TorusGeometry,
@@ -263,11 +264,11 @@ class TestResiduals:
         zero = np.zeros(geom2.shape)
         u0, d = trivial_setup(geom2, A=0.1)
         it = evaluate(u0, d, 0.0)
-        rhs = -residual_sigma2(d, it.derivs, it.weights, zero)
+        rhs = -residual_sigma2(d, it.derivs, weights(it.u, d), zero)
         assert np.allclose(rhs, 1.0 / 0.01, rtol=1e-12)
         d1 = ProblemData(geom2, 2.0, zero, zero, 0.3, t=1.0)
         it = evaluate(np.full(geom2.shape, 0.4), d1, 0.0)
-        assert np.allclose(-residual_sigma2(d1, it.derivs, it.weights, zero),
+        assert np.allclose(-residual_sigma2(d1, it.derivs, weights(it.u, d1), zero),
                            1.0 * np.exp(0.8), rtol=1e-12)
 
     def test_small_perturbation_is_linear(self, geom2, rng):
@@ -444,7 +445,7 @@ class TestLeanIterate:
     def test_closed_form_sigmas(self, which, request, rng):
         d = request.getfixturevalue(which)
         it = evaluate(random_band_limited(d.geometry, rng, 3, 1.0), d, 0.0)
-        s1, s2 = gprime_sigmas(d, it.derivs, it.weights.a)
+        s1, s2 = gprime_sigmas(d, it.derivs, weights(it.u, d).a)
         gp = gprime(it)
         for got, want in ((s1, sigma1_field(gp, d.n)), (s2, sigma2_field(gp, d.n))):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -461,29 +462,30 @@ class TestLeanIterate:
 
     @pytest.mark.parametrize("which", ["problem2", "problem3"])
     def test_iterate_array_budget(self, which, request, rng):
-        # the body is the n^2 + 2n rows and the Laplacian, e^u, e^{-u} and a;
-        # the part a Newton step keeps is the field and the residual.  Every
-        # array is counted once, through .base
+        # the body is the n^2 + 2n rows alone (a stored Laplacian, e^u,
+        # e^{-u} and a made 4 more); the part a Newton step keeps is the
+        # field and the residual.  Every array is counted once, through .base
         d = request.getfixturevalue(which)
         n = d.n
         it = evaluate(perturbed_solution(d, rng), d, 1e-6)
         grid_bytes = d.geometry.node_count * 8
-        assert owned_bytes(it.take_body()) <= (n * n + 2 * n + 4) * grid_bytes
+        assert owned_bytes(it.take_body()) <= (n * n + 2 * n) * grid_bytes
         assert owned_bytes(it) <= 2 * grid_bytes
 
     @pytest.mark.parametrize("which", ["problem2", "problem3"])
     def test_linearization_consumes_body(self, which, request, rng):
         # the coefficient rows are written over the bundle: the iterate keeps
-        # no bundle and no weights, and k is the bundle's buffer
+        # no bundle, and no weights, which it never stored, and k is the
+        # bundle's buffer
         d = request.getfixturevalue(which)
         it = evaluate(perturbed_solution(d, rng), d, 0.0)
         bundle = root(it.derivs.rows)
         lc = linearization_coefficients(it)
         assert it.body is None
         assert root(lc.k) is bundle
-        for name in ("derivs", "weights"):
-            with pytest.raises(RuntimeError):
-                getattr(it, name)
+        with pytest.raises(RuntimeError):
+            it.derivs
+        assert owned_bytes(it) <= 2 * d.geometry.node_count * 8
 
     def test_evaluation_at_other_data_takes_body(self, problem2, rng):
         # a bundle carried to another t has one owner, so writing the
@@ -502,11 +504,13 @@ class TestLeanIterate:
         assert traced_peak(linearization_coefficients, it) <= 2 * d.geometry.node_count * 8
 
     def test_evaluation_memory(self, geom2_32, traced_peak):
-        # the bundle, e^{+-u}, a and the residual are 13 grid arrays on 32^4;
-        # every other temporary is one slab (whole-grid temporaries gave 17)
+        # the bundle, its build's one scratch array and then the residual
+        # are 9 grid arrays on 32^4; every other temporary is one slab
+        # (whole-grid temporaries gave 17, a stored Laplacian, e^{+-u} and a
+        # 13.2)
         d = slab_problem(geom2_32)
         u = random_band_limited(geom2_32, np.random.default_rng(3), 3, 0.5)
-        assert traced_peak(evaluate, u, d, 0.0) <= 14 * geom2_32.node_count * 8
+        assert traced_peak(evaluate, u, d, 0.0) <= 10 * geom2_32.node_count * 8
 
     def test_rhs_memory(self, problem3, rng, traced_peak):
         # the output and at most 4 grid arrays of temporaries: the
@@ -514,7 +518,7 @@ class TestLeanIterate:
         # it is written over it
         d = problem3
         it = evaluate(perturbed_solution(d, rng), d, 0.0)
-        dv, w = it.derivs, it.weights
+        dv, w = it.derivs, weights(it.u, d)
         s2 = gprime_sigmas(d, dv, w.a)[1]
         assert traced_peak(residual_sigma2, d, dv, w, s2) <= 5 * d.geometry.node_count * 8
 
@@ -528,8 +532,8 @@ class TestLeanIterate:
 
 
 def slab_problem(geom):
-    """Data with nonzero f and mu, mid-continuation, with f's derivatives
-    taken."""
+    """Data with nonzero f and mu, mid-continuation, with what it stores of
+    f's derivatives taken."""
     d = ProblemData(geom, 0.8, profiles.f_profile(geom, 0.3), profiles.mu_profile(geom, 0.5),
                     0.15, t=0.7)
     d.f_derivs()
@@ -549,11 +553,15 @@ class TestSlabs:
         def readings(it):
             return [it.residual, it.rnorm, it.in_cone, it.kappa, it.gamma2_fraction]
 
+        def slabbed_weights(d):
+            return [np.concatenate(w) for w in zip(*(weights(u, d, at)
+                                                     for at in torus.slabs(u.shape)))]
+
         fresh = evaluate(u, d, 1e-6)
-        out = readings(fresh) + list(fresh.weights)
+        out = readings(fresh) + slabbed_weights(d)
         out += list(monitors.estimate_report(fresh).row())
         again = evaluate(u, d.with_t(0.4), 0.0, fresh)
-        out += readings(again) + list(again.weights)
+        out += readings(again) + slabbed_weights(again.data)
         lc = linearization_coefficients(again)
         out += [lc.k, lc.c0]
         with np.errstate(over="ignore", invalid="ignore"):   # e^{+-u} overflows at some nodes
@@ -572,3 +580,46 @@ class TestSlabs:
         monkeypatch.setattr(torus, "_SLAB_NODES", geom.node_count)
         assert len(list(torus.slabs(geom.shape))) == 1
         assert slabbed == self.outputs(d, u)
+
+    @pytest.mark.parametrize("which", ["geom2", "geom3"])
+    def test_linearization_same_bytes_as_stored_laplacian(self, which, request):
+        # the linearization with the bundle's Laplacian, e^{+-u}, a and f's
+        # 2n partials stored whole, so no slab's diagonal rows can be read
+        # after they are overwritten
+        def stored_laplacian_linearization(u, d):
+            n, kc, al = d.n, d.kappa_c, d.alpha
+            coef = 2.0 * n * al
+            dv, f_dv = spectral_derivatives(u), spectral_derivatives(d.f)
+            lap = np.sum(dv.rows[2 * n:3 * n], axis=0)
+            eu, emu = np.exp(u), np.exp(-u)
+            a = d.t * d.f * emu
+            a += eu
+            c0 = np.empty(u.shape)
+            for at in torus.slabs(u.shape):
+                rows = dv.rows[:, at]
+                p, f_p = rows[:2 * n], f_dv.partials[:, at]
+                c = np.multiply(a[at], 0.25 * np.einsum("a...,a...->...", p, p), out=c0[at])
+                grad_f = (0.5 * d.t) * np.einsum("a...,a...->...", f_p, p)
+                c += emu[at] * (d.t * f_dv.lap[at] - grad_f)
+                c *= 4.0 * al * kc
+                b = 2.0 * eu[at]
+                b -= a[at]
+                c += ((n - 1) * coef) * b * lap[at]
+                u_part = np.multiply(b, 2.0 * al * kc, out=b)
+                f_part = (2.0 * al * kc * d.t) * emu[at]
+                for ua, fa in zip(p, f_p):
+                    ua *= u_part
+                    ua += f_part * fa
+                hk = rows[2 * n:]
+                hk *= -coef * coef
+                hk[:n] += coef * ((n - 1) * a[at] + coef * lap[at])
+                hk[n:] *= 2.0
+            return dv.rows, c0
+
+        geom = request.getfixturevalue(which)
+        d = slab_problem(geom)
+        u = random_band_limited(geom, np.random.default_rng(7), 3, 0.3) - np.log(d.A)
+        lc = linearization_coefficients(evaluate(u, d, 0.0))
+        k, c0 = stored_laplacian_linearization(u, d)
+        assert lc.k.tobytes() == k.tobytes()
+        assert lc.c0.tobytes() == c0.tobytes()

@@ -1,5 +1,6 @@
 """Newton corrector, normalization, and the continuation loop."""
 
+import dataclasses
 import sys
 import weakref
 from collections import Counter
@@ -130,8 +131,9 @@ class TestNewtonStep:
     def test_one_trial_alive_at_a_time(self, geom2, monkeypatch):
         # a step that backtracks four times: when each trial is evaluated,
         # the rejected one before it, the operator's coefficient rows and
-        # the consumed bundle and weights of the start iterate are gone,
-        # though the caller still holds that iterate
+        # the consumed bundle of the start iterate are gone, though the
+        # caller still holds that iterate, which keeps its field and
+        # residual alone
         zero = np.zeros(geom2.shape)
         d = ProblemData(geom2, 1.0, zero, profiles.mu_profile(geom2, 500.0),
                         0.1, t=1.0)
@@ -142,7 +144,7 @@ class TestNewtonStep:
 
         def tracked_coeffs(start, *args, **kwargs):
             dv = start.derivs
-            body.extend(weakref.ref(x) for x in (dv, dv.rows, dv.lap, *start.weights))
+            body.extend(weakref.ref(x) for x in (dv, dv.rows))
             lc = lincoef(start, *args, **kwargs)
             coeffs.append(weakref.ref(lc))
             return lc
@@ -156,8 +158,11 @@ class TestNewtonStep:
         monkeypatch.setattr(solve, "linearization_coefficients", tracked_coeffs)
         monkeypatch.setattr(solve, "evaluate", tracked_trial)
         _, s = _newton_step(it, cfg)
-        assert s <= 0.25 and len(trials) >= 3 and len(body) == 6
+        assert s <= 0.25 and len(trials) >= 3 and len(body) == 2
         assert alive == [0] * len(trials)
+        assert it.body is None and [f.name for f in dataclasses.fields(it)
+                                    if isinstance(getattr(it, f.name), np.ndarray)] == \
+            ["u", "residual"]
 
 
 class TestSolveAtT:
@@ -392,13 +397,26 @@ class TestBorderedNewtonSystem:
     def test_linear_solve_array_budget(self, which, request, rng, traced_peak):
         # above its arguments: the preconditioner's complex64 symbol and
         # float32 1/sigma, omega, the six BiCGStab vectors (b among them) and
-        # one operator apply's output, two first partials and row; the
+        # one operator apply's output, its derivative along the first axis
+        # and three slabs (half the grid on 16^4, an eighth on 8^6); the
         # preconditioner's transient symbols, spectrum and FFT scratch stay
-        # below that peak
+        # below that peak.  Two first partials and a row, whole, gave 12.1
         geom = request.getfixturevalue(which)
         system = newton_system(geom, rng)
         peak = traced_peak(solve.solve_newton_system, *system, 1e-8)
-        assert peak <= 13 * geom.node_count * 8
+        assert peak <= 12 * geom.node_count * 8
+
+    def test_n3_solve_array_budget(self, geom3, traced_peak):
+        # the default n = 3 solve on 8^6, traced from before its data is
+        # built, peaks in the Newton step's linear solve at 33.6 grid
+        # arrays; f's 2n - 1 partials off the first axis and the operator
+        # apply's two whole-grid scratch arrays made 40.1
+        def solve_default_n3():
+            cfg = cli.RunConfig(n=3, points_per_axis=8)
+            data, _ = cfg.build_problem()
+            run_and_return(data, cfg.solver_config())
+
+        assert traced_peak(solve_default_n3) <= 34 * geom3.node_count * 8
 
     def test_quadratic_rate_at_t_one(self, geom2, monkeypatch):
         # criterion-6 data on 16^4: once the t = 1 residual is below 1e-2,
@@ -689,11 +707,13 @@ class TestGridSequencing:
         assert report.coarse is None and report.converged
 
     def test_memory_budget(self, geom2_32, traced_peak):
-        # the 16^4 walk and the 32^4 handover peak at 19.4 grid arrays, where
-        # whole-grid temporaries in the evaluation gave 23.1; the full walk on
-        # 32^4 peaks at 29.1
+        # the 16^4 walk and the 32^4 handover peak at 12.4 grid arrays, in
+        # the fine evaluation: f, mu, f's first-axis partial and Laplacian,
+        # the field, its bundle and its build's scratch.  Whole-grid
+        # temporaries in the evaluation gave 23.1, and a stored bundle
+        # Laplacian, e^{+-u}, a and f's other partials 19.4
         peak = traced_peak(run_and_return, default_32(geom2_32), SolverConfig())
-        assert peak <= 20 * geom2_32.node_count * 8
+        assert peak <= 13 * geom2_32.node_count * 8
 
     def test_fine_steps_hold_no_extra_array(self, geom2_32, traced_peak, monkeypatch):
         # f_scale = mu_scale = 4: the fine grid takes 2 Newton steps from the
@@ -730,8 +750,8 @@ class TestOneEvaluationPerIterate:
     def test_default_solve(self, tmp_path, patch_everywhere):
         # Count the bundles and the closed-form sigmas of g' of the default
         # CLI solve by the bytes of their field (for the sigmas, of the slab
-        # of a, its position and t: two slabs of a constant field have the
-        # same bytes).
+        # of a, the slab's position in its bundle and t: two slabs of a
+        # constant field have the same bytes).
         # The operator applies inside the Newton system are the only bundles
         # not counted: Krylov directions are not iterates.
         bundles, sigmas = Counter(), Counter()
@@ -745,9 +765,13 @@ class TestOneEvaluationPerIterate:
                 bundles[u.tobytes()] += 1
             return derivs(u)
 
-        def counted_sigmas(d, dv, a, at=...):
-            sigmas[(a[at].tobytes(), repr(at), d.t)] += 1
-            return sigmas_(d, dv, a, at=at)
+        def counted_sigmas(d, dv, a):
+            rows = dv.rows
+            while rows.base is not None:
+                rows = rows.base
+            offset = dv.rows.ctypes.data - rows.ctypes.data
+            sigmas[(a.tobytes(), offset, d.t)] += 1
+            return sigmas_(d, dv, a)
 
         def marked_system(*args, **kwargs):
             in_newton_system.append(True)

@@ -186,6 +186,41 @@ class TestSpectralDerivatives:
         got = contract_derivatives(k, u, np.zeros(geom.shape))
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("which", ["geom2", "geom3"])
+    def test_contraction_same_bytes_as_whole_grid_terms(self, which, request, rng):
+        # slab by slab, each node's terms are added in the order of the
+        # whole-grid algorithm, which holds two partials and a row whole
+        def whole_grid_contraction(k, values, out):
+            n = values.ndim // 2
+            d1, d2 = torus.derivative_matrices(values.shape[0])
+            q1, q2 = 0.25 * d1, 0.25 * d2
+            px, py, row = (np.empty(values.shape) for _ in range(3))
+            pairs = list(enumerate(torus.upper_pairs(n)))
+            for j in range(n):
+                xj, yj = 2 * j, 2 * j + 1
+                diag = torus._along(q2, values, xj, px)
+                diag += torus._along(q2, values, yj, row)
+                diag *= k[2 * n + j]
+                out += diag
+                out += np.multiply(k[xj], torus._along(d1, values, xj, px), out=row)
+                out += np.multiply(k[yj], torus._along(d1, values, yj, py), out=row)
+                for r, (i, m) in pairs:
+                    if i == j:
+                        re, im = k[3 * n + 2 * r], k[3 * n + 2 * r + 1]
+                        for coef, d, x, axis in ((re, q1, px, 2 * m), (re, q1, py, 2 * m + 1),
+                                                 (im, q1, px, 2 * m + 1), (im, -q1, py, 2 * m)):
+                            torus._along(d, x, axis, row)
+                            row *= coef
+                            out += row
+            return out
+
+        geom = request.getfixturevalue(which)
+        u = random_band_limited(geom, rng, 3, 1.0)
+        k = rng.standard_normal((geom.n * geom.n + 2 * geom.n,) + geom.shape)
+        start = rng.standard_normal(geom.shape)
+        got = contract_derivatives(k, u, start.copy())
+        assert got.tobytes() == whole_grid_contraction(k, u, start.copy()).tobytes()
+
     def test_no_transform_in_bundle_or_apply(self, geom3, rng, monkeypatch):
         # every derivative is a matmul along one axis; only the
         # preconditioner and random_band_limited transform
@@ -216,7 +251,9 @@ class TestSpectralDerivatives:
     @pytest.mark.parametrize("which", ["geom2", "geom3"])
     def test_bundle_holds_only_its_rows(self, which, request, rng):
         # every array the bundle reaches, through .base, is counted once:
-        # the n^2 + 2n rows and the Laplacian, nothing a view would pin
+        # the n^2 + 2n rows, nothing a view would pin; the Laplacian is
+        # summed from the diagonal rows where it is read (a stored one made
+        # n^2 + 2n + 1)
         geom = request.getfixturevalue(which)
         n = geom.n
         dv = spectral_derivatives(random_band_limited(geom, rng, 2, 1.0))
@@ -227,7 +264,7 @@ class TestSpectralDerivatives:
                 arr = arr.base
             roots[id(arr)] = arr.nbytes
         grid_bytes = geom.node_count * 8
-        assert sum(roots.values()) <= (n * n + 2 * n + 1) * grid_bytes
+        assert sum(roots.values()) <= (n * n + 2 * n) * grid_bytes
 
 
 class TestDerivativeMatrices:
@@ -313,18 +350,35 @@ class TestSlabs:
         width = got[0].stop - got[0].start
         assert width == min(p, max(1, 2 ** 15 // p ** (2 * n - 1)))
 
+    @pytest.mark.parametrize("n, p", [(2, 16), (2, 32), (3, 8)])
+    def test_matmuls_along_later_axes(self, n, p):
+        # D1 and D2 applied along any axis but the first to one slab at a
+        # time give the whole grid's bytes; along the first axis a slab
+        # lacks the other first-axis indices the matmul reads
+        u = np.random.default_rng(6).standard_normal((p,) * (2 * n))
+        for d in torus.derivative_matrices(p):
+            for axis in range(1, 2 * n):
+                whole = torus._along(d, u, axis, np.empty(u.shape))
+                for at in torus.slabs(u.shape):
+                    got = torus._along(d, u[at], axis, np.empty(u[at].shape))
+                    assert got.tobytes() == whole[at].tobytes(), (axis, at)
+
 
 class TestPartialsAndLaplacian:
-    @pytest.mark.parametrize("which", ["geom2", "geom3"])
+    @pytest.mark.parametrize("which", ["geom2", "geom3", "geom2_32"])
     def test_bundle_bytes(self, which, request, rng):
-        # the bundle's kernel without its mixed rows: the same partials and
-        # the same Laplacian, byte for byte
+        # what is stored of f, its first-axis partial and Laplacian, and its
+        # partials on each slab, one at a time, are the bundle's bytes; so is
+        # the bundle's Laplacian summed on a slab
         geom = request.getfixturevalue(which)
         u = random_band_limited(geom, rng, 3, 1.0)
-        got, want = torus.partials_and_laplacian(u), spectral_derivatives(u)
-        assert got.rows.shape == want.partials.shape
-        assert got.rows.tobytes() == want.partials.tobytes()
-        assert got.lap.tobytes() == want.lap.tobytes()
+        (x1, lap), want = torus.x1_partial_and_laplacian(u), spectral_derivatives(u)
+        assert x1.tobytes() == want.partials[0].tobytes()
+        assert lap.tobytes() == want.lap.tobytes()
+        for at in torus.slabs(u.shape):
+            rows = [row.copy() for row in torus.slab_partials(u, x1, at)]
+            assert np.array(rows).tobytes() == want.partials[:, at].tobytes()
+            assert torus.Derivs(want.rows[:, at]).lap.tobytes() == want.lap[at].tobytes()
 
 
 class TestLaplacian:
