@@ -31,10 +31,10 @@ the n diagonal rows, then Re and Im of each strict-upper entry in
 torus.upper_pairs order (torus.unpack_hermitian expands them to full
 matrices).  Each operation on a form is one function of its rows and n, and
 all of it is real algebra on those rows: sigma1_field sums the diagonal
-rows, sigma2_field is sum_{j<k} (h_jj h_kk - |h_jk|^2), gamma2_mask tests
-the two sigmas, and hermitian_eigenvalues has closed forms.  A gradient
-pairing 2 Re sum_j p_j conj(q_j) of complex gradients is
-(1/2) sum_a p_a q_a over the 2n real partials.
+rows, sigma2_field is sum_{j<k} (h_jj h_kk - |h_jk|^2), gamma2_mask
+(symfun's, imported here) tests the two sigmas, and hermitian_eigenvalues
+has closed forms.  A gradient pairing 2 Re sum_j p_j conj(q_j) of complex
+gradients is (1/2) sum_a p_a q_a over the 2n real partials.
 
 evaluate() is the one place a field's bundle is built.  It returns an
 Iterate in two parts.  The part a Newton step keeps is the field, its
@@ -45,10 +45,13 @@ Iterate, so the solver, the monitors and the verify suites read a field the
 same way.  g' itself is not assembled on the solve path: sigma_1 and
 sigma_2 of g' have closed forms in a and the bundle (gprime_sigmas), which
 is all the cone test, the residual and the monitors read of it.  The bundle
-does not depend on t, so evaluate() takes it over from an earlier
-evaluation of the same field.  f's partial along the first axis and its
-Laplacian are computed once and shared by every ProblemData.with_t copy;
-f's other partials are formed where they are read.
+does not depend on t, so evaluate() is handed one, as its derivs, taken
+from an earlier evaluation of the same field (Iterate.take_body).  f's
+partial along the first axis and its Laplacian are computed once and
+shared by every ProblemData.with_t copy; f's other partials are formed
+where they are read.  Both residuals and the linearization read f's
+derivatives through one term, Lap f_eff - 2 Re<Df_eff, Du>
+(ProblemData.f_laplacian_term).
 ProblemData.restricted is the same data injected on the half grid, where
 the solver walks its continuation first.
 
@@ -61,7 +64,7 @@ iterate keeps no body afterwards.  The operator streams the direction's rows
 The pointwise work on an iterate runs one slab of the grid at a time
 (torus.slabs): evaluate's sigmas of g', cone tests, kappa and residual,
 linearization_coefficients' rows, and the monitors' C^1 reading and
-eigenvalues of gtilde (gtilde_eig_range).  So every temporary is one slab,
+eigenvalues of gtilde (gtilde(at=...)).  So every temporary is one slab,
 not one grid array, and no grid array is held that a slab can form again:
 the weights e^{+-u} and a (weights()), the bundle's Laplacian (Derivs.lap)
 and f's partials off the first axis (ProblemData.f_partials) are formed on
@@ -83,6 +86,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError
+from .symfun import gamma2_mask
 from .torus import (
     Derivs,
     TorusGeometry,
@@ -139,7 +143,8 @@ class ProblemData:
     grid arrays, its partial along the first axis and its Laplacian
     (f_derivs), computed on first use, or passed in, and shared with every
     with_t copy (f is fixed along a continuation run); f's other partials
-    are formed on the slab where they are read (f_partials).
+    are formed on the slab where they are read (f_partials), and
+    f_laplacian_term is the term both residuals and c0 read of them.
     """
 
     def __init__(self, geometry: TorusGeometry, alpha: float, f: np.ndarray,
@@ -224,17 +229,17 @@ class ProblemData:
     def lap_f_eff(self, at=...) -> np.ndarray:
         return self.t * self.f_derivs()[1][at]
 
-    def grad_f_dot(self, partials: np.ndarray, at=...) -> np.ndarray:
-        """2 Re <D f_eff, D u> for u's real first partials on the nodes `at`
-        indexes, t folded into the scalar: (t/2) sum_a f_a u_a.  The sum
-        starts from 0 and adds the products in row order, as an einsum over
-        the rows does, one row of f at a time."""
+    def f_laplacian_term(self, partials: np.ndarray, at=...) -> np.ndarray:
+        """Lap f_eff - 2 Re <D f_eff, D u> for u's real first partials on the
+        nodes `at` indexes, in a new array.  The pairing is (t/2) sum_a f_a
+        u_a, its sum started from 0 with the products added in row order, as
+        an einsum over the rows does, one row of f at a time."""
         out = np.zeros(partials.shape[1:])
         for fa, ua in zip(self.f_partials(at), partials):
             fa *= ua
             out += fa
         out *= 0.5 * self.t
-        return out
+        return np.subtract(self.lap_f_eff(at), out, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -291,18 +296,6 @@ def hermitian_eigenvalues(m: np.ndarray, n: int) -> np.ndarray:
     eig[2] = q + 2.0 * p * np.cos(phi)
     eig[1] = 3.0 * q - eig[0] - eig[2]
     return eig
-
-
-def gamma2_mask(s1: np.ndarray, s2: np.ndarray, n: int, margin: float = 0.0) -> np.ndarray:
-    """Per-node Gamma_2 membership of eigenvalues with sigma_1 = s1 and
-    sigma_2 = s2, with an eigenvalue margin: the test is applied to the
-    spectrum shifted down by `margin`, i.e. sigma_k(lambda - margin * 1) > 0
-    for k = 1, 2."""
-    if margin != 0.0:
-        c = margin
-        s2 = s2 - c * (n - 1) * s1 + c * c * (n * (n - 1) / 2.0)
-        s1 = s1 - n * c
-    return (s1 > 0.0) & (s2 > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +439,7 @@ def residual_sigma2(d: ProblemData, dv: Derivs, w: Weights, s2: np.ndarray,
     out -= tmp
     del tmp   # freed while f's partials are formed
     # + 4 alpha kappa_c e^{-u} (Lap f - 2 Re<Df, Du>)
-    df = d.grad_f_dot(dv.partials, at)
-    np.subtract(d.lap_f_eff(at), df, out=df)
+    df = d.f_laplacian_term(dv.partials, at)
     tmp = np.multiply(4.0 * al * kc, emu)
     tmp *= df
     out += tmp
@@ -455,12 +447,12 @@ def residual_sigma2(d: ProblemData, dv: Derivs, w: Weights, s2: np.ndarray,
 
 
 def evaluate(u: np.ndarray, d: ProblemData, margin: float,
-             prev: Iterate | None = None, derivs: Derivs | None = None) -> Iterate:
+             derivs: Derivs | None = None) -> Iterate:
     """Evaluate u against d: the one place a field's bundle is built.
-    `prev` is an evaluation of the same u against other data (another t):
-    its body, the bundle, is taken and carries over.  `derivs` is u's bundle
-    when the caller has it at no cost (a constant field's,
-    torus.constant_derivatives); it is taken, not copied.
+    `derivs` is u's bundle when the caller has it at no cost: the body an
+    evaluation of the same u against other data (another t) gives up
+    (Iterate.take_body), or a constant field's (torus.constant_derivatives).
+    It is taken, not copied.
 
     After the bundle, the work is pointwise, and it runs one slab of the
     grid at a time (torus.slabs): the weights, the sigmas of g', both cone
@@ -472,10 +464,7 @@ def evaluate(u: np.ndarray, d: ProblemData, margin: float,
 
     Nothing here tests the arrays for finiteness: an overflowed field has a
     NaN or infinite rnorm, which never passes the solver's rnorm < newton_tol."""
-    if prev is None:
-        dv = spectral_derivatives(u) if derivs is None else derivs
-    else:
-        dv = prev.take_body()
+    dv = spectral_derivatives(u) if derivs is None else derivs
     r = np.empty(u.shape)
     rnorms, kappas, in_cone, inside = [], [], True, 0
     for at in slabs(u.shape):
@@ -519,20 +508,6 @@ def gtilde(it: Iterate, at=...) -> np.ndarray:
     return rows
 
 
-def gtilde_eig_range(it: Iterate) -> tuple[float, float]:
-    """The least and the largest eigenvalue of gtilde over the grid, equal
-    to those of hermitian_eigenvalues(gtilde(it), n).  gtilde and its
-    eigenvalues are formed one slab of the grid at a time (torus.slabs), by
-    the same nodewise algebra, so no whole-grid gtilde is built."""
-    n = it.data.n
-    lows, highs = [], []
-    for at in slabs(it.u.shape):
-        eig = hermitian_eigenvalues(gtilde(it, at=at), n)
-        lows.append(np.min(eig))
-        highs.append(np.max(eig))
-    return float(np.min(lows)), float(np.max(highs))
-
-
 def residual_fy1(it: Iterate) -> np.ndarray:
     """Divergence-form residual (n-1) Lap(e^u - f e^{-u}) + 2 n alpha sigma_2(i ddbar u) + mu.
 
@@ -549,8 +524,7 @@ def residual_fy1(it: Iterate) -> np.ndarray:
     fe = d.f_eff()
     gsq, lap = dv.grad_sq, dv.lap
     lap_eu = eu * (lap + gsq)
-    lap_femu = emu * (d.lap_f_eff() - d.grad_f_dot(dv.partials)
-                      + fe * gsq - fe * lap)
+    lap_femu = emu * (d.f_laplacian_term(dv.partials) + fe * gsq - fe * lap)
     n = d.n
     return (n - 1) * (lap_eu - lap_femu) + 2.0 * n * d.alpha * sigma2_field(dv.hess_rows, n) + d.mu_eff()
 
@@ -632,8 +606,7 @@ def _linearize_slab(u: np.ndarray, d: ProblemData, g: Derivs, c0: np.ndarray, at
     #     2 kc a b - 4 alpha kc (a |Du|^2 + e^{-u} (Lap f_eff - 2 Re<Df_eff, Du>));
     # with sigma_1(g') = n a + coef Lap u and 2 kc = n(n-1) the a b terms cancel
     c = np.multiply(a, g.grad_sq, out=c0[at])
-    df = d.grad_f_dot(g.partials, at)
-    np.subtract(d.lap_f_eff(at), df, out=df)
+    df = d.f_laplacian_term(g.partials, at)
     df *= emu
     c += df
     del df

@@ -18,10 +18,11 @@ constant used by the Moser iteration (reverse_sobolev_constant).
 Every monitor takes an evaluated forms.Iterate and reads its bundle, so
 monitoring an accepted iterate differentiates nothing again; the weights
 e^{+-u} and a are formed from the field where they are read
-(forms.weights).  The eigenvalue range of the linearization metric and the
-C^1 reading max e^{-u} |Du|^2 are read one slab of the grid at a time
-(torus.slabs, forms.gtilde_eig_range), so no whole-grid metric, weight or
-product is built.
+(forms.weights).  The C^1 reading max e^{-u} |Du|^2 and the eigenvalue
+range of the linearization metric are read in one pass over the slabs of
+the grid (torus.slabs, _slab_readings), which estimate_report and
+wedge_lower_bound_check share, so no whole-grid metric, weight or product
+is built.
 SolveReport keeps one EstimateReport per accepted t.  Its fields, t and the
 residual norm first, are the monitors.csv schema: CSV_COLUMNS are their
 names, EstimateReport.row their values, and the CLI's writer formats it.
@@ -35,7 +36,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .errors import HypothesisError, RangeUnderflowError
-from .forms import Iterate, gtilde_eig_range, weights
+from .forms import Iterate, gtilde, hermitian_eigenvalues, weights
 from .torus import Derivs, mixed_wedge_density, slabs
 
 
@@ -71,13 +72,9 @@ def estimate_report(it: Iterate) -> EstimateReport:
     and the Gamma_2 fraction are the iterate's own readings of g', taken by
     forms.evaluate from the closed-form sigmas."""
     d = it.data
-    vals = it.u
-    inf_u = float(np.min(vals))
-    sup_u = float(np.max(vals))
-    rows = it.derivs.rows
-    c1 = float(np.max([np.max(weights(vals, d, at).emu * Derivs(rows[:, at]).grad_sq)
-                       for at in slabs(vals.shape)]))
-    eig_min, eig_max = gtilde_eig_range(it)
+    inf_u = float(np.min(it.u))
+    sup_u = float(np.max(it.u))
+    c1, eig_min, eig_max = _slab_readings(it)
     return EstimateReport(
         t=d.t,
         residual_norm=it.rnorm,
@@ -92,6 +89,22 @@ def estimate_report(it: Iterate) -> EstimateReport:
         kappa_c=d.kappa_c,
         gamma2_fraction=it.gamma2_fraction,
     )
+
+
+def _slab_readings(it: Iterate) -> tuple[float, float, float]:
+    """The C^1 reading max e^{-u} |Du|^2 and the least and the largest
+    eigenvalue of gtilde over the grid, read in one pass over the slabs
+    (torus.slabs).  Each node's arithmetic is the whole grid's and the
+    reductions are exact, so they equal the readings of the whole-grid
+    weights and hermitian_eigenvalues(gtilde(it), n)."""
+    d, rows = it.data, it.derivs.rows
+    c1, lows, highs = [], [], []
+    for at in slabs(it.u.shape):
+        c1.append(np.max(weights(it.u, d, at).emu * Derivs(rows[:, at]).grad_sq))
+        eig = hermitian_eigenvalues(gtilde(it, at=at), d.n)
+        lows.append(np.min(eig))
+        highs.append(np.max(eig))
+    return float(np.max(c1)), float(np.min(lows)), float(np.max(highs))
 
 
 def moser_identity_gap(it: Iterate, k: float) -> float:
@@ -187,7 +200,7 @@ def wedge_lower_bound_check(it: Iterate) -> float:
     returns min over nodes of density + bound (>= 0 up to rounding).  Raises
     HypothesisError if the metric is not positive definite at every node.
     """
-    min_eig, _ = gtilde_eig_range(it)
+    _, min_eig, _ = _slab_readings(it)
     if min_eig <= 0.0:
         raise HypothesisError(
             f"the linearization metric is not positive (min eigenvalue {min_eig:.3e})"

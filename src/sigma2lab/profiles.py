@@ -27,9 +27,9 @@ def normalization_level(u: np.ndarray, gamma: float) -> float:
     return float(np.exp(-lo + log_mean / gamma))
 
 
-def _tau(geom: TorusGeometry, axis: int, periods: int = 1) -> np.ndarray:
-    """cos/sin argument 2 pi * periods * coordinate along one axis."""
-    return 2.0 * np.pi * periods * geom.coordinate(axis)
+def _tau(geom: TorusGeometry, axis: int) -> np.ndarray:
+    """cos/sin argument 2 pi * coordinate along one axis."""
+    return 2.0 * np.pi * geom.coordinate(axis)
 
 
 def f_profile(geom: TorusGeometry, f_scale: float) -> np.ndarray:

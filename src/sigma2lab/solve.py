@@ -50,15 +50,15 @@ no validating wrapper.  Each iterate is evaluated once (forms.evaluate): the
 backtracking test of a trial, the next Newton step from it, its acceptance
 and its one record in the SolveReport (monitors.EstimateReport: t, the
 residual norm and the monitors) read the same Iterate.  Its body, the
-bundle, moves to the next continuation attempt, where only the weights, the
-sigmas of g' and the residual are formed for the new t.  A Newton
-step consumes the body of the iterate it starts from and keeps only its field,
-residual and readings: the operator's coefficient rows are written over the
-bundle and live until the linear solve returns, the zero-mean right-hand
-side is formed from the residual and BiCGStab's residual is written over it,
-each operator apply adds the direction's derivative terms one z_j at a
-time instead of building its bundle, and a rejected trial is released
-before the next is evaluated.  A failed attempt evaluates its start field
+bundle, is handed to the evaluation at the next continuation attempt's t
+(Iterate.take_body), which forms only the weights, the sigmas of g' and the
+residual.  A Newton step consumes the body of the iterate it starts from
+and keeps only its field, residual and readings: the operator's coefficient
+rows are written over the bundle and live until the linear solve returns,
+the zero-mean right-hand side is formed from the residual and BiCGStab's
+residual is written over it, each operator apply adds the direction's
+derivative terms one z_j at a time instead of building its bundle, and a
+rejected trial is released before the next is evaluated.  A failed attempt evaluates its start field
 again, so no consumed body is ever read.
 
 A grid of 32 or more points per axis walks the continuation on its half
@@ -104,8 +104,8 @@ from .forms import (
     linearization_coefficients,
 )
 from .monitors import estimate_report
-from .torus import (TorusGeometry, _irfft, _rfft, constant_derivatives, derivative_symbols,
-                    prolong)
+from .torus import (Derivs, TorusGeometry, _irfft, _rfft, constant_derivatives,
+                    derivative_symbols, prolong)
 
 _RESIDUAL_SLACK = 1e-12  # relative slack in the "non-increasing" residual test
 # Eisenstat-Walker forcing, choice 2: eta = _EW_GAMMA (r_k / r_{k-1})^2 after
@@ -237,9 +237,8 @@ def _precondition_symbol(coeffs: LinearCoefficients,
     with 1/sigma, so no temporary holds more than one row.  Both are formed
     in double precision and returned in single: a float32 1/sigma and a
     complex64 symbol keep the linear solve within its memory budget."""
-    n = geom.n
     size = coeffs.c0.size
-    inv_sigma = np.sum(coeffs.k[2 * n:3 * n], axis=0).ravel()   # 2 n alpha tr gtilde
+    inv_sigma = Derivs(coeffs.k).lap.ravel()   # 2 n alpha tr gtilde
     np.divide(inv_sigma.mean(), inv_sigma, out=inv_sigma)   # inverted in place
     c_mean, *k_means = (float(_dot(row.ravel(), inv_sigma)) / size
                         for row in (coeffs.c0, *coeffs.k))
@@ -259,10 +258,10 @@ def _precondition_symbol(coeffs: LinearCoefficients,
     return inv_sigma, sym.astype(np.complex64)
 
 
-def bicgstab(A, b: np.ndarray, *, rtol: float, atol: float = 0.0, maxiter: int, M):
+def bicgstab(A, b: np.ndarray, *, rtol: float, maxiter: int, M):
     """Preconditioned BiCGStab for A x = b from x = 0: scipy's iteration,
-    with its stopping test |r| < max(atol, rtol |b|) and its breakdown tests,
-    on fewer vectors.  A and M are Operators, read through .matvec, and
+    with its stopping test at atol = 0, |r| < rtol |b|, and its breakdown
+    tests, on fewer vectors.  A and M are Operators, read through .matvec, and
     every dot product and norm is _dot's.
 
     b is overwritten: it becomes the residual r, and s is written over r.
@@ -277,7 +276,7 @@ def bicgstab(A, b: np.ndarray, *, rtol: float, atol: float = 0.0, maxiter: int, 
     x = np.zeros_like(b)
     if bnorm == 0.0:
         return x, 0
-    tol = max(atol, rtol * bnorm)
+    tol = rtol * bnorm
     tiny = np.finfo(b.dtype).eps ** 2   # scipy's rho and omega breakdown bound
     r = b
     rtilde = r.copy()
@@ -367,8 +366,7 @@ def solve_newton_system(u: np.ndarray, d: ProblemData, coeffs: LinearCoefficient
     op = Operator((size, size), float, matvec)
     mop = Operator((size, size), float, apply_precond)
     # bicgstab overwrites its right-hand side, so a failure forms it again
-    x, info = bicgstab(op, rhs(), rtol=rtol, atol=0.0,
-                       maxiter=_LINEAR_MAXITER, M=mop)
+    x, info = bicgstab(op, rhs(), rtol=rtol, maxiter=_LINEAR_MAXITER, M=mop)
     if info != 0:
         b = rhs()
         x, info = gmres(op, b, rtol=rtol, atol=0.0, restart=40,
@@ -530,7 +528,9 @@ def _sequenced(d: ProblemData, cfg: SolverConfig, record_last: bool):
 
 def _march(d: ProblemData, cfg: SolverConfig, record_last: bool):
     """The continuation of run_and_return on d's own grid, from t = 0;
-    every accepted t is recorded but t = 1 only if record_last."""
+    every accepted t is recorded but t = 1 only if record_last.  Each
+    attempt starts from u evaluated at its t, handed the accepted iterate's
+    bundle unless a failed attempt consumed it (start)."""
     report = SolveReport()
     margin = cfg.cone_margin
     # the only shift outside the Newton step: its trials come out normalized
@@ -547,14 +547,13 @@ def _march(d: ProblemData, cfg: SolverConfig, record_last: bool):
             report.accepted.append(estimate_report(it))
 
     def start(d_t: ProblemData) -> Iterate:
-        """The accepted iterate against d_t, which takes over its body.  It
-        is taken out of `it`, so the attempt's Newton steps own the only
-        reference.  After a failed attempt u is evaluated again."""
+        """u against d_t, taking over the body of the accepted iterate `it`,
+        whose field is u.  `it` is cleared, so the attempt's Newton steps own
+        the only reference.  After a failed attempt there is no accepted
+        iterate, and u is evaluated again."""
         nonlocal it
         prev, it = it, None
-        if prev is None:
-            return evaluate(u, d_t, margin)
-        return evaluate(prev.u, d_t, margin, prev)
+        return evaluate(u, d_t, margin, None if prev is None else prev.take_body())
 
     accept()
     dt = cfg.t_step_init

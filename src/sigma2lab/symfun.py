@@ -3,12 +3,13 @@
 Everything here is exact pointwise algebra on tuples of n real eigenvalues
 (n is small, typically 2..5), held over the last axis of an array: one call
 acts on one tuple of shape (n,) or on a batch of shape (..., n).  It gives
-the elementary symmetric functions sigma_k, and the slack in the two
-pointwise inequalities used throughout the C^2 analysis of the equation (the
-Guan-Ren-Wang concavity inequality and the leading-eigenvalue product bound
-lam'_1 * sigma_1(lam'|1) >= (2/n) * sigma_2(lam')).  The `verify` suites
-grw-gap and leading-product run these two functions on random Gamma_2
-samples.
+the elementary symmetric functions sigma_k, the package's one Gamma_2 test
+on sigma_1 and sigma_2 (gamma2_mask, which forms' cone tests also use), and
+the slack in the two pointwise inequalities used throughout the C^2
+analysis of the equation (the Guan-Ren-Wang concavity inequality and the
+leading-eigenvalue product bound lam'_1 * sigma_1(lam'|1) >= (2/n) *
+sigma_2(lam')).  The `verify` suites grw-gap and leading-product run these
+two functions on random Gamma_2 samples.
 
 sigma_k is evaluated with the stable one-entry-at-a-time recurrence
 
@@ -53,13 +54,25 @@ def elementary(values: np.ndarray) -> np.ndarray:
     return e
 
 
+def gamma2_mask(s1: np.ndarray, s2: np.ndarray, n: int, margin: float = 0.0) -> np.ndarray:
+    """Per-node Gamma_2 membership of eigenvalues with sigma_1 = s1 and
+    sigma_2 = s2, with an eigenvalue margin: the test is applied to the
+    spectrum shifted down by `margin`, i.e. sigma_k(lambda - margin * 1) > 0
+    for k = 1, 2."""
+    if margin != 0.0:
+        c = margin
+        s2 = s2 - c * (n - 1) * s1 + c * c * (n * (n - 1) / 2.0)
+        s1 = s1 - n * c
+    return (s1 > 0.0) & (s2 > 0.0)
+
+
 def _gamma2_spectra(lam: np.ndarray) -> np.ndarray:
-    """elementary(lam) for tuples that must all lie in Gamma_2 (sigma_1 > 0
-    and sigma_2 > 0); raises ConeViolationError naming the first that does not."""
+    """elementary(lam) for tuples that must all lie in Gamma_2 (gamma2_mask);
+    raises ConeViolationError naming the first that does not."""
     if lam.ndim == 0 or lam.shape[-1] < 2:
         raise ValueError("a spectrum needs at least two eigenvalues")
     e = elementary(lam)
-    outside = np.argwhere(~((e[..., 1] > 0.0) & (e[..., 2] > 0.0)))
+    outside = np.argwhere(~gamma2_mask(e[..., 1], e[..., 2], lam.shape[-1]))
     if len(outside):
         i = tuple(outside[0])
         where = f" (tuple {i[0] if len(i) == 1 else i})" if i else ""
@@ -126,7 +139,7 @@ def sample_gamma2(rng: np.random.Generator, n: int, count: int,
     while have < count:
         batch = rng.uniform(lo, hi, size=(max(count - have, 64) * 2, n))
         e = elementary(batch)
-        good = batch[(e[:, 1] > 0.0) & (e[:, 2] > 0.0)]
+        good = batch[gamma2_mask(e[:, 1], e[:, 2], n)]
         take = min(good.shape[0], count - have)
         out[have:have + take] = good[:take]
         have += take

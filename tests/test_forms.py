@@ -14,7 +14,6 @@ from sigma2lab.forms import (
     gprime,
     gprime_sigmas,
     gtilde,
-    gtilde_eig_range,
     hermitian_eigenvalues,
     linearization_coefficients,
     manufactured_mu,
@@ -493,7 +492,7 @@ class TestLeanIterate:
         d = problem2
         prev = evaluate(perturbed_solution(d, rng), d, 0.0)
         rows = prev.derivs.rows
-        it = evaluate(prev.u, d.with_t(0.5), 0.0, prev)
+        it = evaluate(prev.u, d.with_t(0.5), 0.0, prev.take_body())
         assert prev.body is None and it.derivs.rows is rows
 
     def test_linearization_memory(self, problem3, rng, traced_peak):
@@ -524,11 +523,14 @@ class TestLeanIterate:
 
     @pytest.mark.parametrize("which", ["problem2", "problem3"])
     def test_gtilde_eig_range_is_exact(self, which, request, rng):
-        # slab by slab, by the same nodewise algebra: equal, not close
+        # the monitors read the range slab by slab, by the same nodewise
+        # algebra: equal, not close
         d = request.getfixturevalue(which)
         it = evaluate(random_band_limited(d.geometry, rng, 3, 1.0), d, 0.0)
         eigs = hermitian_eigenvalues(gtilde(it), d.n)
-        assert gtilde_eig_range(it) == (float(np.min(eigs)), float(np.max(eigs)))
+        rep = monitors.estimate_report(it)
+        assert (rep.gtilde_eig_min, rep.gtilde_eig_max) == (float(np.min(eigs)),
+                                                            float(np.max(eigs)))
 
 
 def slab_problem(geom):
@@ -560,7 +562,7 @@ class TestSlabs:
         fresh = evaluate(u, d, 1e-6)
         out = readings(fresh) + slabbed_weights(d)
         out += list(monitors.estimate_report(fresh).row())
-        again = evaluate(u, d.with_t(0.4), 0.0, fresh)
+        again = evaluate(u, d.with_t(0.4), 0.0, fresh.take_body())
         out += readings(again) + slabbed_weights(again.data)
         lc = linearization_coefficients(again)
         out += [lc.k, lc.c0]

@@ -54,6 +54,20 @@ class TestEstimateReport:
         assert rep.kappa_c == 3.0
         assert rep.gtilde_eig_min == pytest.approx(2.0 / 0.1, rel=1e-12)
 
+    def test_one_pass_over_the_slabs(self, problem2, rng, patch_everywhere):
+        # the C^1 reading and gtilde's eigenvalue range are read on each
+        # slab in one pass (a pass for each gave 2)
+        it = evaluate(random_band_limited(problem2.geometry, rng, 2, 0.5), problem2, 0.0)
+        passes, slabs = [], torus.slabs
+
+        def counted(shape):
+            passes.append(shape)
+            return slabs(shape)
+
+        patch_everywhere(slabs, counted)
+        estimate_report(it)
+        assert passes == [problem2.geometry.shape]
+
 
 class TestMoserIdentity:
     def test_trivial_data_gap_is_zero(self, geom2, trivial2):

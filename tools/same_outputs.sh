@@ -49,6 +49,11 @@ printf 'profile = manufactured\n' >"$configs/manufactured.cfg"
 printf 'points_per_axis = 32\n' >"$configs/grid32.cfg"   # walks on 16^4, finishes on 32^4
 # the same at f_scale = mu_scale = 4, whose 32^4 finish takes Newton steps
 printf 'points_per_axis = 32\nf_scale = 4\nmu_scale = 4\n' >"$configs/grid32-scale4.cfg"
+# an 8^4 walk whose Newton attempts fail: the solve stalls at t = 0.125 and
+# exits 3, so a start after a failed attempt, which evaluates its field
+# again, is compared too
+printf 'points_per_axis = 8\nf_scale = 0\nmu_scale = 3\nmax_newton_iters = 3\nt_step_min = 0.05\nA = 0.5\n' \
+    >"$configs/stall.cfg"
 
 for side in parent change; do
     if [ $side = parent ]; then src=$parent; else src=$change; fi
@@ -68,6 +73,9 @@ for side in parent change; do
     run degeneracy-n2 degeneracy --n 2 --out "$out/degeneracy-n2" --no-header
     run degeneracy-n3 degeneracy --n 3 --out "$out/degeneracy-n3" --no-header
     run sweep-a sweep-a --a-list 0.1,0.08 --out "$out/sweep-a" --no-header
+    run solve-stall solve --config "$configs/stall.cfg" --out "$out/solve-stall" --no-header
+    run sweep-a-stall sweep-a --config "$configs/stall.cfg" --a-list 0.5,0.2 \
+        --out "$out/sweep-a-stall" --no-header
 done
 
 for f in "$work"/change/*.exit; do   # a shared failure is still a match
