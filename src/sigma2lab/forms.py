@@ -39,14 +39,14 @@ gradients is (1/2) sum_a p_a q_a over the 2n real partials.
 evaluate() is the one place a field's bundle is built.  It returns an
 Iterate in two parts.  The part a Newton step keeps is the field, its
 residual and its readings: the residual's max-norm, the cone test and two
-monitor readings.  The body is the bundle alone.  gprime, gtilde,
-residual_fy1, linearization_coefficients and the monitors each take that
-Iterate, so the solver, the monitors and the verify suites read a field the
-same way.  g' itself is not assembled on the solve path: sigma_1 and
-sigma_2 of g' have closed forms in a and the bundle (gprime_sigmas), which
-is all the cone test, the residual and the monitors read of it.  The bundle
-does not depend on t, so evaluate() is handed one, as its derivs, taken
-from an earlier evaluation of the same field (Iterate.take_body).  f's
+monitor readings.  The body is the bundle alone.  gprime, residual_fy1,
+linearization_coefficients and the monitors each take that Iterate, so the
+solver, the monitors and the verify suites read a field the same way.
+g' itself is not assembled on the solve path: sigma_1 and sigma_2 of g'
+have closed forms in a and the bundle (gprime_sigmas), which is all the
+cone test, the residual and the monitors read of it.  The bundle does not
+depend on t, so evaluate() is handed one, as its derivs, taken from an
+earlier evaluation of the same field (Iterate.take_body).  f's
 partial along the first axis and its Laplacian are computed once and
 shared by every ProblemData.with_t copy; f's other partials are formed
 where they are read.  Both residuals and the linearization read f's
@@ -63,17 +63,17 @@ iterate keeps no body afterwards.  The operator streams the direction's rows
 
 The pointwise work on an iterate runs one slab of the grid at a time
 (torus.slabs): evaluate's sigmas of g', cone tests, kappa and residual,
-linearization_coefficients' rows, and the monitors' C^1 reading and
-eigenvalues of gtilde (gtilde(at=...)).  So every temporary is one slab,
-not one grid array, and no grid array is held that a slab can form again:
-the weights e^{+-u} and a (weights()), the bundle's Laplacian (Derivs.lap)
-and f's partials off the first axis (ProblemData.f_partials) are formed on
-each slab where they are read.  Each node's arithmetic is the whole
-grid's, and every reduction over slabs is exact (max, min, all, a count of
-nodes), so the results are the same bytes.  The accessors of ProblemData,
-weights, gtilde and residual_sigma2 take the nodes as at=..., a slab of the
-whole-grid arrays they read, every node by default; a bundle on a slab is
-the view Derivs(dv.rows[:, at]).
+linearization_coefficients' rows, and the monitors' readings.  So every
+temporary is one slab, not one grid array, and no grid array is held that
+a slab can form again: the weights e^{+-u} and a (weights()), the bundle's
+Laplacian (Derivs.lap) and f's partials off the first axis
+(ProblemData.f_partials) are formed on each slab where they are read.
+Each node's arithmetic is the whole grid's, and every reduction over slabs
+is exact (max, min, all, a count of nodes), so the results are the same
+bytes.  The accessors of ProblemData, weights and residual_sigma2 take the
+nodes as at=..., a slab of the whole-grid arrays they read, every node by
+default; a bundle on a slab is the view Derivs(dv.rows[:, at]), which
+gprime_sigmas and gtilde read.
 """
 
 from __future__ import annotations
@@ -493,18 +493,16 @@ def gprime(it: Iterate) -> np.ndarray:
     return rows
 
 
-def gtilde(it: Iterate, at=...) -> np.ndarray:
+def gtilde(d: ProblemData, dv: Derivs, a: np.ndarray) -> np.ndarray:
     """Linearization metric (n-1) a I + 2 n alpha ((Lap u) I - Hessian), in
-    packed rows on the nodes `at` indexes of the grid (every node by
-    default).
+    packed rows on the nodes the bundle dv and a hold, as in gprime_sigmas.
 
     These are also the coefficients F^{j kbar} of the linearized operator:
     raising both indices by the flat background metric is trivial.
     """
-    d, dv = it.data, Derivs(it.derivs.rows[:, at])
     coef = 2.0 * d.n * d.alpha
     rows = (-coef) * dv.hess_rows
-    rows[:d.n] += (d.n - 1) * weights(it.u, d, at).a + coef * dv.lap
+    rows[:d.n] += (d.n - 1) * a + coef * dv.lap
     return rows
 
 

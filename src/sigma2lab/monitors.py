@@ -18,11 +18,12 @@ constant used by the Moser iteration (reverse_sobolev_constant).
 Every monitor takes an evaluated forms.Iterate and reads its bundle, so
 monitoring an accepted iterate differentiates nothing again; the weights
 e^{+-u} and a are formed from the field where they are read
-(forms.weights).  The C^1 reading max e^{-u} |Du|^2 and the eigenvalue
-range of the linearization metric are read in one pass over the slabs of
-the grid (torus.slabs, _slab_readings), which estimate_report and
-wedge_lower_bound_check share, so no whole-grid metric, weight or product
-is built.
+(forms.weights).  estimate_report and wedge_lower_bound_check each read
+the iterate in one pass over the slabs of the grid (torus.slabs,
+_slab_inputs), which forms each slab's bundle view and weights once: the
+first reads the C^1 reading max e^{-u} |Du|^2 and the eigenvalue range of
+the linearization metric, the second that metric's least eigenvalue and
+the wedge slack, so no whole-grid metric, weight or product is built.
 SolveReport keeps one EstimateReport per accepted t.  Its fields, t and the
 residual norm first, are the monitors.csv schema: CSV_COLUMNS are their
 names, EstimateReport.row their values, and the CLI's writer formats it.
@@ -74,7 +75,12 @@ def estimate_report(it: Iterate) -> EstimateReport:
     d = it.data
     inf_u = float(np.min(it.u))
     sup_u = float(np.max(it.u))
-    c1, eig_min, eig_max = _slab_readings(it)
+    c1, lows, highs = [], [], []
+    for g, w in _slab_inputs(it):
+        c1.append(np.max(w.emu * g.grad_sq))
+        eig = hermitian_eigenvalues(gtilde(d, g, w.a), d.n)
+        lows.append(np.min(eig))
+        highs.append(np.max(eig))
     return EstimateReport(
         t=d.t,
         residual_norm=it.rnorm,
@@ -82,29 +88,23 @@ def estimate_report(it: Iterate) -> EstimateReport:
         sup_u=sup_u,
         c0_low_ratio=float(np.exp(-inf_u) / d.A),
         c0_high_ratio=float(np.exp(sup_u) * d.A),
-        c1_max=c1,
-        gtilde_eig_min=eig_min,
-        gtilde_eig_max=eig_max,
+        c1_max=float(np.max(c1)),
+        gtilde_eig_min=float(np.min(lows)),
+        gtilde_eig_max=float(np.max(highs)),
         kappa=it.kappa,
         kappa_c=d.kappa_c,
         gamma2_fraction=it.gamma2_fraction,
     )
 
 
-def _slab_readings(it: Iterate) -> tuple[float, float, float]:
-    """The C^1 reading max e^{-u} |Du|^2 and the least and the largest
-    eigenvalue of gtilde over the grid, read in one pass over the slabs
-    (torus.slabs).  Each node's arithmetic is the whole grid's and the
-    reductions are exact, so they equal the readings of the whole-grid
-    weights and hermitian_eigenvalues(gtilde(it), n)."""
+def _slab_inputs(it: Iterate):
+    """Each slab's bundle view and weights, in one pass over the slabs of
+    the grid (torus.slabs), each formed once.  Each node's arithmetic is
+    the whole grid's, so exact reductions over the slabs equal those of the
+    whole-grid bundle and weights."""
     d, rows = it.data, it.derivs.rows
-    c1, lows, highs = [], [], []
     for at in slabs(it.u.shape):
-        c1.append(np.max(weights(it.u, d, at).emu * Derivs(rows[:, at]).grad_sq))
-        eig = hermitian_eigenvalues(gtilde(it, at=at), d.n)
-        lows.append(np.min(eig))
-        highs.append(np.max(eig))
-    return float(np.max(c1)), float(np.min(lows)), float(np.max(highs))
+        yield Derivs(rows[:, at]), weights(it.u, d, at)
 
 
 def moser_identity_gap(it: Iterate, k: float) -> float:
@@ -200,14 +200,15 @@ def wedge_lower_bound_check(it: Iterate) -> float:
     returns min over nodes of density + bound (>= 0 up to rounding).  Raises
     HypothesisError if the metric is not positive definite at every node.
     """
-    _, min_eig, _ = _slab_readings(it)
+    d = it.data
+    bound = math.factorial(d.n - 1) / (2.0 * d.n * d.alpha)
+    lows, slacks = [], []
+    for g, w in _slab_inputs(it):
+        lows.append(np.min(hermitian_eigenvalues(gtilde(d, g, w.a), d.n)))
+        slacks.append(np.min(mixed_wedge_density(g) + bound * g.grad_sq * w.a))
+    min_eig = float(np.min(lows))
     if min_eig <= 0.0:
         raise HypothesisError(
             f"the linearization metric is not positive (min eigenvalue {min_eig:.3e})"
         )
-    d, dv = it.data, it.derivs
-    n = d.n
-    fact = math.factorial(n - 1)
-    wedge = mixed_wedge_density(dv)
-    slack = wedge + (fact / (2.0 * n * d.alpha)) * dv.grad_sq * weights(it.u, d).a
-    return float(np.min(slack))
+    return float(np.min(slacks))

@@ -386,12 +386,9 @@ def solve_newton_system(u: np.ndarray, d: ProblemData, coeffs: LinearCoefficient
 def _newton_step(it: Iterate, cfg: SolverConfig, forcing: float = _LINEAR_RTOL):
     """One damped step from an evaluated iterate, its linear solve to relative
     residual `forcing`.  The step consumes the iterate's body (see
-    forms.linearization_coefficients).  Returns the evaluation of the
-    accepted trial, which the next step starts from, and its s."""
-    if not it.in_cone:
-        raise ConeViolationError(
-            "current iterate leaves Gamma_2 at the required margin"
-        )
+    forms.linearization_coefficients), and lies in Gamma_2 at the margin, as
+    _solve_at_t's start and every accepted trial do.  Returns the evaluation
+    of the accepted trial, which the next step starts from, and its s."""
     u, d = it.u, it.data
     # the coefficient rows, written over the iterate's bundle, are passed,
     # not bound: they die with the solve, and `it` keeps no bundle
@@ -422,8 +419,11 @@ def _solve_at_t(it: Iterate, cfg: SolverConfig):
     residual max-norm drops below newton_tol.  Returns (final iterate,
     residual history), the history one entry longer than the number of
     Newton steps; raises ConvergenceError (with best field and history)
-    otherwise.  A NaN residual, the mark of an overflowed field, never
-    counts as converged."""
+    otherwise, and ConeViolationError for a start outside Gamma_2 at the
+    margin, whatever its residual.  A NaN residual, the mark of an
+    overflowed field, never counts as converged."""
+    if not it.in_cone:
+        raise ConeViolationError("current iterate leaves Gamma_2 at the required margin")
     history = [it.rnorm]
     forcing = _FORCING_MAX
     while not it.rnorm < cfg.newton_tol:

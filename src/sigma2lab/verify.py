@@ -181,9 +181,9 @@ def suite_sigma_relations_fields(seed: int, fields: int = 20,
             u = torus.random_band_limited(geom, rng, max_mode=2,
                                           amplitude=float(rng.uniform(0.2, 0.8)))
             it = forms.evaluate(u, d, 0.0)
-            dv = it.derivs
+            dv, a = it.derivs, forms.weights(u, d).a
             gp = forms.gprime(it)
-            gt = forms.gtilde(it)
+            gt = forms.gtilde(d, dv, a)
             s1p = forms.sigma1_field(gp, n)
             s2p = forms.sigma2_field(gp, n)
             s1t = forms.sigma1_field(gt, n)
@@ -201,7 +201,6 @@ def suite_sigma_relations_fields(seed: int, fields: int = 20,
                 float(np.max(_rel_gap(s2t, 0.5 * (n - 1) * (n - 2) * s1p ** 2 + s2p))),
             ]
             # expansion of sigma_2(g') in the Hessian spectrum
-            a = forms.weights(u, d).a
             expanded = (
                 4.0 * n * n * d.alpha ** 2 * forms.sigma2_field(dv.hess_rows, n)
                 + 2.0 * n * (n - 1) * d.alpha * a * dv.lap

@@ -1,11 +1,13 @@
 """Estimate monitors, integral-identity checks, and the wedge lower bound."""
 
+import math
+
 import numpy as np
 import pytest
 
-from sigma2lab import cli, profiles, solve, torus
+from sigma2lab import cli, forms, profiles, solve, torus
 from sigma2lab.errors import HypothesisError, RangeUnderflowError
-from sigma2lab.forms import ProblemData, evaluate
+from sigma2lab.forms import ProblemData, evaluate, gtilde, hermitian_eigenvalues, weights
 from sigma2lab.monitors import (
     CSV_COLUMNS,
     estimate_report,
@@ -13,7 +15,22 @@ from sigma2lab.monitors import (
     reverse_sobolev_constant,
     wedge_lower_bound_check,
 )
-from sigma2lab.torus import random_band_limited
+from sigma2lab.torus import mixed_wedge_density, random_band_limited
+
+
+def near_solution(d, rng):
+    """d evaluated at -log A, the t = 0 solution, plus a perturbation small
+    enough that gtilde stays positive."""
+    u = -np.log(d.A) + random_band_limited(d.geometry, rng, 2, 0.01)
+    return evaluate(u, d, 0.0)
+
+
+@pytest.fixture(scope="module")
+def near_solution_32(geom2_32):
+    """An iterate on 32^4 nodes, 32 slabs of one first-axis index each."""
+    d = ProblemData(geom2_32, 0.8, profiles.f_profile(geom2_32, 0.3),
+                    profiles.mu_profile(geom2_32, 0.5), 0.15, t=0.7)
+    return near_solution(d, np.random.default_rng(3))
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +84,19 @@ class TestEstimateReport:
         patch_everywhere(slabs, counted)
         estimate_report(it)
         assert passes == [problem2.geometry.shape]
+
+    def test_weights_formed_once_per_slab(self, near_solution_32, patch_everywhere):
+        # the C^1 reading and gtilde read each slab's one set of weights
+        # (forming them for each gave 64 on 32^4)
+        calls, real = [], forms.weights
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        patch_everywhere(real, counted)
+        estimate_report(near_solution_32)
+        assert len(calls) == len(list(torus.slabs(near_solution_32.u.shape))) == 32
 
 
 class TestMoserIdentity:
@@ -149,6 +179,26 @@ class TestWedgeLowerBound:
         bad = -np.log(0.1) + 2.5 * np.cos(w * x)
         with pytest.raises(HypothesisError):
             wedge_lower_bound_check(evaluate(bad, d, 0.0))
+
+    @pytest.mark.parametrize("which", ["problem2", "problem3"])
+    def test_slack_is_the_whole_grid_minimum(self, which, request, rng):
+        # read slab by slab by the same nodewise algebra: equal, not close
+        d = request.getfixturevalue(which)
+        it = near_solution(d, rng)
+        a = weights(it.u, d).a
+        assert np.min(hermitian_eigenvalues(gtilde(d, it.derivs, a), d.n)) > 0.0
+        bound = math.factorial(d.n - 1) / (2.0 * d.n * d.alpha)
+        slack = mixed_wedge_density(it.derivs) + bound * it.derivs.grad_sq * a
+        assert wedge_lower_bound_check(it) == float(np.min(slack))
+
+    @pytest.mark.parametrize("grid, budget", [("32^4", 1.0), ("8^6", 5.0)])
+    def test_memory(self, grid, budget, near_solution_32, problem3, rng, traced_peak):
+        # every temporary is a slab: 0.59 grid arrays on 32^4 and 4.13 on
+        # 8^6, whose slabs are an eighth of the grid (the whole-grid density
+        # and its complex matrices gave 16 and 30)
+        it = near_solution_32 if grid == "32^4" else near_solution(problem3, rng)
+        peak = traced_peak(wedge_lower_bound_check, it)
+        assert peak <= budget * it.u.size * 8
 
 
 class TestCsv:

@@ -40,6 +40,16 @@ def resnorm(u, d):
     return evaluate(u, d, 0.0).rnorm
 
 
+def out_of_cone(geom):
+    """(u, data): a t = 0 field that leaves Gamma_2 at some nodes."""
+    zero = np.zeros(geom.shape)
+    d = ProblemData(geom, 1.0, zero, zero, 0.1, t=0.0)
+    x = geom.coordinate(0) * np.ones(geom.shape)
+    bad = -np.log(0.1) + 2.0 * np.cos(2 * np.pi * x)
+    assert not np.all(cone_mask(bad, d))
+    return bad, d
+
+
 class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -104,15 +114,9 @@ class TestNewtonStep:
         assert r_after <= r_before / 10.0
 
     def test_cone_precondition_enforced(self, geom2):
-        zero = np.zeros(geom2.shape)
-        d = ProblemData(geom2, 1.0, zero, zero, 0.1, t=0.0)
-        w = 2 * np.pi
-        x = geom2.coordinate(0) * np.ones(geom2.shape)
-        bad = -np.log(0.1) + 2.0 * np.cos(w * x)
-        assert not np.all(cone_mask(bad, d))
         cfg = SolverConfig()
         with pytest.raises(ConeViolationError):
-            _newton_step(evaluate(bad, d, cfg.cone_margin), cfg)
+            _solve_at_t(evaluate(*out_of_cone(geom2), cfg.cone_margin), cfg)
 
     def test_step_damped_but_margin_respected(self, geom2):
         # large source: the full Newton step overshoots, backtracking accepts
@@ -166,6 +170,15 @@ class TestNewtonStep:
 
 
 class TestSolveAtT:
+    def test_converged_start_is_cone_tested(self, geom2):
+        # a start whose residual already meets newton_tol takes no Newton
+        # step, and is still refused outside the cone
+        cfg = SolverConfig()
+        start = dataclasses.replace(evaluate(*out_of_cone(geom2), cfg.cone_margin), rnorm=0.0)
+        assert start.rnorm < cfg.newton_tol
+        with pytest.raises(ConeViolationError, match="leaves Gamma_2"):
+            _solve_at_t(start, cfg)
+
     def test_trivial_returns_start(self, geom2, trivial2):
         u0 = np.full(geom2.shape, -np.log(trivial2.A))
         cfg = SolverConfig(newton_tol=1e-10)

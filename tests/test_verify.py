@@ -24,9 +24,9 @@ def test_injected_fault_is_caught(monkeypatch):
     # the sigma-relation suite must fail with a concrete counterexample
     real_gtilde = forms.gtilde
 
-    def broken_gtilde(it):
-        coef = 2.0 * it.data.n * it.data.alpha
-        return real_gtilde(it) + 2.0 * coef * it.derivs.hess_rows  # sign flip of the Hessian part
+    def broken_gtilde(d, dv, a):
+        coef = 2.0 * d.n * d.alpha
+        return real_gtilde(d, dv, a) + 2.0 * coef * dv.hess_rows  # sign flip of the Hessian part
 
     monkeypatch.setattr(forms, "gtilde", broken_gtilde)
     res = verify.suite_sigma_relations_fields(seed=3, fields=2)

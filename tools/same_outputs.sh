@@ -54,6 +54,10 @@ printf 'points_per_axis = 32\nf_scale = 4\nmu_scale = 4\n' >"$configs/grid32-sca
 # again, is compared too
 printf 'points_per_axis = 8\nf_scale = 0\nmu_scale = 3\nmax_newton_iters = 3\nt_step_min = 0.05\nA = 0.5\n' \
     >"$configs/stall.cfg"
+# an 8^4 walk at mu_scale = 20 whose Newton steps backtrack: about 230
+# rejected trials and a ConeBreakdownError before it stalls at t = 0.6309
+# and exits 3, so the damped step's trials are compared too
+printf 'points_per_axis = 8\nmu_scale = 20\n' >"$configs/backtrack.cfg"
 
 for side in parent change; do
     if [ $side = parent ]; then src=$parent; else src=$change; fi
@@ -76,6 +80,8 @@ for side in parent change; do
     run solve-stall solve --config "$configs/stall.cfg" --out "$out/solve-stall" --no-header
     run sweep-a-stall sweep-a --config "$configs/stall.cfg" --a-list 0.5,0.2 \
         --out "$out/sweep-a-stall" --no-header
+    run solve-backtrack solve --config "$configs/backtrack.cfg" \
+        --out "$out/solve-backtrack" --no-header
 done
 
 for f in "$work"/change/*.exit; do   # a shared failure is still a match
