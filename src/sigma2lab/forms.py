@@ -61,19 +61,17 @@ that row alone, so the rows are written over the bundle in place and the
 iterate keeps no body afterwards.  The operator streams the direction's rows
 (LinearCoefficients.apply_to).
 
-The pointwise work on an iterate runs one slab of the grid at a time
-(torus.slabs): evaluate's sigmas of g', cone tests, kappa and residual,
-linearization_coefficients' rows, and the monitors' readings.  So every
-temporary is one slab, not one grid array, and no grid array is held that
-a slab can form again: the weights e^{+-u} and a (weights()), the bundle's
-Laplacian (Derivs.lap) and f's partials off the first axis
-(ProblemData.f_partials) are formed on each slab where they are read.
-Each node's arithmetic is the whole grid's, and every reduction over slabs
-is exact (max, min, all, a count of nodes), so the results are the same
-bytes.  The accessors of ProblemData, weights and residual_sigma2 take the
-nodes as at=..., a slab of the whole-grid arrays they read, every node by
-default; a bundle on a slab is the view Derivs(dv.rows[:, at]), which
-gprime_sigmas and gtilde read.
+The pointwise work on an iterate runs one slab of the grid at a time, in
+the one walk over torus.slabs (map_slabs) through which evaluate,
+linearization_coefficients and every monitor read it.  So every temporary
+is one slab, and no grid array is held that a slab can form again: the
+weights e^{+-u} and a (weights()), the bundle's Laplacian (Derivs.lap) and
+f's partials off the first axis (ProblemData.f_partials) are formed on each
+slab where they are read.  Each node's arithmetic is the whole grid's, and
+every reduction over slabs here is exact (max, min, all, a count of nodes),
+so the results are the same bytes.  The accessors of ProblemData, weights
+and residual_sigma2 take the nodes as at=..., every node by default; a
+bundle on a slab is the view Derivs(dv.rows[:, at]).
 """
 
 from __future__ import annotations
@@ -446,6 +444,17 @@ def residual_sigma2(d: ProblemData, dv: Derivs, w: Weights, s2: np.ndarray,
     return np.subtract(s2, out, out=out)
 
 
+def map_slabs(fn, u: np.ndarray, d: ProblemData, dv: Derivs) -> list:
+    """fn(g, w, at) on each slab `at` of u's grid (torus.slabs), in order, and
+    the list of its results: g is the slab's view of dv, u's bundle or the
+    rows written over it, and w the slab's weights(u, d, at).  Nothing of a
+    slab outlives fn's call but what fn returns, so a slab's weights are
+    released before the next slab's are formed."""
+    def on_slab(at):
+        return fn(Derivs(dv.rows[:, at]), weights(u, d, at), at)
+    return list(map(on_slab, slabs(u.shape)))
+
+
 def evaluate(u: np.ndarray, d: ProblemData, margin: float,
              derivs: Derivs | None = None) -> Iterate:
     """Evaluate u against d: the one place a field's bundle is built.
@@ -454,30 +463,30 @@ def evaluate(u: np.ndarray, d: ProblemData, margin: float,
     (Iterate.take_body), or a constant field's (torus.constant_derivatives).
     It is taken, not copied.
 
-    After the bundle, the work is pointwise, and it runs one slab of the
-    grid at a time (torus.slabs): the weights, the sigmas of g', both cone
-    tests, kappa and the residual, so the residual is the one grid array
-    formed besides the bundle and every temporary is one slab.  The readings
-    combine exactly: rnorm and kappa are the max and the min of the slabs'
-    (a NaN propagates), in_cone is every slab's test, and the Gamma_2
-    fraction is the count of nodes inside over the node count.
+    After the bundle the work runs slab by slab (map_slabs): the sigmas of
+    g', both cone tests, kappa and the residual, the one grid array formed
+    besides the bundle.  The readings combine exactly: rnorm and kappa are
+    the max and the min of the slabs' (a NaN propagates), in_cone is every
+    slab's test, and the Gamma_2 fraction is the count of nodes inside over
+    the node count.
 
     Nothing here tests the arrays for finiteness: an overflowed field has a
     NaN or infinite rnorm, which never passes the solver's rnorm < newton_tol."""
     dv = spectral_derivatives(u) if derivs is None else derivs
     r = np.empty(u.shape)
-    rnorms, kappas, in_cone, inside = [], [], True, 0
-    for at in slabs(u.shape):
-        g, w = Derivs(dv.rows[:, at]), weights(u, d, at)
+
+    def read(g, w, at):
         s1, s2 = gprime_sigmas(d, g, w.a)
-        in_cone &= bool(np.all(gamma2_mask(s1, s2, d.n, margin)))
-        inside += int(np.count_nonzero(gamma2_mask(s1, s2, d.n)))
+        in_cone = bool(np.all(gamma2_mask(s1, s2, d.n, margin)))
+        inside = int(np.count_nonzero(gamma2_mask(s1, s2, d.n)))
         del s1   # not read again; freed before the residual's temporaries
-        kappas.append(np.min(w.emu * w.emu * s2))
+        kappa = np.min(w.emu * w.emu * s2)
         residual_sigma2(d, g, w, s2, at=at, out=r[at])
-        rnorms.append(np.max(np.abs(r[at])))
-    return Iterate(u, d, r, float(np.max(rnorms)), in_cone, float(np.min(kappas)),
-                   inside / u.size, dv)
+        return in_cone, inside, kappa, np.max(np.abs(r[at]))
+
+    in_cone, inside, kappas, rnorms = zip(*map_slabs(read, u, d, dv))
+    return Iterate(u, d, r, float(np.max(rnorms)), all(in_cone), float(np.min(kappas)),
+                   sum(inside) / u.size, dv)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +580,7 @@ def linearization_coefficients(it: Iterate) -> LinearCoefficients:
     """Assemble the analytic coefficients of the Fréchet derivative at it.u.
 
     It consumes the iterate's body, one slab of the grid at a time
-    (torus.slabs, _linearize_slab): c0 is formed first, then each bundle row
+    (map_slabs, _linearize_slab): c0 is formed first, then each bundle row
     is overwritten by its coefficient row, which reads only that row, the
     Laplacian, the weights and f's partial for the row.  So k is the
     bundle's own buffer, c0 is the one grid array formed, every temporary is
@@ -583,21 +592,18 @@ def linearization_coefficients(it: Iterate) -> LinearCoefficients:
     """
     dv = it.take_body()
     c0 = np.empty(it.u.shape)
-    for at in slabs(c0.shape):
-        _linearize_slab(it.u, it.data, Derivs(dv.rows[:, at]), c0, at)
+    map_slabs(lambda g, w, at: _linearize_slab(it.data, c0, g, w, at), it.u, it.data, dv)
     return LinearCoefficients(k=dv.rows, c0=c0)
 
 
-def _linearize_slab(u: np.ndarray, d: ProblemData, g: Derivs, c0: np.ndarray, at) -> None:
+def _linearize_slab(d: ProblemData, c0: np.ndarray, g: Derivs, w: Weights, at) -> None:
     """linearization_coefficients on the nodes `at` indexes, which the
-    bundle g holds: c0[at] is written, and g's rows are overwritten by
-    their coefficient rows.  Its temporaries die with the call, before the
-    next slab's are formed."""
-    kc = d.kappa_c
-    al = d.alpha
-    n = d.n
+    bundle g and the weights w hold: c0[at] is written, g's rows are
+    overwritten by their coefficient rows and e^{+-u} by temporaries, and
+    the other temporaries die with the call."""
+    kc, al, n = d.kappa_c, d.alpha, d.n
     coef = 2.0 * n * al
-    eu, emu, a = weights(u, d, at)
+    eu, emu, a = w
 
     # u-derivative of sigma_2(g') through a, (n-1) sigma_1(g') b, minus
     # that of the expanded right-hand side,
@@ -609,8 +615,7 @@ def _linearize_slab(u: np.ndarray, d: ProblemData, g: Derivs, c0: np.ndarray, at
     c += df
     del df
     c *= 4.0 * al * kc
-    b = 2.0 * eu     # e^u - f_eff e^{-u}, the u-derivative of a
-    del eu
+    b = np.multiply(eu, 2.0, out=eu)   # e^u - f_eff e^{-u}, the u-derivative of a
     b -= a
     lap = g.lap   # summed here, after f's partials and before hk overwrites the diagonal rows
     c += ((n - 1) * coef) * b * lap
@@ -624,7 +629,7 @@ def _linearize_slab(u: np.ndarray, d: ProblemData, g: Derivs, c0: np.ndarray, at
         ua *= b
         fa *= emu
         ua += fa
-    del b, emu, fa   # freed before the Hessian rows' temporaries
+    del fa   # freed before the Hessian rows' temporaries
     # 2 n alpha Tr(gtilde Hess v) with gtilde = (n-1) a I + coef (Lap u I - Hess u)
     hk = g.hess_rows
     hk *= -coef * coef

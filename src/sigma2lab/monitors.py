@@ -16,14 +16,13 @@ parts chain (moser_identity_gap) and the reverse-Sobolev-type inequality
 constant used by the Moser iteration (reverse_sobolev_constant).
 
 Every monitor takes an evaluated forms.Iterate and reads its bundle, so
-monitoring an accepted iterate differentiates nothing again; the weights
-e^{+-u} and a are formed from the field where they are read
-(forms.weights).  estimate_report and wedge_lower_bound_check each read
-the iterate in one pass over the slabs of the grid (torus.slabs,
-_slab_inputs), which forms each slab's bundle view and weights once: the
-first reads the C^1 reading max e^{-u} |Du|^2 and the eigenvalue range of
-the linearization metric, the second that metric's least eigenvalue and
-the wedge slack, so no whole-grid metric, weight or product is built.
+monitoring an accepted iterate differentiates nothing again, in one walk
+over the slabs of the grid (forms.map_slabs) that forms each slab's bundle
+view and weights e^{+-u} and a once.  So no whole-grid metric, weight or
+integrand is built, and the wedge density (torus.mixed_wedge_density) is
+real algebra on the bundle's packed rows.  Minima and maxima over the slabs
+are the whole grid's exactly; the identities' integrals are summed slab by
+slab, which rounds differently from np.mean of the grid.
 SolveReport keeps one EstimateReport per accepted t.  Its fields, t and the
 residual norm first, are the monitors.csv schema: CSV_COLUMNS are their
 names, EstimateReport.row their values, and the CLI's writer formats it.
@@ -37,8 +36,8 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .errors import HypothesisError, RangeUnderflowError
-from .forms import Iterate, gtilde, hermitian_eigenvalues, weights
-from .torus import Derivs, mixed_wedge_density, slabs
+from .forms import Iterate, gtilde, hermitian_eigenvalues, map_slabs
+from .torus import mixed_wedge_density
 
 
 @dataclass(frozen=True)
@@ -73,14 +72,13 @@ def estimate_report(it: Iterate) -> EstimateReport:
     and the Gamma_2 fraction are the iterate's own readings of g', taken by
     forms.evaluate from the closed-form sigmas."""
     d = it.data
-    inf_u = float(np.min(it.u))
-    sup_u = float(np.max(it.u))
-    c1, lows, highs = [], [], []
-    for g, w in _slab_inputs(it):
-        c1.append(np.max(w.emu * g.grad_sq))
+    inf_u, sup_u = float(np.min(it.u)), float(np.max(it.u))
+
+    def read(g, w, at):
         eig = hermitian_eigenvalues(gtilde(d, g, w.a), d.n)
-        lows.append(np.min(eig))
-        highs.append(np.max(eig))
+        return np.max(w.emu * g.grad_sq), np.min(eig), np.max(eig)
+
+    c1, lows, highs = zip(*map_slabs(read, it.u, d, it.derivs))
     return EstimateReport(
         t=d.t,
         residual_norm=it.rnorm,
@@ -97,16 +95,6 @@ def estimate_report(it: Iterate) -> EstimateReport:
     )
 
 
-def _slab_inputs(it: Iterate):
-    """Each slab's bundle view and weights, in one pass over the slabs of
-    the grid (torus.slabs), each formed once.  Each node's arithmetic is
-    the whole grid's, so exact reductions over the slabs equal those of the
-    whole-grid bundle and weights."""
-    d, rows = it.data, it.derivs.rows
-    for at in slabs(it.u.shape):
-        yield Derivs(rows[:, at]), weights(it.u, d, at)
-
-
 def moser_identity_gap(it: Iterate, k: float) -> float:
     """Residual of the k-weighted integral identity, normalized by its
     largest term.
@@ -119,70 +107,58 @@ def moser_identity_gap(it: Iterate, k: float) -> float:
               + (1 - 1/(k+1)) * I[e^{-(k+1)u} Lap f]
 
     holds exactly in the continuum; the returned gap is the discretization
-    (plus non-solution) error.  All data are t-scaled.  Raises
-    RangeUnderflowError when the weights overflow, or underflow to 0 at
-    every node, where every term of the identity would read 0.
+    (plus non-solution) error.  All data are t-scaled, and each integral is
+    summed slab by slab.  Raises RangeUnderflowError when the weights
+    overflow, or underflow to 0 at every node, where every term of the
+    identity would read 0.
     """
     if not k > 0.0:
         raise ValueError("the identity weight k must be positive")
-    d, dv = it.data, it.derivs
-    n = d.n
-    vals = it.u
-    with np.errstate(over="ignore"):
-        e_min_ku = np.exp(-k * vals)
-        e_min_k1u = np.exp(-(k + 1.0) * vals)
-    # e^{-ku} is finite where e^{-(k+1)u} is, and nonzero where it is nonzero
-    if not np.all(np.isfinite(e_min_k1u)):
-        raise RangeUnderflowError(f"exp(-k u) overflowed for k={k}")
-    if not np.any(e_min_k1u):
-        raise RangeUnderflowError(f"exp(-k u) underflowed to 0 at every node for k={k:g}")
-    wedge = mixed_wedge_density(dv)
+    d = it.data
 
-    fact = math.factorial(n - 1)
-    lhs = k * float(np.mean(e_min_ku * dv.grad_sq * weights(vals, d).a))
-    r1 = -(k * n * d.alpha / fact) * float(np.mean(e_min_ku * wedge))
-    r2 = -(1.0 / (n - 1)) * float(np.mean(e_min_ku * d.mu_eff()))
-    r3 = (1.0 - 1.0 / (k + 1.0)) * float(np.mean(e_min_k1u * d.lap_f_eff()))
-    terms = np.array([lhs, r1, r2, r3])
+    def sums(g, w, at):
+        with np.errstate(over="ignore"):
+            e_min_ku = np.exp(-k * it.u[at])
+            e_min_k1u = np.exp(-(k + 1.0) * it.u[at])
+        # e^{-ku} is finite where e^{-(k+1)u} is, and nonzero where it is nonzero
+        if not np.all(np.isfinite(e_min_k1u)):
+            raise RangeUnderflowError(f"exp(-k u) overflowed for k={k}")
+        return (np.count_nonzero(e_min_k1u), np.sum(e_min_ku * g.grad_sq * w.a),
+                np.sum(e_min_ku * mixed_wedge_density(g)), np.sum(e_min_ku * d.mu_eff(at)),
+                np.sum(e_min_k1u * d.lap_f_eff(at)))
+
+    means = np.sum(map_slabs(sums, it.u, d, it.derivs), axis=0) / it.u.size
+    if not means[0]:
+        raise RangeUnderflowError(f"exp(-k u) underflowed to 0 at every node for k={k:g}")
+    lhs, r1, r2, r3 = terms = means[1:] * [k, -(k * d.n * d.alpha / math.factorial(d.n - 1)),
+                                            -(1.0 / (d.n - 1)), 1.0 - 1.0 / (k + 1.0)]
     scale = float(np.max(np.abs(terms)))
-    if scale == 0.0:
-        return 0.0
-    return abs(lhs - (r1 + r2 + r3)) / scale
+    return 0.0 if scale == 0.0 else float(abs(lhs - (r1 + r2 + r3)) / scale)
 
 
 def reverse_sobolev_constant(it: Iterate, k: float) -> float:
     """Smallest C with I[|D e^{-ku/2}|^2] <= C k (I[e^{-(k+1)u}] + I[e^{-(k+2)u}]).
 
     Since D e^{-ku/2} = -(k/2) e^{-ku/2} Du pointwise, the left side is
-    (k^2/4) I[e^{-ku} |Du|^2].  Everything is evaluated in shifted log space
-    so large k u cannot overflow; an underflow of the right-hand integrals,
-    or a constant outside float64 (k^2 overflows from k ~ 1e154), raises
-    RangeUnderflowError.
+    (k^2/4) I[e^{-ku} |Du|^2].  Each integral I[e^{-p u} ...] is summed slab
+    by slab as e^{p m} mean(e^{-p(u + m)} ...), m = max(-u): the shifted
+    integrand is at most 1, so large k u cannot overflow, and 1 at the least
+    u, so no right-hand integral underflows.  A constant outside float64
+    (k^2 overflows from k ~ 1e154) raises RangeUnderflowError.
     """
     if not k >= 1.0:
         raise ValueError("the Sobolev weight k must be >= 1")
-    vals = it.u
-    m = -float(np.min(vals))  # max of -u
+    m = -float(np.min(it.u))
+    powers = (k, k + 1.0, k + 2.0)
 
-    def log_integral(p: float, extra: np.ndarray | None = None) -> float:
-        # log I[e^{-p u} * extra] = p m + log mean(e^{-p(u + m)} * extra)
-        w = np.exp(-p * (vals + m))
-        if extra is not None:
-            w = w * extra
-        mean = float(np.mean(w))
-        if mean <= 0.0:
-            if extra is None:
-                raise RangeUnderflowError(
-                    f"exponential integral underflowed for weight {p}"
-                )
-            return -np.inf
-        return p * m + float(np.log(mean))
+    def sums(g, w, at):
+        shifted = (np.exp(-p * (it.u[at] + m)) for p in powers)   # one at a time
+        return np.sum(next(shifted) * g.grad_sq), np.sum(next(shifted)), np.sum(next(shifted))
 
-    log_num = log_integral(k, it.derivs.grad_sq)
-    if log_num == -np.inf:
+    means = np.sum(map_slabs(sums, it.u, it.data, it.derivs), axis=0) / it.u.size
+    if means[0] <= 0.0:
         return 0.0  # constant field: left side is exactly zero
-    log_i1 = log_integral(k + 1.0)
-    log_i2 = log_integral(k + 2.0)
+    log_num, log_i1, log_i2 = (p * m + float(np.log(mean)) for p, mean in zip(powers, means))
     log_den = np.log(k) + np.logaddexp(log_i1, log_i2)
     const = float(np.exp(np.log(k * k / 4.0) + log_num - log_den))
     if not math.isfinite(const):
@@ -199,13 +175,22 @@ def wedge_lower_bound_check(it: Iterate) -> float:
 
     returns min over nodes of density + bound (>= 0 up to rounding).  Raises
     HypothesisError if the metric is not positive definite at every node.
+
+    The bound cannot tell which way the density's off-diagonal contraction
+    is conjugated.  With A = (D_j u conj(D_k u)) >= 0 the density is
+    (n-2)!/(2 n alpha) (tr(A gtilde) - (n-1) a |Du|^2), and contracted with
+    the transposed Hessian it is the same in gtilde^T, which is positive
+    exactly when gtilde is: both meet the bound.  The integration by parts
+    of verify.suite_wedge_identity tells them apart.
     """
     d = it.data
     bound = math.factorial(d.n - 1) / (2.0 * d.n * d.alpha)
-    lows, slacks = [], []
-    for g, w in _slab_inputs(it):
-        lows.append(np.min(hermitian_eigenvalues(gtilde(d, g, w.a), d.n)))
-        slacks.append(np.min(mixed_wedge_density(g) + bound * g.grad_sq * w.a))
+
+    def read(g, w, at):
+        low = np.min(hermitian_eigenvalues(gtilde(d, g, w.a), d.n))
+        return low, np.min(mixed_wedge_density(g) + bound * g.grad_sq * w.a)
+
+    lows, slacks = zip(*map_slabs(read, it.u, d, it.derivs))
     min_eig = float(np.min(lows))
     if min_eig <= 0.0:
         raise HypothesisError(

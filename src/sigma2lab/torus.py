@@ -43,8 +43,9 @@ the rows.
 The last n^2 rows are the packed layout in which every Hermitian form of
 the package is held, as a plain real array (n^2,) + nodes: n real diagonal
 entries, then the real and imaginary parts of each strict-upper entry in
-upper_pairs order.  unpack_hermitian expands packed rows into full complex
-matrices for callers that want them.  The holomorphic derivative is
+upper_pairs order.  unpack_hermitian expands packed rows into the full
+complex matrices that the verify suites and the tests check the packed
+algebra against.  The holomorphic derivative is
 D_j = (d/dx_j - i d/dy_j) / 2, so D_j u = (rows[2j] - i rows[2j+1]) / 2 and
 
     Re u_{j kbar} = (u_{x_j x_k} + u_{y_j y_k}) / 4,
@@ -70,7 +71,7 @@ The bundle (Derivs) is the one way to differentiate a field: .partials,
 .grad_sq, .lap and .hess_rows are read from its rows, the last three formed
 on whatever nodes the rows are a view of.  slabs splits a grid into slabs of
 whole first-axis indices, on which the package does its pointwise work so
-that every temporary is one slab.
+that every temporary is one slab (contract_derivatives, forms.map_slabs).
 
 prolong carries a field from a grid to a finer one by zero-padding its half
 spectrum; injection, x[::2, ...], is the way back (forms.ProblemData.restricted).
@@ -494,22 +495,24 @@ def contract_derivatives(k: np.ndarray, values: np.ndarray, out: np.ndarray) -> 
 
 def mixed_wedge_density(dv: Derivs) -> np.ndarray:
     """Scalar density of i du ^ dbar u ^ i ddbar u ^ omega^{n-2} against
-    omega^n/n!, from u's bundle.
+    omega^n/n!, from u's bundle, on the nodes it holds:
 
-    Computed coordinate-invariantly as
-
-        (n-2)! * ( |Du|^2 Lap(u) - sum_{j,k} D_j u conj(D_k u) Hess[j,k] ),
+        (n-2)! * ( |Du|^2 Lap(u) - sum_{j,k} D_j u conj(D_k u) u_{k jbar} ),
 
     which at a node where the Hessian is diagonal reduces to
-    (n-2)! * sum_i |u_i|^2 (Lap(u) - u_{i ibar}).
+    (n-2)! * sum_i |u_i|^2 (Lap(u) - u_{i ibar}).  It is real algebra on the
+    packed rows, as forms.sigma2_field is: with x_j, y_j the partials, each
+    pair j < k adds 2 Re(conj(D_j u) D_k u u_{j kbar}) to the contraction,
+    ((x_j x_k + y_j y_k) Re u_{j kbar} + (x_j y_k - y_j x_k) Im u_{j kbar}) / 2.
     """
-    # contraction sum_{j,k} u_j conj(u_k) H[j,k]; real because H is Hermitian
-    p = dv.partials
-    grad = 0.5 * (p[0::2] - 1j * p[1::2])
-    t = np.einsum("j...,jk...->k...", grad, unpack_hermitian(dv.hess_rows, dv.n))
-    mixed = np.einsum("k...,k...->...", t, np.conj(grad)).real
-    fac = float(math.factorial(dv.n - 2))
-    return fac * (dv.grad_sq * dv.lap - mixed)
+    n, h, x, y = dv.n, dv.hess_rows, dv.partials[0::2], dv.partials[1::2]
+    out = dv.grad_sq * dv.lap
+    for j in range(n):
+        out -= 0.25 * (x[j] * x[j] + y[j] * y[j]) * h[j]
+    for r, (j, k) in enumerate(upper_pairs(n)):
+        re, im = h[n + 2 * r], h[n + 2 * r + 1]
+        out -= 0.5 * ((x[j] * x[k] + y[j] * y[k]) * re + (x[j] * y[k] - y[j] * x[k]) * im)
+    return math.factorial(n - 2) * out
 
 
 # ---------------------------------------------------------------------------

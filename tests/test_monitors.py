@@ -99,6 +99,17 @@ class TestEstimateReport:
         assert len(calls) == len(list(torus.slabs(near_solution_32.u.shape))) == 32
 
 
+@pytest.fixture(scope="module")
+def solved_perturbative():
+    """The perturbative problem on 16^4 at f_scale = mu_scale = 1, solved:
+    its Hessian has off-diagonal imaginary parts, unlike the manufactured
+    solution's."""
+    data = profiles.perturbative_problem(torus.TorusGeometry(2, 16), 1.0, 0.1, 1.0, 1.0)
+    report, u = solve.run_and_return(data, solve.SolverConfig())
+    assert report.converged
+    return evaluate(u, data, 0.0)
+
+
 class TestMoserIdentity:
     def test_trivial_data_gap_is_zero(self, geom2, trivial2):
         u0 = np.full(geom2.shape, -np.log(trivial2.A))
@@ -130,6 +141,19 @@ class TestMoserIdentity:
         with pytest.raises(RangeUnderflowError, match="underflowed"):
             moser_identity_gap(it, 300.0)
 
+    def test_solved_perturbative_gap_small(self, solved_perturbative):
+        # the density contracted the other way round reads 1.8e-3 here
+        for k in (2.0, 4.0, 8.0):
+            assert moser_identity_gap(solved_perturbative, k) < 1e-8
+
+    @pytest.mark.parametrize("grid, budget", [("32^4", 1.0), ("8^6", 2.0)])
+    def test_memory(self, grid, budget, near_solution_32, problem3, rng, traced_peak):
+        # every integrand is summed on its slab: 0.28 grid arrays on 32^4 and
+        # 1.13 on 8^6, whose slabs are an eighth of the grid (whole-grid
+        # weights, integrands and complex matrices gave 18 and 32)
+        it = near_solution_32 if grid == "32^4" else near_solution(problem3, rng)
+        assert traced_peak(moser_identity_gap, it, 4.0) <= budget * it.u.size * 8
+
 
 class TestReverseSobolev:
     def test_constant_field_is_zero(self, geom2, trivial2):
@@ -159,6 +183,13 @@ class TestReverseSobolev:
     def test_k_validation(self, geom2, trivial2):
         with pytest.raises(ValueError):
             reverse_sobolev_constant(evaluate(np.zeros(geom2.shape), trivial2, 0.0), 0.5)
+
+    @pytest.mark.parametrize("grid", ["32^4", "8^6"])
+    def test_memory(self, grid, near_solution_32, problem3, rng, traced_peak):
+        # the three integrals are summed on each slab: 0.16 grid arrays on
+        # 32^4 and 0.63 on 8^6 (whole-grid integrands gave 3)
+        it = near_solution_32 if grid == "32^4" else near_solution(problem3, rng)
+        assert traced_peak(reverse_sobolev_constant, it, 4.0) <= it.u.size * 8
 
 
 class TestWedgeLowerBound:
@@ -193,7 +224,7 @@ class TestWedgeLowerBound:
 
     @pytest.mark.parametrize("grid, budget", [("32^4", 1.0), ("8^6", 5.0)])
     def test_memory(self, grid, budget, near_solution_32, problem3, rng, traced_peak):
-        # every temporary is a slab: 0.59 grid arrays on 32^4 and 4.13 on
+        # every temporary is a slab: 0.34 grid arrays on 32^4 and 3.75 on
         # 8^6, whose slabs are an eighth of the grid (the whole-grid density
         # and its complex matrices gave 16 and 30)
         it = near_solution_32 if grid == "32^4" else near_solution(problem3, rng)

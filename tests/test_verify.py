@@ -3,7 +3,7 @@ suites actually detect a broken build."""
 
 import numpy as np
 
-from sigma2lab import forms, symfun, verify
+from sigma2lab import forms, symfun, torus, verify
 
 
 def test_all_suites_pass_fast_mode():
@@ -77,3 +77,21 @@ def test_nan_slack_fails(monkeypatch):
     res = verify.suite_leading_product(seed=3, samples=300)
     assert not res.passed
     assert "nan" in res.detail
+
+
+def test_wedge_conjugation_fault_is_caught(monkeypatch):
+    # the density contracted with the transposed Hessian, whose packed rows
+    # are the Hessian's with every imaginary part negated: only the
+    # integration by parts on generic fields can see it
+    real = torus.mixed_wedge_density
+
+    def transposed(dv):
+        rows = dv.rows.copy()
+        n = dv.n
+        rows[3 * n + 1::2] *= -1.0
+        return real(torus.Derivs(rows))
+
+    monkeypatch.setattr(torus, "mixed_wedge_density", transposed)
+    res = verify.suite_wedge_identity(seed=3, fields=2)
+    assert not res.passed
+    assert "generic field" in res.detail

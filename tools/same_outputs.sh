@@ -73,6 +73,10 @@ for side in parent change; do
         --out "$out/solve-manufactured" --no-header
     run moser-check moser-check --config "$configs/manufactured.cfg" \
         --solution "$out/solve-manufactured/solution.bin" --out "$out/moser-check" --no-header
+    # a solution whose Hessian has off-diagonal imaginary parts, so the wedge
+    # density's off-diagonal terms are compared too
+    run moser-check-scale4 moser-check --config "$configs/grid32-scale4.cfg" \
+        --solution "$out/solve-32-scale4/solution.bin" --out "$out/moser-check-scale4" --no-header
     run verify verify --fast --seed 0
     run degeneracy-n2 degeneracy --n 2 --out "$out/degeneracy-n2" --no-header
     run degeneracy-n3 degeneracy --n 3 --out "$out/degeneracy-n3" --no-header
