@@ -70,7 +70,11 @@ class RunConfig:
         cfg = cls()
         if path is None:
             return cfg
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"{path}: not a UTF-8 text file ({exc.reason} "
+                                     f"at byte {exc.start})") from None
         own = {f.name: type(f.default) for f in dataclass_fields(cls) if f.init}
         solver = {f.name: type(f.default) for f in dataclass_fields(SolverConfig)}
         for lineno, raw in enumerate(text.splitlines(), start=1):

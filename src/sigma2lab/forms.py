@@ -63,15 +63,16 @@ iterate keeps no body afterwards.  The operator streams the direction's rows
 
 The pointwise work on an iterate runs one slab of the grid at a time, in
 the one walk over torus.slabs (map_slabs) through which evaluate,
-linearization_coefficients and every monitor read it.  So every temporary
-is one slab, and no grid array is held that a slab can form again: the
+linearization_coefficients and every monitor read it; the bundle itself is
+built slab by slab (torus.spectral_derivatives).  So every temporary is
+one slab, and no grid array is held that a slab can form again: the
 weights e^{+-u} and a (weights()), the bundle's Laplacian (Derivs.lap) and
 f's partials off the first axis (ProblemData.f_partials) are formed on each
-slab where they are read.  Each node's arithmetic is the whole grid's, and
-every reduction over slabs here is exact (max, min, all, a count of nodes),
-so the results are the same bytes.  The accessors of ProblemData, weights
-and residual_sigma2 take the nodes as at=..., every node by default; a
-bundle on a slab is the view Derivs(dv.rows[:, at]).
+slab by the readers that read them.  Each node's arithmetic is the whole
+grid's, and every reduction over slabs here is exact (max, min, all, a
+count of nodes), so the results are the same bytes.  The accessors of
+ProblemData, weights and residual_sigma2 take the nodes as at=..., every
+node by default; a bundle on a slab is the view Derivs(dv.rows[:, at]).
 """
 
 from __future__ import annotations
@@ -444,15 +445,13 @@ def residual_sigma2(d: ProblemData, dv: Derivs, w: Weights, s2: np.ndarray,
     return np.subtract(s2, out, out=out)
 
 
-def map_slabs(fn, u: np.ndarray, d: ProblemData, dv: Derivs) -> list:
-    """fn(g, w, at) on each slab `at` of u's grid (torus.slabs), in order, and
-    the list of its results: g is the slab's view of dv, u's bundle or the
-    rows written over it, and w the slab's weights(u, d, at).  Nothing of a
-    slab outlives fn's call but what fn returns, so a slab's weights are
-    released before the next slab's are formed."""
-    def on_slab(at):
-        return fn(Derivs(dv.rows[:, at]), weights(u, d, at), at)
-    return list(map(on_slab, slabs(u.shape)))
+def map_slabs(fn, dv: Derivs) -> list:
+    """fn(g, at) on each slab `at` of dv's grid (torus.slabs), in order, and
+    the list of its results: g is the slab's view of dv, a field's bundle or
+    the rows written over it.  A reader that needs the slab's weights forms
+    them in fn (weights(u, d, at)), so nothing of a slab outlives fn's call
+    but what fn returns, and a reader that needs none forms none."""
+    return [fn(Derivs(dv.rows[:, at]), at) for at in slabs(dv.rows.shape[1:])]
 
 
 def evaluate(u: np.ndarray, d: ProblemData, margin: float,
@@ -475,7 +474,8 @@ def evaluate(u: np.ndarray, d: ProblemData, margin: float,
     dv = spectral_derivatives(u) if derivs is None else derivs
     r = np.empty(u.shape)
 
-    def read(g, w, at):
+    def read(g, at):
+        w = weights(u, d, at)
         s1, s2 = gprime_sigmas(d, g, w.a)
         in_cone = bool(np.all(gamma2_mask(s1, s2, d.n, margin)))
         inside = int(np.count_nonzero(gamma2_mask(s1, s2, d.n)))
@@ -484,7 +484,7 @@ def evaluate(u: np.ndarray, d: ProblemData, margin: float,
         residual_sigma2(d, g, w, s2, at=at, out=r[at])
         return in_cone, inside, kappa, np.max(np.abs(r[at]))
 
-    in_cone, inside, kappas, rnorms = zip(*map_slabs(read, u, d, dv))
+    in_cone, inside, kappas, rnorms = zip(*map_slabs(read, dv))
     return Iterate(u, d, r, float(np.max(rnorms)), all(in_cone), float(np.min(kappas)),
                    sum(inside) / u.size, dv)
 
@@ -559,8 +559,8 @@ class LinearCoefficients:
     rows 0 .. 2n-1 couple the first partials (-Re w_j for x_j and -Im w_j
     for y_j), the n diagonal Hessian rows carry 2 n alpha gtilde_jj, and each
     strict-upper pair carries 4 n alpha Re and Im gtilde_jk, the factor 2
-    counting the lower entry of the Hermitian trace.  apply_to forms v's
-    derivative terms one z_j at a time by the bundle's per-axis matmuls
+    counting the lower entry of the Hermitian trace.  apply_to adds v's
+    derivative terms slab by slab, the terms its bundle would be built from
     (torus.contract_derivatives), so v's bundle is never built.
     """
 
@@ -592,18 +592,18 @@ def linearization_coefficients(it: Iterate) -> LinearCoefficients:
     """
     dv = it.take_body()
     c0 = np.empty(it.u.shape)
-    map_slabs(lambda g, w, at: _linearize_slab(it.data, c0, g, w, at), it.u, it.data, dv)
+    map_slabs(lambda g, at: _linearize_slab(it.data, it.u, c0, g, at), dv)
     return LinearCoefficients(k=dv.rows, c0=c0)
 
 
-def _linearize_slab(d: ProblemData, c0: np.ndarray, g: Derivs, w: Weights, at) -> None:
-    """linearization_coefficients on the nodes `at` indexes, which the
-    bundle g and the weights w hold: c0[at] is written, g's rows are
-    overwritten by their coefficient rows and e^{+-u} by temporaries, and
-    the other temporaries die with the call."""
+def _linearize_slab(d: ProblemData, u: np.ndarray, c0: np.ndarray, g: Derivs, at) -> None:
+    """linearization_coefficients at the field u on the nodes `at` indexes,
+    which the bundle g holds: c0[at] is written, g's rows are overwritten
+    by their coefficient rows, and the slab's weights, formed here, and
+    every other temporary die with the call."""
     kc, al, n = d.kappa_c, d.alpha, d.n
     coef = 2.0 * n * al
-    eu, emu, a = w
+    eu, emu, a = weights(u, d, at)
 
     # u-derivative of sigma_2(g') through a, (n-1) sigma_1(g') b, minus
     # that of the expanded right-hand side,

@@ -17,12 +17,12 @@ constant used by the Moser iteration (reverse_sobolev_constant).
 
 Every monitor takes an evaluated forms.Iterate and reads its bundle, so
 monitoring an accepted iterate differentiates nothing again, in one walk
-over the slabs of the grid (forms.map_slabs) that forms each slab's bundle
-view and weights e^{+-u} and a once.  So no whole-grid metric, weight or
-integrand is built, and the wedge density (torus.mixed_wedge_density) is
-real algebra on the bundle's packed rows.  Minima and maxima over the slabs
-are the whole grid's exactly; the identities' integrals are summed slab by
-slab, which rounds differently from np.mean of the grid.
+over the slabs of the grid (forms.map_slabs); a reader of the weights
+e^{+-u} and a forms them once per slab, and reverse_sobolev_constant none.
+So no whole-grid metric, weight or integrand is built, and the wedge
+density (torus.mixed_wedge_density) is real algebra on the packed rows.
+Minima and maxima over the slabs are the whole grid's exactly; the
+identities' integrals are sums of slab sums, which round unlike np.mean.
 SolveReport keeps one EstimateReport per accepted t.  Its fields, t and the
 residual norm first, are the monitors.csv schema: CSV_COLUMNS are their
 names, EstimateReport.row their values, and the CLI's writer formats it.
@@ -36,7 +36,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .errors import HypothesisError, RangeUnderflowError
-from .forms import Iterate, gtilde, hermitian_eigenvalues, map_slabs
+from .forms import Iterate, gtilde, hermitian_eigenvalues, map_slabs, weights
 from .torus import mixed_wedge_density
 
 
@@ -74,11 +74,12 @@ def estimate_report(it: Iterate) -> EstimateReport:
     d = it.data
     inf_u, sup_u = float(np.min(it.u)), float(np.max(it.u))
 
-    def read(g, w, at):
+    def read(g, at):
+        w = weights(it.u, d, at)
         eig = hermitian_eigenvalues(gtilde(d, g, w.a), d.n)
         return np.max(w.emu * g.grad_sq), np.min(eig), np.max(eig)
 
-    c1, lows, highs = zip(*map_slabs(read, it.u, d, it.derivs))
+    c1, lows, highs = zip(*map_slabs(read, it.derivs))
     return EstimateReport(
         t=d.t,
         residual_norm=it.rnorm,
@@ -116,18 +117,19 @@ def moser_identity_gap(it: Iterate, k: float) -> float:
         raise ValueError("the identity weight k must be positive")
     d = it.data
 
-    def sums(g, w, at):
+    def sums(g, at):
         with np.errstate(over="ignore"):
             e_min_ku = np.exp(-k * it.u[at])
             e_min_k1u = np.exp(-(k + 1.0) * it.u[at])
         # e^{-ku} is finite where e^{-(k+1)u} is, and nonzero where it is nonzero
         if not np.all(np.isfinite(e_min_k1u)):
             raise RangeUnderflowError(f"exp(-k u) overflowed for k={k}")
-        return (np.count_nonzero(e_min_k1u), np.sum(e_min_ku * g.grad_sq * w.a),
+        a = weights(it.u, d, at).a
+        return (np.count_nonzero(e_min_k1u), np.sum(e_min_ku * g.grad_sq * a),
                 np.sum(e_min_ku * mixed_wedge_density(g)), np.sum(e_min_ku * d.mu_eff(at)),
                 np.sum(e_min_k1u * d.lap_f_eff(at)))
 
-    means = np.sum(map_slabs(sums, it.u, d, it.derivs), axis=0) / it.u.size
+    means = np.sum(map_slabs(sums, it.derivs), axis=0) / it.u.size
     if not means[0]:
         raise RangeUnderflowError(f"exp(-k u) underflowed to 0 at every node for k={k:g}")
     lhs, r1, r2, r3 = terms = means[1:] * [k, -(k * d.n * d.alpha / math.factorial(d.n - 1)),
@@ -151,11 +153,11 @@ def reverse_sobolev_constant(it: Iterate, k: float) -> float:
     m = -float(np.min(it.u))
     powers = (k, k + 1.0, k + 2.0)
 
-    def sums(g, w, at):
+    def sums(g, at):
         shifted = (np.exp(-p * (it.u[at] + m)) for p in powers)   # one at a time
         return np.sum(next(shifted) * g.grad_sq), np.sum(next(shifted)), np.sum(next(shifted))
 
-    means = np.sum(map_slabs(sums, it.u, it.data, it.derivs), axis=0) / it.u.size
+    means = np.sum(map_slabs(sums, it.derivs), axis=0) / it.u.size
     if means[0] <= 0.0:
         return 0.0  # constant field: left side is exactly zero
     log_num, log_i1, log_i2 = (p * m + float(np.log(mean)) for p, mean in zip(powers, means))
@@ -186,11 +188,12 @@ def wedge_lower_bound_check(it: Iterate) -> float:
     d = it.data
     bound = math.factorial(d.n - 1) / (2.0 * d.n * d.alpha)
 
-    def read(g, w, at):
-        low = np.min(hermitian_eigenvalues(gtilde(d, g, w.a), d.n))
-        return low, np.min(mixed_wedge_density(g) + bound * g.grad_sq * w.a)
+    def read(g, at):
+        a = weights(it.u, d, at).a
+        low = np.min(hermitian_eigenvalues(gtilde(d, g, a), d.n))
+        return low, np.min(mixed_wedge_density(g) + bound * g.grad_sq * a)
 
-    lows, slacks = zip(*map_slabs(read, it.u, d, it.derivs))
+    lows, slacks = zip(*map_slabs(read, it.derivs))
     min_eig = float(np.min(lows))
     if min_eig <= 0.0:
         raise HypothesisError(

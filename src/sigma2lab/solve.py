@@ -57,7 +57,7 @@ and keeps only its field, residual and readings: the operator's coefficient
 rows are written over the bundle and live until the linear solve returns,
 the zero-mean right-hand side is formed from the residual and BiCGStab's
 residual is written over it, each operator apply adds the direction's
-derivative terms one z_j at a time instead of building its bundle, and a
+derivative terms slab by slab instead of building its bundle, and a
 rejected trial is released before the next is evaluated.  A failed attempt evaluates its start field
 again, so no consumed body is ever read.
 
@@ -505,8 +505,8 @@ def _sequenced(d: ProblemData, cfg: SolverConfig, record_last: bool):
     if p // 2 >= _COARSE_MIN_POINTS:
         try:
             report, u_c = _sequenced(d.restricted(), cfg, record_last=False)
-            # f's fine derivatives first, so their transient bundle never
-            # coexists with the iterate's; the Newton steps own the only
+            # f's fine derivatives first, so their transient u - u(0) never
+            # coexists with the iterate's bundle; the Newton steps own the only
             # reference to the prolonged field, as in _march's start()
             d_1 = d.with_t(1.0)
             it, history = _solve_at_t(

@@ -30,15 +30,16 @@ order:
                              u_{j kbar} = D_j D_kbar u, j < k, in the order
                              (1,2), (1,3), (2,3).
 
-The diagonal rows are (D2 along x_j + D2 along y_j) / 4, and each mixed
-row is formed from the stored first partials by D1 along x_k or y_k.  The
-Laplacian is the sum of the diagonal rows; the bundle does not store it.
-x1_partial_and_laplacian is the same kernel for what the equation stores of
-its data f: the partial along the first axis and the Laplacian.
-slab_partials gives f's other partials on a slab, one row at a time, by the
-same matmuls.  contract_derivatives forms sum_r k[r] * rows[r] for
-coefficient rows k by the same matmuls, one z_j at a time, without storing
-the rows.
+The diagonal rows are (D2 along x_j + D2 along y_j) / 4 and each mixed row
+is D1 along x_k or y_k of a first partial in z_j: one stencil, formed slab
+by slab (_slab_terms) but for the matmuls along the first axis, d/dx_1 and
+u_{1 1bar}'s first term (_first_diagonal).  From it spectral_derivatives
+writes the bundle, holding u - u(0) in the slot of d/dy_n, the last term of
+a slab that reads it; contract_derivatives forms sum_r k[r] * rows[r] for
+coefficient rows k; x1_partial_and_laplacian forms what the equation stores
+of its data f, d/dx_1 and the Laplacian, the sum of the diagonal rows,
+which the bundle does not store.  slab_partials gives f's other partials on
+a slab, one row at a time, by the same matmuls.
 
 The last n^2 rows are the packed layout in which every Hermitian form of
 the package is held, as a plain real array (n^2,) + nodes: n real diagonal
@@ -71,7 +72,7 @@ The bundle (Derivs) is the one way to differentiate a field: .partials,
 .grad_sq, .lap and .hess_rows are read from its rows, the last three formed
 on whatever nodes the rows are a view of.  slabs splits a grid into slabs of
 whole first-axis indices, on which the package does its pointwise work so
-that every temporary is one slab (contract_derivatives, forms.map_slabs).
+that every temporary is one slab (_slab_terms, forms.map_slabs).
 
 prolong carries a field from a grid to a finer one by zero-padding its half
 spectrum; injection, x[::2, ...], is the way back (forms.ProblemData.restricted).
@@ -350,31 +351,68 @@ class Derivs:
         return 0.25 * np.einsum("a...,a...->...", p, p)
 
 
-def _diagonal_row(q2: np.ndarray, w: np.ndarray, j: int, out: np.ndarray,
-                  term: np.ndarray) -> np.ndarray:
-    """The diagonal Hessian row u_{j jbar} of the field u whose u - u(0) is
-    w, (q2 along x_j + q2 along y_j) with q2 = D2 / 4, written into out;
-    term holds the second term before it is added.  Returns out."""
-    _along(q2, w, 2 * j, out)
-    out += _along(q2, w, 2 * j + 1, term)
-    return out
+def _first_diagonal(v: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(out, scratch): the row u_{1 1bar} of the grid array v written into
+    out, and the three slabs (torus.slabs) of scratch that this and
+    _slab_terms write terms into.  It is the one row whose first term, q2 =
+    D2 / 4 along the first axis, needs every first-axis index: that term is
+    formed on the whole grid, then q2 along y_1 is added slab by slab."""
+    q2 = 0.25 * derivative_matrices(v.shape[0])[1]
+    scratch = np.empty((3, next(slabs(v.shape)).stop) + v.shape[1:])
+    _along(q2, v, 0, out)
+    for at in slabs(v.shape):
+        out[at] += _along(q2, v[at], 1, scratch[0, :len(out[at])])
+    return out, scratch
+
+
+def _slab_terms(v: np.ndarray, x1: np.ndarray, scratch: np.ndarray):
+    """Every derivative term of the grid array whose slab is v but those of
+    u_{1 1bar} (_first_diagonal), yielded as (row, term) one z_j at a time:
+    u_{j jbar}'s two terms summed, the partials in x_j and y_j, then the
+    four terms of each u_{j kbar}, k > j, from those partials, Re's two
+    first.  x1 is the slab of the partial along the first axis, formed on
+    the whole grid; a matmul along a later axis gives its bytes on a slab.
+    Each other term is in scratch.  A consumer may overwrite a Hessian
+    row's term, not a partial's, and scratch[0] while a partial is yielded."""
+    n = v.ndim // 2
+    d1, d2 = derivative_matrices(v.shape[-1])
+    q1, q2 = 0.25 * d1, 0.25 * d2   # exact: the quarter of each Hessian row
+    row, py, later_px = scratch[:, :len(v)]
+    for j in range(n):
+        xj, yj = 2 * j, 2 * j + 1
+        if j == 0:
+            px = x1
+        else:
+            diag = _along(q2, v, xj, later_px)
+            diag += _along(q2, v, yj, row)
+            yield 2 * n + j, diag
+            px = _along(d1, v, xj, later_px)
+        yield xj, px
+        yield yj, _along(d1, v, yj, py)
+        for r, (i, m) in enumerate(upper_pairs(n)):
+            if i == j:
+                # Im u_{j mbar} = (u_{x_j y_m} - u_{y_j x_m}) / 4; -q1 negates exactly
+                re, im = 3 * n + 2 * r, 3 * n + 2 * r + 1
+                for dest, d, x, axis in ((re, q1, px, 2 * m), (re, q1, py, 2 * m + 1),
+                                         (im, q1, px, 2 * m + 1), (im, -q1, py, 2 * m)):
+                    yield dest, _along(d, x, axis, row)
 
 
 def x1_partial_and_laplacian(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d u / d x_1, Lap u): what the equation stores of its data f, equal
     byte for byte to the bundle's first row and Laplacian.  Both
     differentiate w = u - u(0), as spectral_derivatives does, and the
-    Laplacian is the same np.sum of the n diagonal rows."""
+    Laplacian adds the diagonal rows slab by slab in np.sum's order; w, the
+    two results and three slabs are all it holds."""
     n = u.ndim // 2
-    d1, d2 = derivative_matrices(u.shape[0])
-    q2 = 0.25 * d2   # exact: the quarter of each Hessian row
     w = np.subtract(u, u.flat[0])
-    diagonal = np.empty((n,) + u.shape)
-    x1 = np.empty(u.shape)   # the diagonal rows' scratch, then the partial
-    for j in range(n):
-        _diagonal_row(q2, w, j, diagonal[j], x1)
-    lap = np.sum(diagonal, axis=0)
-    return _along(d1, w, 0, x1), lap
+    lap, scratch = _first_diagonal(w, np.empty(u.shape))
+    x1 = _along(derivative_matrices(u.shape[0])[0], w, 0, np.empty(u.shape))
+    for at in slabs(u.shape):
+        for r, term in _slab_terms(w[at], x1[at], scratch):
+            if 2 * n < r < 3 * n:
+                lap[at] += term
+    return x1, lap
 
 
 def slab_partials(u: np.ndarray, x1: np.ndarray, at=...):
@@ -400,31 +438,26 @@ def slab_partials(u: np.ndarray, x1: np.ndarray, at=...):
 
 def spectral_derivatives(u: np.ndarray) -> Derivs:
     """First partials and packed complex Hessian of the field u, written
-    straight into the bundle's single array: the first partials and the
-    diagonal rows from u - u(0), then each mixed row from the stored first
-    partials.
+    straight into the bundle's single array from w = u - u(0): the first
+    partial and u_{1 1bar} on the whole grid, then every other term slab by
+    slab (_slab_terms), each mixed row as its first term plus its second.
 
-    u - u(0) is held in the last row's slot until that row, written last,
-    replaces it, so a constant field has rows of exact zeros; one scratch
-    grid array holds the second term of each diagonal or mixed row before
-    it is added."""
+    w is held in the slot of d/dy_n, the last term of a slab that reads w,
+    so a constant field has rows of exact zeros; the rows and three slabs
+    are all it holds."""
     n = u.ndim // 2
-    d1, d2 = derivative_matrices(u.shape[0])
-    q1, q2 = 0.25 * d1, 0.25 * d2   # exact: the quarter of each Hessian row
     rows = np.empty((n * n + 2 * n,) + u.shape)
-    term = np.empty(u.shape)
-    w = np.subtract(u, u.flat[0], out=rows[-1])
-    for a in range(2 * n):
-        _along(d1, w, a, rows[a])
-    for j in range(n):
-        _diagonal_row(q2, w, j, rows[2 * n + j], term)
-    for r, (j, k) in enumerate(upper_pairs(n)):
-        px, py = rows[2 * j], rows[2 * j + 1]
-        re, im = rows[3 * n + 2 * r], rows[3 * n + 2 * r + 1]
-        _along(q1, px, 2 * k, re)
-        re += _along(q1, py, 2 * k + 1, term)
-        _along(q1, px, 2 * k + 1, im)
-        im -= _along(q1, py, 2 * k, term)
+    w = np.subtract(u, u.flat[0], out=rows[2 * n - 1])
+    _along(derivative_matrices(u.shape[0])[0], w, 0, rows[0])
+    scratch = _first_diagonal(w, rows[2 * n])[1]
+    for at in slabs(u.shape):
+        last = None
+        for r, term in _slab_terms(w[at], rows[0, at], scratch):
+            if r == last:
+                rows[r, at] += term
+            else:
+                rows[r, at] = term
+            last = r
     return Derivs(rows)
 
 
@@ -436,60 +469,27 @@ def constant_derivatives(geom: TorusGeometry) -> Derivs:
 
 def contract_derivatives(k: np.ndarray, values: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out + sum_r k[r] * (row r of spectral_derivatives(values)) for a real
-    grid array, without building its bundle, by the bundle's matmuls one z_j
-    at a time: the diagonal row's two terms, the first partials in x_j and
-    y_j, then each mixed row's terms with z_k, k > j, from those partials.
-    The diagonal row's terms are summed before they are scaled by its
-    coefficient row; every other term is scaled and added on its own.  The
-    sum accumulates onto out, which is returned.
-
-    Every term is formed on one slab of the grid at a time (slabs) except
-    the two matmuls along the first axis, which need every first-axis
-    index: the first term of u_{1 1bar}, and then d/dx_1, are formed whole
-    in one grid array, the first in a pass of its own, since it is every
-    node's first term.  Each node's terms are added in the same order on
-    any slab, and a matmul along a later axis gives the same bytes on a
-    slab, so out is the same bytes as the whole grid's; out, that array
-    and three slabs are all it holds."""
+    grid array, without building its bundle, from the bundle's terms: k *
+    u_{1 1bar} at every node, then each slab's terms (_slab_terms) in their
+    order, each scaled by its coefficient row and added to out, which is
+    returned.  The matmuls along the first axis, the first term of
+    u_{1 1bar} and then d/dx_1, are formed whole in one grid array.  Each
+    node's terms are added in the same order on any slab, so out is the
+    same bytes as the whole grid's; out, that array and three slabs are all
+    it holds."""
     n = values.ndim // 2
-    d1, d2 = derivative_matrices(values.shape[0])
-    q1, q2 = 0.25 * d1, 0.25 * d2
-    first = next(slabs(values.shape))
-    scratch = np.empty((3, first.stop) + values.shape[1:])
-    x1 = _along(q2, values, 0, np.empty(values.shape))
+    x1, scratch = _first_diagonal(values, np.empty(values.shape))
+    x1 *= k[2 * n]
+    out += x1
+    _along(derivative_matrices(values.shape[0])[0], values, 0, x1)
     for at in slabs(values.shape):
-        diag = x1[at]
-        diag += _along(q2, values[at], 1, scratch[0, :len(diag)])
-        diag *= k[2 * n, at]
-        out[at] += diag
-    _along(d1, values, 0, x1)
-    pairs = list(enumerate(upper_pairs(n)))
-    for at in slabs(values.shape):
-        v, kk, acc = values[at], k[:, at], out[at]
-        row, py, later_px = scratch[:, :len(v)]
-        for j in range(n):
-            xj, yj = 2 * j, 2 * j + 1
-            if j == 0:
-                px = x1[at]   # its diagonal term is in out already
+        kk, acc = k[:, at], out[at]
+        for r, term in _slab_terms(values[at], x1[at], scratch):
+            if r < 2 * n:   # a partial, which later terms read
+                term = np.multiply(kk[r], term, out=scratch[0, :len(term)])
             else:
-                diag = _along(q2, v, xj, later_px)
-                diag += _along(q2, v, yj, row)
-                diag *= kk[2 * n + j]
-                acc += diag
-                px = _along(d1, v, xj, later_px)
-            acc += np.multiply(kk[xj], px, out=row)
-            acc += np.multiply(kk[yj], _along(d1, v, yj, py), out=row)
-            terms = []
-            for r, (i, m) in pairs:
-                if i == j:
-                    # Im u_{j mbar} = (u_{x_j y_m} - u_{y_j x_m}) / 4; -q1 negates exactly
-                    re, im = kk[3 * n + 2 * r], kk[3 * n + 2 * r + 1]
-                    terms += [(re, q1, px, 2 * m), (re, q1, py, 2 * m + 1),
-                              (im, q1, px, 2 * m + 1), (im, -q1, py, 2 * m)]
-            for coef, d, x, axis in terms:
-                _along(d, x, axis, row)
-                row *= coef
-                acc += row
+                term *= kk[r]
+            acc += term
     return out
 
 

@@ -76,6 +76,20 @@ class TestConfigParsing:
     def test_missing_file(self, tmp_path):
         assert run_cli("solve", "--config", str(tmp_path / "nope.cfg")) == 2
 
+    @pytest.mark.parametrize("argv", [["solve"], ["verify"], ["sweep-a", "--a-list", "0.1"],
+                                      ["moser-check", "--solution", "no.bin"]],
+                             ids=["solve", "verify", "sweep-a", "moser-check"])
+    def test_config_not_utf8(self, tmp_path, argv):
+        # the config is read before anything else: undecodable bytes are a
+        # typed error naming the file, not a traceback
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"n = 2\n\xff = 3\n")
+        proc = subprocess.run([sys.executable, "-m", "sigma2lab", *argv, "--config", str(cfg)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and str(cfg) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_warm_start_is_unknown(self, tmp_path, capsys):
         # the t = 0 problem has an exact start, so there is no start field to set
         cfg = write_config(tmp_path, TRIVIAL_CONFIG + "warm_start = x\n")
@@ -172,20 +186,22 @@ class TestSolve:
 
     def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # every dot product and norm of the solve is summed in a fixed order,
-        # so one and two BLAS threads write the same bytes (n = 3, 8^6)
-        cfg = write_config(tmp_path, "n = 3\npoints_per_axis = 8\n")
-        outs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            proc = subprocess.run(
-                [sys.executable, "-m", "sigma2lab", "solve", "--config", cfg,
-                 "--out", str(out), "--no-header"],
-                capture_output=True, text=True, timeout=300,
-                env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
-            assert proc.returncode == 0, proc.stderr
-            outs.append(out)
-        for name in ("solution.bin", "monitors.csv"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        # so one and two BLAS threads write the same bytes (n = 3 on 8^6,
+        # and n = 2 on 32^4, whose bundle is built from 32 slabs)
+        for case, grid in enumerate(("n = 3\npoints_per_axis = 8\n", "points_per_axis = 32\n")):
+            cfg = write_config(tmp_path, grid)
+            outs = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"case{case}-threads{threads}"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "sigma2lab", "solve", "--config", cfg,
+                     "--out", str(out), "--no-header"],
+                    capture_output=True, text=True, timeout=300,
+                    env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+                assert proc.returncode == 0, proc.stderr
+                outs.append(out)
+            for name in ("solution.bin", "monitors.csv"):
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (grid, name)
 
     def test_timestamp_header_togglable(self, tmp_path):
         cfg = write_config(tmp_path, TRIVIAL_CONFIG)

@@ -508,10 +508,9 @@ class TestLeanIterate:
         assert traced_peak(linearization_coefficients, it) <= 2 * d.geometry.node_count * 8
 
     def test_evaluation_memory(self, geom2_32, traced_peak):
-        # the bundle, its build's one scratch array and then the residual
-        # are 9 grid arrays on 32^4; every other temporary is one slab
-        # (whole-grid temporaries gave 17, a stored Laplacian, e^{+-u} and a
-        # 13.2)
+        # the bundle and then the residual are 9 grid arrays on 32^4; the
+        # build's scratch and every other temporary are slabs (whole-grid
+        # temporaries gave 17, a stored Laplacian, e^{+-u} and a 13.2)
         d = slab_problem(geom2_32)
         u = random_band_limited(geom2_32, np.random.default_rng(3), 3, 0.5)
         assert traced_peak(evaluate, u, d, 0.0) <= 10 * geom2_32.node_count * 8

@@ -148,8 +148,8 @@ class TestMoserIdentity:
 
     @pytest.mark.parametrize("grid, budget", [("32^4", 1.0), ("8^6", 2.0)])
     def test_memory(self, grid, budget, near_solution_32, problem3, rng, traced_peak):
-        # every integrand is summed on its slab: 0.28 grid arrays on 32^4 and
-        # 1.13 on 8^6, whose slabs are an eighth of the grid (whole-grid
+        # every integrand is summed on its slab: 0.22 grid arrays on 32^4 and
+        # 0.88 on 8^6, whose slabs are an eighth of the grid (whole-grid
         # weights, integrands and complex matrices gave 18 and 32)
         it = near_solution_32 if grid == "32^4" else near_solution(problem3, rng)
         assert traced_peak(moser_identity_gap, it, 4.0) <= budget * it.u.size * 8
@@ -186,10 +186,24 @@ class TestReverseSobolev:
 
     @pytest.mark.parametrize("grid", ["32^4", "8^6"])
     def test_memory(self, grid, near_solution_32, problem3, rng, traced_peak):
-        # the three integrals are summed on each slab: 0.16 grid arrays on
-        # 32^4 and 0.63 on 8^6 (whole-grid integrands gave 3)
+        # the three integrals are summed on each slab: 0.06 grid arrays on
+        # 32^4 and 0.25 on 8^6 (whole-grid integrands gave 3, and the
+        # weights of each slab, unread, 0.16 and 0.63)
         it = near_solution_32 if grid == "32^4" else near_solution(problem3, rng)
         assert traced_peak(reverse_sobolev_constant, it, 4.0) <= it.u.size * 8
+
+    def test_forms_no_weights(self, near_solution_32, patch_everywhere):
+        # no integral reads e^{+-u} or a (the slab walk forming them gave
+        # one set per slab, 32 on 32^4)
+        calls, real = [], forms.weights
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        patch_everywhere(real, counted)
+        reverse_sobolev_constant(near_solution_32, 4.0)
+        assert not calls
 
 
 class TestWedgeLowerBound:
@@ -224,7 +238,7 @@ class TestWedgeLowerBound:
 
     @pytest.mark.parametrize("grid, budget", [("32^4", 1.0), ("8^6", 5.0)])
     def test_memory(self, grid, budget, near_solution_32, problem3, rng, traced_peak):
-        # every temporary is a slab: 0.34 grid arrays on 32^4 and 3.75 on
+        # every temporary is a slab: 0.28 grid arrays on 32^4 and 3.50 on
         # 8^6, whose slabs are an eighth of the grid (the whole-grid density
         # and its complex matrices gave 16 and 30)
         it = near_solution_32 if grid == "32^4" else near_solution(problem3, rng)

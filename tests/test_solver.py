@@ -723,8 +723,10 @@ class TestGridSequencing:
 
     def test_memory_budget(self, geom2_32, traced_peak):
         # the 16^4 walk and the 32^4 handover peak at 12.4 grid arrays, in
-        # the fine evaluation: f, mu, f's first-axis partial and Laplacian,
-        # the field, its bundle and its build's scratch.  Whole-grid
+        # the fine evaluation's residual: f's first-axis partial and
+        # Laplacian, the field, its bundle, the residual and its slabs (the
+        # bundle's build, rows and three slabs, reaches 11.2; with one
+        # whole-grid scratch array it reached 12.1).  Whole-grid
         # temporaries in the evaluation gave 23.1, and a stored bundle
         # Laplacian, e^{+-u}, a and f's other partials 19.4
         peak = traced_peak(run_and_return, default_32(geom2_32), SolverConfig())

@@ -222,6 +222,53 @@ class TestSpectralDerivatives:
         got = contract_derivatives(k, u, start.copy())
         assert got.tobytes() == whole_grid_contraction(k, u, start.copy()).tobytes()
 
+    @pytest.mark.parametrize("which", ["geom2", "geom2_32", "geom3"])
+    @pytest.mark.parametrize("field", ["band-limited", "constant"])
+    def test_bundle_same_bytes_as_whole_grid_rows(self, which, field, request, rng):
+        # slab by slab, each row is formed from the same terms, added in the
+        # same order, as the whole-grid build that writes one row at a time
+        # (w = u - u(0) in the last row's slot, one scratch array); a
+        # constant field has rows of exact zeros either way
+        def whole_grid_bundle(u):
+            n = u.ndim // 2
+            d1, d2 = torus.derivative_matrices(u.shape[0])
+            q1, q2 = 0.25 * d1, 0.25 * d2
+            rows = np.empty((n * n + 2 * n,) + u.shape)
+            term = np.empty(u.shape)
+            w = np.subtract(u, u.flat[0], out=rows[-1])
+            for a in range(2 * n):
+                torus._along(d1, w, a, rows[a])
+            for j in range(n):
+                diag = torus._along(q2, w, 2 * j, rows[2 * n + j])
+                diag += torus._along(q2, w, 2 * j + 1, term)
+            for r, (j, k) in enumerate(torus.upper_pairs(n)):
+                px, py = rows[2 * j], rows[2 * j + 1]
+                re, im = rows[3 * n + 2 * r], rows[3 * n + 2 * r + 1]
+                torus._along(q1, px, 2 * k, re)
+                re += torus._along(q1, py, 2 * k + 1, term)
+                torus._along(q1, px, 2 * k + 1, im)
+                im -= torus._along(q1, py, 2 * k, term)
+            return rows
+
+        geom = request.getfixturevalue(which)
+        if field == "constant":
+            u = np.full(geom.shape, -np.log(0.1) + 0.37)
+        else:
+            u = random_band_limited(geom, rng, 3, 1.0)
+        got, want = spectral_derivatives(u).rows, whole_grid_bundle(u)
+        assert got.tobytes() == want.tobytes()
+        assert got.any() == (field != "constant")
+
+    @pytest.mark.parametrize("which, slack", [("geom2_32", 0.25), ("geom3", 0.5)])
+    def test_build_memory(self, which, slack, request, rng, traced_peak):
+        # the n^2 + 2n rows and three slabs of terms: 8.10 grid arrays on
+        # 32^4 and 15.38 on 8^6 (a whole-grid build with one scratch array
+        # gave 9.00 and 16.00)
+        geom = request.getfixturevalue(which)
+        u = random_band_limited(geom, rng, 3, 1.0)
+        budget = geom.n * geom.n + 2 * geom.n + slack
+        assert traced_peak(spectral_derivatives, u) <= budget * geom.node_count * 8
+
     def test_no_transform_in_bundle_or_apply(self, geom3, rng, monkeypatch):
         # every derivative is a matmul along one axis; only the
         # preconditioner and random_band_limited transform
@@ -380,6 +427,15 @@ class TestPartialsAndLaplacian:
             rows = [row.copy() for row in torus.slab_partials(u, x1, at)]
             assert np.array(rows).tobytes() == want.partials[:, at].tobytes()
             assert torus.Derivs(want.rows[:, at]).lap.tobytes() == want.lap[at].tobytes()
+
+    @pytest.mark.parametrize("which", ["geom2_32", "geom3"])
+    def test_memory(self, which, request, rng, traced_peak):
+        # u - u(0), the two results and three slabs: 3.10 grid arrays on
+        # 32^4 and 3.38 on 8^6 (the n diagonal rows held whole gave 5.00
+        # and 6.00)
+        geom = request.getfixturevalue(which)
+        u = random_band_limited(geom, rng, 3, 1.0)
+        assert traced_peak(torus.x1_partial_and_laplacian, u) <= 3.5 * geom.node_count * 8
 
 
 class TestLaplacian:
