@@ -139,10 +139,10 @@ class ProblemData:
     kappa_c / A^2 (sigma_2(g') of the t = 0 solution) finite in float64,
     and the continuation parameter t in [0,1].  f and mu are
     finite arrays of the grid's shape.  Of f's derivatives it stores two
-    grid arrays, its partial along the first axis and its Laplacian
-    (f_derivs), computed on first use, or passed in, and shared with every
-    with_t copy (f is fixed along a continuation run); f's other partials
-    are formed on the slab where they are read (f_partials), and
+    grid arrays, f_derivs = (d f / d x_1, Lap f), formed when the data is
+    built (torus.x1_partial_and_laplacian) unless passed in, and shared with
+    every with_t copy (f is fixed along a continuation run); f's other
+    partials are formed on the slab where they are read (f_partials), and
     f_laplacian_term is the term both residuals and c0 read of them.
     """
 
@@ -170,7 +170,7 @@ class ProblemData:
         self.mu = mu
         self.A = float(A)
         self.t = float(t)
-        self._f_derivs = f_derivs
+        self.f_derivs = x1_partial_and_laplacian(f) if f_derivs is None else f_derivs
 
     @property
     def n(self) -> int:
@@ -189,7 +189,6 @@ class ProblemData:
         """This data at another t.  Only t is checked: the rest was checked
         when self was built.  f's derivatives are shared with the copy."""
         _check_t(t)
-        self.f_derivs()
         other = copy.copy(self)
         other.t = float(t)
         return other
@@ -197,7 +196,7 @@ class ProblemData:
     def restricted(self) -> "ProblemData":
         """This data on the half grid, at the same t: f and mu injected,
         x[::2, ...], and mu's mean subtracted again.  Injection keeps f >= 0,
-        and f's derivatives are taken on the half grid when first read."""
+        and f's derivatives are taken again on the half grid."""
         geom = TorusGeometry(self.n, self.geometry.points_per_axis // 2)
         every_other = (slice(None, None, 2),) * (2 * self.n)
         mu = self.mu[every_other]
@@ -212,21 +211,14 @@ class ProblemData:
     def mu_eff(self, at=...) -> np.ndarray:
         return self.t * self.mu[at]
 
-    def f_derivs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(d f / d x_1, Lap f), the grid arrays stored of f's derivatives
-        (torus.x1_partial_and_laplacian)."""
-        if self._f_derivs is None:
-            self._f_derivs = x1_partial_and_laplacian(self.f)
-        return self._f_derivs
-
     def f_partials(self, at=...):
         """f's 2n first partials on the nodes `at` indexes, not t-scaled,
         one at a time in row order, each in one slab of scratch that the
         next overwrites (torus.slab_partials)."""
-        return slab_partials(self.f, self.f_derivs()[0], at)
+        return slab_partials(self.f, self.f_derivs[0], at)
 
     def lap_f_eff(self, at=...) -> np.ndarray:
-        return self.t * self.f_derivs()[1][at]
+        return self.t * self.f_derivs[1][at]
 
     def f_laplacian_term(self, partials: np.ndarray, at=...) -> np.ndarray:
         """Lap f_eff - 2 Re <D f_eff, D u> for u's real first partials on the

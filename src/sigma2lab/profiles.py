@@ -91,5 +91,5 @@ def manufactured_problem(geom: TorusGeometry, alpha: float, base_A: float,
         )
     mu = manufactured_mu(evaluate(u_star, seed, 0.0))
     mu -= np.mean(mu)   # again: the first subtraction leaves a rounding-size mean
-    data = ProblemData(geom, alpha, seed.f, mu, a_star, t=1.0, f_derivs=seed.f_derivs())
+    data = ProblemData(geom, alpha, seed.f, mu, a_star, t=1.0, f_derivs=seed.f_derivs)
     return data, u_star

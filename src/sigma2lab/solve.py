@@ -505,12 +505,10 @@ def _sequenced(d: ProblemData, cfg: SolverConfig, record_last: bool):
     if p // 2 >= _COARSE_MIN_POINTS:
         try:
             report, u_c = _sequenced(d.restricted(), cfg, record_last=False)
-            # f's fine derivatives first, so their transient u - u(0) never
-            # coexists with the iterate's bundle; the Newton steps own the only
-            # reference to the prolonged field, as in _march's start()
-            d_1 = d.with_t(1.0)
-            it, history = _solve_at_t(
-                evaluate(normalize(prolong(u_c, p), d.A, d.gamma), d_1, cfg.cone_margin), cfg)
+            # the Newton steps own the only reference to the prolonged field,
+            # as in _march's start()
+            it, history = _solve_at_t(evaluate(
+                normalize(prolong(u_c, p), d.A, d.gamma), d.with_t(1.0), cfg.cone_margin), cfg)
         except (ContinuationStallError, *_SOLVE_FAILURES):
             pass
         else:

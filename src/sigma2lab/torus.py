@@ -38,8 +38,9 @@ writes the bundle, holding u - u(0) in the slot of d/dy_n, the last term of
 a slab that reads it; contract_derivatives forms sum_r k[r] * rows[r] for
 coefficient rows k; x1_partial_and_laplacian forms what the equation stores
 of its data f, d/dx_1 and the Laplacian, the sum of the diagonal rows,
-which the bundle does not store.  slab_partials gives f's other partials on
-a slab, one row at a time, by the same matmuls.
+which the bundle does not store, from the diagonal terms alone.
+slab_partials gives f's other partials on a slab, one row at a time, by the
+same matmuls.
 
 The last n^2 rows are the packed layout in which every Hermitian form of
 the package is held, as a plain real array (n^2,) + nodes: n real diagonal
@@ -353,10 +354,11 @@ class Derivs:
 
 def _first_diagonal(v: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(out, scratch): the row u_{1 1bar} of the grid array v written into
-    out, and the three slabs (torus.slabs) of scratch that this and
-    _slab_terms write terms into.  It is the one row whose first term, q2 =
-    D2 / 4 along the first axis, needs every first-axis index: that term is
-    formed on the whole grid, then q2 along y_1 is added slab by slab."""
+    out, and the three slabs (torus.slabs) of scratch that this, _slab_terms
+    and x1_partial_and_laplacian write terms into.  It is the one row whose
+    first term, q2 = D2 / 4 along the first axis, needs every first-axis
+    index: that term is formed on the whole grid, then q2 along y_1 is
+    added slab by slab."""
     q2 = 0.25 * derivative_matrices(v.shape[0])[1]
     scratch = np.empty((3, next(slabs(v.shape)).stop) + v.shape[1:])
     _along(q2, v, 0, out)
@@ -402,16 +404,20 @@ def x1_partial_and_laplacian(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d u / d x_1, Lap u): what the equation stores of its data f, equal
     byte for byte to the bundle's first row and Laplacian.  Both
     differentiate w = u - u(0), as spectral_derivatives does, and the
-    Laplacian adds the diagonal rows slab by slab in np.sum's order; w, the
-    two results and three slabs are all it holds."""
-    n = u.ndim // 2
+    Laplacian adds the diagonal rows slab by slab in np.sum's order, each
+    u_{j jbar}, j > 1, as _slab_terms sums it; w, the two results and three
+    slabs are all it holds."""
     w = np.subtract(u, u.flat[0])
     lap, scratch = _first_diagonal(w, np.empty(u.shape))
-    x1 = _along(derivative_matrices(u.shape[0])[0], w, 0, np.empty(u.shape))
+    d1, d2 = derivative_matrices(u.shape[0])
+    x1 = _along(d1, w, 0, np.empty(u.shape))
+    q2 = 0.25 * d2
     for at in slabs(u.shape):
-        for r, term in _slab_terms(w[at], x1[at], scratch):
-            if 2 * n < r < 3 * n:
-                lap[at] += term
+        diag, other = scratch[:2, :len(lap[at])]
+        for xj in range(2, u.ndim, 2):
+            _along(q2, w[at], xj, diag)
+            diag += _along(q2, w[at], xj + 1, other)
+            lap[at] += diag
     return x1, lap
 
 
@@ -528,7 +534,7 @@ def save_field(path, u: ScalarField) -> None:
     with open(path, "wb") as fh:
         fh.write(_DUMP_MAGIC)
         fh.write(header)
-        fh.write(np.ascontiguousarray(u.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(u.values, dtype="<f8"))
 
 
 def load_field(path, geometry: TorusGeometry | None = None) -> ScalarField:

@@ -76,3 +76,23 @@ def traced_peak():
         finally:
             tracemalloc.stop()
     return peak
+
+
+@pytest.fixture()
+def derivative_log(patch_everywhere, monkeypatch):
+    """The grid shapes of each ProblemData built ("data") and of each call
+    of torus.x1_partial_and_laplacian ("f"), in order, from here on."""
+    log = []
+    real, init = torus.x1_partial_and_laplacian, forms.ProblemData.__init__
+
+    def counted(u):
+        log.append(("f", u.shape))
+        return real(u)
+
+    def built(self, geometry, *args, **kwargs):
+        log.append(("data", geometry.shape))
+        init(self, geometry, *args, **kwargs)
+
+    patch_everywhere(real, counted)
+    monkeypatch.setattr(forms.ProblemData, "__init__", built)
+    return log

@@ -122,9 +122,42 @@ class TestProblemData:
         d = problem2.with_t(0.5)
         assert calls == []
         assert d.t == 0.5 and problem2.t == 0.7
-        assert d.f_derivs() is problem2.f_derivs()
+        assert d.f_derivs is problem2.f_derivs
         with pytest.raises(ConfigurationError):
             problem2.with_t(1.5)
+
+    def test_f_derivatives_formed_when_built(self, geom2, derivative_log):
+        # once per data built, unless passed in; a with_t copy shares the
+        # very arrays, and restricted data forms its own on the half grid
+        f, mu = profiles.f_profile(geom2, 0.3), profiles.mu_profile(geom2, 0.5)
+        d = ProblemData(geom2, 0.8, f, mu, 0.15, t=0.7)
+        assert derivative_log == [("data", geom2.shape), ("f", geom2.shape)]
+        x1, lap = d.f_derivs
+        assert (x1.tobytes(), lap.tobytes()) == tuple(
+            a.tobytes() for a in torus.x1_partial_and_laplacian(f))
+        derivative_log.clear()
+        other = d.with_t(0.2)
+        assert derivative_log == []
+        assert other.f_derivs[0] is x1 and other.f_derivs[1] is lap
+        half = d.restricted()
+        coarse = TorusGeometry(2, 8).shape
+        assert derivative_log == [("data", coarse), ("f", coarse)]
+        assert half.f_derivs[0].shape == half.f_derivs[1].shape == coarse
+        derivative_log.clear()
+        ProblemData(geom2, 0.8, f, mu, 0.15, f_derivs=d.f_derivs)
+        assert derivative_log == [("data", geom2.shape)]
+
+    def test_evaluation_reads_stored_f_derivatives(self, geom2, rng, derivative_log):
+        d = profiles.perturbative_problem(geom2, 0.8, 0.15, 0.3, 0.5)
+        derivative_log.clear()
+        it = evaluate(random_band_limited(geom2, rng, 3, 0.1), d, 0.0)
+        linearization_coefficients(it)
+        assert derivative_log == []
+
+    def test_manufactured_data_keeps_the_seeds(self, geom2, derivative_log):
+        d, _ = profiles.manufactured_problem(geom2, 1.0, 0.1, 0.05, 0.3)
+        assert derivative_log == [("data", geom2.shape), ("f", geom2.shape),
+                                  ("data", geom2.shape)]
 
     def test_kappa_c(self, geom2, geom3):
         zero2 = np.zeros(geom2.shape)
@@ -538,12 +571,9 @@ class TestLeanIterate:
 
 
 def slab_problem(geom):
-    """Data with nonzero f and mu, mid-continuation, with what it stores of
-    f's derivatives taken."""
-    d = ProblemData(geom, 0.8, profiles.f_profile(geom, 0.3), profiles.mu_profile(geom, 0.5),
-                    0.15, t=0.7)
-    d.f_derivs()
-    return d
+    """Data with nonzero f and mu, mid-continuation."""
+    return ProblemData(geom, 0.8, profiles.f_profile(geom, 0.3),
+                       profiles.mu_profile(geom, 0.5), 0.15, t=0.7)
 
 
 class TestSlabs:

@@ -722,13 +722,12 @@ class TestGridSequencing:
         assert report.coarse is None and report.converged
 
     def test_memory_budget(self, geom2_32, traced_peak):
-        # the 16^4 walk and the 32^4 handover peak at 12.4 grid arrays, in
-        # the fine evaluation's residual: f's first-axis partial and
-        # Laplacian, the field, its bundle, the residual and its slabs (the
-        # bundle's build, rows and three slabs, reaches 11.2; with one
-        # whole-grid scratch array it reached 12.1).  Whole-grid
-        # temporaries in the evaluation gave 23.1, and a stored bundle
-        # Laplacian, e^{+-u}, a and f's other partials 19.4
+        # the 16^4 walk and the 32^4 handover peak at 10.4 grid arrays above
+        # the data, which holds f's first-axis partial and Laplacian, in the
+        # fine evaluation's residual: the field, its bundle, the residual and
+        # its slabs.  With f's two arrays formed in the run it was 12.4;
+        # whole-grid temporaries in the evaluation had made that 23.1, and a
+        # stored bundle Laplacian, e^{+-u}, a and f's other partials 19.4
         peak = traced_peak(run_and_return, default_32(geom2_32), SolverConfig())
         assert peak <= 13 * geom2_32.node_count * 8
 
@@ -736,12 +735,32 @@ class TestGridSequencing:
         # f_scale = mu_scale = 4: the fine grid takes 2 Newton steps from the
         # prolonged field, and the sequenced run peaks no higher than the
         # full walk (holding the first fine iterate made it 30.5 against 29.1)
-        # each run on fresh data, which computes f's derivatives itself
+        # each run on fresh data
         full = traced_peak(full_walk, default_32(geom2_32, 4.0))
         counts = grid_counter(monkeypatch)
         seq = traced_peak(run_and_return, default_32(geom2_32, 4.0), SolverConfig())
         assert counts["steps", 32] == 2, counts
         assert seq <= full
+
+
+class TestFDerivativesOnce:
+    """f's derivatives are formed when its data is built: a solve forms them
+    only for the coarse data it builds."""
+
+    def test_continuation_forms_none(self, geom2, derivative_log):
+        d = profiles.perturbative_problem(geom2, 1.0, 0.1, 0.05, 0.05)
+        derivative_log.clear()
+        report, _ = run_and_return(d, SolverConfig())
+        assert report.converged and report.coarse is None
+        assert derivative_log == []
+
+    def test_sequenced_solve_forms_only_the_coarse_grids(self, geom2_32, derivative_log):
+        d = default_32(geom2_32)
+        derivative_log.clear()
+        report, _ = run_and_return(d, SolverConfig())
+        coarse = torus.TorusGeometry(2, 16).shape
+        assert report.coarse == (16, 0.0)
+        assert derivative_log == [("data", coarse), ("f", coarse)]
 
 
 class TestFieldsAreArrays:

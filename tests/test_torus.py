@@ -437,6 +437,25 @@ class TestPartialsAndLaplacian:
         u = random_band_limited(geom, rng, 3, 1.0)
         assert traced_peak(torus.x1_partial_and_laplacian, u) <= 3.5 * geom.node_count * 8
 
+    @pytest.mark.parametrize("which, want", [("geom2", 8), ("geom2_32", 98), ("geom3", 42)])
+    def test_matmuls(self, which, want, request, rng, monkeypatch):
+        # d/dx_1 and u_{1 1bar}'s first term on the whole grid, then per
+        # slab u_{1 1bar}'s second term and the two terms of each other
+        # diagonal row: 2 + S (2n - 1) for S slabs (walking every term of
+        # the bundle took 178 on 8^6)
+        geom = request.getfixturevalue(which)
+        calls = []
+        real = torus._along
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(torus, "_along", counted)
+        torus.x1_partial_and_laplacian(random_band_limited(geom, rng, 3, 1.0))
+        slab_count = len(list(torus.slabs(geom.shape)))
+        assert len(calls) == want == 2 + slab_count * (2 * geom.n - 1)
+
 
 class TestLaplacian:
     def test_constant(self, geom2):
@@ -624,6 +643,15 @@ class TestFieldDumps:
         path.write_bytes(data[:-16])
         with pytest.raises(ConfigurationError):
             load_field(path)
+
+    def test_writes_the_array_itself(self, geom2_32, rng, tmp_path, traced_peak):
+        # the payload goes from the field's buffer to the file: no copy of
+        # it as bytes (a whole grid array, 8 MiB on 32^4)
+        u = random_band_limited(geom2_32, rng, 2, 1.0)
+        path = tmp_path / "field.bin"
+        peak = traced_peak(save_field, path, ScalarField(geom2_32, u))
+        assert peak <= 0.01 * geom2_32.node_count * 8
+        assert path.read_bytes()[32:] == u.astype("<f8").tobytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
