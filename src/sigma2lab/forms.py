@@ -36,7 +36,11 @@ rows, sigma2_field is sum_{j<k} (h_jj h_kk - |h_jk|^2), gamma2_mask
 has closed forms.  A gradient pairing 2 Re sum_j p_j conj(q_j) of complex
 gradients is (1/2) sum_a p_a q_a over the 2n real partials.
 
-evaluate() is the one place a field's bundle is built.  It returns an
+evaluate() is the one place a field's bundle is built and kept.  The
+solver's check of a prolonged field (solve._solves_as_is) also reads a
+bundle, one slab at a time from torus.derivative_slabs, and stores none: it
+reads each slab with evaluate's reader (evaluate_slab) and combines the
+readings as evaluate does (combine_readings).  evaluate returns an
 Iterate in two parts.  The part a Newton step keeps is the field, its
 residual and its readings: the residual's max-norm, the cone test and two
 monitor readings.  The body is the bundle alone.  gprime, residual_fy1,
@@ -446,39 +450,49 @@ def map_slabs(fn, dv: Derivs) -> list:
     return [fn(Derivs(dv.rows[:, at]), at) for at in slabs(dv.rows.shape[1:])]
 
 
+def evaluate_slab(d: ProblemData, g: Derivs, w: Weights, margin: float, at,
+                  out: np.ndarray | None = None) -> tuple:
+    """evaluate's reading of one slab `at` of a field, whose bundle g and
+    weights w it is given: (in_cone, the count of nodes in Gamma_2, kappa,
+    max|R|) on the slab, from the sigmas of g', both cone tests and the
+    residual, which is written into out, a new slab by default."""
+    s1, s2 = gprime_sigmas(d, g, w.a)
+    in_cone = bool(np.all(gamma2_mask(s1, s2, d.n, margin)))
+    inside = int(np.count_nonzero(gamma2_mask(s1, s2, d.n)))
+    del s1   # not read again; freed before the residual's temporaries
+    kappa = np.min(w.emu * w.emu * s2)
+    r = residual_sigma2(d, g, w, s2, at=at, out=out)
+    return in_cone, inside, kappa, np.max(np.abs(r))
+
+
+def combine_readings(readings, size: int) -> tuple:
+    """(rnorm, in_cone, kappa, gamma2_fraction) of a field of `size` nodes
+    from its slabs' evaluate_slab readings, in order: the max of the slabs'
+    max|R| and the min of their kappas (a NaN propagates), every slab's cone
+    test, and the count of nodes inside over the node count."""
+    in_cone, inside, kappas, rnorms = zip(*readings)
+    return float(np.max(rnorms)), all(in_cone), float(np.min(kappas)), sum(inside) / size
+
+
 def evaluate(u: np.ndarray, d: ProblemData, margin: float,
              derivs: Derivs | None = None) -> Iterate:
-    """Evaluate u against d: the one place a field's bundle is built.
-    `derivs` is u's bundle when the caller has it at no cost: the body an
-    evaluation of the same u against other data (another t) gives up
-    (Iterate.take_body), or a constant field's (torus.constant_derivatives).
-    It is taken, not copied.
+    """Evaluate u against d: an Iterate with its bundle.  `derivs` is u's
+    bundle when the caller has it at no cost: the body an evaluation of the
+    same u against other data (another t) gives up (Iterate.take_body), or a
+    constant field's (torus.constant_derivatives).  It is taken, not copied.
 
-    After the bundle the work runs slab by slab (map_slabs): the sigmas of
-    g', both cone tests, kappa and the residual, the one grid array formed
-    besides the bundle.  The readings combine exactly: rnorm and kappa are
-    the max and the min of the slabs' (a NaN propagates), in_cone is every
-    slab's test, and the Gamma_2 fraction is the count of nodes inside over
-    the node count.
+    After the bundle the work runs slab by slab (map_slabs), each slab read
+    by evaluate_slab: the sigmas of g', both cone tests, kappa and the
+    residual, the one grid array formed besides the bundle.  The readings
+    combine exactly (combine_readings).
 
     Nothing here tests the arrays for finiteness: an overflowed field has a
     NaN or infinite rnorm, which never passes the solver's rnorm < newton_tol."""
     dv = spectral_derivatives(u) if derivs is None else derivs
     r = np.empty(u.shape)
-
-    def read(g, at):
-        w = weights(u, d, at)
-        s1, s2 = gprime_sigmas(d, g, w.a)
-        in_cone = bool(np.all(gamma2_mask(s1, s2, d.n, margin)))
-        inside = int(np.count_nonzero(gamma2_mask(s1, s2, d.n)))
-        del s1   # not read again; freed before the residual's temporaries
-        kappa = np.min(w.emu * w.emu * s2)
-        residual_sigma2(d, g, w, s2, at=at, out=r[at])
-        return in_cone, inside, kappa, np.max(np.abs(r[at]))
-
-    in_cone, inside, kappas, rnorms = zip(*map_slabs(read, dv))
-    return Iterate(u, d, r, float(np.max(rnorms)), all(in_cone), float(np.min(kappas)),
-                   sum(inside) / u.size, dv)
+    readings = map_slabs(lambda g, at: evaluate_slab(d, g, weights(u, d, at), margin, at,
+                                                     r[at]), dv)
+    return Iterate(u, d, r, *combine_readings(readings, u.size), dv)
 
 
 # ---------------------------------------------------------------------------

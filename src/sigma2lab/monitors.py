@@ -36,8 +36,9 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .errors import HypothesisError, RangeUnderflowError
-from .forms import Iterate, gtilde, hermitian_eigenvalues, map_slabs, weights
-from .torus import mixed_wedge_density
+from .forms import (Iterate, ProblemData, Weights, gtilde, hermitian_eigenvalues, map_slabs,
+                    weights)
+from .torus import Derivs, mixed_wedge_density
 
 
 @dataclass(frozen=True)
@@ -66,23 +67,24 @@ class EstimateReport:
 CSV_COLUMNS = tuple(f.name for f in fields(EstimateReport))
 
 
-def estimate_report(it: Iterate) -> EstimateReport:
-    """Evaluate every monitored quantity on one evaluated iterate, from its
-    bundle and field, with its data's t and its residual's max-norm; kappa
-    and the Gamma_2 fraction are the iterate's own readings of g', taken by
-    forms.evaluate from the closed-form sigmas."""
-    d = it.data
-    inf_u, sup_u = float(np.min(it.u)), float(np.max(it.u))
+def report_slab(d: ProblemData, g: Derivs, w: Weights) -> tuple:
+    """estimate_report's reading of one slab of a field, whose bundle g and
+    weights w it is given: (max e^{-u} |Du|^2, and the least and the largest
+    eigenvalue of gtilde) on the slab."""
+    eig = hermitian_eigenvalues(gtilde(d, g, w.a), d.n)
+    return np.max(w.emu * g.grad_sq), np.min(eig), np.max(eig)
 
-    def read(g, at):
-        w = weights(it.u, d, at)
-        eig = hermitian_eigenvalues(gtilde(d, g, w.a), d.n)
-        return np.max(w.emu * g.grad_sq), np.min(eig), np.max(eig)
 
-    c1, lows, highs = zip(*map_slabs(read, it.derivs))
+def assemble_report(d: ProblemData, u: np.ndarray, rnorm: float, kappa: float,
+                    gamma2_fraction: float, readings) -> EstimateReport:
+    """The record of the field u against d from its residual norm, its
+    readings of g' (forms.evaluate's) and its slabs' report_slab readings,
+    in order: the one place a record is assembled."""
+    inf_u, sup_u = float(np.min(u)), float(np.max(u))
+    c1, lows, highs = zip(*readings)
     return EstimateReport(
         t=d.t,
-        residual_norm=it.rnorm,
+        residual_norm=rnorm,
         inf_u=inf_u,
         sup_u=sup_u,
         c0_low_ratio=float(np.exp(-inf_u) / d.A),
@@ -90,10 +92,20 @@ def estimate_report(it: Iterate) -> EstimateReport:
         c1_max=float(np.max(c1)),
         gtilde_eig_min=float(np.min(lows)),
         gtilde_eig_max=float(np.max(highs)),
-        kappa=it.kappa,
+        kappa=kappa,
         kappa_c=d.kappa_c,
-        gamma2_fraction=it.gamma2_fraction,
+        gamma2_fraction=gamma2_fraction,
     )
+
+
+def estimate_report(it: Iterate) -> EstimateReport:
+    """Evaluate every monitored quantity on one evaluated iterate, from its
+    bundle and field, with its data's t and its residual's max-norm; kappa
+    and the Gamma_2 fraction are the iterate's own readings of g', taken by
+    forms.evaluate from the closed-form sigmas."""
+    d = it.data
+    readings = map_slabs(lambda g, at: report_slab(d, g, weights(it.u, d, at)), it.derivs)
+    return assemble_report(d, it.u, it.rnorm, it.kappa, it.gamma2_fraction, readings)
 
 
 def moser_identity_gap(it: Iterate, k: float) -> float:

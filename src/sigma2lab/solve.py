@@ -68,8 +68,10 @@ paper's estimates keep the solution smooth along the whole path, so Newton
 takes about as many steps on every grid that resolves it (mesh independence;
 Allgower, Boehmer, Potra and Rheinboldt, SIAM J. Numer. Anal. 23, 1986): on
 the default data the prolonged field is already below newton_tol on 32^4.
-Half grids of 8 points per axis are not used: they stall on the residual's
-aliased mean.
+So the prolonged field is first checked in one walk over the slabs of its
+bundle, which is never stored (_solves_as_is); only a field that fails the
+check is evaluated, as the start of the Newton correction.  Half grids of 8
+points per axis are not used: they stall on the residual's aliased mean.
 
 Derivatives are matmuls along one axis (torus.derivative_matrices): the
 bundle of an iterate and every operator apply take no transform, so the
@@ -100,12 +102,15 @@ from .forms import (
     LinearCoefficients,
     ProblemData,
     _shifted_exp,
+    combine_readings,
     evaluate,
+    evaluate_slab,
     linearization_coefficients,
+    weights,
 )
-from .monitors import estimate_report
+from .monitors import assemble_report, estimate_report, report_slab
 from .torus import (Derivs, TorusGeometry, _irfft, _rfft, constant_derivatives,
-                    derivative_symbols, prolong)
+                    derivative_slabs, derivative_symbols, prolong)
 
 _RESIDUAL_SLACK = 1e-12  # relative slack in the "non-increasing" residual test
 # Eisenstat-Walker forcing, choice 2: eta = _EW_GAMMA (r_k / r_{k-1})^2 after
@@ -472,11 +477,14 @@ def run_and_return(d: ProblemData, cfg: SolverConfig):
     walks on 16^4 through 32^4.  The t = 1 field of the coarse walk is
     prolonged (torus.prolong), normalized and corrected by Newton at t = 1
     on the problem's own grid (nested iteration; Briggs, Henson and
-    McCormick, A Multigrid Tutorial, 2000, ch. 3).  The report keeps the
-    coarse records for t < 1, and the fine t = 1 record replaces the coarse
-    one, which is never computed.  If the coarse walk stalls or that last
-    Newton solve fails, the problem's own grid walks from t = 0, as without
-    a coarse grid, so sequencing can cost time but never the run.
+    McCormick, A Multigrid Tutorial, 2000, ch. 3), unless it already lies
+    in the cone at cone_margin with max|R| < newton_tol there, which a walk
+    over its bundle's slabs checks without storing the bundle
+    (_solves_as_is).  The report keeps the coarse records for t < 1, and
+    the fine t = 1 record replaces the coarse one, which is never computed.
+    If the coarse walk stalls or that last Newton solve fails, the
+    problem's own grid walks from t = 0, as without a coarse grid, so
+    sequencing can cost time but never the run.
 
     The walk (_march) starts from the normalized constant -log A, the exact
     t = 0 solution (its t = 0 residual is 0), evaluated with the zero bundle
@@ -488,10 +496,11 @@ def run_and_return(d: ProblemData, cfg: SolverConfig):
     the walk has failed, so a walk that stalls takes the doubling path it
     always took.  The step is capped at 1.  Every accepted t is recorded by
     estimate_report on the accepted field evaluated against the problem at
-    t: one record of t, the residual norm and the monitors.  Raises
-    ContinuationStallError, carrying the partial report and the furthest
-    accepted field of the problem's own grid, if its step floor is reached
-    before t = 1.
+    t, or, for a prolonged field that passes the check, from the check's
+    slab readings: one record of t, the residual norm and the monitors
+    (monitors.assemble_report).  Raises ContinuationStallError, carrying
+    the partial report and the furthest accepted field of the problem's own
+    grid, if its step floor is reached before t = 1.
     """
     return _sequenced(d, cfg, record_last=True)
 
@@ -505,23 +514,63 @@ def _sequenced(d: ProblemData, cfg: SolverConfig, record_last: bool):
     if p // 2 >= _COARSE_MIN_POINTS:
         try:
             report, u_c = _sequenced(d.restricted(), cfg, record_last=False)
-            # the Newton steps own the only reference to the prolonged field,
-            # as in _march's start()
-            it, history = _solve_at_t(evaluate(
-                normalize(prolong(u_c, p), d.A, d.gamma), d.with_t(1.0), cfg.cone_margin), cfg)
+            record, u, gap = _handover(u_c, d.with_t(1.0), cfg, record_last)
         except (ContinuationStallError, *_SOLVE_FAILURES):
             pass
         else:
             if record_last:
-                report.accepted.append(estimate_report(it))
-            u = it.u
-            del it
-            # with no Newton step u is the prolonged, normalized field itself
-            gap = 0.0 if len(history) == 1 else float(
-                np.max(np.abs(u - normalize(prolong(u_c, p), d.A, d.gamma))))
+                report.accepted.append(record)
             report.coarse = (p // 2, gap)
             return report, u
     return _march(d, cfg, record_last)
+
+
+def _handover(u_c: np.ndarray, d: ProblemData, cfg: SolverConfig, record_last: bool):
+    """(record, field, gap) of the t = 1 solve on d's grid from the coarse
+    t = 1 field u_c, prolonged and normalized: the record only if
+    record_last, and gap = max|u - P u_c|.  A prolonged field that
+    _solves_as_is is the solution, with no bundle or residual grid array
+    stored and a gap of 0.  Otherwise Newton corrects it as _solve_at_t does
+    everywhere, and its failures propagate."""
+    p = d.geometry.points_per_axis
+    held = [normalize(prolong(u_c, p), d.A, d.gamma)]
+    solved, record = _solves_as_is(held[0], d, cfg, record_last)
+    if solved:
+        return record, held[0], 0.0
+    # popped, so that the Newton steps own the only reference to the
+    # prolonged field, as in _march's start()
+    it, _ = _solve_at_t(evaluate(held.pop(), d, cfg.cone_margin), cfg)
+    record = estimate_report(it) if record_last else None
+    u = it.u
+    del it
+    return record, u, float(np.max(np.abs(u - normalize(prolong(u_c, p), d.A, d.gamma))))
+
+
+def _solves_as_is(u: np.ndarray, d: ProblemData, cfg: SolverConfig, record: bool):
+    """(True, its record if `record`, else None) if the field u lies in
+    Gamma_2 at cone_margin with max|R| < newton_tol against d, so that
+    _solve_at_t would take no Newton step from it; (False, None) otherwise.
+    The record is estimate_report(evaluate(u, d, cone_margin)) to the byte.
+
+    One walk over the slabs of u's bundle (torus.derivative_slabs), which,
+    like the residual, is never stored: each slab is read by evaluate's
+    reader and, if `record`, by estimate_report's, with the slab's weights
+    formed once.  The walk stops at the first slab outside the cone or not
+    below newton_tol; a NaN never is."""
+    evaluations, reports = [], []
+    for at, g in derivative_slabs(u):
+        w = weights(u, d, at)
+        reading = evaluate_slab(d, g, w, cfg.cone_margin, at)
+        in_cone, _, _, rmax = reading
+        if not (in_cone and rmax < cfg.newton_tol):
+            return False, None
+        if record:
+            evaluations.append(reading)
+            reports.append(report_slab(d, g, w))
+    if not record:
+        return True, None
+    rnorm, _, kappa, fraction = combine_readings(evaluations, u.size)
+    return True, assemble_report(d, u, rnorm, kappa, fraction, reports)
 
 
 def _march(d: ProblemData, cfg: SolverConfig, record_last: bool):

@@ -33,12 +33,15 @@ order:
 The diagonal rows are (D2 along x_j + D2 along y_j) / 4 and each mixed row
 is D1 along x_k or y_k of a first partial in z_j: one stencil, formed slab
 by slab (_slab_terms) but for the matmuls along the first axis, d/dx_1 and
-u_{1 1bar}'s first term (_first_diagonal).  From it spectral_derivatives
-writes the bundle, holding u - u(0) in the slot of d/dy_n, the last term of
-a slab that reads it; contract_derivatives forms sum_r k[r] * rows[r] for
-coefficient rows k; x1_partial_and_laplacian forms what the equation stores
-of its data f, d/dx_1 and the Laplacian, the sum of the diagonal rows,
-which the bundle does not store, from the diagonal terms alone.
+u_{1 1bar}'s first term (_first_diagonal).  From it derivative_slabs
+writes the bundle one slab at a time, holding u - u(0) in the slot of
+d/dy_n, the last term of a slab that reads it, into the whole bundle's rows
+(spectral_derivatives) or into one reused slab buffer, so that a caller can
+read a field's bundle without storing it; contract_derivatives forms
+sum_r k[r] * rows[r] for coefficient rows k; x1_partial_and_laplacian forms
+what the equation stores of its data f, d/dx_1 and the Laplacian, the sum
+of the diagonal rows, which the bundle does not store, from the diagonal
+terms alone.
 slab_partials gives f's other partials on a slab, one row at a time, by the
 same matmuls.
 
@@ -71,9 +74,10 @@ record of a field dump, checked by load_field and written by save_field.
 
 The bundle (Derivs) is the one way to differentiate a field: .partials,
 .grad_sq, .lap and .hess_rows are read from its rows, the last three formed
-on whatever nodes the rows are a view of.  slabs splits a grid into slabs of
-whole first-axis indices, on which the package does its pointwise work so
-that every temporary is one slab (_slab_terms, forms.map_slabs).
+on whatever nodes the rows are a view of, a stored bundle or one slab of
+derivative_slabs.  slabs splits a grid into slabs of whole first-axis
+indices, on which the package does its pointwise work so that every
+temporary is one slab (_slab_terms, forms.map_slabs).
 
 prolong carries a field from a grid to a finer one by zero-padding its half
 spectrum; injection, x[::2, ...], is the way back (forms.ProblemData.restricted).
@@ -442,28 +446,56 @@ def slab_partials(u: np.ndarray, x1: np.ndarray, at=...):
         yield _along(d1, w, axis, out)
 
 
+def derivative_slabs(u: np.ndarray, rows: np.ndarray | None = None):
+    """The bundle of the field u slab by slab (slabs): yields (at, g) for
+    each slab `at`, in order, g = Derivs of the bytes of
+    spectral_derivatives(u).rows[:, at].  g is a view of `rows`, a buffer of
+    the bundle's shape that holds the whole bundle once the walk ends, or,
+    when rows is None, of one slab buffer that the next slab overwrites.
+
+    The two matmuls along the first axis, d/dx_1 and u_{1 1bar}'s first
+    term, are formed first on the whole grid from w = u - u(0), which is
+    then released.  Every other term is formed from the slab of w, held in
+    the slab's row d/dy_n, the last term that reads it (_slab_terms), and
+    each mixed row is its first term plus its second.  So a constant field
+    has rows of exact zeros.  With rows, w is held in the slot of d/dy_n,
+    and the rows and three slabs are all the walk holds; without, it holds
+    the two first-axis terms, w until they are formed, a slab of the bundle
+    and three slabs."""
+    n = u.ndim // 2
+    if rows is None:
+        w, x1, diag = np.subtract(u, u.flat[0]), np.empty(u.shape), np.empty(u.shape)
+    else:
+        w, x1, diag = np.subtract(u, u.flat[0], out=rows[2 * n - 1]), rows[0], rows[2 * n]
+    _along(derivative_matrices(u.shape[0])[0], w, 0, x1)
+    scratch = _first_diagonal(w, diag)[1]
+    del w
+    buf = np.empty((n * n + 2 * n,) + scratch.shape[1:]) if rows is None else None
+    for at in slabs(u.shape):
+        if rows is None:
+            g = buf[:, :at.stop - at.start]
+            np.subtract(u[at], u.flat[0], out=g[2 * n - 1])
+            g[0], g[2 * n] = x1[at], diag[at]
+        else:
+            g = rows[:, at]
+        last = None
+        for r, term in _slab_terms(g[2 * n - 1], g[0], scratch):
+            if r == last:
+                g[r] += term
+            else:
+                g[r] = term
+            last = r
+        yield at, Derivs(g)
+
+
 def spectral_derivatives(u: np.ndarray) -> Derivs:
     """First partials and packed complex Hessian of the field u, written
-    straight into the bundle's single array from w = u - u(0): the first
-    partial and u_{1 1bar} on the whole grid, then every other term slab by
-    slab (_slab_terms), each mixed row as its first term plus its second.
-
-    w is held in the slot of d/dy_n, the last term of a slab that reads w,
-    so a constant field has rows of exact zeros; the rows and three slabs
-    are all it holds."""
+    straight into the bundle's single array by the walk of
+    derivative_slabs: the rows and three slabs are all it holds."""
     n = u.ndim // 2
     rows = np.empty((n * n + 2 * n,) + u.shape)
-    w = np.subtract(u, u.flat[0], out=rows[2 * n - 1])
-    _along(derivative_matrices(u.shape[0])[0], w, 0, rows[0])
-    scratch = _first_diagonal(w, rows[2 * n])[1]
-    for at in slabs(u.shape):
-        last = None
-        for r, term in _slab_terms(w[at], rows[0, at], scratch):
-            if r == last:
-                rows[r, at] += term
-            else:
-                rows[r, at] = term
-            last = r
+    for _ in derivative_slabs(u, rows):
+        pass
     return Derivs(rows)
 
 

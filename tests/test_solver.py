@@ -649,10 +649,11 @@ def full_walk_32(geom2_32):
 
 def grid_counter(monkeypatch):
     """Counts of Newton steps and operator applies keyed by (kind, points
-    per axis), and of estimate_report calls by t."""
+    per axis), and of the records assembled (monitors.assemble_report, which
+    estimate_report and the handover's check call) by t."""
     counts = Counter()
-    apply_to, step, report_ = (forms.LinearCoefficients.apply_to, solve._newton_step,
-                               solve.estimate_report)
+    apply_to, step, assemble = (forms.LinearCoefficients.apply_to, solve._newton_step,
+                                monitors.assemble_report)
 
     def counted_apply(self, v):
         counts["applies", v.shape[0]] += 1
@@ -662,19 +663,22 @@ def grid_counter(monkeypatch):
         counts["steps", it.u.shape[0]] += 1
         return step(it, *args, **kwargs)
 
-    def counted_report(it):
-        counts["report", it.data.t] += 1
-        return report_(it)
+    def counted_assemble(d, *args):
+        counts["report", d.t] += 1
+        return assemble(d, *args)
 
     monkeypatch.setattr(forms.LinearCoefficients, "apply_to", counted_apply)
     monkeypatch.setattr(solve, "_newton_step", counted_step)
-    monkeypatch.setattr(solve, "estimate_report", counted_report)
+    for module in (monitors, solve):
+        monkeypatch.setattr(module, "assemble_report", counted_assemble)
     return counts
 
 
 def failing_on(monkeypatch, points, times):
-    """Make the first `times` Newton solves on `points` per axis fail."""
-    real, failed = solve._solve_at_t, []
+    """Make the first `times` Newton solves on `points` per axis fail, and
+    the check of a handover onto that grid find its field unsolved, so that
+    the handover's Newton solve is one of them."""
+    real, check, failed = solve._solve_at_t, solve._solves_as_is, []
 
     def fake(it, cfg):
         if it.data.geometry.points_per_axis == points and len(failed) < times:
@@ -682,8 +686,27 @@ def failing_on(monkeypatch, points, times):
             raise ConvergenceError("forced failure", best=it.u, history=[it.rnorm])
         return real(it, cfg)
 
+    def unsolved(u, d, cfg, record):
+        if d.geometry.points_per_axis == points:
+            return False, None
+        return check(u, d, cfg, record)
+
     monkeypatch.setattr(solve, "_solve_at_t", fake)
+    monkeypatch.setattr(solve, "_solves_as_is", unsolved)
     return failed
+
+
+def slab_reads(monkeypatch):
+    """The slabs the handover's check reads, in order (solve.evaluate_slab,
+    which evaluate does not call by that name)."""
+    reads, real = [], solve.evaluate_slab
+
+    def counted(d, g, w, margin, at, out=None):
+        reads.append(at)
+        return real(d, g, w, margin, at, out)
+
+    monkeypatch.setattr(solve, "evaluate_slab", counted)
+    return reads
 
 
 class TestGridSequencing:
@@ -721,15 +744,54 @@ class TestGridSequencing:
             [rep.row() for rep in full_report.accepted]
         assert report.coarse is None and report.converged
 
+    def test_checked_handover_is_the_evaluated_field(self, geom2_32, monkeypatch):
+        # the check reads every slab of the prolonged field and records what
+        # evaluating it would: the same row, and the field itself returned
+        d, cfg = default_32(geom2_32), SolverConfig()
+        reads = slab_reads(monkeypatch)
+        report, u = run_and_return(d, cfg)
+        _, u_c = run_and_return(d.restricted(), cfg)
+        u_f = normalize(torus.prolong(u_c, 32), d.A, d.gamma)
+        want = monitors.estimate_report(evaluate(u_f, d.with_t(1.0), cfg.cone_margin))
+        assert report.accepted[-1].row() == want.row()
+        assert u.tobytes() == u_f.tobytes()
+        assert reads == list(torus.slabs(geom2_32.shape))
+        assert solve._solves_as_is(u_f, d.with_t(1.0), cfg, False) == (True, None)
+
+    @pytest.mark.parametrize("slab", [1, 31])
+    def test_one_node_above_tolerance_falls_through_to_newton(self, geom2_32, monkeypatch,
+                                                              slab):
+        # mu raised by 1e-9 at one node of odd indices, which injection does
+        # not see, puts 4e-9 > newton_tol into the residual of the prolonged
+        # field there: the check stops on that node's slab, and Newton
+        # corrects the field to the bytes of a handover that skips the check
+        d = default_32(geom2_32)
+        mu = d.mu.copy()
+        mu[slab, 1, 1, 1] += 1e-9
+        d = ProblemData(geom2_32, d.alpha, d.f, mu, d.A, f_derivs=d.f_derivs)
+        failed = failing_on(monkeypatch, 32, 0)   # no Newton failure, the check skipped
+        want_report, want_u = run_and_return(d, SolverConfig())
+        monkeypatch.undo()
+        counts, reads = grid_counter(monkeypatch), slab_reads(monkeypatch)
+        report, u = run_and_return(d, SolverConfig())
+        assert failed == [] and reads == list(torus.slabs(geom2_32.shape))[:slab + 1]
+        assert counts["steps", 32] >= 1 and report.coarse[1] > 0.0
+        assert u.tobytes() == want_u.tobytes()
+        assert [rep.row() for rep in report.accepted] == \
+            [rep.row() for rep in want_report.accepted]
+        assert report.coarse == want_report.coarse
+
     def test_memory_budget(self, geom2_32, traced_peak):
-        # the 16^4 walk and the 32^4 handover peak at 10.4 grid arrays above
-        # the data, which holds f's first-axis partial and Laplacian, in the
-        # fine evaluation's residual: the field, its bundle, the residual and
-        # its slabs.  With f's two arrays formed in the run it was 12.4;
-        # whole-grid temporaries in the evaluation had made that 23.1, and a
-        # stored bundle Laplacian, e^{+-u}, a and f's other partials 19.4
+        # the 16^4 walk and the 32^4 handover peak at 4.2 grid arrays above
+        # the data in the handover's check: the prolonged field, w = u - u(0)
+        # and the two first-axis terms of its bundle, one slab of the bundle
+        # and slab temporaries.  Storing the field's bundle and a residual
+        # grid array for the check, as an evaluation does, made it 10.4; with
+        # f's two arrays formed in the run it was 12.4, whole-grid
+        # temporaries in the evaluation had made that 23.1, and a stored
+        # bundle Laplacian, e^{+-u}, a and f's other partials 19.4
         peak = traced_peak(run_and_return, default_32(geom2_32), SolverConfig())
-        assert peak <= 13 * geom2_32.node_count * 8
+        assert peak <= 5 * geom2_32.node_count * 8
 
     def test_fine_steps_hold_no_extra_array(self, geom2_32, traced_peak, monkeypatch):
         # f_scale = mu_scale = 4: the fine grid takes 2 Newton steps from the

@@ -258,6 +258,25 @@ class TestSpectralDerivatives:
         got, want = spectral_derivatives(u).rows, whole_grid_bundle(u)
         assert got.tobytes() == want.tobytes()
         assert got.any() == (field != "constant")
+        # walked without rows, each slab's bundle is written into one reused
+        # slab buffer, and is the same bytes
+        walked = []
+        for at, g in torus.derivative_slabs(u):
+            assert g.rows.tobytes() == want[:, at].tobytes()
+            walked.append(at)
+        assert walked == list(torus.slabs(geom.shape))
+
+    def test_slab_walk_memory(self, geom2_32, rng, traced_peak):
+        # w = u - u(0), the two first-axis terms and three slabs of terms:
+        # 3.10 grid arrays on 32^4, where the bundle is 8; the slab of the
+        # bundle is formed after w is released
+        u = random_band_limited(geom2_32, rng, 3, 1.0)
+
+        def walk():
+            for _ in torus.derivative_slabs(u):
+                pass
+
+        assert traced_peak(walk) <= 3.5 * geom2_32.node_count * 8
 
     @pytest.mark.parametrize("which, slack", [("geom2_32", 0.25), ("geom3", 0.5)])
     def test_build_memory(self, which, slack, request, rng, traced_peak):

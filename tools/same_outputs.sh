@@ -46,6 +46,9 @@ mkdir -p "$configs"
 : >"$configs/default.cfg"
 printf 'n = 3\npoints_per_axis = 8\n' >"$configs/n3.cfg"
 printf 'profile = manufactured\n' >"$configs/manufactured.cfg"
+# criterion 6 on 32^4: walks on 16^4, and its prolonged field passes the
+# 32^4 check with no Newton step
+printf 'profile = manufactured\npoints_per_axis = 32\n' >"$configs/manufactured32.cfg"
 printf 'points_per_axis = 32\n' >"$configs/grid32.cfg"   # walks on 16^4, finishes on 32^4
 # the same at f_scale = mu_scale = 4, whose 32^4 finish takes Newton steps
 printf 'points_per_axis = 32\nf_scale = 4\nmu_scale = 4\n' >"$configs/grid32-scale4.cfg"
@@ -69,6 +72,8 @@ for side in parent change; do
     run solve-32 solve --config "$configs/grid32.cfg" --out "$out/solve-32" --no-header
     run solve-32-scale4 solve --config "$configs/grid32-scale4.cfg" \
         --out "$out/solve-32-scale4" --no-header
+    run solve-manufactured-32 solve --config "$configs/manufactured32.cfg" \
+        --out "$out/solve-manufactured-32" --no-header
     run solve-manufactured solve --config "$configs/manufactured.cfg" \
         --out "$out/solve-manufactured" --no-header
     run moser-check moser-check --config "$configs/manufactured.cfg" \
