@@ -4,7 +4,7 @@ The continuation deforms the data by t in [0, 1]: at t = 0 the problem has
 the exact constant solution u = -log A, and each accepted step solves the
 equation at the new t starting from the previous solution.  The step in t
 halves after a failed attempt and grows after an easy one by as much as its
-first Newton contraction allows (run_and_return).  The unknown u
+first Newton contraction allows (_march).  The unknown u
 solves residual_sigma2(u) = 0 together with the normalization
 (integral e^{-gamma u})^{1/gamma} = A.  The residual is 2 n alpha times a
 divergence form, so it integrates to zero and supplies one equation too few;
@@ -70,8 +70,11 @@ Allgower, Boehmer, Potra and Rheinboldt, SIAM J. Numer. Anal. 23, 1986): on
 the default data the prolonged field is already below newton_tol on 32^4.
 So the prolonged field is first checked in one walk over the slabs of its
 bundle, which is never stored (_solves_as_is); only a field that fails the
-check is evaluated, as the start of the Newton correction.  Half grids of 8
-points per axis are not used: they stall on the residual's aliased mean.
+check is evaluated, as the start of the Newton correction.  Only the
+problem's own grid keeps its t = 1 record (_sequenced): the coarse walk's
+is never computed, and on 64^4 or more an intermediate level's handover
+record is computed and dropped.  Half grids of 8 points per axis are not
+used: they stall on the residual's aliased mean.
 
 Derivatives are matmuls along one axis (torus.derivative_matrices): the
 bundle of an iterate and every operator apply take no transform, so the
@@ -474,32 +477,15 @@ def run_and_return(d: ProblemData, cfg: SolverConfig):
     A problem whose half grid keeps at least _COARSE_MIN_POINTS points per
     axis first walks the whole continuation on that grid, on its data
     injected there (ProblemData.restricted), by this same rule, so 64^4
-    walks on 16^4 through 32^4.  The t = 1 field of the coarse walk is
-    prolonged (torus.prolong), normalized and corrected by Newton at t = 1
-    on the problem's own grid (nested iteration; Briggs, Henson and
-    McCormick, A Multigrid Tutorial, 2000, ch. 3), unless it already lies
-    in the cone at cone_margin with max|R| < newton_tol there, which a walk
-    over its bundle's slabs checks without storing the bundle
-    (_solves_as_is).  The report keeps the coarse records for t < 1, and
-    the fine t = 1 record replaces the coarse one, which is never computed.
-    If the coarse walk stalls or that last Newton solve fails, the
-    problem's own grid walks from t = 0, as without a coarse grid, so
-    sequencing can cost time but never the run.
-
-    The walk (_march) starts from the normalized constant -log A, the exact
-    t = 0 solution (its t = 0 residual is 0), evaluated with the zero bundle
-    of a constant field (no derivative is taken), and halves the step on any
-    solver failure down to t_step_min.  An accepted attempt of at most
-    _EASY_NEWTON_ITERS Newton steps grows the step: by _THETA_TARGET /
-    theta_0, clipped to [2, 4], where theta_0 is its first Newton
-    contraction (by 4 if it took no step), and only by 2 once any attempt of
-    the walk has failed, so a walk that stalls takes the doubling path it
-    always took.  The step is capped at 1.  Every accepted t is recorded by
-    estimate_report on the accepted field evaluated against the problem at
-    t, or, for a prolonged field that passes the check, from the check's
-    slab readings: one record of t, the residual norm and the monitors
-    (monitors.assemble_report).  Raises ContinuationStallError, carrying
-    the partial report and the furthest accepted field of the problem's own
+    walks on 16^4 through 32^4; the t = 1 field of that walk is handed over
+    to the problem's own grid (_handover).  The report keeps the coarse
+    records for t < 1, and the t = 1 record is the problem's own grid's
+    (_sequenced).  If the coarse walk stalls or the handover's Newton solve
+    fails, the problem's own grid walks from t = 0 (_march), as without a
+    coarse grid, so sequencing can cost time but never the run.  Every
+    record is one of t, the residual norm and the monitors
+    (monitors.assemble_report).  Raises ContinuationStallError, carrying the
+    partial report and the furthest accepted field of the problem's own
     grid, if its step floor is reached before t = 1.
     """
     return _sequenced(d, cfg, record_last=True)
@@ -508,13 +494,14 @@ def run_and_return(d: ProblemData, cfg: SolverConfig):
 def _sequenced(d: ProblemData, cfg: SolverConfig, record_last: bool):
     """run_and_return's (report, field) on d, through the half grid when
     that keeps at least _COARSE_MIN_POINTS points per axis; the t = 1
-    record only if record_last.  The coarse walk recurses here, not through
-    run_and_return, so a caller that rebinds that name sees one run."""
+    record only if record_last, which is true on the problem's own grid
+    alone.  The coarse walk recurses here, not through run_and_return, so a
+    caller that rebinds that name sees one run."""
     p = d.geometry.points_per_axis
     if p // 2 >= _COARSE_MIN_POINTS:
         try:
             report, u_c = _sequenced(d.restricted(), cfg, record_last=False)
-            record, u, gap = _handover(u_c, d.with_t(1.0), cfg, record_last)
+            record, u, gap = _handover(u_c, d.with_t(1.0), cfg)
         except (ContinuationStallError, *_SOLVE_FAILURES):
             pass
         else:
@@ -522,62 +509,74 @@ def _sequenced(d: ProblemData, cfg: SolverConfig, record_last: bool):
                 report.accepted.append(record)
             report.coarse = (p // 2, gap)
             return report, u
-    return _march(d, cfg, record_last)
+    report, it = _march(d, cfg)
+    if record_last:
+        report.accepted.append(estimate_report(it))
+    return report, it.u
 
 
-def _handover(u_c: np.ndarray, d: ProblemData, cfg: SolverConfig, record_last: bool):
+def _handover(u_c: np.ndarray, d: ProblemData, cfg: SolverConfig):
     """(record, field, gap) of the t = 1 solve on d's grid from the coarse
-    t = 1 field u_c, prolonged and normalized: the record only if
-    record_last, and gap = max|u - P u_c|.  A prolonged field that
-    _solves_as_is is the solution, with no bundle or residual grid array
-    stored and a gap of 0.  Otherwise Newton corrects it as _solve_at_t does
-    everywhere, and its failures propagate."""
+    t = 1 field u_c, prolonged (torus.prolong) and normalized, with
+    gap = max|u - P u_c| (nested iteration; Briggs, Henson and McCormick, A
+    Multigrid Tutorial, 2000, ch. 3).  A prolonged field that _solves_as_is
+    is the solution, with no bundle or residual grid array stored and a gap
+    of 0.  Otherwise Newton corrects it as _solve_at_t does everywhere, its
+    record is estimate_report's, and its failures propagate."""
     p = d.geometry.points_per_axis
     held = [normalize(prolong(u_c, p), d.A, d.gamma)]
-    solved, record = _solves_as_is(held[0], d, cfg, record_last)
-    if solved:
+    record = _solves_as_is(held[0], d, cfg)
+    if record is not None:
         return record, held[0], 0.0
     # popped, so that the Newton steps own the only reference to the
     # prolonged field, as in _march's start()
     it, _ = _solve_at_t(evaluate(held.pop(), d, cfg.cone_margin), cfg)
-    record = estimate_report(it) if record_last else None
+    record = estimate_report(it)
     u = it.u
     del it
     return record, u, float(np.max(np.abs(u - normalize(prolong(u_c, p), d.A, d.gamma))))
 
 
-def _solves_as_is(u: np.ndarray, d: ProblemData, cfg: SolverConfig, record: bool):
-    """(True, its record if `record`, else None) if the field u lies in
-    Gamma_2 at cone_margin with max|R| < newton_tol against d, so that
-    _solve_at_t would take no Newton step from it; (False, None) otherwise.
-    The record is estimate_report(evaluate(u, d, cone_margin)) to the byte.
+def _solves_as_is(u: np.ndarray, d: ProblemData, cfg: SolverConfig):
+    """The record of the field u against d if u lies in Gamma_2 at
+    cone_margin with max|R| < newton_tol, so that _solve_at_t would take no
+    Newton step from it; None otherwise.  The record is
+    estimate_report(evaluate(u, d, cone_margin)) to the byte.
 
     One walk over the slabs of u's bundle (torus.derivative_slabs), which,
     like the residual, is never stored: each slab is read by evaluate's
-    reader and, if `record`, by estimate_report's, with the slab's weights
-    formed once.  The walk stops at the first slab outside the cone or not
-    below newton_tol; a NaN never is."""
+    reader and by estimate_report's, with the slab's weights formed once.
+    The walk stops at the first slab outside the cone or not below
+    newton_tol; a NaN never is."""
     evaluations, reports = [], []
     for at, g in derivative_slabs(u):
         w = weights(u, d, at)
         reading = evaluate_slab(d, g, w, cfg.cone_margin, at)
         in_cone, _, _, rmax = reading
         if not (in_cone and rmax < cfg.newton_tol):
-            return False, None
-        if record:
-            evaluations.append(reading)
-            reports.append(report_slab(d, g, w))
-    if not record:
-        return True, None
+            return None
+        evaluations.append(reading)
+        reports.append(report_slab(d, g, w))
     rnorm, _, kappa, fraction = combine_readings(evaluations, u.size)
-    return True, assemble_report(d, u, rnorm, kappa, fraction, reports)
+    return assemble_report(d, u, rnorm, kappa, fraction, reports)
 
 
-def _march(d: ProblemData, cfg: SolverConfig, record_last: bool):
+def _march(d: ProblemData, cfg: SolverConfig):
     """The continuation of run_and_return on d's own grid, from t = 0;
-    every accepted t is recorded but t = 1 only if record_last.  Each
-    attempt starts from u evaluated at its t, handed the accepted iterate's
-    bundle unless a failed attempt consumed it (start)."""
+    returns (report, last accepted iterate), the report holding a record
+    (estimate_report) of every accepted t < 1.
+
+    The walk starts from the normalized constant -log A, the exact t = 0
+    solution (its t = 0 residual is 0), evaluated with the zero bundle of a
+    constant field (no derivative is taken), and halves the step on any
+    solver failure down to t_step_min.  An accepted attempt of at most
+    _EASY_NEWTON_ITERS Newton steps grows the step: by _THETA_TARGET /
+    theta_0, clipped to [2, 4], where theta_0 is its first Newton
+    contraction (by 4 if it took no step), and only by 2 once any attempt
+    of the walk has failed, so a walk that stalls takes the doubling path
+    it always took.  The step is capped at 1.  Each attempt starts from u
+    evaluated at its t, handed the accepted iterate's bundle unless a
+    failed attempt consumed it (start)."""
     report = SolveReport()
     margin = cfg.cone_margin
     # the only shift outside the Newton step: its trials come out normalized
@@ -585,13 +584,8 @@ def _march(d: ProblemData, cfg: SolverConfig, record_last: bool):
     # the accepted iterate, until the next attempt takes it; u is constant,
     # so its bundle is 0 and it is not differentiated
     it = evaluate(u, d.with_t(0.0), margin, derivs=constant_derivatives(d.geometry))
+    report.accepted.append(estimate_report(it))
     t = 0.0
-
-    def accept():
-        nonlocal u
-        u = it.u
-        if t < 1.0 or record_last:
-            report.accepted.append(estimate_report(it))
 
     def start(d_t: ProblemData) -> Iterate:
         """u against d_t, taking over the body of the accepted iterate `it`,
@@ -602,7 +596,6 @@ def _march(d: ProblemData, cfg: SolverConfig, record_last: bool):
         prev, it = it, None
         return evaluate(u, d_t, margin, None if prev is None else prev.take_body())
 
-    accept()
     dt = cfg.t_step_init
     failed = False
     while t < 1.0:
@@ -619,11 +612,12 @@ def _march(d: ProblemData, cfg: SolverConfig, record_last: bool):
                     f"{type(exc).__name__}: {exc})",
                     report=report, last_field=u) from exc
             continue
-        t = t_try
-        accept()
+        t, u = t_try, it.u
+        if t < 1.0:
+            report.accepted.append(estimate_report(it))
         if len(history) <= _EASY_NEWTON_ITERS + 1:
             growth = _T_STEP_GROWTH if failed else _theta_growth(history)
             dt = min(growth * dt, 1.0)
 
     report.converged = True
-    return report, u
+    return report, it

@@ -686,10 +686,10 @@ def failing_on(monkeypatch, points, times):
             raise ConvergenceError("forced failure", best=it.u, history=[it.rnorm])
         return real(it, cfg)
 
-    def unsolved(u, d, cfg, record):
+    def unsolved(u, d, cfg):
         if d.geometry.points_per_axis == points:
-            return False, None
-        return check(u, d, cfg, record)
+            return None
+        return check(u, d, cfg)
 
     monkeypatch.setattr(solve, "_solve_at_t", fake)
     monkeypatch.setattr(solve, "_solves_as_is", unsolved)
@@ -756,7 +756,23 @@ class TestGridSequencing:
         assert report.accepted[-1].row() == want.row()
         assert u.tobytes() == u_f.tobytes()
         assert reads == list(torus.slabs(geom2_32.shape))
-        assert solve._solves_as_is(u_f, d.with_t(1.0), cfg, False) == (True, None)
+        assert solve._solves_as_is(u_f, d.with_t(1.0), cfg).row() == want.row()
+
+    def test_two_levels_hand_over_twice(self, geom2_32, monkeypatch):
+        # with 8 points per axis allowed as a coarse grid, 32^4 walks on 8^4
+        # and hands over twice: the 16^4 check fails, so Newton corrects the
+        # prolonged field there, and the 32^4 check passes
+        monkeypatch.setattr(solve, "_COARSE_MIN_POINTS", 8)
+        d, cfg = default_32(geom2_32), SolverConfig()
+        report, u = run_and_return(d, cfg)
+        report16, u16 = run_and_return(d.restricted(), cfg)
+        want = monitors.estimate_report(evaluate(u, d.with_t(1.0), cfg.cone_margin))
+        assert report.converged and report16.converged
+        assert [rep.t for rep in report.accepted] == [0.0, 0.25, 1.0]
+        assert report.coarse == (16, 0.0)
+        assert report16.coarse[0] == 8 and report16.coarse[1] > 0.0
+        assert report.accepted[-1].row() == want.row()
+        assert u.tobytes() == normalize(torus.prolong(u16, 32), d.A, d.gamma).tobytes()
 
     @pytest.mark.parametrize("slab", [1, 31])
     def test_one_node_above_tolerance_falls_through_to_newton(self, geom2_32, monkeypatch,

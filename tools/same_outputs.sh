@@ -52,6 +52,9 @@ printf 'profile = manufactured\npoints_per_axis = 32\n' >"$configs/manufactured3
 printf 'points_per_axis = 32\n' >"$configs/grid32.cfg"   # walks on 16^4, finishes on 32^4
 # the same at f_scale = mu_scale = 4, whose 32^4 finish takes Newton steps
 printf 'points_per_axis = 32\nf_scale = 4\nmu_scale = 4\n' >"$configs/grid32-scale4.cfg"
+# the default data on 64^4: walks on 16^4, and the prolonged field passes the
+# 32^4 check and then the 64^4 one, so the recursion is compared too
+printf 'points_per_axis = 64\n' >"$configs/grid64.cfg"
 # an 8^4 walk whose Newton attempts fail: the solve stalls at t = 0.125 and
 # exits 3, so a start after a failed attempt, which evaluates its field
 # again, is compared too
@@ -70,6 +73,7 @@ for side in parent change; do
     run solve-default solve --config "$configs/default.cfg" --out "$out/solve-default" --no-header
     run solve-n3 solve --config "$configs/n3.cfg" --out "$out/solve-n3" --no-header
     run solve-32 solve --config "$configs/grid32.cfg" --out "$out/solve-32" --no-header
+    run solve-64 solve --config "$configs/grid64.cfg" --out "$out/solve-64" --no-header
     run solve-32-scale4 solve --config "$configs/grid32-scale4.cfg" \
         --out "$out/solve-32-scale4" --no-header
     run solve-manufactured-32 solve --config "$configs/manufactured32.cfg" \
