@@ -106,9 +106,12 @@ from .torus import (
 def _shifted_exp(vals: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
     """(e^{-gamma (u - min u)}, min u): the normalization integrand scaled by
     e^{gamma min u}, so every exponent is nonpositive and cannot overflow.
-    log integral e^{-gamma u} = -gamma min u + log mean of the first entry."""
+    log integral e^{-gamma u} = -gamma min u + log mean of the first entry.
+    Formed in the one array it returns."""
     lo = float(np.min(vals))
-    return np.exp(-gamma * (vals - lo)), lo
+    e = np.subtract(vals, lo)
+    e *= -gamma
+    return np.exp(e, out=e), lo
 
 
 def _row_dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -193,10 +193,12 @@ def normalize(u: np.ndarray, A: float, gamma: float) -> np.ndarray:
 
     The shifted-exponential form  log I = -gamma min u + log mean(e^{-gamma(u - min u)})
     keeps every exponent nonpositive, so the computation cannot overflow for
-    finite fields.
+    finite fields.  The integrand is released before the shifted field is
+    formed, so one grid array, the result, is the most it holds.
     """
     e, lo = _shifted_exp(u, gamma)
     log_mean = np.log(np.mean(e))
+    del e
     c = (log_mean - gamma * lo) / gamma - np.log(A)
     if not np.isfinite(c):
         raise NormalizationError(

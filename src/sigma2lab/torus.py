@@ -32,16 +32,20 @@ order:
 
 The diagonal rows are (D2 along x_j + D2 along y_j) / 4 and each mixed row
 is D1 along x_k or y_k of a first partial in z_j: one stencil, formed slab
-by slab (_slab_terms) but for the matmuls along the first axis, d/dx_1 and
-u_{1 1bar}'s first term (_first_diagonal).  From it derivative_slabs
-writes the bundle one slab at a time, holding u - u(0) in the slot of
-d/dy_n, the last term of a slab that reads it, into the whole bundle's rows
-(spectral_derivatives) or into one reused slab buffer, so that a caller can
-read a field's bundle without storing it; contract_derivatives forms
-sum_r k[r] * rows[r] for coefficient rows k; x1_partial_and_laplacian forms
-what the equation stores of its data f, d/dx_1 and the Laplacian, the sum
-of the diagonal rows, which the bundle does not store, from the diagonal
-terms alone.
+by slab (_slab_terms) but for the two matmuls along the first axis, d/dx_1
+and u_{1 1bar}'s first term.  Those read every first-axis index, and a
+block of the matrix's rows applied to the whole field gives the whole
+matmul's bytes on the block (_along), so they are formed one block
+(blocks), a run of slabs, at a time.  From it derivative_slabs writes the
+bundle one slab at a time, either into the whole bundle's rows
+(spectral_derivatives), holding u - u(0) in the slot of d/dy_n, the last
+term of a slab that reads it, or into one reused slab buffer, so that a
+caller can read a field's bundle without storing it; contract_derivatives
+forms sum_r k[r] * rows[r] for coefficient rows k, block by block;
+x1_partial_and_laplacian forms what the equation stores of its data f,
+d/dx_1 and the Laplacian, the sum of the diagonal rows, which the bundle
+does not store, from the diagonal terms alone.  Neither the bundle's walk
+nor the operator apply holds a whole-grid first-axis term.
 slab_partials gives f's other partials on a slab, one row at a time, by the
 same matmuls.
 
@@ -198,6 +202,23 @@ def slabs(shape: tuple):
         yield slice(start, min(start + width, shape[0]))
 
 
+def blocks(shape: tuple):
+    """Slices of the first axis of a grid of this shape, in order, that
+    cover it: runs of whole slabs (slabs), each of the fewest slabs that
+    hold max(2, p/8) first-axis indices, the last cut at the axis's end
+    (on a torus grid, p a power of two, the runs are equal).  The matmuls
+    along the first axis are formed one block at a time (_along).  At least
+    two indices, because a block of one row rounds differently from the
+    whole matmul; at least p/8, because a block's matmul reads the whole
+    grid array, and small blocks run slowly (one first-axis term on 64^4,
+    2 cores: 80 ms whole, 95 ms in eight-row blocks, 230 ms in two-row
+    blocks)."""
+    slab = next(slabs(shape)).stop
+    width = slab * -(-max(2, shape[0] // 8) // slab)
+    for start in range(0, shape[0], width):
+        yield slice(start, min(start + width, shape[0]))
+
+
 # ---------------------------------------------------------------------------
 # spectral derivatives
 #
@@ -308,14 +329,26 @@ def derivative_matrices(p: int) -> tuple:
 def _along(d: np.ndarray, u: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     """The p x p matrix d applied along one axis of the contiguous array u,
     a grid array or a slab of one (torus.slabs), by one matmul written into
-    out, a contiguous array of u's shape; returns out."""
-    p = d.shape[0]
+    out, a contiguous array of u's shape; returns out.
+
+    Along the first axis d may also be a block of the matrix's rows,
+    d[at] for a block `at` (blocks), applied to the whole grid array u:
+    out then holds those first-axis indices, the same bytes as the whole
+    matmul's.  A block of one row would go through gemv and round
+    differently, by up to 5e-14 on 32^4."""
+    p = d.shape[1]
     if axis == u.ndim - 1:
         np.matmul(u.reshape(-1, p), d.T, out=out.reshape(-1, p))
     else:
         lead = math.prod(u.shape[:axis])
-        np.matmul(d, u.reshape(lead, p, -1), out=out.reshape(lead, p, -1))
+        np.matmul(d, u.reshape(lead, p, -1), out=out.reshape(lead, len(d), -1))
     return out
+
+
+def _buffer(count: int, spans, shape: tuple) -> np.ndarray:
+    """count arrays of the grid shape's trailing axes and as many first-axis
+    indices as the longest of the first-axis slices spans, uninitialized."""
+    return np.empty((count, max(at.stop - at.start for at in spans)) + shape[1:])
 
 
 @dataclass(frozen=True)
@@ -356,30 +389,19 @@ class Derivs:
         return 0.25 * np.einsum("a...,a...->...", p, p)
 
 
-def _first_diagonal(v: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(out, scratch): the row u_{1 1bar} of the grid array v written into
-    out, and the three slabs (torus.slabs) of scratch that this, _slab_terms
-    and x1_partial_and_laplacian write terms into.  It is the one row whose
-    first term, q2 = D2 / 4 along the first axis, needs every first-axis
-    index: that term is formed on the whole grid, then q2 along y_1 is
-    added slab by slab."""
-    q2 = 0.25 * derivative_matrices(v.shape[0])[1]
-    scratch = np.empty((3, next(slabs(v.shape)).stop) + v.shape[1:])
-    _along(q2, v, 0, out)
-    for at in slabs(v.shape):
-        out[at] += _along(q2, v[at], 1, scratch[0, :len(out[at])])
-    return out, scratch
-
-
 def _slab_terms(v: np.ndarray, x1: np.ndarray, scratch: np.ndarray):
     """Every derivative term of the grid array whose slab is v but those of
-    u_{1 1bar} (_first_diagonal), yielded as (row, term) one z_j at a time:
-    u_{j jbar}'s two terms summed, the partials in x_j and y_j, then the
-    four terms of each u_{j kbar}, k > j, from those partials, Re's two
-    first.  x1 is the slab of the partial along the first axis, formed on
-    the whole grid; a matmul along a later axis gives its bytes on a slab.
-    Each other term is in scratch.  A consumer may overwrite a Hessian
-    row's term, not a partial's, and scratch[0] while a partial is yielded."""
+    u_{1 1bar}, yielded as (row, term) one z_j at a time: u_{j jbar}'s two
+    terms summed, the partials in x_j and y_j, then the four terms of each
+    u_{j kbar}, k > j, from those partials, Re's two first.  x1 is the slab
+    of the partial along the first axis, formed by block (blocks), since
+    that matmul reads every first-axis index; a matmul along a later axis
+    gives its bytes on a slab.  Each other term is in scratch.  A consumer
+    may overwrite a Hessian row's term, not a partial's, and scratch[0]
+    while a partial is yielded.
+
+    u_{1 1bar} is the caller's: q2 = D2 / 4 along the first axis, formed
+    by block, plus q2 along y_1, formed on the slab."""
     n = v.ndim // 2
     d1, d2 = derivative_matrices(v.shape[-1])
     q1, q2 = 0.25 * d1, 0.25 * d2   # exact: the quarter of each Hessian row
@@ -407,17 +429,22 @@ def _slab_terms(v: np.ndarray, x1: np.ndarray, scratch: np.ndarray):
 def x1_partial_and_laplacian(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d u / d x_1, Lap u): what the equation stores of its data f, equal
     byte for byte to the bundle's first row and Laplacian.  Both
-    differentiate w = u - u(0), as spectral_derivatives does, and the
-    Laplacian adds the diagonal rows slab by slab in np.sum's order, each
-    u_{j jbar}, j > 1, as _slab_terms sums it; w, the two results and three
-    slabs are all it holds."""
+    differentiate w = u - u(0), as spectral_derivatives does: the two
+    matmuls along the first axis, d/dx_1 and u_{1 1bar}'s first term, on
+    the whole range of first-axis indices, written into the two results;
+    then the Laplacian adds u_{1 1bar}'s second term and the other diagonal
+    rows slab by slab in np.sum's order, each u_{j jbar}, j > 1, as
+    _slab_terms sums it.  w, the two results and two slabs are all it
+    holds."""
     w = np.subtract(u, u.flat[0])
-    lap, scratch = _first_diagonal(w, np.empty(u.shape))
     d1, d2 = derivative_matrices(u.shape[0])
-    x1 = _along(d1, w, 0, np.empty(u.shape))
     q2 = 0.25 * d2
+    lap = _along(q2, w, 0, np.empty(u.shape))
+    x1 = _along(d1, w, 0, np.empty(u.shape))
+    scratch = _buffer(2, slabs(u.shape), u.shape)
     for at in slabs(u.shape):
-        diag, other = scratch[:2, :len(lap[at])]
+        diag, other = scratch[:, :at.stop - at.start]
+        lap[at] += _along(q2, w[at], 1, diag)
         for xj in range(2, u.ndim, 2):
             _along(q2, w[at], xj, diag)
             diag += _along(q2, w[at], xj + 1, other)
@@ -434,10 +461,10 @@ def slab_partials(u: np.ndarray, x1: np.ndarray, at=...):
 
     The partial along the first axis is copied from x1, that partial on the
     whole grid (x1_partial_and_laplacian): a matmul along the first axis
-    needs every first-axis index, and D1's rows applied to one slab round
-    differently from the whole-grid matmul.  Every other partial is D1
-    along its axis applied to the slab of u - u(0): the same matmul, the
-    same bytes."""
+    reads every first-axis index of u - u(0), a grid array, and a slab of
+    one index would take it by gemv, which rounds differently (_along).
+    Every other partial is D1 along its axis applied to the slab of
+    u - u(0): the same matmul, the same bytes."""
     out = x1[at].copy()
     yield out
     d1 = derivative_matrices(u.shape[0])[0]
@@ -453,39 +480,46 @@ def derivative_slabs(u: np.ndarray, rows: np.ndarray | None = None):
     the bundle's shape that holds the whole bundle once the walk ends, or,
     when rows is None, of one slab buffer that the next slab overwrites.
 
-    The two matmuls along the first axis, d/dx_1 and u_{1 1bar}'s first
-    term, are formed first on the whole grid from w = u - u(0), which is
-    then released.  Every other term is formed from the slab of w, held in
-    the slab's row d/dy_n, the last term that reads it (_slab_terms), and
-    each mixed row is its first term plus its second.  So a constant field
-    has rows of exact zeros.  With rows, w is held in the slot of d/dy_n,
-    and the rows and three slabs are all the walk holds; without, it holds
-    the two first-axis terms, w until they are formed, a slab of the bundle
-    and three slabs."""
+    Every term is formed from w = u - u(0).  The two matmuls along the
+    first axis, d/dx_1 and u_{1 1bar}'s first term, read every first-axis
+    index of w, and are formed one block (blocks) at a time before that
+    block's slabs; every other term is formed from the slab of w, and each
+    mixed row is its first term plus its second.  So a constant field has
+    rows of exact zeros.  With rows, w is held in the slot of d/dy_n, the
+    last term of a slab that reads it (_slab_terms), so its first-axis
+    terms are formed on the whole range of indices first, into their own
+    rows: the rows and three slabs are all the walk holds.  Without, it
+    holds w, a block of each first-axis term, a slab of the bundle and
+    three slabs: 1.6 grid arrays on 32^4."""
     n = u.ndim // 2
+    d1, d2 = derivative_matrices(u.shape[0])
+    q2 = 0.25 * d2
+    scratch = _buffer(3, slabs(u.shape), u.shape)
     if rows is None:
-        w, x1, diag = np.subtract(u, u.flat[0]), np.empty(u.shape), np.empty(u.shape)
+        w = np.subtract(u, u.flat[0])
+        spans = list(blocks(u.shape))
+        x1s, diags = _buffer(2, spans, u.shape)
+        buf = _buffer(n * n + 2 * n, slabs(u.shape), u.shape)
     else:
-        w, x1, diag = np.subtract(u, u.flat[0], out=rows[2 * n - 1]), rows[0], rows[2 * n]
-    _along(derivative_matrices(u.shape[0])[0], w, 0, x1)
-    scratch = _first_diagonal(w, diag)[1]
-    del w
-    buf = np.empty((n * n + 2 * n,) + scratch.shape[1:]) if rows is None else None
-    for at in slabs(u.shape):
-        if rows is None:
-            g = buf[:, :at.stop - at.start]
-            np.subtract(u[at], u.flat[0], out=g[2 * n - 1])
-            g[0], g[2 * n] = x1[at], diag[at]
-        else:
-            g = rows[:, at]
-        last = None
-        for r, term in _slab_terms(g[2 * n - 1], g[0], scratch):
-            if r == last:
-                g[r] += term
-            else:
-                g[r] = term
-            last = r
-        yield at, Derivs(g)
+        w = np.subtract(u, u.flat[0], out=rows[2 * n - 1])
+        spans = [slice(0, u.shape[0])]
+        x1s, diags = rows[0], rows[2 * n]
+    for blk in spans:
+        x1 = _along(d1[blk], w, 0, x1s[:blk.stop - blk.start])
+        diag = _along(q2[blk], w, 0, diags[:blk.stop - blk.start])
+        for at in slabs(x1.shape):   # the block's slabs, counted from its start
+            on = slice(blk.start + at.start, blk.start + at.stop)
+            g = buf[:, :at.stop - at.start] if rows is None else rows[:, on]
+            np.add(diag[at], _along(q2, w[on], 1, scratch[0, :at.stop - at.start]),
+                   out=g[2 * n])
+            last = None
+            for r, term in _slab_terms(w[on], x1[at], scratch):
+                if r == last:
+                    g[r] += term
+                else:
+                    g[r] = term
+                last = r
+            yield on, Derivs(g)
 
 
 def spectral_derivatives(u: np.ndarray) -> Derivs:
@@ -507,27 +541,37 @@ def constant_derivatives(geom: TorusGeometry) -> Derivs:
 
 def contract_derivatives(k: np.ndarray, values: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out + sum_r k[r] * (row r of spectral_derivatives(values)) for a real
-    grid array, without building its bundle, from the bundle's terms: k *
-    u_{1 1bar} at every node, then each slab's terms (_slab_terms) in their
-    order, each scaled by its coefficient row and added to out, which is
-    returned.  The matmuls along the first axis, the first term of
-    u_{1 1bar} and then d/dx_1, are formed whole in one grid array.  Each
-    node's terms are added in the same order on any slab, so out is the
-    same bytes as the whole grid's; out, that array and three slabs are all
+    grid array, without building its bundle, from the bundle's terms, one
+    block (blocks) at a time: k * u_{1 1bar} on the block, its first term
+    by the matmul along the first axis and its second added slab by slab;
+    then d/dx_1 on the block, in the same array; then each slab's terms
+    (_slab_terms) in their order, each scaled by its coefficient row and
+    added to out, which is returned.  Each node's terms are added in the
+    same order on any block and slab, so out is the same bytes as the
+    whole grid's; out, a block of first-axis terms and three slabs are all
     it holds."""
     n = values.ndim // 2
-    x1, scratch = _first_diagonal(values, np.empty(values.shape))
-    x1 *= k[2 * n]
-    out += x1
-    _along(derivative_matrices(values.shape[0])[0], values, 0, x1)
-    for at in slabs(values.shape):
-        kk, acc = k[:, at], out[at]
-        for r, term in _slab_terms(values[at], x1[at], scratch):
-            if r < 2 * n:   # a partial, which later terms read
-                term = np.multiply(kk[r], term, out=scratch[0, :len(term)])
-            else:
-                term *= kk[r]
-            acc += term
+    d1, d2 = derivative_matrices(values.shape[0])
+    q2 = 0.25 * d2
+    scratch = _buffer(3, slabs(values.shape), values.shape)
+    spans = list(blocks(values.shape))
+    (block,) = _buffer(1, spans, values.shape)
+    for blk in spans:
+        v, kb, ob = values[blk], k[:, blk], out[blk]
+        diag = _along(q2[blk], values, 0, block[:blk.stop - blk.start])
+        for at in slabs(v.shape):   # the block's slabs, counted from its start
+            diag[at] += _along(q2, v[at], 1, scratch[0, :at.stop - at.start])
+        diag *= kb[2 * n]
+        ob += diag
+        x1 = _along(d1[blk], values, 0, diag)
+        for at in slabs(v.shape):
+            kk, acc = kb[:, at], ob[at]
+            for r, term in _slab_terms(v[at], x1[at], scratch):
+                if r < 2 * n:   # a partial, which later terms read
+                    term = np.multiply(kk[r], term, out=scratch[0, :len(term)])
+                else:
+                    term *= kk[r]
+                acc += term
     return out
 
 

@@ -87,6 +87,13 @@ class TestNormalize:
         u = normalize(random_band_limited(geom2, rng, 2, 1.5), 0.07, 4.0)
         assert abs(normalization_level(u, 4.0) - 0.07) < 1e-12
 
+    def test_memory(self, geom2_32, rng, traced_peak):
+        # the integrand is released before the shifted field is formed, and
+        # formed in one array: 1.00 grid arrays on 32^4, counting the result
+        # (the integrand's temporaries beside the result gave 2.00)
+        u = random_band_limited(geom2_32, rng, 3, 1.0)
+        assert traced_peak(normalize, u, 0.1, 4.0) <= 1.25 * geom2_32.node_count * 8
+
     def test_large_fields_do_not_overflow(self, geom2, rng):
         u = 300.0 * random_band_limited(geom2, rng, 1, 1.0)
         out = normalize(u, 0.1, 8.0)
@@ -412,26 +419,30 @@ class TestBorderedNewtonSystem:
     def test_linear_solve_array_budget(self, which, request, rng, traced_peak):
         # above its arguments: the preconditioner's complex64 symbol and
         # float32 1/sigma, omega, the six BiCGStab vectors (b among them) and
-        # one operator apply's output, its derivative along the first axis
-        # and three slabs (half the grid on 16^4, an eighth on 8^6); the
-        # preconditioner's transient symbols, spectrum and FFT scratch stay
-        # below that peak.  Two first partials and a row, whole, gave 12.1
+        # one operator apply's output, a block of its first-axis terms and
+        # three slabs (a block and a slab are half the grid on 16^4; on 8^6
+        # a block is a quarter, a slab an eighth); the preconditioner's
+        # transient symbols, spectrum and FFT scratch stay below that peak.
+        # 11.10 grid arrays on 16^4 and 9.76 on 8^6.  The first-axis terms
+        # formed whole gave 11.59 and 10.50; two first partials and a row,
+        # whole, gave 12.1
         geom = request.getfixturevalue(which)
         system = newton_system(geom, rng)
         peak = traced_peak(solve.solve_newton_system, *system, 1e-8)
-        assert peak <= 12 * geom.node_count * 8
+        assert peak <= {"geom2": 11.25, "geom3": 10.0}[which] * geom.node_count * 8
 
     def test_n3_solve_array_budget(self, geom3, traced_peak):
         # the default n = 3 solve on 8^6, traced from before its data is
-        # built, peaks in the Newton step's linear solve at 33.6 grid
-        # arrays; f's 2n - 1 partials off the first axis and the operator
+        # built, peaks in the Newton step's linear solve at 32.9 grid
+        # arrays; the operator apply's first-axis terms formed whole made
+        # 33.6, and f's 2n - 1 partials off the first axis and the operator
         # apply's two whole-grid scratch arrays made 40.1
         def solve_default_n3():
             cfg = cli.RunConfig(n=3, points_per_axis=8)
             data, _ = cfg.build_problem()
             run_and_return(data, cfg.solver_config())
 
-        assert traced_peak(solve_default_n3) <= 34 * geom3.node_count * 8
+        assert traced_peak(solve_default_n3) <= 33.25 * geom3.node_count * 8
 
     def test_quadratic_rate_at_t_one(self, geom2, monkeypatch):
         # criterion-6 data on 16^4: once the t = 1 residual is below 1e-2,
@@ -798,16 +809,17 @@ class TestGridSequencing:
         assert report.coarse == want_report.coarse
 
     def test_memory_budget(self, geom2_32, traced_peak):
-        # the 16^4 walk and the 32^4 handover peak at 4.2 grid arrays above
-        # the data in the handover's check: the prolonged field, w = u - u(0)
-        # and the two first-axis terms of its bundle, one slab of the bundle
-        # and slab temporaries.  Storing the field's bundle and a residual
-        # grid array for the check, as an evaluation does, made it 10.4; with
-        # f's two arrays formed in the run it was 12.4, whole-grid
-        # temporaries in the evaluation had made that 23.1, and a stored
-        # bundle Laplacian, e^{+-u}, a and f's other partials 19.4
+        # the 16^4 walk and the 32^4 handover peak at 3.0 grid arrays above
+        # the data in the handover's check: the prolonged field, w = u - u(0),
+        # a block of each first-axis term of its bundle, one slab of the
+        # bundle and slab temporaries.  The two first-axis terms formed whole
+        # made it 4.2; storing the field's bundle and a residual grid array
+        # for the check, as an evaluation does, 10.4; with f's two arrays
+        # formed in the run it was 12.4, whole-grid temporaries in the
+        # evaluation had made that 23.1, and a stored bundle Laplacian,
+        # e^{+-u}, a and f's other partials 19.4
         peak = traced_peak(run_and_return, default_32(geom2_32), SolverConfig())
-        assert peak <= 5 * geom2_32.node_count * 8
+        assert peak <= 3.5 * geom2_32.node_count * 8
 
     def test_fine_steps_hold_no_extra_array(self, geom2_32, traced_peak, monkeypatch):
         # f_scale = mu_scale = 4: the fine grid takes 2 Newton steps from the

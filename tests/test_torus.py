@@ -187,10 +187,11 @@ class TestSpectralDerivatives:
         got = contract_derivatives(k, u, np.zeros(geom.shape))
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
-    @pytest.mark.parametrize("which", ["geom2", "geom3"])
+    @pytest.mark.parametrize("which", ["geom2", "geom3", "geom2_32"])
     def test_contraction_same_bytes_as_whole_grid_terms(self, which, request, rng):
-        # slab by slab, each node's terms are added in the order of the
-        # whole-grid algorithm, which holds two partials and a row whole
+        # block by block and slab by slab, each node's terms are added in
+        # the order of the whole-grid algorithm, which holds two partials
+        # and a row whole; on 32^4 a block is four slabs
         def whole_grid_contraction(k, values, out):
             n = values.ndim // 2
             d1, d2 = torus.derivative_matrices(values.shape[0])
@@ -266,17 +267,30 @@ class TestSpectralDerivatives:
             walked.append(at)
         assert walked == list(torus.slabs(geom.shape))
 
-    def test_slab_walk_memory(self, geom2_32, rng, traced_peak):
-        # w = u - u(0), the two first-axis terms and three slabs of terms:
-        # 3.10 grid arrays on 32^4, where the bundle is 8; the slab of the
-        # bundle is formed after w is released
-        u = random_band_limited(geom2_32, rng, 3, 1.0)
+    @staticmethod
+    def walk_peak(geom, rng, traced_peak):
+        """The traced peak of a walk over a field's bundle that stores
+        none of it, in grid arrays."""
+        u = random_band_limited(geom, rng, 3, 1.0)
 
         def walk():
             for _ in torus.derivative_slabs(u):
                 pass
 
-        assert traced_peak(walk) <= 3.5 * geom2_32.node_count * 8
+        return traced_peak(walk) / (geom.node_count * 8)
+
+    def test_slab_walk_memory(self, geom2_32, rng, traced_peak):
+        # w = u - u(0), a block of each first-axis term (4 of 32 indices), a
+        # slab of the bundle and three slabs of terms: 1.60 grid arrays on
+        # 32^4, where the bundle is 8 (the two first-axis terms formed whole
+        # gave 3.10)
+        assert self.walk_peak(geom2_32, rng, traced_peak) <= 2.0
+
+    def test_slab_walk_memory_n3(self, geom3, rng, traced_peak):
+        # the same on 8^6, where a block is 2 of 8 indices and a slab of the
+        # bundle is 15/8 grid arrays: 3.75 (the whole first-axis terms gave
+        # 4.25)
+        assert self.walk_peak(geom3, rng, traced_peak) <= 4.0
 
     @pytest.mark.parametrize("which, slack", [("geom2_32", 0.25), ("geom3", 0.5)])
     def test_build_memory(self, which, slack, request, rng, traced_peak):
@@ -417,6 +431,30 @@ class TestSlabs:
         width = got[0].stop - got[0].start
         assert width == min(p, max(1, 2 ** 15 // p ** (2 * n - 1)))
 
+    @pytest.mark.parametrize("n, p", [(2, 16), (2, 32), (2, 64), (3, 8), (3, 16)])
+    def test_blocks(self, n, p):
+        # runs of whole slabs that cover the first axis in order, each of at
+        # least max(2, p/8) indices: a one-row matmul rounds differently,
+        # and many small blocks cost time
+        shape = TorusGeometry(n, p).shape
+        got = list(torus.blocks(shape))
+        assert [i for at in got for i in range(p)[at]] == list(range(p))
+        edges = {0} | {at.stop for at in torus.slabs(shape)}
+        assert all(at.start in edges and at.stop in edges for at in got)
+        assert min(at.stop - at.start for at in got) >= max(2, p // 8)
+
+    @pytest.mark.parametrize("n, p", [(2, 16), (2, 32), (3, 8)])
+    def test_matmuls_along_the_first_axis_by_block(self, n, p):
+        # a block of D1's or D2's rows applied to the whole grid array gives
+        # the whole matmul's bytes on the block (a single row, computed by
+        # gemv, need not)
+        u = np.random.default_rng(6).standard_normal((p,) * (2 * n))
+        for d in torus.derivative_matrices(p):
+            whole = torus._along(d, u, 0, np.empty(u.shape))
+            for at in torus.blocks(u.shape):
+                got = torus._along(d[at], u, 0, np.empty(u[at].shape))
+                assert got.tobytes() == whole[at].tobytes(), at
+
     @pytest.mark.parametrize("n, p", [(2, 16), (2, 32), (3, 8)])
     def test_matmuls_along_later_axes(self, n, p):
         # D1 and D2 applied along any axis but the first to one slab at a
@@ -449,8 +487,8 @@ class TestPartialsAndLaplacian:
 
     @pytest.mark.parametrize("which", ["geom2_32", "geom3"])
     def test_memory(self, which, request, rng, traced_peak):
-        # u - u(0), the two results and three slabs: 3.10 grid arrays on
-        # 32^4 and 3.38 on 8^6 (the n diagonal rows held whole gave 5.00
+        # u - u(0), the two results and two slabs: 3.06 grid arrays on
+        # 32^4 and 3.25 on 8^6 (the n diagonal rows held whole gave 5.00
         # and 6.00)
         geom = request.getfixturevalue(which)
         u = random_band_limited(geom, rng, 3, 1.0)

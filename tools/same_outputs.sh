@@ -7,7 +7,9 @@
 #
 # Each argument is a checkout of the repository (or its src/ directory).
 # Exits 0 when the two trees' outputs are identical, 1 on any difference
-# (printed by diff -r), 2 on a usage error.  This is the check for a
+# (printed by diff -r), 2 on a usage error.  For each command and tree it
+# also prints, to stderr, the command's wall seconds and its peak RSS
+# (the child's getrusage maximum), which are not compared.  This is the check for a
 # deletion or simplification that must leave the CLI outputs unchanged.
 # When outputs differ, it also prints, for each differing file, the largest
 # absolute difference of its numbers (float64 payload of a field dump, or
@@ -31,12 +33,29 @@ change=$(package_root "$2") || exit 2
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
+# timed LABEL STDOUT STDERR CMD...: runs CMD with its streams in the two
+# files, prints LABEL, its wall seconds and its peak RSS to this script's
+# stderr, and exits with CMD's code
+timed='
+import resource, subprocess, sys, time
+label, stdout, stderr, cmd = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
+start = time.perf_counter()
+with open(stdout, "wb") as out, open(stderr, "wb") as err:
+    code = subprocess.call(cmd, stdout=out, stderr=err)
+wall = time.perf_counter() - start
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024   # KiB on Linux
+print(f"{label}: {wall:.2f} s, peak RSS {peak:.1f} MiB", file=sys.stderr)
+sys.exit(code if code >= 0 else 128 - code)
+'
+
 # run NAME ARGS...: one CLI command, its files in $out/NAME, its streams
-# and exit code beside them; the tree's own path is masked in stderr
+# and exit code beside them; the tree's own path is masked in stderr.  Its
+# wall time and peak RSS are printed, outside the compared files.
 run() {
     local name=$1; shift
     mkdir -p "$out/$name"
-    PYTHONPATH="$src" python -m sigma2lab "$@" >"$out/$name.stdout" 2>"$out/$name.stderr"
+    PYTHONPATH="$src" python3 -c "$timed" "$side $name" "$out/$name.stdout" "$out/$name.stderr" \
+        python -m sigma2lab "$@"
     echo $? >"$out/$name.exit"
     sed -i "s|$src|SRC|g; s|$out|OUT|g" "$out/$name.stderr"
 }
