@@ -41,9 +41,10 @@ solver's check of a prolonged field (solve._solves_as_is) also reads a
 bundle, one slab at a time from torus.derivative_slabs, and stores none: it
 reads each slab with evaluate's reader (evaluate_slab) and combines the
 readings as evaluate does (combine_readings).  evaluate returns an
-Iterate in two parts.  The part a Newton step keeps is the field, its
-residual and its readings: the residual's max-norm, the cone test and two
-monitor readings.  The body is the bundle alone.  gprime, residual_fy1,
+Iterate.  The part a Newton step keeps is the field and its readings: the
+residual's max-norm, the cone test and two monitor readings.  The step
+consumes the rest: the body, which is the bundle alone, and the residual,
+over which its linear solve writes its right-hand side.  gprime, residual_fy1,
 linearization_coefficients and the monitors each take that Iterate, so the
 solver, the monitors and the verify suites read a field the same way.
 g' itself is not assembled on the solve path: sigma_1 and sigma_2 of g'
@@ -326,14 +327,17 @@ class Iterate:
     """A field evaluated once against one problem: what the Newton step, the
     backtracking test, acceptance, the monitors and every form below read.
 
-    The part a Newton step keeps is the field and its residual, 2 grid
-    arrays, and three readings of g': in_cone, whether every node lies in
-    Gamma_2 at the margin it was evaluated with, and the monitors' kappa =
-    min e^{-2u} sigma_2(g') and the fraction of nodes in Gamma_2.  The body
-    is the bundle alone, n^2 + 2n grid arrays, read through .derivs until
-    take_body detaches it; linearization_coefficients and an evaluation of
-    the same field against other data each take it.  The weights are formed
-    from the field where they are read (weights())."""
+    The part a Newton step keeps is the field, 1 grid array, the residual's
+    max-norm rnorm and three readings of g': in_cone, whether every node
+    lies in Gamma_2 at the margin it was evaluated with, and the monitors'
+    kappa = min e^{-2u} sigma_2(g') and the fraction of nodes in Gamma_2.
+    The residual, 1 grid array, is read until a Newton step from the
+    iterate, which writes its linear solve's right-hand side over it
+    (solve.solve_newton_system).  The body is the bundle alone, n^2 + 2n
+    grid arrays, read through .derivs until take_body detaches it;
+    linearization_coefficients and an evaluation of the same field against
+    other data each take it.  The weights are formed from the field where
+    they are read (weights())."""
 
     u: np.ndarray
     data: ProblemData

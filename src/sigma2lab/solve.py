@@ -30,10 +30,11 @@ iteration on the pair:
     field averages.  The zero mode of P is l(1) = 1, and it is given the
     zero mode of r, not of r / sigma, so the border row carries mean r.
     1/sigma and P are stored in single precision, which keeps the solve
-    within its memory.  BiCGStab works in place on six grid vectors, its
-    right-hand side among them.  scipy's GMRES stays as the fallback
-    after a BiCGStab failure, on the right-hand side formed again, because
-    the benchmark's hooks (bench/hooks.py) wrap `gmres` by name; it has not
+    within its memory.  The right-hand side is written over R's buffer, and
+    BiCGStab reads it as its shadow residual and works in place on five
+    more grid vectors.  scipy's GMRES stays as the fallback after a
+    BiCGStab failure, on the same intact right-hand side, because the
+    benchmark's hooks (bench/hooks.py) wrap `gmres` by name; it has not
     run on a pinned workload, and scipy is imported on its first call, so a
     solve that never falls back loads numpy alone;
   * the step is backtracked to the largest s in {1, b, b^2, ...} for which
@@ -52,14 +53,14 @@ and its one record in the SolveReport (monitors.EstimateReport: t, the
 residual norm and the monitors) read the same Iterate.  Its body, the
 bundle, is handed to the evaluation at the next continuation attempt's t
 (Iterate.take_body), which forms only the weights, the sigmas of g' and the
-residual.  A Newton step consumes the body of the iterate it starts from
-and keeps only its field, residual and readings: the operator's coefficient
-rows are written over the bundle and live until the linear solve returns,
-the zero-mean right-hand side is formed from the residual and BiCGStab's
-residual is written over it, each operator apply adds the direction's
-derivative terms slab by slab instead of building its bundle, and a
-rejected trial is released before the next is evaluated.  A failed attempt evaluates its start field
-again, so no consumed body is ever read.
+residual.  A Newton step consumes the body and the residual of the iterate
+it starts from, and keeps only its field and readings: the operator's
+coefficient rows are written over the bundle and live until the linear
+solve returns, the zero-mean right-hand side is written over the residual,
+each operator apply adds the direction's derivative terms slab by slab
+instead of building its bundle, and a rejected trial is released before the
+next is evaluated.  A failed attempt evaluates its start field again, so no
+consumed body or residual is ever read.
 
 A grid of 32 or more points per axis walks the continuation on its half
 grid first, on injected data, and only the t = 1 Newton correction of the
@@ -274,10 +275,12 @@ def bicgstab(A, b: np.ndarray, *, rtol: float, maxiter: int, M):
     tests, on fewer vectors.  A and M are Operators, read through .matvec, and
     every dot product and norm is _dot's.
 
-    b is overwritten: it becomes the residual r, and s is written over r.
-    The preconditioned direction and the preconditioned s are never alive
+    b is read, never written: it is the shadow residual r~ itself, and the
+    residual r starts as a copy of it, with s written over r.  The
+    preconditioned direction and the preconditioned s are never alive
     together, because x takes its alpha step before s is preconditioned.  So
-    x, r, r~, p, v and one preconditioned vector are the live grid vectors.
+    x, r, p, v and one preconditioned vector are the grid vectors it forms
+    beside b.
     M.matvec must return a new array, which is scaled in place.  Returns
     (x, info): info 0 on convergence, maxiter when the cap is reached, -10
     on a rho breakdown and -11 on an omega breakdown."""
@@ -288,8 +291,8 @@ def bicgstab(A, b: np.ndarray, *, rtol: float, maxiter: int, M):
         return x, 0
     tol = rtol * bnorm
     tiny = np.finfo(b.dtype).eps ** 2   # scipy's rho and omega breakdown bound
-    r = b
-    rtilde = r.copy()
+    rtilde = b
+    r = b.copy()
     for iteration in range(maxiter):
         if _norm(r) < tol:
             return x, 0
@@ -348,7 +351,11 @@ def solve_newton_system(u: np.ndarray, d: ProblemData, coeffs: LinearCoefficient
     derivative of the normalization's log-mean in the direction v, divided
     by -gamma.  The right-hand side of the border row is 0, because u is
     already normalized.  So the solution has l(v) = 0, and L v = -R up to
-    an additive constant, which is all a zero-mean residual determines."""
+    an additive constant, which is all a zero-mean residual determines.
+
+    The right-hand side -(R - mean R) is written over `residual`, which the
+    caller gives up: BiCGStab and, after its failure, GMRES read that one
+    buffer, and neither writes it."""
     geom = d.geometry
     shape = geom.shape
     size = residual.size
@@ -370,15 +377,11 @@ def solve_newton_system(u: np.ndarray, d: ProblemData, coeffs: LinearCoefficient
         rhat /= sym
         return _irfft(rhat).ravel()
 
-    def rhs():
-        return np.subtract(residual.mean(), residual).ravel()   # -(R - mean R)
-
+    b = np.subtract(residual.mean(), residual, out=residual).ravel()   # -(R - mean R)
     op = Operator((size, size), float, matvec)
     mop = Operator((size, size), float, apply_precond)
-    # bicgstab overwrites its right-hand side, so a failure forms it again
-    x, info = bicgstab(op, rhs(), rtol=rtol, maxiter=_LINEAR_MAXITER, M=mop)
+    x, info = bicgstab(op, b, rtol=rtol, maxiter=_LINEAR_MAXITER, M=mop)
     if info != 0:
-        b = rhs()
         x, info = gmres(op, b, rtol=rtol, atol=0.0, restart=40,
                         maxiter=max(4, _LINEAR_MAXITER // 40), M=mop)
     if info != 0:
@@ -396,12 +399,15 @@ def solve_newton_system(u: np.ndarray, d: ProblemData, coeffs: LinearCoefficient
 def _newton_step(it: Iterate, cfg: SolverConfig, forcing: float = _LINEAR_RTOL):
     """One damped step from an evaluated iterate, its linear solve to relative
     residual `forcing`.  The step consumes the iterate's body (see
-    forms.linearization_coefficients), and lies in Gamma_2 at the margin, as
-    _solve_at_t's start and every accepted trial do.  Returns the evaluation
-    of the accepted trial, which the next step starts from, and its s."""
+    forms.linearization_coefficients) and its residual, over which the
+    linear solve's right-hand side is written (solve_newton_system).  The
+    iterate lies in Gamma_2 at the margin, as _solve_at_t's start and every
+    accepted trial do.  Returns the evaluation of the accepted trial, which
+    the next step starts from, and its s."""
     u, d = it.u, it.data
     # the coefficient rows, written over the iterate's bundle, are passed,
-    # not bound: they die with the solve, and `it` keeps no bundle
+    # not bound: they die with the solve, and `it` keeps no bundle; its
+    # residual holds the right-hand side from here on
     v = solve_newton_system(u, d, linearization_coefficients(it), it.residual, forcing)
 
     s = 1.0

@@ -244,7 +244,8 @@ class TestSolveAtT:
 def newton_system(geom, rng):
     """(u, data, coefficients, residual) of the Newton system at a small
     perturbation of the manufactured solution, the arguments of
-    solve_newton_system before rtol."""
+    solve_newton_system before rtol; that call writes the right-hand side
+    over the residual."""
     data, u_star = profiles.manufactured_problem(
         geom, alpha=1.0, base_A=0.1, amplitude=0.25, f_scale=0.05)
     pert = random_band_limited(geom, rng, 2, 1e-3)
@@ -267,70 +268,139 @@ def assert_solves_both_rows(system, v, rtol):
     assert np.sqrt(v.size) * abs(float(np.sum(omega * v))) <= rtol * bnorm
 
 
-def scribbling_failure(op, b, **kwargs):
-    """A Krylov solver that overwrites b, as bicgstab does, and fails."""
-    b[:] = 1.0
-    return np.zeros_like(b), 1
+BICGSTAB = solve.bicgstab
+
+
+def one_iteration(op, b, **kwargs):
+    """The package's BiCGStab stopped after one iteration, short of
+    convergence: a failure that runs the real loop on b."""
+    return BICGSTAB(op, b, **{**kwargs, "maxiter": 1})
+
+
+def krylov_system(geom, rng, monkeypatch):
+    """(operator, preconditioner, right-hand side) that solve_newton_system
+    hands bicgstab for newton_system(geom, rng)."""
+    captured = []
+
+    def capture(op, b, **kwargs):
+        captured.append((op, kwargs["M"], b.copy()))
+        return BICGSTAB(op, b, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(solve, "bicgstab", capture)
+        solve.solve_newton_system(*newton_system(geom, rng), 1e-8)
+    return captured[0]
+
+
+def breakdown_system(case):
+    """(matrix, b) on which bicgstab breaks down.  rv: the zero operator
+    gives rtilde . v = 0 at once.  rho: the first step leaves r = (0, -1),
+    orthogonal to rtilde = b, with omega = 0 exactly.  omega: a matrix of
+    scale 1e35 makes omega ~ 1e-35, below eps^2, while rho stays O(1)."""
+    rng = np.random.default_rng(3)
+    return {
+        "rv": (np.zeros((3, 3)), np.array([1.0, 2.0, 3.0])),
+        "rho": (np.array([[1.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0])),
+        "omega": (1e35 * (rng.standard_normal((6, 6)) + 3.0 * np.eye(6)),
+                  rng.standard_normal(6)),
+    }[case]
 
 
 class TestBorderedNewtonSystem:
     def test_solution_satisfies_both_rows(self, geom2, rng):
-        system = newton_system(geom2, rng)
+        # the right-hand side -(R - mean R) is written over R's buffer and
+        # left there by the solve, so the rows are checked against a copy of
+        # R taken before the call
+        u, data, coeffs, residual = system = newton_system(geom2, rng)
+        r = residual.copy()
         rtol = 1e-8
-        assert_solves_both_rows(system, solve.solve_newton_system(*system, rtol), rtol)
+        v = solve.solve_newton_system(*system, rtol)
+        assert_solves_both_rows((u, data, coeffs, r), v, rtol)
+        assert residual.tobytes() == np.subtract(r.mean(), r).tobytes()
 
     def test_fallback_solves_the_original_system(self, geom2, rng, monkeypatch):
-        # bicgstab overwrites its right-hand side, so the GMRES fallback
-        # must be handed the system formed again from the residual; the
-        # fallback is scipy's GMRES, which solve.gmres looks up on its call
-        # and which reads the two Operator tuples through aslinearoperator
+        # bicgstab reads its right-hand side and leaves it intact, so after
+        # its failure the GMRES fallback is handed the bytes of
+        # -(R - mean R); the fallback is scipy's GMRES, which solve.gmres
+        # looks up on its call and which reads the two Operator tuples
+        # through aslinearoperator
         real = scipy.sparse.linalg.gmres
         seen = []
 
         def spy(A, b, **kwargs):
-            seen.append((type(A), type(kwargs["M"])))
+            seen.append((type(A), type(kwargs["M"]), b.copy()))
             return real(A, b, **kwargs)
 
         monkeypatch.setattr(scipy.sparse.linalg, "gmres", spy)
-        monkeypatch.setattr(solve, "bicgstab", scribbling_failure)
-        system = newton_system(geom2, rng)
+        monkeypatch.setattr(solve, "bicgstab", one_iteration)
+        u, data, coeffs, residual = system = newton_system(geom2, rng)
+        r = residual.copy()
         rtol = 1e-8
-        assert_solves_both_rows(system, solve.solve_newton_system(*system, rtol), rtol)
-        assert seen == [(solve.Operator, solve.Operator)]
+        v = solve.solve_newton_system(*system, rtol)
+        assert_solves_both_rows((u, data, coeffs, r), v, rtol)
+        [(op_type, m_type, b)] = seen
+        assert (op_type, m_type) == (solve.Operator, solve.Operator)
+        assert b.tobytes() == np.subtract(r.mean(), r).ravel().tobytes()
 
     def test_failure_is_typed_and_measured_on_the_original_system(
             self, geom2, rng, monkeypatch):
         # both solvers fail; the fallback returns half the solution, so the
-        # reported relative residual against the original b is 1/2
+        # reported relative residual against b = -(R - mean R) is 1/2.
+        # GMRES and the ratio read the bytes formed from R before the call
         system = newton_system(geom2, rng)
-        r = system[3]
-        v = solve.solve_newton_system(*system, 1e-10)
+        r = system[3].copy()
+        v = solve.solve_newton_system(*system[:3], r.copy(), 1e-10)
         seen = []
 
         def half_solution(op, b, **kwargs):
-            seen.append(b.copy())
+            seen.append((op, b, b.copy()))
             return 0.5 * v.ravel(), 1
 
-        monkeypatch.setattr(solve, "bicgstab", scribbling_failure)
+        monkeypatch.setattr(solve, "bicgstab", one_iteration)
         monkeypatch.setattr(solve, "gmres", half_solution)
-        with pytest.raises(LinearSolveError, match=r"relative residual 5\.00e-01"):
+        with pytest.raises(LinearSolveError, match=r"relative residual 5\.00e-01") as err:
             solve.solve_newton_system(*system, 1e-8)
-        assert np.array_equal(seen[0], np.subtract(r.mean(), r).ravel())
+        [(op, b, handed)] = seen
+        rhs = np.subtract(r.mean(), r).ravel()
+        assert handed.tobytes() == b.tobytes() == rhs.tobytes()
+        ratio = float(solve._norm(op.matvec(0.5 * v.ravel()) - rhs)) / float(solve._norm(rhs))
+        assert f"relative residual {ratio:.2e}" in str(err.value)
+
+    @pytest.mark.parametrize("case, outcome", [
+        ("converged", 0), ("cap", 3), ("rv", -11), ("rho", -10), ("omega", -11),
+    ])
+    def test_bicgstab_leaves_b_intact(self, geom2, rng, monkeypatch, case, outcome):
+        # b is the shadow residual and is only read: its bytes are the same
+        # after a solve of several iterations, at the iteration cap and at
+        # each breakdown exit
+        if case in ("converged", "cap"):
+            op, M, b = krylov_system(geom2, rng, monkeypatch)
+            rtol, maxiter = (1e-8, 200) if case == "converged" else (1e-14, 3)
+        else:
+            mat, b = breakdown_system(case)
+            op = solve.Operator(mat.shape, float, lambda x: mat @ x)
+            M = solve.Operator(mat.shape, float, lambda x: x.copy())
+            rtol, maxiter = 1e-12, 50
+        applies = []
+
+        def matvec(x):
+            applies.append(1)
+            return op.matvec(x)
+
+        before = b.tobytes()
+        _, info = solve.bicgstab(solve.Operator(op.shape, float, matvec), b,
+                                 rtol=rtol, maxiter=maxiter, M=M)
+        assert info == outcome
+        assert b.tobytes() == before
+        if case == "converged":
+            assert len(applies) >= 4   # two whole iterations at least
 
     @pytest.mark.parametrize("rtol, maxiter, outcome", [(1e-8, 200, 0), (1e-14, 3, 3)])
     def test_bicgstab_matches_scipy(self, geom2, rng, monkeypatch, rtol, maxiter, outcome):
         # the in-place loop is scipy's iteration: the same operator applies,
         # the same outcome, converged or at the cap, and the same solution
-        captured = []
         real = solve.bicgstab
-
-        def capture(op, b, **kwargs):
-            captured.append((op, kwargs["M"], b.copy()))
-            return real(op, b, **kwargs)
-
-        monkeypatch.setattr(solve, "bicgstab", capture)
-        solve.solve_newton_system(*newton_system(geom2, rng), 1e-8)
-        op, M, b = captured[0]
+        op, M, b = krylov_system(geom2, rng, monkeypatch)
         results = []
         for krylov in (real, scipy.sparse.linalg.bicgstab):
             applies = []
@@ -385,18 +455,9 @@ class TestBorderedNewtonSystem:
         ("rv", -11, 1), ("rho", -10, 2), ("omega", -11, 2),
     ])
     def test_bicgstab_breakdowns_match_scipy(self, case, outcome, applies):
-        # each breakdown exit returns scipy's info and iterate after as many
-        # operator applies.  rv: the zero operator gives rtilde . v = 0 at
-        # once.  rho: the first step leaves r = (0, -1), orthogonal to
-        # rtilde = b, with omega = 0 exactly.  omega: a matrix of scale
-        # 1e35 makes omega ~ 1e-35, below eps^2, while rho stays O(1)
-        rng = np.random.default_rng(3)
-        mat, b = {
-            "rv": (np.zeros((3, 3)), np.array([1.0, 2.0, 3.0])),
-            "rho": (np.array([[1.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0])),
-            "omega": (1e35 * (rng.standard_normal((6, 6)) + 3.0 * np.eye(6)),
-                      rng.standard_normal(6)),
-        }[case]
+        # each breakdown exit (breakdown_system) returns scipy's info and
+        # iterate after as many operator applies
+        mat, b = breakdown_system(case)
         results = []
         for krylov in (solve.bicgstab, scipy.sparse.linalg.bicgstab):
             count = []
@@ -418,31 +479,33 @@ class TestBorderedNewtonSystem:
     @pytest.mark.parametrize("which", ["geom2", "geom3"])
     def test_linear_solve_array_budget(self, which, request, rng, traced_peak):
         # above its arguments: the preconditioner's complex64 symbol and
-        # float32 1/sigma, omega, the six BiCGStab vectors (b among them) and
-        # one operator apply's output, a block of its first-axis terms and
-        # three slabs (a block and a slab are half the grid on 16^4; on 8^6
-        # a block is a quarter, a slab an eighth); the preconditioner's
-        # transient symbols, spectrum and FFT scratch stay below that peak.
-        # 11.10 grid arrays on 16^4 and 9.76 on 8^6.  The first-axis terms
-        # formed whole gave 11.59 and 10.50; two first partials and a row,
-        # whole, gave 12.1
+        # float32 1/sigma, omega, the five vectors BiCGStab forms beside b
+        # (b is written over the residual, an argument) and one operator
+        # apply's output, a block of its first-axis terms and three slabs
+        # (a block and a slab are half the grid on 16^4; on 8^6 a block is
+        # a quarter, a slab an eighth); the preconditioner's transient
+        # symbols, spectrum and FFT scratch stay below that peak.  10.10
+        # grid arrays on 16^4 and 8.76 on 8^6.  b formed beside the residual
+        # gave 11.10 and 9.76; the first-axis terms formed whole, 11.59 and
+        # 10.50; two first partials and a row, whole, 12.1
         geom = request.getfixturevalue(which)
         system = newton_system(geom, rng)
         peak = traced_peak(solve.solve_newton_system, *system, 1e-8)
-        assert peak <= {"geom2": 11.25, "geom3": 10.0}[which] * geom.node_count * 8
+        assert peak <= {"geom2": 10.25, "geom3": 9.0}[which] * geom.node_count * 8
 
     def test_n3_solve_array_budget(self, geom3, traced_peak):
         # the default n = 3 solve on 8^6, traced from before its data is
-        # built, peaks in the Newton step's linear solve at 32.9 grid
-        # arrays; the operator apply's first-axis terms formed whole made
-        # 33.6, and f's 2n - 1 partials off the first axis and the operator
-        # apply's two whole-grid scratch arrays made 40.1
+        # built, peaks in the Newton step's linear solve at 31.76 grid
+        # arrays; the right-hand side formed beside the residual made
+        # 32.76, the operator apply's first-axis terms formed whole 33.6,
+        # and f's 2n - 1 partials off the first axis and the operator
+        # apply's two whole-grid scratch arrays 40.1
         def solve_default_n3():
             cfg = cli.RunConfig(n=3, points_per_axis=8)
             data, _ = cfg.build_problem()
             run_and_return(data, cfg.solver_config())
 
-        assert traced_peak(solve_default_n3) <= 33.25 * geom3.node_count * 8
+        assert traced_peak(solve_default_n3) <= 32.0 * geom3.node_count * 8
 
     def test_quadratic_rate_at_t_one(self, geom2, monkeypatch):
         # criterion-6 data on 16^4: once the t = 1 residual is below 1e-2,

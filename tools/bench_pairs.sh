@@ -13,9 +13,11 @@
 # After it, for each workload and end-to-end metric, it prints how many
 # pairs the change won and lost (a tie counts for neither; pair i is the
 # i-th --trace 0 run of the workload on each side), each side's median and
-# quartiles, and whether the change's median is better than the parent's by
-# more than the parent's interquartile range: the readings a claimed gain is
-# judged on.
+# quartiles, the median and quartiles of the per-pair ratio change/parent,
+# and whether the change's median is better than the parent's by more than
+# the parent's interquartile range: the readings a claimed gain is judged
+# on.  The ratio of each pair cancels the drift in machine speed from one
+# pair to the next, which widens the pooled quartiles of the timings.
 # The records go to a new directory outside both checkouts, parent.jsonl
 # and change.jsonl, whose path is printed first.  Exits with --compare's
 # code: 0 when the sets agree, 1 when they differ; 2 on a usage error.
@@ -84,7 +86,8 @@ def spread(values):
 
 sides = [runs(path) for path in sys.argv[2:]]
 print(f"{'workload':20s} {'metric':15s} {'won':>5s} {'lost':>5s} "
-      f"{'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s}  better by > parent IQR")
+      f"{'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s} "
+      f"{'change/parent median [q1, q3]':>31s}  better by > parent IQR")
 for workload in spec["workloads"]:
     name = workload["name"]
     parent, change = ([r["result"]["metrics"] for r in side if r["workload"] == name]
@@ -96,8 +99,10 @@ for workload in spec["workloads"]:
         won = sum(sign * (y - x) > 0 for x, y in zip(a, b))
         lost = sum(sign * (y - x) < 0 for x, y in zip(a, b))
         (ma, qa1, qa3), (mb, qb1, qb3) = spread(a), spread(b)
+        mr, qr1, qr3 = spread([y / x if x else float("nan") for x, y in zip(a, b)])
         print(f"{name:20s} {metric:15s} {won:2d}/{pairs:<2d} {lost:2d}/{pairs:<2d} "
-              f"{ma:12.5g} [{qa1:9.5g}, {qa3:9.5g}] {mb:12.5g} [{qb1:9.5g}, {qb3:9.5g}]  "
+              f"{ma:12.5g} [{qa1:9.5g}, {qa3:9.5g}] {mb:12.5g} [{qb1:9.5g}, {qb3:9.5g}] "
+              f"{mr:9.5f} [{qr1:8.5f}, {qr3:8.5f}]  "
               f"{'yes' if sign * (mb - ma) > qa3 - qa1 else 'no'}")
 EOF
 exit $status
