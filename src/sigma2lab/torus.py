@@ -36,16 +36,18 @@ by slab (_slab_terms) but for the two matmuls along the first axis, d/dx_1
 and u_{1 1bar}'s first term.  Those read every first-axis index, and a
 block of the matrix's rows applied to the whole field gives the whole
 matmul's bytes on the block (_along), so they are formed one block
-(blocks), a run of slabs, at a time.  From it derivative_slabs writes the
-bundle one slab at a time, either into the whole bundle's rows
-(spectral_derivatives), holding u - u(0) in the slot of d/dy_n, the last
-term of a slab that reads it, or into one reused slab buffer, so that a
-caller can read a field's bundle without storing it; contract_derivatives
-forms sum_r k[r] * rows[r] for coefficient rows k, block by block;
-x1_partial_and_laplacian forms what the equation stores of its data f,
-d/dx_1 and the Laplacian, the sum of the diagonal rows, which the bundle
-does not store, from the diagonal terms alone.  Neither the bundle's walk
-nor the operator apply holds a whole-grid first-axis term.
+(blocks), a run of slabs, at a time; of u - u(0), they are taken one chunk
+of columns at a time (_first_axis_terms), each chunk's u - u(0) formed in
+one small buffer.  From it derivative_slabs writes the bundle one slab at a
+time, either into the whole bundle's rows (spectral_derivatives) or into
+one reused slab buffer, so that a caller can read a field's bundle without
+storing it, each slab's u - u(0) held in the slot of d/dy_n, the last term
+of a slab that reads it; contract_derivatives forms sum_r k[r] * rows[r]
+for coefficient rows k, block by block; x1_partial_and_laplacian forms
+what the equation stores of its data f, d/dx_1 and the Laplacian, the sum
+of the diagonal rows, which the bundle does not store, from the diagonal
+terms alone.  None of them holds a whole-grid first-axis term, and none
+holds u - u(0) as a grid array.
 slab_partials gives f's other partials on a slab, one row at a time, by the
 same matmuls.
 
@@ -207,16 +209,27 @@ def blocks(shape: tuple):
     cover it: runs of whole slabs (slabs), each of the fewest slabs that
     hold max(2, p/8) first-axis indices, the last cut at the axis's end
     (on a torus grid, p a power of two, the runs are equal).  The matmuls
-    along the first axis are formed one block at a time (_along).  At least
-    two indices, because a block of one row rounds differently from the
-    whole matmul; at least p/8, because a block's matmul reads the whole
-    grid array, and small blocks run slowly (one first-axis term on 64^4,
-    2 cores: 80 ms whole, 95 ms in eight-row blocks, 230 ms in two-row
-    blocks)."""
+    along the first axis are formed one block at a time (_along,
+    _first_axis_terms).  At least two indices, because a block of one row
+    rounds differently from the whole matmul; at least p/8, because a
+    block's matmul reads the whole grid, and small blocks run slowly (one
+    first-axis term on 64^4, 2 cores: 80 ms whole, 95 ms in eight-row
+    blocks, 230 ms in two-row blocks)."""
     slab = next(slabs(shape)).stop
     width = slab * -(-max(2, shape[0] // 8) // slab)
     for start in range(0, shape[0], width):
         yield slice(start, min(start + width, shape[0]))
+
+
+# The matmuls along the first axis of u - u(0) read every first-axis index,
+# and are taken one chunk of columns at a time (_first_axis_terms): all p
+# first-axis indices of at most _CHUNK_NODES // p trailing nodes, a fixed
+# number of nodes whatever the grid, so that on small grids too the chunk's
+# buffer is a small part of a grid array (a quarter of 16^4, a sixty-fourth
+# of 32^4; on 8^4 it is all 512 trailing nodes, the whole 32 KiB grid).  A
+# power of two, so a chunk's width divides the trailing node count and is a
+# whole number of the BLAS kernel's column tiles.
+_CHUNK_NODES = 2 ** 14
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +364,39 @@ def _buffer(count: int, spans, shape: tuple) -> np.ndarray:
     return np.empty((count, max(at.stop - at.start for at in spans)) + shape[1:])
 
 
+def _first_axis_terms(u: np.ndarray, spans, x1s: np.ndarray, diags: np.ndarray,
+                      chunk: np.ndarray):
+    """The two matmuls along the first axis of w = u - u(0), d/dx_1 and
+    u_{1 1bar}'s first term, D2 / 4: for each first-axis slice `blk` of
+    spans, in order, yields (blk, x1, diag), the two terms on blk's indices,
+    written into the leading indices of x1s and diags, arrays of at least
+    as many first-axis indices and the grid's trailing axes.
+
+    Each matmul reads every first-axis index of w, so it is taken one chunk
+    of columns at a time: all p first-axis indices of chunk.size // p
+    trailing nodes, whose w is subtracted into chunk, a flat buffer.
+    D1[blk] and D2[blk] / 4 applied to it give the whole matmul's bytes on
+    the chunk's columns (_along), so a walk of blocks pays one subtraction
+    pass per block; a chunk of strided columns, less than the whole grid,
+    is subtracted through numpy's own 64 KiB buffer.  A chunk of a grid
+    array's size is one chunk, and leaves w in it in the grid's layout."""
+    p = u.shape[0]
+    d1, d2 = derivative_matrices(p)
+    q2 = 0.25 * d2
+    cols = u.reshape(p, -1)
+    width = chunk.size // p
+    for blk in spans:
+        x1, diag = x1s[:blk.stop - blk.start], diags[:blk.stop - blk.start]
+        x1_cols, diag_cols = x1.reshape(len(x1), -1), diag.reshape(len(diag), -1)
+        for start in range(0, cols.shape[1], width):
+            at = slice(start, min(start + width, cols.shape[1]))
+            w = np.subtract(cols[:, at], u.flat[0],
+                            out=chunk[:p * (at.stop - start)].reshape(p, -1))
+            np.matmul(d1[blk], w, out=x1_cols[:, at])
+            np.matmul(q2[blk], w, out=diag_cols[:, at])
+        yield blk, x1, diag
+
+
 @dataclass(frozen=True)
 class Derivs:
     """Bundle of the spectral derivatives of one scalar field: its rows
@@ -431,23 +477,26 @@ def x1_partial_and_laplacian(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     byte for byte to the bundle's first row and Laplacian.  Both
     differentiate w = u - u(0), as spectral_derivatives does: the two
     matmuls along the first axis, d/dx_1 and u_{1 1bar}'s first term, on
-    the whole range of first-axis indices, written into the two results;
-    then the Laplacian adds u_{1 1bar}'s second term and the other diagonal
-    rows slab by slab in np.sum's order, each u_{j jbar}, j > 1, as
-    _slab_terms sums it.  w, the two results and two slabs are all it
-    holds."""
-    w = np.subtract(u, u.flat[0])
-    d1, d2 = derivative_matrices(u.shape[0])
-    q2 = 0.25 * d2
-    lap = _along(q2, w, 0, np.empty(u.shape))
-    x1 = _along(d1, w, 0, np.empty(u.shape))
-    scratch = _buffer(2, slabs(u.shape), u.shape)
+    the whole range of first-axis indices, chunk by chunk of columns
+    (_first_axis_terms), written into the two results; then the Laplacian
+    adds u_{1 1bar}'s second term and the other diagonal rows slab by slab
+    in np.sum's order, each u_{j jbar}, j > 1, as _slab_terms sums it, from
+    the slab's w.  The two results, a chunk and three slabs are all it
+    holds: 2.10 grid arrays on 32^4 and 2.38 on 8^6 (3.06 and 3.25 when
+    it held w whole)."""
+    q2 = 0.25 * derivative_matrices(u.shape[0])[1]
+    x1, lap = np.empty(u.shape), np.empty(u.shape)
+    for _ in _first_axis_terms(u, [slice(0, u.shape[0])], x1, lap,
+                               np.empty(min(_CHUNK_NODES, u.size))):
+        pass
+    scratch = _buffer(3, slabs(u.shape), u.shape)
     for at in slabs(u.shape):
-        diag, other = scratch[:, :at.stop - at.start]
-        lap[at] += _along(q2, w[at], 1, diag)
+        w, diag, other = scratch[:, :at.stop - at.start]
+        np.subtract(u[at], u.flat[0], out=w)
+        lap[at] += _along(q2, w, 1, diag)
         for xj in range(2, u.ndim, 2):
-            _along(q2, w[at], xj, diag)
-            diag += _along(q2, w[at], xj + 1, other)
+            _along(q2, w, xj, diag)
+            diag += _along(q2, w, xj + 1, other)
             lap[at] += diag
     return x1, lap
 
@@ -482,38 +531,42 @@ def derivative_slabs(u: np.ndarray, rows: np.ndarray | None = None):
 
     Every term is formed from w = u - u(0).  The two matmuls along the
     first axis, d/dx_1 and u_{1 1bar}'s first term, read every first-axis
-    index of w, and are formed one block (blocks) at a time before that
-    block's slabs; every other term is formed from the slab of w, and each
-    mixed row is its first term plus its second.  So a constant field has
-    rows of exact zeros.  With rows, w is held in the slot of d/dy_n, the
-    last term of a slab that reads it (_slab_terms), so its first-axis
-    terms are formed on the whole range of indices first, into their own
-    rows: the rows and three slabs are all the walk holds.  Without, it
-    holds w, a block of each first-axis term, a slab of the bundle and
-    three slabs: 1.6 grid arrays on 32^4."""
+    index, and are formed one block (blocks) at a time before that block's
+    slabs, chunk by chunk of columns (_first_axis_terms).  Every other term
+    is formed from the slab's w, held in g's slot of d/dy_n, the last term
+    of a slab that reads it (_slab_terms), and each mixed row is its first
+    term plus its second.  So a constant field has rows of exact zeros.
+    With rows, the one block is the whole range of indices, written into
+    the first-axis terms' own rows, and the one chunk is the row of d/dy_n,
+    which so holds w before any slab: the rows and three slabs are all the
+    walk holds.  Without, it holds a block of each first-axis term, a chunk
+    (_CHUNK_NODES), a slab of the bundle and three slabs, never w whole:
+    0.62 grid arrays on 32^4 and 2.85 on 8^6 (1.60 and 3.75 when it held w
+    whole)."""
     n = u.ndim // 2
-    d1, d2 = derivative_matrices(u.shape[0])
-    q2 = 0.25 * d2
+    q2 = 0.25 * derivative_matrices(u.shape[0])[1]
     scratch = _buffer(3, slabs(u.shape), u.shape)
     if rows is None:
-        w = np.subtract(u, u.flat[0])
         spans = list(blocks(u.shape))
         x1s, diags = _buffer(2, spans, u.shape)
         buf = _buffer(n * n + 2 * n, slabs(u.shape), u.shape)
+        chunk = np.empty(min(_CHUNK_NODES, u.size))
     else:
-        w = np.subtract(u, u.flat[0], out=rows[2 * n - 1])
         spans = [slice(0, u.shape[0])]
-        x1s, diags = rows[0], rows[2 * n]
-    for blk in spans:
-        x1 = _along(d1[blk], w, 0, x1s[:blk.stop - blk.start])
-        diag = _along(q2[blk], w, 0, diags[:blk.stop - blk.start])
+        x1s, diags, chunk = rows[0], rows[2 * n], rows[2 * n - 1].reshape(-1)
+    for blk, x1, diag in _first_axis_terms(u, spans, x1s, diags, chunk):
         for at in slabs(x1.shape):   # the block's slabs, counted from its start
             on = slice(blk.start + at.start, blk.start + at.stop)
-            g = buf[:, :at.stop - at.start] if rows is None else rows[:, on]
-            np.add(diag[at], _along(q2, w[on], 1, scratch[0, :at.stop - at.start]),
+            if rows is None:
+                g = buf[:, :at.stop - at.start]
+                np.subtract(u[on], u.flat[0], out=g[2 * n - 1])
+            else:
+                g = rows[:, on]   # w is in its slot of d/dy_n: the one chunk
+            w = g[2 * n - 1]
+            np.add(diag[at], _along(q2, w, 1, scratch[0, :at.stop - at.start]),
                    out=g[2 * n])
             last = None
-            for r, term in _slab_terms(w[on], x1[at], scratch):
+            for r, term in _slab_terms(w, x1[at], scratch):
                 if r == last:
                     g[r] += term
                 else:

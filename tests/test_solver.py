@@ -872,17 +872,18 @@ class TestGridSequencing:
         assert report.coarse == want_report.coarse
 
     def test_memory_budget(self, geom2_32, traced_peak):
-        # the 16^4 walk and the 32^4 handover peak at 3.0 grid arrays above
-        # the data in the handover's check: the prolonged field, w = u - u(0),
-        # a block of each first-axis term of its bundle, one slab of the
-        # bundle and slab temporaries.  The two first-axis terms formed whole
-        # made it 4.2; storing the field's bundle and a residual grid array
+        # the 16^4 walk and the 32^4 handover peak at 2.06 grid arrays above
+        # the data: the handover's check holds the prolonged field, a block
+        # of each first-axis term of its bundle, a chunk of columns, one
+        # slab of the bundle and slab temporaries.  Holding w = u - u(0)
+        # whole in the check made it 3.0, and the two first-axis terms
+        # formed whole 4.2; storing the field's bundle and a residual grid array
         # for the check, as an evaluation does, 10.4; with f's two arrays
         # formed in the run it was 12.4, whole-grid temporaries in the
         # evaluation had made that 23.1, and a stored bundle Laplacian,
         # e^{+-u}, a and f's other partials 19.4
         peak = traced_peak(run_and_return, default_32(geom2_32), SolverConfig())
-        assert peak <= 3.5 * geom2_32.node_count * 8
+        assert peak <= 2.25 * geom2_32.node_count * 8
 
     def test_fine_steps_hold_no_extra_array(self, geom2_32, traced_peak, monkeypatch):
         # f_scale = mu_scale = 4: the fine grid takes 2 Newton steps from the

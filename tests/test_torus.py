@@ -70,6 +70,31 @@ def complex_hess(dv):
     return unpack_hermitian(dv.hess_rows, dv.n)
 
 
+def whole_grid_bundle(u):
+    """The bundle's rows of u built on the whole grid, one row at a time:
+    w = u - u(0) in the last row's slot, one scratch array, every matmul
+    on the whole grid array."""
+    n = u.ndim // 2
+    d1, d2 = torus.derivative_matrices(u.shape[0])
+    q1, q2 = 0.25 * d1, 0.25 * d2
+    rows = np.empty((n * n + 2 * n,) + u.shape)
+    term = np.empty(u.shape)
+    w = np.subtract(u, u.flat[0], out=rows[-1])
+    for a in range(2 * n):
+        torus._along(d1, w, a, rows[a])
+    for j in range(n):
+        diag = torus._along(q2, w, 2 * j, rows[2 * n + j])
+        diag += torus._along(q2, w, 2 * j + 1, term)
+    for r, (j, k) in enumerate(torus.upper_pairs(n)):
+        px, py = rows[2 * j], rows[2 * j + 1]
+        re, im = rows[3 * n + 2 * r], rows[3 * n + 2 * r + 1]
+        torus._along(q1, px, 2 * k, re)
+        re += torus._along(q1, py, 2 * k + 1, term)
+        torus._along(q1, px, 2 * k + 1, im)
+        im -= torus._along(q1, py, 2 * k, term)
+    return rows
+
+
 def grad(u):
     """The complex gradient D_j u, (n,) + grid, from u's bundle."""
     return complex_grad(spectral_derivatives(u))
@@ -227,30 +252,8 @@ class TestSpectralDerivatives:
     @pytest.mark.parametrize("field", ["band-limited", "constant"])
     def test_bundle_same_bytes_as_whole_grid_rows(self, which, field, request, rng):
         # slab by slab, each row is formed from the same terms, added in the
-        # same order, as the whole-grid build that writes one row at a time
-        # (w = u - u(0) in the last row's slot, one scratch array); a
+        # same order, as the whole-grid build (whole_grid_bundle); a
         # constant field has rows of exact zeros either way
-        def whole_grid_bundle(u):
-            n = u.ndim // 2
-            d1, d2 = torus.derivative_matrices(u.shape[0])
-            q1, q2 = 0.25 * d1, 0.25 * d2
-            rows = np.empty((n * n + 2 * n,) + u.shape)
-            term = np.empty(u.shape)
-            w = np.subtract(u, u.flat[0], out=rows[-1])
-            for a in range(2 * n):
-                torus._along(d1, w, a, rows[a])
-            for j in range(n):
-                diag = torus._along(q2, w, 2 * j, rows[2 * n + j])
-                diag += torus._along(q2, w, 2 * j + 1, term)
-            for r, (j, k) in enumerate(torus.upper_pairs(n)):
-                px, py = rows[2 * j], rows[2 * j + 1]
-                re, im = rows[3 * n + 2 * r], rows[3 * n + 2 * r + 1]
-                torus._along(q1, px, 2 * k, re)
-                re += torus._along(q1, py, 2 * k + 1, term)
-                torus._along(q1, px, 2 * k + 1, im)
-                im -= torus._along(q1, py, 2 * k, term)
-            return rows
-
         geom = request.getfixturevalue(which)
         if field == "constant":
             u = np.full(geom.shape, -np.log(0.1) + 0.37)
@@ -267,6 +270,29 @@ class TestSpectralDerivatives:
             walked.append(at)
         assert walked == list(torus.slabs(geom.shape))
 
+    @pytest.mark.parametrize("which", ["geom2", "geom2_32", "geom3"])
+    def test_ragged_chunks_same_bytes_as_whole_grid(self, which, request, rng, monkeypatch):
+        # chunks of 1000 columns, which divide no trailing node count here
+        # (4096 on 16^4, 32768 on 32^4 and 8^6), so the last chunk is
+        # shorter: the unstored walk and f's stored derivatives are still
+        # the whole grid's bytes, and so is the stored walk, whose one chunk
+        # is its row of d/dy_n.  1000 and the
+        # remainders are multiples of 8 columns, as the package's power-of-
+        # two widths are; a chunk of 750 columns, or of 2, rounds
+        # differently on 16^4 with OpenBLAS's Haswell kernel
+        geom = request.getfixturevalue(which)
+        p = geom.points_per_axis
+        monkeypatch.setattr(torus, "_CHUNK_NODES", 1000 * p)
+        assert (geom.node_count // p) % 1000 != 0
+        u = random_band_limited(geom, rng, 3, 1.0)
+        want = whole_grid_bundle(u)
+        assert spectral_derivatives(u).rows.tobytes() == want.tobytes()
+        for at, g in torus.derivative_slabs(u):
+            assert g.rows.tobytes() == want[:, at].tobytes()
+        x1, lap = torus.x1_partial_and_laplacian(u)
+        assert x1.tobytes() == want[0].tobytes()
+        assert lap.tobytes() == torus.Derivs(want).lap.tobytes()
+
     @staticmethod
     def walk_peak(geom, rng, traced_peak):
         """The traced peak of a walk over a field's bundle that stores
@@ -279,18 +305,23 @@ class TestSpectralDerivatives:
 
         return traced_peak(walk) / (geom.node_count * 8)
 
-    def test_slab_walk_memory(self, geom2_32, rng, traced_peak):
-        # w = u - u(0), a block of each first-axis term (4 of 32 indices), a
-        # slab of the bundle and three slabs of terms: 1.60 grid arrays on
-        # 32^4, where the bundle is 8 (the two first-axis terms formed whole
-        # gave 3.10)
-        assert self.walk_peak(geom2_32, rng, traced_peak) <= 2.0
+    @pytest.mark.parametrize("which, budget", [("geom2_32", 0.75), ("geom2", 7.0)])
+    def test_slab_walk_memory(self, which, budget, request, rng, traced_peak):
+        # a block of each first-axis term, a chunk of columns, a slab of the
+        # bundle and three slabs of terms.  On 32^4 a block is 4 of 32
+        # indices and the bundle 8 grid arrays: 0.62 (1.60 when the walk
+        # held w = u - u(0) whole, 3.10 with the two first-axis terms formed
+        # whole too).  On 16^4 a slab and a block are half the grid, and the
+        # chunk, sized by nodes, not by the slab, a quarter: 6.89 (7.53 with
+        # w held whole)
+        geom = request.getfixturevalue(which)
+        assert self.walk_peak(geom, rng, traced_peak) <= budget
 
     def test_slab_walk_memory_n3(self, geom3, rng, traced_peak):
         # the same on 8^6, where a block is 2 of 8 indices and a slab of the
-        # bundle is 15/8 grid arrays: 3.75 (the whole first-axis terms gave
-        # 4.25)
-        assert self.walk_peak(geom3, rng, traced_peak) <= 4.0
+        # bundle is 15/8 grid arrays: 2.85 (3.75 with w held whole, 4.25
+        # with the whole first-axis terms too)
+        assert self.walk_peak(geom3, rng, traced_peak) <= 3.0
 
     @pytest.mark.parametrize("which, slack", [("geom2_32", 0.25), ("geom3", 0.5)])
     def test_build_memory(self, which, slack, request, rng, traced_peak):
@@ -487,31 +518,37 @@ class TestPartialsAndLaplacian:
 
     @pytest.mark.parametrize("which", ["geom2_32", "geom3"])
     def test_memory(self, which, request, rng, traced_peak):
-        # u - u(0), the two results and two slabs: 3.06 grid arrays on
-        # 32^4 and 3.25 on 8^6 (the n diagonal rows held whole gave 5.00
-        # and 6.00)
+        # the two results, a chunk of columns and three slabs: 2.10 grid
+        # arrays on 32^4 and 2.38 on 8^6 (3.06 and 3.25 with u - u(0) held
+        # whole, 5.00 and 6.00 with the n diagonal rows held whole too)
         geom = request.getfixturevalue(which)
         u = random_band_limited(geom, rng, 3, 1.0)
-        assert traced_peak(torus.x1_partial_and_laplacian, u) <= 3.5 * geom.node_count * 8
+        budget = {"geom2_32": 2.25, "geom3": 2.5}[which]
+        assert traced_peak(torus.x1_partial_and_laplacian, u) <= budget * geom.node_count * 8
 
     @pytest.mark.parametrize("which, want", [("geom2", 8), ("geom2_32", 98), ("geom3", 42)])
     def test_matmuls(self, which, want, request, rng, monkeypatch):
-        # d/dx_1 and u_{1 1bar}'s first term on the whole grid, then per
-        # slab u_{1 1bar}'s second term and the two terms of each other
-        # diagonal row: 2 + S (2n - 1) for S slabs (walking every term of
-        # the bundle took 178 on 8^6)
+        # d/dx_1 and u_{1 1bar}'s first term on the whole grid, each one
+        # matmul a chunk of columns, then per slab u_{1 1bar}'s second term
+        # and the two terms of each other diagonal row: 2 + S (2n - 1) terms
+        # for S slabs (walking every term of the bundle took 178 on 8^6)
         geom = request.getfixturevalue(which)
+        u = random_band_limited(geom, rng, 3, 1.0)
         calls = []
-        real = torus._along
+        real = np.matmul
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return real(*args)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(torus, "_along", counted)
-        torus.x1_partial_and_laplacian(random_band_limited(geom, rng, 3, 1.0))
+        monkeypatch.setattr(np, "matmul", counted)
+        torus.x1_partial_and_laplacian(u)
+        monkeypatch.undo()
+        p = geom.points_per_axis
+        chunks = -(-geom.node_count // p // max(2, torus._CHUNK_NODES // p))
         slab_count = len(list(torus.slabs(geom.shape)))
-        assert len(calls) == want == 2 + slab_count * (2 * geom.n - 1)
+        assert want == 2 + slab_count * (2 * geom.n - 1)
+        assert len(calls) == want - 2 + 2 * chunks
 
 
 class TestLaplacian:
