@@ -1,4 +1,4 @@
-"""Continuity-method solver with a damped, Fourier-preconditioned Newton corrector.
+"""Continuity-method solver with a damped, Laplacian-preconditioned Newton corrector.
 
 The continuation deforms the data by t in [0, 1]: at t = 0 the problem has
 the exact constant solution u = -log A, and each accepted step solves the
@@ -22,21 +22,23 @@ iteration on the pair:
     so the one square system says  l(v) = 0  and  L v = -R  up to constants.
     It is solved inexactly, to the Eisenstat-Walker forcing term (choice 2,
     SIAM J. Sci. Comput. 17, 1996), by the package's own BiCGStab
-    (bicgstab), preconditioned by a left-scaled Fourier inverse
-    M^{-1} r = F^{-1}[F(r / sigma) / P] (Concus and Golub, SIAM J. Numer.
-    Anal. 10, 1973): sigma is the local ellipticity 2 n alpha tr gtilde,
-    the sum of L's diagonal Hessian coefficients, normalized to mean 1, and
-    P is the symbol of L / sigma with its coefficients frozen at their
-    field averages.  The zero mode of P is l(1) = 1, and it is given the
-    zero mode of r, not of r / sigma, so the border row carries mean r.
-    1/sigma and P are stored in single precision, which keeps the solve
-    within its memory.  The right-hand side is written over R's buffer, and
-    BiCGStab reads it as its shadow residual and works in place on five
-    more grid vectors.  scipy's GMRES stays as the fallback after a
-    BiCGStab failure, on the same intact right-hand side, because the
-    benchmark's hooks (bench/hooks.py) wrap `gmres` by name; it has not
-    run on a pinned workload, and scipy is imported on its first call, so a
-    solve that never falls back loads numpy alone;
+    (bicgstab), preconditioned by the inverse Laplacian scaled by the local
+    ellipticity, M^{-1} r = Lap^+(r n / sigma) + mean r (Concus and Golub,
+    SIAM J. Numer. Anal. 10, 1973).  sigma = 2 n alpha tr gtilde is the sum
+    of L's diagonal Hessian coefficient rows, and L's principal part
+    2 n alpha tr(gtilde Hess v) is spectrally equivalent to (sigma / n) Lap
+    on Gamma_2, where gtilde's eigenvalues are bounded (the paper's C^2
+    estimate); Lap^+ is the mean-free inverse of the package's Laplacian
+    (torus.inverse_laplacian), applied by matmuls in a real Fourier basis,
+    and the border row carries mean r.  n / sigma is stored in single
+    precision, which keeps the solve within its memory.  The right-hand
+    side is written over R's buffer, and BiCGStab reads it as its shadow
+    residual and works in place on five more grid vectors.  scipy's GMRES
+    stays as the fallback after a BiCGStab failure, on the same intact
+    right-hand side, because the benchmark's hooks (bench/hooks.py) wrap
+    `gmres` by name; it has not run on a pinned workload, and scipy is
+    imported on its first call, so a solve that never falls back loads
+    numpy alone;
   * the step is backtracked to the largest s in {1, b, b^2, ...} for which
     the normalized trial iterate keeps every grid node in the Gamma_2 cone
     with the configured eigenvalue margin and does not increase the residual
@@ -77,12 +79,12 @@ is never computed, and on 64^4 or more an intermediate level's handover
 record is computed and dropped.  Half grids of 8 points per axis are not
 used: they stall on the residual's aliased mean.
 
-Derivatives are matmuls along one axis (torus.derivative_matrices): the
-bundle of an iterate and every operator apply take no transform, so the
-preconditioner's rfftn and irfftn (numpy's) are the only FFTs of a Newton
-step.  Every dot product and norm of the linear solve is one einsum over a
-single index (_dot), summed in a fixed order and not by BLAS, so a solve's
-outputs are the same bytes whatever the BLAS thread count.
+Derivatives are matmuls along one axis (torus.derivative_matrices), and
+so is the preconditioner's change of basis (torus.fourier_basis): a Newton
+step takes no transform.  Every dot product and norm of the linear solve
+is one einsum over a single index (_dot), summed in a fixed order and not
+by BLAS, so a solve's outputs are the same bytes whatever the BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -113,8 +115,8 @@ from .forms import (
     weights,
 )
 from .monitors import assemble_report, estimate_report, report_slab
-from .torus import (Derivs, TorusGeometry, _irfft, _rfft, constant_derivatives,
-                    derivative_slabs, derivative_symbols, prolong)
+from .torus import (Derivs, constant_derivatives, derivative_slabs, inverse_laplacian,
+                    prolong, slabs)
 
 _RESIDUAL_SLACK = 1e-12  # relative slack in the "non-increasing" residual test
 # Eisenstat-Walker forcing, choice 2: eta = _EW_GAMMA (r_k / r_{k-1})^2 after
@@ -190,22 +192,32 @@ class SolveReport:
 
 
 def normalize(u: np.ndarray, A: float, gamma: float) -> np.ndarray:
-    """Shift u by the exact constant restoring (integral e^{-gamma u})^{1/gamma} = A.
+    """Shift u by the exact constant restoring (integral e^{-gamma u})^{1/gamma} = A:
+    u + _normalization_shift(u, A, gamma), a new array, the one grid array
+    it holds."""
+    return u + _normalization_shift(u, A, gamma)
+
+
+def _normalization_shift(u: np.ndarray, A: float, gamma: float) -> float:
+    """The constant c with (integral e^{-gamma (u + c)})^{1/gamma} = A.
 
     The shifted-exponential form  log I = -gamma min u + log mean(e^{-gamma(u - min u)})
     keeps every exponent nonpositive, so the computation cannot overflow for
-    finite fields.  The integrand is released before the shifted field is
-    formed, so one grid array, the result, is the most it holds.
-    """
-    e, lo = _shifted_exp(u, gamma)
-    log_mean = np.log(np.mean(e))
-    del e
-    c = (log_mean - gamma * lo) / gamma - np.log(A)
+    finite fields.  The integrand is formed and summed one slab at a time
+    (torus.slabs), so a slab is all it holds: a caller that owns u can shift
+    it in place, with no grid-sized allocation."""
+    lo = float(np.min(u))
+    total = 0.0
+    for at in slabs(u.shape):
+        e = np.subtract(u[at], lo)
+        e *= -gamma
+        total += float(np.sum(np.exp(e, out=e)))
+    c = (np.log(total / u.size) - gamma * lo) / gamma - np.log(A)
     if not np.isfinite(c):
         raise NormalizationError(
             f"normalization shift is not finite (gamma={gamma}, A={A})"
         )
-    return u + c
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -230,43 +242,6 @@ def _dot(x: np.ndarray, y: np.ndarray):
 
 def _norm(x: np.ndarray):
     return np.sqrt(_dot(x, x))
-
-
-def _precondition_symbol(coeffs: LinearCoefficients,
-                         geom: TorusGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """(1/sigma, symbol) of the left-scaled Fourier preconditioner
-    M^{-1} r = F^{-1}[F(r / sigma) / symbol].
-
-    sigma is the sum of the n diagonal Hessian coefficient rows, 2 n alpha
-    tr gtilde, normalized to mean 1: the local ellipticity of L.  The symbol
-    is that of L / sigma with its coefficients frozen at their field
-    averages: the mean of each coefficient row over sigma times that row's
-    derivative symbol, plus the mean of c0 over sigma.  On nonzero modes it
-    is the symbol of L / sigma; on the zero mode the projected L vanishes
-    and the border l(1) = 1 remains, which apply_precond matches by giving
-    that mode the mean of r itself.  Each mean is one dot product of a row
-    with 1/sigma, so no temporary holds more than one row.  Both are formed
-    in double precision and returned in single: a float32 1/sigma and a
-    complex64 symbol keep the linear solve within its memory budget."""
-    size = coeffs.c0.size
-    inv_sigma = Derivs(coeffs.k).lap.ravel()   # 2 n alpha tr gtilde
-    np.divide(inv_sigma.mean(), inv_sigma, out=inv_sigma)   # inverted in place
-    c_mean, *k_means = (float(_dot(row.ravel(), inv_sigma)) / size
-                        for row in (coeffs.c0, *coeffs.k))
-    # the double-precision 1/sigma is freed before the symbol is built
-    inv_sigma = inv_sigma.reshape(geom.shape).astype(np.float32)
-
-    sym = np.full(geom.spectrum_shape, c_mean, dtype=complex)
-    for m, s in zip(k_means, derivative_symbols(geom)):
-        sym += m * s
-
-    flat0 = (0,) * len(geom.shape)
-    sym[flat0] = 1.0
-    floor = 1e-12 * max(1.0, float(np.max(np.abs(sym))))
-    small = np.abs(sym) < floor
-    if np.any(small):
-        sym[small] = floor
-    return inv_sigma, sym.astype(np.complex64)
 
 
 def bicgstab(A, b: np.ndarray, *, rtol: float, maxiter: int, M):
@@ -345,7 +320,8 @@ def solve_newton_system(u: np.ndarray, d: ProblemData, coeffs: LinearCoefficient
                         residual: np.ndarray, rtol: float) -> np.ndarray:
     """Solve the bordered Newton system  (L v - mean L v) + l(v) = -(R - mean R)
     for the residual R and v on the full grid to relative residual rtol,
-    with the left-scaled Fourier preconditioner of _precondition_symbol.
+    with the preconditioner M^{-1} r = Lap^+(r n / sigma) + mean r of the
+    module docstring.
 
     l(v) = sum omega v with omega = e^{-gamma u} / sum e^{-gamma u} is the
     derivative of the normalization's log-mean in the direction v, divided
@@ -356,11 +332,11 @@ def solve_newton_system(u: np.ndarray, d: ProblemData, coeffs: LinearCoefficient
     The right-hand side -(R - mean R) is written over `residual`, which the
     caller gives up: BiCGStab and, after its failure, GMRES read that one
     buffer, and neither writes it."""
-    geom = d.geometry
-    shape = geom.shape
+    shape = d.geometry.shape
     size = residual.size
-    inv_sigma, sym = _precondition_symbol(coeffs, geom)
-    flat0 = (0,) * len(shape)
+    # n / sigma, sigma the sum of L's diagonal Hessian coefficient rows
+    weight = Derivs(coeffs.k).lap
+    weight = np.divide(d.n, weight, out=weight).astype(np.float32)
     omega, _ = _shifted_exp(u, d.gamma)
     omega = omega.ravel()
     omega /= np.sum(omega)
@@ -371,11 +347,9 @@ def solve_newton_system(u: np.ndarray, d: ProblemData, coeffs: LinearCoefficient
         return out.ravel()
 
     def apply_precond(x):
-        x = x.reshape(shape)
-        rhat = _rfft(x * inv_sigma)
-        rhat[flat0] = x.sum()   # the zero mode of r, not of r / sigma
-        rhat /= sym
-        return _irfft(rhat).ravel()
+        z = inverse_laplacian(x.reshape(shape), weight)
+        z += x.mean()   # the border row: the mean of r, not of r n / sigma
+        return z.ravel()
 
     b = np.subtract(residual.mean(), residual, out=residual).ravel()   # -(R - mean R)
     op = Operator((size, size), float, matvec)
@@ -531,8 +505,7 @@ def _handover(u_c: np.ndarray, d: ProblemData, cfg: SolverConfig):
     is the solution, with no bundle or residual grid array stored and a gap
     of 0.  Otherwise Newton corrects it as _solve_at_t does everywhere, its
     record is estimate_report's, and its failures propagate."""
-    p = d.geometry.points_per_axis
-    held = [normalize(prolong(u_c, p), d.A, d.gamma)]
+    held = [_prolonged(u_c, d)]
     record = _solves_as_is(held[0], d, cfg)
     if record is not None:
         return record, held[0], 0.0
@@ -542,7 +515,18 @@ def _handover(u_c: np.ndarray, d: ProblemData, cfg: SolverConfig):
     record = estimate_report(it)
     u = it.u
     del it
-    return record, u, float(np.max(np.abs(u - normalize(prolong(u_c, p), d.A, d.gamma))))
+    return record, u, float(np.max(np.abs(u - _prolonged(u_c, d))))
+
+
+def _prolonged(u_c: np.ndarray, d: ProblemData) -> np.ndarray:
+    """normalize(prolong(u_c, p), A, gamma) on d's grid of p points per
+    axis, to the byte, with the shift added in place: prolong's result is
+    the one grid array it forms.  A second one, formed beside it, needs a
+    grid-sized hole in the heap, and where the freed arrays of the coarse
+    walk leave none, the process grows by a grid array."""
+    u = prolong(u_c, d.geometry.points_per_axis)
+    u += _normalization_shift(u, d.A, d.gamma)
+    return u
 
 
 def _solves_as_is(u: np.ndarray, d: ProblemData, cfg: SolverConfig):

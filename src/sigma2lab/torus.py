@@ -14,11 +14,14 @@ bundle has a symbol in at most two axes, so it is at most two 1-D
 derivatives, each a p x p Fourier differentiation matrix (Trefethen,
 Spectral Methods in MATLAB, ch. 3) applied along its axis by one real
 matmul.  derivative_matrices holds D1, the first derivative, and D2, the
-second; they are circulant, and their eigenvalues are the 1-D factors of
-derivative_symbols, the half-spectrum symbols the preconditioner freezes.
+second; they are circulant, with eigenvalues i k (Nyquist zeroed) and -k^2.
 On the grids in use, p <= 64, the matmul costs less than a transform along
 the axis (Boyd, Chebyshev and Fourier Spectral Methods, ch. 10), and every
-derivative of a real field is a real array.
+derivative of a real field is a real array.  D2 is even, so the
+orthonormal real Fourier basis of fourier_basis diagonalizes it, and the
+Laplacian with it: inverse_laplacian, the solver's preconditioner, is that
+basis applied along every axis by the same matmuls, a division by the
+Laplacian's eigenvalues, and the way back.
 spectral_derivatives returns one real array of n^2 + 2n rows, in this
 order:
 
@@ -194,12 +197,12 @@ def unpack_hermitian(rows: np.ndarray, n: int) -> np.ndarray:
 _SLAB_NODES = 2 ** 15
 
 
-def slabs(shape: tuple):
+def slabs(shape: tuple, nodes: int | None = None):
     """Slices of the first axis of a grid of this shape, in order, that
-    cover it: each holds as many whole first-axis indices as fit in
-    _SLAB_NODES nodes, and at least one."""
+    cover it: each holds as many whole first-axis indices as fit in `nodes`
+    nodes (by default _SLAB_NODES), and at least one."""
     per_index = math.prod(shape[1:])
-    width = max(1, _SLAB_NODES // per_index)
+    width = max(1, (nodes or _SLAB_NODES) // per_index)
     for start in range(0, shape[0], width):
         yield slice(start, min(start + width, shape[0]))
 
@@ -221,14 +224,15 @@ def blocks(shape: tuple):
         yield slice(start, min(start + width, shape[0]))
 
 
-# The matmuls along the first axis of u - u(0) read every first-axis index,
-# and are taken one chunk of columns at a time (_first_axis_terms): all p
-# first-axis indices of at most _CHUNK_NODES // p trailing nodes, a fixed
-# number of nodes whatever the grid, so that on small grids too the chunk's
-# buffer is a small part of a grid array (a quarter of 16^4, a sixty-fourth
-# of 32^4; on 8^4 it is all 512 trailing nodes, the whole 32 KiB grid).  A
-# power of two, so a chunk's width divides the trailing node count and is a
-# whole number of the BLAS kernel's column tiles.
+# The matmuls along the first axis of u - u(0), and inverse_laplacian's,
+# read every first-axis index, and are taken one chunk of columns at a time
+# (_first_axis_terms): all p first-axis indices of at most
+# _CHUNK_NODES // p trailing nodes, a fixed number of nodes whatever the
+# grid, so that on small grids too the chunk's buffer is a small part of a
+# grid array (a quarter of 16^4, a sixty-fourth of 32^4; on 8^4 it is all
+# 512 trailing nodes, the whole 32 KiB grid).  A power of two, so a chunk's
+# width divides the trailing node count and is a whole number of the BLAS
+# kernel's column tiles.
 _CHUNK_NODES = 2 ** 14
 
 
@@ -237,9 +241,9 @@ _CHUNK_NODES = 2 ** 14
 #
 # Derivatives are matmuls with p x p matrices, and the solver's reductions
 # are einsum sums in a fixed order, so outputs are bitwise reproducible
-# whatever the BLAS thread count.  The FFTs that remain (the
-# preconditioner's, random_band_limited's) are numpy's pocketfft, one
-# thread, one axis at a time, each pass written into the one spectrum.
+# whatever the BLAS thread count.  The FFTs that remain, prolong's and
+# random_band_limited's, are outside the Newton step: numpy's pocketfft,
+# one thread, one axis at a time, each pass written into the one spectrum.
 
 
 def _rfft(values: np.ndarray) -> np.ndarray:
@@ -293,42 +297,13 @@ def _wavenumbers(p: int) -> tuple:
     return k, k_odd
 
 
-def derivative_symbols(geom: TorusGeometry) -> tuple:
-    """Half-spectrum symbols of the n^2 + 2n rows of spectral_derivatives, in
-    row order, each broadcastable to geom.spectrum_shape.
-
-    First derivatives are i k_a (complex); the Hessian rows are real.  They
-    are the eigenvalues of the matrices of derivative_matrices, which the
-    bundle and the operator apply are computed with; the preconditioner
-    freezes its operator in them.  Not cached: for n = 2 the mixed symbols
-    are as large as the spectrum."""
-    n = geom.n
-    p = geom.points_per_axis
-    k, k_odd = _wavenumbers(p)
-    k_even, k_first = [], []
-    for axis in range(2 * n):
-        # rfftn keeps modes 0 .. p/2 of the last axis; the Nyquist entry is
-        # -p/2 in fftfreq order, which only its square or its zero reaches
-        modes = slice(p // 2 + 1) if axis == 2 * n - 1 else slice(None)
-        k_even.append(geom.along(axis, k[modes]))
-        k_first.append(geom.along(axis, k_odd[modes]))
-    syms = [1j * k for k in k_first]
-    for j in range(n):
-        syms.append(-0.25 * (k_even[2 * j] ** 2 + k_even[2 * j + 1] ** 2))
-    for j, k in upper_pairs(n):
-        xj, yj, xk, yk = k_first[2 * j], k_first[2 * j + 1], k_first[2 * k], k_first[2 * k + 1]
-        syms.append(-0.25 * (xj * xk + yj * yk))
-        syms.append(-0.25 * (xj * yk - yj * xk))
-    return tuple(syms)
-
-
 @functools.lru_cache(maxsize=8)
 def derivative_matrices(p: int) -> tuple:
     """(D1, D2): the p x p Fourier differentiation matrices of one axis of p
     nodes, read-only.  D1 is the first derivative, with the Nyquist mode
     zeroed; D2 is the second derivative, which keeps -k^2 there.  Both are
     circulant, built by transforming the identity with the wavenumbers of
-    derivative_symbols, so their eigenvalues are its 1-D factors."""
+    _wavenumbers, i k_odd and -k^2, which are their eigenvalues."""
     k, k_odd = _wavenumbers(p)
     eye_hat = np.fft.fft(np.eye(p), axis=0)
     mats = []
@@ -337,6 +312,86 @@ def derivative_matrices(p: int) -> tuple:
         m.setflags(write=False)
         mats.append(m)
     return tuple(mats)
+
+
+@functools.lru_cache(maxsize=8)
+def fourier_basis(p: int) -> tuple:
+    """(C, lam): the orthonormal real Fourier basis of one axis of p nodes,
+    the rows of the p x p matrix C, and D2's eigenvalue -k^2 on each row,
+    both read-only.  The rows are the constant, then the cosine and the sine
+    of each mode 1 .. p/2 - 1, then the Nyquist mode (-1)^j.  D2 is
+    circulant and even, and keeps -k^2 on the Nyquist mode, so
+    C D2 C^T = diag(lam).  Built without a transform."""
+    h = p // 2
+    j = np.arange(p)
+    rows = [np.ones(p)]
+    for m in range(1, h):
+        angle = (2.0 * np.pi / p) * (m * j % p)
+        rows += [math.sqrt(2.0) * np.cos(angle), math.sqrt(2.0) * np.sin(angle)]
+    rows.append((-1.0) ** j)
+    c = np.array(rows) / math.sqrt(p)
+    lam = -(2.0 * np.pi * np.r_[0, np.repeat(np.arange(1, h), 2), h]) ** 2
+    for m in (c, lam):
+        m.setflags(write=False)
+    return c, lam
+
+
+def inverse_laplacian(y: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
+    """The mean-free x with Lap x = y - mean y, a new array, for a real grid
+    array y (with a grid array `weight`, for y * weight in y's place), where
+    Lap is the package's Laplacian sum_j u_{j jbar}, the sum over the axes
+    of D2 / 4.
+
+    Lap is diagonal in the basis of fourier_basis: x is C along every axis,
+    a division by Lap's eigenvalue Lambda, the sum over the axes of lam / 4
+    (the zero mode's coefficient becomes 0), then C^T along every axis.  The
+    two passes along the first axis read every first-axis index, and are
+    taken one chunk of columns (_CHUNK_NODES nodes) at a time, y * weight or
+    the transformed x formed in a buffer.  The other axes' passes
+    and the division go one slab of at most _CHUNK_NODES nodes (slabs) at a
+    time, ping-ponged between the slab of x and one slab buffer, 2n - 1
+    passes each way, and the slab's Lambda is formed from the 1-D
+    eigenvalues in the slab of x that the forward passes left free.  So x,
+    one slab's buffer and the eigenvalues' share on one first-axis index
+    are all it holds, and no transform is taken.  On
+    16^4 and 8^6 every matmul is at most m n k = 2^18 multiply-adds, which
+    numpy's OpenBLAS runs on one thread; above that it takes a second,
+    which on 2 cores was slower for these shapes and now and then stalls
+    for 8 ms (README)."""
+    p = y.shape[0]
+    c, lam = fourier_basis(p)
+    mu = 0.25 * lam   # each axis's share of Lambda
+    # the share of the axes after the first, on one first-axis index
+    trailing = functools.reduce(np.add.outer, [mu] * (y.ndim - 1))
+    x = np.empty(y.shape)
+    y_cols, x_cols = y.reshape(p, -1), x.reshape(p, -1)
+    # one buffer holds a slab, or a chunk, which is no larger; p and the
+    # node count are powers of two, so the chunks are equal
+    (buf,) = _buffer(1, slabs(y.shape, _CHUNK_NODES), y.shape)
+    chunk = buf.reshape(-1)[:min(_CHUNK_NODES, y.size)].reshape(p, -1)
+    spans = [slice(start, start + chunk.shape[1])
+             for start in range(0, y_cols.shape[1], chunk.shape[1])]
+    for at in spans:
+        src = y_cols[:, at]
+        if weight is not None:   # cast into the chunk, not through numpy's buffers
+            chunk[...] = weight.reshape(p, -1)[:, at]
+            src = np.multiply(chunk, src, out=chunk)
+        np.matmul(c, src, out=x_cols[:, at])
+    for at in slabs(y.shape, _CHUNK_NODES):
+        s, t = x[at], buf[:at.stop - at.start]
+        for axis in range(1, y.ndim):
+            s, t = _along(c, s, axis, t), s
+        # an odd number of passes: s is the buffer, t the slab of x
+        lam_slab = np.add(mu[at].reshape((-1,) + (1,) * (y.ndim - 1)), trailing, out=t)
+        if at.start == 0:
+            lam_slab.flat[0] = np.inf   # the zero mode
+        s /= lam_slab
+        for axis in range(1, y.ndim):
+            s, t = _along(c.T, s, axis, t), s
+    for at in spans:
+        chunk[...] = x_cols[:, at]
+        np.matmul(c.T, chunk, out=x_cols[:, at])
+    return x
 
 
 def _along(d: np.ndarray, u: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:

@@ -88,11 +88,19 @@ class TestNormalize:
         assert abs(normalization_level(u, 4.0) - 0.07) < 1e-12
 
     def test_memory(self, geom2_32, rng, traced_peak):
-        # the integrand is released before the shifted field is formed, and
-        # formed in one array: 1.00 grid arrays on 32^4, counting the result
-        # (the integrand's temporaries beside the result gave 2.00)
+        # the integrand is released before the shifted field is formed:
+        # 1.00 grid arrays on 32^4, counting the result (the integrand's
+        # temporaries beside the result gave 2.00)
         u = random_band_limited(geom2_32, rng, 3, 1.0)
         assert traced_peak(normalize, u, 0.1, 4.0) <= 1.25 * geom2_32.node_count * 8
+
+    def test_shift_holds_one_slab(self, geom2_32, rng, traced_peak):
+        # the integrand is formed and summed one slab at a time, 0.03 grid
+        # arrays on 32^4, so an owner of the field can shift it in place
+        # with no grid-sized allocation (the whole integrand was 1.00)
+        u = random_band_limited(geom2_32, rng, 3, 1.0)
+        peak = traced_peak(solve._normalization_shift, u, 0.1, 4.0)
+        assert peak <= 0.1 * geom2_32.node_count * 8
 
     def test_large_fields_do_not_overflow(self, geom2, rng):
         u = 300.0 * random_band_limited(geom2, rng, 1, 1.0)
@@ -419,16 +427,17 @@ class TestBorderedNewtonSystem:
         assert np.linalg.norm(x - x_ref) <= rtol * np.linalg.norm(x_ref)
 
     def test_scaled_preconditioner_inverts_a_scaled_operator(self, geom2, rng, monkeypatch):
-        # coefficients sigma(x) times constants, k_r = sigma kbar_r and
-        # c0 = sigma cbar0: M^{-1} r = F^{-1}[F(r / sigma) / P] solves the
-        # bordered system exactly for a uniform border weight (u constant)
-        # and a right-hand side r with mean r = mean(r / sigma) = 0, up to the
-        # single-precision rounding of 1/sigma and the symbol
+        # an operator sigma(x) c Lap, c one constant on every diagonal
+        # Hessian row, no other row and c0 = 0: M^{-1} r = Lap^+(r n / sigma)
+        # + mean r solves the bordered system exactly for a uniform border
+        # weight (u constant) and a right-hand side with mean(r / sigma) = 0,
+        # up to the single-precision rounding of n / sigma
         u, data, coeffs, residual = newton_system(geom2, rng)
-        grid = tuple(range(1, coeffs.k.ndim))
+        n = geom2.n
         sigma = 1.0 + 0.5 * random_band_limited(geom2, rng)
-        kbar = np.mean(coeffs.k, axis=grid).reshape((-1,) + (1,) * len(grid))
-        scaled = forms.LinearCoefficients(kbar * sigma, float(np.mean(coeffs.c0)) * sigma)
+        k = np.zeros_like(coeffs.k)
+        k[2 * n:3 * n] = float(np.mean(coeffs.k[2 * n:3 * n])) * sigma
+        scaled = forms.LinearCoefficients(k, np.zeros(geom2.shape))
         captured = []
         real = solve.bicgstab
 
@@ -445,6 +454,23 @@ class TestBorderedNewtonSystem:
         assert abs(np.mean(r)) < 1e-15 and abs(np.mean(r / sigma)) < 1e-15
         r = r.ravel()
         assert np.linalg.norm(op.matvec(M.matvec(r)) - r) <= 1e-6 * np.linalg.norm(r)
+
+    def test_newton_system_takes_no_transform(self, geom2, rng, monkeypatch):
+        # the preconditioner changes basis by matmuls, as the derivatives
+        # do: no numpy.fft function runs in a Newton system's solve (the
+        # derivative matrices, built by transforms, are cached by the
+        # evaluation that forms the system)
+        system = newton_system(geom2, rng)
+
+        def no_transform(*args, **kwargs):
+            raise AssertionError("transformed")
+
+        for name in np.fft.__all__:
+            monkeypatch.setattr(np.fft, name, no_transform)
+        for name in ("_rfft", "_irfft"):
+            monkeypatch.setattr(torus, name, no_transform)
+        v = solve.solve_newton_system(*system, 1e-8)
+        assert np.all(np.isfinite(v))
 
     def test_bicgstab_zero_rhs(self):
         op = solve.Operator((4, 4), float, lambda x: 2.0 * x)
@@ -478,20 +504,21 @@ class TestBorderedNewtonSystem:
 
     @pytest.mark.parametrize("which", ["geom2", "geom3"])
     def test_linear_solve_array_budget(self, which, request, rng, traced_peak):
-        # above its arguments: the preconditioner's complex64 symbol and
-        # float32 1/sigma, omega, the five vectors BiCGStab forms beside b
-        # (b is written over the residual, an argument) and one operator
-        # apply's output, a block of its first-axis terms and three slabs
-        # (a block and a slab are half the grid on 16^4; on 8^6 a block is
-        # a quarter, a slab an eighth); the preconditioner's transient
-        # symbols, spectrum and FFT scratch stay below that peak.  10.10
-        # grid arrays on 16^4 and 8.76 on 8^6.  b formed beside the residual
-        # gave 11.10 and 9.76; the first-axis terms formed whole, 11.59 and
-        # 10.50; two first partials and a row, whole, 12.1
+        # above its arguments: the preconditioner's float32 n / sigma, omega,
+        # the five vectors BiCGStab forms beside b (b is written over the
+        # residual, an argument) and one operator apply's output, a block
+        # of its first-axis terms and three slabs (a block and a slab are
+        # half the grid on 16^4; on 8^6 a block is a quarter, a slab an
+        # eighth); a preconditioner apply, its result and one slab, stays
+        # below that peak.  9.54 grid arrays on 16^4 and 8.13 on 8^6.  The transformed
+        # preconditioner's complex64 symbol beside 1/sigma gave 10.10 and
+        # 8.76; b formed beside the residual, 11.10 and 9.76; the first-axis
+        # terms formed whole, 11.59 and 10.50; two first partials and a
+        # row, whole, 12.1
         geom = request.getfixturevalue(which)
         system = newton_system(geom, rng)
         peak = traced_peak(solve.solve_newton_system, *system, 1e-8)
-        assert peak <= {"geom2": 10.25, "geom3": 9.0}[which] * geom.node_count * 8
+        assert peak <= {"geom2": 9.75, "geom3": 8.5}[which] * geom.node_count * 8
 
     def test_n3_solve_array_budget(self, geom3, traced_peak):
         # the default n = 3 solve on 8^6, traced from before its data is
@@ -831,6 +858,21 @@ class TestGridSequencing:
         assert u.tobytes() == u_f.tobytes()
         assert reads == list(torus.slabs(geom2_32.shape))
         assert solve._solves_as_is(u_f, d.with_t(1.0), cfg).row() == want.row()
+
+    def test_handover_shifts_the_prolonged_field_in_place(self, geom2_32, monkeypatch):
+        # the prolonged field is normalized in its own buffer, so the
+        # handover forms no second grid array beside it: the field returned
+        # is prolong's result
+        made = []
+        real = solve.prolong
+
+        def recording(u, p):
+            made.append(real(u, p))
+            return made[-1]
+
+        monkeypatch.setattr(solve, "prolong", recording)
+        report, u = run_and_return(default_32(geom2_32), SolverConfig())
+        assert report.coarse == (16, 0.0) and len(made) == 1 and u is made[0]
 
     def test_two_levels_hand_over_twice(self, geom2_32, monkeypatch):
         # with 8 points per axis allowed as a coarse grid, 32^4 walks on 8^4

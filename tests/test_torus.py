@@ -19,7 +19,8 @@ from sigma2lab.torus import (
     constant_derivatives,
     contract_derivatives,
     derivative_matrices,
-    derivative_symbols,
+    fourier_basis,
+    inverse_laplacian,
     load_field,
     mixed_wedge_density,
     random_band_limited,
@@ -334,8 +335,8 @@ class TestSpectralDerivatives:
         assert traced_peak(spectral_derivatives, u) <= budget * geom.node_count * 8
 
     def test_no_transform_in_bundle_or_apply(self, geom3, rng, monkeypatch):
-        # every derivative is a matmul along one axis; only the
-        # preconditioner and random_band_limited transform
+        # every derivative is a matmul along one axis; only prolong and
+        # random_band_limited transform
         u = random_band_limited(geom3, rng, 2, 1.0)
         k = rng.standard_normal((15,) + geom3.shape)
 
@@ -383,16 +384,13 @@ class TestDerivativeMatrices:
     @pytest.mark.parametrize("p", [8, 16, 32])
     def test_eigenvalues_are_the_symbols(self, p):
         # D1 and D2 are circulant, diagonalized by the Fourier modes with the
-        # 1-D factors of derivative_symbols as eigenvalues: i k with the
-        # Nyquist mode zeroed, and -k^2 with it kept
-        geom = TorusGeometry(2, p)
-        syms = derivative_symbols(geom)
+        # symbols of _wavenumbers as eigenvalues: i k with the Nyquist mode
+        # zeroed, and -k^2 with it kept
+        k, k_odd = torus._wavenumbers(p)
         d1, d2 = derivative_matrices(p)
         assert not d1.flags.writeable and not d2.flags.writeable
-        lam1 = syms[0].ravel()                  # d/dx_1
-        lam2 = 4.0 * syms[4][:, :1].ravel()     # 4 u_{1 1bar} at k_{y_1} = 0
-        modes = np.exp(2j * np.pi * np.outer(np.arange(p), geom.mode_index(0).ravel()) / p)
-        for d, lam in ((d1, lam1), (d2, lam2)):
+        modes = np.exp(2j * np.pi * np.outer(np.arange(p), np.fft.fftfreq(p, d=1.0 / p)) / p)
+        for d, lam in ((d1, 1j * k_odd), (d2, -k * k)):
             top = np.max(np.abs(d))
             assert np.max(np.abs(np.roll(d, (1, 1), axis=(0, 1)) - d)) <= 1e-12 * top
             assert np.max(np.abs(d @ modes - modes * lam)) <= 1e-12 * np.max(np.abs(lam))
@@ -400,6 +398,71 @@ class TestDerivativeMatrices:
         assert np.max(np.abs(d1 @ nyquist)) <= 1e-12 * np.max(np.abs(d1))
         big = (np.pi * p) ** 2
         assert np.max(np.abs(d2 @ nyquist + big * nyquist)) <= 1e-12 * big
+
+    @pytest.mark.parametrize("p", [8, 16, 32])
+    def test_real_basis_diagonalizes_d2(self, p):
+        # the rows of C are orthonormal, and C D2 C^T is diagonal with each
+        # row's -k^2: 0 on the constant, -(2 pi m)^2 on the cosine and the
+        # sine of mode m, -(pi p)^2 on the Nyquist row
+        c, lam = fourier_basis(p)
+        assert not c.flags.writeable and not lam.flags.writeable
+        assert np.max(np.abs(c @ c.T - np.eye(p))) <= 1e-14
+        modes = np.r_[0, np.repeat(np.arange(1, p // 2), 2), p // 2]
+        assert np.array_equal(lam, -(2.0 * np.pi * modes) ** 2)
+        big = (np.pi * p) ** 2
+        assert np.max(np.abs(c @ derivative_matrices(p)[1] @ c.T - np.diag(lam))) <= 1e-12 * big
+
+
+class TestInverseLaplacian:
+    @pytest.mark.parametrize("which", ["geom2", "geom2_32", "geom3"])
+    def test_inverts_the_bundle_laplacian(self, which, request, rng):
+        # on a field with every mode, the Nyquist planes too, the mean-free
+        # inverse of the bundle's Laplacian gives back z - mean z
+        geom = request.getfixturevalue(which)
+        z = rng.standard_normal(geom.shape)
+        x = inverse_laplacian(spectral_derivatives(z).lap)
+        assert np.max(np.abs(x - (z - z.mean()))) <= 1e-12 * np.max(np.abs(z))
+        assert abs(x.mean()) <= 1e-14 * np.max(np.abs(z))
+
+    @pytest.mark.parametrize("which", ["geom2", "geom3"])
+    def test_weight_scales_the_right_hand_side(self, which, request, rng):
+        # the weight is multiplied into y chunk by chunk: the same result
+        # as the inverse of the weighted array formed whole
+        geom = request.getfixturevalue(which)
+        y = rng.standard_normal(geom.shape)
+        weight = (1.0 + rng.random(geom.shape)).astype(np.float32)
+        got, want = inverse_laplacian(y, weight), inverse_laplacian(y * weight)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("which", ["geom2", "geom3"])
+    def test_matmuls_stay_single_threaded(self, which, request, rng, monkeypatch):
+        # on 16^4 and 8^6 every matmul is of at most m n k = 2^18
+        # multiply-adds, below the size at which OpenBLAS takes a second
+        # thread: the chunks and slabs are of _CHUNK_NODES nodes
+        geom = request.getfixturevalue(which)
+        y = rng.standard_normal(geom.shape)
+        real, sizes = np.matmul, []
+
+        def spy(a, b, out):
+            sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+            return real(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        inverse_laplacian(y)
+        assert len(sizes) > 4 * geom.n and max(sizes) <= 2 ** 18
+
+    @pytest.mark.parametrize("which, budget", [("geom2", 1.5), ("geom3", 1.3)])
+    def test_memory(self, which, budget, request, rng, traced_peak):
+        # the result, one buffer (a slab, or a chunk), the eigenvalues'
+        # share on one first-axis index and numpy's 64 KiB buffer for the
+        # multiply by y's strided columns: 1.45 grid arrays on 16^4 and 1.28 on
+        # 8^6 (1.58 and 1.32 with a chunk beside the slab; the transform it
+        # replaces, with its weighted array, half spectrum and inverse,
+        # held 2.46 and 2.25)
+        geom = request.getfixturevalue(which)
+        y = rng.standard_normal(geom.shape)
+        weight = np.ones(geom.shape, dtype=np.float32)
+        assert traced_peak(inverse_laplacian, y, weight) <= budget * geom.node_count * 8
 
 
 def low_mode_polynomial(geom):
