@@ -192,10 +192,11 @@ class SolveReport:
 
 
 def normalize(u: np.ndarray, A: float, gamma: float) -> np.ndarray:
-    """Shift u by the exact constant restoring (integral e^{-gamma u})^{1/gamma} = A:
-    u + _normalization_shift(u, A, gamma), a new array, the one grid array
-    it holds."""
-    return u + _normalization_shift(u, A, gamma)
+    """Add to u, in place, the constant _normalization_shift(u, A, gamma) that
+    restores (integral e^{-gamma u})^{1/gamma} = A, and return u: a caller
+    passes a field it owns, and no grid array is formed."""
+    u += _normalization_shift(u, A, gamma)
+    return u
 
 
 def _normalization_shift(u: np.ndarray, A: float, gamma: float) -> float:
@@ -501,11 +502,13 @@ def _handover(u_c: np.ndarray, d: ProblemData, cfg: SolverConfig):
     """(record, field, gap) of the t = 1 solve on d's grid from the coarse
     t = 1 field u_c, prolonged (torus.prolong) and normalized, with
     gap = max|u - P u_c| (nested iteration; Briggs, Henson and McCormick, A
-    Multigrid Tutorial, 2000, ch. 3).  A prolonged field that _solves_as_is
-    is the solution, with no bundle or residual grid array stored and a gap
-    of 0.  Otherwise Newton corrects it as _solve_at_t does everywhere, its
-    record is estimate_report's, and its failures propagate."""
-    held = [_prolonged(u_c, d)]
+    Multigrid Tutorial, 2000, ch. 3), normalized in prolong's own buffer.  A
+    prolonged field that _solves_as_is is the solution, with no bundle or
+    residual grid array stored and a gap of 0.  Otherwise Newton corrects it
+    as _solve_at_t does everywhere, its record is estimate_report's, and its
+    failures propagate."""
+    p = d.geometry.points_per_axis
+    held = [normalize(prolong(u_c, p), d.A, d.gamma)]
     record = _solves_as_is(held[0], d, cfg)
     if record is not None:
         return record, held[0], 0.0
@@ -515,18 +518,7 @@ def _handover(u_c: np.ndarray, d: ProblemData, cfg: SolverConfig):
     record = estimate_report(it)
     u = it.u
     del it
-    return record, u, float(np.max(np.abs(u - _prolonged(u_c, d))))
-
-
-def _prolonged(u_c: np.ndarray, d: ProblemData) -> np.ndarray:
-    """normalize(prolong(u_c, p), A, gamma) on d's grid of p points per
-    axis, to the byte, with the shift added in place: prolong's result is
-    the one grid array it forms.  A second one, formed beside it, needs a
-    grid-sized hole in the heap, and where the freed arrays of the coarse
-    walk leave none, the process grows by a grid array."""
-    u = prolong(u_c, d.geometry.points_per_axis)
-    u += _normalization_shift(u, d.A, d.gamma)
-    return u
+    return record, u, float(np.max(np.abs(u - normalize(prolong(u_c, p), d.A, d.gamma))))
 
 
 def _solves_as_is(u: np.ndarray, d: ProblemData, cfg: SolverConfig):

@@ -139,17 +139,6 @@ class TorusGeometry:
         p = self.points_per_axis
         return self.along(axis, np.arange(p) * (1.0 / p))
 
-    @property
-    def spectrum_shape(self) -> tuple:
-        """Shape of the rfftn half spectrum: the last axis keeps p/2 + 1 modes."""
-        p = self.points_per_axis
-        return (p,) * (2 * self.n - 1) + (p // 2 + 1,)
-
-    def mode_index(self, axis: int) -> np.ndarray:
-        """Integer mode numbers along one axis, broadcastable to the grid."""
-        p = self.points_per_axis
-        return self.along(axis, np.rint(np.fft.fftfreq(p) * p).astype(int))
-
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -242,24 +231,8 @@ _CHUNK_NODES = 2 ** 14
 # Derivatives are matmuls with p x p matrices, and the solver's reductions
 # are einsum sums in a fixed order, so outputs are bitwise reproducible
 # whatever the BLAS thread count.  The FFTs that remain, prolong's and
-# random_band_limited's, are outside the Newton step: numpy's pocketfft,
-# one thread, one axis at a time, each pass written into the one spectrum.
-
-
-def _rfft(values: np.ndarray) -> np.ndarray:
-    """The rfftn half spectrum of a real grid array: the last axis's real
-    transform, then every other axis's complex one, all in one new array."""
-    spectrum = np.empty(values.shape[:-1] + (values.shape[-1] // 2 + 1,), dtype=complex)
-    return np.fft.rfftn(values, axes=tuple(range(values.ndim)), out=spectrum)
-
-
-def _irfft(spectrum: np.ndarray) -> np.ndarray:
-    """The real grid array of an rfftn half spectrum, which is consumed: the
-    inverse passes of all but the last axis are written over it.  Every grid
-    axis has as many points as the spectrum's first."""
-    for axis in range(spectrum.ndim - 1):
-        np.fft.ifft(spectrum, axis=axis, out=spectrum)
-    return np.fft.irfft(spectrum, n=spectrum.shape[0], axis=-1)
+# random_band_limited's, are numpy's own (pocketfft, on one thread), and
+# both are outside the Newton step.
 
 
 def prolong(u: np.ndarray, p: int) -> np.ndarray:
@@ -270,13 +243,13 @@ def prolong(u: np.ndarray, p: int) -> np.ndarray:
     Exact on fields band-limited below q/2, and injection of the result,
     x[::p // q, ...], gives back u less its Nyquist part.
 
-    The spectrum is padded and inverted one axis at a time, so no pass
-    transforms a line that is all zeros."""
+    The spectrum is padded and inverted one axis at a time, each pass
+    written over its padded array, so no pass transforms a line of zeros."""
     q = u.shape[0]
     h = q // 2
     kept = np.r_[0:h, h + 1:q]          # coarse modes 0 .. q/2-1, -q/2+1 .. -1
     placed = np.r_[0:h, p - h + 1:p]    # the same modes in the fine order
-    spectrum = _rfft(u)[np.ix_(*[kept] * (u.ndim - 1), np.arange(h))]
+    spectrum = np.fft.rfftn(u)[np.ix_(*[kept] * (u.ndim - 1), np.arange(h))]
     spectrum *= (p / q) ** u.ndim   # numpy's inverse divides by the node count
     for axis in range(u.ndim - 1):
         padded = np.zeros(spectrum.shape[:axis] + (p,) + spectrum.shape[axis + 1:],
@@ -336,18 +309,17 @@ def fourier_basis(p: int) -> tuple:
     return c, lam
 
 
-def inverse_laplacian(y: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
-    """The mean-free x with Lap x = y - mean y, a new array, for a real grid
-    array y (with a grid array `weight`, for y * weight in y's place), where
-    Lap is the package's Laplacian sum_j u_{j jbar}, the sum over the axes
-    of D2 / 4.
+def inverse_laplacian(y: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """The mean-free x with Lap x = y w - mean(y w), a new array, for real
+    grid arrays y and w = weight (the solver's is float32), where Lap is the
+    package's Laplacian sum_j u_{j jbar}, the sum over the axes of D2 / 4.
 
     Lap is diagonal in the basis of fourier_basis: x is C along every axis,
     a division by Lap's eigenvalue Lambda, the sum over the axes of lam / 4
     (the zero mode's coefficient becomes 0), then C^T along every axis.  The
     two passes along the first axis read every first-axis index, and are
-    taken one chunk of columns (_CHUNK_NODES nodes) at a time, y * weight or
-    the transformed x formed in a buffer.  The other axes' passes
+    taken one chunk of columns (_CHUNK_NODES nodes) at a time, y w or the
+    transformed x formed in a buffer.  The other axes' passes
     and the division go one slab of at most _CHUNK_NODES nodes (slabs) at a
     time, ping-ponged between the slab of x and one slab buffer, 2n - 1
     passes each way, and the slab's Lambda is formed from the 1-D
@@ -372,11 +344,9 @@ def inverse_laplacian(y: np.ndarray, weight: np.ndarray | None = None) -> np.nda
     spans = [slice(start, start + chunk.shape[1])
              for start in range(0, y_cols.shape[1], chunk.shape[1])]
     for at in spans:
-        src = y_cols[:, at]
-        if weight is not None:   # cast into the chunk, not through numpy's buffers
-            chunk[...] = weight.reshape(p, -1)[:, at]
-            src = np.multiply(chunk, src, out=chunk)
-        np.matmul(c, src, out=x_cols[:, at])
+        # weight is cast into the chunk, not through numpy's buffers
+        chunk[...] = weight.reshape(p, -1)[:, at]
+        np.matmul(c, np.multiply(chunk, y_cols[:, at], out=chunk), out=x_cols[:, at])
     for at in slabs(y.shape, _CHUNK_NODES):
         s, t = x[at], buf[:at.stop - at.start]
         for axis in range(1, y.ndim):
@@ -757,16 +727,18 @@ def load_field(path, geometry: TorusGeometry | None = None) -> ScalarField:
 
 def random_band_limited(geom: TorusGeometry, rng: np.random.Generator,
                         max_mode: int = 2, amplitude: float = 1.0) -> np.ndarray:
-    """Random real band-limited field with |mode| <= max_mode on every axis,
-    rescaled to the requested max-norm amplitude."""
+    """Random real band-limited field with |mode| <= max_mode on every axis:
+    white noise masked in its rfftn half spectrum and inverted, less its
+    mean, rescaled to the requested max-norm amplitude."""
     w = rng.standard_normal(geom.shape)
-    what = _rfft(w)
-    mask = np.ones(geom.spectrum_shape, dtype=bool)
-    half = geom.spectrum_shape[-1]
-    for axis in range(2 * geom.n):
+    what = np.fft.rfftn(w)
+    p = geom.points_per_axis
+    kept = np.abs(np.rint(np.fft.fftfreq(p) * p)) <= max_mode
+    mask = np.ones(what.shape, dtype=bool)
+    for axis in range(w.ndim):
         # rfftn keeps modes 0 .. p/2 of the last axis
-        mask &= np.abs(geom.mode_index(axis))[..., :half] <= max_mode
-    u = _irfft(what * mask)
+        mask &= geom.along(axis, kept[:what.shape[axis]])
+    u = np.fft.irfftn(what * mask, s=w.shape, axes=tuple(range(w.ndim)))
     u -= u.mean()
     top = float(np.max(np.abs(u)))
     if top > 0.0:

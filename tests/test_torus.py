@@ -343,8 +343,6 @@ class TestSpectralDerivatives:
         def no_transform(*args, **kwargs):
             raise AssertionError("transformed")
 
-        for name in ("_rfft", "_irfft"):
-            monkeypatch.setattr(torus, name, no_transform)
         for name in ("fftn", "ifftn", "rfftn", "irfftn"):
             monkeypatch.setattr(np.fft, name, no_transform)
         dv = spectral_derivatives(u)
@@ -420,7 +418,7 @@ class TestInverseLaplacian:
         # inverse of the bundle's Laplacian gives back z - mean z
         geom = request.getfixturevalue(which)
         z = rng.standard_normal(geom.shape)
-        x = inverse_laplacian(spectral_derivatives(z).lap)
+        x = inverse_laplacian(spectral_derivatives(z).lap, np.ones(geom.shape, np.float32))
         assert np.max(np.abs(x - (z - z.mean()))) <= 1e-12 * np.max(np.abs(z))
         assert abs(x.mean()) <= 1e-14 * np.max(np.abs(z))
 
@@ -431,7 +429,8 @@ class TestInverseLaplacian:
         geom = request.getfixturevalue(which)
         y = rng.standard_normal(geom.shape)
         weight = (1.0 + rng.random(geom.shape)).astype(np.float32)
-        got, want = inverse_laplacian(y, weight), inverse_laplacian(y * weight)
+        got = inverse_laplacian(y, weight)
+        want = inverse_laplacian(y * weight, np.ones(geom.shape, np.float32))
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("which", ["geom2", "geom3"])
@@ -448,7 +447,7 @@ class TestInverseLaplacian:
             return real(a, b, out=out)
 
         monkeypatch.setattr(np, "matmul", spy)
-        inverse_laplacian(y)
+        inverse_laplacian(y, np.ones(geom.shape, np.float32))
         assert len(sizes) > 4 * geom.n and max(sizes) <= 2 ** 18
 
     @pytest.mark.parametrize("which, budget", [("geom2", 1.5), ("geom3", 1.3)])
@@ -853,9 +852,10 @@ class TestRandomFields:
         u = random_band_limited(geom2, rng, 2, 0.7)
         assert np.max(np.abs(u)) == pytest.approx(0.7, rel=1e-12)
         spec = np.fft.fftn(u)
+        p = geom2.points_per_axis
+        modes = np.abs(np.rint(np.fft.fftfreq(p) * p))
         for axis in range(4):
-            idx = np.abs(geom2.mode_index(axis)) > 2
-            sel = spec * idx
+            sel = spec * geom2.along(axis, modes > 2)
             assert np.max(np.abs(sel)) < 1e-9 * np.max(np.abs(spec))
 
     def test_mean_free(self, geom2, rng):

@@ -13,8 +13,10 @@
 # deletion or simplification that must leave the CLI outputs unchanged.
 # When outputs differ, it also prints, for each differing file, the largest
 # absolute difference of its numbers (float64 payload of a field dump, or
-# the numeric tokens of a text file whose other tokens agree), so a change
-# that only moves rounding shows as such; the exit code is 1 all the same.
+# the numeric tokens of a text file whose other tokens agree, a token read
+# as a number once the characters ()[]:; are stripped from its ends), so a
+# change that only moves rounding shows as such; the exit code is 1 all the
+# same.
 set -u
 
 usage() { echo "usage: $0 PARENT_SRC CHANGE_SRC" >&2; exit 2; }
@@ -130,6 +132,7 @@ import sys
 import numpy as np
 
 MAGIC, HEADER = b"S2LFIELD", 32   # field dumps: magic, three float64, payload
+PUNCT = "()[]:;"   # stripped from the ends of a token before it is read as a number
 
 
 def numbers(path):
@@ -138,9 +141,10 @@ def numbers(path):
         return None, np.frombuffer(raw[HEADER:], dtype="<f8")
     words, nums = [], []
     for tok in raw.decode(errors="replace").replace(",", " ").split():
+        core = tok.strip(PUNCT)   # "(residual 1.648e-09))" ends in a number
         try:
-            nums.append(float(tok))
-            words.append(None)
+            nums.append(float(core))
+            words.append(tok.replace(core, "", 1))   # the punctuation is compared
         except ValueError:
             words.append(tok)
     return words, np.array(nums)
